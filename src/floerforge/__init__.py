@@ -5,9 +5,10 @@ Core layers:
 - ``fualgebra``   exact homological algebra for free graded F2[U]-complexes
 - ``cfk``         knot complexes: builders, sums, mirrors, hat invariants
 - ``surgery``     the integer-surgery mapping cone and its graded output
-- ``whitehead``   Whitehead doubles at the complex level, clasp steps
+- ``whitehead``   Whitehead doubles and doubling towers at the complex level
 - ``endfloer``    directed systems, end invariants, distinguishability
-- ``cli``         command-line front end and verification suite
+- ``verify``      the reproduction suite behind ``floerforge verify``
+- ``cli``         command-line front end
 """
 
 from .cfk import (
@@ -23,6 +24,7 @@ from .cfk import (
     hfk_hat,
     j_in_y,
     jprime_in_yprime,
+    k_n,
     knot_numerics,
     mirror_knot,
     reduce_canonical,
@@ -72,12 +74,10 @@ from .surgery import (
     HFPlusResult,
     MappingCone,
     MissingFlip,
-    OneHandleMap,
     TriangleForce,
     build_cone,
     connected_sum_floer,
     exact_triangle_force,
-    extract_invariants,
     one_handle_stabilize,
     surgery_hf,
 )
@@ -85,7 +85,7 @@ from .whitehead import (
     FormalRankError,
     StepDescriptor,
     box_parameters,
-    clasp_step,
+    double_tower,
     hedden_hfk_double,
     is_box_sum,
     negative_double_cfk,

@@ -20,6 +20,8 @@ from .fualgebra import (
     ValidationReport,
     _Reducer,
     format_grading,
+    gf2_rank,
+    graded_f2_dims,
     grading,
     homology_decomposition,
     tensor_complexes,
@@ -119,6 +121,8 @@ def validate_knot(kc: KnotComplex) -> ValidationReport:
     violations = list(base_report.violations)
     A = kc.alexander
     for src, tgt, p in kc.base.entries():
+        if src not in A or tgt not in A:
+            continue  # reported by validate_complex
         if A[tgt] - p > A[src]:
             violations.append(
                 f"entry {src}->U^{p}.{tgt} raises the Alexander filtration"
@@ -353,6 +357,13 @@ def connected_sum_knots(k1: KnotComplex, k2: KnotComplex) -> KnotComplex:
     return KnotComplex(base, alexander, flip, ambient, name=label)
 
 
+def k_n(n: int) -> KnotComplex:
+    """The ribbon knot K_n = T(2, n) # T(2, -n), unreduced."""
+    kc = connected_sum_knots(staircase_torus(n, "+"), staircase_torus(n, "-"))
+    kc.name = f"K{n}"
+    return kc
+
+
 def reduce_canonical(kc: KnotComplex) -> KnotComplex:
     """Cancel every U^0 entry with zero Alexander drop.
 
@@ -402,43 +413,24 @@ def _vertical_differential(kc: KnotComplex):
     }
 
 
-def _gf2_rank(rows: list[int]) -> int:
-    pivots: list[int] = []
-    for m in rows:
-        for pv in pivots:
-            if m & (pv & -pv):
-                m ^= pv
-        if m:
-            pivots.append(m)
-    return len(pivots)
-
-
 def _graded_homology_dims(kc: KnotComplex, gens: list[str], keep_alexander: bool):
     """Homology dims of the U=0 complex on ``gens``; with ``keep_alexander``
     only Alexander-preserving arrows count (associated graded)."""
     index = {g: i for i, g in enumerate(gens)}
     A = kc.alexander
     vert = _vertical_differential(kc)
-    masks = {}
+    keys = []
+    masks = []
     for g in gens:
         mask = 0
         for tgt in vert.get(g, ()):
             if tgt in index and (not keep_alexander or A[tgt] == A[g]):
                 mask |= 1 << index[tgt]
-        masks[g] = mask
-    keys = sorted({(kc.maslov(g), A[g]) if keep_alexander else kc.maslov(g) for g in gens})
-    dims = {}
-    for key in keys:
-        if keep_alexander:
-            here = [g for g in gens if (kc.maslov(g), A[g]) == key]
-            above = [g for g in gens if (kc.maslov(g), A[g]) == (key[0] + 1, key[1])]
-        else:
-            here = [g for g in gens if kc.maslov(g) == key]
-            above = [g for g in gens if kc.maslov(g) == key + 1]
-        d = len(here) - _gf2_rank([masks[g] for g in here]) - _gf2_rank([masks[g] for g in above])
-        if d:
-            dims[key] = d
-    return dims
+        masks.append(mask)
+        keys.append((kc.maslov(g), A[g]) if keep_alexander else kc.maslov(g))
+    if keep_alexander:
+        return graded_f2_dims(keys, masks, lambda key: (key[0] + 1, key[1]))
+    return graded_f2_dims(keys, masks, lambda key: key + 1)
 
 
 def hfk_hat(kc: KnotComplex) -> HfkTable:
@@ -497,7 +489,7 @@ def knot_numerics(kc: KnotComplex) -> dict:
         # Surjectivity onto H(total) = F: some subcomplex cycle survives
         # modulo all boundaries of the full complex.
         pool = full_boundaries + sub_cycles
-        if _gf2_rank(pool) > _gf2_rank(full_boundaries):
+        if gf2_rank(pool) > gf2_rank(full_boundaries):
             tau = i
             break
     else:

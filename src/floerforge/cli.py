@@ -13,7 +13,7 @@ import json
 import sys
 from pathlib import Path
 
-from .cfk import KnotComplex, hfk_hat, knot_numerics, reduced_basis_form, validate_knot
+from .cfk import KnotComplex, hfk_hat, knot_numerics, validate_knot
 from .corpus import canonical_json, load_complex
 from .endfloer import (
     CH_MINUS,
@@ -27,7 +27,7 @@ from .endfloer import (
 from .fualgebra import FUDecomposition, InvalidComplex, format_grading
 from .surgery import MissingFlip, surgery_hf
 from .verify import format_rows, run_verification
-from .whitehead import negative_double_cfk, whitehead_double_cfk
+from .whitehead import double_tower
 
 
 class UsageError(Exception):
@@ -74,7 +74,7 @@ def _load(path: str) -> KnotComplex:
         return load_complex(path)
     except FileNotFoundError as exc:
         raise UsageError(str(exc)) from exc
-    except (json.JSONDecodeError, KeyError, TypeError) as exc:
+    except (ValueError, KeyError, TypeError) as exc:
         raise UsageError(f"cannot parse complex file {path!r}: {exc}") from exc
 
 
@@ -153,12 +153,9 @@ def _cmd_double(args) -> int:
     kc = _load(args.complex)
     if args.iterations < 1:
         raise UsageError("--iterations must be at least 1")
-    current = kc
-    for i in range(args.iterations):
-        rb = reduced_basis_form(current)
-        build = whitehead_double_cfk if args.sign == "+" else negative_double_cfk
-        current = build(rb, name=f"Wh^{i + 1}({kc.name})" if kc.name else f"Wh^{i + 1}")
-    _emit(canonical_json(current.to_json()), args.out)
+    validate_knot(kc).require("complex")
+    top = double_tower(kc, args.sign * args.iterations)[-1]
+    _emit(canonical_json(top.to_json()), args.out)
     return 0
 
 

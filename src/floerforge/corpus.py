@@ -13,27 +13,12 @@ import os
 from importlib import resources
 from pathlib import Path
 
-from .cfk import (
-    KnotComplex,
-    builtin,
-    connected_sum_knots,
-    reduce_canonical,
-    reduced_basis_form,
-    staircase_torus,
-)
+from .cfk import KnotComplex, builtin, k_n, reduce_canonical, reduced_basis_form, staircase_torus
 from .whitehead import whitehead_double_cfk
 
 
-def _k_n(n: int) -> KnotComplex:
-    kc = reduce_canonical(
-        connected_sum_knots(staircase_torus(n, "+"), staircase_torus(n, "-"))
-    )
-    kc.name = f"K{n}"
-    return kc
-
-
 def _wh_k_n(n: int) -> KnotComplex:
-    return whitehead_double_cfk(reduced_basis_form(_k_n(n)), name=f"Wh(K{n})")
+    return whitehead_double_cfk(reduced_basis_form(k_n(n)), name=f"Wh(K{n})")
 
 
 def corpus_builders() -> dict:
@@ -46,7 +31,8 @@ def corpus_builders() -> dict:
     }
     for n in (3, 5, 7, 9):
         builders[f"t2_{n}"] = lambda n=n: staircase_torus(n, "+")
-        builders[f"k{n}"] = lambda n=n: _k_n(n)
+        # The fixtures hold K_n canonically reduced.
+        builders[f"k{n}"] = lambda n=n: reduce_canonical(k_n(n))
         builders[f"wh_k{n}"] = lambda n=n: _wh_k_n(n)
     return builders
 

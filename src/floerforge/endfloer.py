@@ -19,14 +19,8 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
-from .cfk import (
-    KnotComplex,
-    hfk_hat,
-    mirror_knot,
-    reduce_canonical,
-    reduced_basis_form,
-)
-from .fualgebra import format_grading, grading
+from .cfk import KnotComplex, hfk_hat, mirror_knot, reduce_canonical
+from .fualgebra import FUDecomposition, format_grading, gf2_rank, grading
 from .surgery import (
     FORCED_INJECTIVE_TOP,
     HFPlusResult,
@@ -35,12 +29,7 @@ from .surgery import (
     one_handle_stabilize,
     surgery_hf,
 )
-from .whitehead import (
-    StepDescriptor,
-    is_box_sum,
-    negative_double_cfk,
-    whitehead_double_cfk,
-)
+from .whitehead import StepDescriptor, double_tower, is_box_sum
 
 F = Fraction
 
@@ -206,19 +195,6 @@ def _check_shifts(spec: ExhaustionSpec):
 # exact F2 block matrices for explicit systems
 
 
-def _gf2_rank(columns):
-    pivots = []
-    r = 0
-    for col in columns:
-        for pv in pivots:
-            if col & (pv & -pv):
-                col ^= pv
-        if col:
-            pivots.append(col)
-            r += 1
-    return r
-
-
 def _identity_blocks(table):
     return {g: [1 << i for i in range(r)] for g, r in table.items() if r}
 
@@ -349,9 +325,9 @@ def colimit(spec: ExhaustionSpec) -> EndFloerReport:
         gradings = set().union(*tables)
         per = {}
         for g in sorted(gradings):
-            r_ab = _gf2_rank(composite(a, b).get(g, []))
-            r_ac = _gf2_rank(composite(a, c).get(g, []))
-            r_bc = _gf2_rank(composite(b, c).get(g, []))
+            r_ab = gf2_rank(composite(a, b).get(g, []))
+            r_ac = gf2_rank(composite(a, c).get(g, []))
+            r_bc = gf2_rank(composite(b, c).get(g, []))
             if not (r_ab == r_ac == r_bc):
                 narrative.append(
                     f"composite ranks at grading {format_grading(g)} do not stabilise"
@@ -482,22 +458,10 @@ def _oriented_data(spec: SliceR4Spec):
     return mirror_knot(spec.knot), spec.handle.mirror()
 
 
-def _double_tower(kc: KnotComplex, count: int, sign: str = "+"):
-    """Iterated doubles Wh(K), Wh^2(K), ... as complexes."""
-    tower = []
-    current = kc
-    for i in range(count):
-        rb = reduced_basis_form(current)
-        build = whitehead_double_cfk if sign == "+" else negative_double_cfk
-        current = build(rb, name=f"Wh^{i + 1}")
-        tower.append(current)
-    return tower
-
-
 def _positive_level_results(kc: KnotComplex, levels: int):
     """0-framed outputs along the positive doubling tower, starting at the
     first double."""
-    return [surgery_hf(d, 0) for d in _double_tower(kc, levels, "+")]
+    return [surgery_hf(d, 0) for d in double_tower(kc, "+" * levels)]
 
 
 def _max_reduced_hat(kc: KnotComplex) -> Fraction:
@@ -545,11 +509,8 @@ def he_slice_r4(spec: SliceR4Spec, levels: int = 3) -> EndFloerReport:
         return _report({}, False, note)
 
     if handle.kind == "finite_mixed_then_one_sign":
-        current = knot
-        for i, s in enumerate(handle.signs):
-            rb = reduced_basis_form(current)
-            build = whitehead_double_cfk if s == "+" else negative_double_cfk
-            current = build(rb, name=f"prefix{i + 1}")
+        prefix = double_tower(knot, handle.signs)
+        current = prefix[-1] if prefix else knot
         tail_handle = CH_PLUS if handle.tail == "+" else CH_MINUS
         inner = replace(spec, knot=current, handle=tail_handle, orientation="+")
         report = he_slice_r4(inner, levels=levels)
@@ -687,16 +648,12 @@ class ClosedManifoldData:
 
 
 def s3_data() -> ClosedManifoldData:
-    from .fualgebra import FUDecomposition
-
     return ClosedManifoldData(
         HFPlusResult(FUDecomposition.make([F(0)], [])), b1=0, name="S3"
     )
 
 
 def s1xs2_data() -> ClosedManifoldData:
-    from .fualgebra import FUDecomposition
-
     return ClosedManifoldData(
         HFPlusResult(FUDecomposition.make([F(1, 2), F(-1, 2)], [])), b1=1, name="S1xS2"
     )
@@ -717,10 +674,7 @@ def he_product_end(m: ClosedManifoldData, r: SliceR4Spec, n: int, levels: int = 
     if _is_trivial_knot(knot):
         return _report({}, True, ["trivial knot: the summed end is standard"])
 
-    from .fualgebra import FUDecomposition
-
-    doubles = _double_tower(knot, levels + 1, "+")
-    results = [surgery_hf(d, 0) for d in doubles]
+    results = _positive_level_results(knot, levels + 1)
     m_towers = HFPlusResult(FUDecomposition.make(m.hf_plus.decomposition.towers, []))
     m_red_only = HFPlusResult(
         FUDecomposition.make([], m.hf_plus.decomposition.torsion)
@@ -749,7 +703,7 @@ def he_product_end(m: ClosedManifoldData, r: SliceR4Spec, n: int, levels: int = 
     f_value = None
     for i in range(levels):
         level = results[i]
-        stabilized, _ = one_handle_stabilize(level)
+        stabilized = one_handle_stabilize(level)
         next_level = results[i + 1]
         mod1 = connected_sum_floer(m.hf_plus, stabilized)
         mod2 = connected_sum_floer(m.hf_plus, next_level)

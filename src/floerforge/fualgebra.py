@@ -159,6 +159,87 @@ class FreeComplex:
         return cls(gens, diff)
 
 
+def xor_entry(row: dict[str, int], key: str, power: int) -> bool:
+    """Add ``U^power . key`` to a sparse F2[U] row in place.
+
+    Over F2 an equal power already present cancels it; otherwise the entry
+    is inserted.  Returns True on insertion.  A homogeneous map has one
+    power per key, so a different power, or a negative one, is a bug.
+
+    >>> row = {"x": 1}
+    >>> xor_entry(row, "y", 0), xor_entry(row, "x", 1), row
+    (True, False, {'y': 0})
+    """
+    if key in row:
+        if row[key] != power:
+            raise AssertionError(f"inhomogeneous entry at {key}: powers {row[key]} vs {power}")
+        del row[key]
+        return False
+    if power < 0:
+        raise AssertionError(f"negative U-power {power} at {key}")
+    row[key] = power
+    return True
+
+
+def compose(first: Mapping, then: Mapping) -> dict[str, dict[str, int]]:
+    """The map ``first`` followed by ``then``, both as source -> {target: power}.
+
+    >>> compose({"a": {"m": 1, "n": 0}}, {"m": {"z": 0}, "n": {"z": 1}})
+    {}
+    >>> compose({"a": {"m": 1}}, {"m": {"y": 0, "z": 2}})
+    {'a': {'y': 1, 'z': 3}}
+    """
+    out: dict[str, dict[str, int]] = {}
+    for src, row in first.items():
+        acc: dict[str, int] = {}
+        for mid, p in row.items():
+            for tgt, q in then.get(mid, {}).items():
+                xor_entry(acc, tgt, p + q)
+        if acc:
+            out[src] = acc
+    return out
+
+
+def gf2_rank(vectors: Iterable[int]) -> int:
+    """Rank over F2 of bitmask vectors, by Gaussian elimination.
+
+    >>> gf2_rank([0b011, 0b110, 0b101, 0])
+    2
+    """
+    pivots: list[int] = []
+    for v in vectors:
+        for pv in pivots:
+            if v & (pv & -pv):
+                v ^= pv
+        if v:
+            pivots.append(v)
+    return len(pivots)
+
+
+def graded_f2_dims(keys, boundaries, above) -> dict:
+    """Graded dimensions of the homology of an F2 differential.
+
+    Basis vector i sits in grading ``keys[i]`` and has boundary
+    ``boundaries[i]``, a bitmask over the basis; ``above(key)`` is the
+    grading one step up.  Then dim H(key) = #key - rank d(key) -
+    rank d(above(key)).  Zero dimensions are dropped and the keys come
+    out sorted.
+
+    >>> graded_f2_dims([0, 1, 1], [0, 0b001, 0b001], lambda k: k + 1)
+    {1: 1}
+    """
+    buckets: dict = {}
+    for key, mask in zip(keys, boundaries):
+        buckets.setdefault(key, []).append(mask)
+    ranks = {key: gf2_rank(masks) for key, masks in buckets.items()}
+    dims = {}
+    for key in sorted(buckets):
+        d = len(buckets[key]) - ranks[key] - ranks.get(above(key), 0)
+        if d:
+            dims[key] = d
+    return dims
+
+
 def validate_complex(c: FreeComplex) -> ValidationReport:
     """Check d^2 = 0 and grading homogeneity, listing every violation."""
     violations = []
@@ -312,21 +393,13 @@ class _Reducer:
 
     def _toggle(self, src: str, tgt: str, p: int):
         row = self.diff.setdefault(src, {})
-        if tgt in row:
-            if row[tgt] != p:
-                raise AssertionError(
-                    f"inhomogeneous toggle {src}->{tgt}: powers {row[tgt]} vs {p}"
-                )
-            del row[tgt]
+        if xor_entry(row, tgt, p):
+            self.into.setdefault(tgt, set()).add(src)
+            self._created.append((src, tgt, p))
+        else:
             if not row:
                 del self.diff[src]
             self.into[tgt].discard(src)
-        else:
-            if p < 0:
-                raise AssertionError(f"negative U-power in toggle {src}->{tgt}")
-            row[tgt] = p
-            self.into.setdefault(tgt, set()).add(src)
-            self._created.append((src, tgt, p))
 
     def mix(self, g: str, h: str, s: int):
         """Basis change g := g + U^s h."""
@@ -341,26 +414,12 @@ class _Reducer:
             self._toggle(y, h, self.diff[y][g] + s)
         if self.track:
             for old, p in list(self.iota[h].items()):
-                row = self.iota[g]
-                key = p + s
-                if old in row:
-                    if row[old] != key:
-                        raise AssertionError("inhomogeneous iota update")
-                    del row[old]
-                else:
-                    row[old] = key
+                xor_entry(self.iota[g], old, p + s)
             for e in list(self.pi_into.get(g, set())):
-                c = self.pi[e][g]
-                row = self.pi[e]
-                key = c + s
-                if h in row:
-                    if row[h] != key:
-                        raise AssertionError("inhomogeneous pi update")
-                    del row[h]
-                    self.pi_into[h].discard(e)
-                else:
-                    row[h] = key
+                if xor_entry(self.pi[e], h, self.pi[e][g] + s):
                     self.pi_into.setdefault(h, set()).add(e)
+                else:
+                    self.pi_into[h].discard(e)
 
     def _drop(self, g: str):
         self.alive_set.discard(g)
@@ -466,13 +525,6 @@ class _Reducer:
         )
 
 
-def reduce_u0(c: FreeComplex) -> FreeComplex:
-    """Cancel all U^0 entries; the result is a minimal model of ``c``."""
-    r = _Reducer(c)
-    r.cancel_u0()
-    return r.current_complex()
-
-
 def split_components(c: FreeComplex) -> list[FreeComplex]:
     """Direct-sum decomposition along connectivity of the differential."""
     parent = {g: g for g in c.generators}
@@ -530,7 +582,7 @@ def homology_decomposition(c: FreeComplex) -> FUDecomposition:
     return FUDecomposition.make(towers, torsion)
 
 
-def plus_presentation(h: FUDecomposition, convention: str = "minus") -> FUDecomposition:
+def plus_presentation(h: FUDecomposition) -> FUDecomposition:
     """Re-express a decomposition in plus-flavoured (tower) terms.
 
     The engine computes homology of free complexes built from subcomplex
@@ -540,13 +592,8 @@ def plus_presentation(h: FUDecomposition, convention: str = "minus") -> FUDecomp
     calibrated once by the split 0-framed pipeline on the trivial knot,
     which must come out as towers at +1/2 and -1/2 -- while every torsion
     summand's top grading moves down by 1 (the connecting map of the
-    region sequence has degree -1).  With ``convention="plus"`` the input
-    already uses the quotient normalisation and passes through unchanged.
+    region sequence has degree -1).
     """
-    if convention == "plus":
-        return h
-    if convention != "minus":
-        raise ValueError(f"unknown convention {convention!r}")
     # The torsion shift is uniform, so the stored ordering survives.
     return FUDecomposition(
         h.towers,

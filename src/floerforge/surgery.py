@@ -29,12 +29,14 @@ from .fualgebra import (
     FreeComplex,
     FUDecomposition,
     _Reducer,
+    compose,
     format_grading,
     grading,
     homology_decomposition,
     plus_presentation,
     tensor_complexes,
     validate_complex,
+    xor_entry,
 )
 
 F = Fraction
@@ -98,74 +100,36 @@ class MappingCone:
     def total_complex(self) -> FreeComplex:
         gens = []
         diff: dict[str, dict[str, int]] = {}
-
-        def xor_entry(src, tgt, p):
-            # F2 coefficients: coinciding contributions cancel.
-            row = diff.setdefault(src, {})
-            if tgt in row:
-                if row[tgt] != p:
-                    raise AssertionError(f"inhomogeneous cone entry {src}->{tgt}")
-                del row[tgt]
-            else:
-                row[tgt] = p
-
-        for s in self.a_window:
-            c = self.a_complexes[s]
+        summands = [(f"A{s}", self.a_complexes[s], self.a_shifts[s]) for s in self.a_window]
+        summands += [(f"B{t}", self.b_complexes[t], self.b_shifts[t]) for t in self.b_window]
+        for tag, c, shift in summands:
             for g in c.generators:
-                gens.append((f"A{s}|{g}", c.maslov[g] + self.a_shifts[s]))
+                gens.append((f"{tag}|{g}", c.maslov[g] + shift))
             for src, row in c.differential.items():
-                for t, p in row.items():
-                    xor_entry(f"A{s}|{src}", f"A{s}|{t}", p)
-        for t in self.b_window:
-            c = self.b_complexes[t]
-            for g in c.generators:
-                gens.append((f"B{t}|{g}", c.maslov[g] + self.b_shifts[t]))
-            for src, row in c.differential.items():
-                for tg, p in row.items():
-                    xor_entry(f"B{t}|{src}", f"B{t}|{tg}", p)
+                for tgt, p in row.items():
+                    xor_entry(diff.setdefault(f"{tag}|{src}", {}), f"{tag}|{tgt}", p)
         for (s, kind), entries in self.edges.items():
             t = s if kind == "v" else s + self.n
             for src, row in entries.items():
-                for tg, p in row.items():
-                    xor_entry(f"A{s}|{src}", f"B{t}|{tg}", p)
+                for tgt, p in row.items():
+                    xor_entry(diff.setdefault(f"A{s}|{src}", {}), f"B{t}|{tgt}", p)
         return FreeComplex(gens, diff)
 
 
 def _b_shift(n: int, t: int, c0: Fraction) -> Fraction:
-    """Anchor propagation c_{s+n} = c_s + 2s starting from c_0."""
+    """Anchor propagation c_{s+n} = c_s + 2s starting from c_0, in closed form."""
     if n == 0:
         if t != 0:
             raise ValueError("framing 0 only forms the s = 0 summand")
         return c0
-    c = c0
-    if n == 1:
-        if t >= 0:
-            for u in range(t):  # c_{u+1} = c_u + 2u
-                c += 2 * u
-        else:
-            for u in range(0, t, -1):  # c_{u-1} = c_u - 2(u-1)
-                c -= 2 * (u - 1)
-    else:
-        if t <= 0:
-            for u in range(0, t, -1):  # c_{u-1} = c_u + 2u
-                c += 2 * u
-        else:
-            for u in range(t):  # c_{u+1} = c_u - 2(u+1)
-                c -= 2 * (u + 1)
-    return c
+    return c0 + n * t * (t - n)
 
 
 _ANCHORS = {0: F(-1, 2), -1: F(0), 1: F(-1)}
 
 
-def build_cone(kc: KnotComplex, n: int, reduce_summands: bool = False) -> MappingCone:
-    """Assemble the truncated cone for framing n in {-1, 0, +1}.
-
-    With ``reduce_summands`` each A_s and B_t is first reduced to its
-    minimal model (all U^0 entries cancelled) and the edge maps are
-    transported through the reduction; the cone homology is unchanged
-    and the two routes are cross-checked in the tests.
-    """
+def build_cone(kc: KnotComplex, n: int) -> MappingCone:
+    """Assemble the truncated cone for framing n in {-1, 0, +1}."""
     if kc.flip is None:
         raise MissingFlip(f"complex {kc.name or ''} has no flip involution")
     if n not in (-1, 0, 1):
@@ -226,8 +190,6 @@ def build_cone(kc: KnotComplex, n: int, reduce_summands: bool = False) -> Mappin
         for s in mc.a_window:
             if (s, "v") not in mc.edges and (s, "h") not in mc.edges:
                 raise ValueError(f"cone summand A_{s} is disconnected from the window")
-    if reduce_summands:
-        mc = _reduce_cone_summands(mc)
     return mc
 
 
@@ -237,45 +199,11 @@ def _reduce_with_maps(c: FreeComplex):
     return r.current_complex(), r.iota, r.pi
 
 
-def _compose_entries(entries, post):
-    """Compose a map given by ``entries`` with the coordinate change ``post``."""
-    out: dict[str, dict[str, int]] = {}
-    for src, row in entries.items():
-        acc: dict[str, int] = {}
-        for mid, p in row.items():
-            for tgt, q in post.get(mid, {}).items():
-                key = tgt
-                power = p + q
-                if key in acc:
-                    if acc[key] != power:
-                        raise AssertionError("inhomogeneous composition")
-                    del acc[key]
-                else:
-                    acc[key] = power
-        if acc:
-            out[src] = acc
-    return out
-
-
-def _precompose_entries(iota, entries):
-    out: dict[str, dict[str, int]] = {}
-    for src, row in iota.items():
-        acc: dict[str, int] = {}
-        for mid, p in row.items():
-            for tgt, q in entries.get(mid, {}).items():
-                power = p + q
-                if tgt in acc:
-                    if acc[tgt] != power:
-                        raise AssertionError("inhomogeneous composition")
-                    del acc[tgt]
-                else:
-                    acc[tgt] = power
-        if acc:
-            out[src] = acc
-    return out
-
-
 def _reduce_cone_summands(mc: MappingCone) -> MappingCone:
+    """The same cone with each A_s and B_t reduced to its minimal model (all
+    U^0 entries cancelled) and the edge maps transported through the
+    reductions.  The cone homology is unchanged; the tests compare this
+    route with the flat one."""
     a_red, a_iota = {}, {}
     for s in mc.a_window:
         reduced, iota, _pi = _reduce_with_maps(mc.a_complexes[s])
@@ -289,8 +217,7 @@ def _reduce_cone_summands(mc: MappingCone) -> MappingCone:
     edges = {}
     for (s, kind), entries in mc.edges.items():
         t = s if kind == "v" else s + mc.n
-        composed = _precompose_entries(a_iota[s], _compose_entries(entries, b_pi[t]))
-        edges[(s, kind)] = composed
+        edges[(s, kind)] = compose(a_iota[s], compose(entries, b_pi[t]))
     return MappingCone(
         n=mc.n,
         a_window=mc.a_window,
@@ -304,40 +231,22 @@ def _reduce_cone_summands(mc: MappingCone) -> MappingCone:
     )
 
 
-def surgery_hf(kc: KnotComplex, n: int, reduce_summands: bool = False) -> HFPlusResult:
+def surgery_hf(kc: KnotComplex, n: int) -> HFPlusResult:
     """Graded homology of n-framed surgery, in the torsion structure class."""
-    mc = build_cone(kc, n, reduce_summands=reduce_summands)
-    total = mc.total_complex()
-    report = validate_complex(total)
-    report.require("mapping cone")
+    total = build_cone(kc, n).total_complex()
+    validate_complex(total).require("mapping cone")
     h = homology_decomposition(total)
-    return HFPlusResult(plus_presentation(h, convention="minus"))
+    return HFPlusResult(plus_presentation(h))
 
 
-def extract_invariants(result: HFPlusResult) -> dict:
-    """d-invariants (sorted tower bottoms) and the reduced rank table."""
-    return {"d": list(result.d_invariants), "hf_red": result.hf_red()}
-
-
-@dataclass(frozen=True)
-class OneHandleMap:
-    """Descriptor of the stabilisation map: inclusion into the +1/2 copy."""
-
-    kind: str = "inclusion"
-    target_shift: Fraction = F(1, 2)
-
-
-def one_handle_stabilize(result: HFPlusResult):
+def one_handle_stabilize(result: HFPlusResult) -> HFPlusResult:
     """Tensor with one F_(1/2) + F_(-1/2) pair: every summand doubles."""
     dec = result.decomposition
     towers = [t + F(1, 2) for t in dec.towers] + [t - F(1, 2) for t in dec.towers]
     torsion = [(g + F(1, 2), k) for g, k in dec.torsion] + [
         (g - F(1, 2), k) for g, k in dec.torsion
     ]
-    return (
-        HFPlusResult(FUDecomposition.make(towers, torsion), result.spinc),
-        OneHandleMap(),
-    )
+    return HFPlusResult(FUDecomposition.make(towers, torsion), result.spinc)
 
 
 def _encode_decomposition(dec: FUDecomposition, tag: str) -> FreeComplex:
@@ -402,7 +311,7 @@ def connected_sum_floer(r1: HFPlusResult, r2: HFPlusResult) -> HFPlusResult:
             towers.extend(block.towers)
             torsion.extend(block.torsion)
     h_total = FUDecomposition.make(towers, torsion)
-    return HFPlusResult(plus_presentation(h_total, convention="minus"))
+    return HFPlusResult(plus_presentation(h_total))
 
 
 # ---------------------------------------------------------------------------

@@ -14,14 +14,14 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .fualgebra import FUDecomposition, FreeComplex, U_DEGREE
+from .fualgebra import FUDecomposition, FreeComplex, U_DEGREE, graded_f2_dims
 
 
 def truncated_graded_dimensions(c: FreeComplex, cutoff: int) -> dict[Fraction, int]:
     """Graded dims of H(c tensor F2[U]/U^cutoff), by row reduction over F2."""
     basis = [(g, p) for g in c.generators for p in range(cutoff)]
     index = {b: i for i, b in enumerate(basis)}
-    deg = {b: c.maslov[b[0]] + U_DEGREE * b[1] for b in basis}
+    degrees = [c.maslov[g] + U_DEGREE * p for g, p in basis]
 
     # Boundary of each basis vector as a bitmask over the full basis.
     bdry = []
@@ -31,30 +31,7 @@ def truncated_graded_dimensions(c: FreeComplex, cutoff: int) -> dict[Fraction, i
             if p + q < cutoff:
                 mask |= 1 << index[(tgt, p + q)]
         bdry.append(mask)
-
-    def rank(masks):
-        pivots = []
-        r = 0
-        for m in masks:
-            for pv in pivots:
-                low = pv & -pv
-                if m & low:
-                    m ^= pv
-            if m:
-                pivots.append(m)
-                r += 1
-        return r
-
-    dims: dict[Fraction, int] = {}
-    gradings = sorted(set(deg.values()))
-    for d in gradings:
-        here = [b for b in basis if deg[b] == d]
-        boundary_rank = rank([bdry[index[b]] for b in here])
-        image_rank = rank([bdry[index[b]] for b in basis if deg[b] == d + 1])
-        dim = len(here) - boundary_rank - image_rank
-        if dim:
-            dims[d] = dim
-    return dims
+    return graded_f2_dims(degrees, bdry, lambda d: d + 1)
 
 
 def expected_truncated_dimensions(h: FUDecomposition, cutoff: int) -> dict[Fraction, int]:

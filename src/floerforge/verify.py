@@ -20,6 +20,7 @@ from .cfk import (
     figure8,
     filtration_homology,
     hfk_hat,
+    k_n,
     knot_numerics,
     reduced_basis_form,
     staircase_torus,
@@ -52,6 +53,7 @@ from .truncation import expected_truncated_dimensions, truncated_graded_dimensio
 from .whitehead import (
     StepDescriptor,
     box_parameters,
+    double_tower,
     hedden_hfk_double,
     negative_double_cfk,
     whitehead_double_cfk,
@@ -94,29 +96,18 @@ class _Context:
         return self._cache[key]
 
     def k_n(self, n):
-        return self.get(
-            ("k", n),
-            lambda: connected_sum_knots(staircase_torus(n, "+"), staircase_torus(n, "-")),
-        )
+        return self.get(("k", n), lambda: k_n(n))
 
-    def wh_k_n(self, n):
-        return self.get(
-            ("wh", n),
-            lambda: whitehead_double_cfk(reduced_basis_form(self.k_n(n)), name=f"Wh(K{n})"),
-        )
-
-    def wh2_k_n(self, n):
-        return self.get(
-            ("wh2", n),
-            lambda: whitehead_double_cfk(reduced_basis_form(self.wh_k_n(n)), name=f"Wh2(K{n})"),
-        )
+    def wh_tower(self, n):
+        """Wh(K_n) and Wh^2(K_n), positively clasped."""
+        return self.get(("wh", n), lambda: double_tower(self.k_n(n), "++"))
 
     def closed_patterns(self, n):
         """Closed patterns of the three surgered manifolds from the box
         corner gradings of K = Wh(K_n)."""
 
         def build():
-            ks = box_parameters(self.wh_k_n(n))
+            ks = box_parameters(self.wh_tower(n)[0])
             item1 = _dec(
                 [F(1), F(0), F(0), F(-1)],
                 [(k, 1) for k in ks] + [(k - 1, 1) for k in ks],
@@ -133,9 +124,9 @@ class _Context:
         """The same three outputs through the chain-level cone."""
 
         def build():
-            k = self.wh_k_n(n)
-            stabilized, _ = one_handle_stabilize(surgery_hf(k, 0))
-            item2 = surgery_hf(self.wh2_k_n(n), 0)
+            k, k2 = self.wh_tower(n)
+            stabilized = one_handle_stabilize(surgery_hf(k, 0))
+            item2 = surgery_hf(k2, 0)
             item3 = surgery_hf(connected_sum_knots(builtin("J_in_Y"), k), -1)
             return stabilized.decomposition, item2.decomposition, item3.decomposition
 
@@ -246,9 +237,9 @@ def _rows_triangle(ctx):
             FORCED_INJECTIVE_TOP,
             force.verdict(0),
         )
-        k = ctx.wh_k_n(n)
+        k = ctx.wh_tower(n)[0]
         boxes = len(box_parameters(k))
-        stabilized, _ = one_handle_stabilize(surgery_hf(k, 0))
+        stabilized = one_handle_stabilize(surgery_hf(k, 0))
         neg = surgery_hf(negative_double_cfk(reduced_basis_form(k)), 0)
         third = surgery_hf(
             connected_sum_knots(builtin("Jprime_in_Yprime"), k), -1
@@ -375,7 +366,7 @@ def _rows_properties(ctx):
         "j_in_y": builtin("J_in_Y"),
         "jprime": builtin("Jprime_in_Yprime"),
         "k3": ctx.k_n(3),
-        "wh_k3": ctx.wh_k_n(3),
+        "wh_k3": ctx.wh_tower(3)[0],
     }
     bad = []
     for name, kc in builders.items():

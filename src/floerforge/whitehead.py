@@ -5,11 +5,6 @@ the genus-one complex x + sum_j B[m_j - 1]^(2 d_j); the negative-clasp
 double is the mirror of the double of the mirror.  The hat-level rank
 formula for doubles is evaluated independently, term by term with its
 formal negative corrections, and the two must agree (tested).
-
-``clasp_step`` packages the effect of one doubling cobordism on the
-0-framed surgery output as a step descriptor for directed systems:
-positively clasped steps are injective on the top graded summand with
-grading shift 0; negatively clasped steps are zero maps.
 """
 
 from __future__ import annotations
@@ -28,8 +23,7 @@ from .cfk import (
     reduced_basis_form,
     unknot,
 )
-from .fualgebra import FUDecomposition, grading
-from .surgery import HFPlusResult, surgery_hf
+from .fualgebra import grading
 
 F = Fraction
 
@@ -92,6 +86,21 @@ def negative_double_cfk(rb: ReducedBasisForm, name: str = "") -> KnotComplex:
     out = mirror_knot(doubled)
     out.name = name or "Wh-"
     return out
+
+
+def double_tower(kc: KnotComplex, signs) -> list[KnotComplex]:
+    """Iterated doubles, one level per sign in ``signs`` ("+" or "-").
+
+    Level i is named ``Wh^i(<name>)``, or ``Wh^i`` when ``kc`` has no name.
+    """
+    tower = []
+    current = kc
+    for i, sign in enumerate(signs, start=1):
+        build = whitehead_double_cfk if sign == "+" else negative_double_cfk
+        current = build(reduced_basis_form(current),
+                        name=f"Wh^{i}({kc.name})" if kc.name else f"Wh^{i}")
+        tower.append(current)
+    return tower
 
 
 def box_parameters(kc: KnotComplex) -> list[Fraction]:
@@ -159,52 +168,3 @@ class StepDescriptor:
             raise ValueError(f"unknown step kind {self.kind!r}")
         if (self.kind == "explicit") != (self.matrix is not None):
             raise ValueError("explicit steps carry a matrix; others must not")
-
-
-def _expect_zero_surgery_shape(level: HFPlusResult) -> list[Fraction]:
-    dec = level.decomposition
-    if tuple(sorted(dec.towers)) != (F(-1, 2), F(1, 2)):
-        raise ValueError(f"not a 0-framed surgery output: towers {dec.towers}")
-    if any(k != 1 for _g, k in dec.torsion):
-        raise ValueError("reduced part must be length-1 torsion")
-    return [g + F(1, 2) for g, _k in dec.torsion]
-
-
-def clasp_step(sign: str, level: HFPlusResult):
-    """Target level and step descriptor for one doubling cobordism.
-
-    ``level`` must be the 0-framed output of a genus-one x + boxes
-    complex: towers at +1/2 and -1/2, reduced part all length 1.  The
-    target is recomputed through the doubling pipeline on a complex
-    reconstructed from the reduced part.
-    """
-    if sign not in {"+", "-"}:
-        raise ValueError("clasp sign must be '+' or '-'")
-    params = _expect_zero_surgery_shape(level)
-    if sign == "+":
-        descriptor = StepDescriptor(kind="positive_clasp", grading_shift=F(0))
-    else:
-        descriptor = StepDescriptor(kind="zero", grading_shift=F(0))
-    if not params:
-        # No reduced content: doubling the trivial complex keeps the two
-        # towers and an empty reduced part; the step is vacuous.
-        return descriptor, level
-    rebuilt = direct_sum(
-        [unknot()] + [box(k) for k in params], name="rebuilt"
-    )
-    rb = reduced_basis_form(rebuilt)
-    doubled = whitehead_double_cfk(rb) if sign == "+" else negative_double_cfk(rb)
-    target = surgery_hf(doubled, 0)
-    return descriptor, target
-
-
-def clasp_target_pattern(level: HFPlusResult) -> FUDecomposition:
-    """Positive-clasp target by the closed pattern: towers stay, reduced
-    part tensors with two copies each at shifts 0 and -1."""
-    dec = level.decomposition
-    torsion = []
-    for g, k in dec.torsion:
-        if k != 1:
-            raise ValueError("pattern applies to length-1 reduced parts")
-        torsion.extend([(g, 1), (g, 1), (g - 1, 1), (g - 1, 1)])
-    return FUDecomposition.make(dec.towers, torsion)

@@ -12,6 +12,7 @@ from floerforge.cfk import (
     hfk_hat,
     j_in_y,
     jprime_in_yprime,
+    k_n,
     knot_numerics,
     mirror_knot,
     reduce_canonical,
@@ -161,10 +162,6 @@ def test_connected_sum_with_unknot_is_identity():
     s = connected_sum_knots(k, unknot())
     assert hfk_hat(s).total == hfk_hat(k).total
     assert homology_decomposition(s.base) == homology_decomposition(k.base)
-
-
-def k_n(n):
-    return connected_sum_knots(staircase_torus(n, "+"), staircase_torus(n, "-"))
 
 
 def test_k3_nine_generators_and_hat_dims():

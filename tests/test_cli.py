@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from floerforge.cli import main
 from floerforge.corpus import canonical_json, corpus_builders, corpus_dir, load_complex, write_corpus
 
@@ -174,3 +176,48 @@ def test_corpus_round_trips():
     for name in corpus_builders():
         kc = load_complex(name)
         assert kc.to_json() == json.loads((corpus_dir() / f"{name}.json").read_text())
+
+
+def corpus_data(name):
+    return json.loads((corpus_dir() / f"{name}.json").read_text(encoding="utf-8"))
+
+
+def write_json(path, data):
+    path.write_text(json.dumps(data), encoding="utf-8")
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["cfk"], ["surgery", "--n", "0"], ["double"]],
+    ids=["cfk", "surgery", "double"],
+)
+def test_unknown_differential_endpoint_is_domain_error(tmp_path, capsys, argv):
+    data = corpus_data("k3")
+    data["differential"].append({"from": data["generators"][0]["name"], "to": "ghost", "upower": 0})
+    path = write_json(tmp_path / "ghost.json", data)
+    code, out, err = run(capsys, argv[0], "--complex", path, *argv[1:])
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and "ghost" in err
+    assert len(err.strip().splitlines()) == 1
+
+
+def test_double_validates_its_input(tmp_path, capsys):
+    data = corpus_data("k3")
+    data["differential"][0]["upower"] = 5
+    path = write_json(tmp_path / "inhomogeneous.json", data)
+    code, out, err = run(capsys, "double", "--complex", path)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: invalid complex")
+
+
+def test_unparsable_grading_is_file_error(tmp_path, capsys):
+    data = corpus_data("k3")
+    data["generators"][0]["maslov"] = "x"
+    path = write_json(tmp_path / "bad_grading.json", data)
+    code, out, err = run(capsys, "cfk", "--complex", path)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: cannot parse complex file")

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from floerforge.cfk import connected_sum_knots, reduced_basis_form, staircase_torus, unknot
+from floerforge.cfk import k_n, reduced_basis_form, staircase_torus, unknot
 from floerforge.endfloer import (
     CH_MINUS,
     CH_PLUS,
@@ -30,10 +30,6 @@ from floerforge.endfloer import (
 from floerforge.whitehead import StepDescriptor, whitehead_double_cfk
 
 F = Fraction
-
-
-def k_n(n):
-    return connected_sum_knots(staircase_torus(n, "+"), staircase_torus(n, "-"))
 
 
 def r_spec(n, handle=CH_PLUS, **kw):

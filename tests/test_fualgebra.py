@@ -9,6 +9,7 @@ from floerforge.fualgebra import (
     plus_presentation,
     tensor_complexes,
     validate_complex,
+    xor_entry,
 )
 from floerforge.truncation import (
     expected_truncated_dimensions,
@@ -121,15 +122,6 @@ def test_homology_idempotent_in_rank():
     assert first == again
 
 
-def test_reduce_u0_gives_minimal_model():
-    from floerforge.fualgebra import reduce_u0
-
-    c = box_complex()
-    minimal = reduce_u0(c)
-    assert all(p >= 1 for _s, _t, p in minimal.entries())
-    assert homology_decomposition(minimal) == homology_decomposition(c)
-
-
 def complexes_for_properties():
     yield FreeComplex([("x", F(0))])
     yield box_complex(F(0))
@@ -176,11 +168,22 @@ def test_plus_presentation_empty():
 
 def test_plus_presentation_torsion_conventions():
     pure = FUDecomposition.make([], [(F(1, 2), 1), (F(3), 2)])
-    # Already-plus data passes through unchanged.
-    assert plus_presentation(pure, convention="plus") == pure
     # Internal subcomplex-style homology drops torsion tops by one.
-    shifted = plus_presentation(pure, convention="minus")
+    shifted = plus_presentation(pure)
     assert shifted == FUDecomposition.make([], [(F(-1, 2), 1), (F(2), 2)])
+
+
+def test_xor_entry_cancels_inserts_and_asserts_homogeneity():
+    row = {"x": 2}
+    assert xor_entry(row, "x", 2) is False
+    assert row == {}
+    assert xor_entry(row, "y", 0) is True
+    assert row == {"y": 0}
+    with pytest.raises(AssertionError):
+        xor_entry(row, "y", 1)  # inhomogeneous: a second power at y
+    with pytest.raises(AssertionError):
+        xor_entry(row, "z", -1)  # negative U-power
+    assert row == {"y": 0}
 
 
 def test_homology_rejects_invalid_complex():

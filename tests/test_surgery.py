@@ -30,8 +30,8 @@ from floerforge.surgery import (
     MissingFlip,
     build_cone,
     connected_sum_floer,
+    _reduce_cone_summands,
     exact_triangle_force,
-    extract_invariants,
     one_handle_stabilize,
     surgery_hf,
 )
@@ -111,7 +111,7 @@ def test_negative_companion_ambient_homology():
     # Frozen derived gradings: ambient homology has towers +-1/2 and one
     # reduced class at -1/2.
     jp = jprime_in_yprime()
-    h = plus_presentation(homology_decomposition(jp.base), convention="minus")
+    h = plus_presentation(homology_decomposition(jp.base))
     assert h == dec([F(1, 2), F(-1, 2)], [(F(-1, 2), 1)])
 
 
@@ -190,41 +190,29 @@ def test_cone_rejects_large_framing():
 )
 def test_reduced_summand_route_agrees(kc, n):
     direct = surgery_hf(kc, n)
-    reduced = surgery_hf(kc, n, reduce_summands=True)
-    assert direct.decomposition == reduced.decomposition
+    total = _reduce_cone_summands(build_cone(kc, n)).total_complex()
+    assert validate_complex(total).ok
+    reduced = plus_presentation(homology_decomposition(total))
+    assert direct.decomposition == reduced
 
 
-# --- invariant extraction and stabilisation ----------------------------------
-
-
-def test_extract_invariants_tables():
-    r = HFPlusResult(dec([F(-3, 2), F(-1, 2)]))
-    inv = extract_invariants(r)
-    assert inv["d"] == [F(-3, 2), F(-1, 2)]
-    assert inv["hf_red"] == {}
-
-    r2 = HFPlusResult(dec([F(1, 2), F(-1, 2)], [(F(-1, 2), 1)]))
-    assert extract_invariants(r2)["hf_red"] == {F(-1, 2): 1}
-
-    empty = HFPlusResult(dec([]))
-    assert extract_invariants(empty) == {"d": [], "hf_red": {}}
+# --- stabilisation ------------------------------------------------------------
 
 
 def test_one_handle_stabilize_single_tower():
-    stabilized, step = one_handle_stabilize(HFPlusResult(dec([F(0)])))
+    stabilized = one_handle_stabilize(HFPlusResult(dec([F(0)])))
     assert stabilized.decomposition == dec([F(1, 2), F(-1, 2)])
-    assert step.target_shift == F(1, 2)
 
 
 def test_one_handle_stabilize_empty():
-    stabilized, _ = one_handle_stabilize(HFPlusResult(dec([])))
+    stabilized = one_handle_stabilize(HFPlusResult(dec([])))
     assert stabilized.decomposition == dec([])
 
 
 def test_box_sum_stabilized_reproduces_summed_pattern():
     params = [F(1), F(0)]
     r = surgery_hf(x_plus_boxes(params), 0)
-    stabilized, _ = one_handle_stabilize(r)
+    stabilized = one_handle_stabilize(r)
     expected = dec(
         [F(1), F(0), F(0), F(-1)],
         [(k, 1) for k in params] + [(k - 1, 1) for k in params],
@@ -265,7 +253,7 @@ def test_floer_sum_torsion_against_itself_matches_truncation_oracle():
     h = homology_decomposition(c)
     for cutoff in (5, 6):
         assert truncated_graded_dimensions(c, cutoff) == expected_truncated_dimensions(h, cutoff)
-    assert plus_presentation(h, convention="minus") == engine
+    assert plus_presentation(h) == engine
 
 
 def test_floer_sum_commutative_associative():

@@ -3,10 +3,10 @@ from fractions import Fraction
 import pytest
 
 from floerforge.cfk import (
-    connected_sum_knots,
     figure8,
     filtration_homology,
     hfk_hat,
+    k_n,
     knot_numerics,
     mirror_knot,
     reduced_basis_form,
@@ -14,13 +14,9 @@ from floerforge.cfk import (
     validate_knot,
     ReducedBasisForm,
 )
-from floerforge.surgery import HFPlusResult, surgery_hf
-from floerforge.fualgebra import FUDecomposition
 from floerforge.whitehead import (
     FormalRankError,
     box_parameters,
-    clasp_step,
-    clasp_target_pattern,
     hedden_hfk_double,
     is_box_sum,
     negative_double_cfk,
@@ -28,10 +24,6 @@ from floerforge.whitehead import (
 )
 
 F = Fraction
-
-
-def k_n(n):
-    return connected_sum_knots(staircase_torus(n, "+"), staircase_torus(n, "-"))
 
 
 def filtration_data(kc, g):
@@ -155,60 +147,3 @@ def test_is_box_sum_recognition():
     assert is_box_sum(whitehead_double_cfk(reduced_basis_form(figure8())))
     assert not is_box_sum(staircase_torus(3, "+"))
     assert not is_box_sum(k_n(3))
-
-
-# --- clasp steps -----------------------------------------------------------------
-
-
-def test_clasp_step_positive_tensors_reduced_part():
-    level = surgery_hf(whitehead_double_cfk(reduced_basis_form(k_n(3))), 0)
-    descriptor, target = clasp_step("+", level)
-    assert descriptor.kind == "positive_clasp"
-    assert descriptor.grading_shift == 0
-    assert target.decomposition == clasp_target_pattern(level)
-
-
-def test_clasp_step_positive_single_box():
-    # Input reduced part F at 1/2: the target tensors it with two copies
-    # each at shifts 0 and -1, so F^2 at 1/2 and F^2 at -1/2.
-    level = HFPlusResult(FUDecomposition.make([F(1, 2), F(-1, 2)], [(F(1, 2), 1)]))
-    _, target = clasp_step("+", level)
-    assert target.decomposition == FUDecomposition.make(
-        [F(1, 2), F(-1, 2)],
-        [(F(1, 2), 1), (F(1, 2), 1), (F(-1, 2), 1), (F(-1, 2), 1)],
-    )
-
-
-def test_clasp_step_negative_is_zero_map_with_mirrored_target():
-    level = HFPlusResult(FUDecomposition.make([F(1, 2), F(-1, 2)], [(F(1, 2), 1)]))
-    descriptor, target = clasp_step("-", level)
-    assert descriptor.kind == "zero"
-    # Boxes at k = 1 mirror to boxes at k + 1 and k: reduced classes at
-    # k + 1/2 and k - 1/2, doubled.
-    assert target.decomposition == FUDecomposition.make(
-        [F(1, 2), F(-1, 2)], [(F(3, 2), 1), (F(3, 2), 1), (F(1, 2), 1), (F(1, 2), 1)]
-    )
-
-
-def test_clasp_step_empty_reduced_part_is_vacuous():
-    level = HFPlusResult(FUDecomposition.make([F(1, 2), F(-1, 2)], []))
-    descriptor, target = clasp_step("+", level)
-    assert descriptor.kind == "positive_clasp"
-    assert target.decomposition == level.decomposition
-
-
-def test_clasp_step_rejects_bad_shape():
-    with pytest.raises(ValueError):
-        clasp_step("+", HFPlusResult(FUDecomposition.make([F(0)], [])))
-
-
-def test_iterated_positive_clasp_doubles_top_band():
-    level = surgery_hf(whitehead_double_cfk(reduced_basis_form(k_n(3))), 0)
-    top = max(level.hf_red())
-    ranks = [level.hf_red()[top]]
-    for _ in range(2):
-        _, level = clasp_step("+", level)
-        table = level.hf_red()
-        assert max(table) == top
-        ranks.append(table[top])
-    assert ranks == [ranks[0], 2 * ranks[0], 4 * ranks[0]]
