@@ -20,7 +20,6 @@ from .fualgebra import (
     ValidationReport,
     _Reducer,
     format_grading,
-    gf2_rank,
     graded_f2_dims,
     grading,
     homology_decomposition,
@@ -463,61 +462,48 @@ def knot_numerics(kc: KnotComplex) -> dict:
     """tau and genus of a complex over the sphere.
 
     tau is the least i for which the filtration-level homology surjects
-    onto the one-dimensional total U=0 homology; genus is the largest
-    |Alexander| surviving canonical reduction.
+    onto the one-dimensional total U=0 homology: the Alexander grading of
+    the one generator the vertical pairing of the canonically reduced
+    complex leaves unpaired.  genus is the largest |Alexander| surviving
+    canonical reduction.
     """
     if not kc.ambient.is_sphere:
         raise ValueError("tau/genus need the trivial ambient manifold")
-    total = _graded_homology_dims(kc, list(kc.generators), keep_alexander=False)
-    if sum(total.values()) != 1:
-        raise InvalidComplex("U=0 homology is not one-dimensional")
-    gens = list(kc.generators)
-    index = {g: i for i, g in enumerate(gens)}
-    vert = _vertical_differential(kc)
-
-    def mask_of(g):
-        m = 0
-        for tgt in vert.get(g, ()):
-            m |= 1 << index[tgt]
-        return m
-
-    full_boundaries = [mask_of(g) for g in gens]
-    levels = sorted(set(kc.alexander.values()))
-    for i in levels:
-        sub = [g for g in gens if kc.alexander[g] <= i]
-        sub_cycles = _cycle_masks(sub, index, mask_of)
-        # Surjectivity onto H(total) = F: some subcomplex cycle survives
-        # modulo all boundaries of the full complex.
-        pool = full_boundaries + sub_cycles
-        if gf2_rank(pool) > gf2_rank(full_boundaries):
-            tau = i
-            break
-    else:
-        raise InvalidComplex("no filtration level carries the surviving class")
     reduced = reduce_canonical(kc)
-    return {"tau": tau, "genus": reduced.genus_bound()}
+    _pairs, x = _vertical_pairing(reduced)
+    return {"tau": reduced.alexander[x], "genus": reduced.genus_bound()}
 
 
-def _cycle_masks(gens, index, mask_of):
-    """Basis of cycles of the U=0 differential restricted to ``gens``."""
-    cols = []
-    for g in gens:
-        vec = 1 << index[g]
-        bdry = mask_of(g)
-        cols.append((bdry, vec))
-    # Gaussian elimination on boundaries, carrying the combination vectors.
-    pivots = []
-    cycles = []
-    for bdry, vec in cols:
-        for pb, pv in pivots:
-            if bdry & (pb & -pb):
-                bdry ^= pb
-                vec ^= pv
-        if bdry:
-            pivots.append((bdry, vec))
-        else:
-            cycles.append(vec)
-    return cycles
+def _vertical_pairing(reduced: KnotComplex):
+    """Persistence pairing of the U=0 complex of a canonically reduced complex.
+
+    Returns the pairs (y, z) with z the lowest term of the reduced
+    boundary of y, and the one generator left unpaired.  Columns are
+    reduced in Alexander order.  That order is a filtration order because
+    ``reduce_canonical`` leaves no U^0 entry with zero Alexander drop, so
+    every U=0 arrow strictly lowers A; the unpaired generator is then born
+    at the least filtration level whose homology reaches the total one.
+    """
+    order = sorted(reduced.generators, key=lambda g: (reduced.alexander[g], str(reduced.maslov(g)), g))
+    pos = {g: i for i, g in enumerate(order)}
+    vert = _vertical_differential(reduced)
+    pivot_owner: dict[int, int] = {}
+    columns = []
+    pairs = []
+    for g in order:
+        col = 0
+        for tgt in vert.get(g, ()):
+            col |= 1 << pos[tgt]
+        while col and (low := col.bit_length() - 1) in pivot_owner:
+            col ^= columns[pivot_owner[low]]
+        columns.append(col)
+        if col:
+            pivot_owner[low] = pos[g]
+            pairs.append((g, order[low]))
+    survivors = [g for i, g in enumerate(order) if not columns[i] and i not in pivot_owner]
+    if len(survivors) != 1:
+        raise InvalidComplex("U=0 homology is not one-dimensional")
+    return pairs, survivors[0]
 
 
 # ---------------------------------------------------------------------------
@@ -555,60 +541,26 @@ def reduced_basis_form(kc: KnotComplex) -> ReducedBasisForm:
     """Extract the (m_j, A_j, d_j) pairing from the reduced U=0 complex.
 
     Requires the trivial ambient and tau = 0; the vertical differential
-    must pair all generators but one.  The pairing is produced by
-    filtration-ordered column reduction (persistence pairing), which is a
-    filtered change of basis, so the triples are well defined.
+    must pair all generators but one, which must sit at Maslov and
+    Alexander zero.  The pairing is the persistence pairing of
+    :func:`_vertical_pairing` (the same one that gives tau), a filtered
+    change of basis, so the triples are well defined.
     """
     if not kc.ambient.is_sphere:
         raise ValueError("reduced basis form needs the trivial ambient manifold")
-    numerics = knot_numerics(kc)
-    if numerics["tau"] != 0:
-        raise ValueError(f"reduced basis form needs tau = 0, got {numerics['tau']}")
     reduced = reduce_canonical(kc)
-    order = sorted(reduced.generators, key=lambda g: (reduced.alexander[g], str(reduced.maslov(g)), g))
-    pos = {g: i for i, g in enumerate(order)}
-    vert = _vertical_differential(reduced)
-
-    def mask_of(g):
-        m = 0
-        for tgt in vert.get(g, ()):
-            m |= 1 << pos[tgt]
-        return m
-
-    columns = {g: mask_of(g) for g in order}
-    pivot_owner: dict[int, str] = {}
-    pairs = []
-    unpaired = []
-    for g in order:
-        col = columns[g]
-        while col:
-            low = col.bit_length() - 1
-            if low not in pivot_owner:
-                break
-            col ^= columns[pivot_owner[low]]
-        columns[g] = col
-        if col:
-            low = col.bit_length() - 1
-            pivot_owner[low] = g
-            z = order[low]
-            pairs.append((reduced.maslov(g), reduced.alexander[g],
-                          reduced.alexander[g] - reduced.alexander[z]))
-        else:
-            unpaired.append(g)
-    survivors = [g for g in unpaired if pos[g] not in pivot_owner]
-    if len(survivors) != 1:
+    pairs, x = _vertical_pairing(reduced)
+    A = reduced.alexander
+    if A[x] != 0:
+        raise ValueError(f"reduced basis form needs tau = 0, got {A[x]}")
+    if reduced.maslov(x) != 0:
         raise InvalidComplex(
-            "vertical pairing failed; unmatched generators: " + ", ".join(survivors)
+            f"surviving generator {x} sits at ({format_grading(reduced.maslov(x))}, 0), not (0, 0)"
         )
-    x = survivors[0]
-    if reduced.maslov(x) != 0 or reduced.alexander[x] != 0:
-        raise InvalidComplex(
-            f"surviving generator {x} sits at "
-            f"({format_grading(reduced.maslov(x))}, {reduced.alexander[x]}), not (0, 0)"
-        )
-    if any(d <= 0 for _m, _a, d in pairs):
+    triples = [(reduced.maslov(y), A[y], A[y] - A[z]) for y, z in pairs]
+    if any(d <= 0 for _m, _a, d in triples):
         raise InvalidComplex("vertical pairing produced a non-positive drop")
-    return ReducedBasisForm.make(pairs)
+    return ReducedBasisForm.make(triples)
 
 
 def direct_sum(parts: list[KnotComplex], name: str = "") -> KnotComplex:

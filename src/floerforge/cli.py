@@ -69,13 +69,22 @@ def _hfk_table(kc: KnotComplex) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _load(path: str) -> KnotComplex:
+def _load(source) -> KnotComplex:
+    """Read a complex from a file path or corpus name, or from inline JSON data."""
+    from_file = isinstance(source, str)
     try:
-        return load_complex(path)
+        return load_complex(source) if from_file else KnotComplex.from_json(source)
     except FileNotFoundError as exc:
         raise UsageError(str(exc)) from exc
     except (ValueError, KeyError, TypeError) as exc:
-        raise UsageError(f"cannot parse complex file {path!r}: {exc}") from exc
+        what = f"complex file {source!r}" if from_file else "inline complex"
+        raise UsageError(f"cannot parse {what}: {exc}") from exc
+
+
+def _load_valid(source) -> KnotComplex:
+    kc = _load(source)
+    validate_knot(kc).require("complex")
+    return kc
 
 
 _HANDLES = {"ch+": CH_PLUS, "ch-": CH_MINUS, "ch*": CH_STAR,
@@ -91,13 +100,8 @@ def _parse_handle(value) -> CassonHandle:
 
 
 def _parse_slice_spec(data) -> SliceR4Spec:
-    knot = data["knot"]
-    if isinstance(knot, str):
-        kc = _load(knot)
-    else:
-        kc = KnotComplex.from_json(knot)
     return SliceR4Spec(
-        knot=kc,
+        knot=_load_valid(data["knot"]),
         handle=_parse_handle(data.get("handle", "ch+")),
         orientation=data.get("orientation", "+"),
         disk_label=data.get("disk_label", "standard"),
@@ -120,8 +124,7 @@ def _parse_operand(path: str):
 
 
 def _cmd_cfk(args) -> int:
-    kc = _load(args.complex)
-    validate_knot(kc).require("complex")
+    kc = _load_valid(args.complex)
     if args.format == "table":
         _emit(_hfk_table(kc), args.out)
         return 0
@@ -150,19 +153,17 @@ def _cmd_surgery(args) -> int:
 
 
 def _cmd_double(args) -> int:
-    kc = _load(args.complex)
     if args.iterations < 1:
         raise UsageError("--iterations must be at least 1")
-    validate_knot(kc).require("complex")
+    kc = _load_valid(args.complex)
     top = double_tower(kc, args.sign * args.iterations)[-1]
     _emit(canonical_json(top.to_json()), args.out)
     return 0
 
 
 def _cmd_endfloer(args) -> int:
-    kc = _load(args.knot)
     spec = SliceR4Spec(
-        knot=kc,
+        knot=_load_valid(args.knot),
         handle=_parse_handle(args.handle),
         orientation=args.orientation,
     )

@@ -35,7 +35,6 @@ from .fualgebra import (
     homology_decomposition,
     plus_presentation,
     tensor_complexes,
-    validate_complex,
     xor_entry,
 )
 
@@ -233,9 +232,7 @@ def _reduce_cone_summands(mc: MappingCone) -> MappingCone:
 
 def surgery_hf(kc: KnotComplex, n: int) -> HFPlusResult:
     """Graded homology of n-framed surgery, in the torsion structure class."""
-    total = build_cone(kc, n).total_complex()
-    validate_complex(total).require("mapping cone")
-    h = homology_decomposition(total)
+    h = homology_decomposition(build_cone(kc, n).total_complex())
     return HFPlusResult(plus_presentation(h))
 
 

@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from floerforge.cfk import (
     KnotComplex,
@@ -21,7 +22,8 @@ from floerforge.cfk import (
     unknot,
     validate_knot,
 )
-from floerforge.fualgebra import homology_decomposition, FUDecomposition
+from floerforge.corpus import load_complex
+from floerforge.fualgebra import homology_decomposition, FUDecomposition, InvalidComplex
 
 F = Fraction
 
@@ -238,6 +240,25 @@ def test_knot_numerics_trefoil():
     assert knot_numerics(staircase_torus(3, "-")) == {"tau": -1, "genus": 1}
 
 
+SMALL_SPHERE_ENTRIES = ["unknot", "figure8", "trefoil", "t2_5", "k3"]
+
+
+@settings(deadline=None)
+@given(st.sampled_from(SMALL_SPHERE_ENTRIES), st.sampled_from(SMALL_SPHERE_ENTRIES))
+def test_tau_adds_under_sum_and_negates_under_mirror(a, b):
+    ka, kb = load_complex(a), load_complex(b)
+    tau = lambda kc: knot_numerics(kc)["tau"]
+    total = connected_sum_knots(ka, kb)
+    assert tau(total) == tau(ka) + tau(kb)
+    assert tau(mirror_knot(ka)) == -tau(ka)
+    assert tau(mirror_knot(total)) == -tau(total)
+
+
+def test_knot_numerics_rejects_acyclic_vertical_homology():
+    with pytest.raises(InvalidComplex, match="not one-dimensional"):
+        knot_numerics(box(0))
+
+
 @pytest.mark.parametrize("n", [3, 5])
 def test_connected_sum_tau_adds_and_genus_sums(n):
     kn = k_n(n)
@@ -274,9 +295,10 @@ def test_k_n_max_reduced_hat_grading(n):
     assert table.max_reduced_maslov() == n - 1
 
 
-def test_reduced_basis_form_rejects_nonzero_tau():
-    with pytest.raises(ValueError):
-        reduced_basis_form(staircase_torus(3, "+"))
+@pytest.mark.parametrize("n", [3, 5, 7, 9])
+def test_reduced_basis_form_rejects_nonzero_tau(n):
+    with pytest.raises(ValueError, match=rf"needs tau = 0, got {(n - 1) // 2}$"):
+        reduced_basis_form(staircase_torus(n, "+"))
 
 
 def test_j_sum_box_graded_counts():

@@ -187,30 +187,54 @@ def write_json(path, data):
     return str(path)
 
 
+def with_ghost_endpoint(data):
+    data["differential"].append({"from": data["generators"][0]["name"], "to": "ghost", "upower": 0})
+    return data
+
+
 @pytest.mark.parametrize(
     "argv",
-    [["cfk"], ["surgery", "--n", "0"], ["double"]],
-    ids=["cfk", "surgery", "double"],
+    [["cfk", "--complex"], ["surgery", "--n", "0", "--complex"], ["double", "--complex"],
+     ["endfloer", "--knot"]],
+    ids=["cfk", "surgery", "double", "endfloer"],
 )
 def test_unknown_differential_endpoint_is_domain_error(tmp_path, capsys, argv):
-    data = corpus_data("k3")
-    data["differential"].append({"from": data["generators"][0]["name"], "to": "ghost", "upower": 0})
-    path = write_json(tmp_path / "ghost.json", data)
-    code, out, err = run(capsys, argv[0], "--complex", path, *argv[1:])
+    path = write_json(tmp_path / "ghost.json", with_ghost_endpoint(corpus_data("k3")))
+    code, out, err = run(capsys, *argv, path)
     assert code == 1
     assert out == ""
     assert err.startswith("error: ") and "ghost" in err
     assert len(err.strip().splitlines()) == 1
 
 
-def test_double_validates_its_input(tmp_path, capsys):
+@pytest.mark.parametrize("argv", [["double", "--complex"], ["endfloer", "--knot"]],
+                         ids=["double", "endfloer"])
+def test_double_validates_its_input(tmp_path, capsys, argv):
     data = corpus_data("k3")
     data["differential"][0]["upower"] = 5
     path = write_json(tmp_path / "inhomogeneous.json", data)
-    code, out, err = run(capsys, "double", "--complex", path)
+    code, out, err = run(capsys, *argv, path)
     assert code == 1
     assert out == ""
     assert err.startswith("error: invalid complex")
+
+
+def test_distinguish_validates_and_parses_inline_pieces(tmp_path, capsys):
+    plain = write_json(tmp_path / "plain.json", {"knot": "k3"})
+    ghost = write_json(tmp_path / "ghost.json", {"knot": with_ghost_endpoint(corpus_data("k3"))})
+    code, out, err = run(capsys, "distinguish", "--a", ghost, "--b", plain)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: invalid complex") and "ghost" in err
+    assert len(err.strip().splitlines()) == 1
+
+    data = corpus_data("k3")
+    data["generators"][0]["maslov"] = "x"
+    bad = write_json(tmp_path / "bad_grading.json", {"knot": data})
+    code, out, err = run(capsys, "distinguish", "--a", plain, "--b", bad)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: cannot parse inline complex")
 
 
 def test_unparsable_grading_is_file_error(tmp_path, capsys):
