@@ -10,6 +10,7 @@ ambient complexes used by the surgery pipeline.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Optional
@@ -23,6 +24,7 @@ from .fualgebra import (
     graded_f2_dims,
     grading,
     homology_decomposition,
+    integer,
     tensor_complexes,
     validate_complex,
 )
@@ -45,7 +47,7 @@ class Ambient:
 
     @classmethod
     def from_json(cls, data) -> "Ambient":
-        return cls(data["name"], int(data["b1"]), bool(data["reduced_trivial"]))
+        return cls(data["name"], integer(data["b1"]), bool(data["reduced_trivial"]))
 
 
 class KnotComplex:
@@ -107,7 +109,7 @@ class KnotComplex:
                 flip[b] = a
         return cls(
             base,
-            {g: int(v) for g, v in data["alexander"].items()},
+            {g: integer(v) for g, v in data["alexander"].items()},
             flip,
             Ambient.from_json(data["ambient"]) if "ambient" in data else Ambient(),
             data.get("name", ""),
@@ -115,7 +117,9 @@ class KnotComplex:
 
 
 def validate_knot(kc: KnotComplex) -> ValidationReport:
-    """Base-complex validity, Alexander filtration, flip axioms, symmetry."""
+    """Base-complex validity, Alexander filtration and flip axioms.  A flip
+    passing them is an isomorphism of hat complexes (m, s) -> (m - 2s, -s),
+    so the hat table is symmetric without a separate check."""
     base_report = validate_complex(kc.base)
     violations = list(base_report.violations)
     A = kc.alexander
@@ -142,16 +146,6 @@ def validate_knot(kc: KnotComplex) -> ValidationReport:
                 violations.append(f"flip image of {g} has wrong Maslov grading")
         if flip_ok and base_report.ok:
             violations.extend(_flip_chain_map_violations(kc))
-    if base_report.ok and kc.flip is not None:
-        # A flip-equipped complex must have symmetric hat dimensions:
-        # dim(m, s) = dim(m - 2s, -s).  Flipless pieces (offset boxes)
-        # are asymmetric halves and are exempt.
-        table = _graded_homology_dims(kc, list(kc.generators), keep_alexander=True)
-        for (m, s), d in table.items():
-            if table.get((m - 2 * s, -s), 0) != d:
-                violations.append(
-                    f"hat dimensions asymmetric at (m, s) = ({format_grading(m)}, {s})"
-                )
     return ValidationReport(ok=not violations, violations=tuple(violations))
 
 
@@ -167,10 +161,6 @@ def _flip_chain_map_violations(kc: KnotComplex) -> list[str]:
         if lhs != rhs:
             out.append(f"flip fails to be a chain map at {x}")
     return out
-
-
-def _require_valid(kc: KnotComplex, what="knot complex"):
-    validate_knot(kc).require(what)
 
 
 # ---------------------------------------------------------------------------
@@ -311,7 +301,7 @@ def mirror_knot(kc: KnotComplex) -> KnotComplex:
     """
     if not kc.ambient.is_sphere:
         raise ValueError("mirror is only defined for complexes with trivial ambient")
-    _require_valid(kc)
+    validate_knot(kc).require("knot complex")
     gens = [(g, -kc.maslov(g)) for g in kc.generators]
     transposed: dict[str, dict[str, int]] = {}
     for src, tgt, p in kc.base.entries():
@@ -371,7 +361,7 @@ def reduce_canonical(kc: KnotComplex) -> KnotComplex:
     flip on the surviving basis (cancellation can mix it away).
     """
     r = _Reducer(kc.base, alexander=kc.alexander)
-    r.cancel_u0(same_alexander=True)
+    r.cancel_u0()
     base = r.current_complex()
     alexander = {g: kc.alexander[g] for g in base.generators}
     flip = None
@@ -412,35 +402,22 @@ def _vertical_differential(kc: KnotComplex):
     }
 
 
-def _graded_homology_dims(kc: KnotComplex, gens: list[str], keep_alexander: bool):
-    """Homology dims of the U=0 complex on ``gens``; with ``keep_alexander``
-    only Alexander-preserving arrows count (associated graded)."""
-    index = {g: i for i, g in enumerate(gens)}
-    A = kc.alexander
-    vert = _vertical_differential(kc)
-    keys = []
-    masks = []
-    for g in gens:
-        mask = 0
-        for tgt in vert.get(g, ()):
-            if tgt in index and (not keep_alexander or A[tgt] == A[g]):
-                mask |= 1 << index[tgt]
-        masks.append(mask)
-        keys.append((kc.maslov(g), A[g]) if keep_alexander else kc.maslov(g))
-    if keep_alexander:
-        return graded_f2_dims(keys, masks, lambda key: (key[0] + 1, key[1]))
-    return graded_f2_dims(keys, masks, lambda key: key + 1)
-
-
 def hfk_hat(kc: KnotComplex) -> HfkTable:
     """Bigraded hat homology: U = 0, Alexander-preserving arrows only.
 
-    Over the sphere the reduced table removes one generator at (0, tau).
+    HFK-hat is the homology of the associated graded complex.  The
+    canonical reduction cancels every U^0 entry with zero Alexander drop,
+    so no hat arrow survives it and the table counts its generators per
+    (Maslov, Alexander).  Over the sphere the reduced table removes one
+    generator at (0, tau), tau read off the same reduction.
     """
-    total = _graded_homology_dims(kc, list(kc.generators), keep_alexander=True)
+    canonical = reduce_canonical(kc)
+    counts = Counter((canonical.maslov(g), canonical.alexander[g]) for g in canonical.generators)
+    total = dict(sorted(counts.items()))
     reduced = None
     if kc.ambient.is_sphere:
-        tau = knot_numerics(kc)["tau"]
+        _pairs, x = _vertical_pairing(canonical)
+        tau = canonical.alexander[x]
         reduced = dict(total)
         spot = (F(0), tau)
         if reduced.get(spot, 0) < 1:
@@ -453,9 +430,13 @@ def hfk_hat(kc: KnotComplex) -> HfkTable:
 
 
 def filtration_homology(kc: KnotComplex, i: int) -> dict:
-    """Graded homology of the U=0 subcomplex on generators with A <= i."""
+    """Graded homology of the U=0 subcomplex on generators with A <= i,
+    by Gaussian elimination on the complex as given."""
     gens = [g for g in kc.generators if kc.alexander[g] <= i]
-    return _graded_homology_dims(kc, gens, keep_alexander=False)
+    index = {g: n for n, g in enumerate(gens)}
+    vert = _vertical_differential(kc)
+    masks = [sum(1 << index[t] for t in vert.get(g, ()) if t in index) for g in gens]
+    return graded_f2_dims([kc.maslov(g) for g in gens], masks, lambda m: m + 1)
 
 
 def knot_numerics(kc: KnotComplex) -> dict:
@@ -530,11 +511,6 @@ class ReducedBasisForm:
     def mirror(self) -> "ReducedBasisForm":
         """Pairing of the mirror complex: (m, A, d) -> (1 - m, d - A, d)."""
         return ReducedBasisForm.make((1 - m, d - a, d) for m, a, d in self.pairs)
-
-    def max_maslov(self) -> Fraction:
-        if not self.pairs:
-            raise ValueError("empty pairing has no maximal grading")
-        return max(m for m, _a, _d in self.pairs)
 
 
 def reduced_basis_form(kc: KnotComplex) -> ReducedBasisForm:

@@ -162,6 +162,8 @@ def _cmd_double(args) -> int:
 
 
 def _cmd_endfloer(args) -> int:
+    if args.levels < 2:
+        raise UsageError("--levels must be at least 2")
     spec = SliceR4Spec(
         knot=_load_valid(args.knot),
         handle=_parse_handle(args.handle),

@@ -35,34 +35,11 @@ F = Fraction
 
 
 class InfiniteRank:
-    """Distinguished infinite rank: bigger than every natural, saturating."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
+    """Marker for an infinite rank.  Its one instance is ``INFINITE``;
+    callers test ``rank is INFINITE`` and never do arithmetic with it."""
 
     def __repr__(self):
         return "inf"
-
-    def __add__(self, other):
-        return self
-
-    __radd__ = __add__
-
-    def __lt__(self, other):
-        return False
-
-    def __le__(self, other):
-        return other is self
-
-    def __gt__(self, other):
-        return other is not self
-
-    def __ge__(self, other):
-        return True
 
 
 INFINITE = InfiniteRank()
@@ -152,8 +129,6 @@ class Level:
     b1: int
     module: dict  # grading -> rank, un-normalised
     label: str = ""
-    b2_zero: bool = True
-    b3_zero: bool = True
 
 
 @dataclass(frozen=True)
@@ -182,13 +157,11 @@ class InconsistentShifts(ValueError):
 
 def _check_shifts(spec: ExhaustionSpec):
     for i, step in enumerate(spec.steps):
-        a, b = spec.levels[i], spec.levels[i + 1]
-        if a.b2_zero and a.b3_zero and b.b2_zero and b.b3_zero:
-            expected = grading_shift(a.b1, b.b1)
-            if step.grading_shift != expected:
-                raise InconsistentShifts(
-                    f"step {i} has shift {step.grading_shift}, expected {expected}"
-                )
+        expected = grading_shift(spec.levels[i].b1, spec.levels[i + 1].b1)
+        if step.grading_shift != expected:
+            raise InconsistentShifts(
+                f"step {i} has shift {step.grading_shift}, expected {expected}"
+            )
 
 
 # ---------------------------------------------------------------------------
@@ -412,13 +385,6 @@ class CassonHandle:
         # Mirroring an infinite positive chain gives an infinite negative
         # chain, which is outside the taxonomy: no verdict either way.
         return CassonHandle("undetermined")
-
-    def to_json(self):
-        data = {"kind": self.kind}
-        if self.kind == "finite_mixed_then_one_sign":
-            data["signs"] = list(self.signs)
-            data["tail"] = self.tail
-        return data
 
     @classmethod
     def from_json(cls, data):

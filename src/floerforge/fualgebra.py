@@ -32,7 +32,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Optional
+from typing import Iterable, Mapping
 
 Grading = Fraction
 
@@ -48,6 +48,13 @@ def grading(value) -> Fraction:
     if isinstance(value, str):
         return Fraction(value)
     raise TypeError(f"not an exact grading: {value!r}")
+
+
+def integer(value) -> int:
+    """Coerce an int (not a bool) or an integer string such as ``"-3"``; raise otherwise."""
+    if isinstance(value, bool) or not isinstance(value, (int, str)):
+        raise TypeError(f"not an integer: {value!r}")
+    return int(value)
 
 
 def format_grading(g: Fraction) -> str:
@@ -100,20 +107,10 @@ class FreeComplex:
                 diff[src] = {tgt: int(p) for tgt, p in row.items()}
         self.differential: dict[str, dict[str, int]] = diff
 
-    def entry(self, src: str, tgt: str) -> Optional[int]:
-        return self.differential.get(src, {}).get(tgt)
-
     def entries(self):
         for src, row in self.differential.items():
             for tgt, p in row.items():
                 yield src, tgt, p
-
-    def graded_counts(self) -> dict[Fraction, int]:
-        counts: dict[Fraction, int] = {}
-        for g in self.generators:
-            m = self.maslov[g]
-            counts[m] = counts.get(m, 0) + 1
-        return counts
 
     def shift(self, by) -> "FreeComplex":
         """The same complex with every grading shifted up by ``by``."""
@@ -155,7 +152,7 @@ class FreeComplex:
         gens = [(g["name"], grading(g["maslov"])) for g in data["generators"]]
         diff: dict[str, dict[str, int]] = {}
         for e in data.get("differential", ()):
-            diff.setdefault(e["from"], {})[e["to"]] = int(e["upower"])
+            diff.setdefault(e["from"], {})[e["to"]] = integer(e["upower"])
         return cls(gens, diff)
 
 
@@ -269,15 +266,11 @@ def validate_complex(c: FreeComplex) -> ValidationReport:
     return ValidationReport(ok=not violations, violations=tuple(violations))
 
 
-def tensor_complexes(c1: FreeComplex, c2: FreeComplex, name=None) -> FreeComplex:
-    """Tensor product over F2[U]: gradings add, Leibniz differential.
-
-    Generator names are ``(a|b)``; pass ``name`` to customise.
-    """
+def tensor_complexes(c1: FreeComplex, c2: FreeComplex) -> FreeComplex:
+    """Tensor product over F2[U]: gradings add, Leibniz differential, names ``(a|b)``."""
     validate_complex(c1).require("left tensor factor")
     validate_complex(c2).require("right tensor factor")
-    if name is None:
-        name = lambda a, b: f"({a}|{b})"
+    name = lambda a, b: f"({a}|{b})"
     gens = []
     for a in c1.generators:
         for b in c2.generators:
@@ -316,17 +309,6 @@ class FUDecomposition:
         )
         return FUDecomposition(tw, to)
 
-    def shift(self, by) -> "FUDecomposition":
-        by = grading(by)
-        # A uniform shift preserves the stored ordering.
-        return FUDecomposition(
-            tuple(t + by for t in self.towers),
-            tuple((g + by, k) for g, k in self.torsion),
-        )
-
-    def is_zero(self) -> bool:
-        return not self.towers and not self.torsion
-
     def torsion_rank_table(self) -> dict[Fraction, int]:
         """Graded F-dimension of the torsion part (U spreads a length-k
         summand over gradings top, top-2, ..., top-2(k-1))."""
@@ -345,13 +327,6 @@ class FUDecomposition:
                 for g, k in sorted(self.torsion)
             ],
         }
-
-    @classmethod
-    def from_json(cls, data: Mapping) -> "FUDecomposition":
-        return cls.make(
-            data.get("towers", ()),
-            ((e["grading"], e["length"]) for e in data.get("torsion", ())),
-        )
 
 
 class _Reducer:
@@ -426,12 +401,6 @@ class _Reducer:
         for tgt in list(self.diff.get(g, {})):
             self.into[tgt].discard(g)
         self.diff.pop(g, None)
-        for src in list(self.into.get(g, set())):
-            row = self.diff.get(src)
-            if row and g in row:
-                del row[g]
-                if not row:
-                    del self.diff[src]
         self.into.pop(g, None)
         if self.track:
             self.iota.pop(g, None)
@@ -464,33 +433,29 @@ class _Reducer:
         self._drop(alpha)
         self._drop(beta)
 
-    def cancel_u0(self, same_alexander=False):
+    def cancel_u0(self):
         """Cancel every U^0 entry, smallest (source, target) pair first.
 
-        With ``same_alexander`` only entries with zero Alexander drop are
-        cancelled (filtered reduction); the triggered basis changes are
-        then automatically filtered.
+        A reducer given an Alexander grading cancels only the entries with
+        zero Alexander drop (filtered reduction); the triggered basis
+        changes are then automatically filtered.
         """
         heap = []
         for src, tgt, p in list(self._live_entries()):
-            if p == 0 and self._u0_ok(src, tgt, same_alexander):
+            if p == 0 and self._u0_ok(src, tgt):
                 heapq.heappush(heap, (src, tgt))
         while heap:
             src, tgt = heapq.heappop(heap)
             if self.diff.get(src, {}).get(tgt) != 0:
                 continue
-            if src not in self.alive_set or tgt not in self.alive_set:
-                continue
             self._created.clear()
             self._split_pair(src, tgt, 0)
             for s2, t2, p2 in self._created:
-                if p2 == 0 and self._u0_ok(s2, t2, same_alexander) and self.diff.get(s2, {}).get(t2) == 0:
+                if p2 == 0 and self._u0_ok(s2, t2) and self.diff.get(s2, {}).get(t2) == 0:
                     heapq.heappush(heap, (s2, t2))
 
-    def _u0_ok(self, src, tgt, same_alexander):
-        if not same_alexander:
-            return True
-        return self.alexander is not None and self.alexander[src] == self.alexander[tgt]
+    def _u0_ok(self, src, tgt):
+        return self.alexander is None or self.alexander[src] == self.alexander[tgt]
 
     def _live_entries(self):
         for src, row in self.diff.items():
@@ -504,8 +469,6 @@ class _Reducer:
         while heap:
             p, src, tgt = heapq.heappop(heap)
             if self.diff.get(src, {}).get(tgt) != p:
-                continue
-            if src not in self.alive_set or tgt not in self.alive_set:
                 continue
             self._created.clear()
             self._split_pair(src, tgt, p)

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
 
 from .cfk import KnotComplex, validate_knot
 from .fualgebra import (
@@ -34,7 +33,6 @@ from .fualgebra import (
     grading,
     homology_decomposition,
     plus_presentation,
-    tensor_complexes,
     xor_entry,
 )
 
@@ -61,20 +59,12 @@ class HFPlusResult:
     def hf_red(self) -> dict[Fraction, int]:
         return self.decomposition.torsion_rank_table()
 
-    def top_reduced_grading(self) -> Optional[Fraction]:
-        table = self.hf_red()
-        return max(table) if table else None
-
     def to_json(self) -> dict:
         return {
             "decomposition": self.decomposition.to_json(),
             "spinc": self.spinc,
             "d_invariants": [format_grading(d) for d in self.d_invariants],
         }
-
-    @classmethod
-    def from_json(cls, data) -> "HFPlusResult":
-        return cls(FUDecomposition.from_json(data["decomposition"]), data.get("spinc", TORSION_SPINC))
 
 
 @dataclass
@@ -94,7 +84,6 @@ class MappingCone:
     a_shifts: dict
     b_shifts: dict
     edges: dict  # (s, "v"|"h") -> {src: {tgt: power}} between summand bases
-    anchor: str
 
     def total_complex(self) -> FreeComplex:
         gens = []
@@ -117,10 +106,6 @@ class MappingCone:
 
 def _b_shift(n: int, t: int, c0: Fraction) -> Fraction:
     """Anchor propagation c_{s+n} = c_s + 2s starting from c_0, in closed form."""
-    if n == 0:
-        if t != 0:
-            raise ValueError("framing 0 only forms the s = 0 summand")
-        return c0
     return c0 + n * t * (t - n)
 
 
@@ -147,9 +132,7 @@ def build_cone(kc: KnotComplex, n: int) -> MappingCone:
 
     c0 = _ANCHORS[n]
     b_shifts = {t: _b_shift(n, t, c0) for t in b_window}
-    a_shifts = {}
-    for s in a_window:
-        a_shifts[s] = (_b_shift(n, s, c0) if n != 0 else c0) + 1
+    a_shifts = {s: _b_shift(n, s, c0) + 1 for s in a_window}
 
     A = kc.alexander
     flip = kc.flip
@@ -174,7 +157,7 @@ def build_cone(kc: KnotComplex, n: int) -> MappingCone:
             }
     b_complexes = {t: base for t in b_window}
 
-    mc = MappingCone(
+    return MappingCone(
         n=n,
         a_window=a_window,
         b_window=b_window,
@@ -183,13 +166,7 @@ def build_cone(kc: KnotComplex, n: int) -> MappingCone:
         a_shifts=a_shifts,
         b_shifts=b_shifts,
         edges=edges,
-        anchor={0: "B0 down 1/2", -1: "B0 inherited", 1: "calibrated +1"}[n],
     )
-    if len(mc.a_window) + len(mc.b_window) > 1:
-        for s in mc.a_window:
-            if (s, "v") not in mc.edges and (s, "h") not in mc.edges:
-                raise ValueError(f"cone summand A_{s} is disconnected from the window")
-    return mc
 
 
 def _reduce_with_maps(c: FreeComplex):
@@ -226,7 +203,6 @@ def _reduce_cone_summands(mc: MappingCone) -> MappingCone:
         a_shifts=mc.a_shifts,
         b_shifts=mc.b_shifts,
         edges=edges,
-        anchor=mc.anchor + " (reduced summands)",
     )
 
 
@@ -246,45 +222,22 @@ def one_handle_stabilize(result: HFPlusResult) -> HFPlusResult:
     return HFPlusResult(FUDecomposition.make(towers, torsion), result.spinc)
 
 
-def _encode_decomposition(dec: FUDecomposition, tag: str) -> FreeComplex:
-    """Free-complex model with the decomposition as homology.
-
-    A tower at d becomes a free generator at d; torsion (top g, length k)
-    becomes a pair dy = U^k x with m(x) = g + 1, so that taking homology
-    and re-presenting in plus terms is the identity.
-    """
-    gens = []
-    diff = {}
-    for i, d in enumerate(dec.towers):
-        gens.append((f"{tag}t{i}", d))
-    for i, (g, k) in enumerate(dec.torsion):
-        x, y = f"{tag}x{i}", f"{tag}y{i}"
-        gens.append((x, g + 1))
-        gens.append((y, g + 2 - 2 * k))
-        diff[y] = {x: k}
-    return FreeComplex(gens, diff)
-
-
-def _torsion_pair_block(k1: int, k2: int) -> FUDecomposition:
-    """Product of two base torsion encodings (tops at 0), computed once
-    per length pair; general gradings are shifts of this block."""
-    c1 = _encode_decomposition(FUDecomposition.make([], [(F(0), k1)]), "L")
-    c2 = _encode_decomposition(FUDecomposition.make([], [(F(0), k2)]), "R")
-    return homology_decomposition(tensor_complexes(c1, c2))
-
-
-_TORSION_BLOCKS: dict = {}
-
-
 def connected_sum_floer(r1: HFPlusResult, r2: HFPlusResult) -> HFPlusResult:
     """Tensor the plus decompositions over the ground ring.
 
     Tensor and homology both distribute over the summand decomposition,
-    so the product is assembled from pairs of summands: tower x tower and
-    tower x torsion blocks are immediate, torsion x torsion blocks are
-    computed by the engine once per length pair (they are grading-shift
-    invariant) and then shifted.  Normalised so that summing with the
-    single-tower unit at grading 0 is the identity.
+    so the product is assembled from pairs of summands by the Kunneth
+    formula.  Tower x tower and tower x torsion blocks are immediate.
+    Torsion summands with model tops G1, G2 and lengths k1, k2 give the
+    tensor term F2[U]/U^k topped at G1 + G2 and the Tor term F2[U]/U^k
+    topped at G1 + G2 + 1 - 2 max(k1, k2), with k = min(k1, k2).
+    Normalised so that summing with the single-tower unit at grading 0 is
+    the identity.
+
+    >>> one = HFPlusResult(FUDecomposition.make([], [(F(0), 1)]))
+    >>> two = HFPlusResult(FUDecomposition.make([], [(F(0), 2)]))
+    >>> connected_sum_floer(one, two).decomposition
+    FUDecomposition(towers=(), torsion=((Fraction(1, 1), 1), (Fraction(-2, 1), 1)))
     """
     dec1, dec2 = r1.decomposition, r2.decomposition
     towers = []
@@ -301,12 +254,9 @@ def connected_sum_floer(r1: HFPlusResult, r2: HFPlusResult) -> HFPlusResult:
         for d2 in dec2.towers:
             torsion.append((g1 + 1 + d2, k1))
         for g2, k2 in dec2.torsion:
-            key = (k1, k2)
-            if key not in _TORSION_BLOCKS:
-                _TORSION_BLOCKS[key] = _torsion_pair_block(k1, k2)
-            block = _TORSION_BLOCKS[key].shift(g1 + g2)
-            towers.extend(block.towers)
-            torsion.extend(block.torsion)
+            k = min(k1, k2)
+            torsion.append((g1 + g2 + 2, k))
+            torsion.append((g1 + g2 + 3 - 2 * max(k1, k2), k))
     h_total = FUDecomposition.make(towers, torsion)
     return HFPlusResult(plus_presentation(h_total))
 

@@ -22,8 +22,16 @@ from floerforge.cfk import (
     unknot,
     validate_knot,
 )
-from floerforge.corpus import load_complex
-from floerforge.fualgebra import homology_decomposition, FUDecomposition, InvalidComplex
+from floerforge.corpus import corpus_builders, load_complex
+from floerforge.fualgebra import (
+    FreeComplex,
+    FUDecomposition,
+    InvalidComplex,
+    graded_f2_dims,
+    homology_decomposition,
+    validate_complex,
+)
+from floerforge.whitehead import double_tower
 
 F = Fraction
 
@@ -284,7 +292,7 @@ def test_reduced_basis_form_k3():
         (F(0), 0, 1),
         (F(-1), -1, 1),
     }
-    assert rb.max_maslov() == 2
+    assert max(m for m, _a, _d in rb.pairs) == 2
 
 
 @pytest.mark.parametrize("n", [3, 5, 7, 9])
@@ -329,3 +337,127 @@ def test_knot_json_round_trip():
         back = KnotComplex.from_json(data)
         assert back == kc
         assert back.to_json() == data
+
+
+def gaussian_hat_table(kc):
+    """Hat dimensions as the homology of the associated graded complex (U^0
+    arrows that keep the Alexander grading), by elimination over F2."""
+    index = {g: i for i, g in enumerate(kc.generators)}
+    A = kc.alexander
+    masks = [
+        sum(1 << index[t] for t, p in kc.base.differential.get(g, {}).items() if p == 0 and A[t] == A[g])
+        for g in kc.generators
+    ]
+    keys = [(kc.maslov(g), A[g]) for g in kc.generators]
+    return graded_f2_dims(keys, masks, lambda key: (key[0] + 1, key[1]))
+
+
+def with_hat_pair(kc):
+    """``kc`` plus an acyclic pair y -> x with zero Alexander drop (a hat
+    arrow), mixed into the rest by seeded filtered basis changes."""
+    import random
+
+    from floerforge.fualgebra import _Reducer
+
+    extra = with_extra(kc, [("hy", F(1)), ("hx", F(0))], {"hy": 0, "hx": 0}, diff={"hy": {"hx": 0}})
+    r = _Reducer(extra.base, alexander=extra.alexander)
+    rng = random.Random(7)
+    for _ in range(40):
+        g, h = rng.sample(extra.generators, 2)
+        s = (extra.maslov(h) - extra.maslov(g)) / 2
+        if s.denominator == 1 and s >= 0 and extra.alexander[h] - s <= extra.alexander[g]:
+            r.mix(g, h, int(s))
+    return KnotComplex(r.current_complex(), extra.alexander, None, kc.ambient)
+
+
+def in_ambient_y(kc):
+    # Boxes have no U=0 homology, so over the sphere hfk_hat rejects them
+    # when it looks for tau; in a b1 = 1 ambient only the total is formed.
+    return KnotComplex(kc.base, kc.alexander, kc.flip, j_in_y().ambient, kc.name)
+
+
+HAT_ORACLE_CASES = {
+    **{f"corpus.{name}": build for name, build in sorted(corpus_builders().items())},
+    **{f"K{n}": (lambda n=n: k_n(n)) for n in (3, 5, 7, 9)},
+    **{f"T(2,-{n})": (lambda n=n: staircase_torus(n, "-")) for n in (3, 5, 7, 9)},
+    "figure8#T(2,3)": lambda: connected_sum_knots(figure8(), staircase_torus(3, "+")),
+    "T(2,3)#T(2,5)": lambda: connected_sum_knots(staircase_torus(3, "+"), staircase_torus(5, "+")),
+    "J#T(2,3)": lambda: connected_sum_knots(j_in_y(), staircase_torus(3, "+")),
+    "Wh^2+-(K3)": lambda: double_tower(k_n(3), "+-")[-1],
+    "Wh^2-+(K3)": lambda: double_tower(k_n(3), "-+")[-1],
+    "m(K5)": lambda: mirror_knot(k_n(5)),
+    "m(Wh^2+-(K3))": lambda: mirror_knot(double_tower(k_n(3), "+-")[-1]),
+    "K3+hat pair": lambda: with_hat_pair(k_n(3)),
+    "figure8+hat pair": lambda: with_hat_pair(figure8()),
+    "box(0)": lambda: in_ambient_y(box(0)),
+    "box(2,1)": lambda: in_ambient_y(box(2, 1)),
+}
+
+
+@pytest.mark.parametrize("name", list(HAT_ORACLE_CASES))
+def test_hfk_hat_matches_gaussian_associated_graded(name):
+    kc = HAT_ORACLE_CASES[name]()
+    assert hfk_hat(kc).total == gaussian_hat_table(kc)
+
+
+def with_extra(kc, gens, alexander, flip=None, diff=None):
+    """``kc`` plus extra generators, as a complex with the given flip."""
+    base = FreeComplex(
+        [(g, kc.maslov(g)) for g in kc.generators] + list(gens),
+        {**kc.base.differential, **(diff or {})},
+    )
+    return KnotComplex(base, {**kc.alexander, **alexander}, flip, kc.ambient)
+
+
+def two_pairs_swapped():
+    # dy = x only; the flip swaps (y, x) with the arrow-less (y2, x2).
+    base = FreeComplex([("y", F(0)), ("x", F(-1)), ("y2", F(0)), ("x2", F(-1))], {"y": {"x": 0}})
+    flip = {"y": "y2", "y2": "y", "x": "x2", "x2": "x"}
+    return KnotComplex(base, {"y": 0, "x": 0, "y2": 0, "x2": 0}, flip)
+
+
+def three_cycle():
+    base = FreeComplex([("x", F(0)), ("y", F(0)), ("z", F(0))])
+    return KnotComplex(base, {"x": 0, "y": 0, "z": 0}, {"x": "y", "y": "z", "z": "x"})
+
+
+INVALID_CASES = {
+    "alexander-filtration": (
+        lambda: validate_knot(KnotComplex(FreeComplex([("y", F(0)), ("x", F(-1))], {"y": {"x": 0}}),
+                                          {"y": 0, "x": 1})),
+        "entry y->U^0.x raises the Alexander filtration",
+    ),
+    "flip-undefined": (
+        lambda: validate_knot(with_extra(unknot(), [("y", F(0))], {"y": 0}, flip={"x": "x"})),
+        "flip undefined on y",
+    ),
+    "flip-not-involutive": (lambda: validate_knot(three_cycle()), "flip not involutive at x"),
+    # The unknot plus y at (0, 1) fixed by the flip: its hat table is
+    # asymmetric, and the flip checks alone reject it.
+    "flip-alexander": (
+        lambda: validate_knot(with_extra(unknot(), [("y", F(0))], {"y": 1}, flip={"x": "x", "y": "y"})),
+        "flip image of y has Alexander 1 != -1",
+    ),
+    "flip-maslov": (
+        lambda: validate_knot(with_extra(unknot(), [("y", F(1)), ("z", F(0))], {"y": 0, "z": 0},
+                                         flip={"x": "x", "y": "z", "z": "y"})),
+        "flip image of y has wrong Maslov grading",
+    ),
+    "flip-chain-map": (lambda: validate_knot(two_pairs_swapped()), "flip fails to be a chain map at y"),
+    "unknown-source": (
+        lambda: validate_complex(FreeComplex([("x", F(0))], {"ghost": {"x": 0}})),
+        "entry ghost->x: unknown source",
+    ),
+    "negative-upower": (
+        lambda: validate_complex(FreeComplex([("y", F(3)), ("x", F(0))], {"y": {"x": -1}})),
+        "entry y->x: negative U-power -1",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(INVALID_CASES))
+def test_validation_rejects_with_message(name):
+    check, message = INVALID_CASES[name]
+    report = check()
+    assert report.ok is False
+    assert message in report.violations

@@ -245,3 +245,82 @@ def test_unparsable_grading_is_file_error(tmp_path, capsys):
     assert code == 2
     assert out == ""
     assert err.startswith("error: cannot parse complex file")
+
+
+def test_cfk_table_trefoil(capsys):
+    code, out, err = run(capsys, "cfk", "--complex", "trefoil", "--format", "table")
+    assert (code, err) == (0, "")
+    assert out == (
+        "  maslov  alexander   dim\n"
+        "       0          1     1\n"
+        "      -1          0     1\n"
+        "      -2         -1     1\n"
+    )
+
+
+def set_alexander(data, value):
+    data["alexander"]["s1"] = value
+
+
+def set_upower(data, value):
+    data["differential"][0]["upower"] = value
+
+
+def set_b1(data, value):
+    data["ambient"]["b1"] = value
+
+
+@pytest.mark.parametrize(
+    "command, mutate, value",
+    [
+        (["cfk", "--complex"], set_alexander, 0.5),
+        (["surgery", "--n", "0", "--complex"], set_upower, 1.9),
+        (["cfk", "--complex"], set_upower, True),
+        (["cfk", "--complex"], set_b1, 0.5),
+    ],
+    ids=["alexander-0.5", "upower-1.9", "upower-true", "b1-0.5"],
+)
+def test_non_integer_json_is_file_error(tmp_path, capsys, command, mutate, value):
+    data = corpus_data("trefoil")
+    mutate(data, value)
+    path = write_json(tmp_path / "trefoil.json", data)
+    code, out, err = run(capsys, *command, path)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: cannot parse complex file") and "not an integer" in err
+    assert len(err.strip().splitlines()) == 1
+
+
+def test_integer_strings_are_accepted(tmp_path, capsys):
+    data = corpus_data("trefoil")
+    set_upower(data, "1")
+    set_alexander(data, "0")
+    set_b1(data, "0")
+    code, out, _ = run(capsys, "cfk", "--complex", write_json(tmp_path / "trefoil.json", data))
+    assert code == 0
+    assert out == run(capsys, "cfk", "--complex", "trefoil")[1]
+
+
+def test_endfloer_single_level_is_usage_error(capsys):
+    # Checked before loading: the missing file is never reached.
+    code, out, err = run(capsys, "endfloer", "--knot", "no-such-file.json", "--levels", "1")
+    assert (code, out) == (2, "")
+    assert err == "error: --levels must be at least 2\n"
+
+
+@pytest.mark.parametrize(
+    "handle, code",
+    [({"kind": "finite_mixed_then_one_sign", "signs": ["-"], "tail": "+"}, 0),
+     ({"kind": "bogus"}, 1),
+     ({}, 2)],
+    ids=["finite-mixed", "bogus-kind", "no-kind"],
+)
+def test_distinguish_piece_with_dict_handle(tmp_path, capsys, handle, code):
+    a = write_json(tmp_path / "a.json", {"knot": "k3", "handle": handle})
+    b = write_json(tmp_path / "b.json", {"knot": "k5"})
+    got, out, err = run(capsys, "distinguish", "--a", a, "--b", b)
+    assert got == code
+    if code == 0:
+        assert json.loads(out)["distinct"] is True and err == ""
+    else:
+        assert out == "" and err.startswith("error: ") and len(err.strip().splitlines()) == 1

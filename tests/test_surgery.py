@@ -16,6 +16,7 @@ from floerforge.cfk import (
     KnotComplex,
 )
 from floerforge.fualgebra import (
+    FreeComplex,
     FUDecomposition,
     homology_decomposition,
     plus_presentation,
@@ -239,21 +240,41 @@ def test_floer_sum_with_circle_times_sphere():
     assert out.decomposition == dec([F(1), F(0), F(0), F(-1)])
 
 
-def test_floer_sum_torsion_against_itself_matches_truncation_oracle():
-    from floerforge.surgery import _encode_decomposition
+def encode(d: FUDecomposition, tag: str) -> FreeComplex:
+    """Free-complex model whose homology, presented in plus terms, is ``d``.
 
+    A tower at g becomes a free generator at g; torsion (top g, length k)
+    becomes a pair dy = U^k x with m(x) = g + 1.
+    """
+    gens = [(f"{tag}t{i}", t) for i, t in enumerate(d.towers)]
+    diff = {}
+    for i, (g, k) in enumerate(d.torsion):
+        gens += [(f"{tag}x{i}", g + 1), (f"{tag}y{i}", g + 2 - 2 * k)]
+        diff[f"{tag}y{i}"] = {f"{tag}x{i}": k}
+    return FreeComplex(gens, diff)
+
+
+def test_floer_sum_torsion_against_itself_matches_truncation_oracle():
     r = HFPlusResult(dec([], [(F(0), 1)]))
     engine = connected_sum_floer(r, r).decomposition
     assert engine == dec([], [(F(1), 1), (F(0), 1)])
     # Brute-force oracle: tensor the encodings and compare truncated dims.
-    c = tensor_complexes(
-        _encode_decomposition(r.decomposition, "L"),
-        _encode_decomposition(r.decomposition, "R"),
-    )
+    c = tensor_complexes(encode(r.decomposition, "L"), encode(r.decomposition, "R"))
     h = homology_decomposition(c)
     for cutoff in (5, 6):
         assert truncated_graded_dimensions(c, cutoff) == expected_truncated_dimensions(h, cutoff)
     assert plus_presentation(h) == engine
+
+
+@pytest.mark.parametrize("k1", range(1, 9))
+def test_floer_sum_kunneth_blocks_match_engine(k1):
+    # The closed-form torsion x torsion blocks against the homology of the
+    # tensor product of the two encodings, at shifted tops.
+    for k2 in range(1, 9):
+        a = dec([], [(F(1, 2), k1)])
+        b = dec([], [(F(-3), k2)])
+        engine = plus_presentation(homology_decomposition(tensor_complexes(encode(a, "L"), encode(b, "R"))))
+        assert connected_sum_floer(HFPlusResult(a), HFPlusResult(b)).decomposition == engine
 
 
 def test_floer_sum_commutative_associative():
@@ -318,11 +339,6 @@ def test_triangle_verdicts_translation_invariant(num, den):
     moved = exact_triangle_force(shifted, [F(-1, 2), F(0), F(-1, 2)])
     assert base.verdicts == moved.verdicts
     assert base.ranks == moved.ranks
-
-
-def test_hfplus_json_round_trip():
-    r = HFPlusResult(dec([F(1, 2), F(-1, 2)], [(F(-1, 2), 1)]))
-    assert HFPlusResult.from_json(r.to_json()) == r
 
 
 def test_pm_one_framings_on_mirror_staircase():
