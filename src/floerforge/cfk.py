@@ -47,7 +47,9 @@ class Ambient:
 
     @classmethod
     def from_json(cls, data) -> "Ambient":
-        return cls(data["name"], integer(data["b1"]), bool(data["reduced_trivial"]))
+        if not isinstance(data["reduced_trivial"], bool):
+            raise TypeError(f"reduced_trivial is not a boolean: {data['reduced_trivial']!r}")
+        return cls(data["name"], integer(data["b1"]), data["reduced_trivial"])
 
 
 class KnotComplex:

@@ -73,12 +73,20 @@ def _load(source) -> KnotComplex:
     """Read a complex from a file path or corpus name, or from inline JSON data."""
     from_file = isinstance(source, str)
     try:
-        return load_complex(source) if from_file else KnotComplex.from_json(source)
+        kc = load_complex(source) if from_file else KnotComplex.from_json(source)
     except FileNotFoundError as exc:
         raise UsageError(str(exc)) from exc
     except (ValueError, KeyError, TypeError) as exc:
         what = f"complex file {source!r}" if from_file else "inline complex"
         raise UsageError(f"cannot parse {what}: {exc}") from exc
+    if kc.ambient.is_sphere:
+        for g in kc.generators:
+            if kc.maslov(g).denominator != 1:
+                raise InvalidComplex(
+                    f"invalid complex: Maslov grading {format_grading(kc.maslov(g))} of {g} "
+                    f"is not an integer over {kc.ambient.name}"
+                )
+    return kc
 
 
 def _load_valid(source) -> KnotComplex:

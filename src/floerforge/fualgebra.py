@@ -40,10 +40,10 @@ U_DEGREE = -2
 
 
 def grading(value) -> Fraction:
-    """Coerce ints, strings like ``"-3/2"``, or Fractions to an exact grading."""
+    """Coerce ints (not bools), strings like ``"-3/2"``, or Fractions to an exact grading."""
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
+    if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     if isinstance(value, str):
         return Fraction(value)
@@ -488,9 +488,16 @@ class _Reducer:
         )
 
 
-def split_components(c: FreeComplex) -> list[FreeComplex]:
-    """Direct-sum decomposition along connectivity of the differential."""
-    parent = {g: g for g in c.generators}
+def components(generators, edges) -> list[list[str]]:
+    """Connected components of the graph on ``generators`` spanned by the
+    ``(a, b)`` pairs of ``edges``, by union-find.  Each component lists
+    its members in generator order; components come in the order of their
+    first members.
+
+    >>> components("abcde", [("d", "b"), ("c", "a")])
+    [['a', 'c'], ['b', 'd'], ['e']]
+    """
+    parent = {g: g for g in generators}
 
     def find(g):
         while parent[g] != g:
@@ -498,28 +505,28 @@ def split_components(c: FreeComplex) -> list[FreeComplex]:
             g = parent[g]
         return g
 
-    for src, tgt, _p in c.entries():
-        ra, rb = find(src), find(tgt)
+    for a, b in edges:
+        ra, rb = find(a), find(b)
         if ra != rb:
             parent[ra] = rb
     buckets: dict[str, list[str]] = {}
-    for g in c.generators:
+    for g in generators:
         buckets.setdefault(find(g), []).append(g)
-    if len(buckets) <= 1:
+    return list(buckets.values())
+
+
+def split_components(c: FreeComplex) -> list[FreeComplex]:
+    """Direct-sum decomposition along connectivity of the differential."""
+    parts = components(c.generators, ((src, tgt) for src, tgt, _p in c.entries()))
+    if len(parts) <= 1:
         return [c]
-    rows_by_root: dict[str, dict] = {root: {} for root in buckets}
-    for src, row in c.differential.items():
-        rows_by_root[find(src)][src] = row
-    parts = []
-    for root in sorted(buckets, key=lambda r: buckets[r][0]):
-        members = buckets[root]
-        parts.append(
-            FreeComplex(
-                [(g, c.maslov[g]) for g in members],
-                rows_by_root[root],
-            )
+    return [
+        FreeComplex(
+            [(g, c.maslov[g]) for g in members],
+            {g: c.differential[g] for g in members if g in c.differential},
         )
-    return parts
+        for members in parts
+    ]
 
 
 def homology_decomposition(c: FreeComplex) -> FUDecomposition:

@@ -16,6 +16,16 @@ anchored on B_0:
 The window uses s in [-g+1, g-1] for the A-summands (v_s is an
 isomorphism above genus and h_s below minus genus), with B-summands
 [-g, g-1] for framing -1 and [-g+2, g-1] for framing +1.
+
+``surgery_hf`` never builds the cone of the whole complex.  Every map of
+the cone stays inside a flip-stable summand of C (a connected component
+of the differential entries and the flip pairs), so the cone of C is the
+direct sum of the cones of its summands.  Whitehead doubles are x plus
+many boxes that agree up to a Maslov shift, so ``surgery_hf`` reduces one
+cone per distinct summand shape and shifts the result into place.  Each
+summand's cone takes the window g of the whole complex, so it is exactly
+the restriction of the flat cone; ``build_cone(kc, n).total_complex()``
+is that flat cone, kept as the test oracle.
 """
 
 from __future__ import annotations
@@ -28,6 +38,7 @@ from .fualgebra import (
     FreeComplex,
     FUDecomposition,
     _Reducer,
+    components,
     compose,
     format_grading,
     grading,
@@ -112,14 +123,22 @@ def _b_shift(n: int, t: int, c0: Fraction) -> Fraction:
 _ANCHORS = {0: F(-1, 2), -1: F(0), 1: F(-1)}
 
 
-def build_cone(kc: KnotComplex, n: int) -> MappingCone:
-    """Assemble the truncated cone for framing n in {-1, 0, +1}."""
+def _window(kc: KnotComplex, n: int) -> int:
+    """Check a surgery input in full and return its genus window g_hat."""
     if kc.flip is None:
         raise MissingFlip(f"complex {kc.name or ''} has no flip involution")
     if n not in (-1, 0, 1):
         raise ValueError("absolute gradings are supported for framings -1, 0, +1 only")
     validate_knot(kc).require("surgery input")
-    g_hat = max(kc.genus_bound(), 1)
+    return max(kc.genus_bound(), 1)
+
+
+def build_cone(kc: KnotComplex, n: int) -> MappingCone:
+    """Assemble the truncated cone for framing n in {-1, 0, +1}."""
+    return _cone(kc, n, _window(kc, n))
+
+
+def _cone(kc: KnotComplex, n: int, g_hat: int) -> MappingCone:
     if n == 0:
         a_window = (0,)
         b_window = (0,)
@@ -207,9 +226,43 @@ def _reduce_cone_summands(mc: MappingCone) -> MappingCone:
 
 
 def surgery_hf(kc: KnotComplex, n: int) -> HFPlusResult:
-    """Graded homology of n-framed surgery, in the torsion structure class."""
-    h = homology_decomposition(build_cone(kc, n).total_complex())
-    return HFPlusResult(plus_presentation(h))
+    """Graded homology of n-framed surgery, in the torsion structure class.
+
+    The cone of a direct sum is the direct sum of the cones, so the cone
+    homology is summed over the flip-stable summands of ``kc``, computed
+    once per shape.  A shape is a summand read in generator order with its
+    Maslov gradings taken relative to its first generator; summands of one
+    shape differ by a Maslov shift, which shifts their cone homology.
+
+    >>> from .cfk import box, direct_sum, unknot
+    >>> surgery_hf(direct_sum([unknot(), box(2), box(0)]), 0).decomposition
+    FUDecomposition(towers=(Fraction(1, 2), Fraction(-1, 2)), torsion=((Fraction(3, 2), 1), (Fraction(-1, 2), 1)))
+    """
+    g_hat = _window(kc, n)
+    base, A, flip = kc.base, kc.alexander, kc.flip
+    edges = [(src, tgt) for src, tgt, _p in base.entries()] + list(flip.items())
+    by_shape: dict[tuple, FUDecomposition] = {}
+    towers, torsion = [], []
+    for members in components(base.generators, edges):
+        m0 = base.maslov[members[0]]
+        pos = {g: i for i, g in enumerate(members)}
+        rows = {g: base.differential[g] for g in members if g in base.differential}
+        shape = tuple(
+            (base.maslov[g] - m0, A[g], pos[flip[g]],
+             tuple(sorted((pos[t], p) for t, p in rows.get(g, {}).items())))
+            for g in members
+        )
+        h = by_shape.get(shape)
+        if h is None:
+            part = KnotComplex(
+                FreeComplex([(g, base.maslov[g] - m0) for g in members], rows),
+                {g: A[g] for g in members},
+                {g: flip[g] for g in members},
+            )
+            h = by_shape[shape] = homology_decomposition(_cone(part, n, g_hat).total_complex())
+        towers.extend(t + m0 for t in h.towers)
+        torsion.extend((g + m0, k) for g, k in h.torsion)
+    return HFPlusResult(plus_presentation(FUDecomposition.make(towers, torsion)))
 
 
 def one_handle_stabilize(result: HFPlusResult) -> HFPlusResult:

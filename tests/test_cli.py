@@ -324,3 +324,37 @@ def test_distinguish_piece_with_dict_handle(tmp_path, capsys, handle, code):
         assert json.loads(out)["distinct"] is True and err == ""
     else:
         assert out == "" and err.startswith("error: ") and len(err.strip().splitlines()) == 1
+
+
+def set_maslov_true(data):
+    data["generators"][0]["maslov"] = True
+
+
+def set_reduced_trivial_string(data):
+    data["ambient"]["reduced_trivial"] = "false"
+
+
+@pytest.mark.parametrize(
+    "command, entry, mutate",
+    [(["surgery", "--n", "0", "--complex"], "unknot", set_maslov_true),
+     (["double", "--complex"], "k3", set_reduced_trivial_string)],
+    ids=["maslov-true", "reduced-trivial-string"],
+)
+def test_json_boolean_confusion_is_file_error(tmp_path, capsys, command, entry, mutate):
+    data = corpus_data(entry)
+    mutate(data)
+    code, out, err = run(capsys, *command, write_json(tmp_path / f"{entry}.json", data))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: cannot parse complex file")
+    assert len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "argv", [["surgery", "--n", "1", "--complex"], ["cfk", "--complex"]], ids=["surgery", "cfk"]
+)
+def test_non_integral_maslov_over_sphere_is_domain_error(tmp_path, capsys, argv):
+    data = corpus_data("unknot")
+    data["generators"][0]["maslov"] = "1/3"
+    code, out, err = run(capsys, *argv, write_json(tmp_path / "unknot.json", data))
+    assert (code, out) == (1, "")
+    assert err == "error: invalid complex: Maslov grading 1/3 of x is not an integer over S3\n"

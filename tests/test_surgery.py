@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from floerforge.cfk import (
     box,
@@ -13,8 +13,11 @@ from floerforge.cfk import (
     staircase_torus,
     unknot,
     direct_sum,
+    k_n,
     KnotComplex,
+    validate_knot,
 )
+from floerforge.corpus import corpus_builders, load_complex
 from floerforge.fualgebra import (
     FreeComplex,
     FUDecomposition,
@@ -23,6 +26,7 @@ from floerforge.fualgebra import (
     tensor_complexes,
     validate_complex,
 )
+from floerforge import surgery
 from floerforge.surgery import (
     FORCED_INJECTIVE_TOP,
     FORCED_ZERO,
@@ -40,6 +44,7 @@ from floerforge.truncation import (
     expected_truncated_dimensions,
     truncated_graded_dimensions,
 )
+from floerforge.whitehead import double_tower
 
 F = Fraction
 
@@ -195,6 +200,105 @@ def test_reduced_summand_route_agrees(kc, n):
     assert validate_complex(total).ok
     reduced = plus_presentation(homology_decomposition(total))
     assert direct.decomposition == reduced
+
+
+# --- the summand-wise route against the flat cone -----------------------------
+
+
+def flat_surgery(kc, n):
+    """The oracle: homology of the one flat cone over the whole complex."""
+    return plus_presentation(homology_decomposition(build_cone(kc, n).total_complex()))
+
+
+def scrambled(kc, rng):
+    """The same knot complex with fresh generator names in a random order."""
+    fresh = {g: f"v{i}" for g, i in zip(kc.generators, rng.sample(range(len(kc.generators)), len(kc.generators)))}
+    order = list(kc.generators)
+    rng.shuffle(order)
+    base = FreeComplex(
+        [(fresh[g], kc.maslov(g)) for g in order],
+        {fresh[src]: {fresh[t]: p for t, p in row.items()} for src, row in kc.base.differential.items()},
+    )
+    return KnotComplex(
+        base,
+        {fresh[g]: kc.alexander[g] for g in order},
+        {fresh[g]: fresh[kc.flip[g]] for g in order},
+        kc.ambient,
+        kc.name,
+    )
+
+
+ORACLE_CASES = {
+    **{name: (lambda name=name: load_complex(name)) for name in sorted(corpus_builders())},
+    **{f"K{n}": (lambda n=n: k_n(n)) for n in (3, 5, 7)},
+    "Wh+-(K3)": lambda: double_tower(k_n(3), "+-")[-1],
+    "Wh-+(K3)": lambda: double_tower(k_n(3), "-+")[-1],
+    "Wh--(figure8)": lambda: double_tower(figure8(), "--")[-1],
+    "J#Wh(K3)": lambda: connected_sum_knots(j_in_y(), double_tower(k_n(3), "+")[0]),
+    "T(2,3)#Wh(K3)": lambda: connected_sum_knots(staircase_torus(3, "+"), double_tower(k_n(3), "+")[0]),
+    "T(2,5)+boxes": lambda: direct_sum([staircase_torus(5, "+"), box(2), box(0), box(2)]),
+    "figure8+T(2,-3)+T(2,7)": lambda: direct_sum(
+        [figure8(), staircase_torus(3, "-"), staircase_torus(7, "+")]),
+}
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.sampled_from(sorted(ORACLE_CASES)), st.randoms(use_true_random=False))
+def test_summand_route_equals_flat_cone(name, rng):
+    kc = scrambled(ORACLE_CASES[name](), rng)
+    for n in (-1, 0, 1):
+        assert surgery_hf(kc, n).decomposition == flat_surgery(kc, n)
+
+
+def flip_swapped_boxes(j, k=F(0)):
+    """x plus B[k, j] and B[k - 2j, -j], with the flip exchanging the two
+    boxes (a <-> a', b <-> c', c <-> b', d <-> d'): no differential entry
+    joins them, only the flip."""
+    left, right = box(k, j, "l"), box(k - 2 * j, -j, "r")
+    gens = [("x", F(0))] + [(g, part.maslov(g)) for part in (left, right) for g in part.generators]
+    base = FreeComplex(gens, {**left.base.differential, **right.base.differential})
+    alexander = {"x": 0, **left.alexander, **right.alexander}
+    flip = {"x": "x"}
+    for a, b in (("a", "a"), ("b", "c"), ("c", "b"), ("d", "d")):
+        flip["l" + a] = "r" + b
+        flip["r" + b] = "l" + a
+    return KnotComplex(base, alexander, flip)
+
+
+@pytest.fixture
+def cone_sizes(monkeypatch):
+    """Generator counts of the cones whose homology ``surgery_hf`` takes."""
+    sizes = []
+
+    def counting(c):
+        sizes.append(len(c.generators))
+        return homology_decomposition(c)
+
+    monkeypatch.setattr(surgery, "homology_decomposition", counting)
+    return sizes
+
+
+@pytest.mark.parametrize("j", [0, 1])
+def test_flip_pairs_join_summands(j, cone_sizes):
+    kc = flip_swapped_boxes(j)
+    assert validate_knot(kc).ok
+    for n in (-1, 0, 1):
+        cone_sizes.clear()
+        assert surgery_hf(kc, n).decomposition == flat_surgery(kc, n)
+        # One cone for x, one for the two boxes together: each summand
+        # contributes its 1 or 8 generators to every A_s and B_t.
+        per_copy = len(build_cone(kc, n).a_window) + len(build_cone(kc, n).b_window)
+        assert sorted(cone_sizes) == [per_copy, 8 * per_copy]
+
+
+@pytest.mark.parametrize("n", [-1, 0, 1])
+def test_one_cone_per_distinct_shape(n, cone_sizes):
+    # Wh^2(K3) is x plus 32 boxes B[k, 0] at several k: 33 summands, two shapes.
+    kc = double_tower(k_n(3), "++")[-1]
+    assert len(kc.generators) == 129
+    assert surgery_hf(kc, n).decomposition == flat_surgery(kc, n)
+    per_copy = len(build_cone(kc, n).a_window) + len(build_cone(kc, n).b_window)
+    assert sorted(cone_sizes) == [per_copy, 4 * per_copy]
 
 
 # --- stabilisation ------------------------------------------------------------
