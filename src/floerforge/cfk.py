@@ -20,6 +20,7 @@ from .fualgebra import (
     InvalidComplex,
     ValidationReport,
     _Reducer,
+    components,
     format_grading,
     graded_f2_dims,
     grading,
@@ -109,9 +110,13 @@ class KnotComplex:
             for a, b in data["flip"]:
                 flip[a] = b
                 flip[b] = a
+        alexander = {g: integer(v) for g, v in data["alexander"].items()}
+        for what, names in (("alexander grades", alexander), ("flip pairs", flip or {})):
+            if extra := sorted(map(repr, names.keys() - base.maslov.keys())):
+                raise ValueError(f"{what} {', '.join(extra)}, which are not generators")
         return cls(
             base,
-            {g: integer(v) for g, v in data["alexander"].items()},
+            alexander,
             flip,
             Ambient.from_json(data["ambient"]) if "ambient" in data else Ambient(),
             data.get("name", ""),
@@ -119,9 +124,78 @@ class KnotComplex:
 
 
 def validate_knot(kc: KnotComplex) -> ValidationReport:
-    """Base-complex validity, Alexander filtration and flip axioms.  A flip
+    """Base-complex validity, Alexander filtration and flip axioms, run once
+    per shape of :func:`_summands`: past the structural checks each check
+    is local to a summand and blind to names and a Maslov shift.  A flip
     passing them is an isomorphism of hat complexes (m, s) -> (m - 2s, -s),
     so the hat table is symmetric without a separate check."""
+    return _validate_summands(_summands(kc))
+
+
+def _summands(kc: KnotComplex) -> list[tuple[KnotComplex, list[tuple]]]:
+    """The flip-stable summands of ``kc`` (components of the differential
+    entries and flip pairs) as one ``(representative, copies)`` per shape.
+
+    Structural checks come first: differential endpoints exist, and a flip
+    is defined everywhere and involutive; if one fails, the whole complex
+    is the one summand.  A shape lists, per member in generator order, the
+    Maslov grading relative to the first member (an ``int`` if integral),
+    the Alexander grading, the flip's position and the differential row.
+    It need not be canonical: copies keyed apart only cost one more check.
+    The representative is the first copy at relative gradings; ``copies``
+    holds ``(offset, members)``, offset the first member's Maslov grading.
+    """
+    base, A, flip = kc.base, kc.alexander, kc.flip
+    gens, M, diff = base.generators, base.maslov, base.differential
+    broken = not M.keys() >= diff.keys() or not all(M.keys() >= row.keys() for row in diff.values())
+    edges = [(s, t) for s, row in diff.items() for t in row]
+    if flip is not None and not broken:
+        images = [flip.get(g) for g in gens]
+        broken = not M.keys() >= set(images) or tuple(map(flip.__getitem__, images)) != gens
+        edges += [(g, img) for g, img in zip(gens, images) if img != g]
+    if broken:
+        return [(kc, [(0, gens)])]
+    shapes: dict[tuple, tuple[KnotComplex, list]] = {}
+    for members in components(gens, edges):
+        m0 = M[members[0]]
+        q, n0 = m0.denominator, m0.numerator
+        relative = []
+        for m in map(M.__getitem__, members):
+            k, r = divmod(m.numerator - n0, q)
+            relative.append(k if m.denominator == q and not r else m - m0)
+        pos = dict(zip(members, range(len(members))))
+        shape = (tuple(relative), tuple(map(A.__getitem__, members)),
+                 None if flip is None else tuple(map(pos.__getitem__, map(flip.__getitem__, members))),
+                 tuple(row and (tuple(map(pos.__getitem__, row)), tuple(row.values()))
+                       for row in map(diff.get, members)))
+        found = shapes.get(shape)
+        if found is None:
+            rep = KnotComplex(FreeComplex(zip(members, relative), {g: diff[g] for g in members if g in diff}),
+                              {g: A[g] for g in members},
+                              None if flip is None else {g: flip[g] for g in members}, kc.ambient)
+            found = shapes[shape] = (rep, [])
+        found[1].append((m0, members))
+    return list(shapes.values())
+
+
+def _validate_summands(shapes) -> ValidationReport:
+    """:func:`validate_knot` on a split.  As on a flat complex, the flip
+    chain-map check runs only when every summand's base is valid."""
+    violations, chain_map = [], True
+    for rep, copies in shapes:
+        found, ready = _summand_violations(rep)
+        if found:  # report at absolute gradings
+            found, ready = _summand_violations(KnotComplex(rep.base.shift(copies[0][0]), rep.alexander, rep.flip))
+        violations += found
+        chain_map = chain_map and ready
+    if chain_map:
+        violations += [v for rep, _copies in shapes for v in _flip_chain_map_violations(rep)]
+    return ValidationReport(ok=not violations, violations=tuple(violations))
+
+
+def _summand_violations(kc: KnotComplex) -> tuple[list[str], bool]:
+    """Every check of :func:`validate_knot` but the flip chain map, and
+    whether that check can run (a flip defined everywhere, a valid base)."""
     base_report = validate_complex(kc.base)
     violations = list(base_report.violations)
     A = kc.alexander
@@ -132,23 +206,22 @@ def validate_knot(kc: KnotComplex) -> ValidationReport:
             violations.append(
                 f"entry {src}->U^{p}.{tgt} raises the Alexander filtration"
             )
-    if kc.flip is not None:
-        flip_ok = True
-        for g in kc.generators:
-            img = kc.flip.get(g)
-            if img is None or img not in A:
-                violations.append(f"flip undefined on {g}")
-                flip_ok = False
-                continue
-            if kc.flip.get(img) != g:
-                violations.append(f"flip not involutive at {g}")
-            if A[img] != -A[g]:
-                violations.append(f"flip image of {g} has Alexander {A[img]} != {-A[g]}")
-            if kc.maslov(img) != kc.maslov(g) - 2 * A[g]:
-                violations.append(f"flip image of {g} has wrong Maslov grading")
-        if flip_ok and base_report.ok:
-            violations.extend(_flip_chain_map_violations(kc))
-    return ValidationReport(ok=not violations, violations=tuple(violations))
+    if kc.flip is None:
+        return violations, False
+    flip_ok = True
+    for g in kc.generators:
+        img = kc.flip.get(g)
+        if img is None or img not in A:
+            violations.append(f"flip undefined on {g}")
+            flip_ok = False
+            continue
+        if kc.flip.get(img) != g:
+            violations.append(f"flip not involutive at {g}")
+        if A[img] != -A[g]:
+            violations.append(f"flip image of {g} has Alexander {A[img]} != {-A[g]}")
+        if kc.maslov(img) != kc.maslov(g) - 2 * A[g]:
+            violations.append(f"flip image of {g} has wrong Maslov grading")
+    return violations, flip_ok and base_report.ok
 
 
 def _flip_chain_map_violations(kc: KnotComplex) -> list[str]:

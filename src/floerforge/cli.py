@@ -11,9 +11,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections import Counter
 from pathlib import Path
 
-from .cfk import KnotComplex, hfk_hat, knot_numerics, validate_knot
+from .cfk import (KnotComplex, _summands, _validate_summands, filtration_homology, hfk_hat,
+                  knot_numerics)
 from .corpus import canonical_json, load_complex
 from .endfloer import (
     CH_MINUS,
@@ -70,7 +72,9 @@ def _hfk_table(kc: KnotComplex) -> str:
 
 
 def _load(source) -> KnotComplex:
-    """Read a complex from a file path or corpus name, or from inline JSON data."""
+    """Read and validate a complex from a path, a corpus name or inline JSON.
+    Over S3 its Maslov gradings are integers and its U=0 homology is one F2
+    at 0 (H_*(C) = F2[U] at 0), taken once per summand shape and shifted."""
     from_file = isinstance(source, str)
     try:
         kc = load_complex(source) if from_file else KnotComplex.from_json(source)
@@ -86,12 +90,18 @@ def _load(source) -> KnotComplex:
                     f"invalid complex: Maslov grading {format_grading(kc.maslov(g))} of {g} "
                     f"is not an integer over {kc.ambient.name}"
                 )
-    return kc
-
-
-def _load_valid(source) -> KnotComplex:
-    kc = _load(source)
-    validate_knot(kc).require("complex")
+    shapes = _summands(kc)
+    _validate_summands(shapes).require("complex")
+    if kc.ambient.is_sphere:
+        dims: Counter = Counter()
+        for rep, copies in shapes:
+            for m, d in filtration_homology(rep, rep.genus_bound()).items():
+                for offset, _members in copies:
+                    dims[m + offset] += d
+        if dims != {0: 1}:
+            found = ", ".join(f"rank {d} at Maslov {format_grading(m)}" for m, d in sorted(dims.items()))
+            raise InvalidComplex(f"invalid complex: U=0 homology over {kc.ambient.name} is "
+                                 f"{found or 'zero'}, not rank 1 at Maslov 0")
     return kc
 
 
@@ -109,7 +119,7 @@ def _parse_handle(value) -> CassonHandle:
 
 def _parse_slice_spec(data) -> SliceR4Spec:
     return SliceR4Spec(
-        knot=_load_valid(data["knot"]),
+        knot=_load(data["knot"]),
         handle=_parse_handle(data.get("handle", "ch+")),
         orientation=data.get("orientation", "+"),
         disk_label=data.get("disk_label", "standard"),
@@ -132,7 +142,7 @@ def _parse_operand(path: str):
 
 
 def _cmd_cfk(args) -> int:
-    kc = _load_valid(args.complex)
+    kc = _load(args.complex)
     if args.format == "table":
         _emit(_hfk_table(kc), args.out)
         return 0
@@ -163,7 +173,7 @@ def _cmd_surgery(args) -> int:
 def _cmd_double(args) -> int:
     if args.iterations < 1:
         raise UsageError("--iterations must be at least 1")
-    kc = _load_valid(args.complex)
+    kc = _load(args.complex)
     top = double_tower(kc, args.sign * args.iterations)[-1]
     _emit(canonical_json(top.to_json()), args.out)
     return 0
@@ -173,7 +183,7 @@ def _cmd_endfloer(args) -> int:
     if args.levels < 2:
         raise UsageError("--levels must be at least 2")
     spec = SliceR4Spec(
-        knot=_load_valid(args.knot),
+        knot=_load(args.knot),
         handle=_parse_handle(args.handle),
         orientation=args.orientation,
     )

@@ -1,9 +1,11 @@
 """Exact homological algebra for free graded chain complexes over F2[U].
 
-Everything here is exact: gradings are ``fractions.Fraction``, coefficients
-live in F2 (an entry is present or absent), and the variable U carries
-grading -2.  A differential entry from generator ``x`` to generator ``y``
-is a single monomial ``U^p``; homogeneity forces the exponent
+Everything here is exact: gradings are ``int`` or ``fractions.Fraction``
+(``Fraction`` at every public boundary; ``int`` inside a summand stored
+relative to its first generator), coefficients live in F2 (an entry is
+present or absent), and the variable U carries grading -2.  A
+differential entry from generator ``x`` to generator ``y`` is a single
+monomial ``U^p``; homogeneity forces the exponent
 ``p = (maslov(x) - 1 - maslov(y)) / 2``, so a sum of distinct powers
 between the same pair of generators can never arise in a homogeneous
 complex (two contributions with the same endpoints have equal exponent
@@ -84,9 +86,9 @@ class FreeComplex:
     """A finitely generated free chain complex over F2[U].
 
     ``generators`` is an ordered list of ``(name, maslov)`` pairs and
-    ``differential`` maps source name -> {target name: U-exponent}.
-    Instances are treated as immutable values; all operations return
-    new complexes.
+    ``differential`` maps source name -> {target name: U-exponent}; an
+    ``int`` grading stays an ``int``.  Instances are treated as immutable
+    values; all operations return new complexes.
     """
 
     __slots__ = ("generators", "maslov", "differential")
@@ -98,9 +100,9 @@ class FreeComplex:
             if name in maslov:
                 raise ValueError(f"duplicate generator name {name!r}")
             gens.append(name)
-            maslov[name] = grading(m)
+            maslov[name] = m if type(m) is int else grading(m)
         self.generators: tuple[str, ...] = tuple(gens)
-        self.maslov: dict[str, Fraction] = maslov
+        self.maslov: dict[str, int | Fraction] = maslov
         diff = {}
         for src, row in (differential or {}).items():
             if row:
@@ -152,7 +154,10 @@ class FreeComplex:
         gens = [(g["name"], grading(g["maslov"])) for g in data["generators"]]
         diff: dict[str, dict[str, int]] = {}
         for e in data.get("differential", ()):
-            diff.setdefault(e["from"], {})[e["to"]] = integer(e["upower"])
+            row = diff.setdefault(e["from"], {})
+            if e["to"] in row:
+                raise ValueError(f"differential entry {e['from']}->{e['to']} is listed twice")
+            row[e["to"]] = integer(e["upower"])
         return cls(gens, diff)
 
 

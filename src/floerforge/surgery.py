@@ -21,11 +21,14 @@ isomorphism above genus and h_s below minus genus), with B-summands
 the cone stays inside a flip-stable summand of C (a connected component
 of the differential entries and the flip pairs), so the cone of C is the
 direct sum of the cones of its summands.  Whitehead doubles are x plus
-many boxes that agree up to a Maslov shift, so ``surgery_hf`` reduces one
-cone per distinct summand shape and shifts the result into place.  Each
-summand's cone takes the window g of the whole complex, so it is exactly
-the restriction of the flat cone; ``build_cone(kc, n).total_complex()``
-is that flat cone, kept as the test oracle.
+many boxes that agree up to a Maslov shift, so ``surgery_hf`` validates
+and reduces once per shape of the split ``cfk._summands``.  Each cone is
+built at the representative's integer gradings, relative to its first
+generator and to the framing anchor, and both are added back to each
+copy's homology.  Each summand's cone takes the window g of the whole
+complex, so it is exactly the restriction of the flat cone;
+``build_cone(kc, n).total_complex()`` is that flat cone, at absolute
+gradings, kept as the test oracle.
 """
 
 from __future__ import annotations
@@ -33,12 +36,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cfk import KnotComplex, validate_knot
+from .cfk import KnotComplex, _summands, _validate_summands, validate_knot
 from .fualgebra import (
     FreeComplex,
     FUDecomposition,
     _Reducer,
-    components,
     compose,
     format_grading,
     grading,
@@ -123,22 +125,23 @@ def _b_shift(n: int, t: int, c0: Fraction) -> Fraction:
 _ANCHORS = {0: F(-1, 2), -1: F(0), 1: F(-1)}
 
 
-def _window(kc: KnotComplex, n: int) -> int:
-    """Check a surgery input in full and return its genus window g_hat."""
+def _window(kc: KnotComplex, n: int, report) -> int:
+    """Check a surgery input, given its full validation, and return g_hat."""
     if kc.flip is None:
         raise MissingFlip(f"complex {kc.name or ''} has no flip involution")
     if n not in (-1, 0, 1):
         raise ValueError("absolute gradings are supported for framings -1, 0, +1 only")
-    validate_knot(kc).require("surgery input")
+    report.require("surgery input")
     return max(kc.genus_bound(), 1)
 
 
 def build_cone(kc: KnotComplex, n: int) -> MappingCone:
     """Assemble the truncated cone for framing n in {-1, 0, +1}."""
-    return _cone(kc, n, _window(kc, n))
+    return _cone(kc, n, _window(kc, n, validate_knot(kc)), _ANCHORS[n])
 
 
-def _cone(kc: KnotComplex, n: int, g_hat: int) -> MappingCone:
+def _cone(kc: KnotComplex, n: int, g_hat: int, c0) -> MappingCone:
+    """The cone of ``kc`` with B_0 anchored at grading c0."""
     if n == 0:
         a_window = (0,)
         b_window = (0,)
@@ -149,7 +152,6 @@ def _cone(kc: KnotComplex, n: int, g_hat: int) -> MappingCone:
         a_window = tuple(range(-g_hat + 1, g_hat))
         b_window = tuple(range(-g_hat + 2, g_hat))
 
-    c0 = _ANCHORS[n]
     b_shifts = {t: _b_shift(n, t, c0) for t in b_window}
     a_shifts = {s: _b_shift(n, s, c0) + 1 for s in a_window}
 
@@ -230,38 +232,23 @@ def surgery_hf(kc: KnotComplex, n: int) -> HFPlusResult:
 
     The cone of a direct sum is the direct sum of the cones, so the cone
     homology is summed over the flip-stable summands of ``kc``, computed
-    once per shape.  A shape is a summand read in generator order with its
-    Maslov gradings taken relative to its first generator; summands of one
-    shape differ by a Maslov shift, which shifts their cone homology.
+    once per shape of ``cfk._summands``, which also validates the input.
+    Summands of one shape differ by a Maslov shift, which shifts their
+    cone homology.
 
     >>> from .cfk import box, direct_sum, unknot
     >>> surgery_hf(direct_sum([unknot(), box(2), box(0)]), 0).decomposition
     FUDecomposition(towers=(Fraction(1, 2), Fraction(-1, 2)), torsion=((Fraction(3, 2), 1), (Fraction(-1, 2), 1)))
     """
-    g_hat = _window(kc, n)
-    base, A, flip = kc.base, kc.alexander, kc.flip
-    edges = [(src, tgt) for src, tgt, _p in base.entries()] + list(flip.items())
-    by_shape: dict[tuple, FUDecomposition] = {}
+    shapes = _summands(kc)
+    g_hat = _window(kc, n, _validate_summands(shapes))
     towers, torsion = [], []
-    for members in components(base.generators, edges):
-        m0 = base.maslov[members[0]]
-        pos = {g: i for i, g in enumerate(members)}
-        rows = {g: base.differential[g] for g in members if g in base.differential}
-        shape = tuple(
-            (base.maslov[g] - m0, A[g], pos[flip[g]],
-             tuple(sorted((pos[t], p) for t, p in rows.get(g, {}).items())))
-            for g in members
-        )
-        h = by_shape.get(shape)
-        if h is None:
-            part = KnotComplex(
-                FreeComplex([(g, base.maslov[g] - m0) for g in members], rows),
-                {g: A[g] for g in members},
-                {g: flip[g] for g in members},
-            )
-            h = by_shape[shape] = homology_decomposition(_cone(part, n, g_hat).total_complex())
-        towers.extend(t + m0 for t in h.towers)
-        torsion.extend((g + m0, k) for g, k in h.torsion)
+    for rep, copies in shapes:
+        h = homology_decomposition(_cone(rep, n, g_hat, 0).total_complex())
+        for offset, _members in copies:
+            shift = offset + _ANCHORS[n]
+            towers.extend(t + shift for t in h.towers)
+            torsion.extend((g + shift, k) for g, k in h.torsion)
     return HFPlusResult(plus_presentation(FUDecomposition.make(towers, torsion)))
 
 

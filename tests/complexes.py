@@ -1,0 +1,92 @@
+"""Shared test inputs: known-answer complexes and renamed, shuffled sums of them.
+
+``ORACLE_CASES`` maps a name to a builder of a valid surgery input;
+``scrambled_sums`` draws direct sums of such builders with fresh generator
+names in a random order.  The summand-route property of surgery and the
+split-validation property of ``validate_knot`` both draw from it.
+"""
+
+from fractions import Fraction
+
+from hypothesis import strategies as st
+
+from floerforge.cfk import (
+    KnotComplex,
+    box,
+    connected_sum_knots,
+    direct_sum,
+    figure8,
+    j_in_y,
+    k_n,
+    staircase_torus,
+)
+from floerforge.corpus import corpus_builders, load_complex
+from floerforge.fualgebra import FreeComplex
+from floerforge.whitehead import double_tower
+
+F = Fraction
+
+
+def scrambled(kc, rng):
+    """The same knot complex with fresh generator names in a random order.
+
+    Names that are not generators (a differential endpoint or flip image
+    that does not exist) are kept, so malformed complexes stay malformed.
+    """
+    fresh = {g: f"v{i}" for g, i in zip(kc.generators, rng.sample(range(len(kc.generators)), len(kc.generators)))}
+    name = lambda g: fresh.get(g, g)
+    order = list(kc.generators)
+    rng.shuffle(order)
+    base = FreeComplex(
+        [(fresh[g], kc.maslov(g)) for g in order],
+        {name(src): {name(t): p for t, p in row.items()} for src, row in kc.base.differential.items()},
+    )
+    flip = None if kc.flip is None else {name(a): name(b) for a, b in kc.flip.items()}
+    return KnotComplex(base, {fresh[g]: kc.alexander[g] for g in order}, flip, kc.ambient, kc.name)
+
+
+def disjoint_sum(parts):
+    """Direct sum of knot complexes, in the ambient of the first.
+
+    Unlike ``cfk.direct_sum`` it takes malformed parts as they are: a
+    partial flip stays partial, and the sum has no flip if a part has none.
+    """
+    gens, diff, alexander, flip = [], {}, {}, {}
+    for i, part in enumerate(parts):
+        tag = lambda g, i=i: f"{i}.{g}"
+        gens += [(tag(g), part.maslov(g)) for g in part.generators]
+        diff.update({tag(src): {tag(t): p for t, p in row.items()} for src, row in part.base.differential.items()})
+        alexander.update({tag(g): a for g, a in part.alexander.items()})
+        flip.update({tag(a): tag(b) for a, b in (part.flip or {}).items()})
+    if any(part.flip is None for part in parts):
+        flip = None
+    return KnotComplex(FreeComplex(gens, diff), alexander, flip, parts[0].ambient)
+
+
+def scrambled_sums(pieces, max_size=1):
+    """Strategy: a direct sum of 1 to ``max_size`` complexes built by
+    ``pieces`` (name -> builder), renamed and shuffled.  A single piece is
+    only renamed and shuffled."""
+
+    @st.composite
+    def sums(draw):
+        names = draw(st.lists(st.sampled_from(sorted(pieces)), min_size=1, max_size=max_size))
+        rng = draw(st.randoms(use_true_random=False))
+        parts = [pieces[name]() for name in names]
+        return scrambled(parts[0] if len(parts) == 1 else disjoint_sum(parts), rng)
+
+    return sums()
+
+
+ORACLE_CASES = {
+    **{name: (lambda name=name: load_complex(name)) for name in sorted(corpus_builders())},
+    **{f"K{n}": (lambda n=n: k_n(n)) for n in (3, 5, 7)},
+    "Wh+-(K3)": lambda: double_tower(k_n(3), "+-")[-1],
+    "Wh-+(K3)": lambda: double_tower(k_n(3), "-+")[-1],
+    "Wh--(figure8)": lambda: double_tower(figure8(), "--")[-1],
+    "J#Wh(K3)": lambda: connected_sum_knots(j_in_y(), double_tower(k_n(3), "+")[0]),
+    "T(2,3)#Wh(K3)": lambda: connected_sum_knots(staircase_torus(3, "+"), double_tower(k_n(3), "+")[0]),
+    "T(2,5)+boxes": lambda: direct_sum([staircase_torus(5, "+"), box(2), box(0), box(2)]),
+    "figure8+T(2,-3)+T(2,7)": lambda: direct_sum(
+        [figure8(), staircase_torus(3, "-"), staircase_torus(7, "+")]),
+}

@@ -3,8 +3,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from floerforge import cfk
 from floerforge.cfk import (
     KnotComplex,
+    _summand_violations,
+    _validate_summands,
     box,
     builtin,
     connected_sum_knots,
@@ -29,9 +32,11 @@ from floerforge.fualgebra import (
     InvalidComplex,
     graded_f2_dims,
     homology_decomposition,
-    validate_complex,
 )
+from floerforge.surgery import surgery_hf
 from floerforge.whitehead import double_tower
+
+from complexes import ORACLE_CASES, disjoint_sum, scrambled_sums
 
 F = Fraction
 
@@ -421,43 +426,121 @@ def three_cycle():
     return KnotComplex(base, {"x": 0, "y": 0, "z": 0}, {"x": "y", "y": "z", "z": "x"})
 
 
+def box_with_power(p):
+    """box(0) with the power of a -> b set to p (1 is valid)."""
+    b = box(0)
+    diff = {**b.base.differential, "a": {"b": p, "c": 0}}
+    return KnotComplex(FreeComplex([(g, b.maslov(g)) for g in b.generators], diff), b.alexander, b.flip)
+
+
 INVALID_CASES = {
     "alexander-filtration": (
-        lambda: validate_knot(KnotComplex(FreeComplex([("y", F(0)), ("x", F(-1))], {"y": {"x": 0}}),
-                                          {"y": 0, "x": 1})),
+        lambda: KnotComplex(FreeComplex([("y", F(0)), ("x", F(-1))], {"y": {"x": 0}}), {"y": 0, "x": 1}),
         "entry y->U^0.x raises the Alexander filtration",
     ),
     "flip-undefined": (
-        lambda: validate_knot(with_extra(unknot(), [("y", F(0))], {"y": 0}, flip={"x": "x"})),
+        lambda: with_extra(unknot(), [("y", F(0))], {"y": 0}, flip={"x": "x"}),
         "flip undefined on y",
     ),
-    "flip-not-involutive": (lambda: validate_knot(three_cycle()), "flip not involutive at x"),
+    "flip-not-involutive": (three_cycle, "flip not involutive at x"),
     # The unknot plus y at (0, 1) fixed by the flip: its hat table is
     # asymmetric, and the flip checks alone reject it.
     "flip-alexander": (
-        lambda: validate_knot(with_extra(unknot(), [("y", F(0))], {"y": 1}, flip={"x": "x", "y": "y"})),
+        lambda: with_extra(unknot(), [("y", F(0))], {"y": 1}, flip={"x": "x", "y": "y"}),
         "flip image of y has Alexander 1 != -1",
     ),
     "flip-maslov": (
-        lambda: validate_knot(with_extra(unknot(), [("y", F(1)), ("z", F(0))], {"y": 0, "z": 0},
-                                         flip={"x": "x", "y": "z", "z": "y"})),
+        lambda: with_extra(unknot(), [("y", F(1)), ("z", F(0))], {"y": 0, "z": 0},
+                           flip={"x": "x", "y": "z", "z": "y"}),
         "flip image of y has wrong Maslov grading",
     ),
-    "flip-chain-map": (lambda: validate_knot(two_pairs_swapped()), "flip fails to be a chain map at y"),
+    "flip-chain-map": (two_pairs_swapped, "flip fails to be a chain map at y"),
     "unknown-source": (
-        lambda: validate_complex(FreeComplex([("x", F(0))], {"ghost": {"x": 0}})),
+        lambda: KnotComplex(FreeComplex([("x", F(0))], {"ghost": {"x": 0}}), {"x": 0}, {"x": "x"}),
         "entry ghost->x: unknown source",
     ),
     "negative-upower": (
-        lambda: validate_complex(FreeComplex([("y", F(3)), ("x", F(0))], {"y": {"x": -1}})),
+        lambda: KnotComplex(FreeComplex([("y", F(3)), ("x", F(0))], {"y": {"x": -1}}),
+                            {"y": 0, "x": 0}, {"y": "y", "x": "x"}),
         "entry y->x: negative U-power -1",
+    ),
+    "inhomogeneous": (
+        lambda: KnotComplex(FreeComplex([("y", F(1, 2)), ("x", F(0))], {"y": {"x": 0}}),
+                            {"y": 0, "x": 0}, {"y": "y", "x": "x"}),
+        "entry y->U^0.x: grading 1/2 -> 0 is not degree -1",
+    ),
+    # The second copy differs from the first only in one power.
+    "power-of-one-copy": (
+        lambda: disjoint_sum([box(0), box_with_power(3)]),
+        "entry 1.a->U^3.1.b: grading 0 -> -5 is not degree -1",
     ),
 }
 
 
 @pytest.mark.parametrize("name", list(INVALID_CASES))
 def test_validation_rejects_with_message(name):
-    check, message = INVALID_CASES[name]
-    report = check()
+    build, message = INVALID_CASES[name]
+    report = validate_knot(build())
     assert report.ok is False
     assert message in report.violations
+
+
+def whole_complex_report(kc):
+    """The oracle: every check run on the whole complex as one summand."""
+    return _validate_summands([(kc, [(0, kc.generators)])])
+
+
+VALIDATION_PIECES = {
+    **{name: build for name, (build, _message) in INVALID_CASES.items()},
+    **{name: ORACLE_CASES[name] for name in ("unknot", "figure8", "trefoil", "k3", "wh_k3", "j_in_y",
+                                             "Wh+-(K3)", "T(2,5)+boxes")},
+    "box(1/2)": lambda: box(F(1, 2)),
+    # A flip that is no chain map beside an invalid base, which turns the
+    # chain-map check off.
+    "negative-upower+flip-chain-map": lambda: disjoint_sum(
+        [INVALID_CASES["negative-upower"][0](), two_pairs_swapped()]),
+}
+
+
+@settings(deadline=None, max_examples=60)
+@given(scrambled_sums(VALIDATION_PIECES, max_size=3))
+def test_split_validation_matches_whole_complex(kc):
+    split, whole = validate_knot(kc), whole_complex_report(kc)
+    assert split.ok == whole.ok
+    assert set(split.violations) <= set(whole.violations)
+    assert split.ok or split.violations
+
+
+def test_per_shape_checks_run_once_per_distinct_shape(monkeypatch):
+    # Wh^2(K3) is x plus 32 boxes B[k, 0] at several k: 33 summands, two shapes.
+    kc = double_tower(k_n(3), "++")[-1]
+    checked = []
+
+    def counting(rep):
+        checked.append(len(rep.generators))
+        return _summand_violations(rep)
+
+    monkeypatch.setattr(cfk, "_summand_violations", counting)
+    assert validate_knot(kc).ok
+    assert sorted(checked) == [1, 4]
+    checked.clear()
+    surgery_hf(kc, 0)
+    assert sorted(checked) == [1, 4]
+
+
+PUBLIC_COMPLEXES = {
+    **{f"corpus.{name}": (lambda name=name: load_complex(name)) for name in sorted(corpus_builders())},
+    **{f"builder.{kc.name}": (lambda kc=kc: kc) for kc in ALL_BUILDERS},
+    "K5": lambda: k_n(5),
+    "m(K5)": lambda: mirror_knot(k_n(5)),
+    "reduce_canonical(K5)": lambda: reduce_canonical(k_n(5)),
+    "figure8#T(2,3)": lambda: connected_sum_knots(figure8(), staircase_torus(3, "+")),
+    "Wh^2+-(K3)": lambda: double_tower(k_n(3), "+-")[-1],
+    "T(2,5)+boxes": ORACLE_CASES["T(2,5)+boxes"],
+}
+
+
+@pytest.mark.parametrize("name", list(PUBLIC_COMPLEXES))
+def test_public_gradings_are_fractions(name):
+    kc = PUBLIC_COMPLEXES[name]()
+    assert all(type(kc.maslov(g)) is Fraction for g in kc.generators)

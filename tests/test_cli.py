@@ -358,3 +358,54 @@ def test_non_integral_maslov_over_sphere_is_domain_error(tmp_path, capsys, argv)
     code, out, err = run(capsys, *argv, write_json(tmp_path / "unknot.json", data))
     assert (code, out) == (1, "")
     assert err == "error: invalid complex: Maslov grading 1/3 of x is not an integer over S3\n"
+
+
+def list_first_entry_twice(data):
+    data["differential"].append(dict(data["differential"][0]))
+
+
+def add_extra_alexander(data):
+    data["alexander"]["extra"] = 3
+
+
+def add_ghost_flip_pair(data):
+    data["flip"].append(["ghost1", "ghost2"])
+
+
+@pytest.mark.parametrize("argv", [["surgery", "--n", "0", "--complex"], ["cfk", "--complex"]],
+                         ids=["surgery", "cfk"])
+@pytest.mark.parametrize(
+    "mutate, message",
+    [(list_first_entry_twice, "differential entry s1->s0 is listed twice"),
+     (add_extra_alexander, "alexander grades 'extra', which are not generators"),
+     (add_ghost_flip_pair, "flip pairs 'ghost1', 'ghost2', which are not generators")],
+    ids=["duplicate-entry", "extra-alexander", "ghost-flip-pair"],
+)
+def test_repeated_or_unknown_names_are_file_errors(tmp_path, capsys, argv, mutate, message):
+    data = corpus_data("trefoil")
+    mutate(data)
+    code, out, err = run(capsys, *argv, write_json(tmp_path / "trefoil.json", data))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: cannot parse complex file") and message in err
+    assert len(err.strip().splitlines()) == 1
+
+
+def shift_maslov(data, by):
+    for g in data["generators"]:
+        g["maslov"] = str(int(g["maslov"]) + by)
+    return data
+
+
+@pytest.mark.parametrize("argv", [["surgery", "--n", "0", "--complex"], ["cfk", "--complex"],
+                                  ["double", "--complex"]], ids=["surgery", "cfk", "double"])
+@pytest.mark.parametrize(
+    "data, found",
+    [({"generators": [], "alexander": {}, "flip": []}, "zero"),
+     (shift_maslov(corpus_data("unknot"), 2), "rank 1 at Maslov 2"),
+     (shift_maslov(corpus_data("wh_k3"), -2), "rank 1 at Maslov -2")],
+    ids=["empty", "unknot-at-2", "wh_k3-at-minus-2"],
+)
+def test_sphere_complex_must_have_one_tower_at_zero(tmp_path, capsys, argv, data, found):
+    code, out, err = run(capsys, *argv, write_json(tmp_path / "complex.json", data))
+    assert (code, out) == (1, "")
+    assert err == f"error: invalid complex: U=0 homology over S3 is {found}, not rank 1 at Maslov 0\n"
