@@ -123,28 +123,32 @@ class KnotComplex:
         )
 
 
-def validate_knot(kc: KnotComplex) -> ValidationReport:
-    """Base-complex validity, Alexander filtration and flip axioms, run once
-    per shape of :func:`_summands`: past the structural checks each check
-    is local to a summand and blind to names and a Maslov shift.  A flip
-    passing them is an isomorphism of hat complexes (m, s) -> (m - 2s, -s),
-    so the hat table is symmetric without a separate check."""
-    return _validate_summands(_summands(kc))
+def validate_knot(kc: KnotComplex, shapes=None) -> ValidationReport:
+    """Base-complex validity, Alexander filtration and flip axioms, once per
+    shape of ``shapes`` (``_summands(kc)``, taken here if not passed): each
+    check is local to a summand and blind to names and a Maslov shift.  A
+    flip passing them is an isomorphism of hat complexes (m, s) -> (m - 2s,
+    -s), so the hat table is symmetric."""
+    shapes = _summands(kc) if shapes is None else shapes
+    violations, chain_map = [], True
+    for rep, copies in shapes:
+        found, ready = _summand_violations(rep)
+        if found:  # report at absolute gradings
+            found, ready = _summand_violations(KnotComplex(rep.base.shift(copies[0][0]), rep.alexander, rep.flip))
+        violations += found
+        chain_map = chain_map and ready
+    if chain_map:
+        violations += [v for rep, _copies in shapes for v in _flip_chain_map_violations(rep)]
+    return ValidationReport(ok=not violations, violations=tuple(violations))
 
 
 def _summands(kc: KnotComplex) -> list[tuple[KnotComplex, list[tuple]]]:
     """The flip-stable summands of ``kc`` (components of the differential
-    entries and flip pairs) as one ``(representative, copies)`` per shape.
-
-    Structural checks come first: differential endpoints exist, and a flip
-    is defined everywhere and involutive; if one fails, the whole complex
-    is the one summand.  A shape lists, per member in generator order, the
-    Maslov grading relative to the first member (an ``int`` if integral),
-    the Alexander grading, the flip's position and the differential row.
-    It need not be canonical: copies keyed apart only cost one more check.
-    The representative is the first copy at relative gradings; ``copies``
-    holds ``(offset, members)``, offset the first member's Maslov grading.
-    """
+    entries and flip pairs) as ``(representative, [(offset, members)])`` per
+    shape, or the whole complex if an endpoint is missing or a flip is partial
+    or not involutive.  A shape is, per member, its Maslov grading less the
+    copy's offset, the first member's (an ``int`` if integral), its Alexander
+    grading, its flip's position and its row."""
     base, A, flip = kc.base, kc.alexander, kc.flip
     gens, M, diff = base.generators, base.maslov, base.differential
     broken = not M.keys() >= diff.keys() or not all(M.keys() >= row.keys() for row in diff.values())
@@ -158,39 +162,20 @@ def _summands(kc: KnotComplex) -> list[tuple[KnotComplex, list[tuple]]]:
     shapes: dict[tuple, tuple[KnotComplex, list]] = {}
     for members in components(gens, edges):
         m0 = M[members[0]]
-        q, n0 = m0.denominator, m0.numerator
-        relative = []
-        for m in map(M.__getitem__, members):
-            k, r = divmod(m.numerator - n0, q)
-            relative.append(k if m.denominator == q and not r else m - m0)
+        q, n0 = m0.denominator, m0.numerator  # integer division beats Fraction subtraction
+        relative = [k if m.denominator == q and not r else m - m0 for m in map(M.__getitem__, members)
+                    for k, r in [divmod(m.numerator - n0, q)]]
         pos = dict(zip(members, range(len(members))))
         shape = (tuple(relative), tuple(map(A.__getitem__, members)),
                  None if flip is None else tuple(map(pos.__getitem__, map(flip.__getitem__, members))),
                  tuple(row and (tuple(map(pos.__getitem__, row)), tuple(row.values()))
                        for row in map(diff.get, members)))
-        found = shapes.get(shape)
-        if found is None:
-            rep = KnotComplex(FreeComplex(zip(members, relative), {g: diff[g] for g in members if g in diff}),
-                              {g: A[g] for g in members},
-                              None if flip is None else {g: flip[g] for g in members}, kc.ambient)
-            found = shapes[shape] = (rep, [])
-        found[1].append((m0, members))
+        if shape not in shapes:
+            rep = FreeComplex(zip(members, relative), {g: diff[g] for g in members if g in diff})
+            shapes[shape] = (KnotComplex(rep, {g: A[g] for g in members},
+                                         None if flip is None else {g: flip[g] for g in members}, kc.ambient), [])
+        shapes[shape][1].append((m0, members))
     return list(shapes.values())
-
-
-def _validate_summands(shapes) -> ValidationReport:
-    """:func:`validate_knot` on a split.  As on a flat complex, the flip
-    chain-map check runs only when every summand's base is valid."""
-    violations, chain_map = [], True
-    for rep, copies in shapes:
-        found, ready = _summand_violations(rep)
-        if found:  # report at absolute gradings
-            found, ready = _summand_violations(KnotComplex(rep.base.shift(copies[0][0]), rep.alexander, rep.flip))
-        violations += found
-        chain_map = chain_map and ready
-    if chain_map:
-        violations += [v for rep, _copies in shapes for v in _flip_chain_map_violations(rep)]
-    return ValidationReport(ok=not violations, violations=tuple(violations))
 
 
 def _summand_violations(kc: KnotComplex) -> tuple[list[str], bool]:

@@ -14,8 +14,7 @@ import sys
 from collections import Counter
 from pathlib import Path
 
-from .cfk import (KnotComplex, _summands, _validate_summands, filtration_homology, hfk_hat,
-                  knot_numerics)
+from .cfk import KnotComplex, _summands, filtration_homology, hfk_hat, knot_numerics, validate_knot
 from .corpus import canonical_json, load_complex
 from .endfloer import (
     CH_MINUS,
@@ -27,7 +26,7 @@ from .endfloer import (
     he_slice_r4,
 )
 from .fualgebra import FUDecomposition, InvalidComplex, format_grading
-from .surgery import MissingFlip, surgery_hf
+from .surgery import MissingFlip, _summed_cones, _window
 from .verify import format_rows, run_verification
 from .whitehead import double_tower
 
@@ -71,10 +70,10 @@ def _hfk_table(kc: KnotComplex) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _load(source) -> KnotComplex:
-    """Read and validate a complex from a path, a corpus name or inline JSON.
-    Over S3 its Maslov gradings are integers and its U=0 homology is one F2
-    at 0 (H_*(C) = F2[U] at 0), taken once per summand shape and shifted."""
+def _load(source) -> tuple[KnotComplex, list]:
+    """Read and validate a complex (path, corpus name or inline JSON) and its
+    ``cfk._summands``.  Over S3 its Maslov gradings are integers and its U=0
+    homology is one F2 at 0, taken once per summand shape and shifted."""
     from_file = isinstance(source, str)
     try:
         kc = load_complex(source) if from_file else KnotComplex.from_json(source)
@@ -86,12 +85,10 @@ def _load(source) -> KnotComplex:
     if kc.ambient.is_sphere:
         for g in kc.generators:
             if kc.maslov(g).denominator != 1:
-                raise InvalidComplex(
-                    f"invalid complex: Maslov grading {format_grading(kc.maslov(g))} of {g} "
-                    f"is not an integer over {kc.ambient.name}"
-                )
+                raise InvalidComplex(f"invalid complex: Maslov grading {format_grading(kc.maslov(g))} of {g} "
+                                     f"is not an integer over {kc.ambient.name}")
     shapes = _summands(kc)
-    _validate_summands(shapes).require("complex")
+    validate_knot(kc, shapes).require("complex")
     if kc.ambient.is_sphere:
         dims: Counter = Counter()
         for rep, copies in shapes:
@@ -102,7 +99,7 @@ def _load(source) -> KnotComplex:
             found = ", ".join(f"rank {d} at Maslov {format_grading(m)}" for m, d in sorted(dims.items()))
             raise InvalidComplex(f"invalid complex: U=0 homology over {kc.ambient.name} is "
                                  f"{found or 'zero'}, not rank 1 at Maslov 0")
-    return kc
+    return kc, shapes
 
 
 _HANDLES = {"ch+": CH_PLUS, "ch-": CH_MINUS, "ch*": CH_STAR,
@@ -119,7 +116,7 @@ def _parse_handle(value) -> CassonHandle:
 
 def _parse_slice_spec(data) -> SliceR4Spec:
     return SliceR4Spec(
-        knot=_load(data["knot"]),
+        knot=_load(data["knot"])[0],
         handle=_parse_handle(data.get("handle", "ch+")),
         orientation=data.get("orientation", "+"),
         disk_label=data.get("disk_label", "standard"),
@@ -142,7 +139,7 @@ def _parse_operand(path: str):
 
 
 def _cmd_cfk(args) -> int:
-    kc = _load(args.complex)
+    kc = _load(args.complex)[0]
     if args.format == "table":
         _emit(_hfk_table(kc), args.out)
         return 0
@@ -161,8 +158,8 @@ def _cmd_cfk(args) -> int:
 
 
 def _cmd_surgery(args) -> int:
-    kc = _load(args.complex)
-    result = surgery_hf(kc, args.n)
+    kc, shapes = _load(args.complex)
+    result = _summed_cones(shapes, args.n, _window(kc, args.n))
     if args.format == "table":
         _emit(_decomposition_table(result.decomposition), args.out)
     else:
@@ -173,7 +170,7 @@ def _cmd_surgery(args) -> int:
 def _cmd_double(args) -> int:
     if args.iterations < 1:
         raise UsageError("--iterations must be at least 1")
-    kc = _load(args.complex)
+    kc = _load(args.complex)[0]
     top = double_tower(kc, args.sign * args.iterations)[-1]
     _emit(canonical_json(top.to_json()), args.out)
     return 0
@@ -183,7 +180,7 @@ def _cmd_endfloer(args) -> int:
     if args.levels < 2:
         raise UsageError("--levels must be at least 2")
     spec = SliceR4Spec(
-        knot=_load(args.knot),
+        knot=_load(args.knot)[0],
         handle=_parse_handle(args.handle),
         orientation=args.orientation,
     )

@@ -1,11 +1,10 @@
 """Exact homological algebra for free graded chain complexes over F2[U].
 
-Everything here is exact: gradings are ``int`` or ``fractions.Fraction``
-(``Fraction`` at every public boundary; ``int`` inside a summand stored
-relative to its first generator), coefficients live in F2 (an entry is
-present or absent), and the variable U carries grading -2.  A
-differential entry from generator ``x`` to generator ``y`` is a single
-monomial ``U^p``; homogeneity forces the exponent
+Everything here is exact: gradings are ``fractions.Fraction`` (``int``
+inside a summand stored relative to its first generator), coefficients
+live in F2 (an entry is present or absent), and the variable U carries
+grading -2.  A differential entry from generator ``x`` to generator ``y``
+is a single monomial ``U^p``; homogeneity forces the exponent
 ``p = (maslov(x) - 1 - maslov(y)) / 2``, so a sum of distinct powers
 between the same pair of generators can never arise in a homogeneous
 complex (two contributions with the same endpoints have equal exponent

@@ -22,13 +22,10 @@ the cone stays inside a flip-stable summand of C (a connected component
 of the differential entries and the flip pairs), so the cone of C is the
 direct sum of the cones of its summands.  Whitehead doubles are x plus
 many boxes that agree up to a Maslov shift, so ``surgery_hf`` validates
-and reduces once per shape of the split ``cfk._summands``.  Each cone is
-built at the representative's integer gradings, relative to its first
-generator and to the framing anchor, and both are added back to each
-copy's homology.  Each summand's cone takes the window g of the whole
-complex, so it is exactly the restriction of the flat cone;
-``build_cone(kc, n).total_complex()`` is that flat cone, at absolute
-gradings, kept as the test oracle.
+and reduces once per shape of ``cfk._summands``, in int gradings relative
+to the shape's first generator and the framing anchor.  Each summand's
+cone takes the window g of the whole complex, so it is the restriction of
+the flat cone ``build_cone(kc, n).total_complex()``, the test oracle.
 """
 
 from __future__ import annotations
@@ -36,7 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cfk import KnotComplex, _summands, _validate_summands, validate_knot
+from .cfk import KnotComplex, _summands, validate_knot
 from .fualgebra import (
     FreeComplex,
     FUDecomposition,
@@ -125,19 +122,20 @@ def _b_shift(n: int, t: int, c0: Fraction) -> Fraction:
 _ANCHORS = {0: F(-1, 2), -1: F(0), 1: F(-1)}
 
 
-def _window(kc: KnotComplex, n: int, report) -> int:
-    """Check a surgery input, given its full validation, and return g_hat."""
+def _window(kc: KnotComplex, n: int) -> int:
+    """g_hat of a surgery input, once it has a flip and a supported framing."""
     if kc.flip is None:
         raise MissingFlip(f"complex {kc.name or ''} has no flip involution")
     if n not in (-1, 0, 1):
         raise ValueError("absolute gradings are supported for framings -1, 0, +1 only")
-    report.require("surgery input")
     return max(kc.genus_bound(), 1)
 
 
 def build_cone(kc: KnotComplex, n: int) -> MappingCone:
     """Assemble the truncated cone for framing n in {-1, 0, +1}."""
-    return _cone(kc, n, _window(kc, n, validate_knot(kc)), _ANCHORS[n])
+    g_hat = _window(kc, n)
+    validate_knot(kc).require("surgery input")
+    return _cone(kc, n, g_hat, _ANCHORS[n])
 
 
 def _cone(kc: KnotComplex, n: int, g_hat: int, c0) -> MappingCone:
@@ -232,16 +230,22 @@ def surgery_hf(kc: KnotComplex, n: int) -> HFPlusResult:
 
     The cone of a direct sum is the direct sum of the cones, so the cone
     homology is summed over the flip-stable summands of ``kc``, computed
-    once per shape of ``cfk._summands``, which also validates the input.
-    Summands of one shape differ by a Maslov shift, which shifts their
-    cone homology.
+    once per shape of ``cfk._summands``; ``validate_knot`` checks the input
+    on the same split.  Summands of one shape differ by a Maslov shift,
+    which shifts their cone homology.
 
     >>> from .cfk import box, direct_sum, unknot
     >>> surgery_hf(direct_sum([unknot(), box(2), box(0)]), 0).decomposition
     FUDecomposition(towers=(Fraction(1, 2), Fraction(-1, 2)), torsion=((Fraction(3, 2), 1), (Fraction(-1, 2), 1)))
     """
+    g_hat = _window(kc, n)
     shapes = _summands(kc)
-    g_hat = _window(kc, n, _validate_summands(shapes))
+    validate_knot(kc, shapes).require("surgery input")
+    return _summed_cones(shapes, n, g_hat)
+
+
+def _summed_cones(shapes, n: int, g_hat: int) -> HFPlusResult:
+    """:func:`surgery_hf` on a split that has passed :func:`validate_knot`."""
     towers, torsion = [], []
     for rep, copies in shapes:
         h = homology_decomposition(_cone(rep, n, g_hat, 0).total_complex())

@@ -7,7 +7,6 @@ from floerforge import cfk
 from floerforge.cfk import (
     KnotComplex,
     _summand_violations,
-    _validate_summands,
     box,
     builtin,
     connected_sum_knots,
@@ -487,7 +486,7 @@ def test_validation_rejects_with_message(name):
 
 def whole_complex_report(kc):
     """The oracle: every check run on the whole complex as one summand."""
-    return _validate_summands([(kc, [(0, kc.generators)])])
+    return validate_knot(kc, [(kc, [(0, kc.generators)])])
 
 
 VALIDATION_PIECES = {

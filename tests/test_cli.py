@@ -1,7 +1,9 @@
 import json
+from collections import Counter
 
 import pytest
 
+from floerforge import cfk, cli, surgery
 from floerforge.cli import main
 from floerforge.corpus import canonical_json, corpus_builders, corpus_dir, load_complex, write_corpus
 
@@ -409,3 +411,15 @@ def test_sphere_complex_must_have_one_tower_at_zero(tmp_path, capsys, argv, data
     code, out, err = run(capsys, *argv, write_json(tmp_path / "complex.json", data))
     assert (code, out) == (1, "")
     assert err == f"error: invalid complex: U=0 homology over S3 is {found}, not rank 1 at Maslov 0\n"
+
+
+def test_surgery_splits_and_checks_its_input_once(capsys, monkeypatch):
+    # Wh(K3) is x plus 8 boxes: two shapes, one per-shape check each.
+    calls = Counter()
+    for module, name in ((cfk, "_summands"), (cli, "_summands"), (surgery, "_summands"),
+                         (cfk, "_summand_violations")):
+        real = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda kc, real=real, name=name: calls.update([name]) or real(kc))
+    code, out, _ = run(capsys, "surgery", "--complex", "wh_k3", "--n", "0")
+    assert code == 0 and out
+    assert calls == {"_summands": 1, "_summand_violations": 2}
