@@ -50,7 +50,9 @@ class Ambient:
     def from_json(cls, data) -> "Ambient":
         if not isinstance(data["reduced_trivial"], bool):
             raise TypeError(f"reduced_trivial is not a boolean: {data['reduced_trivial']!r}")
-        return cls(data["name"], integer(data["b1"]), data["reduced_trivial"])
+        if (b1 := integer(data["b1"])) < 0:
+            raise ValueError(f"b1 is negative: {b1}")
+        return cls(data["name"], b1, data["reduced_trivial"])
 
 
 class KnotComplex:
@@ -110,6 +112,8 @@ class KnotComplex:
             for a, b in data["flip"]:
                 flip[a] = b
                 flip[b] = a
+        if not isinstance(data["alexander"], dict):
+            raise TypeError(f"alexander is not a JSON object: {data['alexander']!r}")
         alexander = {g: integer(v) for g, v in data["alexander"].items()}
         for what, names in (("alexander grades", alexander), ("flip pairs", flip or {})):
             if extra := sorted(map(repr, names.keys() - base.maslov.keys())):

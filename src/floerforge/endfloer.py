@@ -11,11 +11,16 @@ colimit reports an exact infinite rank in the top grading and tags
 everything below as a lower bound.  Zero systems vanish.  Explicit
 matrix systems are computed exactly, with stabilisation of composite
 ranks required before a value is reported as exact.
+
+A slice piece is resolved once into its report and, for a positive
+chain, its doubling tower's 0-framed outputs; an end sum sums those
+outputs level by level and takes the same positively clasped colimit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import reduce
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
@@ -223,6 +228,16 @@ def _materialize_step(step: StepDescriptor, src_b1: int, src_table, dst_table):
     raise ValueError(f"step kind {step.kind!r} has no matrix form")
 
 
+def _composer(spec: ExhaustionSpec, tables):
+    """Materialise (and so check) every step, then return ``composite(i,
+    j)``: the blocks of the map from level i to level j."""
+    blocks = [
+        _materialize_step(step, spec.levels[i].b1, tables[i], tables[i + 1])
+        for i, step in enumerate(spec.steps)
+    ]
+    return lambda i, j: reduce(_compose_blocks, blocks[i:j], _identity_blocks(tables[i]))
+
+
 def colimit(spec: ExhaustionSpec) -> EndFloerReport:
     """Colimit of the normalised directed system.
 
@@ -283,24 +298,12 @@ def colimit(spec: ExhaustionSpec) -> EndFloerReport:
         if len(tables) < 3:
             narrative.append("too few levels to certify stabilisation")
             return _report({}, None, narrative)
-        blocks = [
-            _materialize_step(step, spec.levels[i].b1, tables[i], tables[i + 1])
-            for i, step in enumerate(spec.steps)
-        ]
-
-        def composite(i, j):
-            acc = _identity_blocks(tables[i])
-            for k in range(i, j):
-                acc = _compose_blocks(acc, blocks[k])
-            return acc
-
+        composite = _composer(spec, tables)
         a, b, c = len(tables) - 3, len(tables) - 2, len(tables) - 1
-        gradings = set().union(*tables)
+        maps = composite(a, b), composite(a, c), composite(b, c)
         per = {}
-        for g in sorted(gradings):
-            r_ab = gf2_rank(composite(a, b).get(g, []))
-            r_ac = gf2_rank(composite(a, c).get(g, []))
-            r_bc = gf2_rank(composite(b, c).get(g, []))
+        for g in sorted(set().union(*tables)):
+            r_ab, r_ac, r_bc = (gf2_rank(m.get(g, [])) for m in maps)
             if not (r_ab == r_ac == r_bc):
                 narrative.append(
                     f"composite ranks at grading {format_grading(g)} do not stabilise"
@@ -320,19 +323,12 @@ def restrict_spec(spec: ExhaustionSpec, indices: Sequence[int]) -> ExhaustionSpe
     idx = list(indices)
     if sorted(idx) != idx or len(idx) < 2:
         raise ValueError("indices must be increasing and at least two")
-    tables = [normalize_level(level.module, level.b1) for level in spec.levels]
-    blocks = [
-        _materialize_step(step, spec.levels[i].b1, tables[i], tables[i + 1])
-        for i, step in enumerate(spec.steps)
-    ]
+    composite = _composer(spec, [normalize_level(level.module, level.b1) for level in spec.levels])
     new_steps = []
     for a, b in zip(idx, idx[1:]):
-        acc = _identity_blocks(tables[a])
-        for k in range(a, b):
-            acc = _compose_blocks(acc, blocks[k])
         shift = grading_shift(spec.levels[a].b1, spec.levels[b].b1)
         # The matrix is stored against un-normalised source gradings.
-        matrix = {g + F(spec.levels[a].b1, 2): cols for g, cols in acc.items()}
+        matrix = {g + F(spec.levels[a].b1, 2): cols for g, cols in composite(a, b).items()}
         new_steps.append(StepDescriptor(kind="explicit", grading_shift=shift, matrix=matrix))
     return ExhaustionSpec(
         levels=tuple(spec.levels[i] for i in idx),
@@ -437,24 +433,18 @@ def _max_reduced_hat(kc: KnotComplex) -> Fraction:
     return top
 
 
-def he_slice_r4(spec: SliceR4Spec, levels: int = 3) -> EndFloerReport:
-    """End invariant of a slice-disk complement capped by the handle.
-
-    The level system starts at the first double; each level is the reduced
-    0-framed output of the next iterated double normalised by b1 = 1.
-    Positively clasped chains compound top-summand injectivity; negative
-    chains give zero maps; mixed finite prefixes are absorbed into the
-    knot by doubling before delegating to the all-one-sign cases.
-    """
+def _resolve_piece(spec: SliceR4Spec, levels: int):
+    """The report of ``he_slice_r4`` and, for a positive chain, its checked
+    0-framed level results (None for every other verdict)."""
     if levels < 2:
         raise ValueError("need at least two levels")
     knot, handle = _oriented_data(spec)
 
     if _is_trivial_knot(knot):
-        return _report({}, True, ["trivial knot: the end is standard and the invariant vanishes"])
+        return _report({}, True, ["trivial knot: the end is standard and the invariant vanishes"]), None
 
     if handle.kind == "undetermined":
-        return _report({}, None, ["handle descriptor outside the computable taxonomy"])
+        return _report({}, None, ["handle descriptor outside the computable taxonomy"]), None
 
     if handle.kind in {"has_infinite_positive_chain", "has_infinite_pos_and_neg_chain"}:
         if not is_box_sum(knot):
@@ -465,26 +455,26 @@ def he_slice_r4(spec: SliceR4Spec, levels: int = 3) -> EndFloerReport:
                     "infinite-chain verdicts need a doubled knot "
                     "(one split generator plus boxes)"
                 ],
-            )
+            ), None
         note = [
             "nonvanishing: top-summand classes persist through the plugged"
             " positive chain; no full table is computed",
         ]
         if handle.kind == "has_infinite_pos_and_neg_chain":
             note.append("both orientations are nonvanishing")
-        return _report({}, False, note)
+        return _report({}, False, note), None
 
     if handle.kind == "finite_mixed_then_one_sign":
         prefix = double_tower(knot, handle.signs)
         current = prefix[-1] if prefix else knot
         tail_handle = CH_PLUS if handle.tail == "+" else CH_MINUS
         inner = replace(spec, knot=current, handle=tail_handle, orientation="+")
-        report = he_slice_r4(inner, levels=levels)
+        report, results = _resolve_piece(inner, levels)
         return replace(
             report,
             narrative=("finite mixed prefix absorbed into the knot by doubling",)
             + report.narrative,
-        )
+        ), results
 
     if handle.kind == "all_negative_chain":
         exhaustion = ExhaustionSpec(
@@ -499,7 +489,7 @@ def he_slice_r4(spec: SliceR4Spec, levels: int = 3) -> EndFloerReport:
             report,
             narrative=("negatively clasped doubling cobordisms are zero maps",)
             + report.narrative,
-        )
+        ), None
 
     # all_positive_chain
     top_expected = _max_reduced_hat(knot) - 1 - F(1, 2)
@@ -513,21 +503,33 @@ def he_slice_r4(spec: SliceR4Spec, levels: int = 3) -> EndFloerReport:
                 f"level {i + 1} reduced table {table}"
             )
         level_rows.append(Level(b1=1, module=table, label=f"S0(Wh^{i + 1})"))
-    exhaustion = ExhaustionSpec(
-        levels=tuple(level_rows),
-        steps=tuple(
-            StepDescriptor(kind="positive_clasp", grading_shift=grading_shift(1, 1))
-            for _ in range(levels - 1)
-        ),
-    )
-    report = colimit(exhaustion)
+    report = colimit(_positive_clasp_system(level_rows))
     return replace(
         report,
         narrative=(
             "positive doubling tower; levels are reduced 0-framed outputs",
         )
         + report.narrative,
+    ), results
+
+
+def _positive_clasp_system(levels) -> ExhaustionSpec:
+    return ExhaustionSpec(
+        levels=tuple(levels),
+        steps=tuple(StepDescriptor(kind="positive_clasp") for _ in levels[1:]),
     )
+
+
+def he_slice_r4(spec: SliceR4Spec, levels: int = 3) -> EndFloerReport:
+    """End invariant of a slice-disk complement capped by the handle.
+
+    The level system starts at the first double; each level is the reduced
+    0-framed output of the next iterated double normalised by b1 = 1.
+    Positively clasped chains compound top-summand injectivity; negative
+    chains give zero maps; mixed finite prefixes are absorbed into the
+    knot by doubling before delegating to the all-one-sign cases.
+    """
+    return _resolve_piece(spec, levels)[0]
 
 
 EndSummand = Union[SliceR4Spec, Sequence[SliceR4Spec]]
@@ -539,64 +541,38 @@ def _as_spec_list(operand: EndSummand):
     return list(operand)
 
 
-def _reverse_operand(operand: EndSummand):
-    specs = _as_spec_list(operand)
-    reversed_specs = [s.reversed() for s in specs]
-    return reversed_specs[0] if isinstance(operand, SliceR4Spec) else reversed_specs
-
-
-def he_end_sum(specs: Sequence[SliceR4Spec], levels: int = 2) -> EndFloerReport:
+def he_end_sum(specs: EndSummand, levels: int = 2) -> EndFloerReport:
     """End invariant of an end-sum of slice pieces, by level-wise sums.
 
-    A vanishing factor kills every level map; otherwise the level modules
-    are summed with the ring Kunneth rule and the top band inherits
-    injectivity, with everything below a lower bound.
+    Each piece is resolved as in ``he_slice_r4`` (one piece gives its
+    report).  An undetermined piece, then a vanishing one, decides the
+    sum; a nonvanishing piece without levels (an infinite chain) leaves it
+    undetermined.  Otherwise the level outputs are summed by the ring
+    Kunneth rule, normalised by b1 = number of pieces, and joined by
+    positively clasped steps in ``colimit``.
     """
     specs = _as_spec_list(specs)
     if not specs:
         raise ValueError("empty end-sum")
-    reports = [he_slice_r4(s, levels=max(levels, 2)) for s in specs]
+    resolved = [_resolve_piece(s, levels) for s in specs]
     if len(specs) == 1:
-        return reports[0]
-    if any(r.vanishes is None for r in reports):
+        return resolved[0][0]
+    if any(r.vanishes is None for r, _ in resolved):
         return _report({}, None, ["an operand is undetermined"])
-    if any(r.vanishes for r in reports):
-        return _report(
-            {},
-            True,
-            ["a vanishing factor makes every summed level map zero"],
-        )
-    # Every operand is a positively clasped tower; sum the levels.
-    oriented = [_oriented_data(s) for s in specs]
-    towers = [
-        _positive_level_results(knot, levels) for knot, _handle in oriented
+    if any(r.vanishes for r, _ in resolved):
+        return _report({}, True, ["a vanishing factor makes every summed level map zero"])
+    if any(results is None for _, results in resolved):
+        return _report({}, None, ["a nonvanishing operand has no level table to sum"])
+    rows = zip(*(results for _, results in resolved))
+    summed = [
+        Level(b1=len(specs), module=reduce(connected_sum_floer, row).hf_red(), label=f"sum {i + 1}")
+        for i, row in enumerate(rows)
     ]
-    b1_total = len(specs)
-    tops = []
-    support = set()
-    for i in range(levels):
-        summed = towers[0][i]
-        for t in towers[1:]:
-            summed = connected_sum_floer(summed, t[i])
-        table = normalize_level(summed.hf_red(), b1_total)
-        if not table:
-            raise ValueError("summed level has empty reduced part")
-        tops.append(max(table))
-        support.update(table)
-    if len(set(tops)) != 1:
-        raise ValueError(f"summed level tops did not stabilise: {tops}")
-    top = tops[0]
-    per = {top: RankEntry(INFINITE, EXACT)}
-    for g in support:
-        if g < top:
-            per[g] = RankEntry(0, LOWER_BOUND)
-    return _report(
-        per,
-        False,
-        [
-            f"{len(specs)}-fold end-sum; level reduced parts summed by the ring rule",
-            "top band compounds injectivity; below-top entries are lower bounds",
-        ],
+    report = colimit(_positive_clasp_system(summed))
+    return replace(
+        report,
+        narrative=(f"{len(specs)}-fold end-sum; level reduced parts summed by the ring rule",)
+        + report.narrative,
     )
 
 
@@ -744,13 +720,6 @@ class DistinguishVerdict:
         return {"distinct": self.distinct, "witness": self.witness}
 
 
-def _operand_report(operand: EndSummand, levels: int) -> EndFloerReport:
-    specs = _as_spec_list(operand)
-    if len(specs) == 1:
-        return he_slice_r4(specs[0], levels=max(levels, 2))
-    return he_end_sum(specs, levels=max(levels, 2))
-
-
 def _describe(sig) -> str:
     if sig is None:
         return "undetermined"
@@ -791,10 +760,11 @@ def distinguish(a: EndSummand, b: EndSummand, levels: int = 3) -> DistinguishVer
     contain a decisively different pair.  Undetermined operands never
     witness distinctness.
     """
-    sig_a = _operand_report(a, levels).signature()
-    sig_b = _operand_report(b, levels).signature()
-    sig_a_rev = _operand_report(_reverse_operand(a), levels).signature()
-    sig_b_rev = _operand_report(_reverse_operand(b), levels).signature()
+    a, b = _as_spec_list(a), _as_spec_list(b)
+    sig_a = he_end_sum(a, levels).signature()
+    sig_b = he_end_sum(b, levels).signature()
+    sig_a_rev = he_end_sum([s.reversed() for s in a], levels).signature()
+    sig_b_rev = he_end_sum([s.reversed() for s in b], levels).signature()
     preserved_ok = not _decisively_different(sig_a, sig_b) and not _decisively_different(
         sig_a_rev, sig_b_rev
     )

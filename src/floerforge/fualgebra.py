@@ -519,41 +519,23 @@ def components(generators, edges) -> list[list[str]]:
     return list(buckets.values())
 
 
-def split_components(c: FreeComplex) -> list[FreeComplex]:
-    """Direct-sum decomposition along connectivity of the differential."""
-    parts = components(c.generators, ((src, tgt) for src, tgt, _p in c.entries()))
-    if len(parts) <= 1:
-        return [c]
-    return [
-        FreeComplex(
-            [(g, c.maslov[g]) for g in members],
-            {g: c.differential[g] for g in members if g in c.differential},
-        )
-        for members in parts
-    ]
-
-
 def homology_decomposition(c: FreeComplex) -> FUDecomposition:
     """Homology of a free complex as towers (free part) plus torsion.
 
-    Computed componentwise (homology is additive over direct summands).
-    The torsion summand produced by a pivot ``alpha -> U^k beta`` has its
-    top element in the grading of ``beta``:
+    One reduction runs over the whole complex; a pivot never mixes two
+    direct summands, so each is reduced as if alone.  The torsion summand
+    produced by a pivot ``alpha -> U^k beta`` has its top element in the
+    grading of ``beta``:
 
     >>> c = FreeComplex([("y", Fraction(-1)), ("x", Fraction(0))], {"y": {"x": 1}})
     >>> homology_decomposition(c)
     FUDecomposition(towers=(), torsion=((Fraction(0, 1), 1),))
     """
     validate_complex(c).require()
-    towers = []
-    torsion = []
-    for part in split_components(c):
-        r = _Reducer(part)
-        r.cancel_u0()
-        r.diagonalize()
-        towers.extend(r.maslov[g] for g in r.alive if g in r.alive_set)
-        torsion.extend(r.torsion)
-    return FUDecomposition.make(towers, torsion)
+    r = _Reducer(c)
+    r.cancel_u0()
+    r.diagonalize()
+    return FUDecomposition.make([r.maslov[g] for g in r.alive if g in r.alive_set], r.torsion)
 
 
 def plus_presentation(h: FUDecomposition) -> FUDecomposition:

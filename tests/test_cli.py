@@ -328,6 +328,23 @@ def test_distinguish_piece_with_dict_handle(tmp_path, capsys, handle, code):
         assert out == "" and err.startswith("error: ") and len(err.strip().splitlines()) == 1
 
 
+@pytest.mark.parametrize(
+    "piece, distinct, witness",
+    [({"knot": "k3", "handle": {"kind": "finite_mixed_then_one_sign", "signs": ["-"], "tail": "+"}},
+      True, "distinct: one end has max grading 4 / reversed vanishes, "
+      "the other max grading 3 / reversed vanishes"),
+     ({"knot": "wh_k3", "handle": "ch*"},
+      False, "indistinguishable_by_this_invariant: an operand is undetermined")],
+    ids=["mixed-prefix", "infinite-chain"],
+)
+def test_distinguish_end_sum_resolves_each_piece(tmp_path, capsys, piece, distinct, witness):
+    a = write_json(tmp_path / "a.json", {"summands": [piece, {"knot": "k5"}]})
+    b = write_json(tmp_path / "b.json", {"summands": [{"knot": "k3"}, {"knot": "k5"}]})
+    code, out, err = run(capsys, "distinguish", "--a", a, "--b", b)
+    assert (code, err) == (0, "")
+    assert json.loads(out) == {"distinct": distinct, "witness": witness}
+
+
 def set_maslov_true(data):
     data["generators"][0]["maslov"] = True
 
@@ -336,11 +353,20 @@ def set_reduced_trivial_string(data):
     data["ambient"]["reduced_trivial"] = "false"
 
 
+def alexander_as(value):
+    return lambda data: data.update(alexander=value)
+
+
 @pytest.mark.parametrize(
     "command, entry, mutate",
     [(["surgery", "--n", "0", "--complex"], "unknot", set_maslov_true),
-     (["double", "--complex"], "k3", set_reduced_trivial_string)],
-    ids=["maslov-true", "reduced-trivial-string"],
+     (["double", "--complex"], "k3", set_reduced_trivial_string),
+     (["cfk", "--complex"], "trefoil", alexander_as([])),
+     (["surgery", "--n", "0", "--complex"], "trefoil", alexander_as(None)),
+     (["double", "--complex"], "k3", alexander_as("x")),
+     (["endfloer", "--knot"], "k3", alexander_as([]))],
+    ids=["maslov-true", "reduced-trivial-string", "alexander-list-cfk", "alexander-null-surgery",
+         "alexander-string-double", "alexander-list-endfloer"],
 )
 def test_json_boolean_confusion_is_file_error(tmp_path, capsys, command, entry, mutate):
     data = corpus_data(entry)
@@ -348,6 +374,17 @@ def test_json_boolean_confusion_is_file_error(tmp_path, capsys, command, entry, 
     code, out, err = run(capsys, *command, write_json(tmp_path / f"{entry}.json", data))
     assert (code, out) == (2, "")
     assert err.startswith("error: cannot parse complex file")
+    assert len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("argv", [["surgery", "--n", "0", "--complex"], ["cfk", "--complex"]],
+                         ids=["surgery", "cfk"])
+def test_negative_b1_is_file_error(tmp_path, capsys, argv):
+    data = corpus_data("trefoil")
+    set_b1(data, -1)
+    code, out, err = run(capsys, *argv, write_json(tmp_path / "trefoil.json", data))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: cannot parse complex file") and err.endswith("b1 is negative: -1\n")
     assert len(err.strip().splitlines()) == 1
 
 

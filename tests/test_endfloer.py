@@ -1,3 +1,5 @@
+import functools
+import itertools
 import random
 from fractions import Fraction
 
@@ -298,6 +300,56 @@ def test_end_sum_max_gradings_differ_by_gap():
     ac = he_end_sum([r_spec(3), r_spec(7)])
     assert ab.vanishes is False and ac.vanishes is False
     assert ac.max_nontrivial_grading - ab.max_nontrivial_grading == F(7 - 5)
+
+
+MIXED_PLUS = CassonHandle("finite_mixed_then_one_sign", signs=("-",), tail="+")
+MIXED_MINUS = CassonHandle("finite_mixed_then_one_sign", signs=("+",), tail="-")
+END_SUM_PIECES = {  # name: (knot, handle, orientation); "wh3" is Wh(K3)
+    "k3+": (3, CH_PLUS, "+"),
+    "k5+": (5, CH_PLUS, "+"),
+    "k5+rev": (5, CH_PLUS, "-"),
+    "k3-": (3, CH_MINUS, "+"),
+    "k5-rev": (5, CH_MINUS, "-"),
+    "k3*": (3, CH_STAR, "+"),
+    "wh3*": ("wh3", CH_STAR, "+"),
+    "k5?": (5, CassonHandle("undetermined"), "+"),
+    "k3mix+": (3, MIXED_PLUS, "+"),
+    "k3mix+rev": (3, MIXED_PLUS, "-"),
+    "k3mix-": (3, MIXED_MINUS, "+"),
+    "k3mix-rev": (3, MIXED_MINUS, "-"),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def end_sum_piece(name):
+    knot, handle, orientation = END_SUM_PIECES[name]
+    kc = whitehead_double_cfk(reduced_basis_form(k_n(3))) if knot == "wh3" else k_n(knot)
+    return SliceR4Spec(kc, handle, orientation)
+
+
+@pytest.mark.parametrize("pair", list(itertools.combinations(END_SUM_PIECES, 2)), ids="+".join)
+def test_end_sum_follows_its_operands(pair):
+    # Each operand is resolved as he_slice_r4 resolves it; a nonvanishing
+    # operand without levels (an infinite chain) leaves the sum undetermined.
+    specs = [end_sum_piece(name) for name in pair]
+    alone = [he_slice_r4(s, levels=2) for s in specs]
+    report = he_end_sum(specs)
+    if any(r.vanishes is None for r in alone):
+        assert report.vanishes is None
+    elif any(r.vanishes for r in alone):
+        assert report.vanishes is True
+    elif any(r.max_nontrivial_grading is None for r in alone):
+        assert report.vanishes is None
+    else:
+        assert report.vanishes is False
+        top = sum(r.max_nontrivial_grading for r in alone) + len(specs) - 1
+        assert report.max_nontrivial_grading == top
+        assert report.entry(top) == RankEntry(INFINITE)
+
+
+def test_end_sum_needs_two_levels():
+    with pytest.raises(ValueError, match="need at least two levels"):
+        he_end_sum([r_spec(3), r_spec(5)], levels=1)
 
 
 # --- product ends ---------------------------------------------------------------------
