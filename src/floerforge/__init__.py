@@ -46,9 +46,9 @@ from .endfloer import (
     Level,
     RankEntry,
     SliceR4Spec,
+    StepDescriptor,
     colimit,
     distinguish,
-    grading_shift,
     he_end_sum,
     he_product_end,
     he_slice_r4,
@@ -83,7 +83,6 @@ from .surgery import (
 )
 from .whitehead import (
     FormalRankError,
-    StepDescriptor,
     box_parameters,
     double_tower,
     hedden_hfk_double,

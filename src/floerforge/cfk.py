@@ -52,6 +52,8 @@ class Ambient:
             raise TypeError(f"reduced_trivial is not a boolean: {data['reduced_trivial']!r}")
         if (b1 := integer(data["b1"])) < 0:
             raise ValueError(f"b1 is negative: {b1}")
+        if not isinstance(data["name"], str):
+            raise TypeError(f"ambient name is not a string: {data['name']!r}")
         return cls(data["name"], b1, data["reduced_trivial"])
 
 
@@ -115,6 +117,8 @@ class KnotComplex:
         if not isinstance(data["alexander"], dict):
             raise TypeError(f"alexander is not a JSON object: {data['alexander']!r}")
         alexander = {g: integer(v) for g, v in data["alexander"].items()}
+        if not isinstance(name := data.get("name", ""), str):
+            raise TypeError(f"name is not a string: {name!r}")
         for what, names in (("alexander grades", alexander), ("flip pairs", flip or {})):
             if extra := sorted(map(repr, names.keys() - base.maslov.keys())):
                 raise ValueError(f"{what} {', '.join(extra)}, which are not generators")
@@ -123,7 +127,7 @@ class KnotComplex:
             alexander,
             flip,
             Ambient.from_json(data["ambient"]) if "ambient" in data else Ambient(),
-            data.get("name", ""),
+            name,
         )
 
 

@@ -1,9 +1,10 @@
 """Directed systems of graded F2-vector spaces and end invariants.
 
 An exhaustion is a list of levels (graded rank tables with their b1
-bookkeeping) joined by step descriptors.  Levels are normalised by
-shifting each table down by b1/2, after which every admissible step has
-grading shift zero and the colimit carries an absolute grading.
+bookkeeping) joined by step descriptors.  A step's cobordism shifts
+gradings by half the change in b1, so no step records a shift: levels
+are normalised by shifting each table down by b1/2, after which every
+step has shift zero and the colimit carries an absolute grading.
 
 Rank bookkeeping is conservative by construction: positively clasped
 steps are known only to be injective on the top graded summand, so the
@@ -12,9 +13,11 @@ everything below as a lower bound.  Zero systems vanish.  Explicit
 matrix systems are computed exactly, with stabilisation of composite
 ranks required before a value is reported as exact.
 
-A slice piece is resolved once into its report and, for a positive
-chain, its doubling tower's 0-framed outputs; an end sum sums those
-outputs level by level and takes the same positively clasped colimit.
+A slice piece (a knot in S3 with a handle) is resolved once, in
+``_resolve_piece``, the one place a doubling tower is built, into its
+report and, for a positive chain, the tower's 0-framed outputs.  An end
+sum sums those outputs level by level under the same positively clasped
+colimit; a product end sums them with the manifold's data.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ from .surgery import (
     one_handle_stabilize,
     surgery_hf,
 )
-from .whitehead import StepDescriptor, double_tower, is_box_sum
+from .whitehead import double_tower, is_box_sum
 
 F = Fraction
 
@@ -137,6 +140,20 @@ class Level:
 
 
 @dataclass(frozen=True)
+class StepDescriptor:
+    """One cobordism step of a directed system of graded vector spaces."""
+
+    kind: str  # positive_clasp | zero | explicit
+    matrix: Optional[dict] = None  # explicit: grading -> list of column bitmasks
+
+    def __post_init__(self):
+        if self.kind not in {"positive_clasp", "zero", "explicit"}:
+            raise ValueError(f"unknown step kind {self.kind!r}")
+        if (self.kind == "explicit") != (self.matrix is not None):
+            raise ValueError("explicit steps carry a matrix; others must not")
+
+
+@dataclass(frozen=True)
 class ExhaustionSpec:
     levels: tuple
     steps: tuple
@@ -149,24 +166,6 @@ class ExhaustionSpec:
 def normalize_level(module: dict, b1: int) -> dict:
     """Shift a graded table down by b1/2."""
     return {grading(g) - F(b1, 2): r for g, r in module.items() if r}
-
-
-def grading_shift(b1_i: int, b1_j: int) -> Fraction:
-    """Cobordism grading shift between admissible levels: (b1_j - b1_i)/2."""
-    return F(b1_j - b1_i, 2)
-
-
-class InconsistentShifts(ValueError):
-    pass
-
-
-def _check_shifts(spec: ExhaustionSpec):
-    for i, step in enumerate(spec.steps):
-        expected = grading_shift(spec.levels[i].b1, spec.levels[i + 1].b1)
-        if step.grading_shift != expected:
-            raise InconsistentShifts(
-                f"step {i} has shift {step.grading_shift}, expected {expected}"
-            )
 
 
 # ---------------------------------------------------------------------------
@@ -204,11 +203,7 @@ def _compose_blocks(first, then):
 def _materialize_step(step: StepDescriptor, src_b1: int, src_table, dst_table):
     """Blocks keyed by normalised grading.  Explicit matrices are stored
     against raw source gradings and are converted here."""
-    if step.kind == "iso":
-        if src_table != dst_table:
-            raise ValueError("iso step between different graded tables")
-        return _identity_blocks(src_table)
-    if step.kind in {"zero", "negative_clasp"}:
+    if step.kind == "zero":
         return _zero_blocks(src_table)
     if step.kind == "explicit":
         blocks = {
@@ -241,15 +236,14 @@ def _composer(spec: ExhaustionSpec, tables):
 def colimit(spec: ExhaustionSpec) -> EndFloerReport:
     """Colimit of the normalised directed system.
 
-    - all steps iso: the common table, exact;
     - all steps zero: vanishes;
     - positively clasped towers: exact infinite rank in the (common) top
       grading, lower bounds below;
     - explicit-matrix systems: stabilised image ranks of composites, exact,
       requiring rank agreement over the tail of the last three levels;
-      otherwise the system is reported as undetermined, never guessed.
+      otherwise the system is reported as undetermined, never guessed;
+    - any other mix of kinds: undetermined.
     """
-    _check_shifts(spec)
     tables = [normalize_level(level.module, level.b1) for level in spec.levels]
     kinds = {s.kind for s in spec.steps}
     narrative = [f"{len(spec.levels)} levels: " + ", ".join(l.label or "?" for l in spec.levels)]
@@ -257,16 +251,9 @@ def colimit(spec: ExhaustionSpec) -> EndFloerReport:
     if not spec.steps:
         raise ValueError("a directed system needs at least two levels")
 
-    if kinds <= {"zero", "negative_clasp"}:
+    if kinds == {"zero"}:
         narrative.append("all step maps vanish, so the direct limit is zero")
         return _report({}, True, narrative)
-
-    if kinds == {"iso"}:
-        for t in tables[1:]:
-            if t != tables[0]:
-                raise ValueError("iso system with non-matching level tables")
-        narrative.append("all steps are isomorphisms")
-        return _report({g: RankEntry(r, EXACT) for g, r in tables[0].items()}, not tables[0], narrative)
 
     if kinds == {"positive_clasp"}:
         tops = [max(t) if t else None for t in tables]
@@ -294,7 +281,7 @@ def colimit(spec: ExhaustionSpec) -> EndFloerReport:
         narrative.append("ranks below the top band are lower bounds only")
         return _report(per, False, narrative)
 
-    if kinds <= {"explicit", "iso", "zero", "negative_clasp"}:
+    if kinds <= {"explicit", "zero"}:
         if len(tables) < 3:
             narrative.append("too few levels to certify stabilisation")
             return _report({}, None, narrative)
@@ -326,10 +313,9 @@ def restrict_spec(spec: ExhaustionSpec, indices: Sequence[int]) -> ExhaustionSpe
     composite = _composer(spec, [normalize_level(level.module, level.b1) for level in spec.levels])
     new_steps = []
     for a, b in zip(idx, idx[1:]):
-        shift = grading_shift(spec.levels[a].b1, spec.levels[b].b1)
         # The matrix is stored against un-normalised source gradings.
         matrix = {g + F(spec.levels[a].b1, 2): cols for g, cols in composite(a, b).items()}
-        new_steps.append(StepDescriptor(kind="explicit", grading_shift=shift, matrix=matrix))
+        new_steps.append(StepDescriptor(kind="explicit", matrix=matrix))
     return ExhaustionSpec(
         levels=tuple(spec.levels[i] for i in idx),
         steps=tuple(new_steps),
@@ -420,24 +406,18 @@ def _oriented_data(spec: SliceR4Spec):
     return mirror_knot(spec.knot), spec.handle.mirror()
 
 
-def _positive_level_results(kc: KnotComplex, levels: int):
-    """0-framed outputs along the positive doubling tower, starting at the
-    first double."""
-    return [surgery_hf(d, 0) for d in double_tower(kc, "+" * levels)]
-
-
-def _max_reduced_hat(kc: KnotComplex) -> Fraction:
-    top = hfk_hat(kc).max_reduced_maslov()
-    if top is None:
-        raise ValueError("knot has no reduced hat content")
-    return top
-
-
 def _resolve_piece(spec: SliceR4Spec, levels: int):
     """The report of ``he_slice_r4`` and, for a positive chain, its checked
-    0-framed level results (None for every other verdict)."""
+    0-framed level results (None for every other verdict).
+
+    The one doubling tower runs through a finite mixed prefix, which is
+    absorbed into the knot, and on along a positive tail for ``levels``
+    more doubles.
+    """
     if levels < 2:
         raise ValueError("need at least two levels")
+    if not spec.knot.ambient.is_sphere:
+        raise ValueError(f"a slice piece needs a knot in S3, not in {spec.knot.ambient.name}")
     knot, handle = _oriented_data(spec)
 
     if _is_trivial_knot(knot):
@@ -464,19 +444,16 @@ def _resolve_piece(spec: SliceR4Spec, levels: int):
             note.append("both orientations are nonvanishing")
         return _report({}, False, note), None
 
+    prefix, lead = "", ()
     if handle.kind == "finite_mixed_then_one_sign":
-        prefix = double_tower(knot, handle.signs)
-        current = prefix[-1] if prefix else knot
-        tail_handle = CH_PLUS if handle.tail == "+" else CH_MINUS
-        inner = replace(spec, knot=current, handle=tail_handle, orientation="+")
-        report, results = _resolve_piece(inner, levels)
-        return replace(
-            report,
-            narrative=("finite mixed prefix absorbed into the knot by doubling",)
-            + report.narrative,
-        ), results
+        prefix, handle = "".join(handle.signs), CH_PLUS if handle.tail == "+" else CH_MINUS
+        lead = ("finite mixed prefix absorbed into the knot by doubling",)
+    positive = handle.kind == "all_positive_chain"
+    tower = double_tower(knot, prefix + ("+" * levels if positive else ""))
+    if prefix:
+        knot = tower[len(prefix) - 1]
 
-    if handle.kind == "all_negative_chain":
+    if not positive:
         exhaustion = ExhaustionSpec(
             levels=tuple(
                 Level(b1=1, module={F(0): 0}, label=f"level {i + 1}")
@@ -487,13 +464,12 @@ def _resolve_piece(spec: SliceR4Spec, levels: int):
         report = colimit(exhaustion)
         return replace(
             report,
-            narrative=("negatively clasped doubling cobordisms are zero maps",)
+            narrative=lead + ("negatively clasped doubling cobordisms are zero maps",)
             + report.narrative,
         ), None
 
-    # all_positive_chain
-    top_expected = _max_reduced_hat(knot) - 1 - F(1, 2)
-    results = _positive_level_results(knot, levels)
+    top_expected = hfk_hat(knot).max_reduced_maslov() - 1 - F(1, 2)
+    results = [surgery_hf(d, 0) for d in tower[len(prefix):]]
     level_rows = []
     for i, r in enumerate(results):
         table = r.hf_red()
@@ -506,7 +482,7 @@ def _resolve_piece(spec: SliceR4Spec, levels: int):
     report = colimit(_positive_clasp_system(level_rows))
     return replace(
         report,
-        narrative=(
+        narrative=lead + (
             "positive doubling tower; levels are reduced 0-framed outputs",
         )
         + report.narrative,
@@ -604,19 +580,18 @@ def s1xs2_data() -> ClosedManifoldData:
 def he_product_end(m: ClosedManifoldData, r: SliceR4Spec, n: int, levels: int = 2) -> EndFloerReport:
     """End invariant of the product end summed with a positive slice piece.
 
-    The surgered-double levels are summed with the manifold data; the
-    dominance conditions (the summand from the doubling tower must own
+    The ``levels + 1`` surgered doubles of ``_resolve_piece`` are summed
+    with the manifold data; the dominance conditions (the summand from the doubling tower must own
     the top grading, certified through the forced triangle) are checked
     numerically level by level.  The constant f with level-one top equal
     to n + f is computed, never looked up.
     """
-    knot, handle = _oriented_data(r)
+    handle = r.handle if r.orientation == "+" else r.handle.mirror()
     if handle.kind != "all_positive_chain":
         raise ValueError("product ends are computed for positive-chain pieces")
-    if _is_trivial_knot(knot):
+    results = _resolve_piece(r, levels + 1)[1]
+    if results is None:
         return _report({}, True, ["trivial knot: the summed end is standard"])
-
-    results = _positive_level_results(knot, levels + 1)
     m_towers = HFPlusResult(FUDecomposition.make(m.hf_plus.decomposition.towers, []))
     m_red_only = HFPlusResult(
         FUDecomposition.make([], m.hf_plus.decomposition.torsion)
@@ -659,10 +634,7 @@ def he_product_end(m: ClosedManifoldData, r: SliceR4Spec, n: int, levels: int = 
         top3, why3 = dominated_top(next_level, "(2)", i + 1)
         if top3 is None:
             return _report({}, None, ["dominance check: " + why3])
-        force = exact_triangle_force(
-            [mod1.hf_red(), mod2.hf_red(), mod3.hf_red()],
-            [F(-1, 2), F(0), F(-1, 2)],
-        )
+        force = exact_triangle_force([mod1.hf_red(), mod2.hf_red(), mod3.hf_red()])
         if force.verdict(0) != FORCED_INJECTIVE_TOP:
             return _report(
                 {},

@@ -47,7 +47,10 @@ def grading(value) -> Fraction:
     if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     if isinstance(value, str):
-        return Fraction(value)
+        try:
+            return Fraction(value)
+        except ZeroDivisionError:
+            raise ValueError(f"grading {value!r} has a zero denominator") from None
     raise TypeError(f"not an exact grading: {value!r}")
 
 

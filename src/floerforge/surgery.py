@@ -60,7 +60,7 @@ class HFPlusResult:
     """Plus-flavoured homology: towers plus torsion, with d-invariants."""
 
     decomposition: FUDecomposition
-    spinc: str = TORSION_SPINC
+    spinc = TORSION_SPINC  # every result sums the torsion spin^c structures
 
     @property
     def d_invariants(self) -> tuple[Fraction, ...]:
@@ -263,7 +263,7 @@ def one_handle_stabilize(result: HFPlusResult) -> HFPlusResult:
     torsion = [(g + F(1, 2), k) for g, k in dec.torsion] + [
         (g - F(1, 2), k) for g, k in dec.torsion
     ]
-    return HFPlusResult(FUDecomposition.make(towers, torsion), result.spinc)
+    return HFPlusResult(FUDecomposition.make(towers, torsion))
 
 
 def connected_sum_floer(r1: HFPlusResult, r2: HFPlusResult) -> HFPlusResult:
@@ -329,15 +329,20 @@ class TriangleForce:
         return self.verdicts[index]
 
 
-def exact_triangle_force(modules, shifts) -> TriangleForce:
+# Grading shifts of the surgery triangle's maps M1 -> M2, M2 -> M3, M3 -> M1.
+_TRIANGLE_SHIFTS = (F(-1, 2), F(0), F(-1, 2))
+
+
+def exact_triangle_force(modules) -> TriangleForce:
     """Force map behaviour from exactness of a rank/grading triangle.
 
-    ``modules`` are three graded rank tables, ``shifts`` the grading
-    shifts of the maps M1 -> M2, M2 -> M3, M3 -> M1.  The total ranks of
-    the maps are pinned by exactness; a map is forced zero when its rank
-    is zero, and forced injective on the top summand of its domain when
-    nothing can map onto that summand: the incoming module has no rank in
-    the one grading that would hit the top.
+    ``modules`` are three graded rank tables joined by maps that shift
+    gradings by ``_TRIANGLE_SHIFTS``, the shifts of every triangle the
+    package builds.  The total ranks of the maps are pinned by exactness;
+    a map is forced zero when its rank is zero, and forced injective on
+    the top summand of its domain when nothing can map onto that summand:
+    the incoming module has no rank in the one grading that would hit the
+    top.
     """
     tables = [
         {grading(g): int(r) for g, r in m.items() if r} for m in modules
@@ -353,7 +358,6 @@ def exact_triangle_force(modules, shifts) -> TriangleForce:
             f"graded ranks {dims} admit no exact triangle"
         )
     ranks = tuple(d // 2 for d in doubled)
-    shifts = [grading(s) for s in shifts]
     verdicts = []
     for i in range(3):
         if ranks[i] == 0:
@@ -361,7 +365,7 @@ def exact_triangle_force(modules, shifts) -> TriangleForce:
             continue
         source = tables[i]
         incoming = tables[(i - 1) % 3]
-        shift_in = shifts[(i - 1) % 3]
+        shift_in = _TRIANGLE_SHIFTS[(i - 1) % 3]
         if source:
             top = max(source)
             if incoming.get(top - shift_in, 0) == 0:

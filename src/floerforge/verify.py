@@ -33,6 +33,7 @@ from .endfloer import (
     ExhaustionSpec,
     Level,
     SliceR4Spec,
+    StepDescriptor,
     colimit,
     distinguish,
     he_end_sum,
@@ -51,7 +52,6 @@ from .surgery import (
 )
 from .truncation import expected_truncated_dimensions, truncated_graded_dimensions
 from .whitehead import (
-    StepDescriptor,
     box_parameters,
     double_tower,
     hedden_hfk_double,
@@ -228,7 +228,6 @@ def _rows_triangle(ctx):
                 FUDecomposition.make([], chain2.torsion).torsion_rank_table(),
                 FUDecomposition.make([], chain3.torsion).torsion_rank_table(),
             ],
-            [F(-1, 2), F(0), F(-1, 2)],
         )
         yield _check(
             f"4.positive.n{n}",
@@ -257,7 +256,7 @@ def _rows_triangle(ctx):
             (2 * boxes, 4 * boxes, 6 * boxes),
             dims,
         )
-        force_neg = exact_triangle_force(tables, [F(-1, 2), F(0), F(-1, 2)])
+        force_neg = exact_triangle_force(tables)
         yield _check(
             f"4.negative.n{n}",
             "triangle",
@@ -467,7 +466,6 @@ def _rows_properties(ctx):
         prefix = [
             StepDescriptor(
                 kind="explicit",
-                grading_shift=F(0),
                 matrix={
                     g: [rng.getrandbits(dims[g]) for _ in range(dims[g])] for g in gradings
                 },
@@ -476,7 +474,6 @@ def _rows_properties(ctx):
         ]
         proj = StepDescriptor(
             kind="explicit",
-            grading_shift=F(0),
             matrix={
                 g: [(1 << i) if rng.random() < 0.7 else 0 for i in range(dims[g])]
                 for g in gradings

@@ -9,9 +9,7 @@ formal negative corrections, and the two must agree (tested).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
 
 from .cfk import (
     KnotComplex,
@@ -24,8 +22,6 @@ from .cfk import (
     unknot,
 )
 from .fualgebra import grading
-
-F = Fraction
 
 
 class FormalRankError(ValueError):
@@ -154,17 +150,3 @@ def is_box_sum(kc: KnotComplex) -> bool:
         return False
     return True
 
-
-@dataclass(frozen=True)
-class StepDescriptor:
-    """One cobordism step of a directed system of graded vector spaces."""
-
-    kind: str  # positive_clasp | negative_clasp | zero | iso | explicit
-    grading_shift: Fraction = F(0)
-    matrix: Optional[dict] = None  # explicit: grading -> list of column bitmasks
-
-    def __post_init__(self):
-        if self.kind not in {"positive_clasp", "negative_clasp", "zero", "iso", "explicit"}:
-            raise ValueError(f"unknown step kind {self.kind!r}")
-        if (self.kind == "explicit") != (self.matrix is not None):
-            raise ValueError("explicit steps carry a matrix; others must not")

@@ -357,6 +357,18 @@ def alexander_as(value):
     return lambda data: data.update(alexander=value)
 
 
+def set_maslov_zero_denominator(data):
+    data["generators"][0]["maslov"] = "1/0"
+
+
+def set_name_list(data):
+    data["name"] = [1]
+
+
+def set_ambient_name_number(data):
+    data["ambient"]["name"] = 5
+
+
 @pytest.mark.parametrize(
     "command, entry, mutate",
     [(["surgery", "--n", "0", "--complex"], "unknot", set_maslov_true),
@@ -364,9 +376,17 @@ def alexander_as(value):
      (["cfk", "--complex"], "trefoil", alexander_as([])),
      (["surgery", "--n", "0", "--complex"], "trefoil", alexander_as(None)),
      (["double", "--complex"], "k3", alexander_as("x")),
-     (["endfloer", "--knot"], "k3", alexander_as([]))],
+     (["endfloer", "--knot"], "k3", alexander_as([])),
+     (["cfk", "--complex"], "k3", set_maslov_zero_denominator),
+     (["surgery", "--n", "0", "--complex"], "trefoil", set_maslov_zero_denominator),
+     (["double", "--complex"], "k3", set_maslov_zero_denominator),
+     (["endfloer", "--knot"], "k3", set_maslov_zero_denominator),
+     (["cfk", "--complex"], "trefoil", set_name_list),
+     (["surgery", "--n", "0", "--complex"], "trefoil", set_ambient_name_number)],
     ids=["maslov-true", "reduced-trivial-string", "alexander-list-cfk", "alexander-null-surgery",
-         "alexander-string-double", "alexander-list-endfloer"],
+         "alexander-string-double", "alexander-list-endfloer", "maslov-zero-denominator-cfk",
+         "maslov-zero-denominator-surgery", "maslov-zero-denominator-double",
+         "maslov-zero-denominator-endfloer", "name-list-cfk", "ambient-name-number-surgery"],
 )
 def test_json_boolean_confusion_is_file_error(tmp_path, capsys, command, entry, mutate):
     data = corpus_data(entry)
@@ -375,6 +395,34 @@ def test_json_boolean_confusion_is_file_error(tmp_path, capsys, command, entry, 
     assert (code, out) == (2, "")
     assert err.startswith("error: cannot parse complex file")
     assert len(err.strip().splitlines()) == 1
+
+
+def test_distinguish_inline_zero_denominator_is_file_error(tmp_path, capsys):
+    data = corpus_data("k3")
+    set_maslov_zero_denominator(data)
+    plain = write_json(tmp_path / "plain.json", {"knot": "k3"})
+    bad = write_json(tmp_path / "bad.json", {"knot": data})
+    code, out, err = run(capsys, "distinguish", "--a", plain, "--b", bad)
+    assert (code, out) == (2, "")
+    assert err == "error: cannot parse inline complex: grading '1/0' has a zero denominator\n"
+
+
+@pytest.mark.parametrize("knot, ambient", [("j_in_y", "Y"), ("jprime_in_yprime", "Y'")])
+@pytest.mark.parametrize("handle", ["ch+", "ch-", "ch*", "undetermined"])
+@pytest.mark.parametrize("orientation", ["+", "-"])
+def test_endfloer_piece_needs_knot_in_sphere(capsys, knot, ambient, handle, orientation):
+    code, out, err = run(capsys, "endfloer", "--knot", knot, "--handle", handle,
+                         "--orientation", orientation)
+    assert (code, out) == (1, "")
+    assert err == f"error: a slice piece needs a knot in S3, not in {ambient}\n"
+
+
+def test_distinguish_piece_needs_knot_in_sphere(tmp_path, capsys):
+    a = write_json(tmp_path / "a.json", {"knot": "k3"})
+    b = write_json(tmp_path / "b.json", {"knot": "j_in_y", "handle": "ch-"})
+    code, out, err = run(capsys, "distinguish", "--a", a, "--b", b)
+    assert (code, out) == (1, "")
+    assert err == "error: a slice piece needs a knot in S3, not in Y\n"
 
 
 @pytest.mark.parametrize("argv", [["surgery", "--n", "0", "--complex"], ["cfk", "--complex"]],

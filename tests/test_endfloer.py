@@ -13,14 +13,13 @@ from floerforge.endfloer import (
     CassonHandle,
     ExhaustionSpec,
     INFINITE,
-    InconsistentShifts,
     Level,
     RankEntry,
     SliceR4Spec,
-    _positive_level_results,
+    StepDescriptor,
+    _resolve_piece,
     colimit,
     distinguish,
-    grading_shift,
     he_end_sum,
     he_product_end,
     he_slice_r4,
@@ -29,7 +28,7 @@ from floerforge.endfloer import (
     s1xs2_data,
     s3_data,
 )
-from floerforge.whitehead import StepDescriptor, whitehead_double_cfk
+from floerforge.whitehead import whitehead_double_cfk
 
 F = Fraction
 
@@ -52,30 +51,17 @@ def test_normalize_level_examples():
     assert normalize_level({F(n) - F(5, 2): 2}, 1) == {F(n) - 3: 2}
 
 
-def test_grading_shift_values():
-    assert grading_shift(1, 1) == 0
-    assert grading_shift(0, 2) == 1
-    assert grading_shift(3, 1) == -1
-
-
 # --- colimits ---------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("kind", ["iso", "negative_clasp", "bogus"])
+def test_step_descriptor_rejects_unbuilt_kinds(kind):
+    with pytest.raises(ValueError, match="unknown step kind"):
+        StepDescriptor(kind=kind)
 
 
 def make_levels(tables, b1=0):
     return tuple(Level(b1=b1, module=t, label=f"L{i}") for i, t in enumerate(tables))
-
-
-def test_colimit_identity_steps_exact():
-    table = {F(2): 1, F(0): 2}
-    spec = ExhaustionSpec(
-        levels=make_levels([table, table, table]),
-        steps=(StepDescriptor(kind="iso"), StepDescriptor(kind="iso")),
-    )
-    report = colimit(spec)
-    assert report.vanishes is False
-    assert report.entry(F(2)) == RankEntry(1, "exact")
-    assert report.entry(F(0)) == RankEntry(2, "exact")
-    assert report.max_nontrivial_grading == F(2)
 
 
 def test_colimit_all_zero_steps_vanishes():
@@ -103,22 +89,10 @@ def test_colimit_positive_clasp_tower():
     assert report.max_nontrivial_grading == F(1)
 
 
-def test_colimit_shift_consistency_enforced():
-    spec = ExhaustionSpec(
-        levels=(
-            Level(b1=1, module={F(1, 2): 1}),
-            Level(b1=3, module={F(3, 2): 1}),
-        ),
-        steps=(StepDescriptor(kind="explicit", grading_shift=F(0), matrix={F(1, 2): [1]}),),
-    )
-    with pytest.raises(InconsistentShifts):
-        colimit(spec)
-
-
 def test_colimit_explicit_stabilized_image():
     # One class dies immediately; the other persists.
     table = {F(0): 2}
-    keep_one = StepDescriptor(kind="explicit", grading_shift=F(0), matrix={F(0): [0b01, 0]})
+    keep_one = StepDescriptor(kind="explicit", matrix={F(0): [0b01, 0]})
     spec = ExhaustionSpec(
         levels=make_levels([table, table, table, table]),
         steps=(keep_one,) * 3,
@@ -130,7 +104,7 @@ def test_colimit_explicit_stabilized_image():
 def test_colimit_non_stabilizing_reported_undetermined():
     # Nilpotent step: ranks keep dropping inside the window.
     table = {F(0): 2}
-    shift_down = StepDescriptor(kind="explicit", grading_shift=F(0), matrix={F(0): [0, 0b01]})
+    shift_down = StepDescriptor(kind="explicit", matrix={F(0): [0, 0b01]})
     spec = ExhaustionSpec(
         levels=make_levels([table, table, table]),
         steps=(shift_down,) * 2,
@@ -159,12 +133,12 @@ def random_explicit_spec(rng, levels=6):
         }
 
     steps = [
-        StepDescriptor(kind="explicit", grading_shift=F(0), matrix=random_matrix()),
-        StepDescriptor(kind="explicit", grading_shift=F(0), matrix=random_matrix()),
+        StepDescriptor(kind="explicit", matrix=random_matrix()),
+        StepDescriptor(kind="explicit", matrix=random_matrix()),
     ]
     proj = projection()
     steps += [
-        StepDescriptor(kind="explicit", grading_shift=F(0), matrix=proj)
+        StepDescriptor(kind="explicit", matrix=proj)
         for _ in range(levels - 3)
     ]
     return ExhaustionSpec(levels=make_levels([table] * levels), steps=tuple(steps))
@@ -194,7 +168,7 @@ def test_he_slice_positive_max_grading(n, expected):
 
 
 def test_he_slice_per_level_top_rank_doubles():
-    results = _positive_level_results(k_n(3), 3)
+    results = _resolve_piece(r_spec(3), 3)[1]
     tops = []
     for r in results:
         table = r.hf_red()
@@ -375,6 +349,45 @@ def test_product_end_circle_times_sphere():
     assert report.vanishes is False
     assert report.max_nontrivial_grading == F(2)
     assert any("f(S1xS2) = -3/2" in line for line in report.narrative)
+
+
+@pytest.mark.parametrize(
+    "data, n, top, f",
+    [(s3_data, 3, "0", "-2"), (s3_data, 5, "2", "-2"), (s3_data, 7, "4", "-2"),
+     (s1xs2_data, 3, "0", "-3/2"), (s1xs2_data, 5, "2", "-3/2"), (s1xs2_data, 7, "4", "-3/2")],
+    ids=["s3-3", "s3-5", "s3-7", "s1xs2-3", "s1xs2-5", "s1xs2-7"],
+)
+def test_product_end_reports_pinned(data, n, top, f):
+    m = data()
+    assert he_product_end(m, r_spec(n), n).to_json() == {
+        "per_grading": {top: {"rank": "inf", "tag": "exact"}},
+        "max_nontrivial_grading": top,
+        "vanishes": False,
+        "narrative": [f"f({m.name}) = {f} computed from the level sums",
+                      "maximal grading n + f - 1 - b1/2 with infinite rank"],
+    }
+
+
+def test_product_end_trivial_knot_vanishes():
+    report = he_product_end(s3_data(), SliceR4Spec(unknot(), CH_PLUS), 3)
+    assert report.vanishes is True
+    assert report.narrative == ("trivial knot: the summed end is standard",)
+
+
+@pytest.mark.parametrize("spec", [r_spec(5, orientation="-"), r_spec(5, CH_MINUS), r_spec(5, CH_STAR)],
+                         ids=["ch+-reversed", "ch-", "ch*"])
+def test_product_end_needs_positive_chain(spec):
+    with pytest.raises(ValueError, match="product ends are computed for positive-chain pieces"):
+        he_product_end(s3_data(), spec, 5)
+
+
+def test_product_end_reversed_negative_chain_is_positive():
+    assert he_product_end(s3_data(), r_spec(5, CH_MINUS, orientation="-"), 5).vanishes is False
+
+
+def test_product_end_needs_two_levels():
+    with pytest.raises(ValueError, match="need at least two levels"):
+        he_product_end(s3_data(), r_spec(5), 5, levels=0)
 
 
 def test_product_end_small_n_undetermined():

@@ -367,13 +367,13 @@ def test_floer_sum_commutative_associative():
 def test_triangle_negative_rank_pattern_forces_zero():
     n = 3
     modules = [{F(0): 2 * n}, {F(0): 4 * n}, {F(0): 6 * n}]
-    force = exact_triangle_force(modules, [F(-1, 2), F(0), F(-1, 2)])
+    force = exact_triangle_force(modules)
     assert force.ranks == (0, 4 * n, 2 * n)
     assert force.verdict(0) == FORCED_ZERO
 
 
 def test_triangle_all_zero_modules():
-    force = exact_triangle_force([{}, {}, {}], [F(-1, 2), F(0), F(-1, 2)])
+    force = exact_triangle_force([{}, {}, {}])
     assert force.ranks == (0, 0, 0)
     assert force.verdicts == (FORCED_ZERO,) * 3
 
@@ -388,13 +388,13 @@ def test_triangle_positive_clasp_data_forces_top_injectivity():
     for k in ks:
         mod2[k - F(1, 2)] = mod2.get(k - F(1, 2), 0) + 2
         mod2[k - F(3, 2)] = mod2.get(k - F(3, 2), 0) + 2
-    force = exact_triangle_force([mod1, mod2, dict(mod2)], [F(-1, 2), F(0), F(-1, 2)])
+    force = exact_triangle_force([mod1, mod2, dict(mod2)])
     assert force.verdict(0) == FORCED_INJECTIVE_TOP
 
 
 def test_triangle_inconsistent_ranks_rejected():
     with pytest.raises(InconsistentTriangle):
-        exact_triangle_force([{F(0): 1}, {}, {}], [F(-1, 2), F(0), F(-1, 2)])
+        exact_triangle_force([{F(0): 1}, {}, {}])
 
 
 @given(st.integers(-6, 6), st.integers(1, 4))
@@ -407,8 +407,8 @@ def test_triangle_verdicts_translation_invariant(num, den):
     mod2.update({k - F(3, 2): 2 for k in ks})
     mods = [mod1, mod2, dict(mod2)]
     shifted = [{g + shift: r for g, r in m.items()} for m in mods]
-    base = exact_triangle_force(mods, [F(-1, 2), F(0), F(-1, 2)])
-    moved = exact_triangle_force(shifted, [F(-1, 2), F(0), F(-1, 2)])
+    base = exact_triangle_force(mods)
+    moved = exact_triangle_force(shifted)
     assert base.verdicts == moved.verdicts
     assert base.ranks == moved.ranks
 
