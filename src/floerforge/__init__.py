@@ -5,7 +5,7 @@ Core layers:
 - ``fualgebra``   exact homological algebra for free graded F2[U]-complexes
 - ``cfk``         knot complexes: builders, sums, mirrors, hat invariants
 - ``surgery``     the integer-surgery mapping cone and its graded output
-- ``whitehead``   Whitehead doubles and doubling towers at the complex level
+- ``whitehead``   Whitehead doubles and doubling towers, as complexes and box sums
 - ``endfloer``    directed systems, end invariants, distinguishability
 - ``verify``      the reproduction suite behind ``floerforge verify``
 - ``cli``         command-line front end
@@ -82,8 +82,10 @@ from .surgery import (
     surgery_hf,
 )
 from .whitehead import (
+    BoxSum,
     FormalRankError,
     box_parameters,
+    box_tower,
     double_tower,
     hedden_hfk_double,
     is_box_sum,

@@ -152,7 +152,7 @@ def validate_knot(kc: KnotComplex, shapes=None) -> ValidationReport:
 
 def _summands(kc: KnotComplex) -> list[tuple[KnotComplex, list[tuple]]]:
     """The flip-stable summands of ``kc`` (components of the differential
-    entries and flip pairs) as ``(representative, [(offset, members)])`` per
+    entries and flip pairs) as ``(representative, [(offset, count)])`` per
     shape, or the whole complex if an endpoint is missing or a flip is partial
     or not involutive.  A shape is, per member, its Maslov grading less the
     copy's offset, the first member's (an ``int`` if integral), its Alexander
@@ -166,8 +166,8 @@ def _summands(kc: KnotComplex) -> list[tuple[KnotComplex, list[tuple]]]:
         broken = not M.keys() >= set(images) or tuple(map(flip.__getitem__, images)) != gens
         edges += [(g, img) for g, img in zip(gens, images) if img != g]
     if broken:
-        return [(kc, [(0, gens)])]
-    shapes: dict[tuple, tuple[KnotComplex, list]] = {}
+        return [(kc, [(0, 1)])]
+    shapes: dict[tuple, tuple[KnotComplex, dict]] = {}
     for members in components(gens, edges):
         m0 = M[members[0]]
         q, n0 = m0.denominator, m0.numerator  # integer division beats Fraction subtraction
@@ -181,9 +181,9 @@ def _summands(kc: KnotComplex) -> list[tuple[KnotComplex, list[tuple]]]:
         if shape not in shapes:
             rep = FreeComplex(zip(members, relative), {g: diff[g] for g in members if g in diff})
             shapes[shape] = (KnotComplex(rep, {g: A[g] for g in members},
-                                         None if flip is None else {g: flip[g] for g in members}, kc.ambient), [])
-        shapes[shape][1].append((m0, members))
-    return list(shapes.values())
+                                         None if flip is None else {g: flip[g] for g in members}, kc.ambient), {})
+        shapes[shape][1].setdefault((n0, q), [m0, 0])[1] += 1  # int keys hash faster than the Fraction
+    return [(rep, [tuple(copy) for copy in copies.values()]) for rep, copies in shapes.values()]
 
 
 def _summand_violations(kc: KnotComplex) -> tuple[list[str], bool]:

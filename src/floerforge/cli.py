@@ -93,8 +93,8 @@ def _load(source) -> tuple[KnotComplex, list]:
         dims: Counter = Counter()
         for rep, copies in shapes:
             for m, d in filtration_homology(rep, rep.genus_bound()).items():
-                for offset, _members in copies:
-                    dims[m + offset] += d
+                for offset, count in copies:
+                    dims[m + offset] += d * count
         if dims != {0: 1}:
             found = ", ".join(f"rank {d} at Maslov {format_grading(m)}" for m, d in sorted(dims.items()))
             raise InvalidComplex(f"invalid complex: U=0 homology over {kc.ambient.name} is "

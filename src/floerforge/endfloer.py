@@ -14,10 +14,10 @@ matrix systems are computed exactly, with stabilisation of composite
 ranks required before a value is reported as exact.
 
 A slice piece (a knot in S3 with a handle) is resolved once, in
-``_resolve_piece``, the one place a doubling tower is built, into its
-report and, for a positive chain, the tower's 0-framed outputs.  An end
-sum sums those outputs level by level under the same positively clasped
-colimit; a product end sums them with the manifold's data.
+``_resolve_piece``, the one place a doubling tower is built (as box sums),
+into its report and, for a positive chain, the tower's 0-framed outputs.
+An end sum sums those outputs level by level under the same positively
+clasped colimit; a product end sums them with the manifold's data.
 """
 
 from __future__ import annotations
@@ -35,9 +35,8 @@ from .surgery import (
     connected_sum_floer,
     exact_triangle_force,
     one_handle_stabilize,
-    surgery_hf,
 )
-from .whitehead import double_tower, is_box_sum
+from .whitehead import box_tower, is_box_sum
 
 F = Fraction
 
@@ -347,7 +346,7 @@ class CassonHandle:
         if self.kind not in self.KINDS:
             raise ValueError(f"unknown handle kind {self.kind!r}")
         if self.kind == "finite_mixed_then_one_sign":
-            if self.tail not in {"+", "-"} or any(s not in {"+", "-"} for s in self.signs):
+            if self.tail not in {"+", "-"} or not self.signs or any(s not in {"+", "-"} for s in self.signs):
                 raise ValueError("finite mixed handles need a sign prefix and a tail sign")
 
     def mirror(self) -> "CassonHandle":
@@ -370,7 +369,9 @@ class CassonHandle:
 
     @classmethod
     def from_json(cls, data):
-        return cls(data["kind"], tuple(data.get("signs", ())), data.get("tail", ""))
+        if not isinstance(signs := data.get("signs", []), list):
+            raise TypeError(f"signs is not a JSON list: {signs!r}")
+        return cls(data["kind"], tuple(signs), data.get("tail", ""))
 
 
 CH_PLUS = CassonHandle("all_positive_chain")
@@ -449,9 +450,7 @@ def _resolve_piece(spec: SliceR4Spec, levels: int):
         prefix, handle = "".join(handle.signs), CH_PLUS if handle.tail == "+" else CH_MINUS
         lead = ("finite mixed prefix absorbed into the knot by doubling",)
     positive = handle.kind == "all_positive_chain"
-    tower = double_tower(knot, prefix + ("+" * levels if positive else ""))
-    if prefix:
-        knot = tower[len(prefix) - 1]
+    tower = box_tower(knot, prefix + ("+" * levels if positive else ""))
 
     if not positive:
         exhaustion = ExhaustionSpec(
@@ -468,8 +467,9 @@ def _resolve_piece(spec: SliceR4Spec, levels: int):
             + report.narrative,
         ), None
 
-    top_expected = hfk_hat(knot).max_reduced_maslov() - 1 - F(1, 2)
-    results = [surgery_hf(d, 0) for d in tower[len(prefix):]]
+    base = tower[len(prefix) - 1] if prefix else hfk_hat(knot)
+    top_expected = base.max_reduced_maslov() - 1 - F(1, 2)
+    results = [level.surgery_hf(0) for level in tower[len(prefix):]]
     level_rows = []
     for i, r in enumerate(results):
         table = r.hf_red()
@@ -593,9 +593,7 @@ def he_product_end(m: ClosedManifoldData, r: SliceR4Spec, n: int, levels: int = 
     if results is None:
         return _report({}, True, ["trivial knot: the summed end is standard"])
     m_towers = HFPlusResult(FUDecomposition.make(m.hf_plus.decomposition.towers, []))
-    m_red_only = HFPlusResult(
-        FUDecomposition.make([], m.hf_plus.decomposition.torsion)
-    )
+    m_red_only = HFPlusResult(FUDecomposition(torsion=m.hf_plus.decomposition.torsion))
 
     def dominated_top(target: HFPlusResult, label: str, level_index: int):
         """Top grading of the summed reduced part, provided the term from

@@ -25,12 +25,13 @@ length).
 >>> c = FreeComplex([("y", Fraction(-4)), ("x", Fraction(-1))],
 ...                 {"y": {"x": 2}})
 >>> homology_decomposition(c)
-FUDecomposition(towers=(), torsion=((Fraction(-1, 1), 2),))
+FUDecomposition(towers=(), torsion=((Fraction(-1, 1), 2, 1),))
 """
 
 from __future__ import annotations
 
 import heapq
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping
@@ -300,30 +301,32 @@ class FUDecomposition:
     """A finitely generated graded F2[U]-module, split into summands.
 
     ``towers`` lists one grading per free summand; ``torsion`` lists
-    ``(top_grading, length)`` for each F2[U]/U^k summand, the top grading
-    being that of the top nonzero element.  Both are stored sorted
-    (gradings descending) so equality is multiset equality.
+    ``(top_grading, length, count)`` once per distinct F2[U]/U^k summand,
+    the top grading being that of the top nonzero element.  Both are
+    stored sorted (gradings descending) so equality is multiset equality.
     """
 
     towers: tuple[Fraction, ...] = ()
-    torsion: tuple[tuple[Fraction, int], ...] = ()
+    torsion: tuple[tuple[Fraction, int, int], ...] = ()
 
     @staticmethod
-    def make(towers: Iterable, torsion: Iterable) -> "FUDecomposition":
+    def make(towers: Iterable, torsion) -> "FUDecomposition":
+        """``torsion`` is ``(top, length)`` pairs, repeats allowed, or a
+        mapping ``(top, length) -> count`` with exact tops."""
+        if not isinstance(torsion, Mapping):
+            torsion = Counter((grading(g), int(k)) for g, k in torsion)
         tw = tuple(sorted((grading(t) for t in towers), reverse=True))
-        to = tuple(
-            sorted(((grading(g), int(k)) for g, k in torsion), key=lambda x: (-x[0], x[1]))
-        )
+        to = tuple(sorted(((g, k, c) for (g, k), c in torsion.items() if c), key=lambda x: (-x[0], x[1])))
         return FUDecomposition(tw, to)
 
     def torsion_rank_table(self) -> dict[Fraction, int]:
         """Graded F-dimension of the torsion part (U spreads a length-k
         summand over gradings top, top-2, ..., top-2(k-1))."""
         table: dict[Fraction, int] = {}
-        for top, k in self.torsion:
+        for top, k, c in self.torsion:
             for i in range(k):
                 g = top + U_DEGREE * i
-                table[g] = table.get(g, 0) + 1
+                table[g] = table.get(g, 0) + c
         return table
 
     def to_json(self) -> dict:
@@ -331,7 +334,7 @@ class FUDecomposition:
             "towers": [format_grading(t) for t in sorted(self.towers)],
             "torsion": [
                 {"grading": format_grading(g), "length": k}
-                for g, k in sorted(self.torsion)
+                for g, k, c in sorted(self.torsion) for _ in range(c)
             ],
         }
 
@@ -532,7 +535,7 @@ def homology_decomposition(c: FreeComplex) -> FUDecomposition:
 
     >>> c = FreeComplex([("y", Fraction(-1)), ("x", Fraction(0))], {"y": {"x": 1}})
     >>> homology_decomposition(c)
-    FUDecomposition(towers=(), torsion=((Fraction(0, 1), 1),))
+    FUDecomposition(towers=(), torsion=((Fraction(0, 1), 1, 1),))
     """
     validate_complex(c).require()
     r = _Reducer(c)
@@ -556,5 +559,5 @@ def plus_presentation(h: FUDecomposition) -> FUDecomposition:
     # The torsion shift is uniform, so the stored ordering survives.
     return FUDecomposition(
         h.towers,
-        tuple((g - 1, k) for g, k in h.torsion),
+        tuple((g - 1, k, c) for g, k, c in h.torsion),
     )

@@ -30,6 +30,7 @@ the flat cone ``build_cone(kc, n).total_complex()``, the test oracle.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -236,7 +237,7 @@ def surgery_hf(kc: KnotComplex, n: int) -> HFPlusResult:
 
     >>> from .cfk import box, direct_sum, unknot
     >>> surgery_hf(direct_sum([unknot(), box(2), box(0)]), 0).decomposition
-    FUDecomposition(towers=(Fraction(1, 2), Fraction(-1, 2)), torsion=((Fraction(3, 2), 1), (Fraction(-1, 2), 1)))
+    FUDecomposition(towers=(Fraction(1, 2), Fraction(-1, 2)), torsion=((Fraction(3, 2), 1, 1), (Fraction(-1, 2), 1, 1)))
     """
     g_hat = _window(kc, n)
     shapes = _summands(kc)
@@ -246,23 +247,25 @@ def surgery_hf(kc: KnotComplex, n: int) -> HFPlusResult:
 
 def _summed_cones(shapes, n: int, g_hat: int) -> HFPlusResult:
     """:func:`surgery_hf` on a split that has passed :func:`validate_knot`."""
-    towers, torsion = [], []
+    towers, torsion = [], Counter()
     for rep, copies in shapes:
         h = homology_decomposition(_cone(rep, n, g_hat, 0).total_complex())
-        for offset, _members in copies:
+        for offset, count in copies:
             shift = offset + _ANCHORS[n]
-            towers.extend(t + shift for t in h.towers)
-            torsion.extend((g + shift, k) for g, k in h.torsion)
+            towers.extend(t + shift for t in h.towers for _ in range(count))
+            for g, k, c in h.torsion:
+                torsion[g + shift, k] += c * count
     return HFPlusResult(plus_presentation(FUDecomposition.make(towers, torsion)))
 
 
 def one_handle_stabilize(result: HFPlusResult) -> HFPlusResult:
     """Tensor with one F_(1/2) + F_(-1/2) pair: every summand doubles."""
     dec = result.decomposition
-    towers = [t + F(1, 2) for t in dec.towers] + [t - F(1, 2) for t in dec.towers]
-    torsion = [(g + F(1, 2), k) for g, k in dec.torsion] + [
-        (g - F(1, 2), k) for g, k in dec.torsion
-    ]
+    towers = [t + s for t in dec.towers for s in (F(1, 2), F(-1, 2))]
+    torsion = Counter()
+    for g, k, c in dec.torsion:
+        torsion[g + F(1, 2), k] += c
+        torsion[g - F(1, 2), k] += c
     return HFPlusResult(FUDecomposition.make(towers, torsion))
 
 
@@ -270,8 +273,9 @@ def connected_sum_floer(r1: HFPlusResult, r2: HFPlusResult) -> HFPlusResult:
     """Tensor the plus decompositions over the ground ring.
 
     Tensor and homology both distribute over the summand decomposition,
-    so the product is assembled from pairs of summands by the Kunneth
-    formula.  Tower x tower and tower x torsion blocks are immediate.
+    so the product is assembled from pairs of distinct summands, weighted
+    by the product of their counts, by the Kunneth formula.  Tower x
+    tower and tower x torsion blocks are immediate.
     Torsion summands with model tops G1, G2 and lengths k1, k2 give the
     tensor term F2[U]/U^k topped at G1 + G2 and the Tor term F2[U]/U^k
     topped at G1 + G2 + 1 - 2 max(k1, k2), with k = min(k1, k2).
@@ -281,28 +285,24 @@ def connected_sum_floer(r1: HFPlusResult, r2: HFPlusResult) -> HFPlusResult:
     >>> one = HFPlusResult(FUDecomposition.make([], [(F(0), 1)]))
     >>> two = HFPlusResult(FUDecomposition.make([], [(F(0), 2)]))
     >>> connected_sum_floer(one, two).decomposition
-    FUDecomposition(towers=(), torsion=((Fraction(1, 1), 1), (Fraction(-2, 1), 1)))
+    FUDecomposition(towers=(), torsion=((Fraction(1, 1), 1, 1), (Fraction(-2, 1), 1, 1)))
     """
     dec1, dec2 = r1.decomposition, r2.decomposition
-    towers = []
-    torsion = []
+    towers = [d1 + d2 for d1 in dec1.towers for d2 in dec2.towers]
+    torsion = Counter()
     # Working in the subcomplex-model reading throughout: a torsion
     # summand with plus-top g has its model top at g + 1; the final
     # presentation step shifts every torsion top back down by one.
-    for d1 in dec1.towers:
-        for d2 in dec2.towers:
-            towers.append(d1 + d2)
-        for g2, k2 in dec2.torsion:
-            torsion.append((g2 + 1 + d1, k2))
-    for g1, k1 in dec1.torsion:
-        for d2 in dec2.towers:
-            torsion.append((g1 + 1 + d2, k1))
-        for g2, k2 in dec2.torsion:
-            k = min(k1, k2)
-            torsion.append((g1 + g2 + 2, k))
-            torsion.append((g1 + g2 + 3 - 2 * max(k1, k2), k))
-    h_total = FUDecomposition.make(towers, torsion)
-    return HFPlusResult(plus_presentation(h_total))
+    for towers_a, torsion_b in ((dec1.towers, dec2.torsion), (dec2.towers, dec1.torsion)):
+        for d in towers_a:
+            for g, k, c in torsion_b:
+                torsion[g + 1 + d, k] += c
+    for g1, k1, c1 in dec1.torsion:
+        for g2, k2, c2 in dec2.torsion:
+            k, c = min(k1, k2), c1 * c2
+            torsion[g1 + g2 + 2, k] += c
+            torsion[g1 + g2 + 3 - 2 * max(k1, k2), k] += c
+    return HFPlusResult(plus_presentation(FUDecomposition.make(towers, torsion)))
 
 
 # ---------------------------------------------------------------------------

@@ -44,12 +44,12 @@ def expected_truncated_dimensions(h: FUDecomposition, cutoff: int) -> dict[Fract
     for top in h.towers:
         for i in range(cutoff):
             add(top + U_DEGREE * i)
-    for top, k in h.torsion:
+    for top, k, c in h.torsion:
         span = min(k, cutoff)
         for i in range(span):
-            add(top + U_DEGREE * i)
+            add(top + U_DEGREE * i, c)
         # Tor: kernel classes at the bottom of the truncated partner column.
         partner_top = top + 1 - 2 * k
         for p in range(max(cutoff - k, 0), cutoff):
-            add(partner_top + U_DEGREE * p)
+            add(partner_top + U_DEGREE * p, c)
     return {g: n for g, n in dims.items() if n}

@@ -79,7 +79,7 @@ def _dec(towers, torsion=()):
 def _fmt_dec(dec: FUDecomposition) -> str:
     towers = " + ".join(f"T({format_grading(t)})" for t in dec.towers) or "0"
     torsion = " + ".join(
-        f"F({format_grading(g)})" + (f"^len{k}" if k > 1 else "") for g, k in dec.torsion
+        f"F({format_grading(g)})" + (f"^len{k}" if k > 1 else "") for g, k, c in dec.torsion for _ in range(c)
     )
     return towers + (" + " + torsion if torsion else "")
 
@@ -222,13 +222,7 @@ def _rows_three_manifolds(ctx):
 def _rows_triangle(ctx):
     for n in (3, 5):
         chain1, chain2, chain3 = ctx.chain_outputs(n)
-        force = exact_triangle_force(
-            [
-                FUDecomposition.make([], chain1.torsion).torsion_rank_table(),
-                FUDecomposition.make([], chain2.torsion).torsion_rank_table(),
-                FUDecomposition.make([], chain3.torsion).torsion_rank_table(),
-            ],
-        )
+        force = exact_triangle_force([c.torsion_rank_table() for c in (chain1, chain2, chain3)])
         yield _check(
             f"4.positive.n{n}",
             "triangle",

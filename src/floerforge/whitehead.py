@@ -5,10 +5,12 @@ the genus-one complex x + sum_j B[m_j - 1]^(2 d_j); the negative-clasp
 double is the mirror of the double of the mirror.  The hat-level rank
 formula for doubles is evaluated independently, term by term with its
 formal negative corrections, and the two must agree (tested).
+A :class:`BoxSum` keeps a double as box corners with multiplicities.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .cfk import (
@@ -22,6 +24,7 @@ from .cfk import (
     unknot,
 )
 from .fualgebra import grading
+from .surgery import HFPlusResult, _summed_cones
 
 
 class FormalRankError(ValueError):
@@ -96,6 +99,56 @@ def double_tower(kc: KnotComplex, signs) -> list[KnotComplex]:
         current = build(reduced_basis_form(current),
                         name=f"Wh^{i}({kc.name})" if kc.name else f"Wh^{i}")
         tower.append(current)
+    return tower
+
+
+@dataclass(frozen=True)
+class BoxSum:
+    """Normal form of a double: x at (0, 0) plus the boxes ``box(k)``, kept
+    as ``(corner k, multiplicity)`` pairs, k descending (Hedden).
+
+    A box B[k] has reduced pairs (k + 1, 1, 1) and (k, 0, 1), so a positive
+    double takes B[k]^c to B[k]^2c + B[k - 1]^2c, a negative one (through
+    the mirror, k -> -k) to B[k]^2c + B[k + 1]^2c.
+    """
+
+    corners: tuple[tuple[Fraction, int], ...]
+
+    @staticmethod
+    def doubling(pairs, sign: str = "+") -> "BoxSum":
+        """The double of a knot from its reduced pairs (m, A, d), given as
+        ``(m, d, count)``: 2 d boxes B[m - 1] per pair, or the mirror of the
+        double of the mirrored pairs (1 - m, d - A, d)."""
+        counts: dict = {}
+        for m, d, c in pairs:
+            corner = -m if sign == "-" else m - 1
+            counts[corner] = counts.get(corner, 0) + 2 * d * c
+        if not counts:
+            raise ValueError("doubling needs a nontrivial knot (no reduced pairs)")
+        out = BoxSum(tuple(sorted(counts.items(), reverse=True)))
+        return out.mirror() if sign == "-" else out
+
+    def mirror(self) -> "BoxSum":
+        return BoxSum(tuple((-k, c) for k, c in reversed(self.corners)))
+
+    def max_reduced_maslov(self) -> Fraction:
+        return self.corners[0][0] + 1
+
+    def surgery_hf(self, n: int) -> HFPlusResult:
+        """``surgery_hf`` of the expanded complex through the same per-shape
+        cones (window 1, the genus): the unknot at offset 0 and ``box(0)``
+        at every corner."""
+        return _summed_cones([(unknot(), [(Fraction(0), 1)]), (box(0), list(self.corners))], n, 1)
+
+
+def box_tower(kc: KnotComplex, signs) -> list[BoxSum]:
+    """The levels of ``double_tower(kc, signs)`` as box sums; no complex is
+    built beyond the reduced pairing of ``kc``."""
+    tower: list[BoxSum] = []
+    for sign in signs:
+        pairs = ([(m, d, 1) for m, _a, d in reduced_basis_form(kc).pairs] if not tower else
+                 [p for k, c in tower[-1].corners for p in ((k + 1, 1, c), (k, 1, c))])
+        tower.append(BoxSum.doubling(pairs, sign))
     return tower
 
 

@@ -329,6 +329,29 @@ def test_distinguish_piece_with_dict_handle(tmp_path, capsys, handle, code):
 
 
 @pytest.mark.parametrize(
+    "signs, code, err",
+    [("+-", 2, "error: malformed piece description in {path!r}: signs is not a JSON list: '+-'\n"),
+     ([], 1, "error: finite mixed handles need a sign prefix and a tail sign\n")],
+    ids=["string", "empty"],
+)
+def test_distinguish_mixed_handle_needs_a_sign_list(tmp_path, capsys, signs, code, err):
+    handle = {"kind": "finite_mixed_then_one_sign", "signs": signs, "tail": "+"}
+    a = write_json(tmp_path / "a.json", {"knot": "k3", "handle": handle})
+    b = write_json(tmp_path / "b.json", {"knot": "k5"})
+    assert run(capsys, "distinguish", "--a", a, "--b", b) == (code, "", err.format(path=a))
+
+
+def test_endfloer_tower_at_depth_twelve(capsys):
+    code, out, err = run(capsys, "endfloer", "--knot", "k9", "--handle", "ch+", "--levels", "12")
+    assert (code, err) == (0, "")
+    data = json.loads(out)
+    assert data["max_nontrivial_grading"] == "6"
+    assert data["per_grading"]["6"] == {"rank": "inf", "tag": "exact"}
+    ranks = ", ".join(str(2 ** i) for i in range(1, 13))
+    assert f"top-summand injectivity compounds: ranks {ranks} at grading 6" in data["narrative"]
+
+
+@pytest.mark.parametrize(
     "piece, distinct, witness",
     [({"knot": "k3", "handle": {"kind": "finite_mixed_then_one_sign", "signs": ["-"], "tail": "+"}},
       True, "distinct: one end has max grading 4 / reversed vanishes, "

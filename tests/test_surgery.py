@@ -320,7 +320,7 @@ def encode(d: FUDecomposition, tag: str) -> FreeComplex:
     """
     gens = [(f"{tag}t{i}", t) for i, t in enumerate(d.towers)]
     diff = {}
-    for i, (g, k) in enumerate(d.torsion):
+    for i, (g, k) in enumerate((g, k) for g, k, c in d.torsion for _ in range(c)):
         gens += [(f"{tag}x{i}", g + 1), (f"{tag}y{i}", g + 2 - 2 * k)]
         diff[f"{tag}y{i}"] = {f"{tag}x{i}": k}
     return FreeComplex(gens, diff)
@@ -359,6 +359,56 @@ def test_floer_sum_commutative_associative():
     left = connected_sum_floer(ab, c).decomposition
     right = connected_sum_floer(a, connected_sum_floer(b, c)).decomposition
     assert left == right
+
+
+def expanded_torsion(d):
+    return [(g, k) for g, k, c in d.torsion for _ in range(c)]
+
+
+def expanded_kunneth(r1, r2):
+    """The Kunneth sum over every pair of the expanded summand lists."""
+    d1, d2 = r1.decomposition, r2.decomposition
+    t1, t2 = expanded_torsion(d1), expanded_torsion(d2)
+    towers = [a + b for a in d1.towers for b in d2.towers]
+    torsion = [(g + t, k) for t in d1.towers for g, k in t2]
+    torsion += [(g + t, k) for t in d2.towers for g, k in t1]
+    for g1, k1 in t1:
+        for g2, k2 in t2:
+            torsion += [(g1 + g2 + 1, min(k1, k2)), (g1 + g2 + 2 - 2 * max(k1, k2), min(k1, k2))]
+    return FUDecomposition.make(towers, torsion)
+
+
+def expanded_rank_table(d):
+    table = {}
+    for g, k in expanded_torsion(d):
+        for i in range(k):
+            table[g - 2 * i] = table.get(g - 2 * i, 0) + 1
+    return table
+
+
+half_gradings = st.integers(-6, 6).map(lambda n: F(n, 2))
+plus_results = st.builds(
+    lambda towers, torsion: HFPlusResult(dec(towers, torsion)),
+    st.lists(half_gradings, max_size=3),
+    st.lists(st.tuples(half_gradings, st.integers(1, 3)), max_size=8),
+)
+
+
+@settings(deadline=None, max_examples=80)
+@given(plus_results, plus_results)
+def test_counted_sums_equal_expanded_kunneth(r1, r2):
+    total = connected_sum_floer(r1, r2).decomposition
+    assert total == expanded_kunneth(r1, r2)
+    assert total.torsion_rank_table() == expanded_rank_table(total)
+    for r in (r1, r2):
+        assert r.hf_red() == expanded_rank_table(r.decomposition)
+
+
+def test_repeated_summands_are_counted_once():
+    d = dec([F(0)], [(F(1), 2), (F(-1), 1), (F(1), 2)])
+    assert d.torsion == ((F(1), 2, 2), (F(-1), 1, 1))
+    assert d == dec([F(0)], [(F(-1), 1), (F(1), 2), (F(1), 2)])
+    assert d.to_json()["torsion"] == [{"grading": "-1", "length": 1}] + [{"grading": "1", "length": 2}] * 2
 
 
 # --- exact triangle forcing ----------------------------------------------------

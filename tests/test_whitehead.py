@@ -1,8 +1,11 @@
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 from floerforge.cfk import (
+    box,
+    direct_sum,
     figure8,
     filtration_homology,
     hfk_hat,
@@ -11,12 +14,17 @@ from floerforge.cfk import (
     mirror_knot,
     reduced_basis_form,
     staircase_torus,
+    unknot,
     validate_knot,
     ReducedBasisForm,
 )
+from floerforge.surgery import surgery_hf
 from floerforge.whitehead import (
+    BoxSum,
     FormalRankError,
     box_parameters,
+    box_tower,
+    double_tower,
     hedden_hfk_double,
     is_box_sum,
     negative_double_cfk,
@@ -83,6 +91,9 @@ def test_double_rejects_trivial_knot():
         whitehead_double_cfk(ReducedBasisForm.make([]))
     with pytest.raises(ValueError):
         negative_double_cfk(ReducedBasisForm.make([]))
+    for sign in "+-":
+        with pytest.raises(ValueError, match="nontrivial knot"):
+            BoxSum.doubling([], sign)
 
 
 @pytest.mark.parametrize("kc", [figure8(), k_n(3), k_n(5)])
@@ -147,3 +158,61 @@ def test_is_box_sum_recognition():
     assert is_box_sum(whitehead_double_cfk(reduced_basis_form(figure8())))
     assert not is_box_sum(staircase_torus(3, "+"))
     assert not is_box_sum(k_n(3))
+
+
+# --- the box-sum normal form ------------------------------------------------------
+
+
+def corners(kc):
+    """Box corners of a flat double with their multiplicities, descending."""
+    return tuple(sorted(Counter(box_parameters(kc)).items(), reverse=True))
+
+
+def expanded(bs):
+    return direct_sum([unknot()] + [box(k) for k, c in bs.corners for _ in range(c)])
+
+
+def box_sum_hat_ranks(bs):
+    """x at (0, 0); per box B[k], two classes at (k, 0), one at (k + 1, 1), one at (k - 1, -1)."""
+    table = Counter({(F(0), 0): 1})
+    for k, c in bs.corners:
+        table.update({(k, 0): 2 * c, (k + 1, 1): c, (k - 1, -1): c})
+    return dict(table)
+
+
+TOWERS = [(3, "-+-+", (-1, 0, 1)), (3, "+--+", (0,)), (5, "--++", (0,)), (5, "+-+-", (-1, 0, 1)),
+          (7, "-+-+", (0,)), (9, "+--+", (0,))]
+
+
+@pytest.mark.parametrize("n, signs, framings", TOWERS, ids=[f"K{n}{signs}" for n, signs, _ in TOWERS])
+def test_box_tower_matches_flat_tower(n, signs, framings):
+    kc = k_n(n)
+    for flat, symbolic in zip(double_tower(kc, signs), box_tower(kc, signs), strict=True):
+        assert symbolic.corners == corners(flat)
+        assert symbolic.max_reduced_maslov() == hfk_hat(flat).max_reduced_maslov()
+        for framing in framings:
+            assert symbolic.surgery_hf(framing) == surgery_hf(flat, framing)
+
+
+@pytest.mark.parametrize("signs", ["+", "-", "+-", "-+", "--"])
+def test_box_sum_mirror_matches_mirror_knot(signs):
+    for kc in (figure8(), k_n(3)):
+        flat, symbolic = double_tower(kc, signs)[-1], box_tower(kc, signs)[-1]
+        assert symbolic.mirror().corners == corners(mirror_knot(flat))
+        assert symbolic.mirror().mirror() == symbolic
+
+
+@pytest.mark.parametrize("kc", [figure8(), k_n(3), k_n(5), k_n(7)])
+def test_box_sum_hat_ranks_match_rank_formula(kc):
+    g = knot_numerics(kc)["genus"]
+    symbolic = box_tower(kc, "+")[0]
+    assert box_sum_hat_ranks(symbolic) == hedden_hfk_double(filtration_data(kc, g), g)
+
+
+@pytest.mark.parametrize("signs", ["+", "-", "++", "-+"])
+def test_box_sum_matches_expanded_complex(signs):
+    symbolic = box_tower(k_n(3), signs)[-1]
+    assert box_sum_hat_ranks(symbolic) == hfk_hat(expanded(symbolic)).total
+    # Each box B[k] contributes the reduced pairs (k + 1, 1, 1) and (k, 0, 1).
+    closed = {p: c for k, c in symbolic.corners for p in ((k + 1, 1, 1), (k, 0, 1))}
+    assert Counter(reduced_basis_form(expanded(symbolic)).pairs) == closed
