@@ -86,7 +86,6 @@ from .whitehead import (
     FormalRankError,
     box_parameters,
     box_tower,
-    double_tower,
     hedden_hfk_double,
     is_box_sum,
     negative_double_cfk,

@@ -28,7 +28,7 @@ from .endfloer import (
 from .fualgebra import FUDecomposition, InvalidComplex, format_grading
 from .surgery import MissingFlip, _summed_cones, _window
 from .verify import format_rows, run_verification
-from .whitehead import double_tower
+from .whitehead import box_tower
 
 
 class UsageError(Exception):
@@ -171,8 +171,9 @@ def _cmd_double(args) -> int:
     if args.iterations < 1:
         raise UsageError("--iterations must be at least 1")
     kc = _load(args.complex)[0]
-    top = double_tower(kc, args.sign * args.iterations)[-1]
-    _emit(canonical_json(top.to_json()), args.out)
+    top = box_tower(kc, args.sign * args.iterations)[-1]
+    name = f"Wh^{args.iterations}({kc.name})" if kc.name else f"Wh^{args.iterations}"
+    _emit(canonical_json(top.complex(args.sign, name).to_json()), args.out)
     return 0
 
 

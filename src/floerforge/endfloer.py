@@ -369,6 +369,8 @@ class CassonHandle:
 
     @classmethod
     def from_json(cls, data):
+        if not isinstance(data, dict):
+            raise TypeError(f"handle is not a string or a JSON object: {data!r}")
         if not isinstance(signs := data.get("signs", []), list):
             raise TypeError(f"signs is not a JSON list: {signs!r}")
         return cls(data["kind"], tuple(signs), data.get("tail", ""))

@@ -259,14 +259,8 @@ def _summed_cones(shapes, n: int, g_hat: int) -> HFPlusResult:
 
 
 def one_handle_stabilize(result: HFPlusResult) -> HFPlusResult:
-    """Tensor with one F_(1/2) + F_(-1/2) pair: every summand doubles."""
-    dec = result.decomposition
-    towers = [t + s for t in dec.towers for s in (F(1, 2), F(-1, 2))]
-    torsion = Counter()
-    for g, k, c in dec.torsion:
-        torsion[g + F(1, 2), k] += c
-        torsion[g - F(1, 2), k] += c
-    return HFPlusResult(FUDecomposition.make(towers, torsion))
+    """Connected sum with S1 x S2 (towers at 1/2 and -1/2): every summand doubles."""
+    return connected_sum_floer(result, HFPlusResult(FUDecomposition.make([F(1, 2), F(-1, 2)], ())))
 
 
 def connected_sum_floer(r1: HFPlusResult, r2: HFPlusResult) -> HFPlusResult:

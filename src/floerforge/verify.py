@@ -8,6 +8,7 @@ line renders them and exits nonzero on any failure.
 
 from __future__ import annotations
 
+import json
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -27,6 +28,7 @@ from .cfk import (
     unknot,
     validate_knot,
 )
+from .corpus import corpus_builders, corpus_dir
 from .endfloer import (
     CH_MINUS,
     CH_PLUS,
@@ -53,7 +55,7 @@ from .surgery import (
 from .truncation import expected_truncated_dimensions, truncated_graded_dimensions
 from .whitehead import (
     box_parameters,
-    double_tower,
+    box_tower,
     hedden_hfk_double,
     negative_double_cfk,
     whitehead_double_cfk,
@@ -99,8 +101,9 @@ class _Context:
         return self.get(("k", n), lambda: k_n(n))
 
     def wh_tower(self, n):
-        """Wh(K_n) and Wh^2(K_n), positively clasped."""
-        return self.get(("wh", n), lambda: double_tower(self.k_n(n), "++"))
+        """Wh(K_n) and Wh^2(K_n), positively clasped, as flat complexes."""
+        return self.get(("wh", n), lambda: [level.complex("+", f"Wh^{i}(K{n})")
+                                            for i, level in enumerate(box_tower(self.k_n(n), "++"), start=1)])
 
     def closed_patterns(self, n):
         """Closed patterns of the three surgered manifolds from the box
@@ -378,10 +381,8 @@ def _rows_properties(ctx):
         "[]",
         bad,
     )
-    from .corpus import corpus_builders as _full_corpus
-
     asym = []
-    for name, build in sorted(_full_corpus().items()):
+    for name, build in sorted(corpus_builders().items()):
         kc = build()
         if kc.flip is None:
             continue
@@ -429,14 +430,10 @@ def _rows_properties(ctx):
         trunc_bad,
     )
     corpus_bad = []
-    from .corpus import corpus_builders, corpus_dir
-
     for name in sorted(corpus_builders()):
         path = corpus_dir() / f"{name}.json"
         try:
-            import json as _json
-
-            data = _json.loads(path.read_text(encoding="utf-8"))
+            data = json.loads(path.read_text(encoding="utf-8"))
             kc = KnotComplex.from_json(data)
             if kc.to_json() != data:
                 corpus_bad.append(name)

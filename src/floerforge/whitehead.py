@@ -2,10 +2,11 @@
 
 Doubling a knot with tau = 0 and reduced pairing (m_j, A_j, d_j) gives
 the genus-one complex x + sum_j B[m_j - 1]^(2 d_j); the negative-clasp
-double is the mirror of the double of the mirror.  The hat-level rank
-formula for doubles is evaluated independently, term by term with its
-formal negative corrections, and the two must agree (tested).
-A :class:`BoxSum` keeps a double as box corners with multiplicities.
+double is the mirror of the double of the mirror.  A :class:`BoxSum` keeps
+a double as box corners with multiplicities, and the flat complexes are
+its expansions.  The hat-level rank formula for doubles is evaluated
+independently, term by term with its formal negative corrections, and the
+two must agree (tested).
 """
 
 from __future__ import annotations
@@ -13,17 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cfk import (
-    KnotComplex,
-    ReducedBasisForm,
-    box,
-    direct_sum,
-    mirror_knot,
-    reduce_canonical,
-    reduced_basis_form,
-    unknot,
-)
-from .fualgebra import grading
+from .cfk import Ambient, KnotComplex, ReducedBasisForm, box, reduce_canonical, reduced_basis_form, unknot
+from .fualgebra import FreeComplex, grading
 from .surgery import HFPlusResult, _summed_cones
 
 
@@ -64,42 +56,22 @@ def hedden_hfk_double(filtration, g: int) -> dict:
 
 
 def whitehead_double_cfk(rb: ReducedBasisForm, name: str = "") -> KnotComplex:
-    """x + sum of 2 d_j boxes B[m_j - 1] per reduced pair.
-
-    The trivial knot (empty pair list) has no box content and is
-    rejected; doubling it does not produce a genus-one complex.
+    """The positive double as a flat complex: the expansion of
+    ``BoxSum.doubling``.  The trivial knot (empty pair list) has no box
+    content and is rejected; doubling it does not give a genus-one complex.
     """
-    if not rb.pairs:
-        raise ValueError("doubling needs a nontrivial knot (no reduced pairs)")
-    parts = [unknot()]
-    for m, _a, d in rb.pairs:
-        parts.extend(box(m - 1) for _ in range(2 * d))
-    return direct_sum(parts, name=name or "Wh")
+    return BoxSum.doubling(_counted(rb)).complex("+", name or "Wh")
 
 
 def negative_double_cfk(rb: ReducedBasisForm, name: str = "") -> KnotComplex:
-    """Mirror of the positive double of the mirrored pairing."""
-    if not rb.pairs:
-        raise ValueError("doubling needs a nontrivial knot (no reduced pairs)")
-    doubled = whitehead_double_cfk(rb.mirror())
-    out = mirror_knot(doubled)
-    out.name = name or "Wh-"
-    return out
+    """The negative-clasp double as a flat complex (the mirror of the
+    positive double of the mirrored pairing)."""
+    return BoxSum.doubling(_counted(rb), "-").complex("-", name or "Wh-")
 
 
-def double_tower(kc: KnotComplex, signs) -> list[KnotComplex]:
-    """Iterated doubles, one level per sign in ``signs`` ("+" or "-").
-
-    Level i is named ``Wh^i(<name>)``, or ``Wh^i`` when ``kc`` has no name.
-    """
-    tower = []
-    current = kc
-    for i, sign in enumerate(signs, start=1):
-        build = whitehead_double_cfk if sign == "+" else negative_double_cfk
-        current = build(reduced_basis_form(current),
-                        name=f"Wh^{i}({kc.name})" if kc.name else f"Wh^{i}")
-        tower.append(current)
-    return tower
+def _counted(rb: ReducedBasisForm) -> list:
+    """Reduced pairs (m, A, d) as the ``(m, d, count)`` of ``BoxSum.doubling``."""
+    return [(m, d, 1) for m, _a, d in rb.pairs]
 
 
 @dataclass(frozen=True)
@@ -131,6 +103,30 @@ class BoxSum:
     def mirror(self) -> "BoxSum":
         return BoxSum(tuple((-k, c) for k, c in reversed(self.corners)))
 
+    def complex(self, sign: str = "+", name: str = "") -> KnotComplex:
+        """The flat double with clasp ``sign``: ``0.x``, then one box
+        ``i.a`` .. ``i.d`` (i = 1, 2, ...) per copy of each corner k.
+
+        Sign "+" writes ``box(k)``, corners descending.  Sign "-" writes the
+        layout of ``mirror_knot`` of the positive double of the mirror: the
+        dual of ``box(-k)``, corners ascending, with a and d at k, b at k - 1
+        and c at k + 1, arrows b -> U a, c -> a, d -> b, d -> U c.
+        """
+        s = 1 if sign == "+" else -1
+        gens, diff = [("0.x", Fraction(0))], {}
+        alexander, flip = {"0.x": 0}, {"0.x": "0.x"}
+        corners = self.corners if s > 0 else self.corners[::-1]
+        ks = [grading(k) for k, count in corners for _ in range(count)]
+        for i, k in enumerate(ks, start=1):
+            a, b, c, d = (f"{i}.{g}" for g in "abcd")
+            gens += [(a, k), (b, k + s), (c, k - s), (d, k)]
+            alexander.update({a: 0, b: s, c: -s, d: 0})
+            flip.update({a: a, b: c, c: b, d: d})
+            for src, tgt, p in ((a, b, 1), (a, c, 0), (b, d, 0), (c, d, 1)):
+                row, col = (src, tgt) if s > 0 else (tgt, src)
+                diff.setdefault(row, {})[col] = p
+        return KnotComplex(FreeComplex(gens, diff), alexander, flip, Ambient(), name)
+
     def max_reduced_maslov(self) -> Fraction:
         return self.corners[0][0] + 1
 
@@ -142,11 +138,11 @@ class BoxSum:
 
 
 def box_tower(kc: KnotComplex, signs) -> list[BoxSum]:
-    """The levels of ``double_tower(kc, signs)`` as box sums; no complex is
-    built beyond the reduced pairing of ``kc``."""
+    """Iterated doubles as box sums, one level per sign in ``signs`` ("+" or
+    "-"); no complex is built beyond the reduced pairing of ``kc``."""
     tower: list[BoxSum] = []
     for sign in signs:
-        pairs = ([(m, d, 1) for m, _a, d in reduced_basis_form(kc).pairs] if not tower else
+        pairs = (_counted(reduced_basis_form(kc)) if not tower else
                  [p for k, c in tower[-1].corners for p in ((k + 1, 1, c), (k, 1, c))])
         tower.append(BoxSum.doubling(pairs, sign))
     return tower

@@ -4,6 +4,8 @@
 ``scrambled_sums`` draws direct sums of such builders with fresh generator
 names in a random order.  The summand-route property of surgery and the
 split-validation property of ``validate_knot`` both draw from it.
+``flat_tower`` iterates the flat doubles through the reduced pairing of
+each flat level, the chain-level oracle for ``box_tower``.
 """
 
 from fractions import Fraction
@@ -18,13 +20,24 @@ from floerforge.cfk import (
     figure8,
     j_in_y,
     k_n,
+    reduced_basis_form,
     staircase_torus,
 )
 from floerforge.corpus import corpus_builders, load_complex
 from floerforge.fualgebra import FreeComplex
-from floerforge.whitehead import double_tower
+from floerforge.whitehead import negative_double_cfk, whitehead_double_cfk
 
 F = Fraction
+
+
+def flat_tower(kc, signs):
+    """Iterated flat doubles, one level per sign in ``signs``, each from the
+    reduced pairing of the flat level below."""
+    tower = [kc]
+    for sign in signs:
+        build = whitehead_double_cfk if sign == "+" else negative_double_cfk
+        tower.append(build(reduced_basis_form(tower[-1])))
+    return tower[1:]
 
 
 def scrambled(kc, rng):
@@ -81,11 +94,11 @@ def scrambled_sums(pieces, max_size=1):
 ORACLE_CASES = {
     **{name: (lambda name=name: load_complex(name)) for name in sorted(corpus_builders())},
     **{f"K{n}": (lambda n=n: k_n(n)) for n in (3, 5, 7)},
-    "Wh+-(K3)": lambda: double_tower(k_n(3), "+-")[-1],
-    "Wh-+(K3)": lambda: double_tower(k_n(3), "-+")[-1],
-    "Wh--(figure8)": lambda: double_tower(figure8(), "--")[-1],
-    "J#Wh(K3)": lambda: connected_sum_knots(j_in_y(), double_tower(k_n(3), "+")[0]),
-    "T(2,3)#Wh(K3)": lambda: connected_sum_knots(staircase_torus(3, "+"), double_tower(k_n(3), "+")[0]),
+    "Wh+-(K3)": lambda: flat_tower(k_n(3), "+-")[-1],
+    "Wh-+(K3)": lambda: flat_tower(k_n(3), "-+")[-1],
+    "Wh--(figure8)": lambda: flat_tower(figure8(), "--")[-1],
+    "J#Wh(K3)": lambda: connected_sum_knots(j_in_y(), flat_tower(k_n(3), "+")[0]),
+    "T(2,3)#Wh(K3)": lambda: connected_sum_knots(staircase_torus(3, "+"), flat_tower(k_n(3), "+")[0]),
     "T(2,5)+boxes": lambda: direct_sum([staircase_torus(5, "+"), box(2), box(0), box(2)]),
     "figure8+T(2,-3)+T(2,7)": lambda: direct_sum(
         [figure8(), staircase_torus(3, "-"), staircase_torus(7, "+")]),

@@ -3,15 +3,21 @@
 ``bench/run.py --check`` runs every operation of a workload once, untimed,
 and compares each output with the reference recorded under
 ``bench/reference/``; it writes no file.  On ``ladder`` this pins the
-surgery output at framings -1, 0 and +1 on Wh^1-Wh^3(K9).
+surgery output at framings -1, 0 and +1 on Wh^1-Wh^3(K9).  It never
+traces, so a separate test binds the tracer's layers.
 """
 
+import importlib
+import importlib.util
 import json
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+import floerforge
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -24,3 +30,19 @@ def test_bench_check_is_correct(workload):
     )
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout.strip().splitlines()[-1])["correct"] is True
+
+
+def test_tracer_binds_every_layer():
+    # Every function named in ``bench/tracing.py``'s LAYERS must exist, or
+    # entering the tracer raises; without this only ``--trace 1`` runs
+    # would notice a renamed or deleted layer.
+    for info in pkgutil.iter_modules(floerforge.__path__):
+        importlib.import_module(f"floerforge.{info.name}")
+    spec = importlib.util.spec_from_file_location("bench_tracing", ROOT / "bench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    before = {name: vars(module).copy() for name, module in sys.modules.items() if name.startswith("floerforge")}
+    with tracing.Tracer():
+        pass
+    after = {name: vars(sys.modules[name]).copy() for name in before}
+    assert before == after

@@ -33,9 +33,8 @@ from floerforge.fualgebra import (
     homology_decomposition,
 )
 from floerforge.surgery import surgery_hf
-from floerforge.whitehead import double_tower
 
-from complexes import ORACLE_CASES, disjoint_sum, scrambled_sums
+from complexes import ORACLE_CASES, disjoint_sum, flat_tower, scrambled_sums
 
 F = Fraction
 
@@ -387,10 +386,10 @@ HAT_ORACLE_CASES = {
     "figure8#T(2,3)": lambda: connected_sum_knots(figure8(), staircase_torus(3, "+")),
     "T(2,3)#T(2,5)": lambda: connected_sum_knots(staircase_torus(3, "+"), staircase_torus(5, "+")),
     "J#T(2,3)": lambda: connected_sum_knots(j_in_y(), staircase_torus(3, "+")),
-    "Wh^2+-(K3)": lambda: double_tower(k_n(3), "+-")[-1],
-    "Wh^2-+(K3)": lambda: double_tower(k_n(3), "-+")[-1],
+    "Wh^2+-(K3)": lambda: flat_tower(k_n(3), "+-")[-1],
+    "Wh^2-+(K3)": lambda: flat_tower(k_n(3), "-+")[-1],
     "m(K5)": lambda: mirror_knot(k_n(5)),
-    "m(Wh^2+-(K3))": lambda: mirror_knot(double_tower(k_n(3), "+-")[-1]),
+    "m(Wh^2+-(K3))": lambda: mirror_knot(flat_tower(k_n(3), "+-")[-1]),
     "K3+hat pair": lambda: with_hat_pair(k_n(3)),
     "figure8+hat pair": lambda: with_hat_pair(figure8()),
     "box(0)": lambda: in_ambient_y(box(0)),
@@ -512,7 +511,7 @@ def test_split_validation_matches_whole_complex(kc):
 
 def test_per_shape_checks_run_once_per_distinct_shape(monkeypatch):
     # Wh^2(K3) is x plus 32 boxes B[k, 0] at several k: 33 summands, two shapes.
-    kc = double_tower(k_n(3), "++")[-1]
+    kc = flat_tower(k_n(3), "++")[-1]
     checked = []
 
     def counting(rep):
@@ -534,7 +533,7 @@ PUBLIC_COMPLEXES = {
     "m(K5)": lambda: mirror_knot(k_n(5)),
     "reduce_canonical(K5)": lambda: reduce_canonical(k_n(5)),
     "figure8#T(2,3)": lambda: connected_sum_knots(figure8(), staircase_torus(3, "+")),
-    "Wh^2+-(K3)": lambda: double_tower(k_n(3), "+-")[-1],
+    "Wh^2+-(K3)": lambda: flat_tower(k_n(3), "+-")[-1],
     "T(2,5)+boxes": ORACLE_CASES["T(2,5)+boxes"],
 }
 

@@ -46,19 +46,23 @@ def test_cfk_unknot_table(capsys):
 
 
 def test_double_pipeline_round_trip(tmp_path, capsys):
-    out_file = tmp_path / "double.json"
-    code, _, _ = run(
-        capsys, "double", "--complex", "k3", "--sign", "+",
-        "--iterations", "2", "--out", str(out_file),
-    )
-    assert code == 0
     from floerforge.cfk import KnotComplex
     from floerforge.whitehead import box_parameters
 
-    doubled = KnotComplex.from_json(json.loads(out_file.read_text()))
-    params = box_parameters(doubled)
-    # Second double: boxes at k spawn boxes at k and k - 1, squared.
-    assert len(params) == 32 and max(params) == 1
+    # Each double: boxes at k spawn boxes at k and k - 1 ("+") or k and
+    # k + 1 ("-"), squared; the first double of K3 has corners 1 .. -2
+    # ("+") or 2 .. -1 ("-").
+    for sign, iterations, boxes, top in [("+", 2, 32, 1), ("-", 2, 32, 3), ("+", 3, 128, 1)]:
+        out_file = tmp_path / "double.json"
+        code, _, _ = run(
+            capsys, "double", "--complex", "k3", "--sign", sign,
+            "--iterations", str(iterations), "--out", str(out_file),
+        )
+        assert code == 0
+        doubled = KnotComplex.from_json(json.loads(out_file.read_text()))
+        assert doubled.name == f"Wh^{iterations}(K3)"
+        params = box_parameters(doubled)
+        assert (len(params), max(params)) == (boxes, top)
 
 
 def test_endfloer_command(capsys):
@@ -339,6 +343,14 @@ def test_distinguish_mixed_handle_needs_a_sign_list(tmp_path, capsys, signs, cod
     a = write_json(tmp_path / "a.json", {"knot": "k3", "handle": handle})
     b = write_json(tmp_path / "b.json", {"knot": "k5"})
     assert run(capsys, "distinguish", "--a", a, "--b", b) == (code, "", err.format(path=a))
+
+
+@pytest.mark.parametrize("handle", [5, [1], None], ids=["number", "list", "null"])
+def test_distinguish_handle_of_wrong_type_is_malformed(tmp_path, capsys, handle):
+    a = write_json(tmp_path / "a.json", {"knot": "k3", "handle": handle})
+    b = write_json(tmp_path / "b.json", {"knot": "k5"})
+    err = f"error: malformed piece description in {a!r}: handle is not a string or a JSON object: {handle!r}\n"
+    assert run(capsys, "distinguish", "--a", a, "--b", b) == (2, "", err)
 
 
 def test_endfloer_tower_at_depth_twelve(capsys):

@@ -29,7 +29,7 @@ from floerforge.endfloer import (
     s1xs2_data,
     s3_data,
 )
-from floerforge.whitehead import whitehead_double_cfk
+from floerforge.whitehead import BoxSum, whitehead_double_cfk
 
 F = Fraction
 
@@ -473,9 +473,10 @@ def test_end_invariants_build_no_flat_double(monkeypatch):
         raise AssertionError("a flat double was built")
 
     for module in [m for key, m in sys.modules.items() if key.startswith("floerforge")]:
-        for name in ("whitehead_double_cfk", "negative_double_cfk", "double_tower"):
+        for name in ("whitehead_double_cfk", "negative_double_cfk"):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, refuse)
+    monkeypatch.setattr(BoxSum, "complex", refuse)
     assert he_slice_r4(r_spec(5), levels=6).max_nontrivial_grading == 2
     assert he_slice_r4(r_spec(3, MIXED_PLUS), levels=6).max_nontrivial_grading == 1
     assert he_slice_r4(r_spec(3, MIXED_MINUS)).vanishes is True

@@ -43,9 +43,8 @@ from floerforge.truncation import (
     expected_truncated_dimensions,
     truncated_graded_dimensions,
 )
-from floerforge.whitehead import double_tower
 
-from complexes import ORACLE_CASES, scrambled_sums
+from complexes import ORACLE_CASES, flat_tower, scrambled_sums
 
 F = Fraction
 
@@ -262,7 +261,7 @@ def test_flip_pairs_join_summands(j, cone_sizes):
 @pytest.mark.parametrize("n", [-1, 0, 1])
 def test_one_cone_per_distinct_shape(n, cone_sizes):
     # Wh^2(K3) is x plus 32 boxes B[k, 0] at several k: 33 summands, two shapes.
-    kc = double_tower(k_n(3), "++")[-1]
+    kc = flat_tower(k_n(3), "++")[-1]
     assert len(kc.generators) == 129
     assert surgery_hf(kc, n).decomposition == flat_surgery(kc, n)
     per_copy = len(build_cone(kc, n).a_window) + len(build_cone(kc, n).b_window)

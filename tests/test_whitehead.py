@@ -24,12 +24,13 @@ from floerforge.whitehead import (
     FormalRankError,
     box_parameters,
     box_tower,
-    double_tower,
     hedden_hfk_double,
     is_box_sum,
     negative_double_cfk,
     whitehead_double_cfk,
 )
+
+from complexes import flat_tower
 
 F = Fraction
 
@@ -147,6 +148,18 @@ def test_negative_double_is_mirror_of_positive_on_mirror():
     assert hfk_hat(neg).total == hfk_hat(via_def).total
 
 
+LEVEL_2_K3 = whitehead_double_cfk(reduced_basis_form(k_n(3)))
+
+
+@pytest.mark.parametrize("kc", [figure8(), k_n(3), k_n(5), LEVEL_2_K3], ids=["figure8", "K3", "K5", "Wh(K3)"])
+def test_flat_doubles_keep_the_layout_of_their_definitions(kc):
+    rb = reduced_basis_form(kc)
+    unnamed = lambda c: {k: v for k, v in c.to_json().items() if k != "name"}
+    positive = direct_sum([unknot()] + [box(m - 1) for m, _a, d in rb.pairs for _ in range(2 * d)])
+    assert unnamed(whitehead_double_cfk(rb)) == unnamed(positive)
+    assert unnamed(negative_double_cfk(rb)) == unnamed(mirror_knot(whitehead_double_cfk(rb.mirror())))
+
+
 def test_negative_double_of_amphichiral_shape_mirrors_positive():
     rb = reduced_basis_form(figure8())
     pos = whitehead_double_cfk(rb)
@@ -187,7 +200,7 @@ TOWERS = [(3, "-+-+", (-1, 0, 1)), (3, "+--+", (0,)), (5, "--++", (0,)), (5, "+-
 @pytest.mark.parametrize("n, signs, framings", TOWERS, ids=[f"K{n}{signs}" for n, signs, _ in TOWERS])
 def test_box_tower_matches_flat_tower(n, signs, framings):
     kc = k_n(n)
-    for flat, symbolic in zip(double_tower(kc, signs), box_tower(kc, signs), strict=True):
+    for flat, symbolic in zip(flat_tower(kc, signs), box_tower(kc, signs), strict=True):
         assert symbolic.corners == corners(flat)
         assert symbolic.max_reduced_maslov() == hfk_hat(flat).max_reduced_maslov()
         for framing in framings:
@@ -197,7 +210,7 @@ def test_box_tower_matches_flat_tower(n, signs, framings):
 @pytest.mark.parametrize("signs", ["+", "-", "+-", "-+", "--"])
 def test_box_sum_mirror_matches_mirror_knot(signs):
     for kc in (figure8(), k_n(3)):
-        flat, symbolic = double_tower(kc, signs)[-1], box_tower(kc, signs)[-1]
+        flat, symbolic = flat_tower(kc, signs)[-1], box_tower(kc, signs)[-1]
         assert symbolic.mirror().corners == corners(mirror_knot(flat))
         assert symbolic.mirror().mirror() == symbolic
 
