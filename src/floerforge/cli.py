@@ -115,11 +115,13 @@ def _parse_handle(value) -> CassonHandle:
 
 
 def _parse_slice_spec(data) -> SliceR4Spec:
+    if not isinstance(label := data.get("disk_label", "standard"), str):
+        raise TypeError(f"disk_label is not a string: {label!r}")
     return SliceR4Spec(
         knot=_load(data["knot"])[0],
         handle=_parse_handle(data.get("handle", "ch+")),
         orientation=data.get("orientation", "+"),
-        disk_label=data.get("disk_label", "standard"),
+        disk_label=label,
     )
 
 

@@ -347,14 +347,14 @@ class _Reducer:
     and reroutes arrows that hit g into arrows hitting h; both effects
     together are an exact change of basis, so d^2 = 0 is preserved.
 
-    When ``track`` is set the reducer also maintains the inclusion
-    ``iota`` (surviving basis vector expressed in the original basis)
-    and the projection ``pi`` (original generator expressed in the
-    surviving basis), which turn the reduction into an explicit
-    homotopy equivalence once cancelled pairs are split off.
+    ``track`` names the maps the reducer also maintains: ``"iota"``, the
+    inclusion (surviving basis vector expressed in the original basis),
+    and ``"pi"``, the projection (original generator expressed in the
+    surviving basis).  They turn the reduction into an explicit homotopy
+    equivalence once cancelled pairs are split off.
     """
 
-    def __init__(self, c: FreeComplex, alexander=None, track=False):
+    def __init__(self, c: FreeComplex, alexander=None, track=()):
         self.maslov = dict(c.maslov)
         self.alexander = dict(alexander) if alexander is not None else None
         self.diff: dict[str, dict[str, int]] = {
@@ -368,11 +368,9 @@ class _Reducer:
         self.alive_set = set(self.alive)
         self.torsion: list[tuple[Fraction, int]] = []
         self._created: list[tuple[str, str, int]] = []
-        self.track = track
-        if track:
-            self.iota: dict[str, dict[str, int]] = {g: {g: 0} for g in c.generators}
-            self.pi: dict[str, dict[str, int]] = {g: {g: 0} for g in c.generators}
-            self.pi_into: dict[str, set[str]] = {g: {g} for g in c.generators}
+        self.iota = {g: {g: 0} for g in c.generators} if "iota" in track else None
+        self.pi = {g: {g: 0} for g in c.generators} if "pi" in track else None
+        self.pi_into = {g: {g} for g in c.generators} if "pi" in track else None
 
     # -- low-level dictionary surgery ------------------------------------
 
@@ -397,9 +395,10 @@ class _Reducer:
             self._toggle(g, tgt, p + s)
         for y in list(self.into.get(g, set())):
             self._toggle(y, h, self.diff[y][g] + s)
-        if self.track:
+        if self.iota is not None:
             for old, p in list(self.iota[h].items()):
                 xor_entry(self.iota[g], old, p + s)
+        if self.pi is not None:
             for e in list(self.pi_into.get(g, set())):
                 if xor_entry(self.pi[e], h, self.pi[e][g] + s):
                     self.pi_into.setdefault(h, set()).add(e)
@@ -412,8 +411,9 @@ class _Reducer:
             self.into[tgt].discard(g)
         self.diff.pop(g, None)
         self.into.pop(g, None)
-        if self.track:
+        if self.iota is not None:
             self.iota.pop(g, None)
+        if self.pi is not None:
             for e in list(self.pi_into.get(g, set())):
                 del self.pi[e][g]
             self.pi_into.pop(g, None)

@@ -21,29 +21,34 @@ isomorphism above genus and h_s below minus genus), with B-summands
 the cone stays inside a flip-stable summand of C (a connected component
 of the differential entries and the flip pairs), so the cone of C is the
 direct sum of the cones of its summands.  Whitehead doubles are x plus
-many boxes that agree up to a Maslov shift, so ``surgery_hf`` validates
-and reduces once per shape of ``cfk._summands``, in int gradings relative
-to the shape's first generator and the framing anchor.  Each summand's
-cone takes the window g of the whole complex, so it is the restriction of
-the flat cone ``build_cone(kc, n).total_complex()``, the test oracle.
+many boxes that agree up to a Maslov shift, so ``surgery_hf`` builds one
+cone per shape of ``cfk._summands`` (int gradings relative to the shape's
+first generator and the framing anchor, window g of the whole complex).
+``_check_cone`` validates it block by block and ``_reduce_cone_summands``
+takes each A_s and the shared B to its U^0-minimal model before the
+blocks are joined; the flat cone ``build_cone(kc, n).total_complex()``
+is the tests' oracle.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .cfk import KnotComplex, _summands, validate_knot
 from .fualgebra import (
     FreeComplex,
+    U_DEGREE,
     FUDecomposition,
+    ValidationReport,
     _Reducer,
     compose,
     format_grading,
     grading,
     homology_decomposition,
     plus_presentation,
+    validate_complex,
     xor_entry,
 )
 
@@ -189,41 +194,59 @@ def _cone(kc: KnotComplex, n: int, g_hat: int, c0) -> MappingCone:
     )
 
 
-def _reduce_with_maps(c: FreeComplex):
-    r = _Reducer(c, track=True)
-    r.cancel_u0()
-    return r.current_complex(), r.iota, r.pi
+def _check_cone(mc: MappingCone) -> ValidationReport:
+    """:func:`validate_complex` of ``mc.total_complex()``, block by block:
+    each distinct block complex once, every edge entry a non-negative
+    U-power of degree -1 under the block shifts, and the edge maps from A_s
+    onto B_t (v_0 + h_0 at framing 0) a chain map.  Together these are
+    exactly d^2 = 0 and homogeneity of the flat cone."""
+    blocks = {id(c): c for c in (*mc.a_complexes.values(), *mc.b_complexes.values())}
+    violations = [v for c in blocks.values() for v in validate_complex(c).violations]
+    landing: dict = {}
+    for (s, kind), entries in mc.edges.items():
+        t = s if kind == "v" else s + mc.n
+        ma, mb = mc.a_complexes[s].maslov, mc.b_complexes[t].maslov
+        drop = mc.a_shifts[s] - 1 - mc.b_shifts[t]
+        e = landing.setdefault((s, t), {})
+        for src, row in entries.items():
+            for tgt, p in row.items():
+                if src not in ma or tgt not in mb or p < 0 or mb[tgt] + U_DEGREE * p != ma[src] + drop:
+                    violations.append(f"edge A{s}|{src}->U^{p}.B{t}|{tgt} is not a non-negative entry of degree -1")
+                else:
+                    xor_entry(e.setdefault(src, {}), tgt, p)
+    if violations:  # compose needs homogeneous maps
+        return ValidationReport(ok=False, violations=tuple(violations))
+    for (s, t), e in landing.items():
+        if compose(mc.a_complexes[s].differential, e) != compose(e, mc.b_complexes[t].differential):
+            violations.append(f"the edge map from A{s} to B{t} is not a chain map")
+    return ValidationReport(ok=not violations, violations=tuple(violations))
 
 
 def _reduce_cone_summands(mc: MappingCone) -> MappingCone:
-    """The same cone with each A_s and B_t reduced to its minimal model (all
-    U^0 entries cancelled) and the edge maps transported through the
-    reductions.  The cone homology is unchanged; the tests compare this
-    route with the flat one."""
-    a_red, a_iota = {}, {}
-    for s in mc.a_window:
-        reduced, iota, _pi = _reduce_with_maps(mc.a_complexes[s])
-        a_red[s] = reduced
-        a_iota[s] = iota
-    b_red, b_pi = {}, {}
-    for t in mc.b_window:
-        reduced, _iota, pi = _reduce_with_maps(mc.b_complexes[t])
-        b_red[t] = reduced
-        b_pi[t] = pi
-    edges = {}
-    for (s, kind), entries in mc.edges.items():
-        t = s if kind == "v" else s + mc.n
-        edges[(s, kind)] = compose(a_iota[s], compose(entries, b_pi[t]))
-    return MappingCone(
-        n=mc.n,
-        a_window=mc.a_window,
-        b_window=mc.b_window,
-        a_complexes=a_red,
-        b_complexes=b_red,
-        a_shifts=mc.a_shifts,
-        b_shifts=mc.b_shifts,
-        edges=edges,
-    )
+    """The cone whose homology :func:`surgery_hf` takes: ``mc``, once it
+    passes :func:`_check_cone`, with each A_s and each distinct B complex
+    (every B_t is the same object) reduced once to its minimal model (all
+    U^0 entries cancelled), and v_s and h_s carried across by the
+    inclusion of A_s and the projection of B.  A minimal block has rank
+    dim H(block/U): K9 at -1 hands over 71 generators, where the flat cone
+    ``build_cone(kc, n).total_complex()``, the tests' oracle, has 2,511."""
+    _check_cone(mc).require("surgery cone")
+
+    def model(c, track):
+        r = _Reducer(c, track=(track,))
+        r.cancel_u0()
+        return r.current_complex(), getattr(r, track)
+
+    a = {s: model(c, "iota") for s, c in mc.a_complexes.items()}
+    shared = {id(c): c for c in mc.b_complexes.values()}
+    shared = {key: model(c, "pi") for key, c in shared.items()}
+    b = {t: shared[id(c)] for t, c in mc.b_complexes.items()}
+    edges = {
+        (s, kind): compose(a[s][1], compose(entries, b[s if kind == "v" else s + mc.n][1]))
+        for (s, kind), entries in mc.edges.items()
+    }
+    return replace(mc, a_complexes={s: m[0] for s, m in a.items()},
+                   b_complexes={t: m[0] for t, m in b.items()}, edges=edges)
 
 
 def surgery_hf(kc: KnotComplex, n: int) -> HFPlusResult:
@@ -249,7 +272,7 @@ def _summed_cones(shapes, n: int, g_hat: int) -> HFPlusResult:
     """:func:`surgery_hf` on a split that has passed :func:`validate_knot`."""
     towers, torsion = [], Counter()
     for rep, copies in shapes:
-        h = homology_decomposition(_cone(rep, n, g_hat, 0).total_complex())
+        h = homology_decomposition(_reduce_cone_summands(_cone(rep, n, g_hat, 0)).total_complex())
         for offset, count in copies:
             shift = offset + _ANCHORS[n]
             towers.extend(t + shift for t in h.towers for _ in range(count))

@@ -93,7 +93,7 @@ def scrambled_sums(pieces, max_size=1):
 
 ORACLE_CASES = {
     **{name: (lambda name=name: load_complex(name)) for name in sorted(corpus_builders())},
-    **{f"K{n}": (lambda n=n: k_n(n)) for n in (3, 5, 7)},
+    **{f"K{n}": (lambda n=n: k_n(n)) for n in (3, 5, 7, 9)},
     "Wh+-(K3)": lambda: flat_tower(k_n(3), "+-")[-1],
     "Wh-+(K3)": lambda: flat_tower(k_n(3), "-+")[-1],
     "Wh--(figure8)": lambda: flat_tower(figure8(), "--")[-1],
@@ -102,4 +102,6 @@ ORACLE_CASES = {
     "T(2,5)+boxes": lambda: direct_sum([staircase_torus(5, "+"), box(2), box(0), box(2)]),
     "figure8+T(2,-3)+T(2,7)": lambda: direct_sum(
         [figure8(), staircase_torus(3, "-"), staircase_torus(7, "+")]),
+    "T(2,5)#T(2,5)#T(2,5)": lambda: connected_sum_knots(
+        connected_sum_knots(staircase_torus(5, "+"), staircase_torus(5, "+")), staircase_torus(5, "+")),
 }

@@ -353,6 +353,14 @@ def test_distinguish_handle_of_wrong_type_is_malformed(tmp_path, capsys, handle)
     assert run(capsys, "distinguish", "--a", a, "--b", b) == (2, "", err)
 
 
+@pytest.mark.parametrize("label", [5, [1], None], ids=["number", "list", "null"])
+def test_distinguish_disk_label_of_wrong_type_is_malformed(tmp_path, capsys, label):
+    a = write_json(tmp_path / "a.json", {"knot": "k3", "disk_label": label})
+    b = write_json(tmp_path / "b.json", {"knot": "k5"})
+    err = f"error: malformed piece description in {a!r}: disk_label is not a string: {label!r}\n"
+    assert run(capsys, "distinguish", "--a", a, "--b", b) == (2, "", err)
+
+
 def test_endfloer_tower_at_depth_twelve(capsys):
     code, out, err = run(capsys, "endfloer", "--knot", "k9", "--handle", "ch+", "--levels", "12")
     assert (code, err) == (0, "")

@@ -20,12 +20,15 @@ from floerforge.cfk import (
 from floerforge.fualgebra import (
     FreeComplex,
     FUDecomposition,
+    InvalidComplex,
     homology_decomposition,
     plus_presentation,
     tensor_complexes,
     validate_complex,
 )
 from floerforge import surgery
+from floerforge.cli import main
+from floerforge.corpus import load_complex
 from floerforge.surgery import (
     FORCED_INJECTIVE_TOP,
     FORCED_ZERO,
@@ -34,6 +37,7 @@ from floerforge.surgery import (
     MissingFlip,
     build_cone,
     connected_sum_floer,
+    _check_cone,
     _reduce_cone_summands,
     exact_triangle_force,
     one_handle_stabilize,
@@ -234,14 +238,17 @@ def flip_swapped_boxes(j, k=F(0)):
 
 @pytest.fixture
 def cone_sizes(monkeypatch):
-    """Generator counts of the cones whose homology ``surgery_hf`` takes."""
+    """Generator counts of the unreduced cones ``surgery._cone`` builds
+    (blocks times shape size), cleared before each ``surgery_hf`` call."""
     sizes = []
 
-    def counting(c):
-        sizes.append(len(c.generators))
-        return homology_decomposition(c)
+    def counting(kc, *args):
+        mc = cone(kc, *args)
+        sizes.append((len(mc.a_window) + len(mc.b_window)) * len(kc.generators))
+        return mc
 
-    monkeypatch.setattr(surgery, "homology_decomposition", counting)
+    cone = surgery._cone
+    monkeypatch.setattr(surgery, "_cone", counting)
     return sizes
 
 
@@ -250,11 +257,12 @@ def test_flip_pairs_join_summands(j, cone_sizes):
     kc = flip_swapped_boxes(j)
     assert validate_knot(kc).ok
     for n in (-1, 0, 1):
+        expected = flat_surgery(kc, n)
+        per_copy = len(build_cone(kc, n).a_window) + len(build_cone(kc, n).b_window)
         cone_sizes.clear()
-        assert surgery_hf(kc, n).decomposition == flat_surgery(kc, n)
+        assert surgery_hf(kc, n).decomposition == expected
         # One cone for x, one for the two boxes together: each summand
         # contributes its 1 or 8 generators to every A_s and B_t.
-        per_copy = len(build_cone(kc, n).a_window) + len(build_cone(kc, n).b_window)
         assert sorted(cone_sizes) == [per_copy, 8 * per_copy]
 
 
@@ -263,9 +271,89 @@ def test_one_cone_per_distinct_shape(n, cone_sizes):
     # Wh^2(K3) is x plus 32 boxes B[k, 0] at several k: 33 summands, two shapes.
     kc = flat_tower(k_n(3), "++")[-1]
     assert len(kc.generators) == 129
-    assert surgery_hf(kc, n).decomposition == flat_surgery(kc, n)
+    expected = flat_surgery(kc, n)
     per_copy = len(build_cone(kc, n).a_window) + len(build_cone(kc, n).b_window)
+    cone_sizes.clear()
+    assert surgery_hf(kc, n).decomposition == expected
     assert sorted(cone_sizes) == [per_copy, 4 * per_copy]
+
+
+@pytest.mark.parametrize("n, size", [(-1, 71), (1, 69)])
+def test_minimal_blocks_shrink_the_k9_cone(monkeypatch, n, size):
+    # A U^0-minimal block has rank dim H(block/U), whatever basis the
+    # reduction picks; the flat cone of K9 has 81 generators per block.
+    sizes = []
+    monkeypatch.setattr(surgery, "homology_decomposition",
+                        lambda c: sizes.append(len(c.generators)) or homology_decomposition(c))
+    surgery_hf(k_n(9), n)
+    assert sizes == [size]
+
+
+def toggled(entries, src, tgt, p):
+    """A copy of the map ``entries`` with the entry ``src -> tgt`` removed,
+    or added with power ``p`` if absent."""
+    out = {x: dict(row) for x, row in entries.items()}
+    row = out.setdefault(src, {})
+    if row.pop(tgt, None) is None:
+        row[tgt] = p
+    return out
+
+
+def corrupting(part):
+    """A stand-in for ``surgery._cone`` that removes the first entry of the
+    differential of A_0 (part "A") or of the map v_0 or h_0."""
+    cone = surgery._cone
+
+    def corrupted(kc, *args):
+        mc = cone(kc, *args)
+        if part == "A":
+            c = mc.a_complexes[0]
+            diff = toggled(c.differential, *next(c.entries()))
+            mc.a_complexes[0] = FreeComplex([(g, c.maslov[g]) for g in c.generators], diff)
+        else:
+            entries = mc.edges[(0, part)]
+            src, row = next(iter(entries.items()))
+            mc.edges[(0, part)] = toggled(entries, src, *next(iter(row.items())))
+        return mc
+
+    return corrupted
+
+
+@pytest.mark.parametrize("part", ["A", "v", "h"])
+@pytest.mark.parametrize("n", [-1, 0, 1])
+def test_corrupted_cone_is_rejected(monkeypatch, capsys, n, part):
+    # T(2,5) has genus 2, so v_0 and h_0 both exist at every framing.
+    monkeypatch.setattr(surgery, "_cone", corrupting(part))
+    with pytest.raises(InvalidComplex):
+        surgery_hf(staircase_torus(5, "+"), n)
+    assert main(["surgery", "--complex", "t2_5", "--n", str(n)]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: invalid ") and len(err.splitlines()) == 1
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.sampled_from(["figure8", "t2_5", "k3"]), st.sampled_from([-1, 0, 1]), st.data())
+def test_block_check_is_the_flat_check(name, n, data):
+    # Toggle one entry, of any power, of a block differential or an edge
+    # map: the block check and the flat cone's validation agree.
+    mc = build_cone(load_complex(name), n)
+    a_blocks = [(mc.a_complexes, s) for s in mc.a_window]
+    b_blocks = [(mc.b_complexes, t) for t in mc.b_window]
+    edges = [(mc.edges, key) for key in mc.edges]
+    store, key = data.draw(st.sampled_from([*a_blocks, *b_blocks, *edges]))
+    gens = st.sampled_from(mc.a_complexes[mc.a_window[0]].generators)
+    src, tgt, p = data.draw(gens), data.draw(gens), data.draw(st.integers(-1, 3))
+    if store is mc.edges:
+        store[key] = toggled(store[key], src, tgt, p)
+    else:
+        c = store[key]
+        store[key] = FreeComplex([(g, c.maslov[g]) for g in c.generators],
+                                 toggled(c.differential, src, tgt, p))
+    try:
+        flat = validate_complex(mc.total_complex()).ok
+    except AssertionError:  # xor_entry meets a negative or inhomogeneous entry
+        flat = False
+    assert _check_cone(mc).ok == flat
 
 
 # --- stabilisation ------------------------------------------------------------
