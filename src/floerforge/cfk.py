@@ -58,18 +58,24 @@ class Ambient:
 
 
 class KnotComplex:
-    """A bifiltered free complex: Maslov grading plus Alexander filtration."""
+    """A bifiltered free complex: Maslov grading plus Alexander filtration.
 
-    __slots__ = ("base", "alexander", "flip", "ambient", "name")
+    An immutable value, so its summand split is taken at most once and kept
+    (:func:`_shapes`); a builder that knows it, like ``BoxSum.complex``,
+    hands it over as ``_split``.  Validation still runs at every call.
+    """
+
+    __slots__ = ("base", "alexander", "flip", "ambient", "name", "_split")
 
     def __init__(self, base: FreeComplex, alexander: Mapping[str, int],
                  flip: Optional[Mapping[str, str]] = None,
-                 ambient: Ambient = Ambient(), name: str = ""):
+                 ambient: Ambient = Ambient(), name: str = "", *, _split=None):
         self.base = base
         self.alexander = {g: int(alexander[g]) for g in base.generators}
         self.flip = dict(flip) if flip is not None else None
         self.ambient = ambient
         self.name = name
+        self._split = _split
 
     @property
     def generators(self):
@@ -122,6 +128,9 @@ class KnotComplex:
         for what, names in (("alexander grades", alexander), ("flip pairs", flip or {})):
             if extra := sorted(map(repr, names.keys() - base.maslov.keys())):
                 raise ValueError(f"{what} {', '.join(extra)}, which are not generators")
+        for g in base.generators:
+            if g not in alexander:
+                raise ValueError(f"generator {g!r} has no alexander grade")
         return cls(
             base,
             alexander,
@@ -131,13 +140,12 @@ class KnotComplex:
         )
 
 
-def validate_knot(kc: KnotComplex, shapes=None) -> ValidationReport:
+def validate_knot(kc: KnotComplex) -> ValidationReport:
     """Base-complex validity, Alexander filtration and flip axioms, once per
-    shape of ``shapes`` (``_summands(kc)``, taken here if not passed): each
-    check is local to a summand and blind to names and a Maslov shift.  A
-    flip passing them is an isomorphism of hat complexes (m, s) -> (m - 2s,
-    -s), so the hat table is symmetric."""
-    shapes = _summands(kc) if shapes is None else shapes
+    shape of :func:`_shapes`: each check is local to a summand and blind to
+    names and a Maslov shift.  A flip passing them is an isomorphism of hat
+    complexes (m, s) -> (m - 2s, -s), so the hat table is symmetric."""
+    shapes = _shapes(kc)
     violations, chain_map = [], True
     for rep, copies in shapes:
         found, ready = _summand_violations(rep)
@@ -148,6 +156,13 @@ def validate_knot(kc: KnotComplex, shapes=None) -> ValidationReport:
     if chain_map:
         violations += [v for rep, _copies in shapes for v in _flip_chain_map_violations(rep)]
     return ValidationReport(ok=not violations, violations=tuple(violations))
+
+
+def _shapes(kc: KnotComplex) -> list[tuple[KnotComplex, list[tuple]]]:
+    """``_summands(kc)``, taken once per object and kept on it."""
+    if kc._split is None:
+        kc._split = _summands(kc)
+    return kc._split
 
 
 def _summands(kc: KnotComplex) -> list[tuple[KnotComplex, list[tuple]]]:
@@ -278,8 +293,8 @@ def staircase_torus(n: int, sign: str = "+") -> KnotComplex:
     flip = {names[i]: names[2 * m - i] for i in range(2 * m + 1)}
     kc = KnotComplex(base, alexander, flip, Ambient(), name=f"T(2,{n})")
     if sign == "-":
-        kc = mirror_knot(kc)
-        kc.name = f"T(2,-{n})"
+        mirrored = mirror_knot(kc)
+        kc = KnotComplex(mirrored.base, mirrored.alexander, mirrored.flip, mirrored.ambient, name=f"T(2,-{n})")
     return kc
 
 
@@ -370,15 +385,20 @@ def mirror_knot(kc: KnotComplex) -> KnotComplex:
     if not kc.ambient.is_sphere:
         raise ValueError("mirror is only defined for complexes with trivial ambient")
     validate_knot(kc).require("knot complex")
-    gens = [(g, -kc.maslov(g)) for g in kc.generators]
-    transposed: dict[str, dict[str, int]] = {}
-    for src, tgt, p in kc.base.entries():
-        transposed.setdefault(tgt, {})[src] = p
-    base = FreeComplex(gens, transposed)
-    h = homology_decomposition(base)
-    if len(h.towers) != 1:
+
+    def dual(c: FreeComplex, top=0) -> FreeComplex:
+        """The transposed complex with gradings top - m."""
+        transposed: dict[str, dict[str, int]] = {}
+        for src, tgt, p in c.entries():
+            transposed.setdefault(tgt, {})[src] = p
+        return FreeComplex([(g, top - c.maslov[g]) for g in c.generators], transposed)
+
+    # The dual of a copy at offset o is the dual of its shape shifted by -o.
+    towers = [t - offset for rep, copies in _shapes(kc) for t in homology_decomposition(dual(rep.base)).towers
+              for offset, count in copies for _ in range(count)]
+    if len(towers) != 1:
         raise InvalidComplex("mirror normalisation expects free rank 1")
-    base = base.shift(-h.towers[0])
+    base = dual(kc.base, -grading(towers[0]))
     return KnotComplex(
         base,
         {g: -a for g, a in kc.alexander.items()},
@@ -417,8 +437,7 @@ def connected_sum_knots(k1: KnotComplex, k2: KnotComplex) -> KnotComplex:
 def k_n(n: int) -> KnotComplex:
     """The ribbon knot K_n = T(2, n) # T(2, -n), unreduced."""
     kc = connected_sum_knots(staircase_torus(n, "+"), staircase_torus(n, "-"))
-    kc.name = f"K{n}"
-    return kc
+    return KnotComplex(kc.base, kc.alexander, kc.flip, kc.ambient, name=f"K{n}")
 
 
 def reduce_canonical(kc: KnotComplex) -> KnotComplex:
@@ -476,15 +495,21 @@ def hfk_hat(kc: KnotComplex) -> HfkTable:
     HFK-hat is the homology of the associated graded complex.  The
     canonical reduction cancels every U^0 entry with zero Alexander drop,
     so no hat arrow survives it and the table counts its generators per
-    (Maslov, Alexander).  Over the sphere the reduced table removes one
-    generator at (0, tau), tau read off the same reduction.
+    (Maslov, Alexander), once per summand shape, shifted and counted per
+    copy.  Over the sphere the reduced table removes one generator at
+    (0, tau), tau read off the same reduction.
     """
-    canonical = reduce_canonical(kc)
-    counts = Counter((canonical.maslov(g), canonical.alexander[g]) for g in canonical.generators)
+    shapes = _canonical_shapes(kc)
+    counts: Counter = Counter()
+    for canonical, copies in shapes:
+        here = Counter((canonical.maslov(g), canonical.alexander[g]) for g in canonical.generators)
+        for offset, count in copies:
+            for (m, a), d in here.items():
+                counts[m + offset, a] += d * count
     total = dict(sorted(counts.items()))
     reduced = None
     if kc.ambient.is_sphere:
-        _pairs, x = _vertical_pairing(canonical)
+        _pairs, (canonical, x, _offset) = _unpaired(shapes)
         tau = canonical.alexander[x]
         reduced = dict(total)
         spot = (F(0), tau)
@@ -518,20 +543,40 @@ def knot_numerics(kc: KnotComplex) -> dict:
     """
     if not kc.ambient.is_sphere:
         raise ValueError("tau/genus need the trivial ambient manifold")
-    reduced = reduce_canonical(kc)
-    _pairs, x = _vertical_pairing(reduced)
-    return {"tau": reduced.alexander[x], "genus": reduced.genus_bound()}
+    shapes = _canonical_shapes(kc)
+    _pairs, (reduced, x, _offset) = _unpaired(shapes)
+    return {"tau": reduced.alexander[x], "genus": max((r.genus_bound() for r, _copies in shapes), default=0)}
+
+
+def _canonical_shapes(kc: KnotComplex) -> list[tuple[KnotComplex, list[tuple]]]:
+    """:func:`reduce_canonical` once per shape of :func:`_shapes`, with its copies."""
+    return [(reduce_canonical(rep), copies) for rep, copies in _shapes(kc)]
+
+
+def _unpaired(shapes):
+    """The vertical pairs of each canonically reduced shape, and the one
+    generator the pairing leaves unpaired, as ``(reduced shape, generator,
+    offset of its copy)``.  The pairing never crosses summands, so that
+    generator lies in the one copy of its shape."""
+    pairs, unpaired = [], []
+    for reduced, copies in shapes:
+        found, survivors = _vertical_pairing(reduced)
+        pairs.append(found)
+        unpaired += [(reduced, x, offset) for x in survivors for offset, count in copies for _ in range(count)]
+    if len(unpaired) != 1:
+        raise InvalidComplex("U=0 homology is not one-dimensional")
+    return pairs, unpaired[0]
 
 
 def _vertical_pairing(reduced: KnotComplex):
     """Persistence pairing of the U=0 complex of a canonically reduced complex.
 
     Returns the pairs (y, z) with z the lowest term of the reduced
-    boundary of y, and the one generator left unpaired.  Columns are
+    boundary of y, and the generators left unpaired.  Columns are
     reduced in Alexander order.  That order is a filtration order because
     ``reduce_canonical`` leaves no U^0 entry with zero Alexander drop, so
-    every U=0 arrow strictly lowers A; the unpaired generator is then born
-    at the least filtration level whose homology reaches the total one.
+    every U=0 arrow strictly lowers A; an unpaired generator is then born
+    at the least filtration level whose homology reaches its class.
     """
     order = sorted(reduced.generators, key=lambda g: (reduced.alexander[g], str(reduced.maslov(g)), g))
     pos = {g: i for i, g in enumerate(order)}
@@ -549,10 +594,7 @@ def _vertical_pairing(reduced: KnotComplex):
         if col:
             pivot_owner[low] = pos[g]
             pairs.append((g, order[low]))
-    survivors = [g for i, g in enumerate(order) if not columns[i] and i not in pivot_owner]
-    if len(survivors) != 1:
-        raise InvalidComplex("U=0 homology is not one-dimensional")
-    return pairs, survivors[0]
+    return pairs, [g for i, g in enumerate(order) if not columns[i] and i not in pivot_owner]
 
 
 # ---------------------------------------------------------------------------
@@ -571,10 +613,9 @@ class ReducedBasisForm:
 
     @staticmethod
     def make(pairs) -> "ReducedBasisForm":
-        return ReducedBasisForm(
-            tuple(sorted(((grading(m), int(a), int(d)) for m, a, d in pairs),
-                         key=lambda t: (-t[0], -t[1], t[2])))
-        )
+        counts = Counter((grading(m), int(a), int(d)) for m, a, d in pairs)
+        order = sorted(counts, key=lambda t: (-t[0], -t[1], t[2]))  # only equal triples tie
+        return ReducedBasisForm(tuple(t for t in order for _ in range(counts[t])))
 
     def mirror(self) -> "ReducedBasisForm":
         """Pairing of the mirror complex: (m, A, d) -> (1 - m, d - A, d)."""
@@ -588,22 +629,25 @@ def reduced_basis_form(kc: KnotComplex) -> ReducedBasisForm:
     must pair all generators but one, which must sit at Maslov and
     Alexander zero.  The pairing is the persistence pairing of
     :func:`_vertical_pairing` (the same one that gives tau), a filtered
-    change of basis, so the triples are well defined.
+    change of basis, so the triples are well defined.  It is taken once
+    per summand shape; each copy adds the shape's triples at its offset.
     """
     if not kc.ambient.is_sphere:
         raise ValueError("reduced basis form needs the trivial ambient manifold")
-    reduced = reduce_canonical(kc)
-    pairs, x = _vertical_pairing(reduced)
-    A = reduced.alexander
-    if A[x] != 0:
-        raise ValueError(f"reduced basis form needs tau = 0, got {A[x]}")
-    if reduced.maslov(x) != 0:
-        raise InvalidComplex(
-            f"surviving generator {x} sits at ({format_grading(reduced.maslov(x))}, 0), not (0, 0)"
-        )
-    triples = [(reduced.maslov(y), A[y], A[y] - A[z]) for y, z in pairs]
-    if any(d <= 0 for _m, _a, d in triples):
-        raise InvalidComplex("vertical pairing produced a non-positive drop")
+    shapes = _canonical_shapes(kc)
+    pairs, (reduced, x, offset) = _unpaired(shapes)
+    if reduced.alexander[x] != 0:
+        raise ValueError(f"reduced basis form needs tau = 0, got {reduced.alexander[x]}")
+    if (m := reduced.maslov(x) + offset) != 0:
+        raise InvalidComplex(f"surviving generator {x} sits at ({format_grading(m)}, 0), not (0, 0)")
+    triples = []
+    for (canonical, copies), found in zip(shapes, pairs):
+        M, A = canonical.base.maslov, canonical.alexander
+        here = [(M[y], A[y], A[y] - A[z]) for y, z in found]
+        if any(d <= 0 for _m, _a, d in here):
+            raise InvalidComplex("vertical pairing produced a non-positive drop")
+        for shift, count in copies:
+            triples += [(m + shift, a, d) for m, a, d in here] * count
     return ReducedBasisForm.make(triples)
 
 

@@ -14,7 +14,7 @@ import sys
 from collections import Counter
 from pathlib import Path
 
-from .cfk import KnotComplex, _summands, filtration_homology, hfk_hat, knot_numerics, validate_knot
+from .cfk import KnotComplex, _shapes, filtration_homology, hfk_hat, knot_numerics, validate_knot
 from .corpus import canonical_json, load_complex
 from .endfloer import (
     CH_MINUS,
@@ -70,10 +70,10 @@ def _hfk_table(kc: KnotComplex) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _load(source) -> tuple[KnotComplex, list]:
-    """Read and validate a complex (path, corpus name or inline JSON) and its
-    ``cfk._summands``.  Over S3 its Maslov gradings are integers and its U=0
-    homology is one F2 at 0, taken once per summand shape and shifted."""
+def _load(source) -> KnotComplex:
+    """Read and validate a complex (path, corpus name or inline JSON).  Over
+    S3 its Maslov gradings are integers and its U=0 homology is one F2 at 0,
+    taken once per summand shape of ``cfk._shapes`` and shifted."""
     from_file = isinstance(source, str)
     try:
         kc = load_complex(source) if from_file else KnotComplex.from_json(source)
@@ -87,11 +87,10 @@ def _load(source) -> tuple[KnotComplex, list]:
             if kc.maslov(g).denominator != 1:
                 raise InvalidComplex(f"invalid complex: Maslov grading {format_grading(kc.maslov(g))} of {g} "
                                      f"is not an integer over {kc.ambient.name}")
-    shapes = _summands(kc)
-    validate_knot(kc, shapes).require("complex")
+    validate_knot(kc).require("complex")
     if kc.ambient.is_sphere:
         dims: Counter = Counter()
-        for rep, copies in shapes:
+        for rep, copies in _shapes(kc):
             for m, d in filtration_homology(rep, rep.genus_bound()).items():
                 for offset, count in copies:
                     dims[m + offset] += d * count
@@ -99,7 +98,7 @@ def _load(source) -> tuple[KnotComplex, list]:
             found = ", ".join(f"rank {d} at Maslov {format_grading(m)}" for m, d in sorted(dims.items()))
             raise InvalidComplex(f"invalid complex: U=0 homology over {kc.ambient.name} is "
                                  f"{found or 'zero'}, not rank 1 at Maslov 0")
-    return kc, shapes
+    return kc
 
 
 _HANDLES = {"ch+": CH_PLUS, "ch-": CH_MINUS, "ch*": CH_STAR,
@@ -118,7 +117,7 @@ def _parse_slice_spec(data) -> SliceR4Spec:
     if not isinstance(label := data.get("disk_label", "standard"), str):
         raise TypeError(f"disk_label is not a string: {label!r}")
     return SliceR4Spec(
-        knot=_load(data["knot"])[0],
+        knot=_load(data["knot"]),
         handle=_parse_handle(data.get("handle", "ch+")),
         orientation=data.get("orientation", "+"),
         disk_label=label,
@@ -141,7 +140,7 @@ def _parse_operand(path: str):
 
 
 def _cmd_cfk(args) -> int:
-    kc = _load(args.complex)[0]
+    kc = _load(args.complex)
     if args.format == "table":
         _emit(_hfk_table(kc), args.out)
         return 0
@@ -160,8 +159,8 @@ def _cmd_cfk(args) -> int:
 
 
 def _cmd_surgery(args) -> int:
-    kc, shapes = _load(args.complex)
-    result = _summed_cones(shapes, args.n, _window(kc, args.n))
+    kc = _load(args.complex)
+    result = _summed_cones(_shapes(kc), args.n, _window(kc, args.n))
     if args.format == "table":
         _emit(_decomposition_table(result.decomposition), args.out)
     else:
@@ -172,7 +171,7 @@ def _cmd_surgery(args) -> int:
 def _cmd_double(args) -> int:
     if args.iterations < 1:
         raise UsageError("--iterations must be at least 1")
-    kc = _load(args.complex)[0]
+    kc = _load(args.complex)
     top = box_tower(kc, args.sign * args.iterations)[-1]
     name = f"Wh^{args.iterations}({kc.name})" if kc.name else f"Wh^{args.iterations}"
     _emit(canonical_json(top.complex(args.sign, name).to_json()), args.out)
@@ -183,7 +182,7 @@ def _cmd_endfloer(args) -> int:
     if args.levels < 2:
         raise UsageError("--levels must be at least 2")
     spec = SliceR4Spec(
-        knot=_load(args.knot)[0],
+        knot=_load(args.knot),
         handle=_parse_handle(args.handle),
         orientation=args.orientation,
     )

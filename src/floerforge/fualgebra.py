@@ -155,6 +155,9 @@ class FreeComplex:
     @classmethod
     def from_json(cls, data: Mapping) -> "FreeComplex":
         gens = [(g["name"], grading(g["maslov"])) for g in data["generators"]]
+        for g, _m in gens:
+            if not isinstance(g, str):
+                raise TypeError(f"generator name {g!r} is not a string")
         diff: dict[str, dict[str, int]] = {}
         for e in data.get("differential", ()):
             row = diff.setdefault(e["from"], {})

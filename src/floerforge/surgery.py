@@ -22,7 +22,7 @@ the cone stays inside a flip-stable summand of C (a connected component
 of the differential entries and the flip pairs), so the cone of C is the
 direct sum of the cones of its summands.  Whitehead doubles are x plus
 many boxes that agree up to a Maslov shift, so ``surgery_hf`` builds one
-cone per shape of ``cfk._summands`` (int gradings relative to the shape's
+cone per shape of ``cfk._shapes`` (int gradings relative to the shape's
 first generator and the framing anchor, window g of the whole complex).
 ``_check_cone`` validates it block by block and ``_reduce_cone_summands``
 takes each A_s and the shared B to its U^0-minimal model before the
@@ -36,7 +36,7 @@ from collections import Counter
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
-from .cfk import KnotComplex, _summands, validate_knot
+from .cfk import KnotComplex, _shapes, validate_knot
 from .fualgebra import (
     FreeComplex,
     U_DEGREE,
@@ -129,12 +129,13 @@ _ANCHORS = {0: F(-1, 2), -1: F(0), 1: F(-1)}
 
 
 def _window(kc: KnotComplex, n: int) -> int:
-    """g_hat of a surgery input, once it has a flip and a supported framing."""
+    """g_hat of a surgery input, once it has a flip and a supported framing:
+    its genus bound, read off the representatives of its summand shapes."""
     if kc.flip is None:
         raise MissingFlip(f"complex {kc.name or ''} has no flip involution")
     if n not in (-1, 0, 1):
         raise ValueError("absolute gradings are supported for framings -1, 0, +1 only")
-    return max(kc.genus_bound(), 1)
+    return max([1] + [rep.genus_bound() for rep, _copies in _shapes(kc)])
 
 
 def build_cone(kc: KnotComplex, n: int) -> MappingCone:
@@ -254,7 +255,7 @@ def surgery_hf(kc: KnotComplex, n: int) -> HFPlusResult:
 
     The cone of a direct sum is the direct sum of the cones, so the cone
     homology is summed over the flip-stable summands of ``kc``, computed
-    once per shape of ``cfk._summands``; ``validate_knot`` checks the input
+    once per shape of ``cfk._shapes``; ``validate_knot`` checks the input
     on the same split.  Summands of one shape differ by a Maslov shift,
     which shifts their cone homology.
 
@@ -263,9 +264,8 @@ def surgery_hf(kc: KnotComplex, n: int) -> HFPlusResult:
     FUDecomposition(towers=(Fraction(1, 2), Fraction(-1, 2)), torsion=((Fraction(3, 2), 1, 1), (Fraction(-1, 2), 1, 1)))
     """
     g_hat = _window(kc, n)
-    shapes = _summands(kc)
-    validate_knot(kc, shapes).require("surgery input")
-    return _summed_cones(shapes, n, g_hat)
+    validate_knot(kc).require("surgery input")
+    return _summed_cones(_shapes(kc), n, g_hat)
 
 
 def _summed_cones(shapes, n: int, g_hat: int) -> HFPlusResult:

@@ -111,6 +111,10 @@ class BoxSum:
         layout of ``mirror_knot`` of the positive double of the mirror: the
         dual of ``box(-k)``, corners ascending, with a and d at k, b at k - 1
         and c at k + 1, arrows b -> U a, c -> a, d -> b, d -> U c.
+
+        The complex carries its ``cfk._summands`` split, so it is never
+        split: ``0.x`` once at offset 0, and the box ``1.a`` .. ``1.d`` with
+        Maslov gradings relative to ``1.a`` at each corner k, counted.
         """
         s = 1 if sign == "+" else -1
         gens, diff = [("0.x", Fraction(0))], {}
@@ -125,7 +129,13 @@ class BoxSum:
             for src, tgt, p in ((a, b, 1), (a, c, 0), (b, d, 0), (c, d, 1)):
                 row, col = (src, tgt) if s > 0 else (tgt, src)
                 diff.setdefault(row, {})[col] = p
-        return KnotComplex(FreeComplex(gens, diff), alexander, flip, Ambient(), name)
+        split = [(KnotComplex(FreeComplex([("0.x", 0)]), {"0.x": 0}, {"0.x": "0.x"}), [(Fraction(0), 1)])]
+        if ks:
+            first = ("1.a", "1.b", "1.c", "1.d")
+            rep = KnotComplex(FreeComplex(zip(first, (0, s, -s, 0)), {g: diff[g] for g in first if g in diff}),
+                              alexander, {g: flip[g] for g in first})
+            split.append((rep, [(grading(k), count) for k, count in corners if count]))
+        return KnotComplex(FreeComplex(gens, diff), alexander, flip, Ambient(), name, _split=split)
 
     def max_reduced_maslov(self) -> Fraction:
         return self.corners[0][0] + 1

@@ -5,7 +5,8 @@
 names in a random order.  The summand-route property of surgery and the
 split-validation property of ``validate_knot`` both draw from it.
 ``flat_tower`` iterates the flat doubles through the reduced pairing of
-each flat level, the chain-level oracle for ``box_tower``.
+each flat level, the chain-level oracle for ``box_tower``.  ``unsplit``
+copies a complex without the summand split stored on it.
 """
 
 from fractions import Fraction
@@ -38,6 +39,11 @@ def flat_tower(kc, signs):
         build = whitehead_double_cfk if sign == "+" else negative_double_cfk
         tower.append(build(reduced_basis_form(tower[-1])))
     return tower[1:]
+
+
+def unsplit(kc):
+    """A fresh copy of ``kc`` with no summand split stored on it."""
+    return KnotComplex(kc.base, kc.alexander, kc.flip, kc.ambient, kc.name)
 
 
 def scrambled(kc, rng):

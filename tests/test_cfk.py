@@ -1,3 +1,5 @@
+import itertools
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -5,8 +7,13 @@ from hypothesis import given, settings, strategies as st
 
 from floerforge import cfk
 from floerforge.cfk import (
+    HfkTable,
     KnotComplex,
+    ReducedBasisForm,
+    _flip_chain_map_violations,
+    _shapes,
     _summand_violations,
+    _vertical_pairing,
     box,
     builtin,
     connected_sum_knots,
@@ -29,12 +36,14 @@ from floerforge.fualgebra import (
     FreeComplex,
     FUDecomposition,
     InvalidComplex,
+    ValidationReport,
+    format_grading,
     graded_f2_dims,
     homology_decomposition,
 )
 from floerforge.surgery import surgery_hf
 
-from complexes import ORACLE_CASES, disjoint_sum, flat_tower, scrambled_sums
+from complexes import ORACLE_CASES, disjoint_sum, flat_tower, scrambled_sums, unsplit
 
 F = Fraction
 
@@ -485,7 +494,10 @@ def test_validation_rejects_with_message(name):
 
 def whole_complex_report(kc):
     """The oracle: every check run on the whole complex as one summand."""
-    return validate_knot(kc, [(kc, [(0, kc.generators)])])
+    violations, chain_map = _summand_violations(kc)
+    if chain_map:
+        violations += _flip_chain_map_violations(kc)
+    return ValidationReport(ok=not violations, violations=tuple(violations))
 
 
 VALIDATION_PIECES = {
@@ -524,6 +536,115 @@ def test_per_shape_checks_run_once_per_distinct_shape(monkeypatch):
     checked.clear()
     surgery_hf(kc, 0)
     assert sorted(checked) == [1, 4]
+
+
+@pytest.mark.parametrize("name, whole", [("unknown-source", True), ("flip-undefined", True),
+                                         ("power-of-one-copy", False)])
+def test_validation_verdicts_are_not_stored(name, whole):
+    # The split is kept on the object; the verdict on it is taken anew.
+    build, message = INVALID_CASES[name]
+    kc = build()
+    first, second = validate_knot(kc), validate_knot(kc)
+    assert not first.ok and message in first.violations
+    assert second == first == validate_knot(unsplit(kc))
+    assert (_shapes(kc) == [(kc, [(0, 1)])]) is whole
+    errors = []
+    for _ in range(2):
+        with pytest.raises(InvalidComplex) as caught:
+            surgery_hf(kc, 0)
+        errors.append(str(caught.value))
+    assert errors[0] == errors[1] == f"invalid surgery input: {'; '.join(first.violations)}"
+
+
+@pytest.mark.parametrize("name", ["k5", "wh_k3", "Wh^2-+(figure8)"])
+@pytest.mark.parametrize("order", list(itertools.permutations((-1, 0, 1))), ids=str)
+def test_stored_split_is_invisible_to_surgery(name, order):
+    kc = load_complex(name) if name != "Wh^2-+(figure8)" else flat_tower(figure8(), "-+")[-1]
+    for n in order:
+        assert surgery_hf(kc, n) == surgery_hf(unsplit(kc), n)
+
+
+# The whole-complex route of the hat layers: one canonical reduction and one
+# vertical pairing of the flat complex, the oracle for the per-shape route.
+
+
+def whole_pairing(kc):
+    reduced = reduce_canonical(kc)
+    pairs, survivors = _vertical_pairing(reduced)
+    if len(survivors) != 1:
+        raise InvalidComplex("U=0 homology is not one-dimensional")
+    return reduced, pairs, survivors[0]
+
+
+def whole_hfk_hat(kc):
+    reduced = reduce_canonical(kc)
+    total = Counter((reduced.maslov(g), reduced.alexander[g]) for g in reduced.generators)
+    if not kc.ambient.is_sphere:
+        return HfkTable(dict(total))
+    canonical, _pairs, x = whole_pairing(kc)
+    spot = (F(0), canonical.alexander[x])
+    if total[spot] < 1:
+        raise InvalidComplex("no surviving generator at (0, tau)")
+    return HfkTable(dict(total), dict(total - Counter([spot])))
+
+
+def whole_numerics(kc):
+    if not kc.ambient.is_sphere:
+        raise ValueError("tau/genus need the trivial ambient manifold")
+    reduced, _pairs, x = whole_pairing(kc)
+    return {"tau": reduced.alexander[x], "genus": reduced.genus_bound()}
+
+
+def whole_reduced_pairs(kc):
+    if not kc.ambient.is_sphere:
+        raise ValueError("reduced basis form needs the trivial ambient manifold")
+    reduced, pairs, x = whole_pairing(kc)
+    A = reduced.alexander
+    if A[x] != 0:
+        raise ValueError(f"reduced basis form needs tau = 0, got {A[x]}")
+    if reduced.maslov(x) != 0:
+        raise InvalidComplex(f"surviving generator {x} sits at ({format_grading(reduced.maslov(x))}, 0), not (0, 0)")
+    triples = [(reduced.maslov(y), A[y], A[y] - A[z]) for y, z in pairs]
+    if any(d <= 0 for _m, _a, d in triples):
+        raise InvalidComplex("vertical pairing produced a non-positive drop")
+    return ReducedBasisForm.make(triples).pairs
+
+
+def whole_mirror_json(kc):
+    if not kc.ambient.is_sphere:
+        raise ValueError("mirror is only defined for complexes with trivial ambient")
+    validate_knot(kc).require("knot complex")
+    transposed = {}
+    for src, tgt, p in kc.base.entries():
+        transposed.setdefault(tgt, {})[src] = p
+    base = FreeComplex([(g, -kc.maslov(g)) for g in kc.generators], transposed)
+    h = homology_decomposition(base)
+    if len(h.towers) != 1:
+        raise InvalidComplex("mirror normalisation expects free rank 1")
+    return KnotComplex(base.shift(-h.towers[0]), {g: -a for g, a in kc.alexander.items()}, kc.flip,
+                       kc.ambient, name=f"m({kc.name})" if kc.name else "").to_json()
+
+
+HAT_LAYERS = {
+    "reduced_basis_form": (lambda kc: reduced_basis_form(kc).pairs, whole_reduced_pairs),
+    "hfk_hat": (hfk_hat, whole_hfk_hat),
+    "knot_numerics": (knot_numerics, whole_numerics),
+    "mirror_knot": (lambda kc: mirror_knot(kc).to_json(), whole_mirror_json),
+}
+
+
+def outcome(layer, kc):
+    try:
+        return layer(kc)
+    except ValueError as exc:  # InvalidComplex and the domain errors
+        return type(exc), str(exc)
+
+
+@settings(deadline=None, max_examples=80)
+@given(scrambled_sums(ORACLE_CASES, max_size=2))
+def test_hat_layers_per_shape_match_the_whole_complex(kc):
+    for per_shape, whole in HAT_LAYERS.values():
+        assert outcome(per_shape, kc) == outcome(whole, unsplit(kc))
 
 
 PUBLIC_COMPLEXES = {

@@ -1,9 +1,14 @@
 import json
+import os
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
-from floerforge import cfk, cli, surgery
+import floerforge
+from floerforge import cfk
 from floerforge.cli import main
 from floerforge.corpus import canonical_json, corpus_builders, corpus_dir, load_complex, write_corpus
 
@@ -520,6 +525,32 @@ def test_repeated_or_unknown_names_are_file_errors(tmp_path, capsys, argv, mutat
     assert len(err.strip().splitlines()) == 1
 
 
+def name_first_generator(value):
+    return lambda data: data["generators"][0].update(name=value)
+
+
+def drop_alexander_of(name):
+    return lambda data: data["alexander"].pop(name)
+
+
+@pytest.mark.parametrize("argv", [["surgery", "--n", "0", "--complex"], ["cfk", "--complex"],
+                                  ["double", "--complex"]], ids=["surgery", "cfk", "double"])
+@pytest.mark.parametrize(
+    "mutate, message",
+    [(name_first_generator(7), "generator name 7 is not a string"),
+     (name_first_generator(None), "generator name None is not a string"),
+     (drop_alexander_of("(s0|s0)"), "generator '(s0|s0)' has no alexander grade")],
+    ids=["name-number", "name-null", "missing-alexander"],
+)
+def test_malformed_generator_is_named(tmp_path, capsys, argv, mutate, message):
+    data = corpus_data("k3")
+    mutate(data)
+    path = write_json(tmp_path / "k3.json", data)
+    code, out, err = run(capsys, *argv, path)
+    assert (code, out) == (2, "")
+    assert err == f"error: cannot parse complex file {path!r}: {message}\n"
+
+
 def shift_maslov(data, by):
     for g in data["generators"]:
         g["maslov"] = str(int(g["maslov"]) + by)
@@ -544,10 +575,18 @@ def test_sphere_complex_must_have_one_tower_at_zero(tmp_path, capsys, argv, data
 def test_surgery_splits_and_checks_its_input_once(capsys, monkeypatch):
     # Wh(K3) is x plus 8 boxes: two shapes, one per-shape check each.
     calls = Counter()
-    for module, name in ((cfk, "_summands"), (cli, "_summands"), (surgery, "_summands"),
-                         (cfk, "_summand_violations")):
+    for module, name in ((cfk, "_summands"), (cfk, "_summand_violations")):
         real = getattr(module, name)
         monkeypatch.setattr(module, name, lambda kc, real=real, name=name: calls.update([name]) or real(kc))
     code, out, _ = run(capsys, "surgery", "--complex", "wh_k3", "--n", "0")
     assert code == 0 and out
     assert calls == {"_summands": 1, "_summand_violations": 2}
+
+
+@pytest.mark.parametrize("argv", [["cfk", "--complex", "k3"], ["surgery", "--complex", "nosuch", "--n", "0"]],
+                         ids=["cfk-k3", "missing-file"])
+def test_python_dash_m_runs_the_cli(capsys, argv):
+    src = Path(floerforge.__file__).resolve().parents[1]
+    done = subprocess.run([sys.executable, "-m", "floerforge", *argv], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(src)})
+    assert (done.returncode, done.stdout, done.stderr) == run(capsys, *argv)

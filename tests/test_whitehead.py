@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from floerforge.cfk import (
+    _summands,
     box,
     direct_sum,
     figure8,
@@ -18,6 +19,7 @@ from floerforge.cfk import (
     validate_knot,
     ReducedBasisForm,
 )
+from floerforge.corpus import load_complex
 from floerforge.surgery import surgery_hf
 from floerforge.whitehead import (
     BoxSum,
@@ -30,7 +32,7 @@ from floerforge.whitehead import (
     whitehead_double_cfk,
 )
 
-from complexes import flat_tower
+from complexes import flat_tower, unsplit
 
 F = Fraction
 
@@ -229,3 +231,40 @@ def test_box_sum_matches_expanded_complex(signs):
     # Each box B[k] contributes the reduced pairs (k + 1, 1, 1) and (k, 0, 1).
     closed = {p: c for k, c in symbolic.corners for p in ((k + 1, 1, 1), (k, 0, 1))}
     assert Counter(reduced_basis_form(expanded(symbolic)).pairs) == closed
+
+
+# --- the split that BoxSum.complex hands over --------------------------------------
+
+
+def split_contents(split):
+    """Per shape: the representative's generators, their gradings and the
+    gradings' types, rows, Alexander grades, flip, ambient and name; and the
+    ``(offset, count)`` copies."""
+    return [((rep.generators, [(rep.maslov(g), type(rep.maslov(g))) for g in rep.generators],
+              rep.base.differential, rep.alexander, rep.flip, rep.ambient, rep.name), copies)
+            for rep, copies in split]
+
+
+# The corpus entries with a reduced basis form (tau = 0, over S3).
+DOUBLABLE = ["figure8", "k3", "k5", "k7", "k9", "wh_k3", "wh_k5", "wh_k7", "wh_k9"]
+
+
+@pytest.mark.parametrize("entry", DOUBLABLE)
+def test_box_sum_complex_hands_over_the_split_of_its_expansion(entry):
+    kc = load_complex(entry)
+    for signs in ("+++", "-+-"):
+        for level in box_tower(kc, signs):
+            for sign in "+-":
+                flat = level.complex(sign)
+                assert split_contents(flat._split) == split_contents(_summands(unsplit(flat)))
+
+
+@pytest.mark.parametrize("corners, copies", [(((F(1), 3), (F(-2), 2)), [(F(1), 3), (F(-2), 2)]),
+                                             (((F(2), 0), (F(0), 4)), [(F(0), 4)]),
+                                             ((), [])], ids=["multiplicities", "zero-count", "no-boxes"])
+@pytest.mark.parametrize("sign", "+-")
+def test_box_sum_split_counts_each_corner(corners, copies, sign):
+    flat = BoxSum(corners).complex(sign)
+    assert split_contents(flat._split) == split_contents(_summands(unsplit(flat)))
+    boxes = [copies if sign == "+" else copies[::-1]] if copies else []
+    assert [c for _rep, c in flat._split] == [[(0, 1)]] + boxes
