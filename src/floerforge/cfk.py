@@ -26,6 +26,8 @@ from .fualgebra import (
     grading,
     homology_decomposition,
     integer,
+    json_checked,
+    json_field,
     tensor_complexes,
     validate_complex,
 )
@@ -48,13 +50,15 @@ class Ambient:
 
     @classmethod
     def from_json(cls, data) -> "Ambient":
-        if not isinstance(data["reduced_trivial"], bool):
-            raise TypeError(f"reduced_trivial is not a boolean: {data['reduced_trivial']!r}")
-        if (b1 := integer(data["b1"])) < 0:
+        data = json_checked(data, dict, '"ambient"')
+        name, b1, trivial = (json_field(data, key, '"ambient"') for key in ("name", "b1", "reduced_trivial"))
+        if not isinstance(trivial, bool):
+            raise TypeError(f"reduced_trivial is not a boolean: {trivial!r}")
+        if (b1 := integer(b1)) < 0:
             raise ValueError(f"b1 is negative: {b1}")
-        if not isinstance(data["name"], str):
-            raise TypeError(f"ambient name is not a string: {data['name']!r}")
-        return cls(data["name"], b1, data["reduced_trivial"])
+        if not isinstance(name, str):
+            raise TypeError(f"ambient name is not a string: {name!r}")
+        return cls(name, b1, trivial)
 
 
 class KnotComplex:
@@ -117,12 +121,14 @@ class KnotComplex:
         flip = None
         if "flip" in data:
             flip = {}
-            for a, b in data["flip"]:
+            for i, pair in enumerate(json_checked(data["flip"], list, '"flip"')):
+                a, b = pair if isinstance(pair, list) and len(pair) == 2 else (None, None)
+                if not (isinstance(a, str) and isinstance(b, str)):
+                    raise TypeError(f"flip pair {i} is not a list of two generator names")
                 flip[a] = b
                 flip[b] = a
-        if not isinstance(data["alexander"], dict):
-            raise TypeError(f"alexander is not a JSON object: {data['alexander']!r}")
-        alexander = {g: integer(v) for g, v in data["alexander"].items()}
+        alexander = json_checked(json_field(data, "alexander", "the complex"), dict, '"alexander"')
+        alexander = {g: integer(v) for g, v in alexander.items()}
         if not isinstance(name := data.get("name", ""), str):
             raise TypeError(f"name is not a string: {name!r}")
         for what, names in (("alexander grades", alexander), ("flip pairs", flip or {})):
@@ -499,7 +505,11 @@ def hfk_hat(kc: KnotComplex) -> HfkTable:
     copy.  Over the sphere the reduced table removes one generator at
     (0, tau), tau read off the same reduction.
     """
-    shapes = _canonical_shapes(kc)
+    return _hfk_hat(kc, _canonical_shapes(kc))
+
+
+def _hfk_hat(kc: KnotComplex, shapes) -> HfkTable:
+    """:func:`hfk_hat` from ``_canonical_shapes(kc)``."""
     counts: Counter = Counter()
     for canonical, copies in shapes:
         here = Counter((canonical.maslov(g), canonical.alexander[g]) for g in canonical.generators)
@@ -543,7 +553,11 @@ def knot_numerics(kc: KnotComplex) -> dict:
     """
     if not kc.ambient.is_sphere:
         raise ValueError("tau/genus need the trivial ambient manifold")
-    shapes = _canonical_shapes(kc)
+    return _knot_numerics(_canonical_shapes(kc))
+
+
+def _knot_numerics(shapes) -> dict:
+    """:func:`knot_numerics` from the canonical shapes of a complex over the sphere."""
     _pairs, (reduced, x, _offset) = _unpaired(shapes)
     return {"tau": reduced.alexander[x], "genus": max((r.genus_bound() for r, _copies in shapes), default=0)}
 

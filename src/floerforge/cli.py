@@ -9,12 +9,22 @@ strings); tables align gradings descending.  Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from collections import Counter
 from pathlib import Path
 
-from .cfk import KnotComplex, _shapes, filtration_homology, hfk_hat, knot_numerics, validate_knot
+from .cfk import (
+    HfkTable,
+    KnotComplex,
+    _canonical_shapes,
+    _hfk_hat,
+    _knot_numerics,
+    _shapes,
+    filtration_homology,
+    validate_knot,
+)
 from .corpus import canonical_json, load_complex
 from .endfloer import (
     CH_MINUS,
@@ -25,7 +35,7 @@ from .endfloer import (
     distinguish,
     he_slice_r4,
 )
-from .fualgebra import FUDecomposition, InvalidComplex, format_grading
+from .fualgebra import FUDecomposition, InvalidComplex, format_grading, json_checked
 from .surgery import MissingFlip, _summed_cones, _window
 from .verify import format_rows, run_verification
 from .whitehead import box_tower
@@ -61,8 +71,7 @@ def _decomposition_table(dec: FUDecomposition) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _hfk_table(kc: KnotComplex) -> str:
-    table = hfk_hat(kc)
+def _hfk_table(table: HfkTable) -> str:
     keys = sorted(table.total, key=lambda k: (-k[1], -k[0]))
     lines = [f"{'maslov':>8}  {'alexander':>9}  {'dim':>4}"]
     for m, s in keys:
@@ -114,6 +123,7 @@ def _parse_handle(value) -> CassonHandle:
 
 
 def _parse_slice_spec(data) -> SliceR4Spec:
+    json_checked(data, dict, "the piece")
     if not isinstance(label := data.get("disk_label", "standard"), str):
         raise TypeError(f"disk_label is not a string: {label!r}")
     return SliceR4Spec(
@@ -141,11 +151,12 @@ def _parse_operand(path: str):
 
 def _cmd_cfk(args) -> int:
     kc = _load(args.complex)
+    shapes = _canonical_shapes(kc)  # one reduction per summand shape serves both tables
+    table = _hfk_hat(kc, shapes)
     if args.format == "table":
-        _emit(_hfk_table(kc), args.out)
+        _emit(_hfk_table(table), args.out)
         return 0
     payload = {"hfk_hat": {}, "name": kc.name}
-    table = hfk_hat(kc)
     payload["hfk_hat"] = {
         f"({format_grading(m)},{s})": d for (m, s), d in sorted(table.total.items())
     }
@@ -153,7 +164,7 @@ def _cmd_cfk(args) -> int:
         payload["hfk_hat_reduced"] = {
             f"({format_grading(m)},{s})": d for (m, s), d in sorted(table.reduced.items())
         }
-        payload["numerics"] = knot_numerics(kc)
+        payload["numerics"] = _knot_numerics(shapes)
     _emit(canonical_json(payload), args.out)
     return 0
 
@@ -207,7 +218,10 @@ def _cmd_verify(args) -> int:
     return 0 if all(r.passed for r in rows) else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every command, built once per process: ``parse_args``
+    keeps no state on it and every default is immutable."""
     parser = argparse.ArgumentParser(
         prog="floerforge",
         description="Exact computations with knot complexes over F2[U].",

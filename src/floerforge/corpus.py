@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import os
 from importlib import resources
+from json.encoder import encode_basestring_ascii as _encode_str
 from pathlib import Path
 
 from .cfk import KnotComplex, builtin, k_n, reduce_canonical, reduced_basis_form, staircase_torus
@@ -38,7 +39,67 @@ def corpus_builders() -> dict:
 
 
 def canonical_json(data) -> str:
-    return json.dumps(data, sort_keys=True, indent=2) + "\n"
+    """``json.dumps(data, sort_keys=True, indent=2) + "\\n"``, byte for byte.
+
+    With ``indent`` set, ``json.dumps`` runs its pure-Python encoder.  This
+    writes ``str``, ``int``, lists, tuples and dicts with ``str`` keys itself
+    and hands any other value alone to ``json.dumps``, re-indented: a JSON
+    text holds no raw newline inside a string.  Input this cannot take, a
+    cycle or a nesting past the recursion limit, goes to ``json.dumps``
+    whole, so its errors are the ones ``json.dumps`` raises.
+    """
+    out: list[str] = []
+    try:
+        _write_json(data, "\n", out)
+    except RecursionError:
+        return json.dumps(data, sort_keys=True, indent=2) + "\n"
+    out.append("\n")
+    return "".join(out)
+
+
+def _write_json(value, newline: str, out: list[str]):
+    """Append the text of ``value`` at the indent that ``newline`` ends with.
+    A ``str`` or ``int`` item is written in its container's loop."""
+    kind = type(value)
+    if kind is str:
+        out.append(_encode_str(value))
+    elif kind is int:
+        out.append(int.__repr__(value))
+    elif kind is list or kind is tuple:
+        if not value:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        sep = "[" + inner
+        for item in value:
+            if type(item) is str:
+                out.append(sep + _encode_str(item))
+            elif type(item) is int:
+                out.append(sep + int.__repr__(item))
+            else:
+                out.append(sep)
+                _write_json(item, inner, out)
+            sep = "," + inner
+        out.append(newline + "]")
+    elif kind is dict and all(type(key) is str for key in value):
+        if not value:
+            out.append("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        for key in sorted(value):
+            head, item = sep + _encode_str(key) + ": ", value[key]
+            if type(item) is str:
+                out.append(head + _encode_str(item))
+            elif type(item) is int:
+                out.append(head + int.__repr__(item))
+            else:
+                out.append(head)
+                _write_json(item, inner, out)
+            sep = "," + inner
+        out.append(newline + "}")
+    else:
+        out.append(json.dumps(value, sort_keys=True, indent=2).replace("\n", newline))
 
 
 def write_corpus(directory) -> list[str]:

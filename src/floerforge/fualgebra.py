@@ -48,6 +48,10 @@ def grading(value) -> Fraction:
     if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     if isinstance(value, str):
+        try:  # int() parses an integer string faster than Fraction's regex, to the same value
+            return Fraction(int(value))
+        except ValueError:
+            pass
         try:
             return Fraction(value)
         except ZeroDivisionError:
@@ -62,9 +66,42 @@ def integer(value) -> int:
     return int(value)
 
 
+_JSON_KINDS = {dict: "an object", list: "a list", str: "a string", bool: "a boolean", int: "a number",
+               float: "a number", type(None): "null"}
+
+
+def json_checked(value, kind: type, what: str):
+    """``value`` if it is a JSON object (``kind`` ``dict``) or list; otherwise
+    a TypeError naming ``what`` and the JSON kind found."""
+    if not isinstance(value, kind):
+        raise TypeError(f"{what} is {_JSON_KINDS.get(type(value), type(value).__name__)}, not {_JSON_KINDS[kind]}")
+    return value
+
+
+def json_field(obj: Mapping, key: str, what: str):
+    """``obj[key]``; a missing key is a ValueError naming the field and ``what``."""
+    try:
+        return obj[key]
+    except KeyError:
+        raise ValueError(f'{what} has no "{key}"') from None
+
+
+def json_records(value, what: str, entry: str, keys: tuple[str, ...]) -> list:
+    """``value``, checked to be a JSON list of objects that each hold every
+    key in ``keys``; an error names ``entry`` with its index and the field."""
+    required = set(keys)
+    for i, record in enumerate(json_checked(value, list, what)):
+        if not isinstance(record, dict) or not record.keys() >= required:
+            json_checked(record, dict, f"{entry} {i}")
+            missing = next(key for key in keys if key not in record)
+            raise ValueError(f'{entry} {i} has no "{missing}"')
+    return value
+
+
 def format_grading(g: Fraction) -> str:
     """Canonical fraction string: ``"0"``, ``"2"``, ``"-3/2"``."""
-    g = Fraction(g)
+    if not isinstance(g, Fraction):
+        g = Fraction(g)
     if g.denominator == 1:
         return str(g.numerator)
     return f"{g.numerator}/{g.denominator}"
@@ -154,12 +191,15 @@ class FreeComplex:
 
     @classmethod
     def from_json(cls, data: Mapping) -> "FreeComplex":
-        gens = [(g["name"], grading(g["maslov"])) for g in data["generators"]]
+        generators = json_field(json_checked(data, dict, "the complex"), "generators", "the complex")
+        gens = [(g["name"], grading(g["maslov"]))
+                for g in json_records(generators, '"generators"', "generator", ("name", "maslov"))]
         for g, _m in gens:
             if not isinstance(g, str):
                 raise TypeError(f"generator name {g!r} is not a string")
         diff: dict[str, dict[str, int]] = {}
-        for e in data.get("differential", ()):
+        entries = data.get("differential", [])
+        for e in json_records(entries, '"differential"', "differential entry", ("from", "to", "upower")):
             row = diff.setdefault(e["from"], {})
             if e["to"] in row:
                 raise ValueError(f"differential entry {e['from']}->{e['to']} is listed twice")

@@ -6,6 +6,7 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import floerforge
 from floerforge import cfk
@@ -181,6 +182,58 @@ def test_corpus_files_match_builders():
         path = directory / f"{name}.json"
         assert path.is_file(), f"missing corpus file {name}"
         assert path.read_text(encoding="utf-8") == canonical_json(build().to_json())
+
+
+class _Dict(dict):
+    pass
+
+
+class _Str(str):
+    pass
+
+
+_TEXT = st.text(st.one_of(st.characters(), st.sampled_from('"\\/\n\t\x00\x1f\x7f\u2028\U0001f600')))
+_KEYS = st.one_of(_TEXT, _TEXT.map(_Str), st.integers(), st.floats(), st.booleans(), st.none())
+_JSON_TREES = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(), st.integers(min_value=2**64),
+              st.floats(), st.sampled_from([float("nan"), float("inf"), -0.0]), _TEXT, _TEXT.map(_Str)),
+    lambda inner: st.one_of(
+        st.lists(inner), st.lists(inner).map(tuple),
+        st.dictionaries(_TEXT, inner), st.dictionaries(_TEXT, inner).map(_Dict),
+        st.dictionaries(_KEYS, inner, max_size=3)),
+    max_leaves=20,
+)
+
+
+def _outcome(write, data):
+    try:
+        return write(data)
+    except (TypeError, ValueError, RecursionError) as exc:
+        return type(exc), str(exc)
+
+
+def _reference_json(data):
+    return json.dumps(data, sort_keys=True, indent=2) + "\n"
+
+
+@settings(deadline=None)
+@given(_JSON_TREES, st.integers(0, 60))
+def test_canonical_json_is_json_dumps(tree, depth):
+    # Mixed-type keys make both sides raise the same TypeError.
+    for _ in range(depth):
+        tree = [tree] if depth % 2 else {"k": tree}
+    assert _outcome(canonical_json, tree) == _outcome(_reference_json, tree)
+
+
+def test_canonical_json_hands_cycles_and_deep_nesting_to_json_dumps():
+    cycle = {"a": [1]}
+    cycle["a"].append(cycle)
+    deep = []
+    for _ in range(sys.getrecursionlimit() + 10):
+        deep = [deep]
+    for data in (cycle, deep):
+        assert type(_outcome(canonical_json, data)) is tuple
+        assert _outcome(canonical_json, data)[0] is _outcome(_reference_json, data)[0]
 
 
 def test_corpus_round_trips():
@@ -551,6 +604,63 @@ def test_malformed_generator_is_named(tmp_path, capsys, argv, mutate, message):
     assert err == f"error: cannot parse complex file {path!r}: {message}\n"
 
 
+def drop(where, key):
+    def mutate(data):
+        where(data).pop(key)
+        return data
+    return mutate
+
+
+def replace(key, value):
+    return lambda data: {**data, key: value}
+
+
+@pytest.mark.parametrize("argv", [["surgery", "--n", "0", "--complex"], ["cfk", "--complex"], None],
+                         ids=["surgery", "cfk", "distinguish-inline"])
+@pytest.mark.parametrize(
+    "mutate, message",
+    [(drop(lambda d: d["generators"][2], "maslov"), 'generator 2 has no "maslov"'),
+     (drop(lambda d: d["generators"][0], "name"), 'generator 0 has no "name"'),
+     (drop(lambda d: d["differential"][1], "from"), 'differential entry 1 has no "from"'),
+     (drop(lambda d: d["differential"][0], "to"), 'differential entry 0 has no "to"'),
+     (drop(lambda d: d["differential"][1], "upower"), 'differential entry 1 has no "upower"'),
+     (drop(lambda d: d, "generators"), 'the complex has no "generators"'),
+     (drop(lambda d: d, "alexander"), 'the complex has no "alexander"'),
+     (drop(lambda d: d["ambient"], "b1"), '"ambient" has no "b1"'),
+     (replace("generators", {"s0": "0"}), '"generators" is an object, not a list'),
+     (replace("differential", {"s1": "s0"}), '"differential" is an object, not a list'),
+     (lambda d: d["generators"].insert(1, "s9") or d, "generator 1 is a string, not an object"),
+     (lambda d: d["flip"].append(["s0", "s1", "s2"]) or d, "flip pair 2 is not a list of two generator names"),
+     (lambda d: d["flip"].insert(0, "s0") or d, "flip pair 0 is not a list of two generator names"),
+     (replace("flip", "s0"), '"flip" is a string, not a list'),
+     (lambda d: [d], "the complex is a list, not an object")],
+    ids=["no-maslov", "no-name", "no-from", "no-to", "no-upower", "no-generators", "no-alexander",
+         "no-ambient-b1", "generators-object", "differential-object", "generator-string", "flip-triple",
+         "flip-string-pair", "flip-string", "top-level-list"],
+)
+def test_malformed_structure_names_field_and_entry(tmp_path, capsys, argv, mutate, message):
+    data = mutate(corpus_data("trefoil"))
+    if argv is None:
+        plain = write_json(tmp_path / "plain.json", {"knot": "k3"})
+        bad = write_json(tmp_path / "bad.json", {"knot": data})
+        code, out, err = run(capsys, "distinguish", "--a", plain, "--b", bad)
+        assert (code, out, err) == (2, "", f"error: cannot parse inline complex: {message}\n")
+    else:
+        path = write_json(tmp_path / "trefoil.json", data)
+        code, out, err = run(capsys, *argv, path)
+        assert (code, out, err) == (2, "", f"error: cannot parse complex file {path!r}: {message}\n")
+
+
+@pytest.mark.parametrize("piece, message", [([{"knot": "k3"}], "the piece is a list, not an object"),
+                                            ("k3", "the piece is a string, not an object")],
+                         ids=["list", "string"])
+def test_distinguish_piece_that_is_not_an_object_is_malformed(tmp_path, capsys, piece, message):
+    plain = write_json(tmp_path / "plain.json", {"knot": "k3"})
+    bad = write_json(tmp_path / "bad.json", piece)
+    code, out, err = run(capsys, "distinguish", "--a", bad, "--b", plain)
+    assert (code, out, err) == (2, "", f"error: malformed piece description in {bad!r}: {message}\n")
+
+
 def shift_maslov(data, by):
     for g in data["generators"]:
         g["maslov"] = str(int(g["maslov"]) + by)
@@ -583,10 +693,35 @@ def test_surgery_splits_and_checks_its_input_once(capsys, monkeypatch):
     assert calls == {"_summands": 1, "_summand_violations": 2}
 
 
-@pytest.mark.parametrize("argv", [["cfk", "--complex", "k3"], ["surgery", "--complex", "nosuch", "--n", "0"]],
-                         ids=["cfk-k3", "missing-file"])
-def test_python_dash_m_runs_the_cli(capsys, argv):
+@pytest.mark.parametrize("fmt", ["json", "table"])
+@pytest.mark.parametrize("name, shapes", [("k9", 1), ("wh_k9", 2)])
+def test_cfk_reduces_each_summand_shape_once(capsys, monkeypatch, fmt, name, shapes):
+    # K9 is one summand shape; Wh(K9) is x plus copies of one box.
+    calls = []
+    real = cfk.reduce_canonical
+    monkeypatch.setattr(cfk, "reduce_canonical", lambda kc: calls.append(len(kc.generators)) or real(kc))
+    code, out, _ = run(capsys, "cfk", "--complex", name, "--format", fmt)
+    assert code == 0 and out
+    assert len(calls) == shapes
+
+
+def run_python_dash_m(argv):
     src = Path(floerforge.__file__).resolve().parents[1]
     done = subprocess.run([sys.executable, "-m", "floerforge", *argv], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": str(src)})
-    assert (done.returncode, done.stdout, done.stderr) == run(capsys, *argv)
+    return done.returncode, done.stdout, done.stderr
+
+
+def test_one_parser_per_process_is_invisible(capsys, monkeypatch):
+    # The same parser serves every in-process call, also after a usage error
+    # and after --help exits through it.
+    monkeypatch.setenv("COLUMNS", "80")
+    for argv in (["surgery", "--complex", "k3"], ["cfk", "--help"], ["cfk", "--help"],
+                 ["surgery", "--complex", "k3", "--n", "1"], ["endfloer", "--knot", "j_in_y"]):
+        assert run(capsys, *argv) == run_python_dash_m(argv), argv
+
+
+@pytest.mark.parametrize("argv", [["cfk", "--complex", "k3"], ["surgery", "--complex", "nosuch", "--n", "0"]],
+                         ids=["cfk-k3", "missing-file"])
+def test_python_dash_m_runs_the_cli(capsys, argv):
+    assert run_python_dash_m(argv) == run(capsys, *argv)

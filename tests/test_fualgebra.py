@@ -2,10 +2,12 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from floerforge.fualgebra import (
     FreeComplex,
     FUDecomposition,
+    grading,
     homology_decomposition,
     plus_presentation,
     tensor_complexes,
@@ -236,3 +238,27 @@ def test_homology_invariant_under_random_basis_changes(seed):
         assert truncated_graded_dimensions(mixed, cutoff) == expected_truncated_dimensions(
             baseline, cutoff
         )
+
+
+def _outcome(parse, text):
+    try:
+        value = parse(text)
+    except ValueError as exc:
+        return str(exc)
+    assert type(value) is Fraction
+    return value
+
+
+def _fraction_of(text):
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"grading {text!r} has a zero denominator") from None
+
+
+@given(st.one_of(st.text(), st.text(st.sampled_from("0123456789_+-/.eE \t\n\x1c\xa0\u3000\u0663\uff13x"))))
+@example("1" * 5000)
+@example(" -0_7\n")
+def test_grading_of_a_string_is_its_fraction(text):
+    # The int() fast path keeps Fraction's value and error for every string.
+    assert _outcome(grading, text) == _outcome(_fraction_of, text)
