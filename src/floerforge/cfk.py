@@ -19,6 +19,7 @@ from .fualgebra import (
     FreeComplex,
     InvalidComplex,
     ValidationReport,
+    _exact,
     _Reducer,
     components,
     format_grading,
@@ -67,6 +68,7 @@ class KnotComplex:
     An immutable value, so its summand split is taken at most once and kept
     (:func:`_shapes`); a builder that knows it, like ``BoxSum.complex``,
     hands it over as ``_split``.  Validation still runs at every call.
+    :meth:`maslov` is the ``Fraction`` of the internal ``base.maslov``.
     """
 
     __slots__ = ("base", "alexander", "flip", "ambient", "name", "_split")
@@ -75,7 +77,7 @@ class KnotComplex:
                  flip: Optional[Mapping[str, str]] = None,
                  ambient: Ambient = Ambient(), name: str = "", *, _split=None):
         self.base = base
-        self.alexander = {g: int(alexander[g]) for g in base.generators}
+        self.alexander = {g: a if type(a := alexander[g]) is int else int(a) for g in base.generators}
         self.flip = dict(flip) if flip is not None else None
         self.ambient = ambient
         self.name = name
@@ -86,7 +88,7 @@ class KnotComplex:
         return self.base.generators
 
     def maslov(self, g: str) -> Fraction:
-        return self.base.maslov[g]
+        return grading(self.base.maslov[g])
 
     def genus_bound(self) -> int:
         """Largest |Alexander| over generators (the working genus)."""
@@ -176,8 +178,8 @@ def _summands(kc: KnotComplex) -> list[tuple[KnotComplex, list[tuple]]]:
     entries and flip pairs) as ``(representative, [(offset, count)])`` per
     shape, or the whole complex if an endpoint is missing or a flip is partial
     or not involutive.  A shape is, per member, its Maslov grading less the
-    copy's offset, the first member's (an ``int`` if integral), its Alexander
-    grading, its flip's position and its row."""
+    copy's offset, the first member's, its Alexander grading, its flip's
+    position and its row."""
     base, A, flip = kc.base, kc.alexander, kc.flip
     gens, M, diff = base.generators, base.maslov, base.differential
     broken = not M.keys() >= diff.keys() or not all(M.keys() >= row.keys() for row in diff.values())
@@ -191,9 +193,12 @@ def _summands(kc: KnotComplex) -> list[tuple[KnotComplex, list[tuple]]]:
     shapes: dict[tuple, tuple[KnotComplex, dict]] = {}
     for members in components(gens, edges):
         m0 = M[members[0]]
-        q, n0 = m0.denominator, m0.numerator  # integer division beats Fraction subtraction
-        relative = [k if m.denominator == q and not r else m - m0 for m in map(M.__getitem__, members)
-                    for k, r in [divmod(m.numerator - n0, q)]]
+        if type(m0) is int:
+            relative = [m - m0 for m in map(M.__getitem__, members)]
+        else:  # integer division beats Fraction subtraction
+            q, n0 = m0.denominator, m0.numerator
+            relative = [k if m.denominator == q and not r else m - m0 for m in map(M.__getitem__, members)
+                        for k, r in [divmod(m.numerator - n0, q)]]
         pos = dict(zip(members, range(len(members))))
         shape = (tuple(relative), tuple(map(A.__getitem__, members)),
                  None if flip is None else tuple(map(pos.__getitem__, map(flip.__getitem__, members))),
@@ -202,9 +207,10 @@ def _summands(kc: KnotComplex) -> list[tuple[KnotComplex, list[tuple]]]:
         if shape not in shapes:
             rep = FreeComplex(zip(members, relative), {g: diff[g] for g in members if g in diff})
             shapes[shape] = (KnotComplex(rep, {g: A[g] for g in members},
-                                         None if flip is None else {g: flip[g] for g in members}, kc.ambient), {})
-        shapes[shape][1].setdefault((n0, q), [m0, 0])[1] += 1  # int keys hash faster than the Fraction
-    return [(rep, [tuple(copy) for copy in copies.values()]) for rep, copies in shapes.values()]
+                                         None if flip is None else {g: flip[g] for g in members}, kc.ambient),
+                             Counter())
+        shapes[shape][1][m0] += 1
+    return [(rep, list(copies.items())) for rep, copies in shapes.values()]
 
 
 def _summand_violations(kc: KnotComplex) -> tuple[list[str], bool]:
@@ -212,7 +218,7 @@ def _summand_violations(kc: KnotComplex) -> tuple[list[str], bool]:
     whether that check can run (a flip defined everywhere, a valid base)."""
     base_report = validate_complex(kc.base)
     violations = list(base_report.violations)
-    A = kc.alexander
+    A, M = kc.alexander, kc.base.maslov
     for src, tgt, p in kc.base.entries():
         if src not in A or tgt not in A:
             continue  # reported by validate_complex
@@ -233,7 +239,7 @@ def _summand_violations(kc: KnotComplex) -> tuple[list[str], bool]:
             violations.append(f"flip not involutive at {g}")
         if A[img] != -A[g]:
             violations.append(f"flip image of {g} has Alexander {A[img]} != {-A[g]}")
-        if kc.maslov(img) != kc.maslov(g) - 2 * A[g]:
+        if M[img] != M[g] - 2 * A[g]:
             violations.append(f"flip image of {g} has wrong Maslov grading")
     return violations, flip_ok and base_report.ok
 
@@ -263,7 +269,7 @@ def box(k, j: int = 0, prefix: str = "") -> KnotComplex:
     db = d, dc = Ud.  For j = 0 the square is symmetric and carries the
     flip (a, d fixed, b <-> c); for j != 0 no flip is attached.
     """
-    k = grading(k)
+    k = _exact(k)
     a, b, c, d = (prefix + n for n in "abcd")
     base = FreeComplex(
         [(a, k), (b, k + 1), (c, k - 1), (d, k)],
@@ -289,7 +295,7 @@ def staircase_torus(n: int, sign: str = "+") -> KnotComplex:
     m = (n - 1) // 2
     names = [f"s{i}" for i in range(2 * m + 1)]
     base = FreeComplex(
-        [(names[i], F(-i)) for i in range(2 * m + 1)],
+        [(names[i], -i) for i in range(2 * m + 1)],
         {
             names[2 * i + 1]: {names[2 * i]: 1, names[2 * i + 2]: 0}
             for i in range(m)
@@ -305,14 +311,14 @@ def staircase_torus(n: int, sign: str = "+") -> KnotComplex:
 
 
 def unknot() -> KnotComplex:
-    base = FreeComplex([("x", F(0))])
+    base = FreeComplex([("x", 0)])
     return KnotComplex(base, {"x": 0}, {"x": "x"}, Ambient(), name="unknot")
 
 
 def figure8() -> KnotComplex:
     """The five-generator thin complex: a free summand x plus one square."""
-    b = box(F(0), 0)
-    gens = [("x", F(0))] + [(g, b.maslov(g)) for g in b.generators]
+    b = box(0, 0)
+    gens = [("x", 0)] + [(g, b.base.maslov[g]) for g in b.generators]
     base = FreeComplex(gens, b.base.differential)
     alexander = {"x": 0, **b.alexander}
     flip = {"x": "x", **b.flip}
@@ -404,7 +410,7 @@ def mirror_knot(kc: KnotComplex) -> KnotComplex:
               for offset, count in copies for _ in range(count)]
     if len(towers) != 1:
         raise InvalidComplex("mirror normalisation expects free rank 1")
-    base = dual(kc.base, -grading(towers[0]))
+    base = dual(kc.base, _exact(-towers[0]))
     return KnotComplex(
         base,
         {g: -a for g, a in kc.alexander.items()},
@@ -512,11 +518,11 @@ def _hfk_hat(kc: KnotComplex, shapes) -> HfkTable:
     """:func:`hfk_hat` from ``_canonical_shapes(kc)``."""
     counts: Counter = Counter()
     for canonical, copies in shapes:
-        here = Counter((canonical.maslov(g), canonical.alexander[g]) for g in canonical.generators)
+        here = Counter((canonical.base.maslov[g], canonical.alexander[g]) for g in canonical.generators)
         for offset, count in copies:
             for (m, a), d in here.items():
                 counts[m + offset, a] += d * count
-    total = dict(sorted(counts.items()))
+    total = {(grading(m), a): d for (m, a), d in sorted(counts.items())}
     reduced = None
     if kc.ambient.is_sphere:
         _pairs, (canonical, x, _offset) = _unpaired(shapes)
@@ -539,7 +545,7 @@ def filtration_homology(kc: KnotComplex, i: int) -> dict:
     index = {g: n for n, g in enumerate(gens)}
     vert = _vertical_differential(kc)
     masks = [sum(1 << index[t] for t in vert.get(g, ()) if t in index) for g in gens]
-    return graded_f2_dims([kc.maslov(g) for g in gens], masks, lambda m: m + 1)
+    return graded_f2_dims([kc.base.maslov[g] for g in gens], masks, lambda m: m + 1)
 
 
 def knot_numerics(kc: KnotComplex) -> dict:
@@ -592,7 +598,7 @@ def _vertical_pairing(reduced: KnotComplex):
     every U=0 arrow strictly lowers A; an unpaired generator is then born
     at the least filtration level whose homology reaches its class.
     """
-    order = sorted(reduced.generators, key=lambda g: (reduced.alexander[g], str(reduced.maslov(g)), g))
+    order = sorted(reduced.generators, key=lambda g: (reduced.alexander[g], str(reduced.base.maslov[g]), g))
     pos = {g: i for i, g in enumerate(order)}
     vert = _vertical_differential(reduced)
     pivot_owner: dict[int, int] = {}
@@ -627,9 +633,9 @@ class ReducedBasisForm:
 
     @staticmethod
     def make(pairs) -> "ReducedBasisForm":
-        counts = Counter((grading(m), int(a), int(d)) for m, a, d in pairs)
+        counts = Counter((_exact(m), int(a), int(d)) for m, a, d in pairs)
         order = sorted(counts, key=lambda t: (-t[0], -t[1], t[2]))  # only equal triples tie
-        return ReducedBasisForm(tuple(t for t in order for _ in range(counts[t])))
+        return ReducedBasisForm(tuple(t for m, a, d in order for t in [(grading(m), a, d)] * counts[m, a, d]))
 
     def mirror(self) -> "ReducedBasisForm":
         """Pairing of the mirror complex: (m, A, d) -> (1 - m, d - A, d)."""
@@ -652,7 +658,7 @@ def reduced_basis_form(kc: KnotComplex) -> ReducedBasisForm:
     pairs, (reduced, x, offset) = _unpaired(shapes)
     if reduced.alexander[x] != 0:
         raise ValueError(f"reduced basis form needs tau = 0, got {reduced.alexander[x]}")
-    if (m := reduced.maslov(x) + offset) != 0:
+    if (m := reduced.base.maslov[x] + offset) != 0:
         raise InvalidComplex(f"surviving generator {x} sits at ({format_grading(m)}, 0), not (0, 0)")
     triples = []
     for (canonical, copies), found in zip(shapes, pairs):
@@ -679,7 +685,7 @@ def direct_sum(parts: list[KnotComplex], name: str = "") -> KnotComplex:
             raise ValueError("direct sum needs a common ambient manifold")
         tag = lambda g, i=i: f"{i}.{g}"
         for g in part.generators:
-            gens.append((tag(g), part.maslov(g)))
+            gens.append((tag(g), part.base.maslov[g]))
             alexander[tag(g)] = part.alexander[g]
         for src, row in part.base.differential.items():
             diff[tag(src)] = {tag(t): p for t, p in row.items()}

@@ -92,9 +92,9 @@ def _load(source) -> KnotComplex:
         what = f"complex file {source!r}" if from_file else "inline complex"
         raise UsageError(f"cannot parse {what}: {exc}") from exc
     if kc.ambient.is_sphere:
-        for g in kc.generators:
-            if kc.maslov(g).denominator != 1:
-                raise InvalidComplex(f"invalid complex: Maslov grading {format_grading(kc.maslov(g))} of {g} "
+        for g, m in kc.base.maslov.items():
+            if type(m) is not int:
+                raise InvalidComplex(f"invalid complex: Maslov grading {format_grading(m)} of {g} "
                                      f"is not an integer over {kc.ambient.name}")
     validate_knot(kc).require("complex")
     if kc.ambient.is_sphere:
@@ -142,8 +142,8 @@ def _parse_operand(path: str):
     except json.JSONDecodeError as exc:
         raise UsageError(f"cannot parse {path!r}: {exc}") from exc
     try:
-        if "summands" in data:
-            return [_parse_slice_spec(s) for s in data["summands"]]
+        if "summands" in json_checked(data, dict, "the piece"):
+            return [_parse_slice_spec(s) for s in json_checked(data["summands"], list, '"summands"')]
         return _parse_slice_spec(data)
     except (KeyError, TypeError) as exc:
         raise UsageError(f"malformed piece description in {path!r}: {exc}") from exc

@@ -1,10 +1,14 @@
 """Exact homological algebra for free graded chain complexes over F2[U].
 
-Everything here is exact: gradings are ``fractions.Fraction`` (``int``
-inside a summand stored relative to its first generator), coefficients
-live in F2 (an entry is present or absent), and the variable U carries
-grading -2.  A differential entry from generator ``x`` to generator ``y``
-is a single monomial ``U^p``; homogeneity forces the exponent
+Everything here is exact.  A complex keeps an integral grading as an
+``int`` and any other as a ``fractions.Fraction`` (:func:`_exact` makes
+that choice), so validation, tensor products and reduction of complexes
+over S3 run on machine integers; a public value that is a grading, such
+as a summand of an :class:`FUDecomposition`, is a ``Fraction`` again,
+made once per distinct value.  Coefficients live in F2 (an entry is
+present or absent), and the variable U carries grading -2.  A
+differential entry from generator ``x`` to generator ``y`` is a single
+monomial ``U^p``; homogeneity forces the exponent
 ``p = (maslov(x) - 1 - maslov(y)) / 2``, so a sum of distinct powers
 between the same pair of generators can never arise in a homogeneous
 complex (two contributions with the same endpoints have equal exponent
@@ -59,6 +63,20 @@ def grading(value) -> Fraction:
     raise TypeError(f"not an exact grading: {value!r}")
 
 
+def _exact(value) -> int | Fraction:
+    """A grading as the package keeps it: an ``int`` if it is integral, else a
+    ``Fraction``; the value and the errors are those of :func:`grading`."""
+    if type(value) is int:
+        return value
+    if type(value) is str:
+        try:  # an integer string never becomes a Fraction
+            return int(value)
+        except ValueError:
+            pass
+    g = grading(value)
+    return g.numerator if g.denominator == 1 else g
+
+
 def integer(value) -> int:
     """Coerce an int (not a bool) or an integer string such as ``"-3"``; raise otherwise."""
     if isinstance(value, bool) or not isinstance(value, (int, str)):
@@ -98,8 +116,10 @@ def json_records(value, what: str, entry: str, keys: tuple[str, ...]) -> list:
     return value
 
 
-def format_grading(g: Fraction) -> str:
+def format_grading(g: int | Fraction) -> str:
     """Canonical fraction string: ``"0"``, ``"2"``, ``"-3/2"``."""
+    if type(g) is int:
+        return str(g)
     if not isinstance(g, Fraction):
         g = Fraction(g)
     if g.denominator == 1:
@@ -126,9 +146,11 @@ class FreeComplex:
     """A finitely generated free chain complex over F2[U].
 
     ``generators`` is an ordered list of ``(name, maslov)`` pairs and
-    ``differential`` maps source name -> {target name: U-exponent}; an
-    ``int`` grading stays an ``int``.  Instances are treated as immutable
-    values; all operations return new complexes.
+    ``differential`` maps source name -> {target name: U-exponent}.
+    ``maslov`` keeps each grading as :func:`_exact` gives it, for the
+    package's own use; the public gradings built on it are ``Fraction``.
+    Instances are treated as immutable values; all operations return new
+    complexes.
     """
 
     __slots__ = ("generators", "maslov", "differential")
@@ -140,7 +162,7 @@ class FreeComplex:
             if name in maslov:
                 raise ValueError(f"duplicate generator name {name!r}")
             gens.append(name)
-            maslov[name] = m if type(m) is int else grading(m)
+            maslov[name] = m if type(m) is int else _exact(m)
         self.generators: tuple[str, ...] = tuple(gens)
         self.maslov: dict[str, int | Fraction] = maslov
         diff = {}
@@ -156,7 +178,7 @@ class FreeComplex:
 
     def shift(self, by) -> "FreeComplex":
         """The same complex with every grading shifted up by ``by``."""
-        by = grading(by)
+        by = _exact(by)
         return FreeComplex(
             [(g, self.maslov[g] + by) for g in self.generators],
             self.differential,
@@ -192,7 +214,7 @@ class FreeComplex:
     @classmethod
     def from_json(cls, data: Mapping) -> "FreeComplex":
         generators = json_field(json_checked(data, dict, "the complex"), "generators", "the complex")
-        gens = [(g["name"], grading(g["maslov"]))
+        gens = [(g["name"], _exact(g["maslov"]))
                 for g in json_records(generators, '"generators"', "generator", ("name", "maslov"))]
         for g, _m in gens:
             if not isinstance(g, str):
@@ -357,9 +379,9 @@ class FUDecomposition:
         """``torsion`` is ``(top, length)`` pairs, repeats allowed, or a
         mapping ``(top, length) -> count`` with exact tops."""
         if not isinstance(torsion, Mapping):
-            torsion = Counter((grading(g), int(k)) for g, k in torsion)
-        tw = tuple(sorted((grading(t) for t in towers), reverse=True))
-        to = tuple(sorted(((g, k, c) for (g, k), c in torsion.items() if c), key=lambda x: (-x[0], x[1])))
+            torsion = Counter((_exact(g), int(k)) for g, k in torsion)
+        tw = tuple(sorted(map(grading, towers), reverse=True))
+        to = tuple(sorted(((grading(g), k, c) for (g, k), c in torsion.items() if c), key=lambda x: (-x[0], x[1])))
         return FUDecomposition(tw, to)
 
     def torsion_rank_table(self) -> dict[Fraction, int]:
@@ -409,7 +431,7 @@ class _Reducer:
                 self.into.setdefault(tgt, set()).add(src)
         self.alive: list[str] = list(c.generators)
         self.alive_set = set(self.alive)
-        self.torsion: list[tuple[Fraction, int]] = []
+        self.torsion: list[tuple[int | Fraction, int]] = []
         self._created: list[tuple[str, str, int]] = []
         self.iota = {g: {g: 0} for g in c.generators} if "iota" in track else None
         self.pi = {g: {g: 0} for g in c.generators} if "pi" in track else None

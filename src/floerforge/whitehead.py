@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .cfk import Ambient, KnotComplex, ReducedBasisForm, box, reduce_canonical, reduced_basis_form, unknot
-from .fualgebra import FreeComplex, grading
+from .fualgebra import FreeComplex, _exact, grading
 from .surgery import HFPlusResult, _summed_cones
 
 
@@ -97,7 +97,7 @@ class BoxSum:
             counts[corner] = counts.get(corner, 0) + 2 * d * c
         if not counts:
             raise ValueError("doubling needs a nontrivial knot (no reduced pairs)")
-        out = BoxSum(tuple(sorted(counts.items(), reverse=True)))
+        out = BoxSum(tuple(sorted(((grading(k), c) for k, c in counts.items()), reverse=True)))
         return out.mirror() if sign == "-" else out
 
     def mirror(self) -> "BoxSum":
@@ -114,27 +114,28 @@ class BoxSum:
 
         The complex carries its ``cfk._summands`` split, so it is never
         split: ``0.x`` once at offset 0, and the box ``1.a`` .. ``1.d`` with
-        Maslov gradings relative to ``1.a`` at each corner k, counted.
+        Maslov gradings relative to ``1.a`` at each corner k, counted.  The
+        four gradings of a corner are made once and shared by its copies.
         """
         s = 1 if sign == "+" else -1
-        gens, diff = [("0.x", Fraction(0))], {}
+        gens, diff = [("0.x", 0)], {}
         alexander, flip = {"0.x": 0}, {"0.x": "0.x"}
-        corners = self.corners if s > 0 else self.corners[::-1]
-        ks = [grading(k) for k, count in corners for _ in range(count)]
-        for i, k in enumerate(ks, start=1):
-            a, b, c, d = (f"{i}.{g}" for g in "abcd")
-            gens += [(a, k), (b, k + s), (c, k - s), (d, k)]
+        corners = [(_exact(k), count) for k, count in (self.corners if s > 0 else self.corners[::-1])]
+        quads = [quad for k, count in corners for quad in [(k, k + s, k - s, k)] * count]
+        for i, quad in enumerate(quads, start=1):
+            a, b, c, d = names = [f"{i}.{g}" for g in "abcd"]
+            gens += zip(names, quad)
             alexander.update({a: 0, b: s, c: -s, d: 0})
             flip.update({a: a, b: c, c: b, d: d})
             for src, tgt, p in ((a, b, 1), (a, c, 0), (b, d, 0), (c, d, 1)):
                 row, col = (src, tgt) if s > 0 else (tgt, src)
                 diff.setdefault(row, {})[col] = p
-        split = [(KnotComplex(FreeComplex([("0.x", 0)]), {"0.x": 0}, {"0.x": "0.x"}), [(Fraction(0), 1)])]
-        if ks:
+        split = [(KnotComplex(FreeComplex([("0.x", 0)]), {"0.x": 0}, {"0.x": "0.x"}), [(0, 1)])]
+        if quads:
             first = ("1.a", "1.b", "1.c", "1.d")
             rep = KnotComplex(FreeComplex(zip(first, (0, s, -s, 0)), {g: diff[g] for g in first if g in diff}),
                               alexander, {g: flip[g] for g in first})
-            split.append((rep, [(grading(k), count) for k, count in corners if count]))
+            split.append((rep, [(k, count) for k, count in corners if count]))
         return KnotComplex(FreeComplex(gens, diff), alexander, flip, Ambient(), name, _split=split)
 
     def max_reduced_maslov(self) -> Fraction:
@@ -144,7 +145,7 @@ class BoxSum:
         """``surgery_hf`` of the expanded complex through the same per-shape
         cones (window 1, the genus): the unknot at offset 0 and ``box(0)``
         at every corner."""
-        return _summed_cones([(unknot(), [(Fraction(0), 1)]), (box(0), list(self.corners))], n, 1)
+        return _summed_cones([(unknot(), [(0, 1)]), (box(0), list(self.corners))], n, 1)
 
 
 def box_tower(kc: KnotComplex, signs) -> list[BoxSum]:
@@ -166,8 +167,8 @@ def box_parameters(kc: KnotComplex) -> list[Fraction]:
     """
     reduced = reduce_canonical(kc)
     remaining = set(reduced.generators)
-    diff = reduced.base.differential
-    params: list[Fraction] = []
+    diff, M = reduced.base.differential, reduced.base.maslov
+    params: list[int | Fraction] = []
     x_seen = False
     # Box corners are the generators with two outgoing arrows.
     for a in sorted(remaining):
@@ -187,19 +188,19 @@ def box_parameters(kc: KnotComplex) -> list[Fraction]:
             raise ValueError(f"box at {a} has a malformed horizontal edge")
         if reduced.alexander[a] != 0 or reduced.alexander[d] != 0:
             raise ValueError(f"box at {a} is Alexander-offset")
-        params.append(reduced.maslov(a))
+        params.append(M[a])
         remaining -= {a, b, c, d}
     for g in sorted(remaining):
         if diff.get(g):
             raise ValueError(f"leftover generator {g} has a differential")
-        if reduced.maslov(g) != 0 or reduced.alexander[g] != 0:
+        if M[g] != 0 or reduced.alexander[g] != 0:
             raise ValueError(f"leftover generator {g} is not at (0, 0)")
         if x_seen:
             raise ValueError("more than one split generator")
         x_seen = True
     if not x_seen:
         raise ValueError("no split generator at (0, 0)")
-    return sorted(params, reverse=True)
+    return sorted(map(grading, params), reverse=True)
 
 
 def is_box_sum(kc: KnotComplex) -> bool:

@@ -31,7 +31,7 @@ from floerforge.cfk import (
     unknot,
     validate_knot,
 )
-from floerforge.corpus import corpus_builders, load_complex
+from floerforge.corpus import canonical_json, corpus_builders, load_complex
 from floerforge.fualgebra import (
     FreeComplex,
     FUDecomposition,
@@ -40,8 +40,10 @@ from floerforge.fualgebra import (
     format_grading,
     graded_f2_dims,
     homology_decomposition,
+    validate_complex,
 )
-from floerforge.surgery import surgery_hf
+from floerforge.surgery import build_cone, surgery_hf
+from floerforge.whitehead import box_parameters, box_tower
 
 from complexes import ORACLE_CASES, disjoint_sum, flat_tower, scrambled_sums, unsplit
 
@@ -663,3 +665,74 @@ PUBLIC_COMPLEXES = {
 def test_public_gradings_are_fractions(name):
     kc = PUBLIC_COMPLEXES[name]()
     assert all(type(kc.maslov(g)) is Fraction for g in kc.generators)
+
+
+def public_gradings(kc):
+    """Every public value that is a grading and that the package derives from
+    ``kc``, as ``(where, value)``; a layer that rejects ``kc`` adds none."""
+    found = []
+
+    def add(where, layer):
+        try:
+            found.extend((where, value) for value in layer())
+        except ValueError:  # the domain errors: no flip, tau != 0, no free class, ...
+            pass
+
+    def hat(k):
+        table = hfk_hat(k)
+        reduced = [m for m, _s in table.reduced or ()]
+        return [m for m, _s in table.total] + reduced + ([table.max_reduced_maslov()] if reduced else [])
+
+    def tops(dec):
+        return [*dec.towers, *(top for top, _k, _c in dec.torsion)]
+
+    add("hfk_hat", lambda: hat(kc))
+    add("FUDecomposition", lambda: tops(homology_decomposition(kc.base)))
+    for n in (-1, 0, 1):
+        add("surgery_hf", lambda: [*(result := surgery_hf(kc, n)).d_invariants, *tops(result.decomposition)])
+        add("FUDecomposition", lambda: tops(homology_decomposition(build_cone(kc, n).total_complex())))
+    add("ReducedBasisForm.pairs", lambda: [m for m, _a, _d in reduced_basis_form(kc).pairs])
+    add("BoxSum.corners", lambda: [k for level in box_tower(kc, "+-") for k, _c in level.corners])
+    add("box_parameters", lambda: box_parameters(box_tower(kc, "+")[0].complex()))
+    derived = [reduce_canonical(kc), connected_sum_knots(kc, staircase_torus(3, "+"))]
+    try:
+        derived.append(mirror_knot(kc))
+    except ValueError:  # not over S3, or no free class
+        pass
+    for k in derived:
+        add(f"{k.name}.maslov", lambda: map(k.maslov, k.generators))
+        add(f"{k.name} hfk_hat", lambda: hat(k))
+    return found
+
+
+@pytest.mark.parametrize("name", [name for name in PUBLIC_COMPLEXES if name.startswith(("corpus.", "builder."))])
+def test_public_values_that_are_gradings_are_fractions(name):
+    found = public_gradings(PUBLIC_COMPLEXES[name]())
+    assert found
+    assert [(where, value) for where, value in found if type(value) is not Fraction] == []
+
+
+def with_gradings(kc, convert):
+    """``kc`` built anew from its public gradings passed through ``convert``."""
+    base = FreeComplex([(g, convert(kc.maslov(g))) for g in kc.generators], kc.base.differential)
+    return KnotComplex(base, kc.alexander, kc.flip, kc.ambient, kc.name)
+
+
+GRADED_LAYERS = {
+    "validate_complex": lambda kc: validate_complex(kc.base),
+    "homology_decomposition": lambda kc: homology_decomposition(kc.base),
+    **{f"surgery_hf({n})": (lambda kc, n=n: surgery_hf(kc, n)) for n in (-1, 0, 1)},
+    "hfk_hat": hfk_hat,
+    "reduced_basis_form": reduced_basis_form,
+    "to_json": lambda kc: canonical_json(kc.to_json()),
+}
+
+
+@settings(deadline=None, max_examples=40)
+@given(scrambled_sums({**ORACLE_CASES, "J_in_Y": j_in_y, "Jprime_in_Yprime": jprime_in_yprime}, max_size=2))
+def test_int_fraction_and_json_gradings_give_the_same_results(kc):
+    # Compared as text, so an int that leaks out where a Fraction belongs shows.
+    variants = [with_gradings(kc, Fraction), with_gradings(kc, lambda m: m.numerator if m.denominator == 1 else m),
+                KnotComplex.from_json(kc.to_json())]
+    first, *others = [{name: repr(outcome(layer, k)) for name, layer in GRADED_LAYERS.items()} for k in variants]
+    assert all(other == first for other in others)

@@ -661,6 +661,18 @@ def test_distinguish_piece_that_is_not_an_object_is_malformed(tmp_path, capsys, 
     assert (code, out, err) == (2, "", f"error: malformed piece description in {bad!r}: {message}\n")
 
 
+@pytest.mark.parametrize("piece, message", [({"summands": 5}, '"summands" is a number, not a list'),
+                                            ({"summands": {"k3": 1}}, '"summands" is an object, not a list'),
+                                            ("summands", "the piece is a string, not an object"),
+                                            ([1], "the piece is a list, not an object")],
+                         ids=["number", "object", "string", "list"])
+def test_distinguish_names_the_malformed_field(tmp_path, capsys, piece, message):
+    plain = write_json(tmp_path / "plain.json", {"knot": "k3"})
+    bad = write_json(tmp_path / "bad.json", piece)
+    code, out, err = run(capsys, "distinguish", "--a", plain, "--b", bad)
+    assert (code, out, err) == (2, "", f"error: malformed piece description in {bad!r}: {message}\n")
+
+
 def shift_maslov(data, by):
     for g in data["generators"]:
         g["maslov"] = str(int(g["maslov"]) + by)

@@ -4,9 +4,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, strategies as st
 
+from floerforge.cfk import k_n, reduced_basis_form
 from floerforge.fualgebra import (
     FreeComplex,
     FUDecomposition,
+    _Reducer,
     grading,
     homology_decomposition,
     plus_presentation,
@@ -18,6 +20,7 @@ from floerforge.truncation import (
     expected_truncated_dimensions,
     truncated_graded_dimensions,
 )
+from floerforge.whitehead import whitehead_double_cfk
 
 F = Fraction
 
@@ -262,3 +265,28 @@ def _fraction_of(text):
 def test_grading_of_a_string_is_its_fraction(text):
     # The int() fast path keeps Fraction's value and error for every string.
     assert _outcome(grading, text) == _outcome(_fraction_of, text)
+
+
+def test_integral_kernels_build_no_fraction(monkeypatch):
+    # K3 (x) Wh(K3), 297 generators: integral gradings are ints inside, so
+    # validation, the tensor product, the reduction and JSON ingress do no
+    # Fraction arithmetic.
+    k3 = k_n(3)
+    wh = whitehead_double_cfk(reduced_basis_form(k3))
+    built = []
+    new = Fraction.__new__
+    monkeypatch.setattr(Fraction, "__new__", lambda cls, *args, **kw: built.append(args) or new(cls, *args, **kw))
+
+    def fractions_built(kernel):
+        built.clear()
+        value = kernel()
+        return len(built), value
+
+    assert fractions_built(lambda: F(1, 2))[0] == 1  # the count sees construction
+    count, product = fractions_built(lambda: tensor_complexes(k3.base, wh.base))
+    assert (count, len(product.generators)) == (0, 297)
+    assert fractions_built(lambda: validate_complex(product))[0] == 0
+    reducer = _Reducer(product)
+    assert fractions_built(reducer.cancel_u0)[0] == 0
+    assert fractions_built(reducer.diagonalize)[0] == 0
+    assert fractions_built(lambda: FreeComplex.from_json(product.to_json()))[0] == 0
