@@ -178,8 +178,8 @@ def _summands(kc: KnotComplex) -> list[tuple[KnotComplex, list[tuple]]]:
     entries and flip pairs) as ``(representative, [(offset, count)])`` per
     shape, or the whole complex if an endpoint is missing or a flip is partial
     or not involutive.  A shape is, per member, its Maslov grading less the
-    copy's offset, the first member's, its Alexander grading, its flip's
-    position and its row."""
+    copy's offset, the first member's (an ``int`` if integral), its Alexander
+    grading, its flip's position and its row."""
     base, A, flip = kc.base, kc.alexander, kc.flip
     gens, M, diff = base.generators, base.maslov, base.differential
     broken = not M.keys() >= diff.keys() or not all(M.keys() >= row.keys() for row in diff.values())
@@ -193,12 +193,9 @@ def _summands(kc: KnotComplex) -> list[tuple[KnotComplex, list[tuple]]]:
     shapes: dict[tuple, tuple[KnotComplex, dict]] = {}
     for members in components(gens, edges):
         m0 = M[members[0]]
-        if type(m0) is int:
-            relative = [m - m0 for m in map(M.__getitem__, members)]
-        else:  # integer division beats Fraction subtraction
-            q, n0 = m0.denominator, m0.numerator
-            relative = [k if m.denominator == q and not r else m - m0 for m in map(M.__getitem__, members)
-                        for k, r in [divmod(m.numerator - n0, q)]]
+        q, n0 = m0.denominator, m0.numerator  # integer division beats Fraction subtraction
+        relative = [k if m.denominator == q and not r else m - m0 for m in map(M.__getitem__, members)
+                    for k, r in [divmod(m.numerator - n0, q)]]
         pos = dict(zip(members, range(len(members))))
         shape = (tuple(relative), tuple(map(A.__getitem__, members)),
                  None if flip is None else tuple(map(pos.__getitem__, map(flip.__getitem__, members))),
@@ -207,10 +204,9 @@ def _summands(kc: KnotComplex) -> list[tuple[KnotComplex, list[tuple]]]:
         if shape not in shapes:
             rep = FreeComplex(zip(members, relative), {g: diff[g] for g in members if g in diff})
             shapes[shape] = (KnotComplex(rep, {g: A[g] for g in members},
-                                         None if flip is None else {g: flip[g] for g in members}, kc.ambient),
-                             Counter())
-        shapes[shape][1][m0] += 1
-    return [(rep, list(copies.items())) for rep, copies in shapes.values()]
+                                         None if flip is None else {g: flip[g] for g in members}, kc.ambient), {})
+        shapes[shape][1].setdefault((n0, q), [m0, 0])[1] += 1  # int keys hash faster than the Fraction
+    return [(rep, [tuple(copy) for copy in copies.values()]) for rep, copies in shapes.values()]
 
 
 def _summand_violations(kc: KnotComplex) -> tuple[list[str], bool]:
@@ -538,9 +534,10 @@ def _hfk_hat(kc: KnotComplex, shapes) -> HfkTable:
     return HfkTable(total=total, reduced=reduced)
 
 
-def filtration_homology(kc: KnotComplex, i: int) -> dict:
+def filtration_homology(kc: KnotComplex, i: int) -> dict[int | Fraction, int]:
     """Graded homology of the U=0 subcomplex on generators with A <= i,
-    by Gaussian elimination on the complex as given."""
+    by Gaussian elimination on the complex as given, keyed by the stored
+    gradings (an ``int`` if integral)."""
     gens = [g for g in kc.generators if kc.alexander[g] <= i]
     index = {g: n for n, g in enumerate(gens)}
     vert = _vertical_differential(kc)

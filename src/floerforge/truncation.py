@@ -17,8 +17,9 @@ from fractions import Fraction
 from .fualgebra import FUDecomposition, FreeComplex, U_DEGREE, graded_f2_dims
 
 
-def truncated_graded_dimensions(c: FreeComplex, cutoff: int) -> dict[Fraction, int]:
-    """Graded dims of H(c tensor F2[U]/U^cutoff), by row reduction over F2."""
+def truncated_graded_dimensions(c: FreeComplex, cutoff: int) -> dict[int | Fraction, int]:
+    """Graded dims of H(c tensor F2[U]/U^cutoff), by row reduction over F2,
+    keyed by the stored gradings (an ``int`` if integral)."""
     basis = [(g, p) for g in c.generators for p in range(cutoff)]
     index = {b: i for i, b in enumerate(basis)}
     degrees = [c.maslov[g] + U_DEGREE * p for g, p in basis]
