@@ -1,13 +1,17 @@
 """Byte stability of CLI output that the benchmark reference does not pin.
 
 ``cli_digests.json`` maps each command line below to the sha256 of its
-stdout.  Regenerate it only for an intended output change, with
+stdout when the command exits 0 and writes nothing to stderr, and to its
+exit code, stdout digest and stderr text otherwise.  A JSON object in a
+command line is a ``distinguish`` piece, written to a file for the run.
+Regenerate the table only for an intended output change, with
 ``PYTHONPATH=src python tests/test_cli_digests.py``.
 """
 
 import hashlib
 import io
 import json
+import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -16,34 +20,51 @@ import pytest
 from floerforge.cli import main
 
 DIGESTS = Path(__file__).with_name("cli_digests.json")
+MIXED = {"kind": "finite_mixed_then_one_sign", "signs": ["-"], "tail": "+"}
 
 COMMANDS = (
     [["double", "--complex", knot, "--iterations", str(i), "--sign", sign]
      for knot in ("k3", "k9", "wh_k3") for i in (2, 3) for sign in "+-"]
     + [["cfk", "--complex", "k9", "--format", "table"]]
     + [["surgery", "--complex", "k9", "--n", str(n), "--format", "table"] for n in (-1, 0, 1)]
-    + [["endfloer", "--knot", "k3", "--handle", handle, "--orientation", orientation]
+    + [["endfloer", "--knot", knot, "--handle", handle, "--orientation", orientation]
+       for knot in ("k3", "wh_k3", "figure8", "unknot", "trefoil", "k9")
        for handle in ("ch+", "ch-", "ch*") for orientation in "+-"]
+    + [["distinguish", "--a", {"knot": "k3", "handle": MIXED, "orientation": orientation},
+        "--b", {"knot": "k5"}] for orientation in "+-"]
 )
 
 
-def stdout_digest(argv) -> str:
+def key(argv) -> str:
+    return " ".join(a if isinstance(a, str) else json.dumps(a, sort_keys=True) for a in argv)
+
+
+def record(argv, folder: Path):
+    """The stdout digest of a clean run, else exit code, digest and stderr."""
+    paths = {}
+    for i, arg in enumerate(argv):
+        if not isinstance(arg, str):
+            paths[i] = folder / f"piece{i}.json"
+            paths[i].write_text(json.dumps(arg), encoding="utf-8")
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
-        code = main(argv)
-    assert (code, err.getvalue()) == (0, "")
-    return hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest()
+        code = main([str(paths.get(i, arg)) for i, arg in enumerate(argv)])
+    digest = hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest()
+    if (code, err.getvalue()) == (0, ""):
+        return digest
+    return {"exit": code, "stdout": digest, "stderr": err.getvalue()}
 
 
-@pytest.mark.parametrize("argv", COMMANDS, ids=" ".join)
-def test_cli_output_matches_recorded_digest(argv):
-    assert stdout_digest(argv) == json.loads(DIGESTS.read_text())[" ".join(argv)]
+@pytest.mark.parametrize("argv", COMMANDS, ids=key)
+def test_cli_output_matches_recorded_digest(argv, tmp_path):
+    assert record(argv, tmp_path) == json.loads(DIGESTS.read_text())[key(argv)]
 
 
 def test_digest_table_covers_every_command():
-    assert sorted(json.loads(DIGESTS.read_text())) == sorted(map(" ".join, COMMANDS))
+    assert sorted(json.loads(DIGESTS.read_text())) == sorted(map(key, COMMANDS))
 
 
 if __name__ == "__main__":
-    table = {" ".join(argv): stdout_digest(argv) for argv in COMMANDS}
+    with tempfile.TemporaryDirectory() as folder:
+        table = {key(argv): record(argv, Path(folder)) for argv in COMMANDS}
     DIGESTS.write_text(json.dumps(table, indent=2, sort_keys=True) + "\n", encoding="utf-8")
