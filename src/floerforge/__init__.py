@@ -87,7 +87,6 @@ from .whitehead import (
     box_parameters,
     box_tower,
     hedden_hfk_double,
-    is_box_sum,
     negative_double_cfk,
     whitehead_double_cfk,
 )

@@ -651,10 +651,16 @@ def reduced_basis_form(kc: KnotComplex) -> ReducedBasisForm:
     """
     if not kc.ambient.is_sphere:
         raise ValueError("reduced basis form needs the trivial ambient manifold")
-    shapes = _canonical_shapes(kc)
+    return _reduced_basis_form(_canonical_shapes(kc))
+
+
+def _reduced_basis_form(shapes, mirror: bool = False) -> ReducedBasisForm:
+    """:func:`reduced_basis_form` from ``_canonical_shapes(kc)``, or with
+    ``mirror`` that of the mirror knot (``ReducedBasisForm.mirror``), whose
+    tau is the negative."""
     pairs, (reduced, x, offset) = _unpaired(shapes)
-    if reduced.alexander[x] != 0:
-        raise ValueError(f"reduced basis form needs tau = 0, got {reduced.alexander[x]}")
+    if tau := reduced.alexander[x]:
+        raise ValueError(f"reduced basis form needs tau = 0, got {-tau if mirror else tau}")
     if (m := reduced.base.maslov[x] + offset) != 0:
         raise InvalidComplex(f"surviving generator {x} sits at ({format_grading(m)}, 0), not (0, 0)")
     triples = []
@@ -665,7 +671,8 @@ def reduced_basis_form(kc: KnotComplex) -> ReducedBasisForm:
             raise InvalidComplex("vertical pairing produced a non-positive drop")
         for shift, count in copies:
             triples += [(m + shift, a, d) for m, a, d in here] * count
-    return ReducedBasisForm.make(triples)
+    rb = ReducedBasisForm.make(triples)
+    return rb.mirror() if mirror else rb
 
 
 def direct_sum(parts: list[KnotComplex], name: str = "") -> KnotComplex:

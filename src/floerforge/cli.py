@@ -23,6 +23,7 @@ from .cfk import (
     _knot_numerics,
     _shapes,
     filtration_homology,
+    reduced_basis_form,
     validate_knot,
 )
 from .corpus import canonical_json, load_complex
@@ -35,7 +36,7 @@ from .endfloer import (
     distinguish,
     he_slice_r4,
 )
-from .fualgebra import FUDecomposition, InvalidComplex, format_grading, json_checked
+from .fualgebra import FUDecomposition, InvalidComplex, format_grading, json_checked, json_field
 from .surgery import MissingFlip, _summed_cones, _window
 from .verify import format_rows, run_verification
 from .whitehead import box_tower
@@ -122,31 +123,43 @@ def _parse_handle(value) -> CassonHandle:
     return CassonHandle.from_json(value)
 
 
-def _parse_slice_spec(data) -> SliceR4Spec:
-    json_checked(data, dict, "the piece")
+def _piece_fields(data, what: str) -> tuple:
+    """The knot, handle, orientation and disk label of one piece of a
+    ``distinguish`` file, called ``what`` in errors; a malformed field is a
+    KeyError, TypeError or ValueError."""
+    json_checked(data, dict, what)
     if not isinstance(label := data.get("disk_label", "standard"), str):
         raise TypeError(f"disk_label is not a string: {label!r}")
-    return SliceR4Spec(
-        knot=_load(data["knot"]),
-        handle=_parse_handle(data.get("handle", "ch+")),
-        orientation=data.get("orientation", "+"),
-        disk_label=label,
-    )
+    if (orientation := data.get("orientation", "+")) not in ("+", "-"):
+        raise TypeError(f"orientation is not '+' or '-': {orientation!r}")
+    return json_field(data, "knot", what), data.get("handle", "ch+"), orientation, label
 
 
 def _parse_operand(path: str):
+    """The piece or end sum of a ``distinguish`` file.  Every piece is checked
+    for malformed fields before any knot is loaded or handle built."""
     try:
         data = json.loads(Path(path).read_text(encoding="utf-8"))
     except OSError as exc:
         raise UsageError(f"cannot read {path!r}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise UsageError(f"cannot parse {path!r}: {exc}") from exc
+
+    def malformed(exc):
+        return UsageError(f"malformed piece description in {path!r}: {exc}")
+
     try:
-        if "summands" in json_checked(data, dict, "the piece"):
-            return [_parse_slice_spec(s) for s in json_checked(data["summands"], list, '"summands"')]
-        return _parse_slice_spec(data)
-    except (KeyError, TypeError) as exc:
-        raise UsageError(f"malformed piece description in {path!r}: {exc}") from exc
+        summands = "summands" in json_checked(data, dict, "the piece")
+        entries = json_checked(data["summands"], list, '"summands"') if summands else [data]
+        pieces = [_piece_fields(s, f"summand {i}" if summands else "the piece") for i, s in enumerate(entries)]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise malformed(exc) from exc
+    try:
+        specs = [SliceR4Spec(_load(knot), _parse_handle(handle), orientation, label)
+                 for knot, handle, orientation, label in pieces]
+    except (KeyError, TypeError) as exc:  # a malformed handle object
+        raise malformed(exc) from exc
+    return specs if summands else specs[0]
 
 
 def _cmd_cfk(args) -> int:
@@ -183,7 +196,7 @@ def _cmd_double(args) -> int:
     if args.iterations < 1:
         raise UsageError("--iterations must be at least 1")
     kc = _load(args.complex)
-    top = box_tower(kc, args.sign * args.iterations)[-1]
+    top = box_tower(reduced_basis_form(kc), args.sign * args.iterations)[-1]
     name = f"Wh^{args.iterations}({kc.name})" if kc.name else f"Wh^{args.iterations}"
     _emit(canonical_json(top.complex(args.sign, name).to_json()), args.out)
     return 0

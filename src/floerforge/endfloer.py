@@ -27,7 +27,7 @@ from functools import reduce
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
-from .cfk import KnotComplex, hfk_hat, mirror_knot, reduce_canonical
+from .cfk import KnotComplex, _canonical_shapes, _reduced_basis_form, validate_knot
 from .fualgebra import FUDecomposition, format_grading, gf2_rank, grading
 from .surgery import (
     FORCED_INJECTIVE_TOP,
@@ -36,7 +36,7 @@ from .surgery import (
     exact_triangle_force,
     one_handle_stabilize,
 )
-from .whitehead import box_tower, is_box_sum
+from .whitehead import _box_parameters, box_tower
 
 F = Fraction
 
@@ -398,51 +398,38 @@ class SliceR4Spec:
         return replace(self, orientation="-" if self.orientation == "+" else "+")
 
 
-def _is_trivial_knot(kc: KnotComplex) -> bool:
-    return len(reduce_canonical(kc).generators) == 1
-
-
-def _oriented_data(spec: SliceR4Spec):
-    """Knot and handle seen with the requested orientation."""
-    if spec.orientation == "+":
-        return spec.knot, spec.handle
-    return mirror_knot(spec.knot), spec.handle.mirror()
-
-
 def _resolve_piece(spec: SliceR4Spec, levels: int):
     """The report of ``he_slice_r4`` and, for a positive chain, its checked
     0-framed level results (None for every other verdict).
 
-    The one doubling tower runs through a finite mixed prefix, which is
-    absorbed into the knot, and on along a positive tail for ``levels``
-    more doubles.
+    The knot is validated and canonically reduced once per summand shape;
+    its triviality, box corners and reduced pairing (mirrored in orientation
+    "-") are read from that reduction.  The one doubling tower runs through
+    a finite mixed prefix, which is absorbed into the knot, and on along a
+    positive tail for ``levels`` more doubles.
     """
     if levels < 2:
         raise ValueError("need at least two levels")
     if not spec.knot.ambient.is_sphere:
         raise ValueError(f"a slice piece needs a knot in S3, not in {spec.knot.ambient.name}")
-    knot, handle = _oriented_data(spec)
+    validate_knot(spec.knot).require("knot complex")
+    shapes = _canonical_shapes(spec.knot)
+    handle = spec.handle if spec.orientation == "+" else spec.handle.mirror()
 
-    if _is_trivial_knot(knot):
+    if sum(len(reduced.generators) * count for reduced, copies in shapes for _offset, count in copies) == 1:
         return _report({}, True, ["trivial knot: the end is standard and the invariant vanishes"]), None
 
     if handle.kind == "undetermined":
         return _report({}, None, ["handle descriptor outside the computable taxonomy"]), None
 
     if handle.kind in {"has_infinite_positive_chain", "has_infinite_pos_and_neg_chain"}:
-        if not is_box_sum(knot):
-            return _report(
-                {},
-                None,
-                [
-                    "infinite-chain verdicts need a doubled knot "
-                    "(one split generator plus boxes)"
-                ],
-            ), None
-        note = [
-            "nonvanishing: top-summand classes persist through the plugged"
-            " positive chain; no full table is computed",
-        ]
+        try:  # a mirror negates the corners and keeps x at (0, 0): the test is orientation-blind
+            _box_parameters(shapes)
+        except ValueError:
+            note = "infinite-chain verdicts need a doubled knot (one split generator plus boxes)"
+            return _report({}, None, [note]), None
+        note = ["nonvanishing: top-summand classes persist through the plugged"
+                " positive chain; no full table is computed"]
         if handle.kind == "has_infinite_pos_and_neg_chain":
             note.append("both orientations are nonvanishing")
         return _report({}, False, note), None
@@ -452,43 +439,31 @@ def _resolve_piece(spec: SliceR4Spec, levels: int):
         prefix, handle = "".join(handle.signs), CH_PLUS if handle.tail == "+" else CH_MINUS
         lead = ("finite mixed prefix absorbed into the knot by doubling",)
     positive = handle.kind == "all_positive_chain"
-    tower = box_tower(knot, prefix + ("+" * levels if positive else ""))
+    signs = prefix + ("+" * levels if positive else "")
+    rb = _reduced_basis_form(shapes, spec.orientation == "-") if signs else None  # doubling needs tau = 0
+    tower = box_tower(rb, signs)
 
     if not positive:
-        exhaustion = ExhaustionSpec(
-            levels=tuple(
-                Level(b1=1, module={F(0): 0}, label=f"level {i + 1}")
-                for i in range(levels)
-            ),
-            steps=tuple(StepDescriptor(kind="zero") for _ in range(levels - 1)),
-        )
+        exhaustion = ExhaustionSpec(tuple(Level(1, {F(0): 0}, f"level {i + 1}") for i in range(levels)),
+                                    tuple(StepDescriptor("zero") for _ in range(levels - 1)))
         report = colimit(exhaustion)
-        return replace(
-            report,
-            narrative=lead + ("negatively clasped doubling cobordisms are zero maps",)
-            + report.narrative,
-        ), None
+        narrative = lead + ("negatively clasped doubling cobordisms are zero maps",) + report.narrative
+        return replace(report, narrative=narrative), None
 
-    base = tower[len(prefix) - 1] if prefix else hfk_hat(knot)
-    top_expected = base.max_reduced_maslov() - 1 - F(1, 2)
+    # The top reduced hat grading of the knot is that of its highest paired y.
+    top = tower[len(prefix) - 1].max_reduced_maslov() if prefix else max(m for m, _a, _d in rb.pairs)
+    top_expected = top - 1 - F(1, 2)
     results = [level.surgery_hf(0) for level in tower[len(prefix):]]
     level_rows = []
     for i, r in enumerate(results):
         table = r.hf_red()
         if not table or max(table) != top_expected:
-            raise ValueError(
-                "doubling tower produced an unexpected top grading; "
-                f"level {i + 1} reduced table {table}"
-            )
+            raise ValueError("doubling tower produced an unexpected top grading; "
+                             f"level {i + 1} reduced table {table}")
         level_rows.append(Level(b1=1, module=table, label=f"S0(Wh^{i + 1})"))
     report = colimit(_positive_clasp_system(level_rows))
-    return replace(
-        report,
-        narrative=lead + (
-            "positive doubling tower; levels are reduced 0-framed outputs",
-        )
-        + report.narrative,
-    ), results
+    narrative = lead + ("positive doubling tower; levels are reduced 0-framed outputs",) + report.narrative
+    return replace(report, narrative=narrative), results
 
 
 def _positive_clasp_system(levels) -> ExhaustionSpec:

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cfk import Ambient, KnotComplex, ReducedBasisForm, box, reduce_canonical, reduced_basis_form, unknot
+from .cfk import Ambient, KnotComplex, ReducedBasisForm, _canonical_shapes, box, unknot
 from .fualgebra import FreeComplex, _exact, grading
 from .surgery import HFPlusResult, _summed_cones
 
@@ -148,12 +148,12 @@ class BoxSum:
         return _summed_cones([(unknot(), [(0, 1)]), (box(0), list(self.corners))], n, 1)
 
 
-def box_tower(kc: KnotComplex, signs) -> list[BoxSum]:
-    """Iterated doubles as box sums, one level per sign in ``signs`` ("+" or
-    "-"); no complex is built beyond the reduced pairing of ``kc``."""
+def box_tower(rb: ReducedBasisForm, signs) -> list[BoxSum]:
+    """Iterated doubles as box sums of the knot with reduced pairing ``rb``,
+    one level per sign in ``signs`` ("+" or "-"); no complex is built."""
     tower: list[BoxSum] = []
     for sign in signs:
-        pairs = (_counted(reduced_basis_form(kc)) if not tower else
+        pairs = (_counted(rb) if not tower else
                  [p for k, c in tower[-1].corners for p in ((k + 1, 1, c), (k, 1, c))])
         tower.append(BoxSum.doubling(pairs, sign))
     return tower
@@ -165,48 +165,46 @@ def box_parameters(kc: KnotComplex) -> list[Fraction]:
     Raises when the complex is not, after canonical reduction, a direct
     sum of one generator at (0, 0) and 1x1 boxes.
     """
-    reduced = reduce_canonical(kc)
-    remaining = set(reduced.generators)
-    diff, M = reduced.base.differential, reduced.base.maslov
+    return _box_parameters(_canonical_shapes(kc))
+
+
+def _box_parameters(shapes) -> list[Fraction]:
+    """:func:`box_parameters` from ``cfk._canonical_shapes(kc)``.  The corner
+    walk runs once per reduced shape, which may itself be a sum (x joined to
+    a box by a cancelled pair); each corner is shifted by its copy's offset
+    and counted per copy, and x must appear once over all copies."""
     params: list[int | Fraction] = []
-    x_seen = False
-    # Box corners are the generators with two outgoing arrows.
-    for a in sorted(remaining):
-        row = diff.get(a, {})
-        if len(row) != 2:
-            continue
-        powered = [t for t, p in row.items() if p == 1]
-        plain = [t for t, p in row.items() if p == 0]
-        if len(powered) != 1 or len(plain) != 1:
-            raise ValueError(f"generator {a} is not a box corner")
-        b, c = powered[0], plain[0]
-        d_row = diff.get(b, {})
-        if len(d_row) != 1 or list(d_row.values()) != [0]:
-            raise ValueError(f"box at {a} has a malformed vertical edge")
-        d = next(iter(d_row))
-        if diff.get(c, {}) != {d: 1}:
-            raise ValueError(f"box at {a} has a malformed horizontal edge")
-        if reduced.alexander[a] != 0 or reduced.alexander[d] != 0:
-            raise ValueError(f"box at {a} is Alexander-offset")
-        params.append(M[a])
-        remaining -= {a, b, c, d}
-    for g in sorted(remaining):
-        if diff.get(g):
-            raise ValueError(f"leftover generator {g} has a differential")
-        if M[g] != 0 or reduced.alexander[g] != 0:
-            raise ValueError(f"leftover generator {g} is not at (0, 0)")
-        if x_seen:
-            raise ValueError("more than one split generator")
-        x_seen = True
-    if not x_seen:
+    split = 0  # generators left over as x, over all copies
+    for reduced, copies in shapes:
+        remaining = set(reduced.generators)
+        diff, M, A = reduced.base.differential, reduced.base.maslov, reduced.alexander
+        corners = []
+        # Box corners are the generators with two outgoing arrows.
+        for a in sorted(remaining):
+            row = diff.get(a, {})
+            if len(row) != 2:
+                continue
+            (b, p), (c, q) = sorted(row.items(), key=lambda entry: -entry[1])
+            if (p, q) != (1, 0):
+                raise ValueError(f"generator {a} is not a box corner")
+            if len(d_row := diff.get(b, {})) != 1 or 0 not in d_row.values():
+                raise ValueError(f"box at {a} has a malformed vertical edge")
+            (d,) = d_row
+            if diff.get(c, {}) != {d: 1}:
+                raise ValueError(f"box at {a} has a malformed horizontal edge")
+            if A[a] != 0 or A[d] != 0:
+                raise ValueError(f"box at {a} is Alexander-offset")
+            corners.append(M[a])
+            remaining -= {a, b, c, d}
+        for g in sorted(remaining):
+            if diff.get(g):
+                raise ValueError(f"leftover generator {g} has a differential")
+            if A[g] != 0 or any(M[g] + offset != 0 for offset, _count in copies):
+                raise ValueError(f"leftover generator {g} is not at (0, 0)")
+        params += [m + offset for offset, count in copies for _ in range(count) for m in corners]
+        split += len(remaining) * sum(count for _offset, count in copies)
+    if split > 1:
+        raise ValueError("more than one split generator")
+    if not split:
         raise ValueError("no split generator at (0, 0)")
     return sorted(map(grading, params), reverse=True)
-
-
-def is_box_sum(kc: KnotComplex) -> bool:
-    try:
-        box_parameters(kc)
-    except ValueError:
-        return False
-    return True
-

@@ -664,13 +664,27 @@ def test_distinguish_piece_that_is_not_an_object_is_malformed(tmp_path, capsys, 
 @pytest.mark.parametrize("piece, message", [({"summands": 5}, '"summands" is a number, not a list'),
                                             ({"summands": {"k3": 1}}, '"summands" is an object, not a list'),
                                             ("summands", "the piece is a string, not an object"),
-                                            ([1], "the piece is a list, not an object")],
-                         ids=["number", "object", "string", "list"])
+                                            ([1], "the piece is a list, not an object"),
+                                            ({"handle": "ch+"}, 'the piece has no "knot"'),
+                                            ({"summands": [{"knot": "k3"}, 5]}, "summand 1 is a number, not an object"),
+                                            ({"summands": [{"knot": "k3"}, {"handle": "ch+"}]},
+                                             'summand 1 has no "knot"')],
+                         ids=["number", "object", "string", "list", "no-knot", "summand-number", "summand-no-knot"])
 def test_distinguish_names_the_malformed_field(tmp_path, capsys, piece, message):
     plain = write_json(tmp_path / "plain.json", {"knot": "k3"})
     bad = write_json(tmp_path / "bad.json", piece)
     code, out, err = run(capsys, "distinguish", "--a", plain, "--b", bad)
     assert (code, out, err) == (2, "", f"error: malformed piece description in {bad!r}: {message}\n")
+
+
+@pytest.mark.parametrize("orientation", [5, "x", None, ["+"]], ids=["number", "string", "null", "list"])
+@pytest.mark.parametrize("summands", [False, True], ids=["piece", "summand"])
+def test_distinguish_bad_orientation_is_malformed(tmp_path, capsys, orientation, summands):
+    piece = {"knot": "k3", "orientation": orientation}
+    bad = write_json(tmp_path / "bad.json", {"summands": [{"knot": "k5"}, piece]} if summands else piece)
+    plain = write_json(tmp_path / "plain.json", {"knot": "k3"})
+    err = f"error: malformed piece description in {bad!r}: orientation is not '+' or '-': {orientation!r}\n"
+    assert run(capsys, "distinguish", "--a", bad, "--b", plain) == (2, "", err)
 
 
 def shift_maslov(data, by):

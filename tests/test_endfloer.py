@@ -6,7 +6,9 @@ from fractions import Fraction
 
 import pytest
 
-from floerforge.cfk import k_n, reduced_basis_form, staircase_torus, unknot
+from floerforge import cfk
+from floerforge.cfk import k_n, mirror_knot, reduced_basis_form, staircase_torus, unknot
+from floerforge.corpus import corpus_builders, load_complex
 from floerforge.endfloer import (
     CH_MINUS,
     CH_PLUS,
@@ -325,6 +327,49 @@ def test_end_sum_follows_its_operands(pair):
 def test_end_sum_needs_two_levels():
     with pytest.raises(ValueError, match="need at least two levels"):
         he_end_sum([r_spec(3), r_spec(5)], levels=1)
+
+
+# --- one canonical reduction per piece ----------------------------------------------
+
+S3_CORPUS = [name for name in sorted(corpus_builders()) if load_complex(name).ambient.is_sphere]
+PIECE_HANDLES = [CH_PLUS, CH_MINUS, CH_STAR, CassonHandle("undetermined"), MIXED_PLUS]
+
+
+def report_or_error(run, *args):
+    try:
+        return run(*args).to_json()
+    except ValueError as exc:  # InvalidComplex and the domain errors
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("name", S3_CORPUS)
+def test_reversed_piece_matches_the_mirrored_knot(name):
+    # Orientation "-" reads the mirror off the pairing; the flat route mirrors
+    # the complex and the handle and resolves at "+".
+    knot, partner = load_complex(name), r_spec(3)
+    for handle in PIECE_HANDLES:
+        new, old = SliceR4Spec(knot, handle, "-"), SliceR4Spec(mirror_knot(knot), handle.mirror(), "+")
+        for levels in (2, 3):
+            assert report_or_error(he_slice_r4, new, levels) == report_or_error(he_slice_r4, old, levels)
+            assert report_or_error(he_end_sum, [new, partner], levels) == \
+                report_or_error(he_end_sum, [old, partner], levels)
+
+
+@pytest.mark.parametrize("name", ["unknot", "figure8", "trefoil", "k9", "wh_k3"])
+@pytest.mark.parametrize("orientation", "+-")
+def test_resolve_piece_reduces_each_summand_shape_once(monkeypatch, name, orientation):
+    reduced = []
+    real = cfk.reduce_canonical
+    monkeypatch.setattr(cfk, "reduce_canonical", lambda kc: reduced.append(kc) or real(kc))
+    for handle in PIECE_HANDLES:
+        knot = load_complex(name)
+        reduced.clear()
+        try:
+            _resolve_piece(SliceR4Spec(knot, handle, orientation), 2)
+        except ValueError:  # tau != 0 under a positive chain or a doubling prefix
+            pass
+        assert list(map(id, reduced)) == [id(rep) for rep, _copies in knot._split]
+        assert all(kc is not knot for kc in reduced)
 
 
 # --- product ends ---------------------------------------------------------------------

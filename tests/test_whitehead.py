@@ -2,8 +2,10 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
 
 from floerforge.cfk import (
+    KnotComplex,
     _summands,
     box,
     direct_sum,
@@ -13,6 +15,7 @@ from floerforge.cfk import (
     k_n,
     knot_numerics,
     mirror_knot,
+    reduce_canonical,
     reduced_basis_form,
     staircase_torus,
     unknot,
@@ -20,6 +23,7 @@ from floerforge.cfk import (
     ReducedBasisForm,
 )
 from floerforge.corpus import load_complex
+from floerforge.fualgebra import FreeComplex
 from floerforge.surgery import surgery_hf
 from floerforge.whitehead import (
     BoxSum,
@@ -27,12 +31,11 @@ from floerforge.whitehead import (
     box_parameters,
     box_tower,
     hedden_hfk_double,
-    is_box_sum,
     negative_double_cfk,
     whitehead_double_cfk,
 )
 
-from complexes import flat_tower, unsplit
+from complexes import ORACLE_CASES, flat_tower, scrambled_sums, unsplit
 
 F = Fraction
 
@@ -169,10 +172,97 @@ def test_negative_double_of_amphichiral_shape_mirrors_positive():
     assert box_parameters(neg) == sorted((-k for k in box_parameters(pos)), reverse=True)
 
 
-def test_is_box_sum_recognition():
-    assert is_box_sum(whitehead_double_cfk(reduced_basis_form(figure8())))
-    assert not is_box_sum(staircase_torus(3, "+"))
-    assert not is_box_sum(k_n(3))
+def test_box_parameters_recognition():
+    assert box_parameters(whitehead_double_cfk(reduced_basis_form(figure8()))) == [F(0), F(0), F(-1), F(-1)]
+    for kc in (staircase_torus(3, "+"), k_n(3)):
+        with pytest.raises(ValueError):
+            box_parameters(kc)
+
+
+# The whole-complex route of box_parameters: one corner walk on the canonical
+# reduction of the flat complex, the oracle for the per-shape walk.
+
+
+def whole_box_parameters(kc):
+    reduced = reduce_canonical(kc)
+    remaining = set(reduced.generators)
+    diff, M = reduced.base.differential, reduced.base.maslov
+    params = []
+    x_seen = False
+    for a in sorted(remaining):
+        row = diff.get(a, {})
+        if len(row) != 2:
+            continue
+        powered = [t for t, p in row.items() if p == 1]
+        plain = [t for t, p in row.items() if p == 0]
+        if len(powered) != 1 or len(plain) != 1:
+            raise ValueError(f"generator {a} is not a box corner")
+        b, c = powered[0], plain[0]
+        d_row = diff.get(b, {})
+        if len(d_row) != 1 or list(d_row.values()) != [0]:
+            raise ValueError(f"box at {a} has a malformed vertical edge")
+        d = next(iter(d_row))
+        if diff.get(c, {}) != {d: 1}:
+            raise ValueError(f"box at {a} has a malformed horizontal edge")
+        if reduced.alexander[a] != 0 or reduced.alexander[d] != 0:
+            raise ValueError(f"box at {a} is Alexander-offset")
+        params.append(M[a])
+        remaining -= {a, b, c, d}
+    for g in sorted(remaining):
+        if diff.get(g):
+            raise ValueError(f"leftover generator {g} has a differential")
+        if M[g] != 0 or reduced.alexander[g] != 0:
+            raise ValueError(f"leftover generator {g} is not at (0, 0)")
+        if x_seen:
+            raise ValueError("more than one split generator")
+        x_seen = True
+    if not x_seen:
+        raise ValueError("no split generator at (0, 0)")
+    return sorted(map(Fraction, params), reverse=True)
+
+
+def x_joined_to_box():
+    """One summand: x, box(-2), and p -> q + a + U x with dq = da.  Canonical
+    reduction cancels p against q or a and leaves x plus one box; x is hit
+    only through U, so every cancellation order leaves it alone."""
+    b = box(-2)
+    base = FreeComplex([("x", 0), ("p", -1), ("q", -2)] + [(g, b.maslov(g)) for g in b.generators],
+                       {"p": {"q": 0, "a": 0, "x": 1}, "q": {"b": 1, "c": 0}, **b.base.differential})
+    return KnotComplex(base, {"x": 0, "p": 0, "q": 0, **b.alexander}, {"x": "x", "p": "p", "q": "q", **b.flip})
+
+
+def test_box_parameters_walks_a_shape_that_reduces_to_a_sum():
+    kc = x_joined_to_box()
+    assert validate_knot(kc).ok and len(_summands(kc)) == 1
+    assert box_parameters(kc) == whole_box_parameters(kc) == [F(-2)]
+    with_copies = direct_sum([kc, box(2), box(-1), box(2)])
+    assert box_parameters(with_copies) == whole_box_parameters(unsplit(with_copies)) == [F(2), F(2), F(-1), F(-2)]
+    with pytest.raises(ValueError, match="more than one split generator"):
+        box_parameters(direct_sum([kc, kc]))
+
+
+BOX_CASES = {
+    **ORACLE_CASES,
+    **{f"Wh{sign}({name})": (lambda build=build, kc=kc: build(reduced_basis_form(kc())))
+       for sign, build in (("+", whitehead_double_cfk), ("-", negative_double_cfk))
+       for name, kc in (("figure8", figure8), ("K3", lambda: k_n(3)))},
+    "BoxSum-": lambda: BoxSum(((F(3), 2), (F(0), 1), (F(-2), 3))).complex("-"),
+    "x~box": x_joined_to_box,
+    "x~box+boxes": lambda: direct_sum([x_joined_to_box(), box(2), box(-1), box(2)]),
+}
+
+
+def walk_outcome(walk, kc):
+    try:
+        return walk(kc)
+    except ValueError:
+        return ValueError
+
+
+@settings(deadline=None, max_examples=120)
+@given(scrambled_sums(BOX_CASES, max_size=2))
+def test_box_parameters_per_shape_match_the_whole_complex(kc):
+    assert walk_outcome(box_parameters, kc) == walk_outcome(whole_box_parameters, unsplit(kc))
 
 
 # --- the box-sum normal form ------------------------------------------------------
@@ -202,7 +292,7 @@ TOWERS = [(3, "-+-+", (-1, 0, 1)), (3, "+--+", (0,)), (5, "--++", (0,)), (5, "+-
 @pytest.mark.parametrize("n, signs, framings", TOWERS, ids=[f"K{n}{signs}" for n, signs, _ in TOWERS])
 def test_box_tower_matches_flat_tower(n, signs, framings):
     kc = k_n(n)
-    for flat, symbolic in zip(flat_tower(kc, signs), box_tower(kc, signs), strict=True):
+    for flat, symbolic in zip(flat_tower(kc, signs), box_tower(reduced_basis_form(kc), signs), strict=True):
         assert symbolic.corners == corners(flat)
         assert symbolic.max_reduced_maslov() == hfk_hat(flat).max_reduced_maslov()
         for framing in framings:
@@ -212,7 +302,7 @@ def test_box_tower_matches_flat_tower(n, signs, framings):
 @pytest.mark.parametrize("signs", ["+", "-", "+-", "-+", "--"])
 def test_box_sum_mirror_matches_mirror_knot(signs):
     for kc in (figure8(), k_n(3)):
-        flat, symbolic = flat_tower(kc, signs)[-1], box_tower(kc, signs)[-1]
+        flat, symbolic = flat_tower(kc, signs)[-1], box_tower(reduced_basis_form(kc), signs)[-1]
         assert symbolic.mirror().corners == corners(mirror_knot(flat))
         assert symbolic.mirror().mirror() == symbolic
 
@@ -220,13 +310,13 @@ def test_box_sum_mirror_matches_mirror_knot(signs):
 @pytest.mark.parametrize("kc", [figure8(), k_n(3), k_n(5), k_n(7)])
 def test_box_sum_hat_ranks_match_rank_formula(kc):
     g = knot_numerics(kc)["genus"]
-    symbolic = box_tower(kc, "+")[0]
+    symbolic = box_tower(reduced_basis_form(kc), "+")[0]
     assert box_sum_hat_ranks(symbolic) == hedden_hfk_double(filtration_data(kc, g), g)
 
 
 @pytest.mark.parametrize("signs", ["+", "-", "++", "-+"])
 def test_box_sum_matches_expanded_complex(signs):
-    symbolic = box_tower(k_n(3), signs)[-1]
+    symbolic = box_tower(reduced_basis_form(k_n(3)), signs)[-1]
     assert box_sum_hat_ranks(symbolic) == hfk_hat(expanded(symbolic)).total
     # Each box B[k] contributes the reduced pairs (k + 1, 1, 1) and (k, 0, 1).
     closed = {p: c for k, c in symbolic.corners for p in ((k + 1, 1, 1), (k, 0, 1))}
@@ -253,7 +343,7 @@ DOUBLABLE = ["figure8", "k3", "k5", "k7", "k9", "wh_k3", "wh_k5", "wh_k7", "wh_k
 def test_box_sum_complex_hands_over_the_split_of_its_expansion(entry):
     kc = load_complex(entry)
     for signs in ("+++", "-+-"):
-        for level in box_tower(kc, signs):
+        for level in box_tower(reduced_basis_form(kc), signs):
             for sign in "+-":
                 flat = level.complex(sign)
                 assert split_contents(flat._split) == split_contents(_summands(unsplit(flat)))
