@@ -666,7 +666,8 @@ def test_distinguish_piece_that_is_not_an_object_is_malformed(tmp_path, capsys, 
                                             ("summands", "the piece is a string, not an object"),
                                             ([1], "the piece is a list, not an object"),
                                             ({"handle": "ch+"}, 'the piece has no "knot"'),
-                                            ({"summands": [{"knot": "k3"}, 5]}, "summand 1 is a number, not an object"),
+                                            ({"summands": [{"knot": "k3"}, 5]},
+                                             "summand 1 is a number, not an object"),
                                             ({"summands": [{"knot": "k3"}, {"handle": "ch+"}]},
                                              'summand 1 has no "knot"')],
                          ids=["number", "object", "string", "list", "no-knot", "summand-number", "summand-no-knot"])
