@@ -125,40 +125,32 @@ def _parse_handle(value) -> CassonHandle:
 
 def _piece_fields(data, what: str) -> tuple:
     """The knot, handle, orientation and disk label of one piece of a
-    ``distinguish`` file, called ``what`` in errors; a malformed field is a
-    KeyError, TypeError or ValueError."""
+    ``distinguish`` file, called ``what`` in errors; a malformed field,
+    the handle object included, is a KeyError, TypeError or ValueError."""
     json_checked(data, dict, what)
     if not isinstance(label := data.get("disk_label", "standard"), str):
         raise TypeError(f"disk_label is not a string: {label!r}")
     if (orientation := data.get("orientation", "+")) not in ("+", "-"):
         raise TypeError(f"orientation is not '+' or '-': {orientation!r}")
-    return json_field(data, "knot", what), data.get("handle", "ch+"), orientation, label
+    return json_field(data, "knot", what), _parse_handle(data.get("handle", "ch+")), orientation, label
 
 
 def _parse_operand(path: str):
     """The piece or end sum of a ``distinguish`` file.  Every piece is checked
-    for malformed fields before any knot is loaded or handle built."""
+    for malformed fields, and its handle built, before any knot is loaded."""
     try:
         data = json.loads(Path(path).read_text(encoding="utf-8"))
     except OSError as exc:
         raise UsageError(f"cannot read {path!r}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise UsageError(f"cannot parse {path!r}: {exc}") from exc
-
-    def malformed(exc):
-        return UsageError(f"malformed piece description in {path!r}: {exc}")
-
     try:
         summands = "summands" in json_checked(data, dict, "the piece")
         entries = json_checked(data["summands"], list, '"summands"') if summands else [data]
         pieces = [_piece_fields(s, f"summand {i}" if summands else "the piece") for i, s in enumerate(entries)]
     except (KeyError, TypeError, ValueError) as exc:
-        raise malformed(exc) from exc
-    try:
-        specs = [SliceR4Spec(_load(knot), _parse_handle(handle), orientation, label)
-                 for knot, handle, orientation, label in pieces]
-    except (KeyError, TypeError) as exc:  # a malformed handle object
-        raise malformed(exc) from exc
+        raise UsageError(f"malformed piece description in {path!r}: {exc}") from exc
+    specs = [SliceR4Spec(_load(knot), *fields) for knot, *fields in pieces]
     return specs if summands else specs[0]
 
 

@@ -28,7 +28,7 @@ from fractions import Fraction
 from typing import Optional, Sequence, Union
 
 from .cfk import KnotComplex, _canonical_shapes, _reduced_basis_form, validate_knot
-from .fualgebra import FUDecomposition, format_grading, gf2_rank, grading
+from .fualgebra import FUDecomposition, format_grading, gf2_rank, grading, json_field
 from .surgery import (
     FORCED_INJECTIVE_TOP,
     HFPlusResult,
@@ -373,7 +373,7 @@ class CassonHandle:
             raise TypeError(f"handle is not a string or a JSON object: {data!r}")
         if not isinstance(signs := data.get("signs", []), list):
             raise TypeError(f"signs is not a JSON list: {signs!r}")
-        return cls(data["kind"], tuple(signs), data.get("tail", ""))
+        return cls(json_field(data, "kind", "the handle"), tuple(signs), data.get("tail", ""))
 
 
 CH_PLUS = CassonHandle("all_positive_chain")

@@ -251,25 +251,6 @@ def xor_entry(row: dict[str, int], key: str, power: int) -> bool:
     return True
 
 
-def compose(first: Mapping, then: Mapping) -> dict[str, dict[str, int]]:
-    """The map ``first`` followed by ``then``, both as source -> {target: power}.
-
-    >>> compose({"a": {"m": 1, "n": 0}}, {"m": {"z": 0}, "n": {"z": 1}})
-    {}
-    >>> compose({"a": {"m": 1}}, {"m": {"y": 0, "z": 2}})
-    {'a': {'y': 1, 'z': 3}}
-    """
-    out: dict[str, dict[str, int]] = {}
-    for src, row in first.items():
-        acc: dict[str, int] = {}
-        for mid, p in row.items():
-            for tgt, q in then.get(mid, {}).items():
-                xor_entry(acc, tgt, p + q)
-        if acc:
-            out[src] = acc
-    return out
-
-
 def gf2_rank(vectors: Iterable[int]) -> int:
     """Rank over F2 of bitmask vectors, by Gaussian elimination.
 
@@ -310,33 +291,127 @@ def graded_f2_dims(keys, boundaries, above) -> dict:
     return dims
 
 
+def _bits(x: int):
+    """The set bits of ``x``, lowest first."""
+    while x:
+        low = x & -x
+        yield low.bit_length() - 1
+        x ^= low
+
+
+# The kernel numbers generators by position (input order) and holds a set of
+# positions as a window bitset: an int ``v`` and a base ``o``, bit b of v
+# standing for position o + b.  A set then costs what its members span, not
+# its highest position, so the rows of a large complex stay small.
+
+
+def _plus(v: int, o: int, w: int, wo: int) -> tuple[int, int]:
+    """The F2 sum of the window bitsets ``(v, o)`` and ``(w, wo)``."""
+    if not v:
+        return w, wo
+    if not w:
+        return v, o
+    if wo >= o:
+        return v ^ w << (wo - o), o
+    return v << (o - wo) ^ w, wo
+
+
+def _positions(v: int, o: int) -> list[int]:
+    """The positions in the window bitset ``(v, o)``, lowest first."""
+    return [o + b for b in _bits(v)]
+
+
+def _odd_overlap(v: int, o: int, w: int, wo: int) -> bool:
+    """Whether the window bitsets ``(v, o)`` and ``(w, wo)`` share an odd number of positions."""
+    low = min(o, wo)
+    return (v << (o - low) & w << (wo - low)).bit_count() % 2 == 1
+
+
+def _spread(sets: list, bases: list, v: int, o: int, w: int, wo: int):
+    """Add ``(w, wo)`` to the set ``(sets[i], bases[i])`` of each position i in ``(v, o)``."""
+    while v:  # _plus, inlined
+        low = v & -v
+        i = o + low.bit_length() - 1
+        v ^= low
+        if not (x := sets[i]):
+            sets[i], bases[i] = w, wo
+        elif wo >= (b := bases[i]):
+            sets[i] = x ^ w << (wo - b)
+        else:
+            sets[i], bases[i] = x << (b - wo) ^ w, wo
+
+
+def _sum(sets: list, bases: list, v: int, o: int, acc: int = 0, at: int = 0) -> tuple[int, int]:
+    """``(acc, at)`` plus the sets ``(sets[i], bases[i])`` over the positions i in ``(v, o)``."""
+    while v:  # _plus, inlined
+        low = v & -v
+        i = o + low.bit_length() - 1
+        v ^= low
+        if not (w := sets[i]):
+            continue
+        if not acc:
+            acc, at = w, bases[i]
+        elif (b := bases[i]) >= at:
+            acc ^= w << (b - at)
+        else:
+            acc, at = acc << (at - b) ^ w, b
+    return acc, at
+
+
+def _id_rows(c: FreeComplex, ids: Mapping[str, int], build: bool = True) -> tuple[tuple | None, list[str]]:
+    """The window bitset rows ``(rows, row_bases)`` of the entries of ``c`` of
+    the right degree over the positions ``ids`` (None unless ``build``), and
+    each entry with an unknown end, a negative or a wrong power."""
+    maslov, n, bad = c.maslov, len(ids), []
+    rows, row_bases = [0] * n, [0] * n
+    for src, row in c.differential.items():
+        i, top, v, o = ids.get(src), maslov.get(src, 0) - 1, 0, 0
+        for tgt, p in row.items():
+            j = ids.get(tgt)
+            if i is None or j is None:
+                bad.append(f"entry {src}->{tgt}: unknown {'target' if j is None else 'source'}")
+            elif p < 0 or maslov[tgt] + U_DEGREE * p != top:
+                if p < 0:
+                    bad.append(f"entry {src}->{tgt}: negative U-power {p}")
+                if maslov[tgt] + U_DEGREE * p != top:
+                    bad.append(f"entry {src}->U^{p}.{tgt}: grading {format_grading(top + 1)} "
+                               f"-> {format_grading(maslov[tgt] + U_DEGREE * p)} is not degree -1")
+            elif not v:
+                v, o = 1, j
+            elif j >= o:
+                v |= 1 << (j - o)
+            else:
+                v, o = v << (o - j) | 1, j
+        if build and v:
+            rows[i], row_bases[i] = v, o
+    return (rows, row_bases) if build else None, bad
+
+
+def _square_violations(names: list[str], maslov, rows: list[int], bases: list[int]) -> list[str]:
+    """Each nonzero entry of d^2 over F2 of the window bitset ``rows``,
+    position i standing for ``names[i]``."""
+    out = []
+    for i, v in enumerate(rows):
+        if v and (square := _sum(rows, bases, v, bases[i]))[0]:
+            for j in _positions(*square):
+                power = (maslov[names[j]] - maslov[names[i]]) // 2 + 1
+                out.append(f"d^2 from {names[i]} to {names[j]} has surviving powers [{power}]")
+    return out
+
+
 def validate_complex(c: FreeComplex) -> ValidationReport:
-    """Check d^2 = 0 and grading homogeneity, listing every violation."""
-    violations = []
-    for src, tgt, p in c.entries():
-        if tgt not in c.maslov:
-            violations.append(f"entry {src}->{tgt}: unknown target")
-            continue
-        if src not in c.maslov:
-            violations.append(f"entry {src}->{tgt}: unknown source")
-            continue
-        if p < 0:
-            violations.append(f"entry {src}->{tgt}: negative U-power {p}")
-        if c.maslov[tgt] + U_DEGREE * p != c.maslov[src] - 1:
-            violations.append(
-                f"entry {src}->U^{p}.{tgt}: grading {format_grading(c.maslov[src])} "
-                f"-> {format_grading(c.maslov[tgt] + U_DEGREE * p)} is not degree -1"
-            )
-    # d^2 over F2[U]: contributions to (src, tgt) cancel in pairs.
-    for src in c.differential:
-        square: dict[str, set[int]] = {}
-        for mid, p in c.differential[src].items():
-            for tgt, q in c.differential.get(mid, {}).items():
-                square.setdefault(tgt, set()).symmetric_difference_update({p + q})
-        for tgt, powers in square.items():
-            if powers:
-                violations.append(f"d^2 from {src} to {tgt} has surviving powers {sorted(powers)}")
-    return ValidationReport(ok=not violations, violations=tuple(violations))
+    """Check d^2 = 0 and grading homogeneity, listing every violation.
+
+    d^2 is taken over F2 on the entries of the right degree: once every
+    power is the one the gradings give, that is d^2 over F2[U]."""
+    return _checked_rows(c)[0]
+
+
+def _checked_rows(c: FreeComplex) -> tuple[ValidationReport, tuple]:
+    """:func:`validate_complex` and the ``(ids, sets)`` of :func:`_id_rows` it checked."""
+    sets, violations = _id_rows(c, ids := {g: i for i, g in enumerate(c.generators)})
+    violations += _square_violations(c.generators, c.maslov, *sets)
+    return ValidationReport(ok=not violations, violations=tuple(violations)), (ids, sets)
 
 
 def tensor_complexes(c1: FreeComplex, c2: FreeComplex) -> FreeComplex:
@@ -412,155 +487,203 @@ class _Reducer:
     and reroutes arrows that hit g into arrows hitting h; both effects
     together are an exact change of basis, so d^2 = 0 is preserved.
 
-    ``track`` names the maps the reducer also maintains: ``"iota"``, the
-    inclusion (surviving basis vector expressed in the original basis),
-    and ``"pi"``, the projection (original generator expressed in the
-    surviving basis).  They turn the reduction into an explicit homotopy
-    equivalence once cancelled pairs are split off.
+    Generators are numbered by position in ``c.generators``.  Row and
+    column i are window bitsets (``rows[i]`` over ``row_bases[i]``, and
+    ``cols``/``col_bases``) of the targets of d(i) and of the sources
+    hitting i; the gradings give the power of i -> j, (m(j) - m(i) + 1) / 2.
+    Pivots are ordered by generator name (``rank``), so the smallest live
+    entry is the same whatever the input order.  ``rows`` may hand over the
+    ``(ids, sets)`` of a passed :func:`_id_rows` check on those positions;
+    the reducer works on copies.
+
+    ``track`` names the maps the reducer also maintains, as changes from
+    the identity: ``"iota"``, the inclusion (survivor i is the originals in
+    ``iota_rows[i]`` plus i), and ``"pi"``, the projection (survivor i is in
+    the image of the originals in ``pi_cols[i]`` plus i), an explicit
+    homotopy equivalence once cancelled pairs are split off.
     """
 
-    def __init__(self, c: FreeComplex, alexander=None, track=()):
-        self.maslov = dict(c.maslov)
-        self.alexander = dict(alexander) if alexander is not None else None
-        self.diff: dict[str, dict[str, int]] = {
-            src: dict(row) for src, row in c.differential.items()
-        }
-        self.into: dict[str, set[str]] = {}
-        for src, row in self.diff.items():
-            for tgt in row:
-                self.into.setdefault(tgt, set()).add(src)
-        self.alive: list[str] = list(c.generators)
-        self.alive_set = set(self.alive)
-        self.torsion: list[tuple[int | Fraction, int]] = []
-        self._created: list[tuple[str, str, int]] = []
-        self.iota = {g: {g: 0} for g in c.generators} if "iota" in track else None
-        self.pi = {g: {g: 0} for g in c.generators} if "pi" in track else None
-        self.pi_into = {g: {g} for g in c.generators} if "pi" in track else None
-
-    # -- low-level dictionary surgery ------------------------------------
-
-    def _toggle(self, src: str, tgt: str, p: int):
-        row = self.diff.setdefault(src, {})
-        if xor_entry(row, tgt, p):
-            self.into.setdefault(tgt, set()).add(src)
-            self._created.append((src, tgt, p))
+    def __init__(self, c: FreeComplex, alexander=None, track=(), rows=None):
+        if rows is None:
+            sets, bad = _id_rows(c, ids := {g: i for i, g in enumerate(c.generators)})
+            if bad:
+                raise AssertionError(bad[0])
         else:
-            if not row:
-                del self.diff[src]
-            self.into[tgt].discard(src)
+            ids, sets = rows[0], [list(x) for x in rows[1]]
+        self.ids, (self.rows, self.row_bases), self.cols = ids, sets, None
+        self.generators, self.maslov, n = c.generators, c.maslov, len(c.generators)
+        self.m = list(map(c.maslov.__getitem__, c.generators))
+        self.alexander = None if alexander is None else list(map(alexander.__getitem__, c.generators))
+        self.alive, self.torsion, self.rank = [True] * n, [], None
+        self.iota_rows = self.iota_bases = self.pi_cols = self.pi_bases = None
+        if "iota" in track:
+            self.iota_rows, self.iota_bases = [0] * n, [0] * n
+        if "pi" in track:
+            self.pi_cols, self.pi_bases = [0] * n, [0] * n
 
     def mix(self, g: str, h: str, s: int):
         """Basis change g := g + U^s h."""
-        if self.maslov[g] != self.maslov[h] + U_DEGREE * s:
-            raise AssertionError(f"inhomogeneous mix {g} += U^{s}.{h}")
-        if self.alexander is not None:
-            if self.alexander[h] - s > self.alexander[g]:
-                raise AssertionError(f"filtration-breaking mix {g} += U^{s}.{h}")
-        for tgt, p in list(self.diff.get(h, {}).items()):
-            self._toggle(g, tgt, p + s)
-        for y in list(self.into.get(g, set())):
-            self._toggle(y, h, self.diff[y][g] + s)
-        if self.iota is not None:
-            for old, p in list(self.iota[h].items()):
-                xor_entry(self.iota[g], old, p + s)
-        if self.pi is not None:
-            for e in list(self.pi_into.get(g, set())):
-                if xor_entry(self.pi[e], h, self.pi[e][g] + s):
-                    self.pi_into.setdefault(h, set()).add(e)
+        i, j, A = self.ids[g], self.ids[h], self.alexander
+        if self.maslov[g] != self.maslov[h] + U_DEGREE * s or s < 0:
+            raise AssertionError(f"inhomogeneous or negative mix {g} += U^{s}.{h}")
+        if A is not None and A[j] - s > A[i]:
+            raise AssertionError(f"filtration-breaking mix {g} += U^{s}.{h}")
+        rows, row_bases, (cols, col_bases) = self.rows, self.row_bases, self._columns()
+        rows[i], row_bases[i] = _plus(rows[i], row_bases[i], rows[j], row_bases[j])
+        _spread(cols, col_bases, rows[j], row_bases[j], 1, i)
+        _spread(rows, row_bases, cols[i], col_bases[i], 1, j)
+        cols[j], col_bases[j] = _plus(cols[j], col_bases[j], cols[i], col_bases[i])
+        if self.iota_rows is not None:
+            _spread(self.iota_rows, self.iota_bases, 1, i, *_plus(self.iota_rows[j], self.iota_bases[j], 1, j))
+        if self.pi_cols is not None:
+            _spread(self.pi_cols, self.pi_bases, 1, j, *_plus(self.pi_cols[i], self.pi_bases[i], 1, i))
+
+    def _sweep(self, u0: bool):
+        """Pivot on the smallest live (power, source name, target name) entry,
+        only on U^0 entries of zero Alexander drop if ``u0``, until none is
+        left.  At alpha -> U^k beta, each z hitting beta adds U^(p - k) alpha,
+        and beta adds U^(q - k) w per w alpha hits."""
+        m, A, n, rows = self.m, self.alexander, len(self.m), self.rows
+        row_bases, entries = self.row_bases, []
+        for i, v in enumerate(rows):
+            o, mi = row_bases[i], m[i]
+            while v:
+                low = v & -v
+                j = o + low.bit_length() - 1
+                v ^= low
+                if not u0 or m[j] == mi - 1 and (A is None or A[j] == A[i]):
+                    entries.append(((m[j] - mi + 1) // 2, i, j))
+        if not entries:
+            return
+        cols, col_bases = self._columns()
+        if self.rank is None:
+            self.at = sorted(range(n), key=self.generators.__getitem__)  # positions in name order
+            self.rank = [0] * n
+            for r, i in enumerate(self.at):
+                self.rank[i] = r
+        at, rank, heappop, heappush = self.at, self.rank, heapq.heappop, heapq.heappush
+        iota, iota_bases, pi, pi_bases = self.iota_rows, self.iota_bases, self.pi_cols, self.pi_bases
+        heap = [(p * n + rank[i]) * n + rank[j] for p, i, j in entries]
+        heapq.heapify(heap)
+        while heap:
+            rest, beta = divmod(heappop(heap), n)
+            k, alpha = divmod(rest, n)
+            alpha, beta = at[alpha], at[beta]
+            out_a, oa = rows[alpha], row_bases[alpha]
+            if beta < oa or not out_a >> (beta - oa) & 1:
+                continue
+            into_b, ob = cols[beta], col_bases[beta]
+            zs, ws = into_b ^ 1 << (alpha - ob), out_a ^ 1 << (beta - oa)
+            if A is not None and (any(A[alpha] - (m[beta] - m[z] + 1) // 2 + k > A[z] for z in _positions(zs, ob))
+                                  or any(A[w] - (m[w] - m[alpha] + 1) // 2 + k > A[beta] for w in _positions(ws, oa))):
+                raise AssertionError(f"filtration-breaking pivot {self.generators[alpha]} -> {self.generators[beta]}")
+            left = zs
+            while left:
+                low = left & -left
+                z = ob + low.bit_length() - 1
+                left ^= low
+                old, oz = rows[z], row_bases[z]
+                if oa >= oz:
+                    added = out_a << (oa - oz)
                 else:
-                    self.pi_into[h].discard(e)
+                    old, oz, added = old << (oz - oa), oa, out_a
+                    row_bases[z] = oa
+                rows[z] = old ^ added
+                new, mz = added & ~old, m[z]
+                while new:
+                    low = new & -new
+                    t = oz + low.bit_length() - 1
+                    new ^= low
+                    if not u0 or m[t] == mz - 1 and (A is None or A[t] == A[z]):
+                        heappush(heap, ((m[t] - mz + 1) // 2 * n + rank[z]) * n + rank[t])
+            # d^2 = 0 forces: what hits the z's is what hits alpha; the w's rows sum to beta's
+            if (zs or cols[alpha]) and _sum(cols, col_bases, zs, ob, cols[alpha], col_bases[alpha])[0] or (
+                    ws or rows[beta]) and _sum(rows, row_bases, ws, oa, rows[beta], row_bases[beta])[0]:
+                raise AssertionError("d^2 = 0 fails at a pivot")
+            if iota is not None and zs:
+                _spread(iota, iota_bases, zs, ob, *_plus(iota[alpha], iota_bases[alpha], 1, alpha))
+            if pi is not None and ws:
+                _spread(pi, pi_bases, ws, oa, *_plus(pi[beta], pi_bases[beta], 1, beta))
+            if cols[alpha]:
+                _spread(rows, row_bases, cols[alpha], col_bases[alpha], 1, alpha)
+            _spread(cols, col_bases, out_a, oa, into_b, ob)
+            if rows[beta]:
+                _spread(cols, col_bases, rows[beta], row_bases[beta], 1, beta)
+            rows[alpha] = rows[beta] = cols[alpha] = 0  # free what the pair held
+            if iota is not None:
+                iota[alpha] = iota[beta] = 0
+            if pi is not None:
+                pi[alpha] = pi[beta] = 0
+            self.alive[alpha] = self.alive[beta] = False
+            if k > 0:
+                self.torsion.append((m[beta], k))
 
-    def _drop(self, g: str):
-        self.alive_set.discard(g)
-        for tgt in list(self.diff.get(g, {})):
-            self.into[tgt].discard(g)
-        self.diff.pop(g, None)
-        self.into.pop(g, None)
-        if self.iota is not None:
-            self.iota.pop(g, None)
-        if self.pi is not None:
-            for e in list(self.pi_into.get(g, set())):
-                del self.pi[e][g]
-            self.pi_into.pop(g, None)
+    def _columns(self) -> tuple[list, list]:
+        """The window bitset columns ``(cols, col_bases)``, built from the rows on first use."""
+        if self.cols is None:
+            n = len(self.m)
+            self.cols, self.col_bases = cols, col_bases = [0] * n, [0] * n
+            for i, v in enumerate(self.rows):
+                o = self.row_bases[i]
+                while v:  # sources come in rising position, so a column's first is its base
+                    low = v & -v
+                    j = o + low.bit_length() - 1
+                    v ^= low
+                    if cols[j]:
+                        cols[j] |= 1 << (i - col_bases[j])
+                    else:
+                        cols[j], col_bases[j] = 1, i
+        return self.cols, self.col_bases
 
-    # -- pivoting ---------------------------------------------------------
-
-    def _split_pair(self, alpha: str, beta: str, k: int):
-        """Clear row and column of a pivot alpha -> U^k beta, then delete.
-
-        After clearing, d(alpha) = U^k beta exactly, nothing else touches
-        the pair, and d(beta) = 0 is forced by d^2 = 0 and freeness.
-        """
-        for z in list(self.into.get(beta, set())):
-            if z != alpha:
-                self.mix(z, alpha, self.diff[z][beta] - k)
-        for w, q in list(self.diff.get(alpha, {}).items()):
-            if w != beta:
-                self.mix(beta, w, q - k)
-        if self.diff.get(alpha) != {beta: k}:
-            raise AssertionError("pivot row failed to clear")
-        if self.diff.get(beta):
-            raise AssertionError("cancelled partner has nonzero differential")
-        if self.into.get(alpha):
-            raise AssertionError("arrows into a cleared pivot source")
-        if k > 0:
-            self.torsion.append((self.maslov[beta], k))
-        self._drop(alpha)
-        self._drop(beta)
-
-    def cancel_u0(self):
+    def cancel_u0(self) -> "_Reducer":
         """Cancel every U^0 entry, smallest (source, target) pair first.
 
         A reducer given an Alexander grading cancels only the entries with
         zero Alexander drop (filtered reduction); the triggered basis
         changes are then automatically filtered.
         """
-        heap = []
-        for src, tgt, p in list(self._live_entries()):
-            if p == 0 and self._u0_ok(src, tgt):
-                heapq.heappush(heap, (src, tgt))
-        while heap:
-            src, tgt = heapq.heappop(heap)
-            if self.diff.get(src, {}).get(tgt) != 0:
-                continue
-            self._created.clear()
-            self._split_pair(src, tgt, 0)
-            for s2, t2, p2 in self._created:
-                if p2 == 0 and self._u0_ok(s2, t2) and self.diff.get(s2, {}).get(t2) == 0:
-                    heapq.heappush(heap, (s2, t2))
+        self._sweep(u0=True)
+        return self
 
-    def _u0_ok(self, src, tgt):
-        return self.alexander is None or self.alexander[src] == self.alexander[tgt]
-
-    def _live_entries(self):
-        for src, row in self.diff.items():
-            for tgt, p in row.items():
-                yield src, tgt, p
-
-    def diagonalize(self):
+    def diagonalize(self) -> "_Reducer":
         """Pivot on minimal-exponent entries until the differential is empty."""
-        heap = [(p, src, tgt) for src, tgt, p in self._live_entries()]
-        heapq.heapify(heap)
-        while heap:
-            p, src, tgt = heapq.heappop(heap)
-            if self.diff.get(src, {}).get(tgt) != p:
-                continue
-            self._created.clear()
-            self._split_pair(src, tgt, p)
-            for s2, t2, p2 in self._created:
-                if self.diff.get(s2, {}).get(t2) == p2:
-                    heapq.heappush(heap, (p2, s2, t2))
+        self._sweep(u0=False)
+        return self
+
+    def survivors(self) -> dict[str, int]:
+        """The generators not cancelled, in the input's order, with their positions."""
+        return {g: i for i, g in enumerate(self.generators) if self.alive[i]}
+
+    def powers(self, v: int, o: int, top, sign: int = 1) -> dict[str, int]:
+        """``{name of j: sign * (m(j) - top) / 2}`` over the positions j in ``(v, o)``."""
+        gens, m, out = self.generators, self.m, {}
+        while v:
+            low = v & -v
+            j = o + low.bit_length() - 1
+            out[gens[j]] = sign * (m[j] - top) // 2
+            v ^= low
+        return out
 
     def current_complex(self) -> FreeComplex:
-        alive = [g for g in self.alive if g in self.alive_set]
-        return FreeComplex(
-            [(g, self.maslov[g]) for g in alive],
-            {
-                src: dict(row)
-                for src, row in self.diff.items()
-                if src in self.alive_set
-            },
-        )
+        gens, m, rows, bases = self.generators, self.m, self.rows, self.row_bases
+        alive = [i for i, kept in enumerate(self.alive) if kept]
+        return FreeComplex([(gens[i], m[i]) for i in alive],
+                           {gens[i]: self.powers(rows[i], bases[i], m[i] - 1) for i in alive if rows[i]})
+
+    @property
+    def iota(self) -> dict[str, dict[str, int]] | None:
+        """The inclusion: each survivor as original generators, with powers."""
+        if self.iota_rows is not None:
+            return {g: self.powers(*_plus(self.iota_rows[i], self.iota_bases[i], 1, i), self.m[i])
+                    for g, i in self.survivors().items()}
+
+    @property
+    def pi(self) -> dict[str, dict[str, int]] | None:
+        """The projection: each original generator as survivors, with powers."""
+        if self.pi_cols is not None:
+            cols = {g: self.powers(*_plus(self.pi_cols[i], self.pi_bases[i], 1, i), self.m[i], -1)
+                    for g, i in self.survivors().items()}
+            return {e: {g: col[e] for g, col in cols.items() if e in col} for e in self.generators}
 
 
 def components(generators, edges) -> list[list[str]]:
@@ -602,11 +725,12 @@ def homology_decomposition(c: FreeComplex) -> FUDecomposition:
     >>> homology_decomposition(c)
     FUDecomposition(towers=(), torsion=((Fraction(0, 1), 1, 1),))
     """
-    validate_complex(c).require()
-    r = _Reducer(c)
-    r.cancel_u0()
-    r.diagonalize()
-    return FUDecomposition.make([r.maslov[g] for g in r.alive if g in r.alive_set], r.torsion)
+    if not c.differential:  # nothing to check or cancel: a tower per generator
+        return FUDecomposition.make(c.maslov.values(), ())
+    report, rows = _checked_rows(c)
+    report.require()
+    r = _Reducer(c, rows=rows).cancel_u0().diagonalize()
+    return FUDecomposition.make([m for m, kept in zip(r.m, r.alive) if kept], r.torsion)
 
 
 def plus_presentation(h: FUDecomposition) -> FUDecomposition:

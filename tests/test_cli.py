@@ -375,7 +375,7 @@ def test_endfloer_single_level_is_usage_error(capsys):
 @pytest.mark.parametrize(
     "handle, code",
     [({"kind": "finite_mixed_then_one_sign", "signs": ["-"], "tail": "+"}, 0),
-     ({"kind": "bogus"}, 1),
+     ({"kind": "bogus"}, 2),
      ({}, 2)],
     ids=["finite-mixed", "bogus-kind", "no-kind"],
 )
@@ -393,7 +393,7 @@ def test_distinguish_piece_with_dict_handle(tmp_path, capsys, handle, code):
 @pytest.mark.parametrize(
     "signs, code, err",
     [("+-", 2, "error: malformed piece description in {path!r}: signs is not a JSON list: '+-'\n"),
-     ([], 1, "error: finite mixed handles need a sign prefix and a tail sign\n")],
+     ([], 2, "error: malformed piece description in {path!r}: finite mixed handles need a sign prefix and a tail sign\n")],
     ids=["string", "empty"],
 )
 def test_distinguish_mixed_handle_needs_a_sign_list(tmp_path, capsys, signs, code, err):
@@ -401,6 +401,22 @@ def test_distinguish_mixed_handle_needs_a_sign_list(tmp_path, capsys, signs, cod
     a = write_json(tmp_path / "a.json", {"knot": "k3", "handle": handle})
     b = write_json(tmp_path / "b.json", {"knot": "k5"})
     assert run(capsys, "distinguish", "--a", a, "--b", b) == (code, "", err.format(path=a))
+
+
+@pytest.mark.parametrize("handle, message", [({}, 'the handle has no "kind"'),
+                                             ({"signs": ["+"]}, 'the handle has no "kind"'),
+                                             ({"kind": "bogus"}, "unknown handle kind 'bogus'"),
+                                             ({"kind": 5}, "unknown handle kind 5")],
+                         ids=["empty", "no-kind", "bogus-kind", "number-kind"])
+@pytest.mark.parametrize("summands", [False, True], ids=["piece", "summand"])
+def test_distinguish_bad_handle_kind_is_malformed(tmp_path, capsys, handle, message, summands):
+    # A dict handle without a kind, or with one outside the taxonomy, is a
+    # malformed piece (exit 2), like an unknown handle name.
+    piece = {"knot": "k3", "handle": handle}
+    bad = write_json(tmp_path / "bad.json", {"summands": [{"knot": "k5"}, piece]} if summands else piece)
+    plain = write_json(tmp_path / "plain.json", {"knot": "k3"})
+    err = f"error: malformed piece description in {bad!r}: {message}\n"
+    assert run(capsys, "distinguish", "--a", bad, "--b", plain) == (2, "", err)
 
 
 @pytest.mark.parametrize("handle", [5, [1], None], ids=["number", "list", "null"])

@@ -248,6 +248,12 @@ def test_he_slice_undetermined_kind():
     assert report.vanishes is None
 
 
+def test_handle_from_json_names_the_missing_kind():
+    with pytest.raises(ValueError, match='^the handle has no "kind"$'):
+        CassonHandle.from_json({"signs": ["+"], "tail": "-"})
+    assert CassonHandle.from_json({"kind": "undetermined"}) == CassonHandle("undetermined")
+
+
 def test_orientation_double_reversal_identity():
     spec = r_spec(3)
     once = he_slice_r4(spec.reversed())

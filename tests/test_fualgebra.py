@@ -2,7 +2,7 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from floerforge.cfk import k_n, reduced_basis_form
 from floerforge.fualgebra import (
@@ -20,7 +20,10 @@ from floerforge.truncation import (
     expected_truncated_dimensions,
     truncated_graded_dimensions,
 )
+from floerforge.surgery import build_cone
 from floerforge.whitehead import whitehead_double_cfk
+
+from complexes import ORACLE_CASES
 
 F = Fraction
 
@@ -241,6 +244,72 @@ def test_homology_invariant_under_random_basis_changes(seed):
         assert truncated_graded_dimensions(mixed, cutoff) == expected_truncated_dimensions(
             baseline, cutoff
         )
+
+
+def copied(c, order, name):
+    """``c`` with its generators, rows and row entries in ``order``'s
+    arrangement and every generator renamed by ``name``."""
+    rank = {g: i for i, g in enumerate(order)}
+    rows = sorted(c.differential.items(), key=lambda item: rank[item[0]])
+    return FreeComplex([(name(g), c.maslov[g]) for g in order],
+                       {name(src): {name(t): row[t] for t in sorted(row, key=rank.get)} for src, row in rows})
+
+
+def reduced(c):
+    r = _Reducer(c).cancel_u0()
+    model = r.current_complex()
+    r.diagonalize()
+    return set(model.generators), model.differential, sorted(r.torsion), sorted(r.maslov[g] for g in r.survivors())
+
+
+@settings(deadline=None, max_examples=30)
+@given(st.sampled_from(sorted(ORACLE_CASES)), st.sampled_from([-1, 0, 1]), st.data())
+def test_reduction_ignores_generator_order(name, n, data):
+    # Pivots go by sorted name, not by the position of a generator or of an
+    # entry: a shuffled copy of a cone block (whose U^0 entries leave the
+    # pivots a choice) reduces to the same survivors, differential and
+    # torsion, and so does a copy renamed in an order-keeping way (a common
+    # prefix), up to that renaming.  Any renaming keeps the homology.
+    mc = build_cone(ORACLE_CASES[name](), n)
+    c = data.draw(st.sampled_from([*mc.a_complexes.values(), *mc.b_complexes.values()]))
+    rng = data.draw(st.randoms(use_true_random=False))
+    order = list(c.generators)
+    rng.shuffle(order)
+    assert reduced(copied(c, order, lambda g: g)) == reduced(c)
+    survivors, diff, torsion, towers = reduced(c)
+    prefix = lambda g: f"p.{g}"
+    assert reduced(copied(c, order, prefix)) == (
+        {prefix(g) for g in survivors},
+        {prefix(src): {prefix(t): p for t, p in row.items()} for src, row in diff.items()}, torsion, towers)
+    fresh = dict(zip(order, rng.sample([f"v{i}" for i in range(len(order))], len(order))))
+    assert homology_decomposition(copied(c, order, fresh.get)) == homology_decomposition(c)
+
+
+@pytest.mark.parametrize("diff, gens", [
+    ({"y": {"x": 1}}, [("y", F(0)), ("x", F(-1))]),  # U^1 where the gradings give U^0
+    ({"y": {"x": -1}}, [("y", F(-3)), ("x", F(0))]),  # a negative power of degree -1
+    ({"y": {"x": 0}, "z": {"x": 1}}, [("y", F(0)), ("z", F(0)), ("x", F(-1))]),
+])
+def test_reducer_rejects_inhomogeneous_and_negative_entries(diff, gens):
+    with pytest.raises(AssertionError):
+        _Reducer(FreeComplex(gens, diff))
+    assert not validate_complex(FreeComplex(gens, diff)).ok
+
+
+def test_mix_rejects_inhomogeneous_and_filtration_breaking_changes():
+    c = box_complex()  # a at 0, b at 1, c at -1, d at 0
+    with pytest.raises(AssertionError):
+        _Reducer(c).mix("a", "b", 0)  # gradings 0 and 1: no power of U joins them
+    with pytest.raises(AssertionError):
+        _Reducer(c).mix("b", "c", -1)  # b at 1 is U^-1 . c at -1: a negative power
+    alexander = {"a": 0, "b": 1, "c": 0, "d": 1}
+    with pytest.raises(AssertionError):
+        _Reducer(c, alexander=alexander).mix("a", "d", 0)  # d sits higher in the filtration
+    r = _Reducer(c, alexander=alexander, track=("iota", "pi"))
+    r.mix("d", "a", 0)  # d := d + a, filtered and homogeneous
+    assert r.current_complex().differential == {"a": {"b": 1, "c": 0}, "b": {"d": 0, "a": 0},
+                                                "c": {"d": 1, "a": 1}, "d": {"b": 1, "c": 0}}
+    assert r.iota["d"] == {"d": 0, "a": 0} and r.pi["d"] == {"d": 0, "a": 0} and r.pi["a"] == {"a": 0}
 
 
 def _outcome(parse, text):

@@ -21,6 +21,7 @@ from floerforge.fualgebra import (
     FreeComplex,
     FUDecomposition,
     InvalidComplex,
+    _Reducer,
     homology_decomposition,
     plus_presentation,
     tensor_complexes,
@@ -289,6 +290,41 @@ def test_minimal_blocks_shrink_the_k9_cone(monkeypatch, n, size):
     assert sizes == [size]
 
 
+def composed(first, then):
+    """The map ``first`` followed by ``then``, each source -> {target:
+    power}, as source -> the set of (target, power) terms left over F2."""
+    out = {}
+    for src, row in first.items():
+        terms = set()
+        for mid, p in row.items():
+            for tgt, q in then.get(mid, {}).items():
+                terms ^= {(tgt, p + q)}
+        out[src] = terms
+    return out
+
+
+def same_map(f, g, sources):
+    return all(f.get(x, set()) == g.get(x, set()) for x in sources)
+
+
+@settings(deadline=None, max_examples=40)
+@given(scrambled_sums(ORACLE_CASES), st.sampled_from([-1, 0, 1]), st.data())
+def test_tracked_maps_are_homotopy_equivalence_data(kc, n, data):
+    # On a cone block C with minimal model C', checked with explicit powers
+    # and not through the reducer's bitsets: iota: C' -> C and pi: C -> C'
+    # are chain maps, and pi . iota is the identity of C'.
+    mc = build_cone(kc, n)
+    c = data.draw(st.sampled_from([*mc.a_complexes.values(), *mc.b_complexes.values()]))
+    r = _Reducer(c, track=("iota", "pi")).cancel_u0()
+    model = r.current_complex()
+    d, d_model, iota, pi = c.differential, model.differential, r.iota, r.pi
+    assert set(iota) == set(model.generators) and set(pi) == set(c.generators)
+    assert same_map(composed(d_model, iota), composed(iota, d), model.generators)
+    assert same_map(composed(d, pi), composed(pi, d_model), c.generators)
+    assert composed(iota, pi) == {x: {(x, 0)} for x in model.generators}
+    assert not any(p == 0 for _src, _tgt, p in model.entries())
+
+
 def toggled(entries, src, tgt, p):
     """A copy of the map ``entries`` with the entry ``src -> tgt`` removed,
     or added with power ``p`` if absent."""
@@ -354,6 +390,37 @@ def test_block_check_is_the_flat_check(name, n, data):
     except AssertionError:  # xor_entry meets a negative or inhomogeneous entry
         flat = False
     assert _check_cone(mc).ok == flat
+
+
+def flat_ok(mc):
+    try:
+        return validate_complex(mc.total_complex()).ok
+    except AssertionError:  # xor_entry meets a negative or inhomogeneous entry
+        return False
+
+
+@pytest.mark.parametrize("n", [-1, 0, 1])
+def test_shared_rows_keep_every_check(n):
+    # An A_s with B's entries shares B's rows, so its own powers are still
+    # checked: one wrong power in it fails the cone check as it fails the
+    # flat one.
+    mc = build_cone(staircase_torus(5, "+"), n)
+    s = mc.a_window[0]
+    c = mc.a_complexes[s]
+    src, tgt, p = next(c.entries())
+    diff = {x: dict(row) for x, row in c.differential.items()}
+    diff[src][tgt] = p + 1
+    mc.a_complexes[s] = FreeComplex([(g, c.maslov[g]) for g in c.generators], diff)
+    assert not _check_cone(mc).ok and not flat_ok(mc)
+    # A base with d^2 != 0 whose flip still commutes with d: every edge map
+    # is a chain map, and only the d^2 check of the blocks sees the fault.
+    kc = staircase_torus(5, "+")
+    diff = {**kc.base.differential, "s2": {"s3": 0, "s1": 1}}  # d^2 s1 = s3 + U.s1
+    bad = KnotComplex(FreeComplex([(g, kc.base.maslov[g]) for g in kc.generators], diff), kc.alexander, kc.flip)
+    mc = surgery._cone(bad, n, 2, 0)
+    report = _check_cone(mc)
+    assert not report.ok and not flat_ok(mc)
+    assert all(v.startswith("d^2 from ") for v in report.violations)
 
 
 # --- stabilisation ------------------------------------------------------------
