@@ -455,9 +455,8 @@ def reduce_canonical(kc: KnotComplex) -> KnotComplex:
     in that sense.  The stored flip survives only if it is still a valid
     flip on the surviving basis (cancellation can mix it away).
     """
-    r = _Reducer(kc.base, alexander=kc.alexander)
-    r.cancel_u0()
-    base = r.current_complex()
+    r = _Reducer(kc.base, alexander=kc.alexander).cancel_u0()
+    base = kc.base if all(r.alive) else r.current_complex()  # a sweep that cancels nothing changes no row
     alexander = {g: kc.alexander[g] for g in base.generators}
     flip = None
     if kc.flip is not None:

@@ -358,10 +358,10 @@ def _sum(sets: list, bases: list, v: int, o: int, acc: int = 0, at: int = 0) -> 
     return acc, at
 
 
-def _id_rows(c: FreeComplex, ids: Mapping[str, int], build: bool = True) -> tuple[tuple | None, list[str]]:
+def _id_rows(c: FreeComplex, ids: Mapping[str, int]) -> tuple[tuple, list[str]]:
     """The window bitset rows ``(rows, row_bases)`` of the entries of ``c`` of
-    the right degree over the positions ``ids`` (None unless ``build``), and
-    each entry with an unknown end, a negative or a wrong power."""
+    the right degree over the positions ``ids``, and each entry with an
+    unknown end, a negative or a wrong power."""
     maslov, n, bad = c.maslov, len(ids), []
     rows, row_bases = [0] * n, [0] * n
     for src, row in c.differential.items():
@@ -382,9 +382,9 @@ def _id_rows(c: FreeComplex, ids: Mapping[str, int], build: bool = True) -> tupl
                 v |= 1 << (j - o)
             else:
                 v, o = v << (o - j) | 1, j
-        if build and v:
+        if v:
             rows[i], row_bases[i] = v, o
-    return (rows, row_bases) if build else None, bad
+    return (rows, row_bases), bad
 
 
 def _square_violations(names: list[str], maslov, rows: list[int], bases: list[int]) -> list[str]:
@@ -494,7 +494,8 @@ class _Reducer:
     Pivots are ordered by generator name (``rank``), so the smallest live
     entry is the same whatever the input order.  ``rows`` may hand over the
     ``(ids, sets)`` of a passed :func:`_id_rows` check on those positions;
-    the reducer works on copies.
+    the reducer works on copies, under the gradings ``m`` if given (one per
+    position, every power of those rows non-negative under them).
 
     ``track`` names the maps the reducer also maintains, as changes from
     the identity: ``"iota"``, the inclusion (survivor i is the originals in
@@ -503,7 +504,7 @@ class _Reducer:
     homotopy equivalence once cancelled pairs are split off.
     """
 
-    def __init__(self, c: FreeComplex, alexander=None, track=(), rows=None):
+    def __init__(self, c: FreeComplex, alexander=None, track=(), rows=None, m=None):
         if rows is None:
             sets, bad = _id_rows(c, ids := {g: i for i, g in enumerate(c.generators)})
             if bad:
@@ -511,8 +512,8 @@ class _Reducer:
         else:
             ids, sets = rows[0], [list(x) for x in rows[1]]
         self.ids, (self.rows, self.row_bases), self.cols = ids, sets, None
-        self.generators, self.maslov, n = c.generators, c.maslov, len(c.generators)
-        self.m = list(map(c.maslov.__getitem__, c.generators))
+        self.generators, n = c.generators, len(c.generators)
+        self.m = list(map(c.maslov.__getitem__, c.generators)) if m is None else m
         self.alexander = None if alexander is None else list(map(alexander.__getitem__, c.generators))
         self.alive, self.torsion, self.rank = [True] * n, [], None
         self.iota_rows = self.iota_bases = self.pi_cols = self.pi_bases = None
@@ -524,7 +525,7 @@ class _Reducer:
     def mix(self, g: str, h: str, s: int):
         """Basis change g := g + U^s h."""
         i, j, A = self.ids[g], self.ids[h], self.alexander
-        if self.maslov[g] != self.maslov[h] + U_DEGREE * s or s < 0:
+        if self.m[i] != self.m[j] + U_DEGREE * s or s < 0:
             raise AssertionError(f"inhomogeneous or negative mix {g} += U^{s}.{h}")
         if A is not None and A[j] - s > A[i]:
             raise AssertionError(f"filtration-breaking mix {g} += U^{s}.{h}")

@@ -17,34 +17,32 @@ The window uses s in [-g+1, g-1] for the A-summands (v_s is an
 isomorphism above genus and h_s below minus genus), with B-summands
 [-g, g-1] for framing -1 and [-g+2, g-1] for framing +1.
 
-``surgery_hf`` never builds the cone of the whole complex.  Every map of
-the cone stays inside a flip-stable summand of C (a connected component
-of the differential entries and the flip pairs), so the cone of C is the
-direct sum of the cones of its summands.  Whitehead doubles are x plus
-many boxes that agree up to a Maslov shift, so ``surgery_hf`` builds one
-cone per shape of ``cfk._shapes`` (int gradings relative to the shape's
-first generator and the framing anchor, window g of the whole complex).
-``_check_cone`` validates it block by block and ``_reduce_cone_summands``
-takes each A_s and the shared B to its U^0-minimal model before the
-blocks are joined; the flat cone ``build_cone(kc, n).total_complex()``
-is the tests' oracle.
+The cone of C is the direct sum of the cones of its flip-stable summands,
+built once per shape of ``cfk._shapes``.  Every A_s has B's matrix over F2,
+so a shape's cone is B's window-bitset rows, a grading vector per A_s and
+v_s, h_s as position maps (``_ShapeCone``), checked as the flat cone would
+be.  B and each A_s of s >= 0 are reduced to U^0-minimal models; the flip
+carries A_s to A_{-s}.  ``build_cone(kc, n)`` is the tests' flat oracle.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
+from operator import mod, sub
 
 from .cfk import KnotComplex, _shapes, validate_knot
 from .fualgebra import (
     FreeComplex,
-    U_DEGREE,
     FUDecomposition,
     ValidationReport,
+    _exact,
     _id_rows,
     _odd_overlap,
     _plus,
+    _positions,
     _Reducer,
     _square_violations,
     _sum,
@@ -141,186 +139,181 @@ def _window(kc: KnotComplex, n: int) -> int:
     return max([1] + [rep.genus_bound() for rep, _copies in _shapes(kc)])
 
 
+def _windows(n: int, g_hat: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The s of the A-summands and the t of the B-summands at framing n."""
+    if n == 0:
+        return (0,), (0,)
+    return tuple(range(-g_hat + 1, g_hat)), tuple(range(-g_hat if n == -1 else -g_hat + 2, g_hat))
+
+
 def build_cone(kc: KnotComplex, n: int) -> MappingCone:
-    """Assemble the truncated cone for framing n in {-1, 0, +1}."""
+    """The truncated cone for framing n in {-1, 0, +1} on names: the tests' flat oracle."""
     g_hat = _window(kc, n)
     validate_knot(kc).require("surgery input")
-    return _cone(kc, n, g_hat, _ANCHORS[n])
-
-
-def _cone(kc: KnotComplex, n: int, g_hat: int, c0) -> MappingCone:
-    """The cone of ``kc`` with B_0 anchored at grading c0."""
-    if n == 0:
-        a_window = (0,)
-        b_window = (0,)
-    elif n == -1:
-        a_window = tuple(range(-g_hat + 1, g_hat))
-        b_window = tuple(range(-g_hat, g_hat))
-    else:
-        a_window = tuple(range(-g_hat + 1, g_hat))
-        b_window = tuple(range(-g_hat + 2, g_hat))
-
-    b_shifts = {t: _b_shift(n, t, c0) for t in b_window}
-    a_shifts = {s: _b_shift(n, s, c0) + 1 for s in a_window}
-
-    A = kc.alexander
-    flip = kc.flip
-    base = kc.base
-
-    a_complexes = {}
-    edges = {}
+    a_window, b_window = _windows(n, g_hat)
+    c0, A, flip, base = _ANCHORS[n], kc.alexander, kc.flip, kc.base
+    a_complexes, edges = {}, {}
     for s in a_window:
         offset = {x: max(0, A[x] - s) for x in base.generators}
-        gens = [(x, base.maslov[x] - 2 * offset[x]) for x in base.generators]
-        diff = {}
-        for src, row in base.differential.items():
-            diff[src] = {
-                tgt: offset[src] + p - offset[tgt] for tgt, p in row.items()
-            }
-        a_complexes[s] = FreeComplex(gens, diff)
+        a_complexes[s] = FreeComplex([(x, base.maslov[x] - 2 * offset[x]) for x in base.generators],
+                                     {src: {tgt: offset[src] + p - offset[tgt] for tgt, p in row.items()}
+                                      for src, row in base.differential.items()})
         if s in b_window:
             edges[(s, "v")] = {x: {x: offset[x]} for x in base.generators}
         if s + n in b_window:
-            edges[(s, "h")] = {
-                x: {flip[x]: max(0, s - A[x])} for x in base.generators
-            }
-    b_complexes = {t: base for t in b_window}
-
-    return MappingCone(
-        n=n,
-        a_window=a_window,
-        b_window=b_window,
-        a_complexes=a_complexes,
-        b_complexes=dict(b_complexes),
-        a_shifts=a_shifts,
-        b_shifts=b_shifts,
-        edges=edges,
-    )
+            edges[(s, "h")] = {x: {flip[x]: max(0, s - A[x])} for x in base.generators}
+    return MappingCone(n, a_window, b_window, a_complexes, {t: base for t in b_window},
+                       {s: _b_shift(n, s, c0) + 1 for s in a_window}, {t: _b_shift(n, t, c0) for t in b_window}, edges)
 
 
-def _check_cone(mc: MappingCone) -> ValidationReport:
-    """:func:`validate_complex` of ``mc.total_complex()``, block by block."""
-    return _cone_rows(mc)[0]
+@dataclass
+class _ShapeCone:
+    """The cone of one shape as :func:`surgery_hf` checks and reduces it: every
+    B_t is ``base``, A_s base's matrix over F2 under the grading vector
+    m_s(x) = m(x) - 2 max(0, A(x) - s), B_0 at grading 0, and each power read
+    off the gradings and shifts, as :meth:`mapping_cone` spells out."""
+
+    n: int
+    base: FreeComplex
+    gradings: dict  # s -> m_s, one grading per position of base
+    flip: list  # the position of each generator's flip image
+    edges: dict  # (s, "v"|"h") -> position map from A_s to its B_t: v_s the identity, h_s ``flip``
+    a_shifts: dict
+    b_shifts: dict
+
+    def mapping_cone(self) -> MappingCone:
+        """The cone on generator names, a power rounded down where the gradings give none."""
+        gens, m, a_complexes, edges = self.base.generators, self.base.maslov, {}, {}
+        for s, ms in self.gradings.items():
+            at = dict(zip(gens, ms))
+            a_complexes[s] = FreeComplex(zip(gens, ms), {x: {y: (at[y] - at[x] + 1) // 2 for y in row}
+                                                        for x, row in self.base.differential.items()})
+        for (s, kind), e in self.edges.items():
+            drop = self.a_shifts[s] - 1 - self.b_shifts[s if kind == "v" else s + self.n]
+            edges[s, kind] = {x: {gens[j]: (m[gens[j]] - y - drop) // 2} for x, j, y in zip(gens, e, self.gradings[s])}
+        return MappingCone(self.n, tuple(self.gradings), tuple(self.b_shifts), a_complexes,
+                           {t: self.base for t in self.b_shifts}, self.a_shifts, self.b_shifts, edges)
 
 
-def _same_pattern(c: FreeComplex, other: FreeComplex) -> bool:
-    """Whether ``c`` and ``other`` have the same generators and the same
-    (source, target) pairs in their differentials."""
-    d, e = c.differential, other.differential
-    return c.generators == other.generators and d.keys() == e.keys() and all(
-        row.keys() == e[src].keys() for src, row in d.items())
+def _shape_cone(kc: KnotComplex, n: int, g_hat: int) -> _ShapeCone:
+    """The cone of ``kc`` at framing n and window g_hat, as vectors."""
+    a_window, b_window = _windows(n, g_hat)
+    gens, at = kc.generators, {g: i for i, g in enumerate(kc.generators)}
+    m, A = list(map(kc.base.maslov.__getitem__, gens)), list(map(kc.alexander.__getitem__, gens))
+    identity, flip, edges = list(range(len(gens))), [at[kc.flip[g]] for g in gens], {}
+    for s in a_window:
+        if s in b_window:
+            edges[s, "v"] = identity
+        if s + n in b_window:
+            edges[s, "h"] = flip
+    return _ShapeCone(n, kc.base, {s: [x - 2 * max(0, a - s) for x, a in zip(m, A)] for s in a_window}, flip, edges,
+                      {s: _b_shift(n, s, 0) + 1 for s in a_window}, {t: _b_shift(n, t, 0) for t in b_window})
 
 
-def _cone_rows(mc: MappingCone):
-    """:func:`_check_cone`: every block and edge entry a non-negative U-power
-    of degree -1 under the block shifts, then over F2 (exact once each power
-    is the gradings') d^2 = 0 per distinct block matrix and each map from A_s
-    to B_t (v_0 + h_0 at framing 0) a chain map.  Also the window bitsets
-    the check built: ``(ids, sets)`` per block (by ``id``) and each edge map
-    as ``(bits, bases)`` lists over A_s's positions.  A block with the
-    pattern of one already built (each A_s has B's) only has its powers
-    checked and shares that block's bitsets."""
-    blocks, built, violations = {}, [], []
-    for c in (*mc.b_complexes.values(), *mc.a_complexes.values()):
-        if id(c) in blocks:
-            continue
-        twin = next((b for b in built if _same_pattern(c, b)), None)
-        if twin is None:
-            sets, bad = _id_rows(c, ids := {g: i for i, g in enumerate(c.generators)})
-            built.append(c)
-            blocks[id(c)] = ids, sets
-        else:
-            bad = _id_rows(c, blocks[id(twin)][0], build=False)[1]
-            blocks[id(c)] = blocks[id(twin)]
-        violations += bad
-    edges, landing = {}, {}
-    for (s, kind), entries in mc.edges.items():
-        a, b = mc.a_complexes[s], mc.b_complexes[t := s if kind == "v" else s + mc.n]
-        ia, ib, drop = blocks[id(a)][0], blocks[id(b)][0], mc.a_shifts[s] - 1 - mc.b_shifts[t]
-        bits, bases = [0] * len(ia), [0] * len(ia)
-        for src, row in entries.items():
-            for tgt, p in row.items():
-                if src in ia and tgt in ib and p >= 0 and b.maslov[tgt] + U_DEGREE * p == a.maslov[src] + drop:
-                    i, j = ia[src], ib[tgt]
-                    bits[i], bases[i] = _plus(bits[i], bases[i], 1, j) if bits[i] else (1, j)
-                else:
-                    violations.append(f"edge A{s}|{src}->U^{p}.B{t}|{tgt} is not a non-negative entry of degree -1")
-        edges[s, kind] = bits, bases
-        landing.setdefault((s, t), []).append((bits, bases))  # at framing 0, v_0 + h_0 lands in B_0
-    if violations:
-        return ValidationReport(ok=False, violations=tuple(violations)), blocks, edges
-    for c in built:
-        violations += _square_violations(c.generators, c.maslov, *blocks[id(c)][1])
-    checked = set()  # each distinct (A matrix, map, B matrix) once
-    for (s, t), parts in landing.items():
-        da, db = blocks[id(mc.a_complexes[s])][1], blocks[id(mc.b_complexes[t])][1]
-        if not (any(da[0]) or any(db[0])):
-            continue  # no differential on either side: any map is a chain map
-        if (key := (id(da), id(db), *(tuple(x) for part in parts for x in part))) not in checked:
-            checked.add(key)
-            if not _chain_map(da, db, parts):
-                violations.append(f"the edge map from A{s} to B{t} is not a chain map")
-    return ValidationReport(ok=not violations, violations=tuple(violations)), blocks, edges
+def _cone_check(sc: _ShapeCone):
+    """:func:`validate_complex` of ``sc.mapping_cone().total_complex()`` on the
+    vectors (each entry of B, of B's matrix under each m_s and each edge image
+    a non-negative power of degree -1, then over F2 d^2 = 0 on B's rows and
+    each distinct sum of maps into one B_t a chain map), and the flip an F2
+    chain map and involution with m_{-s}(flip x) = m_s(x) - 2s, for reading
+    A_{-s} off A_s.  Also B's ``(ids, sets)`` and whether a U^0 entry exists."""
+    base, n, gens = sc.base, sc.n, sc.base.generators
+    (rows, bases), bad = _id_rows(base, ids := {g: i for i, g in enumerate(gens)})
+    pairs = [(i, j) for i, v in enumerate(rows) for j in _positions(v, bases[i])]
+    src, tgt = [i for i, _j in pairs], [j for _i, j in pairs]
+    m = list(map(base.maslov.__getitem__, gens))
+    u0 = -1 in map(sub, map(m.__getitem__, tgt), map(m.__getitem__, src))
+    for s, ms in sc.gradings.items():  # an entry U^p raises the grading by 2p - 1
+        rises = list(map(sub, map(ms.__getitem__, tgt), map(ms.__getitem__, src)))
+        if rises and (min(rises) < -1 or set(map(mod, rises, repeat(2))) != {1}):
+            bad += [f"entry A{s}|{gens[i]}->A{s}|{gens[j]} is not a non-negative power of degree -1"
+                    for i, j, d in zip(src, tgt, rises) if d < -1 or d % 2 != 1]
+        u0 = u0 or -1 in rises
+    landing = {}
+    for (s, kind), e in sc.edges.items():  # an edge entry U^p rises by 2p plus the shifts' drop
+        t = s if kind == "v" else s + n
+        gaps = [y - x - sc.a_shifts[s] + 1 + sc.b_shifts[t] for x, y in zip(sc.gradings[s], map(m.__getitem__, e))]
+        if min(gaps) < 0 or set(map(mod, gaps, repeat(2))) != {0}:
+            bad += [f"edge A{s}|{gens[i]}->B{t}|{gens[j]} is not a non-negative entry of degree -1"
+                    for i, (j, d) in enumerate(zip(e, gaps)) if d < 0 or d % 2]
+        landing.setdefault((s, t), []).append(e)  # at framing 0, v_0 + h_0 lands in B_0
+    if not bad:
+        bad += _square_violations(gens, base.maslov, rows, bases)
+        maps = {}  # each distinct sum of maps once: every v_s is one list, every h_s another
+        for (s, t), parts in landing.items():
+            maps.setdefault(tuple(map(id, parts)), (f"the edge map from A{s} to B{t}", parts))
+        if any(s > 0 for s in sc.gradings):
+            maps.setdefault((id(sc.flip),), ("the flip", [sc.flip]))
+            if any(sc.flip[j] != i for i, j in enumerate(sc.flip)):
+                bad.append("the flip is not an involution")
+            bad += [f"A{-s} is not A{s} through the flip" for s, ms in sc.gradings.items()
+                    if s > 0 and list(map(sc.gradings[-s].__getitem__, sc.flip)) != [x - 2 * s for x in ms]]
+        ones = [1] * len(gens)
+        for what, parts in maps.values():  # d e + e d over F2, summed and dropped per position
+            for i, v in enumerate(rows):
+                acc = at = 0
+                for e in parts:
+                    acc, at = _sum(rows, bases, 1, e[i], acc, at)
+                    acc, at = _sum(ones, e, v, bases[i], acc, at)
+                if acc:
+                    bad.append(f"{what} is not a chain map")
+                    break
+    return ValidationReport(ok=not bad, violations=tuple(bad)), (ids, (rows, bases)), u0
 
 
-def _chain_map(da, db, parts) -> bool:
-    """Whether the sum e of the maps ``parts``, each ``(bits, bases)`` lists
-    of window bitsets over A's positions, is a chain map from the rows
-    ``da`` of A to the rows ``db`` of B: d_B e + e d_A is zero on every
-    generator.  Each generator's terms are summed and dropped, never kept
-    as a map: v_0 + h_0 spans the whole block."""
-    (rows_a, bases_a), (rows_b, bases_b) = da, db
-    for i, v in enumerate(rows_a):
-        acc = at = 0
-        for bits, bases in parts:
-            acc, at = _sum(rows_b, bases_b, bits[i], bases[i], acc, at)
-            acc, at = _sum(bits, bases, v, bases_a[i], acc, at)
-        if acc:
-            return False
-    return True
+def _minimal_blocks(sc: _ShapeCone, rows) -> dict:
+    """``{s: (minimal model of A_s, {survivor: inclusion as a window bitset})}``,
+    A_s reduced on B's ``rows`` under m_s for s >= 0 and moved by the flip, an
+    isomorphism A_s -> A_{-s} keeping every power, for -s."""
+    gens, flip, out = sc.base.generators, sc.flip, {}
+    for s, ms in sc.gradings.items():
+        if s >= 0:
+            r = _Reducer(sc.base, track=("iota",), rows=rows, m=ms).cancel_u0()
+            out[s] = r.current_complex(), {g: _plus(r.iota_rows[i], r.iota_bases[i], 1, i)
+                                           for g, i in r.survivors().items()}
+    moved, ones = dict(zip(gens, map(gens.__getitem__, flip))), [1] * len(gens)
+    for s in sc.gradings:
+        if s < 0:
+            model, inclusion = out[-s]
+            diff = {moved[x]: {moved[y]: p for y, p in row.items()} for x, row in model.differential.items()}
+            out[s] = (FreeComplex([(moved[g], model.maslov[g] + 2 * s) for g in model.generators], diff),
+                      {moved[g]: _sum(ones, flip, *x) for g, x in inclusion.items()})
+    return out
 
 
-def _reduce_cone_summands(mc: MappingCone) -> MappingCone:
-    """The cone whose homology :func:`surgery_hf` takes: ``mc``, once it
-    passes :func:`_check_cone`, with each A_s and each distinct B complex
-    (every B_t is the same object) reduced once, on the check's bitsets,
-    to its minimal model (all U^0 entries cancelled), and v_s and h_s
-    carried across by the inclusion of A_s and the projection of B.  A
-    minimal block has rank dim H(block/U): K9 at -1 hands over 71
-    generators, where the flat cone ``build_cone(kc, n).total_complex()``,
-    the tests' oracle, has 2,511."""
-    report, blocks, edge_maps = _cone_rows(mc)
+def _minimal_cone(sc: _ShapeCone) -> MappingCone:
+    """``sc``, once it passes :func:`_cone_check`, with B reduced to its minimal
+    model, each A_s replaced by its :func:`_minimal_blocks` model, and v_s, h_s
+    carried across by the inclusion of A_s and the projection of B.  A minimal block has rank
+    dim H(block/U): K9 at -1 hands over 71 generators, the flat cone 2,511."""
+    report, rows, u0 = _cone_check(sc)
     report.require("surgery cone")
-    if not any(p == 0 for c in (*mc.a_complexes.values(), *mc.b_complexes.values()) for _, _, p in c.entries()):
-        return mc  # no U^0 entry: every block is its own minimal model
-    a = {s: _Reducer(c, track=("iota",), rows=blocks[id(c)]).cancel_u0() for s, c in mc.a_complexes.items()}
-    b = {key: _Reducer(c, track=("pi",), rows=blocks[key]).cancel_u0()
-         for key, c in {id(c): c for c in mc.b_complexes.values()}.items()}
-    projections = {key: [(h, _plus(r.pi_cols[i], r.pi_bases[i], 1, i)) for h, i in r.survivors().items()]
-                   for key, r in b.items()}
-    edges = {}
-    for (s, kind), (bits, bases) in edge_maps.items():
-        t = s if kind == "v" else s + mc.n
-        ra, rb, drop = a[s], b[id(mc.b_complexes[t])], mc.a_shifts[s] - 1 - mc.b_shifts[t]
+    if not u0:
+        return sc.mapping_cone()  # every block is its own minimal model
+    blocks = _minimal_blocks(sc, rows)
+    b = _Reducer(sc.base, track=("pi",), rows=rows).cancel_u0() if sc.b_shifts else None
+    projections = [(h, j, _plus(b.pi_cols[j], b.pi_bases[j], 1, j)) for h, j in b.survivors().items()] if b else []
+    ones, edges = [1] * len(sc.flip), {}
+    for (s, kind), e in sc.edges.items():
+        (model, inclusion), drop = blocks[s], sc.a_shifts[s] - 1 - sc.b_shifts[s if kind == "v" else s + sc.n]
         edges[s, kind] = out = {}
-        for g, j in ra.survivors().items():  # pi(e(iota(g))), by parity against B's projection columns
-            x, xo = _sum(bits, bases, *_plus(ra.iota_rows[j], ra.iota_bases[j], 1, j))
-            image = [h for h, (v, o) in projections[id(mc.b_complexes[t])] if _odd_overlap(x, xo, v, o)]
+        for g, (v, o) in inclusion.items():  # pi(e(iota(g))), by parity against B's projection columns
+            x, xo = _sum(ones, e, v, o)
+            image = {h: (b.m[j] - model.maslov[g] - drop) // 2
+                     for h, j, (w, wo) in projections if _odd_overlap(x, xo, w, wo)}
             if image:
-                out[g] = {h: (rb.maslov[h] - ra.maslov[g] - drop) // 2 for h in image}
-    minimal = {key: r.current_complex() for key, r in b.items()}
-    return replace(mc, a_complexes={s: r.current_complex() for s, r in a.items()},
-                   b_complexes={t: minimal[id(c)] for t, c in mc.b_complexes.items()}, edges=edges)
+                out[g] = image
+    minimal = b.current_complex() if b else None
+    return MappingCone(sc.n, tuple(sc.gradings), tuple(sc.b_shifts), {s: blocks[s][0] for s in sc.gradings},
+                       {t: minimal for t in sc.b_shifts}, sc.a_shifts, sc.b_shifts, edges)
 
 
 def surgery_hf(kc: KnotComplex, n: int) -> HFPlusResult:
     """Graded homology of n-framed surgery, in the torsion structure class.
 
-    The cone of a direct sum is the direct sum of the cones, so the cone
-    homology is summed over the flip-stable summands of ``kc``, computed
-    once per shape of ``cfk._shapes``; ``validate_knot`` checks the input
-    on the same split.  Summands of one shape differ by a Maslov shift,
-    which shifts their cone homology.
+    The cone homology is summed over the flip-stable summands of ``kc``,
+    once per shape of ``cfk._shapes`` (:func:`_summed_cones`), on the split
+    ``validate_knot`` checks; copies of a shape differ by a Maslov shift.
 
     >>> from .cfk import box, direct_sum, unknot
     >>> surgery_hf(direct_sum([unknot(), box(2), box(0)]), 0).decomposition
@@ -332,16 +325,23 @@ def surgery_hf(kc: KnotComplex, n: int) -> HFPlusResult:
 
 
 def _summed_cones(shapes, n: int, g_hat: int) -> HFPlusResult:
-    """:func:`surgery_hf` on a split that has passed :func:`validate_knot`."""
-    towers, torsion = [], Counter()
+    """:func:`surgery_hf` on a split that has passed :func:`validate_knot`, each
+    shape's :func:`_minimal_cone` homology moved by each copy's offset in int
+    gradings; the anchor and :func:`plus_presentation`'s torsion shift are
+    added, and each ``Fraction`` made, once per distinct grading."""
+    towers, torsion = Counter(), Counter()
     for rep, copies in shapes:
-        h = homology_decomposition(_reduce_cone_summands(_cone(rep, n, g_hat, 0)).total_complex())
+        h = homology_decomposition(_minimal_cone(_shape_cone(rep, n, g_hat)).total_complex())
+        free, tops = Counter(map(_exact, h.towers)), [(_exact(g), k, c) for g, k, c in h.torsion]
         for offset, count in copies:
-            shift = offset + _ANCHORS[n]
-            towers.extend(t + shift for t in h.towers for _ in range(count))
-            for g, k, c in h.torsion:
-                torsion[g + shift, k] += c * count
-    return HFPlusResult(plus_presentation(FUDecomposition.make(towers, torsion)))
+            for g, c in free.items():
+                towers[g + offset] += c * count
+            for g, k, c in tops:
+                torsion[g + offset, k] += c * count
+    anchor, top = _ANCHORS[n], _ANCHORS[n] - 1
+    return HFPlusResult(FUDecomposition(
+        tuple(t for g in sorted(towers, reverse=True) for t in repeat(g + anchor, towers[g])),
+        tuple((g + top, k, torsion[g, k]) for g, k in sorted(torsion, key=lambda x: (-x[0], x[1])))))
 
 
 def one_handle_stabilize(result: HFPlusResult) -> HFPlusResult:

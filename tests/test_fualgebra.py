@@ -220,7 +220,7 @@ def scrambled(c, seed, rounds=40):
     gens = list(c.generators)
     for _ in range(rounds):
         g, h = rng.sample(gens, 2)
-        delta = r.maslov[h] - r.maslov[g]
+        delta = r.m[r.ids[h]] - r.m[r.ids[g]]
         if delta % 2 == 0 and delta >= 0:
             r.mix(g, h, int(delta) // 2)
     return r.current_complex()
@@ -259,7 +259,7 @@ def reduced(c):
     r = _Reducer(c).cancel_u0()
     model = r.current_complex()
     r.diagonalize()
-    return set(model.generators), model.differential, sorted(r.torsion), sorted(r.maslov[g] for g in r.survivors())
+    return set(model.generators), model.differential, sorted(r.torsion), sorted(r.m[i] for i in r.survivors().values())
 
 
 @settings(deadline=None, max_examples=30)

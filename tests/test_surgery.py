@@ -1,3 +1,4 @@
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -21,6 +22,7 @@ from floerforge.fualgebra import (
     FreeComplex,
     FUDecomposition,
     InvalidComplex,
+    _positions,
     _Reducer,
     homology_decomposition,
     plus_presentation,
@@ -38,8 +40,6 @@ from floerforge.surgery import (
     MissingFlip,
     build_cone,
     connected_sum_floer,
-    _check_cone,
-    _reduce_cone_summands,
     exact_triangle_force,
     one_handle_stabilize,
     surgery_hf,
@@ -200,11 +200,26 @@ def test_cone_rejects_large_framing():
     ],
 )
 def test_reduced_summand_route_agrees(kc, n):
+    # The whole complex taken as one shape: its minimal cone is valid and,
+    # at the framing's anchor, has the answer as homology.
     direct = surgery_hf(kc, n)
-    total = _reduce_cone_summands(build_cone(kc, n)).total_complex()
+    total = surgery._minimal_cone(shape_cone(kc, n)).total_complex()
     assert validate_complex(total).ok
-    reduced = plus_presentation(homology_decomposition(total))
+    reduced = plus_presentation(homology_decomposition(total.shift(surgery._ANCHORS[n])))
     assert direct.decomposition == reduced
+
+
+def shape_cone(kc, n):
+    """The vector cone of all of ``kc``, over the window of ``surgery_hf``."""
+    return surgery._shape_cone(kc, n, surgery._window(kc, n))
+
+
+@settings(deadline=None, max_examples=30)
+@given(scrambled_sums(ORACLE_CASES, max_size=2), st.sampled_from([-1, 0, 1]))
+def test_shape_cone_spells_out_the_flat_cone(kc, n):
+    # Each power read off the grading vectors is the one build_cone writes.
+    spelled = shape_cone(kc, n).mapping_cone().total_complex().shift(surgery._ANCHORS[n])
+    assert spelled == build_cone(kc, n).total_complex()
 
 
 # --- the summand-wise route against the flat cone -----------------------------
@@ -239,17 +254,17 @@ def flip_swapped_boxes(j, k=F(0)):
 
 @pytest.fixture
 def cone_sizes(monkeypatch):
-    """Generator counts of the unreduced cones ``surgery._cone`` builds
+    """Generator counts of the unreduced cones ``surgery._shape_cone`` builds
     (blocks times shape size), cleared before each ``surgery_hf`` call."""
     sizes = []
 
     def counting(kc, *args):
-        mc = cone(kc, *args)
-        sizes.append((len(mc.a_window) + len(mc.b_window)) * len(kc.generators))
-        return mc
+        sc = cone(kc, *args)
+        sizes.append((len(sc.gradings) + len(sc.b_shifts)) * len(sc.base.generators))
+        return sc
 
-    cone = surgery._cone
-    monkeypatch.setattr(surgery, "_cone", counting)
+    cone = surgery._shape_cone
+    monkeypatch.setattr(surgery, "_shape_cone", counting)
     return sizes
 
 
@@ -290,6 +305,28 @@ def test_minimal_blocks_shrink_the_k9_cone(monkeypatch, n, size):
     assert sizes == [size]
 
 
+@pytest.mark.parametrize("n", [-1, 1])
+def test_flip_halves_the_k9_reductions(monkeypatch, n):
+    # K9 is one shape of genus 8: A_0 .. A_7 are reduced, A_-7 .. A_-1 read
+    # off them through the flip, and B is reduced once (15 + 1 one by one).
+    tracks = Counter()
+
+    class Counting(surgery._Reducer):
+        def __init__(self, c, *args, **kwargs):
+            tracks[kwargs.get("track")] += 1
+            super().__init__(c, *args, **kwargs)
+
+    monkeypatch.setattr(surgery, "_Reducer", Counting)
+    expected = flat_surgery(k_n(9), n)
+    assert surgery_hf(k_n(9), n).decomposition == expected
+    assert tracks == {("iota",): 8, ("pi",): 1}
+
+
+def test_box_sum_shapes_pass_validation():
+    # BoxSum.surgery_hf hands these to the cone without validating them.
+    assert validate_knot(unknot()).ok and validate_knot(box(0)).ok
+
+
 def composed(first, then):
     """The map ``first`` followed by ``then``, each source -> {target:
     power}, as source -> the set of (target, power) terms left over F2."""
@@ -323,6 +360,22 @@ def test_tracked_maps_are_homotopy_equivalence_data(kc, n, data):
     assert same_map(composed(d, pi), composed(pi, d_model), c.generators)
     assert composed(iota, pi) == {x: {(x, 0)} for x in model.generators}
     assert not any(p == 0 for _src, _tgt, p in model.entries())
+    # A_{-s} (s > 0), read off A_s through the flip: its model has the
+    # homology of the flat A_{-s}, its inclusion is a chain map into it, and
+    # pi . iota is the identity for pi, the flip's move of A_s's projection.
+    sc = shape_cone(kc, n)
+    blocks = surgery._minimal_blocks(sc, surgery._cone_check(sc)[1])
+    gens, moved = kc.generators, kc.flip
+    for s in (s for s in mc.a_window if s < 0):
+        flat, (model, inclusion) = mc.a_complexes[s], blocks[s]
+        assert homology_decomposition(model) == homology_decomposition(flat)
+        assert set(inclusion) == set(model.generators)
+        iota = {g: {gens[j]: (flat.maslov[gens[j]] - model.maslov[g]) // 2 for j in _positions(*x)}
+                for g, x in inclusion.items()}
+        assert same_map(composed(model.differential, iota), composed(iota, flat.differential), model.generators)
+        pi = _Reducer(mc.a_complexes[-s], track=("pi",)).cancel_u0().pi
+        pi = {moved[x]: {moved[g]: p for g, p in row.items()} for x, row in pi.items()}
+        assert composed(iota, pi) == {x: {(x, 0)} for x in model.generators}
 
 
 def toggled(entries, src, tgt, p):
@@ -336,60 +389,36 @@ def toggled(entries, src, tgt, p):
 
 
 def corrupting(part):
-    """A stand-in for ``surgery._cone`` that removes the first entry of the
-    differential of A_0 (part "A") or of the map v_0 or h_0."""
-    cone = surgery._cone
+    """A stand-in for ``surgery._shape_cone`` that raises the grading of the
+    first generator in A_0 by one (part "A"), removes the first entry of B
+    (part "B"), or moves the first image of the map v_0 or h_0 one place on."""
+    cone = surgery._shape_cone
 
     def corrupted(kc, *args):
-        mc = cone(kc, *args)
+        sc = cone(kc, *args)
         if part == "A":
-            c = mc.a_complexes[0]
-            diff = toggled(c.differential, *next(c.entries()))
-            mc.a_complexes[0] = FreeComplex([(g, c.maslov[g]) for g in c.generators], diff)
+            sc.gradings[0] = [sc.gradings[0][0] + 1, *sc.gradings[0][1:]]
+        elif part == "B":
+            c = sc.base
+            sc.base = FreeComplex([(g, c.maslov[g]) for g in c.generators], toggled(c.differential, *next(c.entries())))
         else:
-            entries = mc.edges[(0, part)]
-            src, row = next(iter(entries.items()))
-            mc.edges[(0, part)] = toggled(entries, src, *next(iter(row.items())))
-        return mc
+            e = sc.edges[(0, part)]
+            sc.edges[(0, part)] = [(e[0] + 1) % len(e), *e[1:]]
+        return sc
 
     return corrupted
 
 
-@pytest.mark.parametrize("part", ["A", "v", "h"])
+@pytest.mark.parametrize("part", ["A", "B", "v", "h"])
 @pytest.mark.parametrize("n", [-1, 0, 1])
 def test_corrupted_cone_is_rejected(monkeypatch, capsys, n, part):
     # T(2,5) has genus 2, so v_0 and h_0 both exist at every framing.
-    monkeypatch.setattr(surgery, "_cone", corrupting(part))
+    monkeypatch.setattr(surgery, "_shape_cone", corrupting(part))
     with pytest.raises(InvalidComplex):
         surgery_hf(staircase_torus(5, "+"), n)
     assert main(["surgery", "--complex", "t2_5", "--n", str(n)]) == 1
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("error: invalid ") and len(err.splitlines()) == 1
-
-
-@settings(deadline=None, max_examples=60)
-@given(st.sampled_from(["figure8", "t2_5", "k3"]), st.sampled_from([-1, 0, 1]), st.data())
-def test_block_check_is_the_flat_check(name, n, data):
-    # Toggle one entry, of any power, of a block differential or an edge
-    # map: the block check and the flat cone's validation agree.
-    mc = build_cone(load_complex(name), n)
-    a_blocks = [(mc.a_complexes, s) for s in mc.a_window]
-    b_blocks = [(mc.b_complexes, t) for t in mc.b_window]
-    edges = [(mc.edges, key) for key in mc.edges]
-    store, key = data.draw(st.sampled_from([*a_blocks, *b_blocks, *edges]))
-    gens = st.sampled_from(mc.a_complexes[mc.a_window[0]].generators)
-    src, tgt, p = data.draw(gens), data.draw(gens), data.draw(st.integers(-1, 3))
-    if store is mc.edges:
-        store[key] = toggled(store[key], src, tgt, p)
-    else:
-        c = store[key]
-        store[key] = FreeComplex([(g, c.maslov[g]) for g in c.generators],
-                                 toggled(c.differential, src, tgt, p))
-    try:
-        flat = validate_complex(mc.total_complex()).ok
-    except AssertionError:  # xor_entry meets a negative or inhomogeneous entry
-        flat = False
-    assert _check_cone(mc).ok == flat
 
 
 def flat_ok(mc):
@@ -399,28 +428,121 @@ def flat_ok(mc):
         return False
 
 
+def edges_ok(mc):
+    """Whether each entry of each edge map is a non-negative power of degree
+    -1 before v_0 and h_0 are summed, where two equal entries cancel."""
+    for (s, kind), entries in mc.edges.items():
+        t = s if kind == "v" else s + mc.n
+        a, b = mc.a_complexes[s], mc.b_complexes[t]
+        for x, row in entries.items():
+            for y, p in row.items():
+                if p < 0 or b.maslov[y] + mc.b_shifts[t] - 2 * p != a.maslov[x] + mc.a_shifts[s] - 1:
+                    return False
+    return True
+
+
+def flip_read_ok(sc):
+    """Whether m_{-s}(flip x) = m_s(x) - 2s for every s > 0 of ``sc``."""
+    return all(sc.gradings[-s][j] == m - 2 * s for s in sc.gradings if s > 0
+               for j, m in zip(sc.flip, sc.gradings[s]))
+
+
+@settings(deadline=None, max_examples=80)
+@given(st.sampled_from(["figure8", "t2_5", "k3"]), st.sampled_from([-1, 0, 1]), st.data())
+def test_block_check_is_the_flat_check(name, n, data):
+    # Toggle one entry of B, of any power, move one grading of one A_s or one
+    # image of one edge map: the check on the vectors agrees with the
+    # validation of the cone they spell out, with each edge map's entries
+    # checked one by one and the flip relation that reading A_{-s} off A_s
+    # rests on.
+    sc = shape_cone(load_complex(name), n)
+    gens, c = sc.base.generators, sc.base
+    position = st.integers(0, len(gens) - 1)
+    part = data.draw(st.sampled_from(["B", "A"] + ["edge"] * bool(sc.edges)))
+    if part == "B":
+        src, tgt, p = data.draw(st.sampled_from(gens)), data.draw(st.sampled_from(gens)), data.draw(st.integers(-1, 3))
+        sc.base = FreeComplex([(g, c.maslov[g]) for g in gens], toggled(c.differential, src, tgt, p))
+    elif part == "A":
+        s, i, by = data.draw(st.sampled_from(sorted(sc.gradings))), data.draw(position), data.draw(st.integers(-3, 3))
+        sc.gradings[s] = [m + by * (j == i) for j, m in enumerate(sc.gradings[s])]
+    else:
+        key, i, image = data.draw(st.sampled_from(sorted(sc.edges))), data.draw(position), data.draw(position)
+        sc.edges[key] = [image if j == i else k for j, k in enumerate(sc.edges[key])]
+    mc = sc.mapping_cone()
+    assert surgery._cone_check(sc)[0].ok == (flat_ok(mc) and edges_ok(mc) and flip_read_ok(sc))
+
+
 @pytest.mark.parametrize("n", [-1, 0, 1])
 def test_shared_rows_keep_every_check(n):
-    # An A_s with B's entries shares B's rows, so its own powers are still
-    # checked: one wrong power in it fails the cone check as it fails the
-    # flat one.
-    mc = build_cone(staircase_torus(5, "+"), n)
-    s = mc.a_window[0]
-    c = mc.a_complexes[s]
-    src, tgt, p = next(c.entries())
-    diff = {x: dict(row) for x, row in c.differential.items()}
-    diff[src][tgt] = p + 1
-    mc.a_complexes[s] = FreeComplex([(g, c.maslov[g]) for g in c.generators], diff)
-    assert not _check_cone(mc).ok and not flat_ok(mc)
+    # Every A_s shares B's rows, so its own powers are read off its grading
+    # vector and still checked: one odd grading in it fails the cone check
+    # as it fails the flat one.
+    sc = shape_cone(staircase_torus(5, "+"), n)
+    s = min(sc.gradings)
+    sc.gradings[s] = [sc.gradings[s][0] + 1, *sc.gradings[s][1:]]
+    report = surgery._cone_check(sc)[0]
+    assert not report.ok and not flat_ok(sc.mapping_cone())
+    assert f"entry A{s}|s1->A{s}|s0 is not a non-negative power of degree -1" in report.violations
+    # An entry of B of the wrong degree is left out of the rows, so only
+    # the entry check of B sees it.
+    kc = staircase_torus(5, "+")
+    diff = {**kc.base.differential, "s0": {"s2": 5}}
+    sc = surgery._shape_cone(KnotComplex(FreeComplex([(g, kc.base.maslov[g]) for g in kc.generators], diff),
+                                         kc.alexander, kc.flip), n, 2)
+    report = surgery._cone_check(sc)[0]
+    assert not flat_ok(sc.mapping_cone())
+    assert report.violations == ("entry s0->U^5.s2: grading 0 -> -12 is not degree -1",)
     # A base with d^2 != 0 whose flip still commutes with d: every edge map
     # is a chain map, and only the d^2 check of the blocks sees the fault.
     kc = staircase_torus(5, "+")
     diff = {**kc.base.differential, "s2": {"s3": 0, "s1": 1}}  # d^2 s1 = s3 + U.s1
     bad = KnotComplex(FreeComplex([(g, kc.base.maslov[g]) for g in kc.generators], diff), kc.alexander, kc.flip)
-    mc = surgery._cone(bad, n, 2, 0)
-    report = _check_cone(mc)
-    assert not report.ok and not flat_ok(mc)
+    sc = surgery._shape_cone(bad, n, 2)
+    report = surgery._cone_check(sc)[0]
+    assert not report.ok and not flat_ok(sc.mapping_cone())
     assert all(v.startswith("d^2 from ") for v in report.violations)
+
+
+@pytest.mark.parametrize("n", [-1, 1])
+def test_edge_entries_are_checked(n):
+    # The unknot's generator has no entry, so its grading one off in A_0
+    # shows in the edge maps alone (at framing 0 the flat sum v_0 + h_0
+    # would cancel the two, which the check takes one by one).
+    sc = surgery._shape_cone(direct_sum([unknot(), box(0)]), n, 2)
+    sc.gradings[0] = [sc.gradings[0][0] + 1, *sc.gradings[0][1:]]
+    report = surgery._cone_check(sc)[0]
+    assert not report.ok and not flat_ok(sc.mapping_cone())
+    assert all(v.startswith("edge A0|0.x->") for v in report.violations)
+
+
+def three_boxes():
+    """The vector cone at -1, window 2, of the unknot plus three boxes B[0, 0]
+    (positions 1 + 4k .. 4 + 4k for box k: a, b, c, d)."""
+    return surgery._shape_cone(direct_sum([unknot(), box(0), box(0), box(0)]), -1, 2)
+
+
+def test_flip_read_checks_what_it_rests_on():
+    # A_{-s} is read off A_s through ``flip``, so the check also holds the
+    # flip to be an involution, an F2 chain map and to carry m_s to
+    # m_{-s} + 2s.  Each fault below leaves the edge maps, and so the flat
+    # cone, as they were.
+    assert surgery._cone_check(three_boxes())[0].ok
+    flip = three_boxes().flip
+    faults = {
+        # flip, then the next box: a chain map that is no involution
+        "the flip is not an involution": [0, *((j + 4 - 1) % 12 + 1 for j in flip[1:])],
+        # b of box 1 with c of box 2 and c of box 1 with b of box 2: no chain map
+        "the flip is not a chain map": [{2: 7, 7: 2, 3: 6, 6: 3}.get(i, j) for i, j in enumerate(flip)],
+    }
+    for violation, images in faults.items():
+        sc = three_boxes()
+        sc.flip = images
+        assert flat_ok(sc.mapping_cone()) and surgery._cone_check(sc)[0].violations == (violation,)
+        with pytest.raises(InvalidComplex):
+            surgery._minimal_cone(sc)
+    sc = three_boxes()  # the unknot's generator two lower in A_-1: a valid cone, but not A_1 moved
+    sc.gradings[-1] = [sc.gradings[-1][0] - 2, *sc.gradings[-1][1:]]
+    assert flat_ok(sc.mapping_cone()) and surgery._cone_check(sc)[0].violations == ("A-1 is not A1 through the flip",)
 
 
 # --- stabilisation ------------------------------------------------------------
