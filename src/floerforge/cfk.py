@@ -629,7 +629,7 @@ class ReducedBasisForm:
 
     @staticmethod
     def make(pairs) -> "ReducedBasisForm":
-        counts = Counter((_exact(m), int(a), int(d)) for m, a, d in pairs)
+        counts = pairs if isinstance(pairs, Mapping) else Counter((_exact(m), int(a), int(d)) for m, a, d in pairs)
         order = sorted(counts, key=lambda t: (-t[0], -t[1], t[2]))  # only equal triples tie
         return ReducedBasisForm(tuple(t for m, a, d in order for t in [(grading(m), a, d)] * counts[m, a, d]))
 
@@ -662,14 +662,14 @@ def _reduced_basis_form(shapes, mirror: bool = False) -> ReducedBasisForm:
         raise ValueError(f"reduced basis form needs tau = 0, got {-tau if mirror else tau}")
     if (m := reduced.base.maslov[x] + offset) != 0:
         raise InvalidComplex(f"surviving generator {x} sits at ({format_grading(m)}, 0), not (0, 0)")
-    triples = []
+    triples = Counter()  # each shape's triples counted once, then moved by each copy's offset
     for (canonical, copies), found in zip(shapes, pairs):
         M, A = canonical.base.maslov, canonical.alexander
-        here = [(M[y], A[y], A[y] - A[z]) for y, z in found]
+        here = Counter((M[y], A[y], A[y] - A[z]) for y, z in found)
         if any(d <= 0 for _m, _a, d in here):
             raise InvalidComplex("vertical pairing produced a non-positive drop")
         for shift, count in copies:
-            triples += [(m + shift, a, d) for m, a, d in here] * count
+            triples.update({(m + shift, a, d): c * count for (m, a, d), c in here.items()})
     rb = ReducedBasisForm.make(triples)
     return rb.mirror() if mirror else rb
 

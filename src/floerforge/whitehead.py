@@ -91,13 +91,13 @@ class BoxSum:
         """The double of a knot from its reduced pairs (m, A, d), given as
         ``(m, d, count)``: 2 d boxes B[m - 1] per pair, or the mirror of the
         double of the mirrored pairs (1 - m, d - A, d)."""
-        counts: dict = {}
+        counts: dict = {}  # on _exact corners; one Fraction per distinct corner at the end
         for m, d, c in pairs:
-            corner = -m if sign == "-" else m - 1
+            corner = -_exact(m) if sign == "-" else _exact(m) - 1
             counts[corner] = counts.get(corner, 0) + 2 * d * c
         if not counts:
             raise ValueError("doubling needs a nontrivial knot (no reduced pairs)")
-        out = BoxSum(tuple(sorted(((grading(k), c) for k, c in counts.items()), reverse=True)))
+        out = BoxSum(tuple((grading(k), c) for k, c in sorted(counts.items(), reverse=True)))
         return out.mirror() if sign == "-" else out
 
     def mirror(self) -> "BoxSum":
@@ -115,21 +115,21 @@ class BoxSum:
         The complex carries its ``cfk._summands`` split, so it is never
         split: ``0.x`` once at offset 0, and the box ``1.a`` .. ``1.d`` with
         Maslov gradings relative to ``1.a`` at each corner k, counted.  The
-        four gradings of a corner are made once and shared by its copies.
+        three gradings of a corner are made once and shared by its copies.
         """
         s = 1 if sign == "+" else -1
-        gens, diff = [("0.x", 0)], {}
-        alexander, flip = {"0.x": 0}, {"0.x": "0.x"}
+        gens, diff, alexander, flip = [("0.x", 0)], {}, {"0.x": 0}, {"0.x": "0.x"}
         corners = [(_exact(k), count) for k, count in (self.corners if s > 0 else self.corners[::-1])]
-        quads = [quad for k, count in corners for quad in [(k, k + s, k - s, k)] * count]
-        for i, quad in enumerate(quads, start=1):
-            a, b, c, d = names = [f"{i}.{g}" for g in "abcd"]
-            gens += zip(names, quad)
-            alexander.update({a: 0, b: s, c: -s, d: 0})
-            flip.update({a: a, b: c, c: b, d: d})
-            for src, tgt, p in ((a, b, 1), (a, c, 0), (b, d, 0), (c, d, 1)):
-                row, col = (src, tgt) if s > 0 else (tgt, src)
-                diff.setdefault(row, {})[col] = p
+        quads = [quad for k, count in corners for quad in [(k, k + s, k - s)] * count]
+        for i, (k, up, down) in enumerate(quads, start=1):
+            a, b, c, d = (p := f"{i}.") + "a", p + "b", p + "c", p + "d"
+            gens += ((a, k), (b, up), (c, down), (d, k))
+            alexander[a], alexander[b], alexander[c], alexander[d] = 0, s, -s, 0
+            flip[a], flip[b], flip[c], flip[d] = a, c, b, d
+            if s > 0:  # a -> U b, a -> c, b -> d, c -> U d
+                diff[a], diff[b], diff[c] = {b: 1, c: 0}, {d: 0}, {d: 1}
+            else:  # the dual: b -> U a, c -> a, d -> b, d -> U c
+                diff[b], diff[c], diff[d] = {a: 1}, {a: 0}, {b: 0, c: 1}
         split = [(KnotComplex(FreeComplex([("0.x", 0)]), {"0.x": 0}, {"0.x": "0.x"}), [(0, 1)])]
         if quads:
             first = ("1.a", "1.b", "1.c", "1.d")
@@ -145,7 +145,7 @@ class BoxSum:
         """``surgery_hf`` of the expanded complex through the same per-shape
         cones (window 1, the genus): the unknot at offset 0 and ``box(0)``
         at every corner."""
-        return _summed_cones([(unknot(), [(0, 1)]), (box(0), list(self.corners))], n, 1)
+        return _summed_cones([(unknot(), [(0, 1)]), (box(0), [(_exact(k), c) for k, c in self.corners])], n, 1)
 
 
 def box_tower(rb: ReducedBasisForm, signs) -> list[BoxSum]:
@@ -154,7 +154,7 @@ def box_tower(rb: ReducedBasisForm, signs) -> list[BoxSum]:
     tower: list[BoxSum] = []
     for sign in signs:
         pairs = (_counted(rb) if not tower else
-                 [p for k, c in tower[-1].corners for p in ((k + 1, 1, c), (k, 1, c))])
+                 [p for k, c in tower[-1].corners for e in [_exact(k)] for p in ((e + 1, 1, c), (e, 1, c))])
         tower.append(BoxSum.doubling(pairs, sign))
     return tower
 

@@ -154,9 +154,12 @@ def test_negative_double_is_mirror_of_positive_on_mirror():
 
 
 LEVEL_2_K3 = whitehead_double_cfk(reduced_basis_form(k_n(3)))
+# The ladder rung Wh^2(K9): 640 reduced pairs, several boxes at each corner.
+LEVEL_3_K9 = whitehead_double_cfk(reduced_basis_form(whitehead_double_cfk(reduced_basis_form(k_n(9)))))
 
 
-@pytest.mark.parametrize("kc", [figure8(), k_n(3), k_n(5), LEVEL_2_K3], ids=["figure8", "K3", "K5", "Wh(K3)"])
+@pytest.mark.parametrize("kc", [figure8(), k_n(3), k_n(5), k_n(9), LEVEL_2_K3, LEVEL_3_K9],
+                         ids=["figure8", "K3", "K5", "K9", "Wh(K3)", "Wh^2(K9)"])
 def test_flat_doubles_keep_the_layout_of_their_definitions(kc):
     rb = reduced_basis_form(kc)
     unnamed = lambda c: {k: v for k, v in c.to_json().items() if k != "name"}
@@ -295,6 +298,10 @@ def test_box_tower_matches_flat_tower(n, signs, framings):
     for flat, symbolic in zip(flat_tower(kc, signs), box_tower(reduced_basis_form(kc), signs), strict=True):
         assert symbolic.corners == corners(flat)
         assert symbolic.max_reduced_maslov() == hfk_hat(flat).max_reduced_maslov()
+        # Corners and pairings are counted on ints inside; the public gradings stay Fractions.
+        assert all(type(k) is Fraction for k, _c in symbolic.corners)
+        assert type(symbolic.max_reduced_maslov()) is Fraction
+        assert all(type(m) is Fraction for m, _a, _d in reduced_basis_form(flat).pairs)
         for framing in framings:
             assert symbolic.surgery_hf(framing) == surgery_hf(flat, framing)
 
