@@ -288,6 +288,9 @@ def main(argv=None) -> int:
     except (InvalidComplex, MissingFlip, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except MemoryError:  # the input is valid, but its answer does not fit in memory
+        print("error: out of memory", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

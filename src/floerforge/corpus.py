@@ -8,6 +8,7 @@ accepts a real path or a bare corpus name.
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 from importlib import resources
@@ -114,22 +115,26 @@ def write_corpus(directory) -> list[str]:
     return written
 
 
-def corpus_dir() -> Path:
-    override = os.environ.get("FLOERFORGE_CORPUS")
-    if override:
-        return Path(override)
+@functools.cache
+def _bundled_dir() -> Path:
     return Path(resources.files("floerforge") / "corpus")
+
+
+def corpus_dir() -> Path:
+    """``FLOERFORGE_CORPUS``, read at each call, or the bundled directory, resolved once per process."""
+    override = os.environ.get("FLOERFORGE_CORPUS")
+    return Path(override) if override else _bundled_dir()
 
 
 def load_complex(spec: str) -> KnotComplex:
     """Load a knot complex from a path, or from the corpus by name."""
     path = Path(spec)
     if not path.is_file():
-        candidate = corpus_dir() / path.name
+        candidate = (directory := corpus_dir()) / path.name
         if candidate.is_file():
             path = candidate
         elif not spec.endswith(".json"):
-            candidate = corpus_dir() / f"{spec}.json"
+            candidate = directory / f"{spec}.json"
             if candidate.is_file():
                 path = candidate
     if not path.is_file():

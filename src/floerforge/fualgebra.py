@@ -539,20 +539,21 @@ class _Reducer:
         if self.pi_cols is not None:
             _spread(self.pi_cols, self.pi_bases, 1, j, *_plus(self.pi_cols[i], self.pi_bases[i], 1, i))
 
-    def _sweep(self, u0: bool):
+    def _sweep(self, u0: bool, level=None):
         """Pivot on the smallest live (power, source name, target name) entry,
-        only on U^0 entries of zero Alexander drop if ``u0``, until none is
-        left.  At alpha -> U^k beta, each z hitting beta adds U^(p - k) alpha,
-        and beta adds U^(q - k) w per w alpha hits."""
+        only on U^0 entries whose ends have one ``level`` (by default the
+        Alexander grading, if given) if ``u0``, until none is left.  At
+        alpha -> U^k beta, each z hitting beta adds U^(p - k) alpha, and beta
+        adds U^(q - k) w per w alpha hits."""
         m, A, n, rows = self.m, self.alexander, len(self.m), self.rows
-        row_bases, entries = self.row_bases, []
+        row_bases, entries, L = self.row_bases, [], A if level is None else level
         for i, v in enumerate(rows):
             o, mi = row_bases[i], m[i]
             while v:
                 low = v & -v
                 j = o + low.bit_length() - 1
                 v ^= low
-                if not u0 or m[j] == mi - 1 and (A is None or A[j] == A[i]):
+                if not u0 or m[j] == mi - 1 and (L is None or L[j] == L[i]):
                     entries.append(((m[j] - mi + 1) // 2, i, j))
         if not entries:
             return
@@ -595,7 +596,7 @@ class _Reducer:
                     low = new & -new
                     t = oz + low.bit_length() - 1
                     new ^= low
-                    if not u0 or m[t] == mz - 1 and (A is None or A[t] == A[z]):
+                    if not u0 or m[t] == mz - 1 and (L is None or L[t] == L[z]):
                         heappush(heap, ((m[t] - mz + 1) // 2 * n + rank[z]) * n + rank[t])
             # d^2 = 0 forces: what hits the z's is what hits alpha; the w's rows sum to beta's
             if (zs or cols[alpha]) and _sum(cols, col_bases, zs, ob, cols[alpha], col_bases[alpha])[0] or (
@@ -636,15 +637,27 @@ class _Reducer:
                         cols[j], col_bases[j] = 1, i
         return self.cols, self.col_bases
 
-    def cancel_u0(self) -> "_Reducer":
+    def cancel_u0(self, level=None) -> "_Reducer":
         """Cancel every U^0 entry, smallest (source, target) pair first.
 
         A reducer given an Alexander grading cancels only the entries with
         zero Alexander drop (filtered reduction); the triggered basis
-        changes are then automatically filtered.
+        changes are then automatically filtered.  A ``level`` vector, one
+        int per position, takes the Alexander grading's place in that test.
         """
-        self._sweep(u0=True)
+        self._sweep(u0=True, level=level)
         return self
+
+    def fork(self, m, track=()) -> "_Reducer":
+        """A copy of this reduction under the gradings ``m``, still tracking the
+        maps named in ``track``: the F2 row operation of a U^0 pivot is the
+        same whatever the gradings."""
+        new, (cols, col_bases) = object.__new__(type(self)), self._columns()
+        new.__dict__.update(vars(self), m=m, rows=self.rows[:], row_bases=self.row_bases[:], cols=cols[:],
+                            col_bases=col_bases[:], alive=self.alive[:], torsion=self.torsion[:])
+        new.iota_rows, new.iota_bases = (self.iota_rows[:], self.iota_bases[:]) if "iota" in track else (None, None)
+        new.pi_cols, new.pi_bases = (self.pi_cols[:], self.pi_bases[:]) if "pi" in track else (None, None)
+        return new
 
     def diagonalize(self) -> "_Reducer":
         """Pivot on minimal-exponent entries until the differential is empty."""

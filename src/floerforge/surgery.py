@@ -21,8 +21,9 @@ The cone of C is the direct sum of the cones of its flip-stable summands,
 built once per shape of ``cfk._shapes``.  Every A_s has B's matrix over F2,
 so a shape's cone is B's window-bitset rows, a grading vector per A_s and
 v_s, h_s as position maps (``_ShapeCone``), checked as the flat cone would
-be.  B and each A_s of s >= 0 are reduced to U^0-minimal models; the flip
-carries A_s to A_{-s}.  ``build_cone(kc, n)`` is the tests' flat oracle.
+be.  B and the A_s of s >= 0 are reduced to U^0-minimal models by one shared
+reduction on a halving tree (:func:`_minimal_blocks`); the flip carries A_s
+to A_{-s}.  ``build_cone(kc, n)`` is the tests' flat oracle.
 """
 
 from __future__ import annotations
@@ -261,14 +262,33 @@ def _cone_check(sc: _ShapeCone):
     return ValidationReport(ok=not bad, violations=tuple(bad)), (ids, (rows, bases)), u0
 
 
-def _minimal_blocks(sc: _ShapeCone, rows) -> dict:
-    """``{s: (minimal model of A_s, {survivor: inclusion as a window bitset})}``,
-    A_s reduced on B's ``rows`` under m_s for s >= 0 and moved by the flip, an
-    isomorphism A_s -> A_{-s} keeping every power, for -s."""
-    gens, flip, out = sc.base.generators, sc.flip, {}
-    for s, ms in sc.gradings.items():
-        if s >= 0:
-            r = _Reducer(sc.base, track=("iota",), rows=rows, m=ms).cancel_u0()
+def _minimal_blocks(sc: _ShapeCone, rows) -> tuple[dict, _Reducer | None]:
+    """``{s: (minimal model of A_s, {survivor: inclusion as a window bitset})}``
+    and B's reduction with its projection (None without B).
+
+    One reduction of B's ``rows`` serves A_0 .. A_{g-1} and B (s = +inf), the
+    leaves of a halving tree.  B's entry x -> U^p y has the power
+    p + max(0, A(x) - s) - max(0, A(y) - s) in A_s, monotone in s, so one that
+    is U^0 at both ends of a range (under the first's gradings, at one level
+    first - last) is U^0 throughout and cancelled once.  The right half of the
+    range goes on in this reduction, the left in a fork; a leaf is reduced
+    alone.  The flip, an isomorphism A_s -> A_{-s} keeping every power, moves
+    A_s's model and inclusion to A_{-s}."""
+    gens, flip, out, b = sc.base.generators, sc.flip, {}, None
+    r = _Reducer(sc.base, track=("iota", "pi"), rows=rows)
+    leaves = [(s, ms) for s, ms in sc.gradings.items() if s >= 0] + [(None, r.m)] * bool(sc.b_shifts)
+    stack = [(0, len(leaves) - 1, r)]
+    while stack:
+        lo, hi, r = stack.pop()
+        s, r.m = leaves[lo]
+        if lo < hi:
+            mid = (lo + hi + 1) // 2
+            r.cancel_u0(list(map(sub, r.m, leaves[hi][1])))
+            stack += [(mid, hi, r), (lo, mid - 1, r.fork(r.m, ("iota",)))]
+        elif s is None:
+            b = r.cancel_u0()
+        else:
+            r.cancel_u0()
             out[s] = r.current_complex(), {g: _plus(r.iota_rows[i], r.iota_bases[i], 1, i)
                                            for g, i in r.survivors().items()}
     moved, ones = dict(zip(gens, map(gens.__getitem__, flip))), [1] * len(gens)
@@ -278,20 +298,19 @@ def _minimal_blocks(sc: _ShapeCone, rows) -> dict:
             diff = {moved[x]: {moved[y]: p for y, p in row.items()} for x, row in model.differential.items()}
             out[s] = (FreeComplex([(moved[g], model.maslov[g] + 2 * s) for g in model.generators], diff),
                       {moved[g]: _sum(ones, flip, *x) for g, x in inclusion.items()})
-    return out
+    return out, b
 
 
 def _minimal_cone(sc: _ShapeCone) -> MappingCone:
-    """``sc``, once it passes :func:`_cone_check`, with B reduced to its minimal
-    model, each A_s replaced by its :func:`_minimal_blocks` model, and v_s, h_s
-    carried across by the inclusion of A_s and the projection of B.  A minimal block has rank
+    """``sc``, once it passes :func:`_cone_check`, with each block replaced by
+    its :func:`_minimal_blocks` model, and v_s, h_s carried across by the
+    inclusion of A_s and the projection of B.  A minimal block has rank
     dim H(block/U): K9 at -1 hands over 71 generators, the flat cone 2,511."""
     report, rows, u0 = _cone_check(sc)
     report.require("surgery cone")
     if not u0:
         return sc.mapping_cone()  # every block is its own minimal model
-    blocks = _minimal_blocks(sc, rows)
-    b = _Reducer(sc.base, track=("pi",), rows=rows).cancel_u0() if sc.b_shifts else None
+    blocks, b = _minimal_blocks(sc, rows)
     projections = [(h, j, _plus(b.pi_cols[j], b.pi_bases[j], 1, j)) for h, j in b.survivors().items()] if b else []
     ones, edges = [1] * len(sc.flip), {}
     for (s, kind), e in sc.edges.items():

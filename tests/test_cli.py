@@ -160,6 +160,21 @@ def test_corpus_env_override(tmp_path, monkeypatch, capsys):
     assert code == 2
 
 
+def test_corpus_override_read_at_each_call(tmp_path, monkeypatch):
+    # The bundled directory is resolved once per process; the override is
+    # still read at every call, also after a call made without it.
+    monkeypatch.delenv("FLOERFORGE_CORPUS", raising=False)
+    bundled, trefoil = corpus_dir(), load_complex("trefoil").to_json()
+    figure8 = (bundled / "figure8.json").read_text(encoding="utf-8")
+    assert json.loads(figure8) != trefoil
+    (tmp_path / "trefoil.json").write_text(figure8, encoding="utf-8")
+    monkeypatch.setenv("FLOERFORGE_CORPUS", str(tmp_path))
+    assert corpus_dir() == tmp_path
+    assert load_complex("trefoil").to_json() == json.loads(figure8)
+    monkeypatch.delenv("FLOERFORGE_CORPUS")
+    assert corpus_dir() == bundled and load_complex("trefoil").to_json() == trefoil
+
+
 def test_verify_corpus_row_catches_corruption(tmp_path, monkeypatch, capsys):
     write_corpus(tmp_path)
     (tmp_path / "trefoil.json").write_text("{not json")
@@ -748,11 +763,21 @@ def test_cfk_reduces_each_summand_shape_once(capsys, monkeypatch, fmt, name, sha
     assert len(calls) == shapes
 
 
-def run_python_dash_m(argv):
+def run_python_dash_m(argv, **kwargs):
     src = Path(floerforge.__file__).resolve().parents[1]
     done = subprocess.run([sys.executable, "-m", "floerforge", *argv], capture_output=True, text=True,
-                          env={**os.environ, "PYTHONPATH": str(src)})
+                          env={**os.environ, "PYTHONPATH": str(src)}, **kwargs)
     return done.returncode, done.stdout, done.stderr
+
+
+def test_out_of_memory_is_one_line():
+    # Forty doublings of K3 would write out about 2^81 boxes.  The probe's
+    # address space is capped at 1 GB, so it runs out of memory at once and
+    # never takes the machine's.
+    resource = pytest.importorskip("resource")
+    cap = lambda: resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+    argv = ["double", "--complex", "k3", "--iterations", "40"]
+    assert run_python_dash_m(argv, preexec_fn=cap, timeout=300) == (1, "", "error: out of memory\n")
 
 
 def test_one_parser_per_process_is_invisible(capsys, monkeypatch):

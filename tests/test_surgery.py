@@ -1,4 +1,3 @@
-from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -17,6 +16,7 @@ from floerforge.cfk import (
     k_n,
     KnotComplex,
     validate_knot,
+    _shapes,
 )
 from floerforge.fualgebra import (
     FreeComplex,
@@ -237,6 +237,14 @@ def test_summand_route_equals_flat_cone(kc):
         assert surgery_hf(kc, n).decomposition == flat_surgery(kc, n)
 
 
+@pytest.mark.parametrize("n", [-1, 0, 1])
+def test_large_torus_sum_equals_flat_cone(n):
+    # T(2,7)#T(2,7)#T(2,7): one shape of 343 generators, 10 blocks at +-1.
+    t = staircase_torus(7, "+")
+    kc = connected_sum_knots(connected_sum_knots(t, t), t)
+    assert surgery_hf(kc, n).decomposition == flat_surgery(kc, n)
+
+
 def flip_swapped_boxes(j, k=F(0)):
     """x plus B[k, j] and B[k - 2j, -j], with the flip exchanging the two
     boxes (a <-> a', b <-> c', c <-> b', d <-> d'): no differential entry
@@ -305,21 +313,73 @@ def test_minimal_blocks_shrink_the_k9_cone(monkeypatch, n, size):
     assert sizes == [size]
 
 
+def leaves(sc):
+    """The grading vectors of A_0 .. A_{g-1} and B in ``sc``, in that order."""
+    return [sc.gradings[s] for s in sorted(sc.gradings) if s >= 0] + [list(map(sc.base.maslov.__getitem__,
+                                                                           sc.base.generators))] * bool(sc.b_shifts)
+
+
 @pytest.mark.parametrize("n", [-1, 1])
 def test_flip_halves_the_k9_reductions(monkeypatch, n):
-    # K9 is one shape of genus 8: A_0 .. A_7 are reduced, A_-7 .. A_-1 read
-    # off them through the flip, and B is reduced once (15 + 1 one by one).
-    tracks = Counter()
+    # K9 is one shape of genus 8: A_0 .. A_7 and B are the leaves of one
+    # shared reduction, A_-7 .. A_-1 are read off A_1 .. A_7 through the
+    # flip, and what the nine blocks have in common is cancelled once:
+    # fewer than half of the pairs of nine separate reductions.
+    reduced, pairs = [], []
 
     class Counting(surgery._Reducer):
-        def __init__(self, c, *args, **kwargs):
-            tracks[kwargs.get("track")] += 1
-            super().__init__(c, *args, **kwargs)
+        def cancel_u0(self, level=None):
+            alive = sum(self.alive)
+            super().cancel_u0(level)
+            pairs.append((alive - sum(self.alive)) // 2)
+            if level is None:
+                reduced.append(self.m)
+            return self
 
     monkeypatch.setattr(surgery, "_Reducer", Counting)
     expected = flat_surgery(k_n(9), n)
     assert surgery_hf(k_n(9), n).decomposition == expected
-    assert tracks == {("iota",): 8, ("pi",): 1}
+    (rep, _copies), = _shapes(k_n(9))
+    sc = surgery._shape_cone(rep, n, surgery._window(rep, n))
+    assert len(sc.gradings) == 15 and sorted(reduced) == sorted(leaves(sc)) and len(reduced) == 9
+    separate = [(len(rep.generators) - len(_Reducer(rep.base, m=m).cancel_u0().survivors())) // 2
+                for m in leaves(sc)]
+    assert sum(separate) == 350 and sum(pairs) < 350 / 2
+
+
+@settings(deadline=None, max_examples=40)
+@given(scrambled_sums(ORACLE_CASES), st.sampled_from([-1, 0, 1]))
+def test_u0_at_both_ends_is_u0_throughout(kc, n):
+    # For any x, y and any range of leaves A_lo .. A_hi (B last), the rise
+    # m(y) - m(x) is -1 at both ends exactly when it is -1 at every leaf
+    # between: the shared reduction cancels at a range what each leaf would.
+    grades = leaves(shape_cone(kc, n))
+    columns = set(zip(*grades))  # a generator's grading at each leaf
+    for lo in range(len(grades)):
+        for hi in range(lo + 1, len(grades)):
+            for x in columns:
+                for y in columns:
+                    rises = [b - a for a, b in zip(x[lo:hi + 1], y[lo:hi + 1])]
+                    assert (rises[0] == rises[-1] == -1) == (set(rises) == {-1})
+
+
+@settings(deadline=None, max_examples=40)
+@given(scrambled_sums(ORACLE_CASES), st.sampled_from([-1, 0, 1]))
+def test_shared_blocks_match_separate_reductions(kc, n):
+    # Each block the shared reduction hands over is U^0-minimal, with the
+    # rank and the homology of its own reduction from scratch.
+    sc = shape_cone(kc, n)
+    rows = surgery._cone_check(sc)[1]
+    blocks, b = surgery._minimal_blocks(sc, rows)
+    models = {s: model for s, (model, _inclusion) in blocks.items()}
+    if b is not None:
+        models[None] = b.current_complex()
+    assert len(models) == len(sc.gradings) + bool(sc.b_shifts)
+    for s, model in models.items():
+        alone = _Reducer(sc.base, rows=rows, m=sc.gradings[s] if s is not None else None).cancel_u0()
+        assert not any(p == 0 for _src, _tgt, p in model.entries())
+        assert len(model.generators) == len(alone.survivors())
+        assert homology_decomposition(model) == homology_decomposition(alone.current_complex())
 
 
 def test_box_sum_shapes_pass_validation():
@@ -361,11 +421,11 @@ def test_tracked_maps_are_homotopy_equivalence_data(kc, n, data):
     assert composed(iota, pi) == {x: {(x, 0)} for x in model.generators}
     assert not any(p == 0 for _src, _tgt, p in model.entries())
     # A_{-s} (s > 0), read off A_s through the flip: its model has the
-    # homology of the flat A_{-s}, its inclusion is a chain map into it, and
-    # pi . iota is the identity for pi, the flip's move of A_s's projection.
+    # homology of the flat A_{-s}, and its inclusion is a chain map into it
+    # whose mapping cone is acyclic.
     sc = shape_cone(kc, n)
-    blocks = surgery._minimal_blocks(sc, surgery._cone_check(sc)[1])
-    gens, moved = kc.generators, kc.flip
+    blocks, _b = surgery._minimal_blocks(sc, surgery._cone_check(sc)[1])
+    gens = kc.generators
     for s in (s for s in mc.a_window if s < 0):
         flat, (model, inclusion) = mc.a_complexes[s], blocks[s]
         assert homology_decomposition(model) == homology_decomposition(flat)
@@ -373,9 +433,22 @@ def test_tracked_maps_are_homotopy_equivalence_data(kc, n, data):
         iota = {g: {gens[j]: (flat.maslov[gens[j]] - model.maslov[g]) // 2 for j in _positions(*x)}
                 for g, x in inclusion.items()}
         assert same_map(composed(model.differential, iota), composed(iota, flat.differential), model.generators)
-        pi = _Reducer(mc.a_complexes[-s], track=("pi",)).cancel_u0().pi
-        pi = {moved[x]: {moved[g]: p for g, p in row.items()} for x, row in pi.items()}
-        assert composed(iota, pi) == {x: {(x, 0)} for x in model.generators}
+        assert homology_decomposition(mapping_cone(iota, model, flat)) == FUDecomposition()
+
+
+def mapping_cone(f, source, target):
+    """The cone of the degree-0 chain map ``f``: ``source`` shifted up by one
+    and ``target``, joined by ``f``; it is acyclic when ``f`` is a homotopy
+    equivalence."""
+    gens = [(f"s|{g}", source.maslov[g] + 1) for g in source.generators]
+    gens += [(f"t|{x}", target.maslov[x]) for x in target.generators]
+    diff = {f"t|{x}": {f"t|{y}": p for y, p in row.items()} for x, row in target.differential.items()}
+    for g in source.generators:
+        diff[f"s|{g}"] = {**{f"s|{h}": p for h, p in source.differential.get(g, {}).items()},
+                          **{f"t|{x}": p for x, p in f[g].items()}}
+    cone = FreeComplex(gens, diff)
+    assert validate_complex(cone).ok
+    return cone
 
 
 def toggled(entries, src, tgt, p):
