@@ -3,7 +3,8 @@
 ``cli_digests.json`` maps each command line below to the sha256 of its
 stdout when the command exits 0 and writes nothing to stderr, and to its
 exit code, stdout digest and stderr text otherwise.  A JSON object in a
-command line is a ``distinguish`` piece, written to a file for the run.
+command line is a ``distinguish`` piece or a complex, written to a file for
+the run; stderr names that file's folder as ``$TMP``.
 Regenerate the table only for an intended output change, with
 ``PYTHONPATH=src python tests/test_cli_digests.py``.
 """
@@ -22,6 +23,32 @@ from floerforge.cli import main
 DIGESTS = Path(__file__).with_name("cli_digests.json")
 MIXED = {"kind": "finite_mixed_then_one_sign", "signs": ["-"], "tail": "+"}
 
+
+def trefoil(**fields):
+    """The bundled trefoil's JSON with ``fields`` replaced."""
+    gens = [{"name": "s0", "maslov": "0"}, {"name": "s1", "maslov": "-1"}, {"name": "s2", "maslov": "-2"}]
+    diff = [{"from": "s1", "to": "s0", "upower": 1}, {"from": "s1", "to": "s2", "upower": 0}]
+    return {"name": "T(2,3)", "alexander": {"s0": 1, "s1": 0, "s2": -1}, "generators": gens,
+            "differential": diff, "flip": [["s0", "s2"], ["s1", "s1"]], **fields}
+
+
+def upower(value):
+    return [{"from": "s1", "to": "s0", "upower": value}, {"from": "s1", "to": "s2", "upower": 0}]
+
+
+# Malformed complex files, each with the error the parser words first.
+MALFORMED = [
+    trefoil(generators=[{"name": "s0", "maslov": "zero"}, {"name": "s1", "maslov": "-1"}, {"maslov": "-2"}]),
+    trefoil(differential=upower("1")),
+    trefoil(differential=upower("one")),
+    trefoil(differential=upower(True)),
+    trefoil(alexander={"s0": "1", "s1": 0, "s2": -1}),
+    trefoil(alexander={"s0": "one", "s1": 0, "s2": -1}),
+    trefoil(differential=upower(1) + [{"from": "s1", "to": "s0", "upower": 1}]),
+    trefoil(flip=[["s0", "s3"], ["s1", "s1"]]),
+    trefoil(alexander={"s0": 1, "s1": 0}),
+]
+
 COMMANDS = (
     [["double", "--complex", knot, "--iterations", str(i), "--sign", sign]
      for knot in ("k3", "k9", "wh_k3") for i in (2, 3) for sign in "+-"]
@@ -32,6 +59,7 @@ COMMANDS = (
        for handle in ("ch+", "ch-", "ch*") for orientation in "+-"]
     + [["distinguish", "--a", {"knot": "k3", "handle": MIXED, "orientation": orientation},
         "--b", {"knot": "k5"}] for orientation in "+-"]
+    + [["cfk", "--complex", data] for data in MALFORMED]
 )
 
 
@@ -52,7 +80,7 @@ def record(argv, folder: Path):
     digest = hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest()
     if (code, err.getvalue()) == (0, ""):
         return digest
-    return {"exit": code, "stdout": digest, "stderr": err.getvalue()}
+    return {"exit": code, "stdout": digest, "stderr": err.getvalue().replace(str(folder), "$TMP")}
 
 
 @pytest.mark.parametrize("argv", COMMANDS, ids=key)
