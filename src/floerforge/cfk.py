@@ -67,11 +67,13 @@ class KnotComplex:
 
     An immutable value, so its summand split is taken at most once and kept
     (:func:`_shapes`); a builder that knows it, like ``BoxSum.complex``,
-    hands it over as ``_split``.  Validation still runs at every call.
+    hands it over as ``_split``.  The canonical reduction of each shape is
+    kept the same way (:func:`_canonical_shapes`); callers must not mutate
+    either list.  Validation still runs at every call.
     :meth:`maslov` is the ``Fraction`` of the internal ``base.maslov``.
     """
 
-    __slots__ = ("base", "alexander", "flip", "ambient", "name", "_split")
+    __slots__ = ("base", "alexander", "flip", "ambient", "name", "_split", "_canonical", "__weakref__")
 
     def __init__(self, base: FreeComplex, alexander: Mapping[str, int],
                  flip: Optional[Mapping[str, str]] = None,
@@ -82,6 +84,7 @@ class KnotComplex:
         self.ambient = ambient
         self.name = name
         self._split = _split
+        self._canonical = None
 
     @property
     def generators(self):
@@ -130,7 +133,7 @@ class KnotComplex:
                 flip[a] = b
                 flip[b] = a
         alexander = json_checked(json_field(data, "alexander", "the complex"), dict, '"alexander"')
-        alexander = {g: integer(v) for g, v in alexander.items()}
+        alexander = {g: v if type(v) is int else integer(v) for g, v in alexander.items()}
         if not isinstance(name := data.get("name", ""), str):
             raise TypeError(f"name is not a string: {name!r}")
         for what, names in (("alexander grades", alexander), ("flip pairs", flip or {})):
@@ -179,7 +182,8 @@ def _summands(kc: KnotComplex) -> list[tuple[KnotComplex, list[tuple]]]:
     shape, or the whole complex if an endpoint is missing or a flip is partial
     or not involutive.  A shape is, per member, its Maslov grading less the
     copy's offset, the first member's (an ``int`` if integral), its Alexander
-    grading, its flip's position and its row."""
+    grading, its flip's position and its row.  A complex that is one summand
+    with an ``int`` first grading is its own shape at offset 0."""
     base, A, flip = kc.base, kc.alexander, kc.flip
     gens, M, diff = base.generators, base.maslov, base.differential
     broken = not M.keys() >= diff.keys() or not all(M.keys() >= row.keys() for row in diff.values())
@@ -188,10 +192,11 @@ def _summands(kc: KnotComplex) -> list[tuple[KnotComplex, list[tuple]]]:
         images = [flip.get(g) for g in gens]
         broken = not M.keys() >= set(images) or tuple(map(flip.__getitem__, images)) != gens
         edges += [(g, img) for g, img in zip(gens, images) if img != g]
-    if broken:
-        return [(kc, [(0, 1)])]
+    parts = None if broken else components(gens, edges)
+    if broken or len(parts) == 1 and type(M[gens[0]]) is int:  # a rep that is not kc keeps kc acyclic
+        return [(KnotComplex(base, A, flip, kc.ambient), [(0, 1)])]
     shapes: dict[tuple, tuple[KnotComplex, dict]] = {}
-    for members in components(gens, edges):
+    for members in parts:
         m0 = M[members[0]]
         q, n0 = m0.denominator, m0.numerator  # integer division beats Fraction subtraction
         relative = [k if m.denominator == q and not r else m - m0 for m in map(M.__getitem__, members)
@@ -565,8 +570,10 @@ def _knot_numerics(shapes) -> dict:
 
 
 def _canonical_shapes(kc: KnotComplex) -> list[tuple[KnotComplex, list[tuple]]]:
-    """:func:`reduce_canonical` once per shape of :func:`_shapes`, with its copies."""
-    return [(reduce_canonical(rep), copies) for rep, copies in _shapes(kc)]
+    """:func:`reduce_canonical` once per shape of :func:`_shapes`, with its copies, kept on ``kc``."""
+    if kc._canonical is None:
+        kc._canonical = [(reduce_canonical(rep), copies) for rep, copies in _shapes(kc)]
+    return kc._canonical
 
 
 def _unpaired(shapes):

@@ -48,7 +48,10 @@ class UsageError(Exception):
 
 def _emit(text: str, out_path):
     if out_path:
-        Path(out_path).write_text(text, encoding="utf-8")
+        try:
+            Path(out_path).write_text(text, encoding="utf-8")
+        except OSError as exc:
+            raise UsageError(f"cannot write {out_path!r}: {exc}") from exc
     else:
         sys.stdout.write(text)
         if not text.endswith("\n"):
@@ -89,7 +92,7 @@ def _load(source) -> KnotComplex:
         kc = load_complex(source) if from_file else KnotComplex.from_json(source)
     except FileNotFoundError as exc:
         raise UsageError(str(exc)) from exc
-    except (ValueError, KeyError, TypeError) as exc:
+    except (ValueError, KeyError, TypeError, RecursionError) as exc:  # RecursionError: JSON nested too deep
         what = f"complex file {source!r}" if from_file else "inline complex"
         raise UsageError(f"cannot parse {what}: {exc}") from exc
     if kc.ambient.is_sphere:
@@ -142,7 +145,7 @@ def _parse_operand(path: str):
         data = json.loads(Path(path).read_text(encoding="utf-8"))
     except OSError as exc:
         raise UsageError(f"cannot read {path!r}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise UsageError(f"cannot parse {path!r}: {exc}") from exc
     try:
         summands = "summands" in json_checked(data, dict, "the piece")

@@ -43,11 +43,12 @@ def canonical_json(data) -> str:
     """``json.dumps(data, sort_keys=True, indent=2) + "\\n"``, byte for byte.
 
     With ``indent`` set, ``json.dumps`` runs its pure-Python encoder.  This
-    writes ``str``, ``int``, lists, tuples and dicts with ``str`` keys itself
-    and hands any other value alone to ``json.dumps``, re-indented: a JSON
-    text holds no raw newline inside a string.  Input this cannot take, a
-    cycle or a nesting past the recursion limit, goes to ``json.dumps``
-    whole, so its errors are the ones ``json.dumps`` raises.
+    writes ``str``, ``int``, lists (of flat records by one template), tuples
+    and dicts with ``str`` keys itself and hands any other value alone to
+    ``json.dumps``, re-indented: a JSON text holds no raw newline inside a
+    string.  Input this cannot take, a cycle or a nesting past the recursion
+    limit, goes to ``json.dumps`` whole, so its errors are the ones
+    ``json.dumps`` raises.
     """
     out: list[str] = []
     try:
@@ -71,6 +72,9 @@ def _write_json(value, newline: str, out: list[str]):
             out.append("[]")
             return
         inner = newline + "  "
+        if type(value[0]) is dict and (records := _records(value, inner)) is not None:
+            out.append("[" + inner + ("," + inner).join(records) + newline + "]")
+            return
         sep = "[" + inner
         for item in value:
             if type(item) is str:
@@ -103,6 +107,28 @@ def _write_json(value, newline: str, out: list[str]):
         out.append(json.dumps(value, sort_keys=True, indent=2).replace("\n", newline))
 
 
+def _records(items, newline: str):
+    """The texts of ``items``, a list whose first item is a ``dict``, at the
+    indent that ``newline`` ends with; None unless every item is a dict of
+    exactly type ``dict`` with the first's ``str`` keys and, under each key,
+    all ``str`` or all ``int`` values, as in the generators and the
+    differential of a complex.  Each text fills one ``%`` template."""
+    keys = items[0].keys()
+    if not keys or not all(type(key) is str for key in keys) or \
+            not all(type(item) is dict and item.keys() == keys for item in items):
+        return None
+    order, columns = sorted(keys), []
+    for key in order:
+        column = [item[key] for item in items]
+        kinds = set(map(type, column))
+        if kinds != {str} and kinds != {int}:
+            return None
+        columns.append(map(_encode_str if kinds == {str} else int.__repr__, column))
+    inner = newline + "  "
+    fields = ("," + inner).join(_encode_str(key).replace("%", "%%") + ": %s" for key in order)
+    return map(f"{{{inner}{fields}{newline}}}".__mod__, zip(*columns))
+
+
 def write_corpus(directory) -> list[str]:
     """Regenerate every corpus file; returns the file names written."""
     directory = Path(directory)
@@ -127,17 +153,16 @@ def corpus_dir() -> Path:
 
 
 def load_complex(spec: str) -> KnotComplex:
-    """Load a knot complex from a path, or from the corpus by name."""
+    """Load a knot complex from a path, or from the corpus by name: the first
+    file among ``spec``, then in the corpus directory its last component and,
+    unless ``spec`` ends in ``.json``, ``spec.json``; each is stat'ed once."""
     path = Path(spec)
-    if not path.is_file():
-        candidate = (directory := corpus_dir()) / path.name
-        if candidate.is_file():
-            path = candidate
-        elif not spec.endswith(".json"):
-            candidate = directory / f"{spec}.json"
-            if candidate.is_file():
-                path = candidate
-    if not path.is_file():
-        raise FileNotFoundError(f"no complex file or corpus entry for {spec!r}")
-    data = json.loads(path.read_text(encoding="utf-8"))
-    return KnotComplex.from_json(data)
+    if not os.path.isfile(path):
+        directory = os.fspath(corpus_dir())
+        names = (path.name,) if spec.endswith(".json") else (path.name, f"{spec}.json")
+        found = (join for name in names if os.path.isfile(join := os.path.join(directory, name)))
+        if (path := next(found, None)) is None:
+            raise FileNotFoundError(f"no complex file or corpus entry for {spec!r}")
+    with open(path, encoding="utf-8") as file:
+        text = file.read()
+    return KnotComplex.from_json(json.loads(text))

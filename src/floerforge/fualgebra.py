@@ -106,14 +106,16 @@ def json_field(obj: Mapping, key: str, what: str):
 
 def json_records(value, what: str, entry: str, keys: tuple[str, ...]) -> list:
     """``value``, checked to be a JSON list of objects that each hold every
-    key in ``keys``; an error names ``entry`` with its index and the field."""
+    key in ``keys``; an error names ``entry`` with its index and the field.
+    One pass checks the whole list; the loop below only words the first error."""
     required = set(keys)
-    for i, record in enumerate(json_checked(value, list, what)):
+    if all(isinstance(record, dict) and record.keys() >= required for record in json_checked(value, list, what)):
+        return value
+    for i, record in enumerate(value):
         if not isinstance(record, dict) or not record.keys() >= required:
             json_checked(record, dict, f"{entry} {i}")
             missing = next(key for key in keys if key not in record)
             raise ValueError(f'{entry} {i} has no "{missing}"')
-    return value
 
 
 def format_grading(g: int | Fraction) -> str:
@@ -225,7 +227,7 @@ class FreeComplex:
             row = diff.setdefault(e["from"], {})
             if e["to"] in row:
                 raise ValueError(f"differential entry {e['from']}->{e['to']} is listed twice")
-            row[e["to"]] = integer(e["upower"])
+            row[e["to"]] = p if type(p := e["upower"]) is int else integer(p)
         return cls(gens, diff)
 
 

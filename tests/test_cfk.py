@@ -1,4 +1,6 @@
+import gc
 import itertools
+import weakref
 from collections import Counter
 from fractions import Fraction
 
@@ -564,6 +566,41 @@ def test_stored_split_is_invisible_to_surgery(name, order):
     kc = load_complex(name) if name != "Wh^2-+(figure8)" else flat_tower(figure8(), "-+")[-1]
     for n in order:
         assert surgery_hf(kc, n) == surgery_hf(unsplit(kc), n)
+
+
+def test_one_summand_is_its_own_shape():
+    # K9 is indecomposable: its representative shares the base, at offset 0.
+    kc = load_complex("k9")
+    [(rep, copies)] = _shapes(kc)
+    assert rep is not kc and rep.base is kc.base and copies == [(0, 1)]
+    assert (rep.alexander, rep.flip, rep.ambient) == (kc.alexander, kc.flip, kc.ambient)
+
+
+def test_dropped_complex_needs_no_cyclic_gc():
+    # A split or canonical list that held the complex itself would be a
+    # cycle; so would an invalid complex kept whole as its own shape.
+    def freed(build, valid):
+        kc = build()
+        assert validate_knot(kc).ok is valid and (hfk_hat(kc) if valid else _shapes(kc))
+        ref = weakref.ref(kc)
+        del kc
+        return ref() is None
+
+    gc.disable()
+    try:
+        assert freed(lambda: load_complex("k9"), True)
+        assert freed(INVALID_CASES["unknown-source"][0], False)
+    finally:
+        gc.enable()
+
+
+def test_half_integral_summand_keeps_relative_int_gradings():
+    trefoil = staircase_torus(3, "+")
+    kc = KnotComplex(trefoil.base.shift(F(1, 2)), trefoil.alexander, trefoil.flip)
+    [(rep, copies)] = _shapes(kc)
+    assert copies == [(F(1, 2), 1)]
+    assert all(type(m) is int for m in rep.base.maslov.values())
+    assert rep.base.shift(F(1, 2)) == kc.base
 
 
 # The whole-complex route of the hat layers: one canonical reduction and one

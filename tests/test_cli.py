@@ -121,6 +121,23 @@ def test_missing_file_is_usage_error(capsys):
     assert "no-such-file" in err
 
 
+def test_deeply_nested_json_is_usage_error(tmp_path, capsys):
+    deep, piece = tmp_path / "deep.json", tmp_path / "piece.json"
+    deep.write_text("[" * 200_000)
+    piece.write_text('{"summands": ' + "[" * 200_000 + "]" * 200_000 + "}")
+    for argv in (["cfk", "--complex", str(deep)], ["distinguish", "--a", str(piece), "--b", str(piece)]):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: cannot parse ") and "recursion" in err and err.count("\n") == 1
+
+
+def test_unwritable_out_is_usage_error(tmp_path, capsys):
+    for target in (tmp_path, tmp_path / "missing" / "x.json"):
+        code, out, err = run(capsys, "cfk", "--complex", "k3", "--out", str(target))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: cannot write {str(target)!r}: ") and err.count("\n") == 1
+
+
 def test_corrupt_file_is_usage_error(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
@@ -209,13 +226,43 @@ class _Str(str):
 
 _TEXT = st.text(st.one_of(st.characters(), st.sampled_from('"\\/\n\t\x00\x1f\x7f\u2028\U0001f600')))
 _KEYS = st.one_of(_TEXT, _TEXT.map(_Str), st.integers(), st.floats(), st.booleans(), st.none())
+_RECORD_KEYS = st.text(st.sampled_from('ab%"\\\n\u00e9'), max_size=3)
+
+
+@st.composite
+def _record_lists(draw, inner):
+    """Lists of records that share one key set, each key's values all ``str``,
+    all ``int`` or mixed, with odd records mixed in: another key set, a
+    nested, bool, None or float value, a ``_Dict``, or a ``_Str`` key or value."""
+    keys = draw(st.lists(_RECORD_KEYS, min_size=1, max_size=3, unique=True))
+    kinds = [st.integers(), _TEXT, st.one_of(st.integers(), _TEXT)]
+    records = draw(st.lists(st.fixed_dictionaries({key: draw(st.sampled_from(kinds)) for key in keys}),
+                            min_size=1, max_size=6))
+    odd_values = st.one_of(inner, st.booleans(), st.none(), st.floats(), _TEXT.map(_Str))
+    for _ in range(draw(st.integers(0, 2))):
+        record, key = dict(draw(st.sampled_from(records))), draw(st.sampled_from(keys))
+        odd = draw(st.sampled_from(["fewer keys", "other key", "value", "_Dict", "_Str key"]))
+        if odd == "fewer keys":
+            record = {k: v for k, v in record.items() if k != key}
+        elif odd == "other key":
+            record = {k + "?" if k == key else k: v for k, v in record.items()}
+        elif odd == "value":
+            record[key] = draw(odd_values)
+        elif odd == "_Dict":
+            record = _Dict(record)
+        else:
+            record = {_Str(k) if k == key else k: v for k, v in record.items()}
+        records.insert(draw(st.integers(0, len(records))), record)
+    return records
+
+
 _JSON_TREES = st.recursive(
     st.one_of(st.none(), st.booleans(), st.integers(), st.integers(min_value=2**64),
               st.floats(), st.sampled_from([float("nan"), float("inf"), -0.0]), _TEXT, _TEXT.map(_Str)),
     lambda inner: st.one_of(
         st.lists(inner), st.lists(inner).map(tuple),
         st.dictionaries(_TEXT, inner), st.dictionaries(_TEXT, inner).map(_Dict),
-        st.dictionaries(_KEYS, inner, max_size=3)),
+        st.dictionaries(_KEYS, inner, max_size=3), _record_lists(inner)),
     max_leaves=20,
 )
 
@@ -238,6 +285,15 @@ def test_canonical_json_is_json_dumps(tree, depth):
     for _ in range(depth):
         tree = [tree] if depth % 2 else {"k": tree}
     assert _outcome(canonical_json, tree) == _outcome(_reference_json, tree)
+
+
+@settings(deadline=None, max_examples=300)
+@given(_record_lists(_JSON_TREES), st.integers(0, 3))
+def test_record_lists_are_json_dumps(records, depth):
+    # A template bakes in its indent, so the list is tried at several depths.
+    for _ in range(depth):
+        records = {"k": [records]}
+    assert _outcome(canonical_json, records) == _outcome(_reference_json, records)
 
 
 def test_canonical_json_hands_cycles_and_deep_nesting_to_json_dumps():

@@ -465,6 +465,15 @@ def test_distinguish_r3_r5_distinct():
     assert "0" in verdict.witness and "2" in verdict.witness
 
 
+def test_distinguish_reduces_each_knot_once(monkeypatch):
+    # A reversed piece keeps its knot, which keeps its canonical shapes.
+    reduced = []
+    real = cfk.reduce_canonical
+    monkeypatch.setattr(cfk, "reduce_canonical", lambda kc: reduced.append(len(kc.generators)) or real(kc))
+    assert distinguish(r_spec(3), r_spec(5)).distinct
+    assert reduced == [9, 25]
+
+
 def test_distinguish_same_knot_different_disk_indistinguishable():
     verdict = distinguish(r_spec(3), r_spec(3, disk_label="exotic-disk"))
     assert not verdict.distinct
