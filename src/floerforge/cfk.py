@@ -73,7 +73,7 @@ class KnotComplex:
     :meth:`maslov` is the ``Fraction`` of the internal ``base.maslov``.
     """
 
-    __slots__ = ("base", "alexander", "flip", "ambient", "name", "_split", "_canonical", "__weakref__")
+    __slots__ = ("base", "alexander", "flip", "ambient", "name", "_split", "_canonical")
 
     def __init__(self, base: FreeComplex, alexander: Mapping[str, int],
                  flip: Optional[Mapping[str, str]] = None,
@@ -133,7 +133,7 @@ class KnotComplex:
                 flip[a] = b
                 flip[b] = a
         alexander = json_checked(json_field(data, "alexander", "the complex"), dict, '"alexander"')
-        alexander = {g: v if type(v) is int else integer(v) for g, v in alexander.items()}
+        alexander = {g: integer(v) for g, v in alexander.items()}
         if not isinstance(name := data.get("name", ""), str):
             raise TypeError(f"name is not a string: {name!r}")
         for what, names in (("alexander grades", alexander), ("flip pairs", flip or {})):

@@ -79,6 +79,8 @@ def _exact(value) -> int | Fraction:
 
 def integer(value) -> int:
     """Coerce an int (not a bool) or an integer string such as ``"-3"``; raise otherwise."""
+    if type(value) is int:
+        return value
     if isinstance(value, bool) or not isinstance(value, (int, str)):
         raise TypeError(f"not an integer: {value!r}")
     return int(value)
@@ -106,16 +108,14 @@ def json_field(obj: Mapping, key: str, what: str):
 
 def json_records(value, what: str, entry: str, keys: tuple[str, ...]) -> list:
     """``value``, checked to be a JSON list of objects that each hold every
-    key in ``keys``; an error names ``entry`` with its index and the field.
-    One pass checks the whole list; the loop below only words the first error."""
+    key in ``keys``; an error names ``entry`` with its index and the field."""
     required = set(keys)
-    if all(isinstance(record, dict) and record.keys() >= required for record in json_checked(value, list, what)):
-        return value
-    for i, record in enumerate(value):
+    for i, record in enumerate(json_checked(value, list, what)):
         if not isinstance(record, dict) or not record.keys() >= required:
             json_checked(record, dict, f"{entry} {i}")
             missing = next(key for key in keys if key not in record)
             raise ValueError(f'{entry} {i} has no "{missing}"')
+    return value
 
 
 def format_grading(g: int | Fraction) -> str:
@@ -227,7 +227,7 @@ class FreeComplex:
             row = diff.setdefault(e["from"], {})
             if e["to"] in row:
                 raise ValueError(f"differential entry {e['from']}->{e['to']} is listed twice")
-            row[e["to"]] = p if type(p := e["upower"]) is int else integer(p)
+            row[e["to"]] = integer(e["upower"])
         return cls(gens, diff)
 
 

@@ -576,11 +576,16 @@ def test_one_summand_is_its_own_shape():
     assert (rep.alexander, rep.flip, rep.ambient) == (kc.alexander, kc.flip, kc.ambient)
 
 
+class _Watched(KnotComplex):
+    """A KnotComplex that takes weak references; the split builds plain ones."""
+
+
 def test_dropped_complex_needs_no_cyclic_gc():
     # A split or canonical list that held the complex itself would be a
     # cycle; so would an invalid complex kept whole as its own shape.
     def freed(build, valid):
         kc = build()
+        kc = _Watched(kc.base, kc.alexander, kc.flip, kc.ambient, kc.name)
         assert validate_knot(kc).ok is valid and (hfk_hat(kc) if valid else _shapes(kc))
         ref = weakref.ref(kc)
         del kc
