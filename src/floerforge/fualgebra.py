@@ -44,6 +44,10 @@ Grading = Fraction
 
 U_DEGREE = -2
 
+# Strict mode re-checks what the package built from input it had validated: off
+# in production, on in the test suite.  Read it at call time as ``fualgebra.STRICT``.
+STRICT = False
+
 
 def grading(value) -> Fraction:
     """Coerce ints (not bools), strings like ``"-3/2"``, or Fractions to an exact grading."""
@@ -172,6 +176,19 @@ class FreeComplex:
             if row:
                 diff[src] = {tgt: int(p) for tgt, p in row.items()}
         self.differential: dict[str, dict[str, int]] = diff
+
+    @classmethod
+    def _built(cls, maslov: dict, differential: dict) -> "FreeComplex":
+        """A complex the package built, kept as given: ``maslov`` in generator order, :func:`_exact`
+        gradings, only non-empty rows of ``int`` powers.  Under ``STRICT`` it is also built through
+        ``__init__``, and the two must agree, types included."""
+        c = object.__new__(cls)
+        c.generators, c.maslov, c.differential = tuple(maslov), maslov, differential
+        if STRICT:  # repr tells the int 1 from Fraction(1) and from True
+            full = cls(maslov.items(), differential)
+            if repr((maslov, differential)) != repr((full.maslov, full.differential)):
+                raise AssertionError("a package-built complex differs from its copy through __init__")
+        return c
 
     def entries(self):
         for src, row in self.differential.items():
@@ -683,23 +700,8 @@ class _Reducer:
     def current_complex(self) -> FreeComplex:
         gens, m, rows, bases = self.generators, self.m, self.rows, self.row_bases
         alive = [i for i, kept in enumerate(self.alive) if kept]
-        return FreeComplex([(gens[i], m[i]) for i in alive],
-                           {gens[i]: self.powers(rows[i], bases[i], m[i] - 1) for i in alive if rows[i]})
-
-    @property
-    def iota(self) -> dict[str, dict[str, int]] | None:
-        """The inclusion: each survivor as original generators, with powers."""
-        if self.iota_rows is not None:
-            return {g: self.powers(*_plus(self.iota_rows[i], self.iota_bases[i], 1, i), self.m[i])
-                    for g, i in self.survivors().items()}
-
-    @property
-    def pi(self) -> dict[str, dict[str, int]] | None:
-        """The projection: each original generator as survivors, with powers."""
-        if self.pi_cols is not None:
-            cols = {g: self.powers(*_plus(self.pi_cols[i], self.pi_bases[i], 1, i), self.m[i], -1)
-                    for g, i in self.survivors().items()}
-            return {e: {g: col[e] for g, col in cols.items() if e in col} for e in self.generators}
+        return FreeComplex._built({gens[i]: m[i] for i in alive},
+                                  {gens[i]: self.powers(rows[i], bases[i], m[i] - 1) for i in alive if rows[i]})
 
 
 def components(generators, edges) -> list[list[str]]:

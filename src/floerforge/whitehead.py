@@ -118,12 +118,12 @@ class BoxSum:
         three gradings of a corner are made once and shared by its copies.
         """
         s = 1 if sign == "+" else -1
-        gens, diff, alexander, flip = [("0.x", 0)], {}, {"0.x": 0}, {"0.x": "0.x"}
+        maslov, diff, alexander, flip = {"0.x": 0}, {}, {"0.x": 0}, {"0.x": "0.x"}
         corners = [(_exact(k), count) for k, count in (self.corners if s > 0 else self.corners[::-1])]
         quads = [quad for k, count in corners for quad in [(k, k + s, k - s)] * count]
         for i, (k, up, down) in enumerate(quads, start=1):
             a, b, c, d = (p := f"{i}.") + "a", p + "b", p + "c", p + "d"
-            gens += ((a, k), (b, up), (c, down), (d, k))
+            maslov[a], maslov[b], maslov[c], maslov[d] = k, up, down, k
             alexander[a], alexander[b], alexander[c], alexander[d] = 0, s, -s, 0
             flip[a], flip[b], flip[c], flip[d] = a, c, b, d
             if s > 0:  # a -> U b, a -> c, b -> d, c -> U d
@@ -136,7 +136,7 @@ class BoxSum:
             rep = KnotComplex(FreeComplex(zip(first, (0, s, -s, 0)), {g: diff[g] for g in first if g in diff}),
                               alexander, {g: flip[g] for g in first})
             split.append((rep, [(k, count) for k, count in corners if count]))
-        return KnotComplex(FreeComplex(gens, diff), alexander, flip, Ambient(), name, _split=split)
+        return KnotComplex(FreeComplex._built(maslov, diff), alexander, flip, Ambient(), name, _split=split)
 
     def max_reduced_maslov(self) -> Fraction:
         return self.corners[0][0] + 1

@@ -25,7 +25,7 @@ from floerforge.cfk import (
     staircase_torus,
 )
 from floerforge.corpus import corpus_builders, load_complex
-from floerforge.fualgebra import FreeComplex
+from floerforge.fualgebra import FreeComplex, _plus
 from floerforge.whitehead import negative_double_cfk, whitehead_double_cfk
 
 F = Fraction
@@ -111,3 +111,12 @@ ORACLE_CASES = {
     "T(2,5)#T(2,5)#T(2,5)": lambda: connected_sum_knots(
         connected_sum_knots(staircase_torus(5, "+"), staircase_torus(5, "+")), staircase_torus(5, "+")),
 }
+
+
+def tracked_maps(r):
+    """The inclusion and the projection a ``_Reducer`` tracks, with powers:
+    each survivor as original generators, each original generator as survivors."""
+    survivors = r.survivors().items()
+    iota = {g: r.powers(*_plus(r.iota_rows[i], r.iota_bases[i], 1, i), r.m[i]) for g, i in survivors}
+    cols = {g: r.powers(*_plus(r.pi_cols[i], r.pi_bases[i], 1, i), r.m[i], -1) for g, i in survivors}
+    return iota, {e: {g: col[e] for g, col in cols.items() if e in col} for e in r.generators}

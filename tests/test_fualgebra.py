@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from floerforge import fualgebra
 from floerforge.cfk import k_n, reduced_basis_form
 from floerforge.fualgebra import (
     FreeComplex,
@@ -23,7 +24,7 @@ from floerforge.truncation import (
 from floerforge.surgery import build_cone
 from floerforge.whitehead import whitehead_double_cfk
 
-from complexes import ORACLE_CASES
+from complexes import ORACLE_CASES, tracked_maps
 
 F = Fraction
 
@@ -296,6 +297,25 @@ def test_reducer_rejects_inhomogeneous_and_negative_entries(diff, gens):
     assert not validate_complex(FreeComplex(gens, diff)).ok
 
 
+def test_kernel_invariants_fire_in_production(production):
+    # The kernel's assertions are invariants of its own, not strict-mode
+    # re-checks: they fire with fualgebra.STRICT off as well.
+    assert fualgebra.STRICT is False
+    with pytest.raises(AssertionError):
+        xor_entry({"y": 0}, "y", 1)  # a second power at y
+    with pytest.raises(AssertionError):
+        xor_entry({}, "z", -1)
+    with pytest.raises(AssertionError):
+        _Reducer(FreeComplex([("y", F(0)), ("x", F(-1))], {"y": {"x": 1}}))  # U^1 of degree +1
+    with pytest.raises(AssertionError):
+        _Reducer(box_complex()).mix("a", "b", 0)
+    with pytest.raises(AssertionError):
+        _Reducer(box_complex(), alexander={"a": 0, "b": 1, "c": 0, "d": 1}).mix("a", "d", 0)
+    chain = FreeComplex([("a", F(2)), ("b", F(1)), ("c", F(0))], {"a": {"b": 0}, "b": {"c": 0}})
+    with pytest.raises(AssertionError, match="d\\^2 = 0 fails at a pivot"):
+        _Reducer(chain).cancel_u0()  # d^2 a = c
+
+
 def test_mix_rejects_inhomogeneous_and_filtration_breaking_changes():
     c = box_complex()  # a at 0, b at 1, c at -1, d at 0
     with pytest.raises(AssertionError):
@@ -309,7 +329,8 @@ def test_mix_rejects_inhomogeneous_and_filtration_breaking_changes():
     r.mix("d", "a", 0)  # d := d + a, filtered and homogeneous
     assert r.current_complex().differential == {"a": {"b": 1, "c": 0}, "b": {"d": 0, "a": 0},
                                                 "c": {"d": 1, "a": 1}, "d": {"b": 1, "c": 0}}
-    assert r.iota["d"] == {"d": 0, "a": 0} and r.pi["d"] == {"d": 0, "a": 0} and r.pi["a"] == {"a": 0}
+    iota, pi = tracked_maps(r)
+    assert iota["d"] == {"d": 0, "a": 0} and pi["d"] == {"d": 0, "a": 0} and pi["a"] == {"a": 0}
 
 
 def _outcome(parse, text):

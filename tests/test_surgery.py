@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from floerforge.cfk import (
     box,
@@ -29,7 +29,7 @@ from floerforge.fualgebra import (
     tensor_complexes,
     validate_complex,
 )
-from floerforge import surgery
+from floerforge import fualgebra, surgery
 from floerforge.cli import main
 from floerforge.corpus import load_complex
 from floerforge.surgery import (
@@ -44,12 +44,13 @@ from floerforge.surgery import (
     one_handle_stabilize,
     surgery_hf,
 )
+from floerforge.whitehead import BoxSum
 from floerforge.truncation import (
     expected_truncated_dimensions,
     truncated_graded_dimensions,
 )
 
-from complexes import ORACLE_CASES, flat_tower, scrambled_sums
+from complexes import ORACLE_CASES, flat_tower, scrambled_sums, tracked_maps
 
 F = Fraction
 
@@ -365,18 +366,40 @@ def test_u0_at_both_ends_is_u0_throughout(kc, n):
 
 @settings(deadline=None, max_examples=40)
 @given(scrambled_sums(ORACLE_CASES), st.sampled_from([-1, 0, 1]))
+@example(unknot(), 1)
+def test_u0_in_some_block_shows_in_b(kc, n):
+    # Some block has a U^0 entry exactly when B has one, which is all that
+    # _minimal_cone reads: the flip carries an entry that is U^0 in an A_s
+    # and not in B to a U^0 entry of B.
+    sc = shape_cone(kc, n)
+    blocks = [dict(zip(sc.base.generators, ms)) for ms in sc.gradings.values()] + [sc.base.maslov]
+    anywhere = any(m[y] - m[x] == -1 for m in blocks for x, row in sc.base.differential.items() for y in row)
+    assert any(0 in row.values() for row in sc.base.differential.values()) is anywhere
+
+
+def test_cone_without_u0_is_its_own_model(monkeypatch):
+    # The unknot's cone has no U^0 entry to cancel, so of the two shapes of a
+    # box sum only box(0)'s cone is reduced.
+    calls, reduce = [], surgery._minimal_blocks
+    monkeypatch.setattr(surgery, "_minimal_blocks", lambda sc: calls.append(len(sc.base.generators)) or reduce(sc))
+    for n in (-1, 0, 1):
+        BoxSum(((F(0), 1),)).surgery_hf(n)
+    assert calls == [4, 4, 4]
+
+
+@settings(deadline=None, max_examples=40)
+@given(scrambled_sums(ORACLE_CASES), st.sampled_from([-1, 0, 1]))
 def test_shared_blocks_match_separate_reductions(kc, n):
     # Each block the shared reduction hands over is U^0-minimal, with the
     # rank and the homology of its own reduction from scratch.
     sc = shape_cone(kc, n)
-    rows = surgery._cone_check(sc)[1]
-    blocks, b = surgery._minimal_blocks(sc, rows)
+    blocks, b = surgery._minimal_blocks(sc)
     models = {s: model for s, (model, _inclusion) in blocks.items()}
     if b is not None:
         models[None] = b.current_complex()
     assert len(models) == len(sc.gradings) + bool(sc.b_shifts)
     for s, model in models.items():
-        alone = _Reducer(sc.base, rows=rows, m=sc.gradings[s] if s is not None else None).cancel_u0()
+        alone = _Reducer(sc.base, m=sc.gradings[s] if s is not None else None).cancel_u0()
         assert not any(p == 0 for _src, _tgt, p in model.entries())
         assert len(model.generators) == len(alone.survivors())
         assert homology_decomposition(model) == homology_decomposition(alone.current_complex())
@@ -385,6 +408,21 @@ def test_shared_blocks_match_separate_reductions(kc, n):
 def test_box_sum_shapes_pass_validation():
     # BoxSum.surgery_hf hands these to the cone without validating them.
     assert validate_knot(unknot()).ok and validate_knot(box(0)).ok
+
+
+def test_cone_check_runs_in_strict_mode_only(monkeypatch):
+    # Under fualgebra.STRICT each shape's cone is checked once; in production
+    # none is, and every answer is the same.
+    calls, check = [], surgery._cone_check
+    monkeypatch.setattr(surgery, "_cone_check", lambda sc: calls.append(len(sc.base.generators)) or check(sc))
+    k9, boxes = load_complex("k9"), BoxSum(((F(1), 2), (F(0), 1)))
+    answers = {}
+    for strict in (True, False):
+        monkeypatch.setattr(fualgebra, "STRICT", strict)
+        calls.clear()
+        answers[strict] = [surgery_hf(k9, -1), surgery_hf(k9, 1), boxes.surgery_hf(0)]
+        assert calls == ([81, 81, 1, 4] if strict else [])
+    assert answers[True] == answers[False]
 
 
 def composed(first, then):
@@ -414,7 +452,7 @@ def test_tracked_maps_are_homotopy_equivalence_data(kc, n, data):
     c = data.draw(st.sampled_from([*mc.a_complexes.values(), *mc.b_complexes.values()]))
     r = _Reducer(c, track=("iota", "pi")).cancel_u0()
     model = r.current_complex()
-    d, d_model, iota, pi = c.differential, model.differential, r.iota, r.pi
+    d, d_model, (iota, pi) = c.differential, model.differential, tracked_maps(r)
     assert set(iota) == set(model.generators) and set(pi) == set(c.generators)
     assert same_map(composed(d_model, iota), composed(iota, d), model.generators)
     assert same_map(composed(d, pi), composed(pi, d_model), c.generators)
@@ -424,7 +462,7 @@ def test_tracked_maps_are_homotopy_equivalence_data(kc, n, data):
     # homology of the flat A_{-s}, and its inclusion is a chain map into it
     # whose mapping cone is acyclic.
     sc = shape_cone(kc, n)
-    blocks, _b = surgery._minimal_blocks(sc, surgery._cone_check(sc)[1])
+    blocks, _b = surgery._minimal_blocks(sc)
     gens = kc.generators
     for s in (s for s in mc.a_window if s < 0):
         flat, (model, inclusion) = mc.a_complexes[s], blocks[s]
@@ -485,7 +523,9 @@ def corrupting(part):
 @pytest.mark.parametrize("part", ["A", "B", "v", "h"])
 @pytest.mark.parametrize("n", [-1, 0, 1])
 def test_corrupted_cone_is_rejected(monkeypatch, capsys, n, part):
-    # T(2,5) has genus 2, so v_0 and h_0 both exist at every framing.
+    # T(2,5) has genus 2, so v_0 and h_0 both exist at every framing.  The
+    # cone check runs under the suite's fualgebra.STRICT: the CLI users run
+    # trusts the cones the package builds and would not see this corruption.
     monkeypatch.setattr(surgery, "_shape_cone", corrupting(part))
     with pytest.raises(InvalidComplex):
         surgery_hf(staircase_torus(5, "+"), n)
@@ -542,7 +582,7 @@ def test_block_check_is_the_flat_check(name, n, data):
         key, i, image = data.draw(st.sampled_from(sorted(sc.edges))), data.draw(position), data.draw(position)
         sc.edges[key] = [image if j == i else k for j, k in enumerate(sc.edges[key])]
     mc = sc.mapping_cone()
-    assert surgery._cone_check(sc)[0].ok == (flat_ok(mc) and edges_ok(mc) and flip_read_ok(sc))
+    assert surgery._cone_check(sc).ok == (flat_ok(mc) and edges_ok(mc) and flip_read_ok(sc))
 
 
 @pytest.mark.parametrize("n", [-1, 0, 1])
@@ -553,7 +593,7 @@ def test_shared_rows_keep_every_check(n):
     sc = shape_cone(staircase_torus(5, "+"), n)
     s = min(sc.gradings)
     sc.gradings[s] = [sc.gradings[s][0] + 1, *sc.gradings[s][1:]]
-    report = surgery._cone_check(sc)[0]
+    report = surgery._cone_check(sc)
     assert not report.ok and not flat_ok(sc.mapping_cone())
     assert f"entry A{s}|s1->A{s}|s0 is not a non-negative power of degree -1" in report.violations
     # An entry of B of the wrong degree is left out of the rows, so only
@@ -562,7 +602,7 @@ def test_shared_rows_keep_every_check(n):
     diff = {**kc.base.differential, "s0": {"s2": 5}}
     sc = surgery._shape_cone(KnotComplex(FreeComplex([(g, kc.base.maslov[g]) for g in kc.generators], diff),
                                          kc.alexander, kc.flip), n, 2)
-    report = surgery._cone_check(sc)[0]
+    report = surgery._cone_check(sc)
     assert not flat_ok(sc.mapping_cone())
     assert report.violations == ("entry s0->U^5.s2: grading 0 -> -12 is not degree -1",)
     # A base with d^2 != 0 whose flip still commutes with d: every edge map
@@ -571,7 +611,7 @@ def test_shared_rows_keep_every_check(n):
     diff = {**kc.base.differential, "s2": {"s3": 0, "s1": 1}}  # d^2 s1 = s3 + U.s1
     bad = KnotComplex(FreeComplex([(g, kc.base.maslov[g]) for g in kc.generators], diff), kc.alexander, kc.flip)
     sc = surgery._shape_cone(bad, n, 2)
-    report = surgery._cone_check(sc)[0]
+    report = surgery._cone_check(sc)
     assert not report.ok and not flat_ok(sc.mapping_cone())
     assert all(v.startswith("d^2 from ") for v in report.violations)
 
@@ -583,7 +623,7 @@ def test_edge_entries_are_checked(n):
     # would cancel the two, which the check takes one by one).
     sc = surgery._shape_cone(direct_sum([unknot(), box(0)]), n, 2)
     sc.gradings[0] = [sc.gradings[0][0] + 1, *sc.gradings[0][1:]]
-    report = surgery._cone_check(sc)[0]
+    report = surgery._cone_check(sc)
     assert not report.ok and not flat_ok(sc.mapping_cone())
     assert all(v.startswith("edge A0|0.x->") for v in report.violations)
 
@@ -599,7 +639,7 @@ def test_flip_read_checks_what_it_rests_on():
     # flip to be an involution, an F2 chain map and to carry m_s to
     # m_{-s} + 2s.  Each fault below leaves the edge maps, and so the flat
     # cone, as they were.
-    assert surgery._cone_check(three_boxes())[0].ok
+    assert surgery._cone_check(three_boxes()).ok
     flip = three_boxes().flip
     faults = {
         # flip, then the next box: a chain map that is no involution
@@ -610,12 +650,12 @@ def test_flip_read_checks_what_it_rests_on():
     for violation, images in faults.items():
         sc = three_boxes()
         sc.flip = images
-        assert flat_ok(sc.mapping_cone()) and surgery._cone_check(sc)[0].violations == (violation,)
+        assert flat_ok(sc.mapping_cone()) and surgery._cone_check(sc).violations == (violation,)
         with pytest.raises(InvalidComplex):
             surgery._minimal_cone(sc)
     sc = three_boxes()  # the unknot's generator two lower in A_-1: a valid cone, but not A_1 moved
     sc.gradings[-1] = [sc.gradings[-1][0] - 2, *sc.gradings[-1][1:]]
-    assert flat_ok(sc.mapping_cone()) and surgery._cone_check(sc)[0].violations == ("A-1 is not A1 through the flip",)
+    assert flat_ok(sc.mapping_cone()) and surgery._cone_check(sc).violations == ("A-1 is not A1 through the flip",)
 
 
 # --- stabilisation ------------------------------------------------------------

@@ -22,6 +22,7 @@ from floerforge.cfk import (
     validate_knot,
     ReducedBasisForm,
 )
+from floerforge import fualgebra
 from floerforge.corpus import load_complex
 from floerforge.fualgebra import FreeComplex
 from floerforge.surgery import surgery_hf
@@ -365,3 +366,27 @@ def test_box_sum_split_counts_each_corner(corners, copies, sign):
     assert split_contents(flat._split) == split_contents(_summands(unsplit(flat)))
     boxes = [copies if sign == "+" else copies[::-1]] if copies else []
     assert [c for _rep, c in flat._split] == [[(0, 1)]] + boxes
+
+
+@pytest.mark.parametrize("sign", ["+", "-"])
+@pytest.mark.parametrize("fault", ["empty row", "Fraction power"])
+def test_strict_mode_checks_the_built_double(monkeypatch, fault, sign):
+    # BoxSum.complex hands FreeComplex its rows without a copy.  Under
+    # fualgebra.STRICT they also go through __init__ and must come out the
+    # same, types included; production takes them as they are.
+    built = FreeComplex._built.__func__
+
+    def mutated(cls, maslov, differential):
+        if fault == "empty row":
+            differential["0.x"] = {}
+        else:
+            row = differential[next(g for g in differential if g.startswith("1."))]
+            row[next(iter(row))] = Fraction(row[next(iter(row))])
+        return built(cls, maslov, differential)
+
+    double = BoxSum(((F(1), 2), (F(-1), 1)))
+    monkeypatch.setattr(FreeComplex, "_built", classmethod(mutated))
+    with pytest.raises(AssertionError, match="differs from its copy"):
+        double.complex(sign)
+    monkeypatch.setattr(fualgebra, "STRICT", False)
+    double.complex(sign)  # production takes the rows as they are
