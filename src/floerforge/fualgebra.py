@@ -44,10 +44,6 @@ Grading = Fraction
 
 U_DEGREE = -2
 
-# Strict mode re-checks what the package built from input it had validated: off
-# in production, on in the test suite.  Read it at call time as ``fualgebra.STRICT``.
-STRICT = False
-
 
 def grading(value) -> Fraction:
     """Coerce ints (not bools), strings like ``"-3/2"``, or Fractions to an exact grading."""
@@ -179,15 +175,10 @@ class FreeComplex:
 
     @classmethod
     def _built(cls, maslov: dict, differential: dict) -> "FreeComplex":
-        """A complex the package built, kept as given: ``maslov`` in generator order, :func:`_exact`
-        gradings, only non-empty rows of ``int`` powers.  Under ``STRICT`` it is also built through
-        ``__init__``, and the two must agree, types included."""
+        """A complex the package built, kept as given, not copied or checked: ``maslov`` in
+        generator order, :func:`_exact` gradings, only non-empty rows of ``int`` powers."""
         c = object.__new__(cls)
         c.generators, c.maslov, c.differential = tuple(maslov), maslov, differential
-        if STRICT:  # repr tells the int 1 from Fraction(1) and from True
-            full = cls(maslov.items(), differential)
-            if repr((maslov, differential)) != repr((full.maslov, full.differential)):
-                raise AssertionError("a package-built complex differs from its copy through __init__")
         return c
 
     def entries(self):
@@ -700,8 +691,8 @@ class _Reducer:
     def current_complex(self) -> FreeComplex:
         gens, m, rows, bases = self.generators, self.m, self.rows, self.row_bases
         alive = [i for i, kept in enumerate(self.alive) if kept]
-        return FreeComplex._built({gens[i]: m[i] for i in alive},
-                                  {gens[i]: self.powers(rows[i], bases[i], m[i] - 1) for i in alive if rows[i]})
+        return FreeComplex([(gens[i], m[i]) for i in alive],
+                           {gens[i]: self.powers(rows[i], bases[i], m[i] - 1) for i in alive if rows[i]})
 
 
 def components(generators, edges) -> list[list[str]]:

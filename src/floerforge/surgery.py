@@ -20,10 +20,10 @@ isomorphism above genus and h_s below minus genus), with B-summands
 The cone of C is the direct sum of the cones of its flip-stable summands,
 built once per shape of ``cfk._shapes``.  Every A_s has B's matrix over F2,
 so a shape's cone is B's window-bitset rows, a grading vector per A_s and
-v_s, h_s as position maps (``_ShapeCone``).  Under ``fualgebra.STRICT``
-only, it is checked as the flat cone would be; each part of that check
-follows from the caller's ``validate_knot`` (:func:`_minimal_cone`).  B
-and the A_s of s >= 0 are reduced to U^0-minimal models by one shared
+v_s, h_s as position maps (``_ShapeCone``).  It is not checked again:
+each part of the flat cone's check (:func:`_cone_check`, the tests'
+oracle) follows from the caller's ``validate_knot`` (:func:`_minimal_cone`).
+B and the A_s of s >= 0 are reduced to U^0-minimal models by one shared
 reduction on a halving tree (:func:`_minimal_blocks`); the flip carries A_s
 to A_{-s}.  ``build_cone(kc, n)`` is the tests' flat oracle.
 """
@@ -36,7 +36,6 @@ from fractions import Fraction
 from itertools import repeat
 from operator import mod, sub
 
-from . import fualgebra
 from .cfk import KnotComplex, _shapes, validate_knot
 from .fualgebra import (
     FreeComplex,
@@ -189,8 +188,8 @@ class _ShapeCone:
         gens, m, a_complexes, edges = self.base.generators, self.base.maslov, {}, {}
         for s, ms in self.gradings.items():
             at = dict(zip(gens, ms))
-            a_complexes[s] = FreeComplex._built(at, {x: {y: (at[y] - at[x] + 1) // 2 for y in row}
-                                                     for x, row in self.base.differential.items()})
+            a_complexes[s] = FreeComplex(zip(gens, ms), {x: {y: (at[y] - at[x] + 1) // 2 for y in row}
+                                                        for x, row in self.base.differential.items()})
         for (s, kind), e in self.edges.items():
             drop = self.a_shifts[s] - 1 - self.b_shifts[s if kind == "v" else s + self.n]
             edges[s, kind] = {x: {gens[j]: (m[gens[j]] - y - drop) // 2} for x, j, y in zip(gens, e, self.gradings[s])}
@@ -296,7 +295,7 @@ def _minimal_blocks(sc: _ShapeCone) -> tuple[dict, _Reducer | None]:
         if s < 0:
             model, inclusion = out[-s]
             diff = {moved[x]: {moved[y]: p for y, p in row.items()} for x, row in model.differential.items()}
-            out[s] = (FreeComplex._built({moved[g]: model.maslov[g] + 2 * s for g in model.generators}, diff),
+            out[s] = (FreeComplex([(moved[g], model.maslov[g] + 2 * s) for g in model.generators], diff),
                       {moved[g]: _sum(ones, flip, *x) for g, x in inclusion.items()})
     return out, b
 
@@ -307,15 +306,13 @@ def _minimal_cone(sc: _ShapeCone) -> MappingCone:
     B.  A minimal block has rank dim H(block/U): K9 at -1 hands over 71
     generators, the flat cone 2,511.
 
-    Only under ``fualgebra.STRICT`` must the cone pass :func:`_cone_check`:
-    given a correct :func:`_shape_cone`, the caller's :func:`validate_knot`
-    implies it.  The Alexander filtration makes every A_s power non-negative,
-    the flip's Maslov and Alexander axioms give the h_s degrees and the flip
-    read, B is the checked base, v_s is the identity and the flip chain map
-    makes h_s one.  An entry x -> U^p y that is U^0 in an A_s but not in B has
-    p + A(x) - A(y) = 0, the power of flip x -> flip y in B, so only B is read."""
-    if fualgebra.STRICT:
-        _cone_check(sc).require("surgery cone")
+    The cone is not run through :func:`_cone_check`: given a correct
+    :func:`_shape_cone`, the caller's :func:`validate_knot` implies it.  The
+    Alexander filtration makes every A_s power non-negative, the flip's Maslov
+    and Alexander axioms give the h_s degrees and the flip read, B is the
+    checked base, v_s is the identity and the flip chain map makes h_s one.
+    An entry x -> U^p y that is U^0 in an A_s but not in B has p + A(x) - A(y)
+    = 0, the power of flip x -> flip y in B, so only B is read."""
     if not any(0 in row.values() for row in sc.base.differential.values()):
         return sc.mapping_cone()  # every block is its own minimal model
     blocks, b = _minimal_blocks(sc)

@@ -6,9 +6,11 @@ names in a random order.  The summand-route property of surgery and the
 split-validation property of ``validate_knot`` both draw from it.
 ``flat_tower`` iterates the flat doubles through the reduced pairing of
 each flat level, the chain-level oracle for ``box_tower``.  ``unsplit``
-copies a complex without the summand split stored on it.
+copies a complex without the summand split stored on it.  ``unchecked``
+takes off the re-checks ``conftest.py`` adds, for one test.
 """
 
+import inspect
 from fractions import Fraction
 
 from hypothesis import strategies as st
@@ -24,6 +26,7 @@ from floerforge.cfk import (
     reduced_basis_form,
     staircase_torus,
 )
+from floerforge import surgery
 from floerforge.corpus import corpus_builders, load_complex
 from floerforge.fualgebra import FreeComplex, _plus
 from floerforge.whitehead import negative_double_cfk, whitehead_double_cfk
@@ -120,3 +123,10 @@ def tracked_maps(r):
     iota = {g: r.powers(*_plus(r.iota_rows[i], r.iota_bases[i], 1, i), r.m[i]) for g, i in survivors}
     cols = {g: r.powers(*_plus(r.pi_cols[i], r.pi_bases[i], 1, i), r.m[i], -1) for g, i in survivors}
     return iota, {e: {g: col[e] for g, col in cols.items() if e in col} for e in r.generators}
+
+
+def unchecked(monkeypatch):
+    """Run the rest of a test as users run the program, without the re-checks
+    of package-built cones and complexes that ``conftest.py`` adds."""
+    monkeypatch.setattr(surgery, "_minimal_cone", inspect.unwrap(surgery._minimal_cone))
+    monkeypatch.setattr(FreeComplex, "_built", classmethod(inspect.unwrap(FreeComplex._built.__func__)))

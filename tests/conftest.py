@@ -1,25 +1,42 @@
-"""The tier-1 suite runs in strict mode: ``fualgebra.STRICT`` is on, so every
-surgery cone passes ``surgery._cone_check`` and every complex the package
-builds for itself is compared with its copy through ``FreeComplex.__init__``.
+"""The tier-1 suite re-checks what the package builds for itself, which the
+program takes as built: every cone ``surgery._minimal_cone`` receives must
+pass ``surgery._cone_check``, and every complex handed to
+``FreeComplex._built`` must come out of ``FreeComplex.__init__`` the same,
+types included.
 
-A test that pins production behaviour takes the ``production`` fixture.
-``pytest --noconftest`` runs a module with the switch off throughout, as
-users run the program.
+``complexes.unchecked`` takes these re-checks off for one test;
+``pytest --noconftest`` runs a module without them, as users run the program.
 """
+
+import functools
 
 import pytest
 
-from floerforge import fualgebra
+from floerforge import surgery
+from floerforge.fualgebra import FreeComplex
+
+
+def checked_cone(minimal_cone):
+    @functools.wraps(minimal_cone)
+    def check(sc):
+        surgery._cone_check(sc).require("surgery cone")
+        return minimal_cone(sc)
+    return check
+
+
+def compared_complex(built):
+    @functools.wraps(built)
+    def compare(cls, maslov, differential):
+        c, full = built(cls, maslov, differential), cls(maslov.items(), differential)
+        if repr((c.maslov, c.differential)) != repr((full.maslov, full.differential)):  # tells 1 from Fraction(1), True
+            raise AssertionError("a package-built complex differs from its copy through __init__")
+        return c
+    return compare
 
 
 @pytest.fixture(autouse=True, scope="session")
-def strict():
-    fualgebra.STRICT = True
-    yield
-    fualgebra.STRICT = False
-
-
-@pytest.fixture
-def production(monkeypatch):
-    """``fualgebra.STRICT`` off for one test, as in production."""
-    monkeypatch.setattr(fualgebra, "STRICT", False)
+def suite_checks():
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(surgery, "_minimal_cone", checked_cone(surgery._minimal_cone))
+        mp.setattr(FreeComplex, "_built", classmethod(compared_complex(FreeComplex._built.__func__)))
+        yield

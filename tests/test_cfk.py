@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from floerforge import cfk, fualgebra
+from floerforge import cfk
 from floerforge.cfk import (
     HfkTable,
     KnotComplex,
@@ -542,13 +542,10 @@ def test_per_shape_checks_run_once_per_distinct_shape(monkeypatch):
     assert sorted(checked) == [1, 4]
 
 
-@pytest.mark.parametrize("strict", [True, False], ids=["strict", "production"])
 @pytest.mark.parametrize("name, whole", [("unknown-source", True), ("flip-undefined", True),
                                          ("power-of-one-copy", False)])
-def test_validation_verdicts_are_not_stored(monkeypatch, name, whole, strict):
-    # The split is kept on the object; the verdict on it is taken anew, with
-    # or without the strict re-checks of what the package built.
-    monkeypatch.setattr(fualgebra, "STRICT", strict)
+def test_validation_verdicts_are_not_stored(name, whole):
+    # The split is kept on the object; the verdict on it is taken anew.
     build, message = INVALID_CASES[name]
     kc = build()
     first, second = validate_knot(kc), validate_knot(kc)

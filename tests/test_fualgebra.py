@@ -4,7 +4,6 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from floerforge import fualgebra
 from floerforge.cfk import k_n, reduced_basis_form
 from floerforge.fualgebra import (
     FreeComplex,
@@ -297,10 +296,9 @@ def test_reducer_rejects_inhomogeneous_and_negative_entries(diff, gens):
     assert not validate_complex(FreeComplex(gens, diff)).ok
 
 
-def test_kernel_invariants_fire_in_production(production):
-    # The kernel's assertions are invariants of its own, not strict-mode
-    # re-checks: they fire with fualgebra.STRICT off as well.
-    assert fualgebra.STRICT is False
+def test_kernel_invariants_fire_in_production():
+    # The kernel's assertions are the program's own, not re-checks the suite
+    # adds (conftest.py): they fire as users run it.
     with pytest.raises(AssertionError):
         xor_entry({"y": 0}, "y", 1)  # a second power at y
     with pytest.raises(AssertionError):

@@ -29,7 +29,7 @@ from floerforge.fualgebra import (
     tensor_complexes,
     validate_complex,
 )
-from floerforge import fualgebra, surgery
+from floerforge import surgery
 from floerforge.cli import main
 from floerforge.corpus import load_complex
 from floerforge.surgery import (
@@ -50,7 +50,7 @@ from floerforge.truncation import (
     truncated_graded_dimensions,
 )
 
-from complexes import ORACLE_CASES, flat_tower, scrambled_sums, tracked_maps
+from complexes import ORACLE_CASES, flat_tower, scrambled_sums, tracked_maps, unchecked
 
 F = Fraction
 
@@ -410,19 +410,19 @@ def test_box_sum_shapes_pass_validation():
     assert validate_knot(unknot()).ok and validate_knot(box(0)).ok
 
 
-def test_cone_check_runs_in_strict_mode_only(monkeypatch):
-    # Under fualgebra.STRICT each shape's cone is checked once; in production
-    # none is, and every answer is the same.
+def test_cone_check_runs_in_the_suite_only(monkeypatch):
+    # The suite checks each shape's cone once; the program checks none, and
+    # every answer is the same.
     calls, check = [], surgery._cone_check
     monkeypatch.setattr(surgery, "_cone_check", lambda sc: calls.append(len(sc.base.generators)) or check(sc))
     k9, boxes = load_complex("k9"), BoxSum(((F(1), 2), (F(0), 1)))
-    answers = {}
-    for strict in (True, False):
-        monkeypatch.setattr(fualgebra, "STRICT", strict)
+    answers = []
+    for expected in ([81, 81, 1, 4], []):
         calls.clear()
-        answers[strict] = [surgery_hf(k9, -1), surgery_hf(k9, 1), boxes.surgery_hf(0)]
-        assert calls == ([81, 81, 1, 4] if strict else [])
-    assert answers[True] == answers[False]
+        answers.append([surgery_hf(k9, -1), surgery_hf(k9, 1), boxes.surgery_hf(0)])
+        assert calls == expected
+        unchecked(monkeypatch)
+    assert answers[0] == answers[1]
 
 
 def composed(first, then):
@@ -524,8 +524,8 @@ def corrupting(part):
 @pytest.mark.parametrize("n", [-1, 0, 1])
 def test_corrupted_cone_is_rejected(monkeypatch, capsys, n, part):
     # T(2,5) has genus 2, so v_0 and h_0 both exist at every framing.  The
-    # cone check runs under the suite's fualgebra.STRICT: the CLI users run
-    # trusts the cones the package builds and would not see this corruption.
+    # cone check is the suite's (conftest.py): the program trusts the cones
+    # it builds and would not see this corruption.
     monkeypatch.setattr(surgery, "_shape_cone", corrupting(part))
     with pytest.raises(InvalidComplex):
         surgery_hf(staircase_torus(5, "+"), n)

@@ -22,7 +22,6 @@ from floerforge.cfk import (
     validate_knot,
     ReducedBasisForm,
 )
-from floerforge import fualgebra
 from floerforge.corpus import load_complex
 from floerforge.fualgebra import FreeComplex
 from floerforge.surgery import surgery_hf
@@ -36,7 +35,7 @@ from floerforge.whitehead import (
     whitehead_double_cfk,
 )
 
-from complexes import ORACLE_CASES, flat_tower, scrambled_sums, unsplit
+from complexes import ORACLE_CASES, flat_tower, scrambled_sums, unchecked, unsplit
 
 F = Fraction
 
@@ -370,23 +369,25 @@ def test_box_sum_split_counts_each_corner(corners, copies, sign):
 
 @pytest.mark.parametrize("sign", ["+", "-"])
 @pytest.mark.parametrize("fault", ["empty row", "Fraction power"])
-def test_strict_mode_checks_the_built_double(monkeypatch, fault, sign):
-    # BoxSum.complex hands FreeComplex its rows without a copy.  Under
-    # fualgebra.STRICT they also go through __init__ and must come out the
-    # same, types included; production takes them as they are.
-    built = FreeComplex._built.__func__
-
-    def mutated(cls, maslov, differential):
-        if fault == "empty row":
-            differential["0.x"] = {}
-        else:
-            row = differential[next(g for g in differential if g.startswith("1."))]
-            row[next(iter(row))] = Fraction(row[next(iter(row))])
-        return built(cls, maslov, differential)
+def test_suite_compares_the_built_double(monkeypatch, fault, sign):
+    # BoxSum.complex hands FreeComplex its rows without a copy.  In the suite
+    # (conftest.py) they also go through __init__ and must come out the
+    # same, types included; the program takes them as they are.
+    def mutating(built):
+        def mutated(cls, maslov, differential):
+            if fault == "empty row":
+                differential["0.x"] = {}
+            else:
+                row = differential[next(g for g in differential if g.startswith("1."))]
+                row[next(iter(row))] = Fraction(row[next(iter(row))])
+            return built(cls, maslov, differential)
+        return classmethod(mutated)
 
     double = BoxSum(((F(1), 2), (F(-1), 1)))
-    monkeypatch.setattr(FreeComplex, "_built", classmethod(mutated))
+    monkeypatch.setattr(FreeComplex, "_built", mutating(FreeComplex._built.__func__))
     with pytest.raises(AssertionError, match="differs from its copy"):
         double.complex(sign)
-    monkeypatch.setattr(fualgebra, "STRICT", False)
-    double.complex(sign)  # production takes the rows as they are
+    monkeypatch.undo()
+    unchecked(monkeypatch)
+    monkeypatch.setattr(FreeComplex, "_built", mutating(FreeComplex._built.__func__))
+    double.complex(sign)  # the program takes the rows as they are
