@@ -60,7 +60,6 @@ from .endfloer import (
 from .fualgebra import (
     FUDecomposition,
     FreeComplex,
-    Grading,
     InvalidComplex,
     ValidationReport,
     format_grading,

@@ -511,11 +511,7 @@ def hfk_hat(kc: KnotComplex) -> HfkTable:
     copy.  Over the sphere the reduced table removes one generator at
     (0, tau), tau read off the same reduction.
     """
-    return _hfk_hat(kc, _canonical_shapes(kc))
-
-
-def _hfk_hat(kc: KnotComplex, shapes) -> HfkTable:
-    """:func:`hfk_hat` from ``_canonical_shapes(kc)``."""
+    shapes = _canonical_shapes(kc)
     counts: Counter = Counter()
     for canonical, copies in shapes:
         here = Counter((canonical.base.maslov[g], canonical.alexander[g]) for g in canonical.generators)
@@ -560,11 +556,7 @@ def knot_numerics(kc: KnotComplex) -> dict:
     """
     if not kc.ambient.is_sphere:
         raise ValueError("tau/genus need the trivial ambient manifold")
-    return _knot_numerics(_canonical_shapes(kc))
-
-
-def _knot_numerics(shapes) -> dict:
-    """:func:`knot_numerics` from the canonical shapes of a complex over the sphere."""
+    shapes = _canonical_shapes(kc)
     _pairs, (reduced, x, _offset) = _unpaired(shapes)
     return {"tau": reduced.alexander[x], "genus": max((r.genus_bound() for r, _copies in shapes), default=0)}
 
@@ -679,29 +671,3 @@ def _reduced_basis_form(shapes, mirror: bool = False) -> ReducedBasisForm:
             triples.update({(m + shift, a, d): c * count for (m, a, d), c in here.items()})
     rb = ReducedBasisForm.make(triples)
     return rb.mirror() if mirror else rb
-
-
-def direct_sum(parts: list[KnotComplex], name: str = "") -> KnotComplex:
-    """Direct sum of knot complexes over a common ambient."""
-    if not parts:
-        raise ValueError("empty direct sum")
-    ambient = parts[0].ambient
-    gens = []
-    diff = {}
-    alexander = {}
-    flip: Optional[dict] = {}
-    for i, part in enumerate(parts):
-        if part.ambient != ambient:
-            raise ValueError("direct sum needs a common ambient manifold")
-        tag = lambda g, i=i: f"{i}.{g}"
-        for g in part.generators:
-            gens.append((tag(g), part.base.maslov[g]))
-            alexander[tag(g)] = part.alexander[g]
-        for src, row in part.base.differential.items():
-            diff[tag(src)] = {tag(t): p for t, p in row.items()}
-        if flip is not None and part.flip is not None:
-            for g in part.generators:
-                flip[tag(g)] = tag(part.flip[g])
-        else:
-            flip = None
-    return KnotComplex(FreeComplex(gens, diff), alexander, flip, ambient, name=name)

@@ -18,11 +18,10 @@ from pathlib import Path
 from .cfk import (
     HfkTable,
     KnotComplex,
-    _canonical_shapes,
-    _hfk_hat,
-    _knot_numerics,
     _shapes,
     filtration_homology,
+    hfk_hat,
+    knot_numerics,
     reduced_basis_form,
     validate_knot,
 )
@@ -159,8 +158,7 @@ def _parse_operand(path: str):
 
 def _cmd_cfk(args) -> int:
     kc = _load(args.complex)
-    shapes = _canonical_shapes(kc)  # one reduction per summand shape serves both tables
-    table = _hfk_hat(kc, shapes)
+    table = hfk_hat(kc)
     if args.format == "table":
         _emit(_hfk_table(table), args.out)
         return 0
@@ -172,7 +170,7 @@ def _cmd_cfk(args) -> int:
         payload["hfk_hat_reduced"] = {
             f"({format_grading(m)},{s})": d for (m, s), d in sorted(table.reduced.items())
         }
-        payload["numerics"] = _knot_numerics(shapes)
+        payload["numerics"] = knot_numerics(kc)
     _emit(canonical_json(payload), args.out)
     return 0
 

@@ -25,10 +25,11 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from functools import reduce
 from fractions import Fraction
+from operator import xor
 from typing import Optional, Sequence, Union
 
 from .cfk import KnotComplex, _canonical_shapes, _reduced_basis_form, validate_knot
-from .fualgebra import FUDecomposition, format_grading, gf2_rank, grading, json_field
+from .fualgebra import FUDecomposition, _bits, format_grading, gf2_rank, grading, json_field
 from .surgery import (
     FORCED_INJECTIVE_TOP,
     HFPlusResult,
@@ -36,7 +37,7 @@ from .surgery import (
     exact_triangle_force,
     one_handle_stabilize,
 )
-from .whitehead import _box_parameters, box_tower
+from .whitehead import box_parameters, box_tower
 
 F = Fraction
 
@@ -184,18 +185,7 @@ def _compose_blocks(first, then):
     out = {}
     for g, cols in first.items():
         mid = then.get(g, [])
-        new_cols = []
-        for col in cols:
-            acc = 0
-            i = 0
-            c = col
-            while c:
-                if c & 1:
-                    acc ^= mid[i] if i < len(mid) else 0
-                c >>= 1
-                i += 1
-            new_cols.append(acc)
-        out[g] = new_cols
+        out[g] = [reduce(xor, (mid[i] for i in _bits(col) if i < len(mid)), 0) for col in cols]
     return out
 
 
@@ -424,7 +414,7 @@ def _resolve_piece(spec: SliceR4Spec, levels: int):
 
     if handle.kind in {"has_infinite_positive_chain", "has_infinite_pos_and_neg_chain"}:
         try:  # a mirror negates the corners and keeps x at (0, 0): the test is orientation-blind
-            _box_parameters(shapes)
+            box_parameters(spec.knot)
         except ValueError:
             note = "infinite-chain verdicts need a doubled knot (one split generator plus boxes)"
             return _report({}, None, [note]), None

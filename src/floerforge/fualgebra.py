@@ -40,8 +40,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping
 
-Grading = Fraction
-
 U_DEGREE = -2
 
 
@@ -504,8 +502,8 @@ class _Reducer:
     Pivots are ordered by generator name (``rank``), so the smallest live
     entry is the same whatever the input order.  ``rows`` may hand over the
     ``(ids, sets)`` of a passed :func:`_id_rows` check on those positions;
-    the reducer works on copies, under the gradings ``m`` if given (one per
-    position, every power of those rows non-negative under them).
+    the reducer works on copies.  :meth:`fork` carries a reduction over to
+    other gradings.
 
     ``track`` names the maps the reducer also maintains, as changes from
     the identity: ``"iota"``, the inclusion (survivor i is the originals in
@@ -514,7 +512,7 @@ class _Reducer:
     homotopy equivalence once cancelled pairs are split off.
     """
 
-    def __init__(self, c: FreeComplex, alexander=None, track=(), rows=None, m=None):
+    def __init__(self, c: FreeComplex, alexander=None, track=(), rows=None):
         if rows is None:
             sets, bad = _id_rows(c, ids := {g: i for i, g in enumerate(c.generators)})
             if bad:
@@ -523,7 +521,7 @@ class _Reducer:
             ids, sets = rows[0], [list(x) for x in rows[1]]
         self.ids, (self.rows, self.row_bases), self.cols = ids, sets, None
         self.generators, n = c.generators, len(c.generators)
-        self.m = list(map(c.maslov.__getitem__, c.generators)) if m is None else m
+        self.m = list(map(c.maslov.__getitem__, c.generators))
         self.alexander = None if alexander is None else list(map(alexander.__getitem__, c.generators))
         self.alive, self.torsion, self.rank = [True] * n, [], None
         self.iota_rows = self.iota_bases = self.pi_cols = self.pi_bases = None
@@ -678,13 +676,13 @@ class _Reducer:
         """The generators not cancelled, in the input's order, with their positions."""
         return {g: i for i, g in enumerate(self.generators) if self.alive[i]}
 
-    def powers(self, v: int, o: int, top, sign: int = 1) -> dict[str, int]:
-        """``{name of j: sign * (m(j) - top) / 2}`` over the positions j in ``(v, o)``."""
+    def powers(self, v: int, o: int, top) -> dict[str, int]:
+        """``{name of j: (m(j) - top) / 2}`` over the positions j in ``(v, o)``."""
         gens, m, out = self.generators, self.m, {}
         while v:
             low = v & -v
             j = o + low.bit_length() - 1
-            out[gens[j]] = sign * (m[j] - top) // 2
+            out[gens[j]] = (m[j] - top) // 2
             v ^= low
         return out
 

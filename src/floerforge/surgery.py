@@ -339,8 +339,8 @@ def surgery_hf(kc: KnotComplex, n: int) -> HFPlusResult:
     once per shape of ``cfk._shapes`` (:func:`_summed_cones`), on the split
     ``validate_knot`` checks; copies of a shape differ by a Maslov shift.
 
-    >>> from .cfk import box, direct_sum, unknot
-    >>> surgery_hf(direct_sum([unknot(), box(2), box(0)]), 0).decomposition
+    >>> from .whitehead import BoxSum
+    >>> surgery_hf(BoxSum(((2, 1), (0, 1))).complex(), 0).decomposition
     FUDecomposition(towers=(Fraction(1, 2), Fraction(-1, 2)), torsion=((Fraction(3, 2), 1, 1), (Fraction(-1, 2), 1, 1)))
     """
     g_hat = _window(kc, n)

@@ -163,19 +163,15 @@ def box_parameters(kc: KnotComplex) -> list[Fraction]:
     """Corner gradings of the box summands of a reduced x + boxes complex.
 
     Raises when the complex is not, after canonical reduction, a direct
-    sum of one generator at (0, 0) and 1x1 boxes.
+    sum of one generator at (0, 0) and 1x1 boxes.  The corner walk runs
+    once per reduced shape of ``cfk._canonical_shapes(kc)``, which may
+    itself be a sum (x joined to a box by a cancelled pair); each corner is
+    shifted by its copy's offset and counted per copy, and x must appear
+    once over all copies.
     """
-    return _box_parameters(_canonical_shapes(kc))
-
-
-def _box_parameters(shapes) -> list[Fraction]:
-    """:func:`box_parameters` from ``cfk._canonical_shapes(kc)``.  The corner
-    walk runs once per reduced shape, which may itself be a sum (x joined to
-    a box by a cancelled pair); each corner is shifted by its copy's offset
-    and counted per copy, and x must appear once over all copies."""
     params: list[int | Fraction] = []
     split = 0  # generators left over as x, over all copies
-    for reduced, copies in shapes:
+    for reduced, copies in _canonical_shapes(kc):
         remaining = set(reduced.generators)
         diff, M, A = reduced.base.differential, reduced.base.maslov, reduced.alexander
         corners = []

@@ -19,7 +19,6 @@ from floerforge.cfk import (
     KnotComplex,
     box,
     connected_sum_knots,
-    direct_sum,
     figure8,
     j_in_y,
     k_n,
@@ -70,8 +69,8 @@ def scrambled(kc, rng):
 def disjoint_sum(parts):
     """Direct sum of knot complexes, in the ambient of the first.
 
-    Unlike ``cfk.direct_sum`` it takes malformed parts as they are: a
-    partial flip stays partial, and the sum has no flip if a part has none.
+    It takes malformed parts as they are: a partial flip stays partial, and
+    the sum has no flip if a part has none.
     """
     gens, diff, alexander, flip = [], {}, {}, {}
     for i, part in enumerate(parts):
@@ -108,8 +107,8 @@ ORACLE_CASES = {
     "Wh--(figure8)": lambda: flat_tower(figure8(), "--")[-1],
     "J#Wh(K3)": lambda: connected_sum_knots(j_in_y(), flat_tower(k_n(3), "+")[0]),
     "T(2,3)#Wh(K3)": lambda: connected_sum_knots(staircase_torus(3, "+"), flat_tower(k_n(3), "+")[0]),
-    "T(2,5)+boxes": lambda: direct_sum([staircase_torus(5, "+"), box(2), box(0), box(2)]),
-    "figure8+T(2,-3)+T(2,7)": lambda: direct_sum(
+    "T(2,5)+boxes": lambda: disjoint_sum([staircase_torus(5, "+"), box(2), box(0), box(2)]),
+    "figure8+T(2,-3)+T(2,7)": lambda: disjoint_sum(
         [figure8(), staircase_torus(3, "-"), staircase_torus(7, "+")]),
     "T(2,5)#T(2,5)#T(2,5)": lambda: connected_sum_knots(
         connected_sum_knots(staircase_torus(5, "+"), staircase_torus(5, "+")), staircase_torus(5, "+")),
@@ -121,8 +120,8 @@ def tracked_maps(r):
     each survivor as original generators, each original generator as survivors."""
     survivors = r.survivors().items()
     iota = {g: r.powers(*_plus(r.iota_rows[i], r.iota_bases[i], 1, i), r.m[i]) for g, i in survivors}
-    cols = {g: r.powers(*_plus(r.pi_cols[i], r.pi_bases[i], 1, i), r.m[i], -1) for g, i in survivors}
-    return iota, {e: {g: col[e] for g, col in cols.items() if e in col} for e in r.generators}
+    cols = {g: r.powers(*_plus(r.pi_cols[i], r.pi_bases[i], 1, i), r.m[i]) for g, i in survivors}
+    return iota, {e: {g: -col[e] for g, col in cols.items() if e in col} for e in r.generators}
 
 
 def unchecked(monkeypatch):

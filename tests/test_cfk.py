@@ -39,6 +39,7 @@ from floerforge.fualgebra import (
     FUDecomposition,
     InvalidComplex,
     ValidationReport,
+    _Reducer,
     format_grading,
     graded_f2_dims,
     homology_decomposition,
@@ -414,6 +415,40 @@ HAT_ORACLE_CASES = {
 def test_hfk_hat_matches_gaussian_associated_graded(name):
     kc = HAT_ORACLE_CASES[name]()
     assert hfk_hat(kc).total == gaussian_hat_table(kc)
+
+
+def filtered_mixes(kc):
+    """Every homogeneous, filtered change of basis g := g + U^s h of a knot
+    over S3, as ``(g, h, s)``."""
+    M, A = kc.base.maslov, kc.alexander  # integral over S3
+    return [(g, h, s) for g in kc.generators for h in kc.generators if g != h
+            for s, odd in [divmod(M[h] - M[g], 2)] if not odd and s >= 0 and A[h] - s <= A[g]]
+
+
+SPHERE_KNOTS = {name: (kc, filtered_mixes(kc)) for name, build in sorted(corpus_builders().items())
+                for kc in [build()] if kc.ambient.is_sphere}
+
+
+@st.composite
+def filtered_basis_changes(draw):
+    """A corpus knot over S3 (K3-K9 among them), and the same knot after
+    random filtered changes of basis (``_Reducer.mix``), without its flip."""
+    kc, mixes = SPHERE_KNOTS[draw(st.sampled_from(sorted(SPHERE_KNOTS)))]
+    r = _Reducer(kc.base, alexander=kc.alexander)
+    for g, h, s in draw(st.lists(st.sampled_from(mixes), min_size=1, max_size=40)) if mixes else ():
+        r.mix(g, h, s)
+    return kc, KnotComplex(r.current_complex(), kc.alexander, None, kc.ambient)
+
+
+@settings(deadline=None, max_examples=40)
+@given(filtered_basis_changes())
+def test_filtered_basis_changes_keep_the_hat_invariants(pair):
+    kc, mixed = pair
+    assert hfk_hat(mixed) == hfk_hat(kc)
+    assert knot_numerics(mixed) == knot_numerics(kc)
+    assert homology_decomposition(mixed.base) == homology_decomposition(kc.base)
+    if knot_numerics(kc)["tau"] == 0:
+        assert reduced_basis_form(mixed) == reduced_basis_form(kc)
 
 
 def with_extra(kc, gens, alexander, flip=None, diff=None):

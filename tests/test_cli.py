@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -849,3 +851,111 @@ def test_one_parser_per_process_is_invisible(capsys, monkeypatch):
                          ids=["cfk-k3", "missing-file"])
 def test_python_dash_m_runs_the_cli(capsys, argv):
     assert run_python_dash_m(argv) == run(capsys, *argv)
+
+
+# --- JSON-mutation fuzz -------------------------------------------------------
+
+FUZZ_ENTRIES = ["unknot", "trefoil", "figure8", "t2_5", "j_in_y", "jprime_in_yprime", "k3", "wh_k3"]
+FUZZ_COMMANDS = [["cfk", "--complex"], ["surgery", "--n", "-1", "--complex"], ["surgery", "--n", "0", "--complex"],
+                 ["surgery", "--n", "1", "--complex"], ["double", "--complex"], ["endfloer", "--knot"]]
+ODD_VALUES = ["x", "1/0", 1.5, True, None, [], {}]
+GRADINGS = ["-2", "-1", "0", "1", "2", "1/2", "-1/2", 3, *ODD_VALUES]
+SMALL_INTS = [-2, -1, 0, 1, 2, "1", *ODD_VALUES]
+
+
+AMBIENT_FIELDS = {"b1": [0, 1, 2, -1, "1", None], "name": ["S3", "Y", "Y'", "Z", 5],
+                  "reduced_trivial": [True, False, "false", None]}
+
+
+def names_in(data):
+    return [g["name"] for g in data["generators"]]
+
+
+def entry_of(data, key, draw):
+    """A drawn element of the list ``data[key]``, or None if it is empty."""
+    return draw(st.sampled_from(data[key])) if data[key] else None
+
+
+def mutate_grading(data, draw):
+    if g := entry_of(data, "generators", draw):
+        g["maslov"] = draw(st.sampled_from(GRADINGS))
+
+
+def mutate_endpoint(data, draw):
+    if e := entry_of(data, "differential", draw):
+        e[draw(st.sampled_from(["from", "to"]))] = draw(st.sampled_from(names_in(data) + ["ghost", 5, None]))
+
+
+def mutate_power(data, draw):
+    if e := entry_of(data, "differential", draw):
+        e["upower"] = draw(st.sampled_from(SMALL_INTS))
+
+
+def mutate_alexander(data, draw):
+    if alexander := data["alexander"]:
+        alexander[draw(st.sampled_from(sorted(alexander)))] = draw(st.sampled_from(SMALL_INTS))
+
+
+def mutate_flip_pair(data, draw):
+    if pair := entry_of(data, "flip", draw):
+        name = draw(st.sampled_from(names_in(data) + ["ghost"]))
+        change = draw(st.sampled_from(["replace", "drop", "extend", "swap"]))
+        if change == "replace":
+            pair[draw(st.integers(0, len(pair) - 1))] = name
+        elif change == "drop":
+            pair.pop()
+        elif change == "extend":
+            pair.append(name)
+        else:
+            pair.reverse()
+
+
+def add_or_drop_entry(data, draw):
+    key = draw(st.sampled_from(["generators", "differential", "flip", "alexander"]))
+    entries, name = data[key], lambda: draw(st.sampled_from(names_in(data) + ["fresh"]))
+    if entries and draw(st.booleans()):
+        del entries[draw(st.sampled_from(sorted(entries) if key == "alexander" else range(len(entries))))]
+    elif key == "alexander":
+        entries[name()] = draw(st.sampled_from(SMALL_INTS))
+    elif key == "generators":
+        entries.append({"name": name(), "maslov": draw(st.sampled_from(GRADINGS))})
+    elif key == "differential":
+        entries.append({"from": name(), "to": name(), "upower": draw(st.integers(0, 1))})
+    else:
+        entries.append([name(), name()])
+
+
+def mutate_ambient(data, draw):
+    field = draw(st.sampled_from([*AMBIENT_FIELDS, None]))
+    if field is None or not isinstance(data["ambient"], dict):
+        data["ambient"] = draw(st.sampled_from([None, 5, {}]))
+    else:
+        data["ambient"][field] = draw(st.sampled_from(AMBIENT_FIELDS[field]))
+
+
+MUTATIONS = [mutate_grading, mutate_endpoint, mutate_power, mutate_alexander, mutate_flip_pair, add_or_drop_entry,
+             mutate_ambient]
+
+
+@st.composite
+def mutated_corpus_files(draw):
+    """A small corpus file with one to three fields mutated."""
+    data = corpus_data(draw(st.sampled_from(FUZZ_ENTRIES)))
+    for mutate in draw(st.lists(st.sampled_from(MUTATIONS), min_size=1, max_size=3)):
+        mutate(data, draw)
+    return data
+
+
+@settings(derandomize=True, deadline=None, max_examples=120)
+@given(data=mutated_corpus_files(), handle=st.sampled_from(["ch+", "ch-", "ch*", "undetermined"]))
+def test_mutated_corpus_files_end_in_one_line(tmp_path_factory, data, handle):
+    # Every CLI command on a malformed file exits 0, 1 or 2; a failure is
+    # one "error:" line and no traceback.  A reducer assertion escaping
+    # main after full validation would be a bug in an ingress check.
+    path = write_json(tmp_path_factory.mktemp("fuzz") / "mutated.json", data)
+    for command in FUZZ_COMMANDS:
+        argv = command + [path] + (["--handle", handle] if command[0] == "endfloer" else [])
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()) as err:
+            code = main(argv)
+        assert code in (0, 1, 2), argv
+        assert (err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1) == (code != 0), argv

@@ -12,7 +12,6 @@ from floerforge.cfk import (
     mirror_knot,
     staircase_torus,
     unknot,
-    direct_sum,
     k_n,
     KnotComplex,
     validate_knot,
@@ -50,7 +49,7 @@ from floerforge.truncation import (
     truncated_graded_dimensions,
 )
 
-from complexes import ORACLE_CASES, flat_tower, scrambled_sums, tracked_maps, unchecked
+from complexes import ORACLE_CASES, disjoint_sum, flat_tower, scrambled_sums, tracked_maps, unchecked
 
 F = Fraction
 
@@ -60,7 +59,7 @@ def dec(towers, torsion=()):
 
 
 def x_plus_boxes(params):
-    return direct_sum([unknot()] + [box(k) for k in params], name="x+boxes")
+    return disjoint_sum([unknot()] + [box(k) for k in params])
 
 
 # --- zero-framed outputs ----------------------------------------------------
@@ -343,7 +342,7 @@ def test_flip_halves_the_k9_reductions(monkeypatch, n):
     (rep, _copies), = _shapes(k_n(9))
     sc = surgery._shape_cone(rep, n, surgery._window(rep, n))
     assert len(sc.gradings) == 15 and sorted(reduced) == sorted(leaves(sc)) and len(reduced) == 9
-    separate = [(len(rep.generators) - len(_Reducer(rep.base, m=m).cancel_u0().survivors())) // 2
+    separate = [(len(rep.generators) - len(_Reducer(rep.base).fork(m).cancel_u0().survivors())) // 2
                 for m in leaves(sc)]
     assert sum(separate) == 350 and sum(pairs) < 350 / 2
 
@@ -399,7 +398,8 @@ def test_shared_blocks_match_separate_reductions(kc, n):
         models[None] = b.current_complex()
     assert len(models) == len(sc.gradings) + bool(sc.b_shifts)
     for s, model in models.items():
-        alone = _Reducer(sc.base, m=sc.gradings[s] if s is not None else None).cancel_u0()
+        r = _Reducer(sc.base)
+        alone = (r if s is None else r.fork(sc.gradings[s])).cancel_u0()
         assert not any(p == 0 for _src, _tgt, p in model.entries())
         assert len(model.generators) == len(alone.survivors())
         assert homology_decomposition(model) == homology_decomposition(alone.current_complex())
@@ -621,7 +621,7 @@ def test_edge_entries_are_checked(n):
     # The unknot's generator has no entry, so its grading one off in A_0
     # shows in the edge maps alone (at framing 0 the flat sum v_0 + h_0
     # would cancel the two, which the check takes one by one).
-    sc = surgery._shape_cone(direct_sum([unknot(), box(0)]), n, 2)
+    sc = surgery._shape_cone(disjoint_sum([unknot(), box(0)]), n, 2)
     sc.gradings[0] = [sc.gradings[0][0] + 1, *sc.gradings[0][1:]]
     report = surgery._cone_check(sc)
     assert not report.ok and not flat_ok(sc.mapping_cone())
@@ -631,7 +631,7 @@ def test_edge_entries_are_checked(n):
 def three_boxes():
     """The vector cone at -1, window 2, of the unknot plus three boxes B[0, 0]
     (positions 1 + 4k .. 4 + 4k for box k: a, b, c, d)."""
-    return surgery._shape_cone(direct_sum([unknot(), box(0), box(0), box(0)]), -1, 2)
+    return surgery._shape_cone(disjoint_sum([unknot(), box(0), box(0), box(0)]), -1, 2)
 
 
 def test_flip_read_checks_what_it_rests_on():

@@ -8,7 +8,6 @@ from floerforge.cfk import (
     KnotComplex,
     _summands,
     box,
-    direct_sum,
     figure8,
     filtration_homology,
     hfk_hat,
@@ -35,7 +34,7 @@ from floerforge.whitehead import (
     whitehead_double_cfk,
 )
 
-from complexes import ORACLE_CASES, flat_tower, scrambled_sums, unchecked, unsplit
+from complexes import ORACLE_CASES, disjoint_sum, flat_tower, scrambled_sums, unchecked, unsplit
 
 F = Fraction
 
@@ -163,7 +162,7 @@ LEVEL_3_K9 = whitehead_double_cfk(reduced_basis_form(whitehead_double_cfk(reduce
 def test_flat_doubles_keep_the_layout_of_their_definitions(kc):
     rb = reduced_basis_form(kc)
     unnamed = lambda c: {k: v for k, v in c.to_json().items() if k != "name"}
-    positive = direct_sum([unknot()] + [box(m - 1) for m, _a, d in rb.pairs for _ in range(2 * d)])
+    positive = disjoint_sum([unknot()] + [box(m - 1) for m, _a, d in rb.pairs for _ in range(2 * d)])
     assert unnamed(whitehead_double_cfk(rb)) == unnamed(positive)
     assert unnamed(negative_double_cfk(rb)) == unnamed(mirror_knot(whitehead_double_cfk(rb.mirror())))
 
@@ -238,10 +237,10 @@ def test_box_parameters_walks_a_shape_that_reduces_to_a_sum():
     kc = x_joined_to_box()
     assert validate_knot(kc).ok and len(_summands(kc)) == 1
     assert box_parameters(kc) == whole_box_parameters(kc) == [F(-2)]
-    with_copies = direct_sum([kc, box(2), box(-1), box(2)])
+    with_copies = disjoint_sum([kc, box(2), box(-1), box(2)])
     assert box_parameters(with_copies) == whole_box_parameters(unsplit(with_copies)) == [F(2), F(2), F(-1), F(-2)]
     with pytest.raises(ValueError, match="more than one split generator"):
-        box_parameters(direct_sum([kc, kc]))
+        box_parameters(disjoint_sum([kc, kc]))
 
 
 BOX_CASES = {
@@ -251,7 +250,7 @@ BOX_CASES = {
        for name, kc in (("figure8", figure8), ("K3", lambda: k_n(3)))},
     "BoxSum-": lambda: BoxSum(((F(3), 2), (F(0), 1), (F(-2), 3))).complex("-"),
     "x~box": x_joined_to_box,
-    "x~box+boxes": lambda: direct_sum([x_joined_to_box(), box(2), box(-1), box(2)]),
+    "x~box+boxes": lambda: disjoint_sum([x_joined_to_box(), box(2), box(-1), box(2)]),
 }
 
 
@@ -277,7 +276,7 @@ def corners(kc):
 
 
 def expanded(bs):
-    return direct_sum([unknot()] + [box(k) for k, c in bs.corners for _ in range(c)])
+    return disjoint_sum([unknot()] + [box(k) for k, c in bs.corners for _ in range(c)])
 
 
 def box_sum_hat_ranks(bs):
