@@ -21,6 +21,7 @@ from .fualgebra import (
     ValidationReport,
     _exact,
     _Reducer,
+    _tensor,
     components,
     format_grading,
     graded_f2_dims,
@@ -66,10 +67,12 @@ class KnotComplex:
     """A bifiltered free complex: Maslov grading plus Alexander filtration.
 
     An immutable value, so its summand split is taken at most once and kept
-    (:func:`_shapes`); a builder that knows it, like ``BoxSum.complex``,
-    hands it over as ``_split``.  The canonical reduction of each shape is
-    kept the same way (:func:`_canonical_shapes`); callers must not mutate
-    either list.  Validation still runs at every call.
+    (:func:`_shapes`).  The builders that know the split hand it over through
+    :meth:`_built`: ``BoxSum.complex``, :func:`connected_sum_knots`,
+    :func:`mirror_knot`, :func:`k_n` and ``staircase_torus(n, "-")``.  The
+    canonical reduction of each shape is kept the same way
+    (:func:`_canonical_shapes`); callers must not mutate either list.
+    Validation still runs at every call.
     :meth:`maslov` is the ``Fraction`` of the internal ``base.maslov``.
     """
 
@@ -77,14 +80,23 @@ class KnotComplex:
 
     def __init__(self, base: FreeComplex, alexander: Mapping[str, int],
                  flip: Optional[Mapping[str, str]] = None,
-                 ambient: Ambient = Ambient(), name: str = "", *, _split=None):
+                 ambient: Ambient = Ambient(), name: str = ""):
         self.base = base
         self.alexander = {g: a if type(a := alexander[g]) is int else int(a) for g in base.generators}
         self.flip = dict(flip) if flip is not None else None
         self.ambient = ambient
         self.name = name
-        self._split = _split
-        self._canonical = None
+        self._split = self._canonical = None
+
+    @classmethod
+    def _built(cls, base: FreeComplex, alexander: dict, flip: Optional[dict], ambient: Ambient,
+               name: str = "", split=None) -> "KnotComplex":
+        """A knot complex the package built, kept as given: ``alexander`` an ``int`` per
+        generator in generator order, ``split`` what :func:`_summands` takes of it or None."""
+        kc = object.__new__(cls)
+        kc.base, kc.alexander, kc.flip, kc.ambient, kc.name, kc._split, kc._canonical = (
+            base, alexander, flip, ambient, name, split, None)
+        return kc
 
     @property
     def generators(self):
@@ -179,39 +191,67 @@ def _shapes(kc: KnotComplex) -> list[tuple[KnotComplex, list[tuple]]]:
 def _summands(kc: KnotComplex) -> list[tuple[KnotComplex, list[tuple]]]:
     """The flip-stable summands of ``kc`` (components of the differential
     entries and flip pairs) as ``(representative, [(offset, count)])`` per
-    shape, or the whole complex if an endpoint is missing or a flip is partial
-    or not involutive.  A shape is, per member, its Maslov grading less the
-    copy's offset, the first member's (an ``int`` if integral), its Alexander
-    grading, its flip's position and its row.  A complex that is one summand
+    shape (:func:`_shape_key`), or the whole complex if an endpoint is missing
+    or a flip is partial or not involutive.  A complex that is one summand
     with an ``int`` first grading is its own shape at offset 0."""
-    base, A, flip = kc.base, kc.alexander, kc.flip
-    gens, M, diff = base.generators, base.maslov, base.differential
-    broken = not M.keys() >= diff.keys() or not all(M.keys() >= row.keys() for row in diff.values())
+    return _split_of(kc, _parts(kc))
+
+
+def _parts(kc: KnotComplex, flips: bool = True) -> Optional[list[list[str]]]:
+    """The components of the differential entries of ``kc`` and, with
+    ``flips``, its flip pairs; None if an endpoint is missing or the flip is
+    partial or not involutive."""
+    gens, M, diff, flip = kc.generators, kc.base.maslov, kc.base.differential, kc.flip
+    if not M.keys() >= diff.keys() or not all(M.keys() >= row.keys() for row in diff.values()):
+        return None
     edges = [(s, t) for s, row in diff.items() for t in row]
-    if flip is not None and not broken:
+    if flip is not None:
         images = [flip.get(g) for g in gens]
-        broken = not M.keys() >= set(images) or tuple(map(flip.__getitem__, images)) != gens
-        edges += [(g, img) for g, img in zip(gens, images) if img != g]
-    parts = None if broken else components(gens, edges)
-    if broken or len(parts) == 1 and type(M[gens[0]]) is int:  # a rep that is not kc keeps kc acyclic
-        return [(KnotComplex(base, A, flip, kc.ambient), [(0, 1)])]
-    shapes: dict[tuple, tuple[KnotComplex, dict]] = {}
-    for members in parts:
+        if not M.keys() >= set(images) or tuple(map(flip.__getitem__, images)) != gens:
+            return None
+        if flips:
+            edges += [(g, img) for g, img in zip(gens, images) if img != g]
+    return components(gens, edges)
+
+
+def _split_of(kc: KnotComplex, parts, keys=None) -> list[tuple[KnotComplex, list[tuple]]]:
+    """:func:`_summands` of ``kc`` from its summands ``parts`` (None if broken),
+    of the shapes ``keys`` if given."""
+    if parts is None or len(parts) == 1 and type(kc.base.maslov[kc.generators[0]]) is int:
+        return [(KnotComplex(kc.base, kc.alexander, kc.flip, kc.ambient), [(0, 1)])]  # not kc: no cycle
+    return [(rep, [tuple(copy) for copy in copies.values()]) for rep, copies in _grouped(kc, parts, keys)[0]]
+
+
+def _shape_key(kc: KnotComplex, members) -> tuple:
+    """The shape of the summand ``members`` of ``kc``, in generator order: per
+    member, its Maslov grading less the first member's (an ``int`` if
+    integral), its Alexander grading, its flip's position and its row."""
+    M, A, flip, diff = kc.base.maslov, kc.alexander, kc.flip, kc.base.differential
+    m0 = M[members[0]]
+    q, n0 = m0.denominator, m0.numerator  # integer division beats Fraction subtraction
+    relative = tuple(k if m.denominator == q and not r else m - m0 for m in map(M.__getitem__, members)
+                     for k, r in [divmod(m.numerator - n0, q)])
+    pos = dict(zip(members, range(len(members))))
+    return (relative, tuple(map(A.__getitem__, members)),
+            None if flip is None else tuple(map(pos.__getitem__, map(flip.__getitem__, members))),
+            tuple(row and (tuple(map(pos.__getitem__, row)), tuple(row.values())) for row in map(diff.get, members)))
+
+
+def _grouped(kc: KnotComplex, parts, keys=None) -> tuple[list, list[int]]:
+    """The shapes of the summands ``parts`` of ``kc`` in order, each as
+    ``(representative, {offset key: [offset, count]})``, and each part's shape."""
+    M, A, flip, diff = kc.base.maslov, kc.alexander, kc.flip, kc.base.differential
+    index, shapes, labels = {}, [], []
+    for members, key in zip(parts, keys or (_shape_key(kc, members) for members in parts)):
+        if (i := index.get(key)) is None:
+            i = index[key] = len(shapes)
+            rep = FreeComplex(zip(members, key[0]), {g: diff[g] for g in members if g in diff})
+            shapes.append((KnotComplex(rep, {g: A[g] for g in members},
+                                       None if flip is None else {g: flip[g] for g in members}, kc.ambient), {}))
         m0 = M[members[0]]
-        q, n0 = m0.denominator, m0.numerator  # integer division beats Fraction subtraction
-        relative = [k if m.denominator == q and not r else m - m0 for m in map(M.__getitem__, members)
-                    for k, r in [divmod(m.numerator - n0, q)]]
-        pos = dict(zip(members, range(len(members))))
-        shape = (tuple(relative), tuple(map(A.__getitem__, members)),
-                 None if flip is None else tuple(map(pos.__getitem__, map(flip.__getitem__, members))),
-                 tuple(row and (tuple(map(pos.__getitem__, row)), tuple(row.values()))
-                       for row in map(diff.get, members)))
-        if shape not in shapes:
-            rep = FreeComplex(zip(members, relative), {g: diff[g] for g in members if g in diff})
-            shapes[shape] = (KnotComplex(rep, {g: A[g] for g in members},
-                                         None if flip is None else {g: flip[g] for g in members}, kc.ambient), {})
-        shapes[shape][1].setdefault((n0, q), [m0, 0])[1] += 1  # int keys hash faster than the Fraction
-    return [(rep, [tuple(copy) for copy in copies.values()]) for rep, copies in shapes.values()]
+        shapes[i][1].setdefault((m0.numerator, m0.denominator), [m0, 0])[1] += 1  # int keys hash faster
+        labels.append(i)
+    return shapes, labels
 
 
 def _summand_violations(kc: KnotComplex) -> tuple[list[str], bool]:
@@ -305,10 +345,7 @@ def staircase_torus(n: int, sign: str = "+") -> KnotComplex:
     alexander = {names[i]: m - i for i in range(2 * m + 1)}
     flip = {names[i]: names[2 * m - i] for i in range(2 * m + 1)}
     kc = KnotComplex(base, alexander, flip, Ambient(), name=f"T(2,{n})")
-    if sign == "-":
-        mirrored = mirror_knot(kc)
-        kc = KnotComplex(mirrored.base, mirrored.alexander, mirrored.flip, mirrored.ambient, name=f"T(2,-{n})")
-    return kc
+    return _mirror(kc, f"T(2,-{n})") if sign == "-" else kc
 
 
 def unknot() -> KnotComplex:
@@ -398,27 +435,40 @@ def mirror_knot(kc: KnotComplex) -> KnotComplex:
     if not kc.ambient.is_sphere:
         raise ValueError("mirror is only defined for complexes with trivial ambient")
     validate_knot(kc).require("knot complex")
+    return _mirror(kc, f"m({kc.name})" if kc.name else "")
 
-    def dual(c: FreeComplex, top=0) -> FreeComplex:
-        """The transposed complex with gradings top - m."""
-        transposed: dict[str, dict[str, int]] = {}
-        for src, tgt, p in c.entries():
+
+def _dual(c: FreeComplex, top=0) -> FreeComplex:
+    """The transposed complex with gradings top - m, each row listing its
+    sources in generator order."""
+    M, transposed = c.maslov, {}
+    for src, row in zip(c.generators, map(c.differential.get, c.generators)):
+        for tgt, p in row.items() if row else ():
             transposed.setdefault(tgt, {})[src] = p
-        return FreeComplex([(g, top - c.maslov[g]) for g in c.generators], transposed)
+    return FreeComplex._built({g: m if type(m := top - M[g]) is int else _exact(m) for g in c.generators}, transposed)
 
-    # The dual of a copy at offset o is the dual of its shape shifted by -o.
-    towers = [t - offset for rep, copies in _shapes(kc) for t in homology_decomposition(dual(rep.base)).towers
+
+def _mirror(kc: KnotComplex, name: str) -> KnotComplex:
+    """:func:`mirror_knot` of a valid complex over S3, unchecked, with its
+    split: each shape is dualised once, and a copy at offset o of the shape
+    becomes a copy of its dual at top - o."""
+    shapes = _shapes(kc)
+    duals = [_dual(rep.base) for rep, _copies in shapes]
+    towers = [t - offset for d, (_rep, copies) in zip(duals, shapes) for t in homology_decomposition(d).towers
               for offset, count in copies for _ in range(count)]
     if len(towers) != 1:
         raise InvalidComplex("mirror normalisation expects free rank 1")
-    base = dual(kc.base, _exact(-towers[0]))
-    return KnotComplex(
-        base,
-        {g: -a for g, a in kc.alexander.items()},
-        dict(kc.flip) if kc.flip is not None else None,
-        kc.ambient,
-        name=f"m({kc.name})" if kc.name else "",
-    )
+    top = _exact(-towers[0])
+    base, alexander = _dual(kc.base, top), {g: -a for g, a in kc.alexander.items()}
+    if len(shapes) == 1 and [count for _offset, count in shapes[0][1]] == [1]:  # one summand
+        split = _split_of(KnotComplex._built(base, alexander, kc.flip, kc.ambient), [base.generators])
+    else:
+        split = [(KnotComplex(d, {g: -a for g, a in rep.alexander.items()}, rep.flip, kc.ambient),
+                  [(_exact(top - offset), count) for offset, count in copies])
+                 for d, (rep, copies) in zip(duals, shapes)]
+        if len({_shape_key(rep, rep.generators) for rep, _copies in split}) < len(split):
+            split = None  # shapes alike but for the order of their rows merge in an order only the whole shows
+    return KnotComplex._built(base, alexander, kc.flip, kc.ambient, name, split)
 
 
 def connected_sum_knots(k1: KnotComplex, k2: KnotComplex) -> KnotComplex:
@@ -428,29 +478,59 @@ def connected_sum_knots(k1: KnotComplex, k2: KnotComplex) -> KnotComplex:
     """
     if not k1.ambient.is_sphere and not k2.ambient.is_sphere:
         raise ValueError("at most one connected-sum factor may have b1 > 0")
-    base = tensor_complexes(k1.base, k2.base)
-    name = lambda a, b: f"({a}|{b})"
-    alexander = {
-        name(a, b): k1.alexander[a] + k2.alexander[b]
-        for a in k1.generators
-        for b in k2.generators
-    }
+    label = f"{k1.name}#{k2.name}" if k1.name and k2.name else ""
+    return _connected_sum(k1, k2, label, tensor_complexes(k1.base, k2.base))
+
+
+def _knot_tensor(k1: KnotComplex, k2: KnotComplex, base: FreeComplex) -> KnotComplex:
+    """``k1 # k2`` on ``base``, the tensor of their bases, without a split."""
+    right = list(map(k2.alexander.__getitem__, k2.generators))
+    alexander = dict(zip(base.generators, [a + b for a in map(k1.alexander.__getitem__, k1.generators) for b in right]))
     flip = None
     if k1.flip is not None and k2.flip is not None:
-        flip = {
-            name(a, b): name(k1.flip[a], k2.flip[b])
-            for a in k1.generators
-            for b in k2.generators
-        }
+        left, right = [f"({k1.flip[a]}|" for a in k1.generators], [f"{k2.flip[b]})" for b in k2.generators]
+        flip = dict(zip(base.generators, [a + b for a in left for b in right]))
     ambient = k1.ambient if not k1.ambient.is_sphere else k2.ambient
-    label = f"{k1.name}#{k2.name}" if k1.name and k2.name else ""
-    return KnotComplex(base, alexander, flip, ambient, name=label)
+    return KnotComplex._built(base, alexander, flip, ambient)
+
+
+def _connected_sum(k1: KnotComplex, k2: KnotComplex, name: str, base: Optional[FreeComplex] = None) -> KnotComplex:
+    """:func:`connected_sum_knots` on ``base``, or unchecked on valid factors,
+    with its split (:func:`_sum_split`)."""
+    kc = _knot_tensor(k1, k2, _tensor(k1.base, k2.base) if base is None else base)
+    return KnotComplex._built(kc.base, kc.alexander, kc.flip, kc.ambient, name, _sum_split(k1, k2, kc))
+
+
+def _sum_split(k1: KnotComplex, k2: KnotComplex, kc: KnotComplex):
+    """:func:`_summands` of ``kc = k1 # k2`` without a union-find on kc, or None
+    if a factor is structurally broken.  A summand of kc is a summand of the
+    tensor of one summand of each factor: the tensor of each pair of shapes is
+    split once and placed at each pair of copies.  kc is one summand if both
+    factors are connected by their differentials alone (a Cartesian product
+    of connected graphs is connected)."""
+    p1, p2 = _parts(k1), _parts(k2)
+    if p1 is None or p2 is None:
+        return None
+    if len(p1) == len(p2) == 1 and len(_parts(k1, flips=False)) == len(_parts(k2, flips=False)) == 1:
+        return _split_of(kc, [kc.generators])
+    (shapes1, labels1), (shapes2, labels2), width = _grouped(k1, p1), _grouped(k2, p2), len(k2.generators)
+    pos1, pos2 = ({g: i for i, g in enumerate(k.generators)} for k in (k1, k2))
+    tensors, found = {}, []
+    for P, i in zip(p1, labels1):
+        for Q, j in zip(p2, labels2):
+            if (i, j) not in tensors:
+                (r1, _copies), (r2, _copies) = shapes1[i], shapes2[j]
+                t = _knot_tensor(r1, r2, _tensor(r1.base, r2.base))
+                at, n = {g: k for k, g in enumerate(t.generators)}, len(r2.generators)
+                tensors[i, j] = [([divmod(at[g], n) for g in c], _shape_key(t, c)) for c in _parts(t)]
+            found += [([pos1[P[r]] * width + pos2[Q[s]] for r, s in c], key) for c, key in tensors[i, j]]
+    found.sort(key=lambda piece: piece[0][0])  # by first generator, as components lists them
+    return _split_of(kc, [list(map(kc.generators.__getitem__, c)) for c, _key in found], [k for _c, k in found])
 
 
 def k_n(n: int) -> KnotComplex:
     """The ribbon knot K_n = T(2, n) # T(2, -n), unreduced."""
-    kc = connected_sum_knots(staircase_torus(n, "+"), staircase_torus(n, "-"))
-    return KnotComplex(kc.base, kc.alexander, kc.flip, kc.ambient, name=f"K{n}")
+    return _connected_sum(staircase_torus(n, "+"), staircase_torus(n, "-"), f"K{n}")
 
 
 def reduce_canonical(kc: KnotComplex) -> KnotComplex:

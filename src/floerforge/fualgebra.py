@@ -426,22 +426,30 @@ def tensor_complexes(c1: FreeComplex, c2: FreeComplex) -> FreeComplex:
     """Tensor product over F2[U]: gradings add, Leibniz differential, names ``(a|b)``."""
     validate_complex(c1).require("left tensor factor")
     validate_complex(c2).require("right tensor factor")
-    name = lambda a, b: f"({a}|{b})"
-    gens = []
-    for a in c1.generators:
-        for b in c2.generators:
-            gens.append((name(a, b), c1.maslov[a] + c2.maslov[b]))
+    return _tensor(c1, c2)
+
+
+def _tensor(c1: FreeComplex, c2: FreeComplex) -> FreeComplex:
+    """:func:`tensor_complexes` of valid complexes, unchecked: each name made
+    once per pair, each grading and row written once, as built."""
+    g1, g2, M1, M2 = c1.generators, c2.generators, c1.maslov, c2.maslov
+    names = [[f"({a}|{b})" for b in g2] for a in g1]
+    maslov = {n: m if type(m := m1 + m2) is int else _exact(m)
+              for m1, here in zip(map(M1.__getitem__, g1), names) for n, m2 in zip(here, map(M2.__getitem__, g2))}
+    if len(maslov) < len(g1) * len(g2):
+        FreeComplex((n, 0) for here in names for n in here)  # raises the duplicate-name error
+    index1, index2 = ({g: i for i, g in enumerate(c.generators)} for c in (c1, c2))
+    rows2 = [[(index2[t], p) for t, p in c2.differential.get(b, {}).items()] for b in g2]
     diff: dict[str, dict[str, int]] = {}
-    for a in c1.generators:
-        for b in c2.generators:
-            row: dict[str, int] = {}
-            for tgt, p in c1.differential.get(a, {}).items():
-                row[name(tgt, b)] = p
-            for tgt, p in c2.differential.get(b, {}).items():
-                row[name(a, tgt)] = p
+    for a, here in zip(g1, names):
+        left = [(names[index1[t]], p) for t, p in c1.differential.get(a, {}).items()]
+        for j, (n, right) in enumerate(zip(here, rows2)):
+            row = {there[j]: p for there, p in left}
+            for t, p in right:
+                row[here[t]] = p
             if row:
-                diff[name(a, b)] = row
-    return FreeComplex(gens, diff)
+                diff[n] = row
+    return FreeComplex._built(maslov, diff)
 
 
 @dataclass(frozen=True)

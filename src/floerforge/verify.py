@@ -142,17 +142,6 @@ class _Context:
         return self.get(("slice", n), lambda: he_slice_r4(self.r_spec(n)))
 
 
-def _check(ident, category, description, expected, actual) -> Row:
-    return Row(
-        ident=ident,
-        category=category,
-        description=description,
-        expected=str(expected),
-        actual=str(actual),
-        passed=str(expected) == str(actual),
-    )
-
-
 def _rows_zero_surgery(ctx):
     cases = [
         ("1.unknot", unknot(), _dec([F(1, 2), F(-1, 2)])),
@@ -161,9 +150,8 @@ def _rows_zero_surgery(ctx):
     ]
     for ident, kc, expected in cases:
         actual = surgery_hf(kc, 0).decomposition
-        yield _check(
+        yield (
             ident,
-            "surgery",
             f"0-framed output for {kc.name}",
             _fmt_dec(expected),
             _fmt_dec(actual),
@@ -172,9 +160,8 @@ def _rows_zero_surgery(ctx):
 
 def _rows_companion(ctx):
     r = surgery_hf(builtin("J_in_Y"), -1)
-    yield _check(
+    yield (
         "2.surgered",
-        "surgery",
         "-1-framed companion output equals the split 0-framed unknot output",
         _fmt_dec(_dec([F(1, 2), F(-1, 2)])),
         _fmt_dec(r.decomposition),
@@ -186,9 +173,8 @@ def _rows_companion(ctx):
         return matches[0] if len(matches) == 1 else None
 
     actual = (d_by_class(y, F(-1, 2)), d_by_class(r, F(-1, 2)))
-    yield _check(
+    yield (
         "2.d-invariants",
-        "surgery",
         "d at the -1/2 class is -1/2 for the ambient and the surgered manifold",
         "(-1/2, -1/2)",
         f"({format_grading(actual[0])}, {format_grading(actual[1])})",
@@ -199,23 +185,20 @@ def _rows_three_manifolds(ctx):
     for n in (3, 5):
         formula1, formula23 = ctx.closed_patterns(n)
         chain1, chain2, chain3 = ctx.chain_outputs(n)
-        yield _check(
+        yield (
             f"3.item1.n{n}",
-            "formulas",
             f"stabilised 0-framed output of Wh(K{n}): formula vs chain",
             _fmt_dec(formula1),
             _fmt_dec(chain1),
         )
-        yield _check(
+        yield (
             f"3.item2.n{n}",
-            "formulas",
             f"0-framed output of Wh^2(K{n}): formula vs chain",
             _fmt_dec(formula23),
             _fmt_dec(chain2),
         )
-        yield _check(
+        yield (
             f"3.item3.n{n}",
-            "formulas",
             f"-1-framed companion-sum output for Wh(K{n}): formula vs chain",
             _fmt_dec(formula23),
             _fmt_dec(chain3),
@@ -226,9 +209,8 @@ def _rows_triangle(ctx):
     for n in (3, 5):
         chain1, chain2, chain3 = ctx.chain_outputs(n)
         force = exact_triangle_force([c.torsion_rank_table() for c in (chain1, chain2, chain3)])
-        yield _check(
+        yield (
             f"4.positive.n{n}",
-            "triangle",
             f"positive-clasp triangle for Wh(K{n}) forces top injectivity",
             FORCED_INJECTIVE_TOP,
             force.verdict(0),
@@ -246,17 +228,15 @@ def _rows_triangle(ctx):
             third.hf_red(),
         ]
         dims = tuple(sum(t.values()) for t in tables)
-        yield _check(
+        yield (
             f"4.negative.ranks.n{n}",
-            "triangle",
             f"negative-clasp triangle ranks for Wh(K{n}) follow 2N, 4N, 6N",
             (2 * boxes, 4 * boxes, 6 * boxes),
             dims,
         )
         force_neg = exact_triangle_force(tables)
-        yield _check(
+        yield (
             f"4.negative.n{n}",
-            "triangle",
             f"negative-clasp triangle for Wh(K{n}) forces the zero map",
             FORCED_ZERO,
             force_neg.verdict(0),
@@ -272,26 +252,23 @@ def _rows_doubling(ctx):
         filtration = {i: filtration_homology(kc, i) for i in range(-g, g + 1)}
         formula = hedden_hfk_double(filtration, g)
         table = hfk_hat(doubled).total
-        yield _check(
+        yield (
             f"5.hat.{label}",
-            "double",
             f"hat ranks of the double of {label}: box sum vs rank formula",
             sorted((format_grading(m), s, d) for (m, s), d in formula.items()),
             sorted((format_grading(m), s, d) for (m, s), d in table.items()),
         )
         max_param = max(box_parameters(doubled))
         max_reduced = hfk_hat(kc).max_reduced_maslov()
-        yield _check(
+        yield (
             f"5.boxparam.{label}",
-            "double",
             f"maximal box corner for {label} is the maximal reduced hat grading minus one",
             format_grading(max_reduced - 1),
             format_grading(max_param),
         )
         if n is not None:
-            yield _check(
+            yield (
                 f"5.maxgrading.K{n}",
-                "double",
                 f"maximal reduced hat grading of K{n}",
                 n - 1,
                 max_reduced,
@@ -305,9 +282,8 @@ def _rows_end(ctx):
         top = report.max_nontrivial_grading
         maxima[n] = top
         entry = report.entry(top) if top is not None else None
-        yield _check(
+        yield (
             f"6.max.n{n}",
-            "end",
             f"end invariant of the positive piece on K{n}: maximal grading n - 3",
             f"max {n - 3}, rank inf (exact)",
             (
@@ -316,24 +292,21 @@ def _rows_end(ctx):
                 else "vanishes"
             ),
         )
-    yield _check(
+    yield (
         "6.distinct",
-        "end",
         "the four maxima are pairwise distinct",
         True,
         len(set(maxima.values())) == 4,
     )
-    yield _check(
+    yield (
         "6.negative",
-        "end",
         "the all-negative piece vanishes",
         True,
         he_slice_r4(SliceR4Spec(ctx.k_n(3), CH_MINUS)).vanishes,
     )
     pair = [ctx.r_spec(3), ctx.r_spec(3, orientation="-")]
-    yield _check(
+    yield (
         "6.sum-vanishes",
-        "end",
         "the piece summed with its reverse vanishes, both orientations",
         (True, True),
         (
@@ -341,9 +314,8 @@ def _rows_end(ctx):
             he_end_sum([s.reversed() for s in pair]).vanishes,
         ),
     )
-    yield _check(
+    yield (
         "6.distinguish",
-        "end",
         "pieces on K3 and K5 are distinct; same-knot pieces are not",
         (True, False),
         (
@@ -374,9 +346,8 @@ def _rows_properties(ctx):
             c = tensor_complexes(builders[a].base, builders[b].base)
             if not validate_complex(c).ok:
                 bad.append(f"{a}*{b}")
-    yield _check(
+    yield (
         "7.valid",
-        "property",
         "d^2 = 0 and homogeneity on every builder and every pairwise tensor",
         "[]",
         bad,
@@ -391,9 +362,8 @@ def _rows_properties(ctx):
             if table.get((m - 2 * s, -s), 0) != d:
                 asym.append(name)
                 break
-    yield _check(
+    yield (
         "7.symmetry",
-        "property",
         "hat dimensions satisfy dim(m, s) = dim(m - 2s, -s) across the full corpus",
         "[]",
         asym,
@@ -407,9 +377,8 @@ def _rows_properties(ctx):
             coeffs[s] = coeffs.get(s, 0) + (-1) ** int(mas) * d
         if coeffs != {m - i: (-1) ** i for i in range(n)}:
             euler_bad.append(n)
-    yield _check(
+    yield (
         "7.euler",
-        "property",
         "staircase hat Euler characteristics match the alternating coefficients",
         "[]",
         euler_bad,
@@ -422,9 +391,8 @@ def _rows_properties(ctx):
         for cut in (cutoff, cutoff + 1):
             if truncated_graded_dimensions(c, cut) != expected_truncated_dimensions(h, cut):
                 trunc_bad.append((name, cut))
-    yield _check(
+    yield (
         "7.truncation",
-        "property",
         "decompositions reproduce truncated dims at consecutive cutoffs",
         "[]",
         trunc_bad,
@@ -441,9 +409,8 @@ def _rows_properties(ctx):
                 corpus_bad.append(name)
         except Exception:
             corpus_bad.append(name)
-    yield _check(
+    yield (
         "7.corpus",
-        "property",
         "every corpus file parses, validates, and round-trips identically",
         "[]",
         corpus_bad,
@@ -479,9 +446,8 @@ def _rows_properties(ctx):
             sub = colimit(restrict_spec(spec, indices))
             if sub.table() != full.table() or sub.vanishes != full.vanishes:
                 sub_bad.append((trial, tuple(indices)))
-    yield _check(
+    yield (
         "7.subsequence",
-        "property",
         "colimits are unchanged by passing to subsequences (3 random systems)",
         "[]",
         sub_bad,
@@ -495,16 +461,14 @@ def _rows_product(ctx):
         slice_max = ctx.slice_report(n).max_nontrivial_grading
         values[n] = report.max_nontrivial_grading
         f_line = next((line for line in report.narrative if line.startswith("f(")), "")
-        yield _check(
+        yield (
             f"8.consistency.n{n}",
-            "product",
             f"product end over the sphere matches the slice piece for n = {n}",
             f"max {format_grading(slice_max)}; f(S3) = -2",
             f"max {format_grading(report.max_nontrivial_grading)}; {f_line.split(' computed')[0]}",
         )
-    yield _check(
+    yield (
         "8.distinct",
-        "product",
         "distinct n give distinct product-end maxima",
         True,
         values[5] != values[7],
@@ -530,7 +494,8 @@ def run_verification(category_filter: Optional[str] = None) -> list[Row]:
         if category_filter is not None:
             if category_filter != category and category_filter.split(".")[0] != number:
                 continue
-        for row in section(ctx):
+        for ident, description, expected, actual in section(ctx):  # each section's rows share its category
+            row = Row(ident, category, description, str(expected), str(actual), str(expected) == str(actual))
             if category_filter and category_filter not in {row.category, row.ident}:
                 if not row.ident.startswith(category_filter):
                     continue

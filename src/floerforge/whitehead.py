@@ -136,7 +136,7 @@ class BoxSum:
             rep = KnotComplex(FreeComplex(zip(first, (0, s, -s, 0)), {g: diff[g] for g in first if g in diff}),
                               alexander, {g: flip[g] for g in first})
             split.append((rep, [(k, count) for k, count in corners if count]))
-        return KnotComplex(FreeComplex._built(maslov, diff), alexander, flip, Ambient(), name, _split=split)
+        return KnotComplex._built(FreeComplex._built(maslov, diff), alexander, flip, Ambient(), name, split)
 
     def max_reduced_maslov(self) -> Fraction:
         return self.corners[0][0] + 1

@@ -6,8 +6,9 @@ names in a random order.  The summand-route property of surgery and the
 split-validation property of ``validate_knot`` both draw from it.
 ``flat_tower`` iterates the flat doubles through the reduced pairing of
 each flat level, the chain-level oracle for ``box_tower``.  ``unsplit``
-copies a complex without the summand split stored on it.  ``unchecked``
-takes off the re-checks ``conftest.py`` adds, for one test.
+copies a complex without the summand split stored on it, and
+``split_contents`` lists what a split holds, for comparing two.
+``unchecked`` takes off the re-checks ``conftest.py`` adds, for one test.
 """
 
 import inspect
@@ -22,6 +23,7 @@ from floerforge.cfk import (
     figure8,
     j_in_y,
     k_n,
+    mirror_knot,
     reduced_basis_form,
     staircase_torus,
 )
@@ -46,6 +48,16 @@ def flat_tower(kc, signs):
 def unsplit(kc):
     """A fresh copy of ``kc`` with no summand split stored on it."""
     return KnotComplex(kc.base, kc.alexander, kc.flip, kc.ambient, kc.name)
+
+
+def split_contents(split):
+    """Per shape: the representative's generators, their gradings and the
+    gradings' types, rows, Alexander grades, flip, ambient and name; and the
+    ``(offset, count)`` copies, with each offset's type."""
+    return [((rep.generators, [(rep.maslov(g), type(rep.maslov(g))) for g in rep.generators],
+              rep.base.differential, rep.alexander, rep.flip, rep.ambient, rep.name),
+             [(offset, type(offset), count) for offset, count in copies])
+            for rep, copies in split]
 
 
 def scrambled(kc, rng):
@@ -84,6 +96,21 @@ def disjoint_sum(parts):
     return KnotComplex(FreeComplex(gens, diff), alexander, flip, parts[0].ambient)
 
 
+def flip_swapped_boxes(j, k=F(0)):
+    """x plus B[k, j] and B[k - 2j, -j], with the flip exchanging the two
+    boxes (a <-> a', b <-> c', c <-> b', d <-> d'): no differential entry
+    joins them, only the flip."""
+    left, right = box(k, j, "l"), box(k - 2 * j, -j, "r")
+    gens = [("x", F(0))] + [(g, part.maslov(g)) for part in (left, right) for g in part.generators]
+    base = FreeComplex(gens, {**left.base.differential, **right.base.differential})
+    alexander = {"x": 0, **left.alexander, **right.alexander}
+    flip = {"x": "x"}
+    for a, b in (("a", "a"), ("b", "c"), ("c", "b"), ("d", "d")):
+        flip["l" + a] = "r" + b
+        flip["r" + b] = "l" + a
+    return KnotComplex(base, alexander, flip)
+
+
 def scrambled_sums(pieces, max_size=1):
     """Strategy: a direct sum of 1 to ``max_size`` complexes built by
     ``pieces`` (name -> builder), renamed and shuffled.  A single piece is
@@ -112,6 +139,12 @@ ORACLE_CASES = {
         [figure8(), staircase_torus(3, "-"), staircase_torus(7, "+")]),
     "T(2,5)#T(2,5)#T(2,5)": lambda: connected_sum_knots(
         connected_sum_knots(staircase_torus(5, "+"), staircase_torus(5, "+")), staircase_torus(5, "+")),
+    # Built with a summand split handed over (test_handover.py).
+    "T(2,-7)": lambda: staircase_torus(7, "-"),
+    "figure8#figure8": lambda: connected_sum_knots(figure8(), figure8()),
+    "swapped#swapped": lambda: connected_sum_knots(flip_swapped_boxes(0), flip_swapped_boxes(1)),
+    "m(Wh(K3))": lambda: mirror_knot(flat_tower(k_n(3), "+")[0]),
+    "m(m(K5))": lambda: mirror_knot(mirror_knot(k_n(5))),
 }
 
 
@@ -126,6 +159,7 @@ def tracked_maps(r):
 
 def unchecked(monkeypatch):
     """Run the rest of a test as users run the program, without the re-checks
-    of package-built cones and complexes that ``conftest.py`` adds."""
+    of package-built cones, complexes and splits that ``conftest.py`` adds."""
     monkeypatch.setattr(surgery, "_minimal_cone", inspect.unwrap(surgery._minimal_cone))
-    monkeypatch.setattr(FreeComplex, "_built", classmethod(inspect.unwrap(FreeComplex._built.__func__)))
+    for cls in (FreeComplex, KnotComplex):
+        monkeypatch.setattr(cls, "_built", classmethod(inspect.unwrap(cls._built.__func__)))

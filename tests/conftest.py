@@ -1,8 +1,9 @@
 """The tier-1 suite re-checks what the package builds for itself, which the
 program takes as built: every cone ``surgery._minimal_cone`` receives must
-pass ``surgery._cone_check``, and every complex handed to
-``FreeComplex._built`` must come out of ``FreeComplex.__init__`` the same,
-types included.
+pass ``surgery._cone_check``; every complex handed to ``FreeComplex._built``
+or ``KnotComplex._built`` must come out of ``__init__`` the same, types
+included; and every summand split handed to ``KnotComplex._built`` must be
+the one ``cfk._summands`` takes of the complex.
 
 ``complexes.unchecked`` takes these re-checks off for one test;
 ``pytest --noconftest`` runs a module without them, as users run the program.
@@ -12,7 +13,9 @@ import functools
 
 import pytest
 
+from complexes import split_contents
 from floerforge import surgery
+from floerforge.cfk import KnotComplex, _summands
 from floerforge.fualgebra import FreeComplex
 
 
@@ -34,9 +37,22 @@ def compared_complex(built):
     return compare
 
 
+def compared_knot(built):
+    @functools.wraps(built)
+    def compare(cls, base, alexander, flip, ambient, name="", split=None):
+        kc, full = built(cls, base, alexander, flip, ambient, name, split), cls(base, alexander, flip, ambient, name)
+        if repr((kc.alexander, kc.flip)) != repr((full.alexander, full.flip)):
+            raise AssertionError("a package-built knot complex differs from its copy through __init__")
+        if split is not None and split_contents(split) != split_contents(_summands(full)):
+            raise AssertionError("a handed-over split differs from the split of its complex")
+        return kc
+    return compare
+
+
 @pytest.fixture(autouse=True, scope="session")
 def suite_checks():
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(surgery, "_minimal_cone", checked_cone(surgery._minimal_cone))
         mp.setattr(FreeComplex, "_built", classmethod(compared_complex(FreeComplex._built.__func__)))
+        mp.setattr(KnotComplex, "_built", classmethod(compared_knot(KnotComplex._built.__func__)))
         yield

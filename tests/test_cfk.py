@@ -43,6 +43,7 @@ from floerforge.fualgebra import (
     format_grading,
     graded_f2_dims,
     homology_decomposition,
+    tensor_complexes,
     validate_complex,
 )
 from floerforge.surgery import build_cone, surgery_hf
@@ -531,6 +532,38 @@ def test_validation_rejects_with_message(name):
     assert message in report.violations
 
 
+# A factor with an invalid base fails the tensor's validation; a partial flip
+# has no image to pair with the other factor's.
+SUM_REJECTS = {"unknown-source": InvalidComplex, "negative-upower": InvalidComplex, "inhomogeneous": InvalidComplex,
+               "power-of-one-copy": InvalidComplex, "flip-undefined": KeyError}
+
+
+@pytest.mark.parametrize("name", list(INVALID_CASES))
+def test_sum_with_an_invalid_factor_reports_as_its_unsplit_copy(name):
+    bad = INVALID_CASES[name][0]()
+    for k1, k2 in ((bad, figure8()), (staircase_torus(3, "+"), bad)):
+        if name in SUM_REJECTS:
+            with pytest.raises(SUM_REJECTS[name]):
+                connected_sum_knots(k1, k2)
+            continue
+        kc = connected_sum_knots(k1, k2)
+        report = validate_knot(kc)
+        assert not report.ok and report == validate_knot(unsplit(kc))
+
+
+def test_colliding_sum_names_raise_the_duplicate_name_error():
+    # ("p|q", "r") and ("p", "q|r") are both named (p|q|r).
+    left = KnotComplex(FreeComplex([("p|q", 0), ("p", 0)]), {"p|q": 0, "p": 0}, {"p|q": "p|q", "p": "p"})
+    right = KnotComplex(FreeComplex([("r", 0), ("q|r", 0)]), {"r": 0, "q|r": 0}, {"r": "r", "q|r": "q|r"})
+    names = [(f"({a}|{b})", 0) for a in left.generators for b in right.generators]
+    with pytest.raises(ValueError) as expected:
+        FreeComplex(names)
+    for build in (lambda: connected_sum_knots(left, right), lambda: tensor_complexes(left.base, right.base)):
+        with pytest.raises(ValueError) as caught:
+            build()
+        assert str(caught.value) == str(expected.value) == "duplicate generator name '(p|q|r)'"
+
+
 def whole_complex_report(kc):
     """The oracle: every check run on the whole complex as one summand."""
     violations, chain_map = _summand_violations(kc)
@@ -735,6 +768,7 @@ PUBLIC_COMPLEXES = {
     "figure8#T(2,3)": lambda: connected_sum_knots(figure8(), staircase_torus(3, "+")),
     "Wh^2+-(K3)": lambda: flat_tower(k_n(3), "+-")[-1],
     "T(2,5)+boxes": ORACLE_CASES["T(2,5)+boxes"],
+    "J#Wh(K5)": lambda: connected_sum_knots(j_in_y(), flat_tower(k_n(5), "+")[0]),
 }
 
 

@@ -49,7 +49,8 @@ from floerforge.truncation import (
     truncated_graded_dimensions,
 )
 
-from complexes import ORACLE_CASES, disjoint_sum, flat_tower, scrambled_sums, tracked_maps, unchecked
+from complexes import (ORACLE_CASES, disjoint_sum, flat_tower, flip_swapped_boxes, scrambled_sums, tracked_maps,
+                       unchecked)
 
 F = Fraction
 
@@ -243,21 +244,6 @@ def test_large_torus_sum_equals_flat_cone(n):
     t = staircase_torus(7, "+")
     kc = connected_sum_knots(connected_sum_knots(t, t), t)
     assert surgery_hf(kc, n).decomposition == flat_surgery(kc, n)
-
-
-def flip_swapped_boxes(j, k=F(0)):
-    """x plus B[k, j] and B[k - 2j, -j], with the flip exchanging the two
-    boxes (a <-> a', b <-> c', c <-> b', d <-> d'): no differential entry
-    joins them, only the flip."""
-    left, right = box(k, j, "l"), box(k - 2 * j, -j, "r")
-    gens = [("x", F(0))] + [(g, part.maslov(g)) for part in (left, right) for g in part.generators]
-    base = FreeComplex(gens, {**left.base.differential, **right.base.differential})
-    alexander = {"x": 0, **left.alexander, **right.alexander}
-    flip = {"x": "x"}
-    for a, b in (("a", "a"), ("b", "c"), ("c", "b"), ("d", "d")):
-        flip["l" + a] = "r" + b
-        flip["r" + b] = "l" + a
-    return KnotComplex(base, alexander, flip)
 
 
 @pytest.fixture

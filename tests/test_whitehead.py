@@ -34,7 +34,7 @@ from floerforge.whitehead import (
     whitehead_double_cfk,
 )
 
-from complexes import ORACLE_CASES, disjoint_sum, flat_tower, scrambled_sums, unchecked, unsplit
+from complexes import ORACLE_CASES, disjoint_sum, flat_tower, scrambled_sums, split_contents, unchecked, unsplit
 
 F = Fraction
 
@@ -330,15 +330,6 @@ def test_box_sum_matches_expanded_complex(signs):
 
 
 # --- the split that BoxSum.complex hands over --------------------------------------
-
-
-def split_contents(split):
-    """Per shape: the representative's generators, their gradings and the
-    gradings' types, rows, Alexander grades, flip, ambient and name; and the
-    ``(offset, count)`` copies."""
-    return [((rep.generators, [(rep.maslov(g), type(rep.maslov(g))) for g in rep.generators],
-              rep.base.differential, rep.alexander, rep.flip, rep.ambient, rep.name), copies)
-            for rep, copies in split]
 
 
 # The corpus entries with a reduced basis form (tau = 0, over S3).
