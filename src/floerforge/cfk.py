@@ -134,6 +134,7 @@ class KnotComplex:
 
     @classmethod
     def from_json(cls, data) -> "KnotComplex":
+        """The knot complex of ``data``, built from the dicts its checks make, not copied again."""
         base = FreeComplex.from_json(data)
         flip = None
         if "flip" in data:
@@ -149,18 +150,16 @@ class KnotComplex:
         if not isinstance(name := data.get("name", ""), str):
             raise TypeError(f"name is not a string: {name!r}")
         for what, names in (("alexander grades", alexander), ("flip pairs", flip or {})):
-            if extra := sorted(map(repr, names.keys() - base.maslov.keys())):
+            if not names.keys() <= base.maslov.keys():
+                extra = sorted(map(repr, names.keys() - base.maslov.keys()))
                 raise ValueError(f"{what} {', '.join(extra)}, which are not generators")
-        for g in base.generators:
-            if g not in alexander:
-                raise ValueError(f"generator {g!r} has no alexander grade")
-        return cls(
-            base,
-            alexander,
-            flip,
-            Ambient.from_json(data["ambient"]) if "ambient" in data else Ambient(),
-            name,
-        )
+        if len(alexander) < len(base.generators):
+            missing = next(g for g in base.generators if g not in alexander)
+            raise ValueError(f"generator {missing!r} has no alexander grade")
+        if tuple(alexander) != base.generators:
+            alexander = {g: alexander[g] for g in base.generators}
+        ambient = Ambient.from_json(data["ambient"]) if "ambient" in data else Ambient()
+        return cls._built(base, alexander, flip, ambient, name)
 
 
 def validate_knot(kc: KnotComplex) -> ValidationReport:
@@ -194,55 +193,79 @@ def _summands(kc: KnotComplex) -> list[tuple[KnotComplex, list[tuple]]]:
     shape (:func:`_shape_key`), or the whole complex if an endpoint is missing
     or a flip is partial or not involutive.  A complex that is one summand
     with an ``int`` first grading is its own shape at offset 0."""
-    return _split_of(kc, _parts(kc))
+    layout = _layout(kc)
+    parts = None if layout is None else _parts(layout)
+    return _split_of(kc, parts, (_shape_key(layout, part) for part in parts or ()))
 
 
-def _parts(kc: KnotComplex, flips: bool = True) -> Optional[list[list[str]]]:
-    """The components of the differential entries of ``kc`` and, with
-    ``flips``, its flip pairs; None if an endpoint is missing or the flip is
-    partial or not involutive."""
-    gens, M, diff, flip = kc.generators, kc.base.maslov, kc.base.differential, kc.flip
-    if not M.keys() >= diff.keys() or not all(M.keys() >= row.keys() for row in diff.values()):
+def _layout(kc: KnotComplex) -> Optional[tuple[list, list, Optional[list[int]], list]]:
+    """``kc`` by generator position: the Maslov and the Alexander gradings,
+    each flip image's position (None without a flip) and each row as
+    ``(target positions, powers)`` or None; None if an endpoint is missing
+    or the flip is partial or not involutive."""
+    gens, diff, flip = kc.generators, kc.base.differential, kc.flip
+    at, rows = {g: i for i, g in enumerate(gens)}, [None] * len(gens)
+    try:
+        for src, row in diff.items():
+            rows[at[src]] = (tuple(map(at.__getitem__, row)), tuple(row.values()))
+    except KeyError:
         return None
-    edges = [(s, t) for s, row in diff.items() for t in row]
+    images = None
     if flip is not None:
-        images = [flip.get(g) for g in gens]
-        if not M.keys() >= set(images) or tuple(map(flip.__getitem__, images)) != gens:
+        images = [at.get(flip.get(g)) for g in gens]
+        if None in images or list(map(images.__getitem__, images)) != list(range(len(gens))):
             return None
-        if flips:
-            edges += [(g, img) for g, img in zip(gens, images) if img != g]
-    return components(gens, edges)
+    return list(kc.base.maslov.values()), list(kc.alexander.values()), images, rows  # both in generator order
+
+
+def _parts(layout, flips: bool = True) -> list[list[int]]:
+    """The components of the differential entries of a complex of
+    :func:`_layout` ``layout`` and, with ``flips``, of its flip pairs, as
+    lists of generator positions."""
+    _m, _a, images, rows = layout
+    edges = [(i, j) for i, row in enumerate(rows) if row for j in row[0]]
+    if flips and images is not None:
+        edges += [(i, j) for i, j in enumerate(images) if i < j]
+    return components(len(rows), edges)
 
 
 def _split_of(kc: KnotComplex, parts, keys=None) -> list[tuple[KnotComplex, list[tuple]]]:
-    """:func:`_summands` of ``kc`` from its summands ``parts`` (None if broken),
-    of the shapes ``keys`` if given."""
+    """:func:`_summands` of ``kc`` from its summands ``parts`` (None if broken) and their
+    shapes ``keys``, an iterable read only if needed (by default from :func:`_layout`)."""
     if parts is None or len(parts) == 1 and type(kc.base.maslov[kc.generators[0]]) is int:
-        return [(KnotComplex(kc.base, kc.alexander, kc.flip, kc.ambient), [(0, 1)])]  # not kc: no cycle
+        return [(KnotComplex._built(kc.base, kc.alexander, kc.flip, kc.ambient), [(0, 1)])]  # not kc: no cycle
+    if keys is None:
+        layout = _layout(kc)
+        keys = (_shape_key(layout, part) for part in parts)
     return [(rep, [tuple(copy) for copy in copies.values()]) for rep, copies in _grouped(kc, parts, keys)[0]]
 
 
-def _shape_key(kc: KnotComplex, members) -> tuple:
-    """The shape of the summand ``members`` of ``kc``, in generator order: per
-    member, its Maslov grading less the first member's (an ``int`` if
-    integral), its Alexander grading, its flip's position and its row."""
-    M, A, flip, diff = kc.base.maslov, kc.alexander, kc.flip, kc.base.differential
-    m0 = M[members[0]]
-    q, n0 = m0.denominator, m0.numerator  # integer division beats Fraction subtraction
-    relative = tuple(k if m.denominator == q and not r else m - m0 for m in map(M.__getitem__, members)
-                     for k, r in [divmod(m.numerator - n0, q)])
-    pos = dict(zip(members, range(len(members))))
-    return (relative, tuple(map(A.__getitem__, members)),
-            None if flip is None else tuple(map(pos.__getitem__, map(flip.__getitem__, members))),
-            tuple(row and (tuple(map(pos.__getitem__, row)), tuple(row.values())) for row in map(diff.get, members)))
+def _shape_key(layout, members) -> tuple:
+    """The shape of the summand at the rising positions ``members`` of a
+    complex of :func:`_layout` ``layout``: per member, its Maslov grading
+    less the first member's (an ``int`` if integral), its Alexander grading,
+    its flip's position and its row, by positions within the summand."""
+    m, a, images, rows = layout
+    m0 = m[members[0]]
+    if type(m0) is int:
+        relative = tuple([m[i] - m0 for i in members])
+    else:
+        q, n0 = m0.denominator, m0.numerator  # integer division beats Fraction subtraction
+        relative = tuple(k if x.denominator == q and not r else x - m0 for x in map(m.__getitem__, members)
+                         for k, r in [divmod(x.numerator - n0, q)])
+    pos = dict(zip(members, range(len(members)))).__getitem__
+    return (relative, tuple(map(a.__getitem__, members)),
+            None if images is None else tuple(map(pos, map(images.__getitem__, members))),
+            tuple(row and (tuple(map(pos, row[0])), row[1]) for row in map(rows.__getitem__, members)))
 
 
-def _grouped(kc: KnotComplex, parts, keys=None) -> tuple[list, list[int]]:
-    """The shapes of the summands ``parts`` of ``kc`` in order, each as
+def _grouped(kc: KnotComplex, parts, keys) -> tuple[list, list[int]]:
+    """The shapes ``keys`` of the summands ``parts`` of ``kc`` in order, each as
     ``(representative, {offset key: [offset, count]})``, and each part's shape."""
-    M, A, flip, diff = kc.base.maslov, kc.alexander, kc.flip, kc.base.differential
+    gens, M, A, flip, diff = kc.generators, kc.base.maslov, kc.alexander, kc.flip, kc.base.differential
     index, shapes, labels = {}, [], []
-    for members, key in zip(parts, keys or (_shape_key(kc, members) for members in parts)):
+    for part, key in zip(parts, keys):
+        members = list(map(gens.__getitem__, part))
         if (i := index.get(key)) is None:
             i = index[key] = len(shapes)
             rep = FreeComplex(zip(members, key[0]), {g: diff[g] for g in members if g in diff})
@@ -461,12 +484,12 @@ def _mirror(kc: KnotComplex, name: str) -> KnotComplex:
     top = _exact(-towers[0])
     base, alexander = _dual(kc.base, top), {g: -a for g, a in kc.alexander.items()}
     if len(shapes) == 1 and [count for _offset, count in shapes[0][1]] == [1]:  # one summand
-        split = _split_of(KnotComplex._built(base, alexander, kc.flip, kc.ambient), [base.generators])
+        split = _split_of(KnotComplex._built(base, alexander, kc.flip, kc.ambient), [range(len(base.generators))])
     else:
         split = [(KnotComplex(d, {g: -a for g, a in rep.alexander.items()}, rep.flip, kc.ambient),
                   [(_exact(top - offset), count) for offset, count in copies])
                  for d, (rep, copies) in zip(duals, shapes)]
-        if len({_shape_key(rep, rep.generators) for rep, _copies in split}) < len(split):
+        if len({_shape_key(_layout(rep), range(len(rep.generators))) for rep, _copies in split}) < len(split):
             split = None  # shapes alike but for the order of their rows merge in an order only the whole shows
     return KnotComplex._built(base, alexander, kc.flip, kc.ambient, name, split)
 
@@ -488,7 +511,10 @@ def _knot_tensor(k1: KnotComplex, k2: KnotComplex, base: FreeComplex) -> KnotCom
     alexander = dict(zip(base.generators, [a + b for a in map(k1.alexander.__getitem__, k1.generators) for b in right]))
     flip = None
     if k1.flip is not None and k2.flip is not None:
-        left, right = [f"({k1.flip[a]}|" for a in k1.generators], [f"{k2.flip[b]})" for b in k2.generators]
+        try:
+            left, right = [f"({k1.flip[a]}|" for a in k1.generators], [f"{k2.flip[b]})" for b in k2.generators]
+        except KeyError as exc:  # worded as in validate_knot
+            raise InvalidComplex(f"flip undefined on {exc.args[0]}") from None
         flip = dict(zip(base.generators, [a + b for a in left for b in right]))
     ambient = k1.ambient if not k1.ambient.is_sphere else k2.ambient
     return KnotComplex._built(base, alexander, flip, ambient)
@@ -508,24 +534,25 @@ def _sum_split(k1: KnotComplex, k2: KnotComplex, kc: KnotComplex):
     split once and placed at each pair of copies.  kc is one summand if both
     factors are connected by their differentials alone (a Cartesian product
     of connected graphs is connected)."""
-    p1, p2 = _parts(k1), _parts(k2)
-    if p1 is None or p2 is None:
+    l1, l2 = _layout(k1), _layout(k2)
+    if l1 is None or l2 is None:
         return None
-    if len(p1) == len(p2) == 1 and len(_parts(k1, flips=False)) == len(_parts(k2, flips=False)) == 1:
-        return _split_of(kc, [kc.generators])
-    (shapes1, labels1), (shapes2, labels2), width = _grouped(k1, p1), _grouped(k2, p2), len(k2.generators)
-    pos1, pos2 = ({g: i for i, g in enumerate(k.generators)} for k in (k1, k2))
-    tensors, found = {}, []
+    p1, p2 = _parts(l1), _parts(l2)
+    if len(p1) == len(p2) == 1 and len(_parts(l1, flips=False)) == len(_parts(l2, flips=False)) == 1:
+        return _split_of(kc, [range(len(kc.generators))])
+    shapes1, labels1 = _grouped(k1, p1, (_shape_key(l1, part) for part in p1))
+    shapes2, labels2 = _grouped(k2, p2, (_shape_key(l2, part) for part in p2))
+    tensors, found, width = {}, [], len(k2.generators)
     for P, i in zip(p1, labels1):
         for Q, j in zip(p2, labels2):
             if (i, j) not in tensors:
                 (r1, _copies), (r2, _copies) = shapes1[i], shapes2[j]
-                t = _knot_tensor(r1, r2, _tensor(r1.base, r2.base))
-                at, n = {g: k for k, g in enumerate(t.generators)}, len(r2.generators)
-                tensors[i, j] = [([divmod(at[g], n) for g in c], _shape_key(t, c)) for c in _parts(t)]
-            found += [([pos1[P[r]] * width + pos2[Q[s]] for r, s in c], key) for c, key in tensors[i, j]]
+                t, n = _knot_tensor(r1, r2, _tensor(r1.base, r2.base)), len(r2.generators)
+                lt = _layout(t)
+                tensors[i, j] = [([divmod(k, n) for k in c], _shape_key(lt, c)) for c in _parts(lt)]
+            found += [([P[r] * width + Q[s] for r, s in c], key) for c, key in tensors[i, j]]
     found.sort(key=lambda piece: piece[0][0])  # by first generator, as components lists them
-    return _split_of(kc, [list(map(kc.generators.__getitem__, c)) for c, _key in found], [k for _c, k in found])
+    return _split_of(kc, [c for c, _key in found], [key for _c, key in found])
 
 
 def k_n(n: int) -> KnotComplex:

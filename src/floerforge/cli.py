@@ -25,7 +25,7 @@ from .cfk import (
     reduced_basis_form,
     validate_knot,
 )
-from .corpus import canonical_json, load_complex
+from .corpus import canonical_json, complex_json, load_complex
 from .endfloer import (
     CH_MINUS,
     CH_PLUS,
@@ -191,7 +191,7 @@ def _cmd_double(args) -> int:
     kc = _load(args.complex)
     top = box_tower(reduced_basis_form(kc), args.sign * args.iterations)[-1]
     name = f"Wh^{args.iterations}({kc.name})" if kc.name else f"Wh^{args.iterations}"
-    _emit(canonical_json(top.complex(args.sign, name).to_json()), args.out)
+    _emit(complex_json(top.complex(args.sign, name)), args.out)
     return 0
 
 

@@ -16,6 +16,7 @@ from json.encoder import encode_basestring_ascii as _encode_str
 from pathlib import Path
 
 from .cfk import KnotComplex, builtin, k_n, reduce_canonical, reduced_basis_form, staircase_torus
+from .fualgebra import format_grading
 from .whitehead import whitehead_double_cfk
 
 
@@ -43,12 +44,12 @@ def canonical_json(data) -> str:
     """``json.dumps(data, sort_keys=True, indent=2) + "\\n"``, byte for byte.
 
     With ``indent`` set, ``json.dumps`` runs its pure-Python encoder.  This
-    writes ``str``, ``int``, lists (of flat records by one template), tuples
-    and dicts with ``str`` keys itself and hands any other value alone to
-    ``json.dumps``, re-indented: a JSON text holds no raw newline inside a
-    string.  Input this cannot take, a cycle or a nesting past the recursion
-    limit, goes to ``json.dumps`` whole, so its errors are the ones
-    ``json.dumps`` raises.
+    writes ``str``, ``int``, lists, tuples and dicts with ``str`` keys itself
+    and hands any other value alone to ``json.dumps``, re-indented: a JSON
+    text holds no raw newline inside a string.  Input this cannot take, a
+    cycle or a nesting past the recursion limit, goes to ``json.dumps`` whole,
+    so its errors are the ones ``json.dumps`` raises.  A complex file is
+    written by :func:`complex_json`.
     """
     out: list[str] = []
     try:
@@ -72,9 +73,6 @@ def _write_json(value, newline: str, out: list[str]):
             out.append("[]")
             return
         inner = newline + "  "
-        if type(value[0]) is dict and (records := _records(value, inner)) is not None:
-            out.append("[" + inner + ("," + inner).join(records) + newline + "]")
-            return
         sep = "[" + inner
         for item in value:
             if type(item) is str:
@@ -107,26 +105,39 @@ def _write_json(value, newline: str, out: list[str]):
         out.append(json.dumps(value, sort_keys=True, indent=2).replace("\n", newline))
 
 
-def _records(items, newline: str):
-    """The texts of ``items``, a list whose first item is a ``dict``, at the
-    indent that ``newline`` ends with; None unless every item is a dict of
-    exactly type ``dict`` with the first's ``str`` keys and, under each key,
-    all ``str`` or all ``int`` values, as in the generators and the
-    differential of a complex.  Each text fills one ``%`` template."""
-    keys = items[0].keys()
-    if not keys or not all(type(key) is str for key in keys) or \
-            not all(type(item) is dict and item.keys() == keys for item in items):
-        return None
-    order, columns = sorted(keys), []
-    for key in order:
-        column = [item[key] for item in items]
-        kinds = set(map(type, column))
-        if kinds != {str} and kinds != {int}:
-            return None
-        columns.append(map(_encode_str if kinds == {str} else int.__repr__, column))
-    inner = newline + "  "
-    fields = ("," + inner).join(_encode_str(key).replace("%", "%%") + ": %s" for key in order)
-    return map(f"{{{inner}{fields}{newline}}}".__mod__, zip(*columns))
+class _Encoded(dict):
+    """JSON texts of generator names; a name that is no generator is encoded when met."""
+
+    def __missing__(self, name):
+        return json.dumps(name)
+
+
+def complex_json(kc: KnotComplex) -> str:
+    """``canonical_json(kc.to_json())``, byte for byte, written directly: each name
+    encoded once, one f-string per generator, differential entry and flip pair, one
+    join.  Names are ``str``, as ``from_json`` requires of a file; the gradings and
+    Alexander grades are in generator order, as a ``KnotComplex`` keeps them."""
+    gens, M, A, flip = kc.generators, kc.base.maslov, kc.alexander, kc.flip
+    names = list(map(_encode_str, gens))
+    enc = _Encoded(zip(gens, names))
+    entries = sorted([(s, t, p) for s, row in kc.base.differential.items() for t, p in row.items()])
+    out = ['{\n  "alexander": ', *_block("{}", [f"{e}: {a}" for _g, e, a in sorted(zip(gens, names, A.values()))]),
+           ',\n  "ambient": ', json.dumps(kc.ambient.to_json(), sort_keys=True, indent=2).replace("\n", "\n  "),
+           ',\n  "differential": ', *_block("[]", [f'{{\n      "from": {enc[s]},\n      "to": {enc[t]},\n'
+                                                   f'      "upower": {p}\n    }}' for s, t, p in entries])]
+    if flip is not None:
+        pairs = sorted([(a, b) for a, b in flip.items() if a <= b])
+        out += [',\n  "flip": ', *_block("[]", [f"[\n      {enc[a]},\n      {enc[b]}\n    ]" for a, b in pairs])]
+    records = [f'{{\n      "maslov": "{m if type(m) is int else format_grading(m)}",\n      "name": {e}\n    }}'
+               for e, m in zip(names, M.values())]  # both in generator order
+    out += [',\n  "generators": ', *_block("[]", records)]
+    out.append(f',\n  "name": {_encode_str(kc.name)}\n}}\n' if kc.name else "\n}\n")
+    return "".join(out)
+
+
+def _block(brackets: str, items: list[str]) -> tuple[str, ...]:
+    """The pieces of the JSON object or list in ``brackets`` of the texts ``items``, its items at indent 4."""
+    return (brackets[0], "\n    ", ",\n    ".join(items), "\n  ", brackets[1]) if items else (brackets,)
 
 
 def write_corpus(directory) -> list[str]:
@@ -136,7 +147,7 @@ def write_corpus(directory) -> list[str]:
     written = []
     for name, build in sorted(corpus_builders().items()):
         path = directory / f"{name}.json"
-        path.write_text(canonical_json(build().to_json()), encoding="utf-8")
+        path.write_text(complex_json(build()), encoding="utf-8")
         written.append(path.name)
     return written
 

@@ -205,36 +205,30 @@ class FreeComplex:
         return f"FreeComplex({len(self.generators)} generators, {sum(len(r) for r in self.differential.values())} entries)"
 
     def to_json(self) -> dict:
-        return {
-            "generators": [
-                {"name": g, "maslov": format_grading(self.maslov[g])}
-                for g in self.generators
-            ],
-            "differential": sorted(
-                (
-                    {"from": src, "to": tgt, "upower": p}
-                    for src, tgt, p in self.entries()
-                ),
-                key=lambda e: (e["from"], e["to"]),
-            ),
-        }
+        return {"generators": [{"name": g, "maslov": format_grading(self.maslov[g])} for g in self.generators],
+                "differential": [{"from": s, "to": t, "upower": p} for s, t, p in sorted(self.entries())]}
 
     @classmethod
     def from_json(cls, data: Mapping) -> "FreeComplex":
+        """The complex of ``data``, built from the dicts its checks make, not copied again."""
         generators = json_field(json_checked(data, dict, "the complex"), "generators", "the complex")
-        gens = [(g["name"], _exact(g["maslov"]))
-                for g in json_records(generators, '"generators"', "generator", ("name", "maslov"))]
-        for g, _m in gens:
+        records = json_records(generators, '"generators"', "generator", ("name", "maslov"))
+        names, gradings = [g["name"] for g in records], [_exact(g["maslov"]) for g in records]
+        for g in names:
             if not isinstance(g, str):
                 raise TypeError(f"generator name {g!r} is not a string")
         diff: dict[str, dict[str, int]] = {}
         entries = data.get("differential", [])
         for e in json_records(entries, '"differential"', "differential entry", ("from", "to", "upower")):
-            row = diff.setdefault(e["from"], {})
-            if e["to"] in row:
-                raise ValueError(f"differential entry {e['from']}->{e['to']} is listed twice")
-            row[e["to"]] = integer(e["upower"])
-        return cls(gens, diff)
+            if (row := diff.get(src := e["from"])) is None:
+                row = diff[src] = {}
+            if (tgt := e["to"]) in row:
+                raise ValueError(f"differential entry {src}->{tgt} is listed twice")
+            row[tgt] = integer(e["upower"])
+        maslov = dict(zip(names, gradings))
+        if len(maslov) < len(names):
+            cls(zip(names, gradings))  # raises the duplicate-name error
+        return cls._built(maslov, diff)
 
 
 def xor_entry(row: dict[str, int], key: str, power: int) -> bool:
@@ -701,31 +695,30 @@ class _Reducer:
                            {gens[i]: self.powers(rows[i], bases[i], m[i] - 1) for i in alive if rows[i]})
 
 
-def components(generators, edges) -> list[list[str]]:
-    """Connected components of the graph on ``generators`` spanned by the
-    ``(a, b)`` pairs of ``edges``, by union-find.  Each component lists
-    its members in generator order; components come in the order of their
-    first members.
+def components(n: int, edges) -> list[list[int]]:
+    """Connected components of the graph on the positions ``0 .. n - 1``
+    spanned by the ``(i, j)`` pairs of ``edges``, by union-find.  Each
+    component lists its members rising; components come in the order of
+    their first members.
 
-    >>> components("abcde", [("d", "b"), ("c", "a")])
-    [['a', 'c'], ['b', 'd'], ['e']]
+    >>> components(5, [(3, 1), (2, 0)])
+    [[0, 2], [1, 3], [4]]
     """
-    parent = {g: g for g in generators}
-
-    def find(g):
-        while parent[g] != g:
-            parent[g] = parent[parent[g]]
-            g = parent[g]
-        return g
-
+    parent = list(range(n))  # a root is the least position of its tree, so parent[i] <= i
     for a, b in edges:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
-    buckets: dict[str, list[str]] = {}
-    for g in generators:
-        buckets.setdefault(find(g), []).append(g)
-    return list(buckets.values())
+        while (p := parent[a]) != a:
+            parent[a] = a = parent[p]
+        while (p := parent[b]) != b:
+            parent[b] = b = parent[p]
+        if a < b:
+            parent[b] = a
+        elif b < a:
+            parent[a] = b
+    groups: dict[int, list[int]] = {}
+    for i, p in enumerate(parent):
+        parent[i] = root = parent[p]  # p <= i, so parent[p] is p's root already
+        groups.setdefault(root, []).append(i)
+    return list(groups.values())
 
 
 def homology_decomposition(c: FreeComplex) -> FUDecomposition:

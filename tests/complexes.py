@@ -7,7 +7,8 @@ split-validation property of ``validate_knot`` both draw from it.
 ``flat_tower`` iterates the flat doubles through the reduced pairing of
 each flat level, the chain-level oracle for ``box_tower``.  ``unsplit``
 copies a complex without the summand split stored on it, and
-``split_contents`` lists what a split holds, for comparing two.
+``split_contents`` lists what a split holds, for comparing two, and
+``named_split`` is the reference split, taken on generator names.
 ``unchecked`` takes off the re-checks ``conftest.py`` adds, for one test.
 """
 
@@ -29,7 +30,7 @@ from floerforge.cfk import (
 )
 from floerforge import surgery
 from floerforge.corpus import corpus_builders, load_complex
-from floerforge.fualgebra import FreeComplex, _plus
+from floerforge.fualgebra import FreeComplex, _exact, _plus
 from floerforge.whitehead import negative_double_cfk, whitehead_double_cfk
 
 F = Fraction
@@ -58,6 +59,49 @@ def split_contents(split):
               rep.base.differential, rep.alexander, rep.flip, rep.ambient, rep.name),
              [(offset, type(offset), count) for offset, count in copies])
             for rep, copies in split]
+
+
+def named_split(kc):
+    """The reference for ``cfk._summands``, on generator names: a union-find on
+    a name-keyed dict over the differential entries and flip pairs, then one
+    representative per shape (gradings relative to the first member, Alexander
+    grades, flip and rows by positions in the summand), with its copies."""
+    gens, M, A, flip, diff = kc.generators, kc.base.maslov, kc.alexander, kc.flip, kc.base.differential
+    whole = [(KnotComplex(kc.base, kc.alexander, kc.flip, kc.ambient), [(0, 1)])]
+    if not M.keys() >= diff.keys() or not all(M.keys() >= row.keys() for row in diff.values()):
+        return whole
+    edges = [(s, t) for s, row in diff.items() for t in row]
+    if flip is not None:
+        if not M.keys() >= {flip.get(g) for g in gens} or any(flip[flip[g]] != g for g in gens):
+            return whole
+        edges += flip.items()
+    parent = {g: g for g in gens}
+
+    def root(g):
+        while parent[g] != g:
+            g = parent[g]
+        return g
+
+    for a, b in edges:
+        parent[root(a)] = root(b)
+    parts = {}
+    for g in gens:
+        parts.setdefault(root(g), []).append(g)
+    if len(parts) == 1 and type(M[gens[0]]) is int:
+        return whole
+    shapes = {}
+    for members in parts.values():
+        pos = {g: i for i, g in enumerate(members)}
+        relative = tuple(_exact(M[g] - M[members[0]]) for g in members)
+        key = (relative, tuple(A[g] for g in members), flip and tuple(pos[flip[g]] for g in members),
+               tuple(diff.get(g) and tuple((pos[t], p) for t, p in diff[g].items()) for g in members))
+        if key not in shapes:
+            rep = FreeComplex(zip(members, relative), {g: diff[g] for g in members if g in diff})
+            shapes[key] = (KnotComplex(rep, {g: A[g] for g in members},
+                                       flip and {g: flip[g] for g in members}, kc.ambient), {})
+        copies = shapes[key][1]
+        copies[M[members[0]]] = copies.get(M[members[0]], 0) + 1
+    return [(rep, list(copies.items())) for rep, copies in shapes.values()]
 
 
 def scrambled(kc, rng):

@@ -533,9 +533,10 @@ def test_validation_rejects_with_message(name):
 
 
 # A factor with an invalid base fails the tensor's validation; a partial flip
-# has no image to pair with the other factor's.
+# has no image to pair with the other factor's, and is named as validate_knot
+# names it.
 SUM_REJECTS = {"unknown-source": InvalidComplex, "negative-upower": InvalidComplex, "inhomogeneous": InvalidComplex,
-               "power-of-one-copy": InvalidComplex, "flip-undefined": KeyError}
+               "power-of-one-copy": InvalidComplex, "flip-undefined": InvalidComplex}
 
 
 @pytest.mark.parametrize("name", list(INVALID_CASES))
@@ -543,8 +544,10 @@ def test_sum_with_an_invalid_factor_reports_as_its_unsplit_copy(name):
     bad = INVALID_CASES[name][0]()
     for k1, k2 in ((bad, figure8()), (staircase_torus(3, "+"), bad)):
         if name in SUM_REJECTS:
-            with pytest.raises(SUM_REJECTS[name]):
+            with pytest.raises(SUM_REJECTS[name]) as caught:
                 connected_sum_knots(k1, k2)
+            if name == "flip-undefined":
+                assert str(caught.value) == INVALID_CASES[name][1] == "flip undefined on y"
             continue
         kc = connected_sum_knots(k1, k2)
         report = validate_knot(kc)
@@ -674,6 +677,21 @@ def test_half_integral_summand_keeps_relative_int_gradings():
     assert copies == [(F(1, 2), 1)]
     assert all(type(m) is int for m in rep.base.maslov.values())
     assert rep.base.shift(F(1, 2)) == kc.base
+
+
+def test_vertical_pairing_reduces_columns_in_alexander_order():
+    # a -> b + c at U^0 with A(c) = 0 < A(b) = 1 < A(a) = 2, canonically
+    # reduced already.  b and c are homologous, so the level-0 class [c]
+    # reaches the total class: tau = 0, and the pairing must pair a with the
+    # later of its targets in a filtration order, b.  By name, and by
+    # (Maslov, name), b comes before c, so either order pairs a with c and
+    # leaves b unpaired: tau 1, and no reduced basis form.
+    kc = KnotComplex(FreeComplex([("a", 1), ("b", 0), ("c", 0)], {"a": {"b": 0, "c": 0}}), {"a": 2, "b": 1, "c": 0})
+    assert validate_knot(kc).ok and reduce_canonical(kc) == kc
+    assert _vertical_pairing(kc) == ([("a", "b")], ["c"])
+    assert knot_numerics(kc) == {"tau": 0, "genus": 2}
+    assert reduced_basis_form(kc) == ReducedBasisForm.make([(1, 2, 1)])
+    assert hfk_hat(kc).reduced == {(F(0), 1): 1, (F(1), 2): 1}
 
 
 # The whole-complex route of the hat layers: one canonical reduction and one

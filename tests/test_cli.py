@@ -292,7 +292,7 @@ def test_canonical_json_is_json_dumps(tree, depth):
 @settings(deadline=None, max_examples=300)
 @given(_record_lists(_JSON_TREES), st.integers(0, 3))
 def test_record_lists_are_json_dumps(records, depth):
-    # A template bakes in its indent, so the list is tried at several depths.
+    # The list is tried at several depths, each with its own indent.
     for _ in range(depth):
         records = {"k": [records]}
     assert _outcome(canonical_json, records) == _outcome(_reference_json, records)
