@@ -544,6 +544,10 @@ def s1xs2_data() -> ClosedManifoldData:
     )
 
 
+class InconsistentProductEnd(ValueError):
+    """The summed level tops of a product end miss n + f - 1 - b1/2."""
+
+
 def he_product_end(m: ClosedManifoldData, r: SliceR4Spec, n: int, levels: int = 2) -> EndFloerReport:
     """End invariant of the product end summed with a positive slice piece.
 
@@ -630,9 +634,7 @@ def he_product_end(m: ClosedManifoldData, r: SliceR4Spec, n: int, levels: int = 
     top = tops[0]
     expected = n + f_value - 1 - F(m.b1, 2)
     if top != expected:
-        raise AssertionError(
-            f"normalised top {format_grading(top)} disagrees with n + f - 1 - b1/2"
-        )
+        raise InconsistentProductEnd(f"normalised top {format_grading(top)} disagrees with n + f - 1 - b1/2")
     per = {top: RankEntry(INFINITE, EXACT)}
     return _report(
         per,

@@ -18,14 +18,16 @@ isomorphism above genus and h_s below minus genus), with B-summands
 [-g, g-1] for framing -1 and [-g+2, g-1] for framing +1.
 
 The cone of C is the direct sum of the cones of its flip-stable summands,
-built once per shape of ``cfk._shapes``.  Every A_s has B's matrix over F2,
-so a shape's cone is B's window-bitset rows, a grading vector per A_s and
-v_s, h_s as position maps (``_ShapeCone``).  It is not checked again:
-each part of the flat cone's check (:func:`_cone_check`, the tests'
-oracle) follows from the caller's ``validate_knot`` (:func:`_minimal_cone`).
-B and the A_s of s >= 0 are reduced to U^0-minimal models by one shared
-reduction on a halving tree (:func:`_minimal_blocks`); the flip carries A_s
-to A_{-s}.  ``build_cone(kc, n)`` is the tests' flat oracle.
+built once per shape of ``cfk._shapes``, and x and the box of Hedden's
+normal form once per process (:func:`_summed_cones`).  Every A_s has B's
+matrix over F2, so a shape's cone is B's window-bitset rows, a grading
+vector per A_s and v_s, h_s as position maps (``_ShapeCone``).  It is not
+checked again: each part of the flat cone's check (:func:`_cone_check`,
+the tests' oracle) follows from the caller's ``validate_knot``
+(:func:`_minimal_cone`).  B and the A_s of s >= 0 are reduced to
+U^0-minimal models by one shared reduction on a halving tree
+(:func:`_minimal_blocks`); the flip carries A_s to A_{-s}.
+``build_cone(kc, n)`` is the tests' flat oracle.
 """
 
 from __future__ import annotations
@@ -33,10 +35,11 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from itertools import repeat
 from operator import mod, sub
 
-from .cfk import KnotComplex, _shapes, validate_knot
+from .cfk import KnotComplex, _dual, _layout, _shape_key, _shapes, box, unknot, validate_knot
 from .fualgebra import (
     FreeComplex,
     FUDecomposition,
@@ -129,6 +132,7 @@ def _b_shift(n: int, t: int, c0: Fraction) -> Fraction:
 
 
 _ANCHORS = {0: F(-1, 2), -1: F(0), 1: F(-1)}
+_NORMAL_FORM_CONES: dict = {}  # (shape key, n, g_hat) -> _cone_homology of its _normal_forms representative
 
 
 def _window(kc: KnotComplex, n: int) -> int:
@@ -350,22 +354,50 @@ def surgery_hf(kc: KnotComplex, n: int) -> HFPlusResult:
 
 def _summed_cones(shapes, n: int, g_hat: int) -> HFPlusResult:
     """:func:`surgery_hf` on a split that has passed :func:`validate_knot`, each
-    shape's :func:`_minimal_cone` homology moved by each copy's offset in int
-    gradings; the anchor and :func:`plus_presentation`'s torsion shift are
-    added, and each ``Fraction`` made, once per distinct grading."""
+    shape's cone homology moved by each copy's offset in int gradings; the
+    anchor and :func:`plus_presentation`'s torsion shift are added, and each
+    ``Fraction`` made, once per distinct grading.  A shape of Hedden's normal
+    form (:func:`_normal_forms`) is reduced once per process, framing and
+    window, on its representative at first grading 0, and moved by ``rep``'s."""
     towers, torsion = Counter(), Counter()
     for rep, copies in shapes:
-        h = homology_decomposition(_minimal_cone(_shape_cone(rep, n, g_hat)).total_complex())
-        free, tops = Counter(map(_exact, h.towers)), [(_exact(g), k, c) for g, k, c in h.torsion]
+        key = _shape_key(_layout(rep), range(len(rep.generators))) if len(rep.generators) in (1, 4) else None
+        if key in _normal_forms():
+            if (cone := _NORMAL_FORM_CONES.get((key, n, g_hat))) is None:
+                cone = _NORMAL_FORM_CONES[key, n, g_hat] = _cone_homology(_normal_forms()[key], n, g_hat)
+            (free, tops), first = cone, rep.base.maslov[rep.generators[0]]
+        else:
+            (free, tops), first = _cone_homology(rep, n, g_hat), 0
         for offset, count in copies:
+            offset += first
             for g, c in free.items():
                 towers[g + offset] += c * count
             for g, k, c in tops:
                 torsion[g + offset, k] += c * count
     anchor, top = _ANCHORS[n], _ANCHORS[n] - 1
     return HFPlusResult(FUDecomposition(
-        tuple(t for g in sorted(towers, reverse=True) for t in repeat(g + anchor, towers[g])),
-        tuple((g + top, k, torsion[g, k]) for g, k in sorted(torsion, key=lambda x: (-x[0], x[1])))))
+        tuple(t for g in sorted(towers, reverse=True) for t in repeat(_shifted(g, anchor), towers[g])),
+        tuple((_shifted(g, top), k, torsion[g, k]) for g, k in sorted(torsion, key=lambda x: (-x[0], x[1])))))
+
+
+def _shifted(g, shift: Fraction) -> Fraction:
+    """The public grading g + shift, made from integers when g is an ``int``."""
+    return F(g * shift.denominator + shift.numerator, shift.denominator) if type(g) is int else g + shift
+
+
+def _cone_homology(rep: KnotComplex, n: int, g_hat: int) -> tuple[Counter, list]:
+    """The towers (counted) and torsion of the :func:`_minimal_cone` of ``rep``, in ``_exact`` gradings."""
+    h = homology_decomposition(_minimal_cone(_shape_cone(rep, n, g_hat)).total_complex())
+    return Counter(map(_exact, h.towers)), [(_exact(g), k, c) for g, k, c in h.torsion]
+
+
+@cache
+def _normal_forms() -> dict:
+    """Hedden's x and box by :func:`cfk._shape_key`, the box in each clasp's
+    layout: ``box(0)`` and its dual, as ``BoxSum.complex`` writes them."""
+    b = box(0)
+    dual = KnotComplex(_dual(b.base), {g: -a for g, a in b.alexander.items()}, b.flip)
+    return {_shape_key(_layout(k), range(len(k.generators))): k for k in (unknot(), b, dual)}
 
 
 def one_handle_stabilize(result: HFPlusResult) -> HFPlusResult:

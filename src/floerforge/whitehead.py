@@ -74,6 +74,9 @@ def _counted(rb: ReducedBasisForm) -> list:
     return [(m, d, 1) for m, _a, d in rb.pairs]
 
 
+_X, _BOX = unknot(), box(0)  # the two shapes of every BoxSum
+
+
 @dataclass(frozen=True)
 class BoxSum:
     """Normal form of a double: x at (0, 0) plus the boxes ``box(k)``, kept
@@ -143,9 +146,11 @@ class BoxSum:
 
     def surgery_hf(self, n: int) -> HFPlusResult:
         """``surgery_hf`` of the expanded complex through the same per-shape
-        cones (window 1, the genus): the unknot at offset 0 and ``box(0)``
-        at every corner."""
-        return _summed_cones([(unknot(), [(0, 1)]), (box(0), [(_exact(k), c) for k, c in self.corners])], n, 1)
+        cones (window 1, the genus): one x at offset 0 and ``box(0)`` at every
+        corner, the same two representatives at every call.  Both are shapes of
+        the normal form, so their cones are reduced once per process and
+        framing (``surgery._summed_cones``), and a call only sums copies."""
+        return _summed_cones([(_X, [(0, 1)]), (_BOX, [(_exact(k), c) for k, c in self.corners])], n, 1)
 
 
 def box_tower(rb: ReducedBasisForm, signs) -> list[BoxSum]:

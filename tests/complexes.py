@@ -9,6 +9,7 @@ each flat level, the chain-level oracle for ``box_tower``.  ``unsplit``
 copies a complex without the summand split stored on it, and
 ``split_contents`` lists what a split holds, for comparing two, and
 ``named_split`` is the reference split, taken on generator names.
+``filtered_mixes`` lists the filtered changes of basis ``_Reducer.mix`` takes.
 ``unchecked`` takes off the re-checks ``conftest.py`` adds, for one test.
 """
 
@@ -44,6 +45,14 @@ def flat_tower(kc, signs):
         build = whitehead_double_cfk if sign == "+" else negative_double_cfk
         tower.append(build(reduced_basis_form(tower[-1])))
     return tower[1:]
+
+
+def filtered_mixes(kc):
+    """Every homogeneous, filtered change of basis g := g + U^s h of a knot
+    over S3, as ``(g, h, s)``."""
+    M, A = kc.base.maslov, kc.alexander  # integral over S3
+    return [(g, h, s) for g in kc.generators for h in kc.generators if g != h
+            for s, odd in [divmod(M[h] - M[g], 2)] if not odd and s >= 0 and A[h] - s <= A[g]]
 
 
 def unsplit(kc):

@@ -3,7 +3,9 @@ program takes as built: every cone ``surgery._minimal_cone`` receives must
 pass ``surgery._cone_check``; every complex handed to ``FreeComplex._built``
 or ``KnotComplex._built`` must come out of ``__init__`` the same, types
 included; and every summand split handed to ``KnotComplex._built`` must be
-the one ``cfk._summands`` takes of the complex.
+the one ``cfk._summands`` takes of the complex.  The per-process cache of
+normal-form cones (``surgery._NORMAL_FORM_CONES``) is emptied before each
+test, so a test that counts or patches cones sees its own.
 
 ``complexes.unchecked`` takes these re-checks off for one test;
 ``pytest --noconftest`` runs a module without them, as users run the program.
@@ -56,3 +58,8 @@ def suite_checks():
         mp.setattr(FreeComplex, "_built", classmethod(compared_complex(FreeComplex._built.__func__)))
         mp.setattr(KnotComplex, "_built", classmethod(compared_knot(KnotComplex._built.__func__)))
         yield
+
+
+@pytest.fixture(autouse=True)
+def fresh_normal_form_cones():
+    surgery._NORMAL_FORM_CONES.clear()

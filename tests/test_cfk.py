@@ -49,7 +49,7 @@ from floerforge.fualgebra import (
 from floerforge.surgery import build_cone, surgery_hf
 from floerforge.whitehead import box_parameters, box_tower
 
-from complexes import ORACLE_CASES, disjoint_sum, flat_tower, scrambled_sums, unsplit
+from complexes import ORACLE_CASES, disjoint_sum, filtered_mixes, flat_tower, scrambled_sums, unsplit
 
 F = Fraction
 
@@ -416,14 +416,6 @@ HAT_ORACLE_CASES = {
 def test_hfk_hat_matches_gaussian_associated_graded(name):
     kc = HAT_ORACLE_CASES[name]()
     assert hfk_hat(kc).total == gaussian_hat_table(kc)
-
-
-def filtered_mixes(kc):
-    """Every homogeneous, filtered change of basis g := g + U^s h of a knot
-    over S3, as ``(g, h, s)``."""
-    M, A = kc.base.maslov, kc.alexander  # integral over S3
-    return [(g, h, s) for g in kc.generators for h in kc.generators if g != h
-            for s, odd in [divmod(M[h] - M[g], 2)] if not odd and s >= 0 and A[h] - s <= A[g]]
 
 
 SPHERE_KNOTS = {name: (kc, filtered_mixes(kc)) for name, build in sorted(corpus_builders().items())

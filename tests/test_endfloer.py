@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from floerforge import cfk
+from floerforge import cfk, endfloer
 from floerforge.cfk import k_n, mirror_knot, reduced_basis_form, staircase_torus, unknot
 from floerforge.corpus import corpus_builders, load_complex
 from floerforge.endfloer import (
@@ -16,6 +16,7 @@ from floerforge.endfloer import (
     CassonHandle,
     ExhaustionSpec,
     INFINITE,
+    InconsistentProductEnd,
     Level,
     RankEntry,
     SliceR4Spec,
@@ -435,6 +436,17 @@ def test_product_end_needs_positive_chain(spec):
 
 def test_product_end_reversed_negative_chain_is_positive():
     assert he_product_end(s3_data(), r_spec(5, CH_MINUS, orientation="-"), 5).vanishes is False
+
+
+def test_product_end_tops_off_the_formula_raise_a_domain_error(monkeypatch):
+    # Each summed level moved up by one: the tops still stabilise, but at
+    # n + f - 1/2, and the final consistency check fires (exit 1 at the CLI).
+    normalize = endfloer.normalize_level
+    moved = lambda module, b1: {g + 1: r for g, r in normalize(module, b1).items()}
+    monkeypatch.setattr(endfloer, "normalize_level", moved)
+    with pytest.raises(InconsistentProductEnd, match=r"^normalised top 3 disagrees with n \+ f - 1 - b1/2$"):
+        he_product_end(s3_data(), r_spec(5), 5)
+    assert issubclass(InconsistentProductEnd, ValueError)
 
 
 def test_product_end_needs_two_levels():

@@ -1,3 +1,4 @@
+import functools
 from fractions import Fraction
 
 import pytest
@@ -49,8 +50,8 @@ from floerforge.truncation import (
     truncated_graded_dimensions,
 )
 
-from complexes import (ORACLE_CASES, disjoint_sum, flat_tower, flip_swapped_boxes, scrambled_sums, tracked_maps,
-                       unchecked)
+from complexes import (ORACLE_CASES, disjoint_sum, filtered_mixes, flat_tower, flip_swapped_boxes, scrambled_sums,
+                       tracked_maps, unchecked)
 
 F = Fraction
 
@@ -236,6 +237,58 @@ def flat_surgery(kc, n):
 def test_summand_route_equals_flat_cone(kc):
     for n in (-1, 0, 1):
         assert surgery_hf(kc, n).decomposition == flat_surgery(kc, n)
+
+
+def flip_stable_mixes(kc):
+    """The filtered changes g := g + U^s h of ``kc`` (over S3) that keep its flip
+    a chain map once each is paired with its image under the flip x -> U^-A(x)
+    flip(x): flip g := flip g + U^(s + A(g) - A(h)) flip h, itself filtered.
+    A change whose image swaps g and h would be singular and is left out."""
+    A, flip = kc.alexander, kc.flip
+    return [((g, h, s), (flip[g], flip[h], s + A[g] - A[h])) for g, h, s in filtered_mixes(kc) if flip[g] != h]
+
+
+SURGERY_KNOTS = {name: (kc, flip_stable_mixes(kc)) for name, build in {
+    **{f"K{n}": (lambda n=n: k_n(n)) for n in (3, 5, 7, 9)},
+    "figure8": figure8,
+    "T(2,5)": lambda: staircase_torus(5, "+"),
+    "Wh(K3)": lambda: flat_tower(k_n(3), "+")[0],
+}.items() for kc in [build()]}
+
+
+def flip_stable_basis_changes(name):
+    """The knot ``name`` of ``SURGERY_KNOTS`` after 1 to 40 random pairs of its
+    :func:`flip_stable_mixes` (``_Reducer.mix``), with the same flip; T(2,5)
+    has none, its gradings and filtration leave no pair."""
+    kc, pairs = SURGERY_KNOTS[name]
+
+    def mixed(changes):
+        r = _Reducer(kc.base, alexander=kc.alexander)
+        for change, image in changes:
+            r.mix(*change)
+            if image != change:
+                r.mix(*image)
+        return KnotComplex(r.current_complex(), kc.alexander, kc.flip, kc.ambient)
+
+    return st.lists(st.sampled_from(pairs), min_size=1, max_size=40).map(mixed) if pairs else st.just(kc)
+
+
+@functools.cache
+def flat_answer(name, n):
+    return flat_surgery(SURGERY_KNOTS[name][0], n)
+
+
+@pytest.mark.parametrize("name", sorted(SURGERY_KNOTS))
+@settings(derandomize=True, deadline=None, max_examples=8)
+@given(data=st.data())
+def test_filtered_basis_changes_keep_the_surgeries(name, data):
+    # The halving tree's shared cancellations depend on which U^0 entries meet
+    # at both ends of a range of leaves; a change of basis moves them.  Each
+    # answer is the flat cone's on the unchanged knot.
+    mixed = data.draw(flip_stable_basis_changes(name))
+    assert validate_knot(mixed).ok
+    for n in (-1, 0, 1):
+        assert surgery_hf(mixed, n).decomposition == flat_answer(name, n)
 
 
 @pytest.mark.parametrize("n", [-1, 0, 1])
