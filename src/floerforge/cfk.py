@@ -13,6 +13,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from typing import Mapping, Optional
 
 from .fualgebra import (
@@ -71,12 +72,14 @@ class KnotComplex:
     :meth:`_built`: ``BoxSum.complex``, :func:`connected_sum_knots`,
     :func:`mirror_knot`, :func:`k_n` and ``staircase_torus(n, "-")``.  The
     canonical reduction of each shape is kept the same way
-    (:func:`_canonical_shapes`); callers must not mutate either list.
-    Validation still runs at every call.
+    (:func:`_canonical_shapes`); callers must not mutate either list.  A
+    representative of a split carries the shape key the split took of it
+    (``_key``, else None), and :func:`validate_knot` certifies one whose key
+    is Hedden's x or box by that key; any other shape is checked at every call.
     :meth:`maslov` is the ``Fraction`` of the internal ``base.maslov``.
     """
 
-    __slots__ = ("base", "alexander", "flip", "ambient", "name", "_split", "_canonical")
+    __slots__ = ("base", "alexander", "flip", "ambient", "name", "_split", "_canonical", "_key")
 
     def __init__(self, base: FreeComplex, alexander: Mapping[str, int],
                  flip: Optional[Mapping[str, str]] = None,
@@ -86,7 +89,7 @@ class KnotComplex:
         self.flip = dict(flip) if flip is not None else None
         self.ambient = ambient
         self.name = name
-        self._split = self._canonical = None
+        self._split = self._canonical = self._key = None
 
     @classmethod
     def _built(cls, base: FreeComplex, alexander: dict, flip: Optional[dict], ambient: Ambient,
@@ -94,8 +97,8 @@ class KnotComplex:
         """A knot complex the package built, kept as given: ``alexander`` an ``int`` per
         generator in generator order, ``split`` what :func:`_summands` takes of it or None."""
         kc = object.__new__(cls)
-        kc.base, kc.alexander, kc.flip, kc.ambient, kc.name, kc._split, kc._canonical = (
-            base, alexander, flip, ambient, name, split, None)
+        kc.base, kc.alexander, kc.flip, kc.ambient, kc.name, kc._split, kc._canonical, kc._key = (
+            base, alexander, flip, ambient, name, split, None, None)
         return kc
 
     @property
@@ -166,17 +169,24 @@ def validate_knot(kc: KnotComplex) -> ValidationReport:
     """Base-complex validity, Alexander filtration and flip axioms, once per
     shape of :func:`_shapes`: each check is local to a summand and blind to
     names and a Maslov shift.  A flip passing them is an isomorphism of hat
-    complexes (m, s) -> (m - 2s, -s), so the hat table is symmetric."""
-    shapes = _shapes(kc)
-    violations, chain_map = [], True
-    for rep, copies in shapes:
+    complexes (m, s) -> (m - 2s, -s), so the hat table is symmetric.
+
+    A representative whose carried key is a key of :func:`_normal_forms` is
+    not checked: the key holds every datum the checks read (relative Maslov
+    and Alexander gradings, flip positions, each row's target positions and
+    powers), so it gets the verdict of that normal form, which is valid."""
+    violations, chain_map, checked, certified = [], True, [], _normal_forms()
+    for rep, copies in _shapes(kc):
+        if rep._key in certified:
+            continue
+        checked.append(rep)
         found, ready = _summand_violations(rep)
         if found:  # report at absolute gradings
             found, ready = _summand_violations(KnotComplex(rep.base.shift(copies[0][0]), rep.alexander, rep.flip))
         violations += found
         chain_map = chain_map and ready
     if chain_map:
-        violations += [v for rep, _copies in shapes for v in _flip_chain_map_violations(rep)]
+        violations += [v for rep in checked for v in _flip_chain_map_violations(rep)]
     return ValidationReport(ok=not violations, violations=tuple(violations))
 
 
@@ -261,16 +271,19 @@ def _shape_key(layout, members) -> tuple:
 
 def _grouped(kc: KnotComplex, parts, keys) -> tuple[list, list[int]]:
     """The shapes ``keys`` of the summands ``parts`` of ``kc`` in order, each as
-    ``(representative, {offset key: [offset, count]})``, and each part's shape."""
+    ``(representative carrying its key, {offset key: [offset, count]})``, and
+    each part's shape."""
     gens, M, A, flip, diff = kc.generators, kc.base.maslov, kc.alexander, kc.flip, kc.base.differential
     index, shapes, labels = {}, [], []
     for part, key in zip(parts, keys):
         members = list(map(gens.__getitem__, part))
         if (i := index.get(key)) is None:
             i = index[key] = len(shapes)
-            rep = FreeComplex(zip(members, key[0]), {g: diff[g] for g in members if g in diff})
-            shapes.append((KnotComplex(rep, {g: A[g] for g in members},
-                                       None if flip is None else {g: flip[g] for g in members}, kc.ambient), {}))
+            rep = KnotComplex(FreeComplex(zip(members, key[0]), {g: diff[g] for g in members if g in diff}),
+                              {g: A[g] for g in members}, None if flip is None else {g: flip[g] for g in members},
+                              kc.ambient)
+            rep._key = key
+            shapes.append((rep, {}))
         m0 = M[members[0]]
         shapes[i][1].setdefault((m0.numerator, m0.denominator), [m0, 0])[1] += 1  # int keys hash faster
         labels.append(i)
@@ -471,6 +484,21 @@ def _dual(c: FreeComplex, top=0) -> FreeComplex:
     return FreeComplex._built({g: m if type(m := top - M[g]) is int else _exact(m) for g in c.generators}, transposed)
 
 
+def _keyed(kc: KnotComplex) -> KnotComplex:
+    """``kc``, carrying its own :func:`_shape_key` as a split representative."""
+    kc._key = _shape_key(_layout(kc), range(len(kc.generators)))
+    return kc
+
+
+@cache
+def _normal_forms() -> dict:
+    """Hedden's x and box by :func:`_shape_key`, the box in each clasp's
+    layout: ``box(0)`` and its dual, as ``BoxSum.complex`` writes them."""
+    b = box(0)
+    dual = KnotComplex(_dual(b.base), {g: -a for g, a in b.alexander.items()}, b.flip)
+    return {_keyed(k)._key: k for k in (unknot(), b, dual)}
+
+
 def _mirror(kc: KnotComplex, name: str) -> KnotComplex:
     """:func:`mirror_knot` of a valid complex over S3, unchecked, with its
     split: each shape is dualised once, and a copy at offset o of the shape
@@ -489,7 +517,7 @@ def _mirror(kc: KnotComplex, name: str) -> KnotComplex:
         split = [(KnotComplex(d, {g: -a for g, a in rep.alexander.items()}, rep.flip, kc.ambient),
                   [(_exact(top - offset), count) for offset, count in copies])
                  for d, (rep, copies) in zip(duals, shapes)]
-        if len({_shape_key(_layout(rep), range(len(rep.generators))) for rep, _copies in split}) < len(split):
+        if len({_keyed(rep)._key for rep, _copies in split}) < len(split):
             split = None  # shapes alike but for the order of their rows merge in an order only the whole shows
     return KnotComplex._built(base, alexander, kc.flip, kc.ambient, name, split)
 

@@ -275,6 +275,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _fail(exc: Exception, code: int) -> int:
+    """Print ``exc`` as one ``error:`` line, a line break in it (a generator
+    name may hold one) escaped, and return ``code``."""
+    print("error:", str(exc).replace("\r", "\\r").replace("\n", "\\n"), file=sys.stderr)
+    return code
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -284,11 +291,9 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _fail(exc, 2)
     except (InvalidComplex, MissingFlip, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return _fail(exc, 1)
     except MemoryError:  # the input is valid, but its answer does not fit in memory
         print("error: out of memory", file=sys.stderr)
         return 1

@@ -22,10 +22,10 @@ built once per shape of ``cfk._shapes``, and x and the box of Hedden's
 normal form once per process (:func:`_summed_cones`).  Every A_s has B's
 matrix over F2, so a shape's cone is B's window-bitset rows, a grading
 vector per A_s and v_s, h_s as position maps (``_ShapeCone``).  It is not
-checked again: each part of the flat cone's check (:func:`_cone_check`,
-the tests' oracle) follows from the caller's ``validate_knot``
-(:func:`_minimal_cone`).  B and the A_s of s >= 0 are reduced to
-U^0-minimal models by one shared reduction on a halving tree
+checked again: each part of the flat cone's check (``cone_check`` in the
+tests' ``complexes.py``, their oracle) follows from the caller's
+``validate_knot`` (:func:`_minimal_cone`).  B and the A_s of s >= 0 are
+reduced to U^0-minimal models by one shared reduction on a halving tree
 (:func:`_minimal_blocks`); the flip carries A_s to A_{-s}.
 ``build_cone(kc, n)`` is the tests' flat oracle.
 """
@@ -35,22 +35,17 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
 from itertools import repeat
-from operator import mod, sub
+from operator import sub
 
-from .cfk import KnotComplex, _dual, _layout, _shape_key, _shapes, box, unknot, validate_knot
+from .cfk import KnotComplex, _layout, _normal_forms, _shape_key, _shapes, validate_knot
 from .fualgebra import (
     FreeComplex,
     FUDecomposition,
-    ValidationReport,
     _exact,
-    _id_rows,
     _odd_overlap,
     _plus,
-    _positions,
     _Reducer,
-    _square_violations,
     _sum,
     format_grading,
     grading,
@@ -216,55 +211,6 @@ def _shape_cone(kc: KnotComplex, n: int, g_hat: int) -> _ShapeCone:
                       {s: _b_shift(n, s, 0) + 1 for s in a_window}, {t: _b_shift(n, t, 0) for t in b_window})
 
 
-def _cone_check(sc: _ShapeCone):
-    """:func:`validate_complex` of ``sc.mapping_cone().total_complex()`` on the
-    vectors (each entry of B, of B's matrix under each m_s and each edge image
-    a non-negative power of degree -1, then over F2 d^2 = 0 on B's rows and
-    each distinct sum of maps into one B_t a chain map), and the flip an F2
-    chain map and involution with m_{-s}(flip x) = m_s(x) - 2s, for reading
-    A_{-s} off A_s."""
-    base, n, gens = sc.base, sc.n, sc.base.generators
-    (rows, bases), bad = _id_rows(base, {g: i for i, g in enumerate(gens)})
-    pairs = [(i, j) for i, v in enumerate(rows) for j in _positions(v, bases[i])]
-    src, tgt = [i for i, _j in pairs], [j for _i, j in pairs]
-    m = list(map(base.maslov.__getitem__, gens))
-    for s, ms in sc.gradings.items():  # an entry U^p raises the grading by 2p - 1
-        rises = list(map(sub, map(ms.__getitem__, tgt), map(ms.__getitem__, src)))
-        if rises and (min(rises) < -1 or set(map(mod, rises, repeat(2))) != {1}):
-            bad += [f"entry A{s}|{gens[i]}->A{s}|{gens[j]} is not a non-negative power of degree -1"
-                    for i, j, d in zip(src, tgt, rises) if d < -1 or d % 2 != 1]
-    landing = {}
-    for (s, kind), e in sc.edges.items():  # an edge entry U^p rises by 2p plus the shifts' drop
-        t = s if kind == "v" else s + n
-        gaps = [y - x - sc.a_shifts[s] + 1 + sc.b_shifts[t] for x, y in zip(sc.gradings[s], map(m.__getitem__, e))]
-        if min(gaps) < 0 or set(map(mod, gaps, repeat(2))) != {0}:
-            bad += [f"edge A{s}|{gens[i]}->B{t}|{gens[j]} is not a non-negative entry of degree -1"
-                    for i, (j, d) in enumerate(zip(e, gaps)) if d < 0 or d % 2]
-        landing.setdefault((s, t), []).append(e)  # at framing 0, v_0 + h_0 lands in B_0
-    if not bad:
-        bad += _square_violations(gens, base.maslov, rows, bases)
-        maps = {}  # each distinct sum of maps once: every v_s is one list, every h_s another
-        for (s, t), parts in landing.items():
-            maps.setdefault(tuple(map(id, parts)), (f"the edge map from A{s} to B{t}", parts))
-        if any(s > 0 for s in sc.gradings):
-            maps.setdefault((id(sc.flip),), ("the flip", [sc.flip]))
-            if any(sc.flip[j] != i for i, j in enumerate(sc.flip)):
-                bad.append("the flip is not an involution")
-            bad += [f"A{-s} is not A{s} through the flip" for s, ms in sc.gradings.items()
-                    if s > 0 and list(map(sc.gradings[-s].__getitem__, sc.flip)) != [x - 2 * s for x in ms]]
-        ones = [1] * len(gens)
-        for what, parts in maps.values():  # d e + e d over F2, summed and dropped per position
-            for i, v in enumerate(rows):
-                acc = at = 0
-                for e in parts:
-                    acc, at = _sum(rows, bases, 1, e[i], acc, at)
-                    acc, at = _sum(ones, e, v, bases[i], acc, at)
-                if acc:
-                    bad.append(f"{what} is not a chain map")
-                    break
-    return ValidationReport(ok=not bad, violations=tuple(bad))
-
-
 def _minimal_blocks(sc: _ShapeCone) -> tuple[dict, _Reducer | None]:
     """``{s: (minimal model of A_s, {survivor: inclusion as a window bitset})}``
     and B's reduction with its projection (None without B).
@@ -310,7 +256,7 @@ def _minimal_cone(sc: _ShapeCone) -> MappingCone:
     B.  A minimal block has rank dim H(block/U): K9 at -1 hands over 71
     generators, the flat cone 2,511.
 
-    The cone is not run through :func:`_cone_check`: given a correct
+    The cone is not run through the tests' ``cone_check``: given a correct
     :func:`_shape_cone`, the caller's :func:`validate_knot` implies it.  The
     Alexander filtration makes every A_s power non-negative, the flip's Maslov
     and Alexander axioms give the h_s degrees and the flip read, B is the
@@ -357,14 +303,17 @@ def _summed_cones(shapes, n: int, g_hat: int) -> HFPlusResult:
     shape's cone homology moved by each copy's offset in int gradings; the
     anchor and :func:`plus_presentation`'s torsion shift are added, and each
     ``Fraction`` made, once per distinct grading.  A shape of Hedden's normal
-    form (:func:`_normal_forms`) is reduced once per process, framing and
-    window, on its representative at first grading 0, and moved by ``rep``'s."""
-    towers, torsion = Counter(), Counter()
+    form (``cfk._normal_forms``) is reduced once per process, framing and
+    window, on its representative at first grading 0, and moved by ``rep``'s.
+    The shape is the key ``rep`` carries from its split, and is taken again
+    only for a 1- or 4-generator representative that carries none."""
+    towers, torsion, forms = Counter(), Counter(), _normal_forms()
     for rep, copies in shapes:
-        key = _shape_key(_layout(rep), range(len(rep.generators))) if len(rep.generators) in (1, 4) else None
-        if key in _normal_forms():
+        if (key := rep._key) is None and len(rep.generators) in (1, 4):
+            key = _shape_key(_layout(rep), range(len(rep.generators)))
+        if key in forms:
             if (cone := _NORMAL_FORM_CONES.get((key, n, g_hat))) is None:
-                cone = _NORMAL_FORM_CONES[key, n, g_hat] = _cone_homology(_normal_forms()[key], n, g_hat)
+                cone = _NORMAL_FORM_CONES[key, n, g_hat] = _cone_homology(forms[key], n, g_hat)
             (free, tops), first = cone, rep.base.maslov[rep.generators[0]]
         else:
             (free, tops), first = _cone_homology(rep, n, g_hat), 0
@@ -389,15 +338,6 @@ def _cone_homology(rep: KnotComplex, n: int, g_hat: int) -> tuple[Counter, list]
     """The towers (counted) and torsion of the :func:`_minimal_cone` of ``rep``, in ``_exact`` gradings."""
     h = homology_decomposition(_minimal_cone(_shape_cone(rep, n, g_hat)).total_complex())
     return Counter(map(_exact, h.towers)), [(_exact(g), k, c) for g, k, c in h.torsion]
-
-
-@cache
-def _normal_forms() -> dict:
-    """Hedden's x and box by :func:`cfk._shape_key`, the box in each clasp's
-    layout: ``box(0)`` and its dual, as ``BoxSum.complex`` writes them."""
-    b = box(0)
-    dual = KnotComplex(_dual(b.base), {g: -a for g, a in b.alexander.items()}, b.flip)
-    return {_shape_key(_layout(k), range(len(k.generators))): k for k in (unknot(), b, dual)}
 
 
 def one_handle_stabilize(result: HFPlusResult) -> HFPlusResult:

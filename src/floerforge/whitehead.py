@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cfk import Ambient, KnotComplex, ReducedBasisForm, _canonical_shapes, box, unknot
+from .cfk import Ambient, KnotComplex, ReducedBasisForm, _canonical_shapes, _keyed, box, unknot
 from .fualgebra import FreeComplex, _exact, grading
 from .surgery import HFPlusResult, _summed_cones
 
@@ -74,7 +74,7 @@ def _counted(rb: ReducedBasisForm) -> list:
     return [(m, d, 1) for m, _a, d in rb.pairs]
 
 
-_X, _BOX = unknot(), box(0)  # the two shapes of every BoxSum
+_X, _BOX = _keyed(unknot()), _keyed(box(0))  # the two shapes of every BoxSum
 
 
 @dataclass(frozen=True)
@@ -117,8 +117,9 @@ class BoxSum:
 
         The complex carries its ``cfk._summands`` split, so it is never
         split: ``0.x`` once at offset 0, and the box ``1.a`` .. ``1.d`` with
-        Maslov gradings relative to ``1.a`` at each corner k, counted.  The
-        three gradings of a corner are made once and shared by its copies.
+        Maslov gradings relative to ``1.a`` at each corner k, counted, each
+        carrying its shape key, so ``validate_knot`` certifies both by key.
+        The three gradings of a corner are made once and shared by its copies.
         """
         s = 1 if sign == "+" else -1
         maslov, diff, alexander, flip = {"0.x": 0}, {}, {"0.x": 0}, {"0.x": "0.x"}
@@ -133,12 +134,12 @@ class BoxSum:
                 diff[a], diff[b], diff[c] = {b: 1, c: 0}, {d: 0}, {d: 1}
             else:  # the dual: b -> U a, c -> a, d -> b, d -> U c
                 diff[b], diff[c], diff[d] = {a: 1}, {a: 0}, {b: 0, c: 1}
-        split = [(KnotComplex(FreeComplex([("0.x", 0)]), {"0.x": 0}, {"0.x": "0.x"}), [(0, 1)])]
+        split = [(_keyed(KnotComplex(FreeComplex([("0.x", 0)]), {"0.x": 0}, {"0.x": "0.x"})), [(0, 1)])]
         if quads:
             first = ("1.a", "1.b", "1.c", "1.d")
             rep = KnotComplex(FreeComplex(zip(first, (0, s, -s, 0)), {g: diff[g] for g in first if g in diff}),
                               alexander, {g: flip[g] for g in first})
-            split.append((rep, [(k, count) for k, count in corners if count]))
+            split.append((_keyed(rep), [(k, count) for k, count in corners if count]))
         return KnotComplex._built(FreeComplex._built(maslov, diff), alexander, flip, Ambient(), name, split)
 
     def max_reduced_maslov(self) -> Fraction:

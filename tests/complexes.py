@@ -10,14 +10,20 @@ copies a complex without the summand split stored on it, and
 ``split_contents`` lists what a split holds, for comparing two, and
 ``named_split`` is the reference split, taken on generator names.
 ``filtered_mixes`` lists the filtered changes of basis ``_Reducer.mix`` takes.
-``unchecked`` takes off the re-checks ``conftest.py`` adds, for one test.
+``cone_check`` is the flat cone's validation, on the vectors of a
+``surgery._ShapeCone``; ``unchecked`` takes off the re-checks ``conftest.py``
+adds, for one test.
 """
 
 import inspect
+import sys
 from fractions import Fraction
+from itertools import repeat
+from operator import mod, sub
 
 from hypothesis import strategies as st
 
+from floerforge import cfk
 from floerforge.cfk import (
     KnotComplex,
     box,
@@ -31,7 +37,16 @@ from floerforge.cfk import (
 )
 from floerforge import surgery
 from floerforge.corpus import corpus_builders, load_complex
-from floerforge.fualgebra import FreeComplex, _exact, _plus
+from floerforge.fualgebra import (
+    FreeComplex,
+    ValidationReport,
+    _exact,
+    _id_rows,
+    _plus,
+    _positions,
+    _square_violations,
+    _sum,
+)
 from floerforge.whitehead import negative_double_cfk, whitehead_double_cfk
 
 F = Fraction
@@ -210,9 +225,66 @@ def tracked_maps(r):
     return iota, {e: {g: -col[e] for g, col in cols.items() if e in col} for e in r.generators}
 
 
+def cone_check(sc):
+    """``validate_complex`` of ``sc.mapping_cone().total_complex()`` on the
+    vectors (each entry of B, of B's matrix under each m_s and each edge image
+    a non-negative power of degree -1, then over F2 d^2 = 0 on B's rows and
+    each distinct sum of maps into one B_t a chain map), and the flip an F2
+    chain map and involution with m_{-s}(flip x) = m_s(x) - 2s, for reading
+    A_{-s} off A_s."""
+    base, n, gens = sc.base, sc.n, sc.base.generators
+    (rows, bases), bad = _id_rows(base, {g: i for i, g in enumerate(gens)})
+    pairs = [(i, j) for i, v in enumerate(rows) for j in _positions(v, bases[i])]
+    src, tgt = [i for i, _j in pairs], [j for _i, j in pairs]
+    m = list(map(base.maslov.__getitem__, gens))
+    for s, ms in sc.gradings.items():  # an entry U^p raises the grading by 2p - 1
+        rises = list(map(sub, map(ms.__getitem__, tgt), map(ms.__getitem__, src)))
+        if rises and (min(rises) < -1 or set(map(mod, rises, repeat(2))) != {1}):
+            bad += [f"entry A{s}|{gens[i]}->A{s}|{gens[j]} is not a non-negative power of degree -1"
+                    for i, j, d in zip(src, tgt, rises) if d < -1 or d % 2 != 1]
+    landing = {}
+    for (s, kind), e in sc.edges.items():  # an edge entry U^p rises by 2p plus the shifts' drop
+        t = s if kind == "v" else s + n
+        gaps = [y - x - sc.a_shifts[s] + 1 + sc.b_shifts[t] for x, y in zip(sc.gradings[s], map(m.__getitem__, e))]
+        if min(gaps) < 0 or set(map(mod, gaps, repeat(2))) != {0}:
+            bad += [f"edge A{s}|{gens[i]}->B{t}|{gens[j]} is not a non-negative entry of degree -1"
+                    for i, (j, d) in enumerate(zip(e, gaps)) if d < 0 or d % 2]
+        landing.setdefault((s, t), []).append(e)  # at framing 0, v_0 + h_0 lands in B_0
+    if not bad:
+        bad += _square_violations(gens, base.maslov, rows, bases)
+        maps = {}  # each distinct sum of maps once: every v_s is one list, every h_s another
+        for (s, t), parts in landing.items():
+            maps.setdefault(tuple(map(id, parts)), (f"the edge map from A{s} to B{t}", parts))
+        if any(s > 0 for s in sc.gradings):
+            maps.setdefault((id(sc.flip),), ("the flip", [sc.flip]))
+            if any(sc.flip[j] != i for i, j in enumerate(sc.flip)):
+                bad.append("the flip is not an involution")
+            bad += [f"A{-s} is not A{s} through the flip" for s, ms in sc.gradings.items()
+                    if s > 0 and list(map(sc.gradings[-s].__getitem__, sc.flip)) != [x - 2 * s for x in ms]]
+        ones = [1] * len(gens)
+        for what, parts in maps.values():  # d e + e d over F2, summed and dropped per position
+            for i, v in enumerate(rows):
+                acc = at = 0
+                for e in parts:
+                    acc, at = _sum(rows, bases, 1, e[i], acc, at)
+                    acc, at = _sum(ones, e, v, bases[i], acc, at)
+                if acc:
+                    bad.append(f"{what} is not a chain map")
+                    break
+    return ValidationReport(ok=not bad, violations=tuple(bad))
+
+
+def validate_knot_holders(modules, validate):
+    """The modules among ``modules`` that hold ``validate`` as ``validate_knot``."""
+    return [module for module in list(modules) if getattr(module, "__dict__", {}).get("validate_knot") is validate]
+
+
 def unchecked(monkeypatch):
     """Run the rest of a test as users run the program, without the re-checks
-    of package-built cones, complexes and splits that ``conftest.py`` adds."""
+    of package-built cones, complexes, splits and certified shapes that
+    ``conftest.py`` adds."""
     monkeypatch.setattr(surgery, "_minimal_cone", inspect.unwrap(surgery._minimal_cone))
     for cls in (FreeComplex, KnotComplex):
         monkeypatch.setattr(cls, "_built", classmethod(inspect.unwrap(cls._built.__func__)))
+    for module in validate_knot_holders(sys.modules.values(), cfk.validate_knot):
+        monkeypatch.setattr(module, "validate_knot", inspect.unwrap(cfk.validate_knot))

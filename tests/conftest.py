@@ -1,9 +1,12 @@
 """The tier-1 suite re-checks what the package builds for itself, which the
 program takes as built: every cone ``surgery._minimal_cone`` receives must
-pass ``surgery._cone_check``; every complex handed to ``FreeComplex._built``
+pass ``complexes.cone_check``; every complex handed to ``FreeComplex._built``
 or ``KnotComplex._built`` must come out of ``__init__`` the same, types
 included; and every summand split handed to ``KnotComplex._built`` must be
-the one ``cfk._summands`` takes of the complex.  The per-process cache of
+the one ``cfk._summands`` takes of the complex.  ``validate_knot``, wherever
+it is imported, also holds each shape key a representative carries to the
+key of the representative itself, and runs the checks it skips on a shape
+certified by its key, which must pass them.  The per-process cache of
 normal-form cones (``surgery._NORMAL_FORM_CONES``) is emptied before each
 test, so a test that counts or patches cones sees its own.
 
@@ -12,19 +15,31 @@ test, so a test that counts or patches cones sees its own.
 """
 
 import functools
+import sys
 
 import pytest
 
-from complexes import split_contents
+import complexes
+from complexes import split_contents, validate_knot_holders
 from floerforge import surgery
-from floerforge.cfk import KnotComplex, _summands
+from floerforge.cfk import (
+    KnotComplex,
+    _flip_chain_map_violations,
+    _layout,
+    _normal_forms,
+    _shape_key,
+    _shapes,
+    _summand_violations,
+    _summands,
+    validate_knot,
+)
 from floerforge.fualgebra import FreeComplex
 
 
 def checked_cone(minimal_cone):
     @functools.wraps(minimal_cone)
     def check(sc):
-        surgery._cone_check(sc).require("surgery cone")
+        complexes.cone_check(sc).require("surgery cone")
         return minimal_cone(sc)
     return check
 
@@ -51,12 +66,30 @@ def compared_knot(built):
     return compare
 
 
+def strict_validation(validate):
+    @functools.wraps(validate)
+    def check(kc):
+        report = validate(kc)
+        for rep, _copies in _shapes(kc):
+            if rep._key is not None and rep._key != _shape_key(_layout(rep), range(len(rep.generators))):
+                raise AssertionError("a representative carries a shape key that is not its own")
+            if rep._key in _normal_forms():
+                violations, chain_map = _summand_violations(rep)
+                if violations or not chain_map or _flip_chain_map_violations(rep):
+                    raise AssertionError("a shape certified by its key fails the checks it skipped")
+        return report
+    return check
+
+
 @pytest.fixture(autouse=True, scope="session")
 def suite_checks():
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(surgery, "_minimal_cone", checked_cone(surgery._minimal_cone))
         mp.setattr(FreeComplex, "_built", classmethod(compared_complex(FreeComplex._built.__func__)))
         mp.setattr(KnotComplex, "_built", classmethod(compared_knot(KnotComplex._built.__func__)))
+        strict = strict_validation(validate_knot)
+        for module in validate_knot_holders(sys.modules.values(), validate_knot):
+            mp.setattr(module, "validate_knot", strict)
         yield
 
 

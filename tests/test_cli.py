@@ -1,4 +1,5 @@
 import contextlib
+import functools
 import io
 import json
 import os
@@ -8,10 +9,10 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import floerforge
-from floerforge import cfk
+from floerforge import cfk, cli
 from floerforge.cli import main
 from floerforge.corpus import canonical_json, corpus_builders, corpus_dir, load_complex, write_corpus
 
@@ -799,14 +800,15 @@ def test_sphere_complex_must_have_one_tower_at_zero(tmp_path, capsys, argv, data
 
 
 def test_surgery_splits_and_checks_its_input_once(capsys, monkeypatch):
-    # Wh(K3) is x plus 8 boxes: two shapes, one per-shape check each.
+    # Wh(K3) is x plus 8 boxes: two shapes, validated once, and both of
+    # Hedden's normal form, certified by their keys with no per-shape check.
     calls = Counter()
-    for module, name in ((cfk, "_summands"), (cfk, "_summand_violations")):
+    for module, name in ((cfk, "_summands"), (cfk, "_summand_violations"), (cli, "validate_knot")):
         real = getattr(module, name)
         monkeypatch.setattr(module, name, lambda kc, real=real, name=name: calls.update([name]) or real(kc))
     code, out, _ = run(capsys, "surgery", "--complex", "wh_k3", "--n", "0")
     assert code == 0 and out
-    assert calls == {"_summands": 1, "_summand_violations": 2}
+    assert calls == {"_summands": 1, "validate_knot": 1}
 
 
 @pytest.mark.parametrize("fmt", ["json", "table"])
@@ -959,3 +961,86 @@ def test_mutated_corpus_files_end_in_one_line(tmp_path_factory, data, handle):
             code = main(argv)
         assert code in (0, 1, 2), argv
         assert (err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1) == (code != 0), argv
+
+
+# --- piece-file fuzz of distinguish -------------------------------------------
+
+NEWLINE_NAMED = {"generators": [{"name": "a\nb", "maslov": "0"}], "alexander": {"a\nb": 1}, "flip": [["a\nb", "a\nb"]]}
+NESTED_JUNK = [[[[]]], {"a": [{"b": None}]}, [{"knot": "k3"}], {"summands": [{"knot": "k3"}]},
+               functools.reduce(lambda inner, _: [inner], range(40), {"knot": "k3"})]
+PIECE_JUNK = [5, -1, 1.5, True, None, "", "nosuch", "line\nbreak", [], {}, [1], *NESTED_JUNK]
+FIELD_JUNK = {
+    "knot": PIECE_JUNK + [{"generators": 5}, NEWLINE_NAMED],
+    "handle": PIECE_JUNK + ["ch?", {"kind": 5}, {"kind": "all_positive_chain", "signs": "x"},
+                            {"kind": "finite_mixed_then_one_sign", "signs": [[1]], "tail": "+"}],
+    "orientation": PIECE_JUNK + ["++", ["+"]],
+    "disk_label": [v for v in PIECE_JUNK if not isinstance(v, str)],
+}
+
+
+def retype_field(piece, draw):
+    field = draw(st.sampled_from(sorted(FIELD_JUNK)))
+    piece[field] = draw(st.sampled_from(FIELD_JUNK[field]))
+
+
+def delete_knot(piece, draw):
+    del piece["knot"]
+
+
+def drop_optional_field(piece, draw):
+    piece.pop(draw(st.sampled_from(["handle", "orientation", "disk_label"])), None)
+
+
+def add_unknown_field(piece, draw):
+    piece[draw(st.sampled_from(["extra", "Knot", ""]))] = draw(st.sampled_from(PIECE_JUNK))
+
+
+@st.composite
+def broken_piece_files(draw):
+    """A ``distinguish`` piece file, one piece or a list of summands, that
+    one drawn fault makes malformed or invalid, with up to two harmless
+    changes beside it."""
+    pieces = [{"knot": draw(st.sampled_from(["k3", "k5", "trefoil"])), "handle": draw(st.sampled_from(["ch+", "ch*"])),
+               "orientation": draw(st.sampled_from("+-")), "disk_label": "standard"}
+              for _ in range(draw(st.integers(1, 2)))]
+    for mutate in draw(st.lists(st.sampled_from([drop_optional_field, add_unknown_field]), max_size=2)):
+        mutate(draw(st.sampled_from(pieces)), draw)
+    fault = draw(st.sampled_from(["piece", "summands-not-a-list", "nested-summand", "nested-file"]))
+    if fault == "piece":
+        draw(st.sampled_from([retype_field, delete_knot]))(draw(st.sampled_from(pieces)), draw)
+    elif fault == "summands-not-a-list":
+        return {"summands": draw(st.sampled_from([p for p in PIECE_JUNK if not isinstance(p, list)]))}
+    elif fault == "nested-summand":
+        pieces[draw(st.integers(0, len(pieces) - 1))] = draw(st.sampled_from(NESTED_JUNK))
+        return {"summands": pieces}
+    else:
+        return draw(st.sampled_from([junk for junk in NESTED_JUNK if "summands" not in junk]))  # not a piece
+    return {"summands": pieces} if len(pieces) > 1 or draw(st.booleans()) else pieces[0]
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(data=broken_piece_files(), first=st.booleans())
+@example(data={"knot": NEWLINE_NAMED}, first=True)
+def test_broken_piece_files_end_in_one_line(tmp_path_factory, data, first):
+    # A malformed or invalid piece file ends distinguish in exit 2 or 1 with
+    # one "error:" line, on either side, and no traceback.
+    folder = tmp_path_factory.mktemp("pieces")
+    bad, plain = write_json(folder / "bad.json", data), write_json(folder / "plain.json", {"knot": "k3"})
+    argv = ["distinguish", "--a", bad, "--b", plain] if first else ["distinguish", "--a", plain, "--b", bad]
+    with contextlib.redirect_stdout(io.StringIO()) as out, contextlib.redirect_stderr(io.StringIO()) as err:
+        code = main(argv)
+    assert code in (1, 2) and out.getvalue() == "", (code, data)
+    assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1, err.getvalue()
+
+
+@pytest.mark.parametrize("command", ["surgery", "distinguish"])
+def test_a_line_break_in_a_name_is_escaped_in_the_error(tmp_path, capsys, command):
+    # The message names the generator "a\nb"; its line break is escaped, so
+    # the error stays one line.
+    if command == "surgery":
+        argv = ["surgery", "--n", "0", "--complex", write_json(tmp_path / "named.json", NEWLINE_NAMED)]
+    else:
+        argv = ["distinguish", "--a", write_json(tmp_path / "named.json", {"knot": NEWLINE_NAMED}),
+                "--b", write_json(tmp_path / "plain.json", {"knot": "k3"})]
+    message = "flip image of a\\nb has Alexander 1 != -1; flip image of a\\nb has wrong Maslov grading"
+    assert run(capsys, *argv) == (1, "", f"error: invalid complex: {message}\n")

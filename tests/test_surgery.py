@@ -50,8 +50,9 @@ from floerforge.truncation import (
     truncated_graded_dimensions,
 )
 
-from complexes import (ORACLE_CASES, disjoint_sum, filtered_mixes, flat_tower, flip_swapped_boxes, scrambled_sums,
-                       tracked_maps, unchecked)
+import complexes
+from complexes import (ORACLE_CASES, cone_check, disjoint_sum, filtered_mixes, flat_tower, flip_swapped_boxes,
+                       scrambled_sums, tracked_maps, unchecked)
 
 F = Fraction
 
@@ -452,8 +453,8 @@ def test_box_sum_shapes_pass_validation():
 def test_cone_check_runs_in_the_suite_only(monkeypatch):
     # The suite checks each shape's cone once; the program checks none, and
     # every answer is the same.
-    calls, check = [], surgery._cone_check
-    monkeypatch.setattr(surgery, "_cone_check", lambda sc: calls.append(len(sc.base.generators)) or check(sc))
+    calls, check = [], complexes.cone_check
+    monkeypatch.setattr(complexes, "cone_check", lambda sc: calls.append(len(sc.base.generators)) or check(sc))
     k9, boxes = load_complex("k9"), BoxSum(((F(1), 2), (F(0), 1)))
     answers = []
     for expected in ([81, 81, 1, 4], []):
@@ -621,7 +622,7 @@ def test_block_check_is_the_flat_check(name, n, data):
         key, i, image = data.draw(st.sampled_from(sorted(sc.edges))), data.draw(position), data.draw(position)
         sc.edges[key] = [image if j == i else k for j, k in enumerate(sc.edges[key])]
     mc = sc.mapping_cone()
-    assert surgery._cone_check(sc).ok == (flat_ok(mc) and edges_ok(mc) and flip_read_ok(sc))
+    assert cone_check(sc).ok == (flat_ok(mc) and edges_ok(mc) and flip_read_ok(sc))
 
 
 @pytest.mark.parametrize("n", [-1, 0, 1])
@@ -632,7 +633,7 @@ def test_shared_rows_keep_every_check(n):
     sc = shape_cone(staircase_torus(5, "+"), n)
     s = min(sc.gradings)
     sc.gradings[s] = [sc.gradings[s][0] + 1, *sc.gradings[s][1:]]
-    report = surgery._cone_check(sc)
+    report = cone_check(sc)
     assert not report.ok and not flat_ok(sc.mapping_cone())
     assert f"entry A{s}|s1->A{s}|s0 is not a non-negative power of degree -1" in report.violations
     # An entry of B of the wrong degree is left out of the rows, so only
@@ -641,7 +642,7 @@ def test_shared_rows_keep_every_check(n):
     diff = {**kc.base.differential, "s0": {"s2": 5}}
     sc = surgery._shape_cone(KnotComplex(FreeComplex([(g, kc.base.maslov[g]) for g in kc.generators], diff),
                                          kc.alexander, kc.flip), n, 2)
-    report = surgery._cone_check(sc)
+    report = cone_check(sc)
     assert not flat_ok(sc.mapping_cone())
     assert report.violations == ("entry s0->U^5.s2: grading 0 -> -12 is not degree -1",)
     # A base with d^2 != 0 whose flip still commutes with d: every edge map
@@ -650,7 +651,7 @@ def test_shared_rows_keep_every_check(n):
     diff = {**kc.base.differential, "s2": {"s3": 0, "s1": 1}}  # d^2 s1 = s3 + U.s1
     bad = KnotComplex(FreeComplex([(g, kc.base.maslov[g]) for g in kc.generators], diff), kc.alexander, kc.flip)
     sc = surgery._shape_cone(bad, n, 2)
-    report = surgery._cone_check(sc)
+    report = cone_check(sc)
     assert not report.ok and not flat_ok(sc.mapping_cone())
     assert all(v.startswith("d^2 from ") for v in report.violations)
 
@@ -662,7 +663,7 @@ def test_edge_entries_are_checked(n):
     # would cancel the two, which the check takes one by one).
     sc = surgery._shape_cone(disjoint_sum([unknot(), box(0)]), n, 2)
     sc.gradings[0] = [sc.gradings[0][0] + 1, *sc.gradings[0][1:]]
-    report = surgery._cone_check(sc)
+    report = cone_check(sc)
     assert not report.ok and not flat_ok(sc.mapping_cone())
     assert all(v.startswith("edge A0|0.x->") for v in report.violations)
 
@@ -678,7 +679,7 @@ def test_flip_read_checks_what_it_rests_on():
     # flip to be an involution, an F2 chain map and to carry m_s to
     # m_{-s} + 2s.  Each fault below leaves the edge maps, and so the flat
     # cone, as they were.
-    assert surgery._cone_check(three_boxes()).ok
+    assert cone_check(three_boxes()).ok
     flip = three_boxes().flip
     faults = {
         # flip, then the next box: a chain map that is no involution
@@ -689,12 +690,12 @@ def test_flip_read_checks_what_it_rests_on():
     for violation, images in faults.items():
         sc = three_boxes()
         sc.flip = images
-        assert flat_ok(sc.mapping_cone()) and surgery._cone_check(sc).violations == (violation,)
+        assert flat_ok(sc.mapping_cone()) and cone_check(sc).violations == (violation,)
         with pytest.raises(InvalidComplex):
             surgery._minimal_cone(sc)
     sc = three_boxes()  # the unknot's generator two lower in A_-1: a valid cone, but not A_1 moved
     sc.gradings[-1] = [sc.gradings[-1][0] - 2, *sc.gradings[-1][1:]]
-    assert flat_ok(sc.mapping_cone()) and surgery._cone_check(sc).violations == ("A-1 is not A1 through the flip",)
+    assert flat_ok(sc.mapping_cone()) and cone_check(sc).violations == ("A-1 is not A1 through the flip",)
 
 
 # --- stabilisation ------------------------------------------------------------
