@@ -69,8 +69,7 @@ class KnotComplex:
 
     An immutable value, so its summand split is taken at most once and kept
     (:func:`_shapes`).  The builders that know the split hand it over through
-    :meth:`_built`: ``BoxSum.complex``, :func:`connected_sum_knots`,
-    :func:`mirror_knot`, :func:`k_n` and ``staircase_torus(n, "-")``.  The
+    :meth:`_built`; ``BoxSum.complex`` hands over only the split (:class:`_CountedComplex`).  The
     canonical reduction of each shape is kept the same way
     (:func:`_canonical_shapes`); callers must not mutate either list.  A
     representative of a split carries the shape key the split took of it
@@ -123,7 +122,8 @@ class KnotComplex:
         )
 
     def __repr__(self):
-        return f"KnotComplex({self.name or 'unnamed'}, {len(self.generators)} generators)"
+        size = sum(len(rep.generators) * count for rep, copies in _shapes(self) for _offset, count in copies)
+        return f"KnotComplex({self.name or 'unnamed'}, {size} generators)"
 
     def to_json(self) -> dict:
         data = self.base.to_json()
@@ -195,6 +195,45 @@ def _shapes(kc: KnotComplex) -> list[tuple[KnotComplex, list[tuple]]]:
     if kc._split is None:
         kc._split = _summands(kc)
     return kc._split
+
+
+class _CountedComplex(KnotComplex):
+    """A knot complex kept as its split alone; ``base``, ``alexander`` and ``flip`` are written (:func:`_expanded`)
+    when first read.  Only this class has the hook: a ``__getattr__`` slows every attribute read."""
+
+    __slots__ = ()
+
+    def __init__(self, split, ambient: Ambient = Ambient(), name: str = ""):
+        self.ambient, self.name, self._split, self._canonical, self._key = ambient, name, split, None, None
+
+    def __getattr__(self, attr):  # only an unset slot gets here
+        if attr not in ("base", "alexander", "flip"):
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {attr!r}")
+        self.base, self.alexander, self.flip = (flat := _expanded(self)).base, flat.alexander, flat.flip
+        return getattr(flat, attr)
+
+
+def _expanded(kc: _CountedComplex) -> KnotComplex:
+    """The flat form of a counted ``kc``, with its split: copy i (from 0, over the shapes and their copies) writes
+    each generator ``j.g`` of its shape as ``i.g``, at its grading plus the copy's offset, with its row and flip."""
+    names, maslov, alexander, images, diff, n = [], [], [], [], {}, 0
+    for rep, copies in kc._split:
+        gens, size, first, total = rep.generators, len(rep.generators), len(names), sum(c for _o, c in copies)
+        at, local = {g: j for j, g in enumerate(gens)}, [g[g.index("."):] for g in gens]
+        names, n = names + [i + g for i in map(str, range(n, n + total)) for g in local], n + total
+        flip = [at[rep.flip[g]] for g in gens]
+        for offset, count in copies:  # one grading per generator and offset, shared by its copies
+            maslov += [rep.base.maslov[g] + offset for g in gens] * count
+        alexander += list(rep.alexander.values()) * total
+        images += [start + j for start in range(first, len(names), size) for j in flip]
+        rows = [(at[src], [(at[t], p) for t, p in row.items()]) for src, row in rep.base.differential.items()]
+        for copy in (names[start:start + size] for start in range(first, len(names), size)):
+            for j, entries in rows:
+                row = diff[copy[j]] = {}
+                for t, p in entries:  # faster than a row from zip
+                    row[copy[t]] = p
+    return KnotComplex._built(FreeComplex._built(dict(zip(names, maslov)), diff), dict(zip(names, alexander)),
+                              dict(zip(names, map(names.__getitem__, images))), kc.ambient, kc.name, kc._split)
 
 
 def _summands(kc: KnotComplex) -> list[tuple[KnotComplex, list[tuple]]]:
@@ -492,11 +531,11 @@ def _keyed(kc: KnotComplex) -> KnotComplex:
 
 @cache
 def _normal_forms() -> dict:
-    """Hedden's x and box by :func:`_shape_key`, the box in each clasp's
-    layout: ``box(0)`` and its dual, as ``BoxSum.complex`` writes them."""
-    b = box(0)
+    """Hedden's x and box by :func:`_shape_key`, the box in each clasp's layout:
+    ``box(0)`` and its dual, named as ``BoxSum.complex`` names their first copies."""
+    b, x = box(0, prefix="1."), KnotComplex(FreeComplex([("0.x", 0)]), {"0.x": 0}, {"0.x": "0.x"})
     dual = KnotComplex(_dual(b.base), {g: -a for g, a in b.alexander.items()}, b.flip)
-    return {_keyed(k)._key: k for k in (unknot(), b, dual)}
+    return {_keyed(k)._key: k for k in (x, KnotComplex(b.base, b.alexander, b.flip), dual)}
 
 
 def _mirror(kc: KnotComplex, name: str) -> KnotComplex:
@@ -712,10 +751,10 @@ def _unpaired(shapes):
     for reduced, copies in shapes:
         found, survivors = _vertical_pairing(reduced)
         pairs.append(found)
-        unpaired += [(reduced, x, offset) for x in survivors for offset, count in copies for _ in range(count)]
-    if len(unpaired) != 1:
+        unpaired += [(reduced, x, offset, count) for x in survivors for offset, count in copies]
+    if sum(count for *_found, count in unpaired) != 1:  # a count is never 0
         raise InvalidComplex("U=0 homology is not one-dimensional")
-    return pairs, unpaired[0]
+    return pairs, unpaired[0][:3]
 
 
 def _vertical_pairing(reduced: KnotComplex):

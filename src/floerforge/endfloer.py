@@ -36,6 +36,7 @@ from .surgery import (
     connected_sum_floer,
     exact_triangle_force,
     one_handle_stabilize,
+    surgery_hf,
 )
 from .whitehead import box_parameters, box_tower
 
@@ -336,7 +337,7 @@ class CassonHandle:
         if self.kind not in self.KINDS:
             raise ValueError(f"unknown handle kind {self.kind!r}")
         if self.kind == "finite_mixed_then_one_sign":
-            if self.tail not in {"+", "-"} or not self.signs or any(s not in {"+", "-"} for s in self.signs):
+            if self.tail not in ("+", "-") or not self.signs or any(s not in ("+", "-") for s in self.signs):
                 raise ValueError("finite mixed handles need a sign prefix and a tail sign")
 
     def mirror(self) -> "CassonHandle":
@@ -443,7 +444,7 @@ def _resolve_piece(spec: SliceR4Spec, levels: int):
     # The top reduced hat grading of the knot is that of its highest paired y.
     top = tower[len(prefix) - 1].max_reduced_maslov() if prefix else max(m for m, _a, _d in rb.pairs)
     top_expected = top - 1 - F(1, 2)
-    results = [level.surgery_hf(0) for level in tower[len(prefix):]]
+    results = [surgery_hf(level.complex(), 0) for level in tower[len(prefix):]]
     level_rows = []
     for i, r in enumerate(results):
         table = r.hf_red()

@@ -131,13 +131,14 @@ _NORMAL_FORM_CONES: dict = {}  # (shape key, n, g_hat) -> _cone_homology of its 
 
 
 def _window(kc: KnotComplex, n: int) -> int:
-    """g_hat of a surgery input, once it has a flip and a supported framing:
-    its genus bound, read off the representatives of its summand shapes."""
-    if kc.flip is None:
+    """g_hat of a surgery input, once it has a flip and a supported framing: its genus
+    bound.  Both are read off its split, so a counted complex is not written out."""
+    shapes = _shapes(kc)
+    if (shapes[0][0].flip if shapes else kc.flip) is None:
         raise MissingFlip(f"complex {kc.name or ''} has no flip involution")
     if n not in (-1, 0, 1):
         raise ValueError("absolute gradings are supported for framings -1, 0, +1 only")
-    return max([1] + [rep.genus_bound() for rep, _copies in _shapes(kc)])
+    return max([1] + [rep.genus_bound() for rep, _copies in shapes])
 
 
 def _windows(n: int, g_hat: int) -> tuple[tuple[int, ...], tuple[int, ...]]:

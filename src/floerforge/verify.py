@@ -101,7 +101,7 @@ class _Context:
         return self.get(("k", n), lambda: k_n(n))
 
     def wh_tower(self, n):
-        """Wh(K_n) and Wh^2(K_n), positively clasped, as flat complexes."""
+        """Wh(K_n) and Wh^2(K_n), positively clasped, as counted complexes."""
         return self.get(("wh", n), lambda: [level.complex("+", f"Wh^{i}(K{n})") for i, level in
                                             enumerate(box_tower(reduced_basis_form(self.k_n(n)), "++"), start=1)])
 

@@ -3,8 +3,8 @@
 Doubling a knot with tau = 0 and reduced pairing (m_j, A_j, d_j) gives
 the genus-one complex x + sum_j B[m_j - 1]^(2 d_j); the negative-clasp
 double is the mirror of the double of the mirror.  A :class:`BoxSum` keeps
-a double as box corners with multiplicities, and the flat complexes are
-its expansions.  The hat-level rank formula for doubles is evaluated
+a double as box corners with multiplicities, and so does its complex, which
+is written out flat only when read.  The hat-level rank formula for doubles is evaluated
 independently, term by term with its formal negative corrections, and the
 two must agree (tested).
 """
@@ -14,9 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cfk import Ambient, KnotComplex, ReducedBasisForm, _canonical_shapes, _keyed, box, unknot
-from .fualgebra import FreeComplex, _exact, grading
-from .surgery import HFPlusResult, _summed_cones
+from .cfk import Ambient, KnotComplex, ReducedBasisForm, _canonical_shapes, _CountedComplex, _normal_forms
+from .fualgebra import _exact, grading
 
 
 class FormalRankError(ValueError):
@@ -56,25 +55,18 @@ def hedden_hfk_double(filtration, g: int) -> dict:
 
 
 def whitehead_double_cfk(rb: ReducedBasisForm, name: str = "") -> KnotComplex:
-    """The positive double as a flat complex: the expansion of
-    ``BoxSum.doubling``.  The trivial knot (empty pair list) has no box
-    content and is rejected; doubling it does not give a genus-one complex.
+    """The positive double, ``BoxSum.complex`` of the one level of
+    :func:`box_tower`: counted, and written out flat only when read.  The
+    trivial knot (empty pair list) has no box content and is rejected;
+    doubling it does not give a genus-one complex.
     """
-    return BoxSum.doubling(_counted(rb)).complex("+", name or "Wh")
+    return box_tower(rb, "+")[0].complex("+", name or "Wh")
 
 
 def negative_double_cfk(rb: ReducedBasisForm, name: str = "") -> KnotComplex:
-    """The negative-clasp double as a flat complex (the mirror of the
-    positive double of the mirrored pairing)."""
-    return BoxSum.doubling(_counted(rb), "-").complex("-", name or "Wh-")
-
-
-def _counted(rb: ReducedBasisForm) -> list:
-    """Reduced pairs (m, A, d) as the ``(m, d, count)`` of ``BoxSum.doubling``."""
-    return [(m, d, 1) for m, _a, d in rb.pairs]
-
-
-_X, _BOX = _keyed(unknot()), _keyed(box(0))  # the two shapes of every BoxSum
+    """The negative-clasp double (the mirror of the positive double of the
+    mirrored pairing), kept counted as :func:`whitehead_double_cfk` is."""
+    return box_tower(rb, "-")[0].complex("-", name or "Wh-")
 
 
 @dataclass(frozen=True)
@@ -107,51 +99,18 @@ class BoxSum:
         return BoxSum(tuple((-k, c) for k, c in reversed(self.corners)))
 
     def complex(self, sign: str = "+", name: str = "") -> KnotComplex:
-        """The flat double with clasp ``sign``: ``0.x``, then one box
-        ``i.a`` .. ``i.d`` (i = 1, 2, ...) per copy of each corner k.
-
-        Sign "+" writes ``box(k)``, corners descending.  Sign "-" writes the
-        layout of ``mirror_knot`` of the positive double of the mirror: the
-        dual of ``box(-k)``, corners ascending, with a and d at k, b at k - 1
-        and c at k + 1, arrows b -> U a, c -> a, d -> b, d -> U c.
-
-        The complex carries its ``cfk._summands`` split, so it is never
-        split: ``0.x`` once at offset 0, and the box ``1.a`` .. ``1.d`` with
-        Maslov gradings relative to ``1.a`` at each corner k, counted, each
-        carrying its shape key, so ``validate_knot`` certifies both by key.
-        The three gradings of a corner are made once and shared by its copies.
-        """
-        s = 1 if sign == "+" else -1
-        maslov, diff, alexander, flip = {"0.x": 0}, {}, {"0.x": 0}, {"0.x": "0.x"}
-        corners = [(_exact(k), count) for k, count in (self.corners if s > 0 else self.corners[::-1])]
-        quads = [quad for k, count in corners for quad in [(k, k + s, k - s)] * count]
-        for i, (k, up, down) in enumerate(quads, start=1):
-            a, b, c, d = (p := f"{i}.") + "a", p + "b", p + "c", p + "d"
-            maslov[a], maslov[b], maslov[c], maslov[d] = k, up, down, k
-            alexander[a], alexander[b], alexander[c], alexander[d] = 0, s, -s, 0
-            flip[a], flip[b], flip[c], flip[d] = a, c, b, d
-            if s > 0:  # a -> U b, a -> c, b -> d, c -> U d
-                diff[a], diff[b], diff[c] = {b: 1, c: 0}, {d: 0}, {d: 1}
-            else:  # the dual: b -> U a, c -> a, d -> b, d -> U c
-                diff[b], diff[c], diff[d] = {a: 1}, {a: 0}, {b: 0, c: 1}
-        split = [(_keyed(KnotComplex(FreeComplex([("0.x", 0)]), {"0.x": 0}, {"0.x": "0.x"})), [(0, 1)])]
-        if quads:
-            first = ("1.a", "1.b", "1.c", "1.d")
-            rep = KnotComplex(FreeComplex(zip(first, (0, s, -s, 0)), {g: diff[g] for g in first if g in diff}),
-                              alexander, {g: flip[g] for g in first})
-            split.append((_keyed(rep), [(k, count) for k, count in corners if count]))
-        return KnotComplex._built(FreeComplex._built(maslov, diff), alexander, flip, Ambient(), name, split)
+        """The double with clasp ``sign``, kept as its split whatever the depth: x at 0 and
+        the clasp's box (``cfk._normal_forms``, made once per process) at each corner with
+        its multiplicity.  Written out, it is ``0.x`` and a box ``i.a`` .. ``i.d`` (i = 1, 2,
+        ...) per copy of each corner: ``box(k)`` for "+", corners descending; for "-" the
+        layout of ``mirror_knot`` of the positive double of the mirror, corners ascending."""
+        x, plus, minus = _normal_forms().values()
+        corners, box = (self.corners, plus) if sign == "+" else (self.corners[::-1], minus)
+        copies = [(_exact(k), count) for k, count in corners if count]
+        return _CountedComplex([(x, [(0, 1)])] + [(box, copies)] * bool(copies), Ambient(), name)
 
     def max_reduced_maslov(self) -> Fraction:
         return self.corners[0][0] + 1
-
-    def surgery_hf(self, n: int) -> HFPlusResult:
-        """``surgery_hf`` of the expanded complex through the same per-shape
-        cones (window 1, the genus): one x at offset 0 and ``box(0)`` at every
-        corner, the same two representatives at every call.  Both are shapes of
-        the normal form, so their cones are reduced once per process and
-        framing (``surgery._summed_cones``), and a call only sums copies."""
-        return _summed_cones([(_X, [(0, 1)]), (_BOX, [(_exact(k), c) for k, c in self.corners])], n, 1)
 
 
 def box_tower(rb: ReducedBasisForm, signs) -> list[BoxSum]:
@@ -159,7 +118,7 @@ def box_tower(rb: ReducedBasisForm, signs) -> list[BoxSum]:
     one level per sign in ``signs`` ("+" or "-"); no complex is built."""
     tower: list[BoxSum] = []
     for sign in signs:
-        pairs = (_counted(rb) if not tower else
+        pairs = ([(m, d, 1) for m, _a, d in rb.pairs] if not tower else
                  [p for k, c in tower[-1].corners for e in [_exact(k)] for p in ((e + 1, 1, c), (e, 1, c))])
         tower.append(BoxSum.doubling(pairs, sign))
     return tower

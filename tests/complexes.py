@@ -4,8 +4,9 @@
 ``scrambled_sums`` draws direct sums of such builders with fresh generator
 names in a random order.  The summand-route property of surgery and the
 split-validation property of ``validate_knot`` both draw from it.
-``flat_tower`` iterates the flat doubles through the reduced pairing of
-each flat level, the chain-level oracle for ``box_tower``.  ``unsplit``
+``flat_tower`` iterates the doubles through the reduced pairing of each
+level written out flat, the chain-level oracle for ``box_tower`` and the
+counted doubles.  ``unsplit``
 copies a complex without the summand split stored on it, and
 ``split_contents`` lists what a split holds, for comparing two, and
 ``named_split`` is the reference split, taken on generator names.
@@ -53,12 +54,13 @@ F = Fraction
 
 
 def flat_tower(kc, signs):
-    """Iterated flat doubles, one level per sign in ``signs``, each from the
-    reduced pairing of the flat level below."""
+    """Iterated doubles, one level per sign in ``signs``, each written out
+    flat without its split (:func:`unsplit`) and doubled from the reduced
+    pairing of that flat level."""
     tower = [kc]
     for sign in signs:
         build = whitehead_double_cfk if sign == "+" else negative_double_cfk
-        tower.append(build(reduced_basis_form(tower[-1])))
+        tower.append(unsplit(build(reduced_basis_form(tower[-1]))))
     return tower[1:]
 
 
@@ -281,10 +283,11 @@ def validate_knot_holders(modules, validate):
 
 def unchecked(monkeypatch):
     """Run the rest of a test as users run the program, without the re-checks
-    of package-built cones, complexes, splits and certified shapes that
-    ``conftest.py`` adds."""
+    of package-built cones, complexes, splits, counted complexes and certified
+    shapes that ``conftest.py`` adds."""
     monkeypatch.setattr(surgery, "_minimal_cone", inspect.unwrap(surgery._minimal_cone))
     for cls in (FreeComplex, KnotComplex):
         monkeypatch.setattr(cls, "_built", classmethod(inspect.unwrap(cls._built.__func__)))
+    monkeypatch.setattr(cfk._CountedComplex, "__init__", inspect.unwrap(cfk._CountedComplex.__init__))
     for module in validate_knot_holders(sys.modules.values(), cfk.validate_knot):
         monkeypatch.setattr(module, "validate_knot", inspect.unwrap(cfk.validate_knot))

@@ -3,7 +3,11 @@ program takes as built: every cone ``surgery._minimal_cone`` receives must
 pass ``complexes.cone_check``; every complex handed to ``FreeComplex._built``
 or ``KnotComplex._built`` must come out of ``__init__`` the same, types
 included; and every summand split handed to ``KnotComplex._built`` must be
-the one ``cfk._summands`` takes of the complex.  ``validate_knot``, wherever
+the one ``cfk._summands`` takes of the complex.  Each counted complex
+(``cfk._CountedComplex``) of at most ``EXPANDED_UP_TO`` generators is also
+written out once as it is made, through ``KnotComplex._built``, so its flat
+form and its split meet both checks; the complex itself stays counted, and
+a deeper one is checked when a caller writes it out.  ``validate_knot``, wherever
 it is imported, also holds each shape key a representative carries to the
 key of the representative itself, and runs the checks it skips on a shape
 certified by its key, which must pass them.  The per-process cache of
@@ -24,6 +28,8 @@ from complexes import split_contents, validate_knot_holders
 from floerforge import surgery
 from floerforge.cfk import (
     KnotComplex,
+    _CountedComplex,
+    _expanded,
     _flip_chain_map_violations,
     _layout,
     _normal_forms,
@@ -66,6 +72,18 @@ def compared_knot(built):
     return compare
 
 
+EXPANDED_UP_TO = 1_281  # generators: Wh^2(K9); the end invariants' towers go far deeper
+
+
+def expanded_counted(init):
+    @functools.wraps(init)
+    def expand(kc, split, *args):
+        init(kc, split, *args)
+        if sum(len(rep.generators) * count for rep, copies in split for _offset, count in copies) <= EXPANDED_UP_TO:
+            _expanded(kc)  # a flat twin through KnotComplex._built, which compares it; kc stays counted
+    return expand
+
+
 def strict_validation(validate):
     @functools.wraps(validate)
     def check(kc):
@@ -87,6 +105,7 @@ def suite_checks():
         mp.setattr(surgery, "_minimal_cone", checked_cone(surgery._minimal_cone))
         mp.setattr(FreeComplex, "_built", classmethod(compared_complex(FreeComplex._built.__func__)))
         mp.setattr(KnotComplex, "_built", classmethod(compared_knot(KnotComplex._built.__func__)))
+        mp.setattr(_CountedComplex, "__init__", expanded_counted(_CountedComplex.__init__))
         strict = strict_validation(validate_knot)
         for module in validate_knot_holders(sys.modules.values(), validate_knot):
             mp.setattr(module, "validate_knot", strict)

@@ -4,19 +4,22 @@ window, a warm answer equals a cold one and the flat cone, and no other
 shape is kept.  A split representative carries its shape key, and
 ``validate_knot`` certifies x and the box by it: their per-shape checks do
 not run, every other shape is checked once, and an invalid file ends as
-before.
+before.  A double is counted: a tower 64 levels deep is validated, surgered
+and read for its hat invariants without its flat form ever being written.
 
 A test that needs the cache cold empties it itself, so the module also runs
 as users run the program, under ``pytest --noconftest``.
 """
 
 import json
+import time
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 from complexes import disjoint_sum, flat_tower, flip_swapped_boxes, unsplit
-from floerforge import cfk, surgery, whitehead
+from floerforge import cfk, surgery
 from floerforge.cfk import (
     KnotComplex,
     _layout,
@@ -25,18 +28,22 @@ from floerforge.cfk import (
     box,
     connected_sum_knots,
     figure8,
+    hfk_hat,
     j_in_y,
     k_n,
+    knot_numerics,
     mirror_knot,
+    reduced_basis_form,
     staircase_torus,
     unknot,
     validate_knot,
 )
 from floerforge.cli import main
+from floerforge.endfloer import CH_PLUS, CassonHandle, SliceR4Spec, he_end_sum, he_product_end, he_slice_r4, s3_data
 from floerforge.corpus import corpus_dir, load_complex
 from floerforge.fualgebra import FreeComplex, homology_decomposition, plus_presentation
 from floerforge.surgery import build_cone, surgery_hf
-from floerforge.whitehead import BoxSum
+from floerforge.whitehead import BoxSum, box_tower, whitehead_double_cfk
 
 F = Fraction
 
@@ -152,9 +159,10 @@ def summands_checked(monkeypatch):
 
 def test_split_representatives_carry_their_own_keys():
     wh_k3 = load_complex("wh_k3")
-    reps = [whitehead._X, whitehead._BOX, *(rep for kc in (wh_k3, mirror_knot(wh_k3)) for rep, _copies in _shapes(kc)),
+    reps = [*cfk._normal_forms().values(),
+            *(rep for kc in (wh_k3, mirror_knot(wh_k3)) for rep, _copies in _shapes(kc)),
             *(rep for sign in "+-" for rep, _copies in _shapes(BoxSum(((F(1), 2), (F(0), 1))).complex(sign)))]
-    assert len(reps) == 10
+    assert len(reps) == 11
     for rep in reps:
         assert rep._key == shape(rep) and rep._key in NORMAL_FORMS
     # box(3) alone is its own shape, the complex itself: it carries no key.
@@ -216,3 +224,83 @@ def test_a_mutated_box_is_checked_in_full(tmp_path, capsys, mutate, message):
     path.write_text(json.dumps(data), encoding="utf-8")
     assert main(["surgery", "--n", "0", "--complex", str(path)]) == 1
     assert capsys.readouterr() == ("", f"error: invalid complex: {message}\n")
+
+
+# --- counted doubles: never written out ---------------------------------------------
+
+
+@pytest.fixture
+def nothing_written(monkeypatch):
+    """Refuse to write out the flat form of any counted complex."""
+    def refuse(kc):
+        raise AssertionError(f"{kc.name or 'a counted complex'} was written out")
+    monkeypatch.setattr(cfk, "_expanded", refuse)
+
+
+def written_out(kc):
+    """Whether the flat form of ``kc`` is on it (``KnotComplex.__getattr__`` not consulted)."""
+    try:
+        object.__getattribute__(kc, "base")
+    except AttributeError:
+        return False
+    return True
+
+
+def test_a_tower_64_levels_deep_is_never_written_out(nothing_written):
+    # 4 * 2^130 or so box copies, counted: surgery, the hat table and the
+    # numerics read two shapes and their counts.
+    k9, times = load_complex("k9"), []
+    for _ in range(3):
+        start = time.perf_counter()
+        top = box_tower(reduced_basis_form(k9), "+" * 64)[-1]
+        kc = top.complex()
+        result, hat, numerics = surgery_hf(kc, 0), hfk_hat(kc), knot_numerics(kc)
+        times.append(time.perf_counter() - start)
+    assert min(times) < 0.1
+    size = 1 + 4 * sum(c for _k, c in top.corners)
+    assert size > 2 ** 130 and repr(kc) == f"KnotComplex(unnamed, {size} generators)"
+    assert not written_out(kc)
+    # x gives the towers of S1 x S2, and each box at corner k one F2 at k - 1/2.
+    assert result.d_invariants == (F(-1, 2), F(1, 2))
+    assert result.decomposition.torsion == tuple((k - F(1, 2), 1, c) for k, c in top.corners)
+    table = Counter({(F(0), 0): 1})  # box(k): a and d at (k, 0), b at (k + 1, 1), c at (k - 1, -1)
+    for k, c in top.corners:
+        table.update({(k, 0): 2 * c, (k + 1, 1): c, (k - 1, -1): c})
+    assert hat.total == dict(table) and numerics == {"tau": 0, "genus": 1}
+
+
+def test_the_ladder_writes_no_double_out(nothing_written):
+    # reduced_basis_form -> whitehead_double_cfk -> surgery_hf, as the
+    # benchmark's ladder runs it on K9.
+    kc, tower = load_complex("k9"), []
+    for level in (1, 2, 3):
+        kc = whitehead_double_cfk(reduced_basis_form(kc), name=f"Wh^{level}(K9)")
+        tower.append(kc)
+        for n in (-1, 0, 1):
+            surgery_hf(kc, n)
+    assert [repr(kc) for kc in tower] == [f"KnotComplex(Wh^{level}(K9), {size} generators)"
+                                          for level, size in ((1, 321), (2, 1281), (3, 5121))]
+    assert not any(map(written_out, tower))
+
+
+def test_end_invariants_build_no_flat_double(nothing_written):
+    # Each level of an end invariant's tower is a counted complex (BoxSum.complex).
+    mixed_plus, mixed_minus = (CassonHandle("finite_mixed_then_one_sign", (a,), b) for a, b in ("-+", "+-"))
+    r_spec = lambda n, handle=CH_PLUS: SliceR4Spec(k_n(n), handle)
+    assert he_slice_r4(r_spec(5), levels=6).max_nontrivial_grading == 2
+    assert he_slice_r4(r_spec(3, mixed_plus), levels=6).max_nontrivial_grading == 1
+    assert he_slice_r4(r_spec(3, mixed_minus)).vanishes is True
+    assert he_end_sum([r_spec(3, mixed_plus), r_spec(5)], levels=5).max_nontrivial_grading == 4
+    assert he_end_sum([r_spec(3), r_spec(3), r_spec(3)], levels=5).max_nontrivial_grading == 2
+    report = he_product_end(s3_data(), r_spec(5), 5, levels=5)
+    assert report.max_nontrivial_grading == 2
+    assert any("f(S3) = -2" in line for line in report.narrative)
+
+
+def test_a_counted_double_is_written_out_on_first_read():
+    kc = BoxSum(((F(1), 2), (F(-1), 1))).complex("-", "double")
+    assert not written_out(kc)
+    assert kc.generators[:5] == ("0.x", "1.a", "1.b", "1.c", "1.d") and written_out(kc)
+    assert (kc.alexander["1.b"], kc.flip["1.b"], kc.base.differential["1.d"]) == (-1, "1.c", {"1.b": 0, "1.c": 1})
+    with pytest.raises(AttributeError, match="no attribute 'maslov_table'"):
+        kc.maslov_table

@@ -464,14 +464,19 @@ def test_distinguish_piece_with_dict_handle(tmp_path, capsys, handle, code):
         assert out == "" and err.startswith("error: ") and len(err.strip().splitlines()) == 1
 
 
+NEEDS_SIGNS = "finite mixed handles need a sign prefix and a tail sign"
+
+
 @pytest.mark.parametrize(
-    "signs, code, err",
-    [("+-", 2, "error: malformed piece description in {path!r}: signs is not a JSON list: '+-'\n"),
-     ([], 2, "error: malformed piece description in {path!r}: finite mixed handles need a sign prefix and a tail sign\n")],
-    ids=["string", "empty"],
+    "signs, tail, code, err",
+    [("+-", "+", 2, "error: malformed piece description in {path!r}: signs is not a JSON list: '+-'\n"),
+     ([], "+", 2, f"error: malformed piece description in {{path!r}}: {NEEDS_SIGNS}\n"),
+     ([[1]], "+", 2, f"error: malformed piece description in {{path!r}}: {NEEDS_SIGNS}\n"),
+     (["+"], ["+"], 2, f"error: malformed piece description in {{path!r}}: {NEEDS_SIGNS}\n")],
+    ids=["string", "empty", "list-sign", "list-tail"],
 )
-def test_distinguish_mixed_handle_needs_a_sign_list(tmp_path, capsys, signs, code, err):
-    handle = {"kind": "finite_mixed_then_one_sign", "signs": signs, "tail": "+"}
+def test_distinguish_mixed_handle_needs_a_sign_list(tmp_path, capsys, signs, tail, code, err):
+    handle = {"kind": "finite_mixed_then_one_sign", "signs": signs, "tail": tail}
     a = write_json(tmp_path / "a.json", {"knot": "k3", "handle": handle})
     b = write_json(tmp_path / "b.json", {"knot": "k5"})
     assert run(capsys, "distinguish", "--a", a, "--b", b) == (code, "", err.format(path=a))

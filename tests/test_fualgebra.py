@@ -361,6 +361,7 @@ def test_integral_kernels_build_no_fraction(monkeypatch):
     # Fraction arithmetic.
     k3 = k_n(3)
     wh = whitehead_double_cfk(reduced_basis_form(k3))
+    wh.base  # written out before counting: the suite's re-check of that makes Fractions
     built = []
     new = Fraction.__new__
     monkeypatch.setattr(Fraction, "__new__", lambda cls, *args, **kw: built.append(args) or new(cls, *args, **kw))

@@ -422,7 +422,7 @@ def test_cone_without_u0_is_its_own_model(monkeypatch):
     calls, reduce = [], surgery._minimal_blocks
     monkeypatch.setattr(surgery, "_minimal_blocks", lambda sc: calls.append(len(sc.base.generators)) or reduce(sc))
     for n in (-1, 0, 1):
-        BoxSum(((F(0), 1),)).surgery_hf(n)
+        surgery_hf(BoxSum(((F(0), 1),)).complex(), n)
     assert calls == [4, 4, 4]
 
 
@@ -446,7 +446,7 @@ def test_shared_blocks_match_separate_reductions(kc, n):
 
 
 def test_box_sum_shapes_pass_validation():
-    # BoxSum.surgery_hf hands these to the cone without validating them.
+    # validate_knot certifies the shapes of BoxSum.complex by their keys.
     assert validate_knot(unknot()).ok and validate_knot(box(0)).ok
 
 
@@ -459,7 +459,7 @@ def test_cone_check_runs_in_the_suite_only(monkeypatch):
     answers = []
     for expected in ([81, 81, 1, 4], []):
         calls.clear()
-        answers.append([surgery_hf(k9, -1), surgery_hf(k9, 1), boxes.surgery_hf(0)])
+        answers.append([surgery_hf(k9, -1), surgery_hf(k9, 1), surgery_hf(boxes.complex(), 0)])
         assert calls == expected
         unchecked(monkeypatch)
     assert answers[0] == answers[1]

@@ -302,7 +302,7 @@ def test_box_tower_matches_flat_tower(n, signs, framings):
         assert type(symbolic.max_reduced_maslov()) is Fraction
         assert all(type(m) is Fraction for m, _a, _d in reduced_basis_form(flat).pairs)
         for framing in framings:
-            assert symbolic.surgery_hf(framing) == surgery_hf(flat, framing)
+            assert surgery_hf(symbolic.complex(), framing) == surgery_hf(flat, framing)
 
 
 @pytest.mark.parametrize("signs", ["+", "-", "+-", "-+", "--"])
@@ -346,6 +346,21 @@ def test_box_sum_complex_hands_over_the_split_of_its_expansion(entry):
                 assert split_contents(flat._split) == split_contents(_summands(unsplit(flat)))
 
 
+@pytest.mark.parametrize("entry", DOUBLABLE)
+def test_counted_doubles_match_the_flat_route(entry):
+    # Doubling depth 4 from the knot itself, a wh_ entry being one double
+    # already: each counted level answers surgery as the flat level does,
+    # before it is written out, and writes the same JSON.
+    kc = load_complex(entry)
+    for signs in ("+-+-", "-+-+"):
+        signs, counted = signs[entry.startswith("wh_"):], kc
+        for flat, sign in zip(flat_tower(kc, signs), signs, strict=True):
+            counted = (whitehead_double_cfk if sign == "+" else negative_double_cfk)(reduced_basis_form(counted))
+            for n in (-1, 0, 1):
+                assert surgery_hf(counted, n) == surgery_hf(flat, n)
+            assert counted.to_json() == flat.to_json()
+
+
 @pytest.mark.parametrize("corners, copies", [(((F(1), 3), (F(-2), 2)), [(F(1), 3), (F(-2), 2)]),
                                              (((F(2), 0), (F(0), 4)), [(F(0), 4)]),
                                              ((), [])], ids=["multiplicities", "zero-count", "no-boxes"])
@@ -360,9 +375,9 @@ def test_box_sum_split_counts_each_corner(corners, copies, sign):
 @pytest.mark.parametrize("sign", ["+", "-"])
 @pytest.mark.parametrize("fault", ["empty row", "Fraction power"])
 def test_suite_compares_the_built_double(monkeypatch, fault, sign):
-    # BoxSum.complex hands FreeComplex its rows without a copy.  In the suite
-    # (conftest.py) they also go through __init__ and must come out the
-    # same, types included; the program takes them as they are.
+    # Writing out a counted double hands FreeComplex its rows without a copy.
+    # In the suite (conftest.py) they also go through __init__ and must come
+    # out the same, types included; the program takes them as they are.
     def mutating(built):
         def mutated(cls, maslov, differential):
             if fault == "empty row":
@@ -376,8 +391,8 @@ def test_suite_compares_the_built_double(monkeypatch, fault, sign):
     double = BoxSum(((F(1), 2), (F(-1), 1)))
     monkeypatch.setattr(FreeComplex, "_built", mutating(FreeComplex._built.__func__))
     with pytest.raises(AssertionError, match="differs from its copy"):
-        double.complex(sign)
+        double.complex(sign).base
     monkeypatch.undo()
     unchecked(monkeypatch)
     monkeypatch.setattr(FreeComplex, "_built", mutating(FreeComplex._built.__func__))
-    double.complex(sign)  # the program takes the rows as they are
+    double.complex(sign).base  # the program takes the rows as they are
