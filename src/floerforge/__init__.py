@@ -81,7 +81,6 @@ from .surgery import (
     surgery_hf,
 )
 from .whitehead import (
-    BoxSum,
     FormalRankError,
     box_parameters,
     box_tower,

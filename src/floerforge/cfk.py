@@ -69,7 +69,7 @@ class KnotComplex:
 
     An immutable value, so its summand split is taken at most once and kept
     (:func:`_shapes`).  The builders that know the split hand it over through
-    :meth:`_built`; ``BoxSum.complex`` hands over only the split (:class:`_CountedComplex`).  The
+    :meth:`_built`; a double (``whitehead.box_tower``) hands over only the split (:class:`_CountedComplex`).  The
     canonical reduction of each shape is kept the same way
     (:func:`_canonical_shapes`); callers must not mutate either list.  A
     representative of a split carries the shape key the split took of it
@@ -532,7 +532,7 @@ def _keyed(kc: KnotComplex) -> KnotComplex:
 @cache
 def _normal_forms() -> dict:
     """Hedden's x and box by :func:`_shape_key`, the box in each clasp's layout:
-    ``box(0)`` and its dual, named as ``BoxSum.complex`` names their first copies."""
+    ``box(0)`` and its dual, named as a counted double names their first copies."""
     b, x = box(0, prefix="1."), KnotComplex(FreeComplex([("0.x", 0)]), {"0.x": 0}, {"0.x": "0.x"})
     dual = KnotComplex(_dual(b.base), {g: -a for g, a in b.alexander.items()}, b.flip)
     return {_keyed(k)._key: k for k in (x, KnotComplex(b.base, b.alexander, b.flip), dual)}

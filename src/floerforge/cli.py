@@ -189,9 +189,7 @@ def _cmd_double(args) -> int:
     if args.iterations < 1:
         raise UsageError("--iterations must be at least 1")
     kc = _load(args.complex)
-    top = box_tower(reduced_basis_form(kc), args.sign * args.iterations)[-1]
-    name = f"Wh^{args.iterations}({kc.name})" if kc.name else f"Wh^{args.iterations}"
-    _emit(complex_json(top.complex(args.sign, name)), args.out)
+    _emit(complex_json(box_tower(reduced_basis_form(kc), args.sign * args.iterations, kc.name)[-1]), args.out)
     return 0
 
 

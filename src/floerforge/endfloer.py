@@ -430,9 +430,7 @@ def _resolve_piece(spec: SliceR4Spec, levels: int):
         prefix, handle = "".join(handle.signs), CH_PLUS if handle.tail == "+" else CH_MINUS
         lead = ("finite mixed prefix absorbed into the knot by doubling",)
     positive = handle.kind == "all_positive_chain"
-    signs = prefix + ("+" * levels if positive else "")
-    rb = _reduced_basis_form(shapes, spec.orientation == "-") if signs else None  # doubling needs tau = 0
-    tower = box_tower(rb, signs)
+    rb = _reduced_basis_form(shapes, spec.orientation == "-") if prefix or positive else None  # doubling needs tau = 0
 
     if not positive:
         exhaustion = ExhaustionSpec(tuple(Level(1, {F(0): 0}, f"level {i + 1}") for i in range(levels)),
@@ -441,10 +439,10 @@ def _resolve_piece(spec: SliceR4Spec, levels: int):
         narrative = lead + ("negatively clasped doubling cobordisms are zero maps",) + report.narrative
         return replace(report, narrative=narrative), None
 
-    # The top reduced hat grading of the knot is that of its highest paired y.
-    top = tower[len(prefix) - 1].max_reduced_maslov() if prefix else max(m for m, _a, _d in rb.pairs)
-    top_expected = top - 1 - F(1, 2)
-    results = [surgery_hf(level.complex(), 0) for level in tower[len(prefix):]]
+    # The top reduced hat grading of the knot is that of its highest paired y;
+    # a "-" double raises it by one, a "+" double keeps it.
+    top_expected = max(m for m, _a, _d in rb.pairs) + prefix.count("-") - 1 - F(1, 2)
+    results = [surgery_hf(level, 0) for level in box_tower(rb, prefix + "+" * levels)[len(prefix):]]
     level_rows = []
     for i, r in enumerate(results):
         table = r.hf_red()

@@ -290,9 +290,10 @@ def surgery_hf(kc: KnotComplex, n: int) -> HFPlusResult:
     once per shape of ``cfk._shapes`` (:func:`_summed_cones`), on the split
     ``validate_knot`` checks; copies of a shape differ by a Maslov shift.
 
-    >>> from .whitehead import BoxSum
-    >>> surgery_hf(BoxSum(((2, 1), (0, 1))).complex(), 0).decomposition
-    FUDecomposition(towers=(Fraction(1, 2), Fraction(-1, 2)), torsion=((Fraction(3, 2), 1, 1), (Fraction(-1, 2), 1, 1)))
+    >>> from .cfk import figure8, reduced_basis_form
+    >>> from .whitehead import whitehead_double_cfk
+    >>> surgery_hf(whitehead_double_cfk(reduced_basis_form(figure8())), 0).decomposition
+    FUDecomposition(towers=(Fraction(1, 2), Fraction(-1, 2)), torsion=((Fraction(-1, 2), 1, 2), (Fraction(-3, 2), 1, 2)))
     """
     g_hat = _window(kc, n)
     validate_knot(kc).require("surgery input")

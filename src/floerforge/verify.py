@@ -102,8 +102,7 @@ class _Context:
 
     def wh_tower(self, n):
         """Wh(K_n) and Wh^2(K_n), positively clasped, as counted complexes."""
-        return self.get(("wh", n), lambda: [level.complex("+", f"Wh^{i}(K{n})") for i, level in
-                                            enumerate(box_tower(reduced_basis_form(self.k_n(n)), "++"), start=1)])
+        return self.get(("wh", n), lambda: box_tower(reduced_basis_form(self.k_n(n)), "++", f"K{n}"))
 
     def closed_patterns(self, n):
         """Closed patterns of the three surgered manifolds from the box

@@ -2,16 +2,15 @@
 
 Doubling a knot with tau = 0 and reduced pairing (m_j, A_j, d_j) gives
 the genus-one complex x + sum_j B[m_j - 1]^(2 d_j); the negative-clasp
-double is the mirror of the double of the mirror.  A :class:`BoxSum` keeps
-a double as box corners with multiplicities, and so does its complex, which
-is written out flat only when read.  The hat-level rank formula for doubles is evaluated
+double is the mirror of the double of the mirror.  A double is a complex
+kept as its box corners with multiplicities (:func:`box_tower`), and written
+out flat only when read.  The hat-level rank formula for doubles is evaluated
 independently, term by term with its formal negative corrections, and the
 two must agree (tested).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .cfk import Ambient, KnotComplex, ReducedBasisForm, _canonical_shapes, _CountedComplex, _normal_forms
@@ -55,72 +54,58 @@ def hedden_hfk_double(filtration, g: int) -> dict:
 
 
 def whitehead_double_cfk(rb: ReducedBasisForm, name: str = "") -> KnotComplex:
-    """The positive double, ``BoxSum.complex`` of the one level of
-    :func:`box_tower`: counted, and written out flat only when read.  The
-    trivial knot (empty pair list) has no box content and is rejected;
-    doubling it does not give a genus-one complex.
-    """
-    return box_tower(rb, "+")[0].complex("+", name or "Wh")
+    """The positive double, counted as each level of :func:`box_tower` is.  The trivial
+    knot (empty pair list) has no box content and is rejected: its double is no genus-one complex."""
+    return _counted(_corners([(m, d, 1) for m, _a, d in rb.pairs], "+"), "+", name or "Wh")
 
 
 def negative_double_cfk(rb: ReducedBasisForm, name: str = "") -> KnotComplex:
     """The negative-clasp double (the mirror of the positive double of the
     mirrored pairing), kept counted as :func:`whitehead_double_cfk` is."""
-    return box_tower(rb, "-")[0].complex("-", name or "Wh-")
+    return _counted(_corners([(m, d, 1) for m, _a, d in rb.pairs], "-"), "-", name or "Wh-")
 
 
-@dataclass(frozen=True)
-class BoxSum:
-    """Normal form of a double: x at (0, 0) plus the boxes ``box(k)``, kept
-    as ``(corner k, multiplicity)`` pairs, k descending (Hedden).
-
-    A box B[k] has reduced pairs (k + 1, 1, 1) and (k, 0, 1), so a positive
-    double takes B[k]^c to B[k]^2c + B[k - 1]^2c, a negative one (through
-    the mirror, k -> -k) to B[k]^2c + B[k + 1]^2c.
-    """
-
-    corners: tuple[tuple[Fraction, int], ...]
-
-    @staticmethod
-    def doubling(pairs, sign: str = "+") -> "BoxSum":
-        """The double of a knot from its reduced pairs (m, A, d), given as
-        ``(m, d, count)``: 2 d boxes B[m - 1] per pair, or the mirror of the
-        double of the mirrored pairs (1 - m, d - A, d)."""
-        counts: dict = {}  # on _exact corners; one Fraction per distinct corner at the end
-        for m, d, c in pairs:
-            corner = -_exact(m) if sign == "-" else _exact(m) - 1
-            counts[corner] = counts.get(corner, 0) + 2 * d * c
-        if not counts:
-            raise ValueError("doubling needs a nontrivial knot (no reduced pairs)")
-        out = BoxSum(tuple((grading(k), c) for k, c in sorted(counts.items(), reverse=True)))
-        return out.mirror() if sign == "-" else out
-
-    def mirror(self) -> "BoxSum":
-        return BoxSum(tuple((-k, c) for k, c in reversed(self.corners)))
-
-    def complex(self, sign: str = "+", name: str = "") -> KnotComplex:
-        """The double with clasp ``sign``, kept as its split whatever the depth: x at 0 and
-        the clasp's box (``cfk._normal_forms``, made once per process) at each corner with
-        its multiplicity.  Written out, it is ``0.x`` and a box ``i.a`` .. ``i.d`` (i = 1, 2,
-        ...) per copy of each corner: ``box(k)`` for "+", corners descending; for "-" the
-        layout of ``mirror_knot`` of the positive double of the mirror, corners ascending."""
-        x, plus, minus = _normal_forms().values()
-        corners, box = (self.corners, plus) if sign == "+" else (self.corners[::-1], minus)
-        copies = [(_exact(k), count) for k, count in corners if count]
-        return _CountedComplex([(x, [(0, 1)])] + [(box, copies)] * bool(copies), Ambient(), name)
-
-    def max_reduced_maslov(self) -> Fraction:
-        return self.corners[0][0] + 1
+def _corners(pairs, sign: str) -> dict:
+    """Box corners of the double with clasp ``sign`` of a knot with reduced pairs
+    (m, A, d), given as ``(m, d, count)``, as ``{corner: multiplicity}``: 2 d boxes
+    B[m - 1] per pair for "+"; for "-" the mirror of that double of the mirrored
+    pairs (1 - m, d - A, d), 2 d boxes B[m]."""
+    if sign not in ("+", "-"):
+        raise ValueError(f"clasp sign must be '+' or '-', not {sign!r}")
+    counts: dict = {}  # on _exact corners
+    for m, d, c in pairs:
+        if d < 1:
+            raise ValueError(f"reduced pair at maslov {m} has drop {d}; doubling needs drops of at least 1")
+        corner = _exact(m) - 1 if sign == "+" else _exact(m)
+        counts[corner] = counts.get(corner, 0) + 2 * d * c
+    if not counts:
+        raise ValueError("doubling needs a nontrivial knot (no reduced pairs)")
+    return counts
 
 
-def box_tower(rb: ReducedBasisForm, signs) -> list[BoxSum]:
-    """Iterated doubles as box sums of the knot with reduced pairing ``rb``,
-    one level per sign in ``signs`` ("+" or "-"); no complex is built."""
-    tower: list[BoxSum] = []
-    for sign in signs:
-        pairs = ([(m, d, 1) for m, _a, d in rb.pairs] if not tower else
-                 [p for k, c in tower[-1].corners for e in [_exact(k)] for p in ((e + 1, 1, c), (e, 1, c))])
-        tower.append(BoxSum.doubling(pairs, sign))
+def _counted(corners: dict, sign: str, name: str = "") -> KnotComplex:
+    """The double with clasp ``sign`` and box ``corners``, kept as its split whatever the
+    depth: x at 0 and the clasp's box (``cfk._normal_forms``, made once per process) at
+    each corner with its multiplicity.  Written out, it is ``0.x`` and a box ``i.a`` ..
+    ``i.d`` (i = 1, 2, ...) per copy of each corner: ``box(k)`` for "+", corners
+    descending; for "-" the layout of ``mirror_knot`` of the positive double of the
+    mirror, corners ascending."""
+    x, plus, minus = _normal_forms().values()
+    copies = sorted(corners.items(), reverse=sign == "+")
+    return _CountedComplex([(x, [(0, 1)]), (plus if sign == "+" else minus, copies)], Ambient(), name)
+
+
+def box_tower(rb: ReducedBasisForm, signs, knot: str = "") -> list[KnotComplex]:
+    """Iterated doubles of the knot with reduced pairing ``rb``, one counted level
+    per clasp sign in ``signs`` ("+" or "-"), named ``Wh^i(knot)`` (``Wh^i`` for
+    no ``knot``).  Every level is x plus boxes (Hedden), and a box B[k] has reduced
+    pairs (k + 1, 1, 1) and (k, 0, 1): a positive double takes B[k]^c to
+    B[k]^2c + B[k - 1]^2c, a negative one to B[k]^2c + B[k + 1]^2c."""
+    tower, pairs = [], [(m, d, 1) for m, _a, d in rb.pairs]
+    for i, sign in enumerate(signs, start=1):
+        corners = _corners(pairs, sign)
+        tower.append(_counted(corners, sign, f"Wh^{i}({knot})" if knot else f"Wh^{i}"))
+        pairs = [p for k, c in corners.items() for p in ((k + 1, 1, c), (k, 1, c))]
     return tower
 
 

@@ -6,15 +6,20 @@ shape is kept.  A split representative carries its shape key, and
 not run, every other shape is checked once, and an invalid file ends as
 before.  A double is counted: a tower 64 levels deep is validated, surgered
 and read for its hat invariants without its flat form ever being written.
+Doubling refuses a clasp sign other than "+" or "-" and a reduced pair
+whose drop is below 1, and the closed-form top grading that the end
+invariants read off a finite mixed prefix is that of the hat table.
 
 A test that needs the cache cold empties it itself, so the module also runs
 as users run the program, under ``pytest --noconftest``.
 """
 
 import json
+import re
 import time
 from collections import Counter
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -22,6 +27,7 @@ from complexes import disjoint_sum, flat_tower, flip_swapped_boxes, unsplit
 from floerforge import cfk, surgery
 from floerforge.cfk import (
     KnotComplex,
+    ReducedBasisForm,
     _layout,
     _shape_key,
     _shapes,
@@ -43,7 +49,7 @@ from floerforge.endfloer import CH_PLUS, CassonHandle, SliceR4Spec, he_end_sum, 
 from floerforge.corpus import corpus_dir, load_complex
 from floerforge.fualgebra import FreeComplex, homology_decomposition, plus_presentation
 from floerforge.surgery import build_cone, surgery_hf
-from floerforge.whitehead import BoxSum, box_tower, whitehead_double_cfk
+from floerforge.whitehead import _counted, box_tower, negative_double_cfk, whitehead_double_cfk
 
 F = Fraction
 
@@ -53,8 +59,8 @@ def shape(kc):
 
 
 def dual_box():
-    """The box in the negative clasp's layout, as ``BoxSum.complex("-")``
-    writes it: a, d at 0, b at -1, c at 1, b -> U a, c -> a, d -> b, d -> U c."""
+    """The box in the negative clasp's layout, as a negative double writes
+    it: a, d at 0, b at -1, c at 1, b -> U a, c -> a, d -> b, d -> U c."""
     base = FreeComplex([("a", 0), ("b", -1), ("c", 1), ("d", 0)],
                        {"b": {"a": 1}, "c": {"a": 0}, "d": {"b": 0, "c": 1}})
     return KnotComplex(base, {"a": 0, "b": -1, "c": 1, "d": 0}, {"a": "a", "b": "c", "c": "b", "d": "d"})
@@ -77,7 +83,7 @@ def cones_built(monkeypatch):
 
 def test_both_clasps_write_the_normal_forms():
     for sign in "+-":
-        shapes = {shape(rep) for rep, _copies in _shapes(BoxSum(((F(1), 2), (F(0), 1))).complex(sign))}
+        shapes = {shape(rep) for rep, _copies in _shapes(_counted({1: 2, 0: 1}, sign))}
         assert shapes == {shape(unknot()), shape(box(0) if sign == "+" else dual_box())}
 
 
@@ -161,7 +167,7 @@ def test_split_representatives_carry_their_own_keys():
     wh_k3 = load_complex("wh_k3")
     reps = [*cfk._normal_forms().values(),
             *(rep for kc in (wh_k3, mirror_knot(wh_k3)) for rep, _copies in _shapes(kc)),
-            *(rep for sign in "+-" for rep, _copies in _shapes(BoxSum(((F(1), 2), (F(0), 1))).complex(sign)))]
+            *(rep for sign in "+-" for rep, _copies in _shapes(_counted({1: 2, 0: 1}, sign)))]
     assert len(reps) == 11
     for rep in reps:
         assert rep._key == shape(rep) and rep._key in NORMAL_FORMS
@@ -246,25 +252,37 @@ def written_out(kc):
     return True
 
 
+def positive_tower_corners(rb, depth):
+    """Box corners of the depth-th positive double with their multiplicities, descending, by
+    Hedden's rule: 2 d boxes B[m - 1] per pair (m, A, d), and each next double takes B[k]^c to
+    B[k]^2c + B[k - 1]^2c."""
+    corners = Counter()
+    for m, _a, d in rb.pairs:
+        corners[m - 1] += 2 * d
+    for _ in range(depth - 1):
+        corners = sum((Counter({k: 2 * c, k - 1: 2 * c}) for k, c in corners.items()), Counter())
+    return sorted(corners.items(), reverse=True)
+
+
 def test_a_tower_64_levels_deep_is_never_written_out(nothing_written):
     # 4 * 2^130 or so box copies, counted: surgery, the hat table and the
     # numerics read two shapes and their counts.
     k9, times = load_complex("k9"), []
     for _ in range(3):
         start = time.perf_counter()
-        top = box_tower(reduced_basis_form(k9), "+" * 64)[-1]
-        kc = top.complex()
+        kc = box_tower(reduced_basis_form(k9), "+" * 64)[-1]
         result, hat, numerics = surgery_hf(kc, 0), hfk_hat(kc), knot_numerics(kc)
         times.append(time.perf_counter() - start)
     assert min(times) < 0.1
-    size = 1 + 4 * sum(c for _k, c in top.corners)
-    assert size > 2 ** 130 and repr(kc) == f"KnotComplex(unnamed, {size} generators)"
+    corners = positive_tower_corners(reduced_basis_form(k9), 64)
+    size = 1 + 4 * sum(c for _k, c in corners)
+    assert size > 2 ** 130 and repr(kc) == f"KnotComplex(Wh^64, {size} generators)"
     assert not written_out(kc)
     # x gives the towers of S1 x S2, and each box at corner k one F2 at k - 1/2.
     assert result.d_invariants == (F(-1, 2), F(1, 2))
-    assert result.decomposition.torsion == tuple((k - F(1, 2), 1, c) for k, c in top.corners)
+    assert result.decomposition.torsion == tuple((k - F(1, 2), 1, c) for k, c in corners)
     table = Counter({(F(0), 0): 1})  # box(k): a and d at (k, 0), b at (k + 1, 1), c at (k - 1, -1)
-    for k, c in top.corners:
+    for k, c in corners:
         table.update({(k, 0): 2 * c, (k + 1, 1): c, (k - 1, -1): c})
     assert hat.total == dict(table) and numerics == {"tau": 0, "genus": 1}
 
@@ -284,7 +302,7 @@ def test_the_ladder_writes_no_double_out(nothing_written):
 
 
 def test_end_invariants_build_no_flat_double(nothing_written):
-    # Each level of an end invariant's tower is a counted complex (BoxSum.complex).
+    # Each level of an end invariant's tower is a counted complex (box_tower).
     mixed_plus, mixed_minus = (CassonHandle("finite_mixed_then_one_sign", (a,), b) for a, b in ("-+", "+-"))
     r_spec = lambda n, handle=CH_PLUS: SliceR4Spec(k_n(n), handle)
     assert he_slice_r4(r_spec(5), levels=6).max_nontrivial_grading == 2
@@ -298,9 +316,46 @@ def test_end_invariants_build_no_flat_double(nothing_written):
 
 
 def test_a_counted_double_is_written_out_on_first_read():
-    kc = BoxSum(((F(1), 2), (F(-1), 1))).complex("-", "double")
+    kc = _counted({1: 2, -1: 1}, "-", "double")
     assert not written_out(kc)
     assert kc.generators[:5] == ("0.x", "1.a", "1.b", "1.c", "1.d") and written_out(kc)
     assert (kc.alexander["1.b"], kc.flip["1.b"], kc.base.differential["1.d"]) == (-1, "1.c", {"1.b": 0, "1.c": 1})
     with pytest.raises(AttributeError, match="no attribute 'maslov_table'"):
         kc.maslov_table
+
+
+@pytest.mark.parametrize("signs", ["x", "+ ", "+-*", ["+", "++"]])
+def test_doubling_refuses_a_clasp_sign_other_than_plus_or_minus(signs):
+    bad = next(s for s in signs if s not in ("+", "-"))
+    with pytest.raises(ValueError, match=re.escape(f"clasp sign must be '+' or '-', not {bad!r}")):
+        box_tower(reduced_basis_form(k_n(3)), signs)
+
+
+@pytest.mark.parametrize("pairs", [((F(1), 0, -1),), ((F(1), 0, 0),), ((F(2), 1, 1), (F(1), 0, 0))],
+                         ids=["drop -1", "drop 0", "a good pair and drop 0"])
+@pytest.mark.parametrize("double", [whitehead_double_cfk, negative_double_cfk, lambda rb: box_tower(rb, "+-")],
+                         ids=["positive", "negative", "tower"])
+def test_doubling_refuses_a_pair_whose_drop_is_below_one(double, pairs):
+    # make() takes the pairs as given; a drop below 1 would give a negative box count or the unknot.
+    for rb in (ReducedBasisForm(pairs), ReducedBasisForm.make(pairs)):
+        with pytest.raises(ValueError, match="has drop -?[01]; doubling needs drops of at least 1"):
+            double(rb)
+
+
+@pytest.mark.parametrize("entry", ["figure8", "k3", "k5", "k9", "wh_k3"])
+def test_the_top_of_a_mixed_prefix_is_read_in_closed_form(entry):
+    # endfloer reads the top reduced hat grading of a finite mixed prefix's
+    # double as the knot's top plus one per "-" sign.  Over every prefix of
+    # 1 to 5 signs (62 towers per knot), it is the top of hfk_hat of the
+    # counted level, and the end invariant built on it checks each level's
+    # 0-surgery against it; to depth 3 also the top of the flat level.
+    kc = load_complex(entry)
+    rb = reduced_basis_form(kc)
+    closed = lambda signs: max(m for m, _a, _d in rb.pairs) + signs.count("-")
+    for signs in ("".join(p) for n in range(1, 6) for p in product("+-", repeat=n)):
+        assert hfk_hat(box_tower(rb, signs)[-1]).max_reduced_maslov() == closed(signs)
+        handle = CassonHandle("finite_mixed_then_one_sign", tuple(signs), "+")
+        assert he_slice_r4(SliceR4Spec(kc, handle), levels=2).max_nontrivial_grading == closed(signs) - 2
+    for signs in ("".join(p) for p in product("+-", repeat=3)):
+        for depth, flat in enumerate(flat_tower(kc, signs), start=1):
+            assert hfk_hat(flat).max_reduced_maslov() == closed(signs[:depth])

@@ -830,9 +830,7 @@ def public_gradings(kc):
         add("surgery_hf", lambda: [*(result := surgery_hf(kc, n)).d_invariants, *tops(result.decomposition)])
         add("FUDecomposition", lambda: tops(homology_decomposition(build_cone(kc, n).total_complex())))
     add("ReducedBasisForm.pairs", lambda: [m for m, _a, _d in reduced_basis_form(kc).pairs])
-    add("BoxSum.corners", lambda: [k for level in box_tower(reduced_basis_form(kc), "+-")
-                                   for k, _c in level.corners])
-    add("box_parameters", lambda: box_parameters(box_tower(reduced_basis_form(kc), "+")[0].complex()))
+    add("box_parameters", lambda: box_parameters(box_tower(reduced_basis_form(kc), "+")[0]))
     derived = [reduce_canonical(kc), connected_sum_knots(kc, staircase_torus(3, "+"))]
     try:
         derived.append(mirror_knot(kc))

@@ -44,7 +44,7 @@ from floerforge.surgery import (
     one_handle_stabilize,
     surgery_hf,
 )
-from floerforge.whitehead import BoxSum
+from floerforge.whitehead import _counted
 from floerforge.truncation import (
     expected_truncated_dimensions,
     truncated_graded_dimensions,
@@ -422,7 +422,7 @@ def test_cone_without_u0_is_its_own_model(monkeypatch):
     calls, reduce = [], surgery._minimal_blocks
     monkeypatch.setattr(surgery, "_minimal_blocks", lambda sc: calls.append(len(sc.base.generators)) or reduce(sc))
     for n in (-1, 0, 1):
-        surgery_hf(BoxSum(((F(0), 1),)).complex(), n)
+        surgery_hf(_counted({0: 1}, "+"), n)
     assert calls == [4, 4, 4]
 
 
@@ -446,7 +446,7 @@ def test_shared_blocks_match_separate_reductions(kc, n):
 
 
 def test_box_sum_shapes_pass_validation():
-    # validate_knot certifies the shapes of BoxSum.complex by their keys.
+    # validate_knot certifies the shapes of a counted double by their keys.
     assert validate_knot(unknot()).ok and validate_knot(box(0)).ok
 
 
@@ -455,11 +455,10 @@ def test_cone_check_runs_in_the_suite_only(monkeypatch):
     # every answer is the same.
     calls, check = [], complexes.cone_check
     monkeypatch.setattr(complexes, "cone_check", lambda sc: calls.append(len(sc.base.generators)) or check(sc))
-    k9, boxes = load_complex("k9"), BoxSum(((F(1), 2), (F(0), 1)))
-    answers = []
+    k9, answers = load_complex("k9"), []
     for expected in ([81, 81, 1, 4], []):
         calls.clear()
-        answers.append([surgery_hf(k9, -1), surgery_hf(k9, 1), surgery_hf(boxes.complex(), 0)])
+        answers.append([surgery_hf(k9, -1), surgery_hf(k9, 1), surgery_hf(_counted({1: 2, 0: 1}, "+"), 0)])
         assert calls == expected
         unchecked(monkeypatch)
     assert answers[0] == answers[1]

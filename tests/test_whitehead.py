@@ -25,8 +25,9 @@ from floerforge.corpus import load_complex
 from floerforge.fualgebra import FreeComplex
 from floerforge.surgery import surgery_hf
 from floerforge.whitehead import (
-    BoxSum,
     FormalRankError,
+    _corners,
+    _counted,
     box_parameters,
     box_tower,
     hedden_hfk_double,
@@ -98,7 +99,9 @@ def test_double_rejects_trivial_knot():
         negative_double_cfk(ReducedBasisForm.make([]))
     for sign in "+-":
         with pytest.raises(ValueError, match="nontrivial knot"):
-            BoxSum.doubling([], sign)
+            _corners([], sign)
+        with pytest.raises(ValueError, match="nontrivial knot"):
+            box_tower(ReducedBasisForm.make([]), sign)
 
 
 @pytest.mark.parametrize("kc", [figure8(), k_n(3), k_n(5)])
@@ -248,7 +251,7 @@ BOX_CASES = {
     **{f"Wh{sign}({name})": (lambda build=build, kc=kc: build(reduced_basis_form(kc())))
        for sign, build in (("+", whitehead_double_cfk), ("-", negative_double_cfk))
        for name, kc in (("figure8", figure8), ("K3", lambda: k_n(3)))},
-    "BoxSum-": lambda: BoxSum(((F(3), 2), (F(0), 1), (F(-2), 3))).complex("-"),
+    "counted-": lambda: _counted({3: 2, 0: 1, -2: 3}, "-"),
     "x~box": x_joined_to_box,
     "x~box+boxes": lambda: disjoint_sum([x_joined_to_box(), box(2), box(-1), box(2)]),
 }
@@ -275,14 +278,14 @@ def corners(kc):
     return tuple(sorted(Counter(box_parameters(kc)).items(), reverse=True))
 
 
-def expanded(bs):
-    return disjoint_sum([unknot()] + [box(k) for k, c in bs.corners for _ in range(c)])
+def expanded(level):
+    return disjoint_sum([unknot()] + [box(k) for k, c in corners(level) for _ in range(c)])
 
 
-def box_sum_hat_ranks(bs):
+def box_sum_hat_ranks(level):
     """x at (0, 0); per box B[k], two classes at (k, 0), one at (k + 1, 1), one at (k - 1, -1)."""
     table = Counter({(F(0), 0): 1})
-    for k, c in bs.corners:
+    for k, c in corners(level):
         table.update({(k, 0): 2 * c, (k + 1, 1): c, (k - 1, -1): c})
     return dict(table)
 
@@ -294,23 +297,23 @@ TOWERS = [(3, "-+-+", (-1, 0, 1)), (3, "+--+", (0,)), (5, "--++", (0,)), (5, "+-
 @pytest.mark.parametrize("n, signs, framings", TOWERS, ids=[f"K{n}{signs}" for n, signs, _ in TOWERS])
 def test_box_tower_matches_flat_tower(n, signs, framings):
     kc = k_n(n)
-    for flat, symbolic in zip(flat_tower(kc, signs), box_tower(reduced_basis_form(kc), signs), strict=True):
-        assert symbolic.corners == corners(flat)
-        assert symbolic.max_reduced_maslov() == hfk_hat(flat).max_reduced_maslov()
+    tower = box_tower(reduced_basis_form(kc), signs, kc.name)
+    assert [level.name for level in tower] == [f"Wh^{i}(K{n})" for i in range(1, len(signs) + 1)]
+    for flat, symbolic in zip(flat_tower(kc, signs), tower, strict=True):
+        assert hfk_hat(symbolic) == hfk_hat(flat) and corners(symbolic) == corners(flat)
         # Corners and pairings are counted on ints inside; the public gradings stay Fractions.
-        assert all(type(k) is Fraction for k, _c in symbolic.corners)
-        assert type(symbolic.max_reduced_maslov()) is Fraction
-        assert all(type(m) is Fraction for m, _a, _d in reduced_basis_form(flat).pairs)
+        assert type(hfk_hat(symbolic).max_reduced_maslov()) is Fraction
+        assert all(type(m) is Fraction for level in (symbolic, flat) for m, _a, _d in reduced_basis_form(level).pairs)
         for framing in framings:
-            assert surgery_hf(symbolic.complex(), framing) == surgery_hf(flat, framing)
+            assert surgery_hf(symbolic, framing) == surgery_hf(flat, framing)
 
 
 @pytest.mark.parametrize("signs", ["+", "-", "+-", "-+", "--"])
 def test_box_sum_mirror_matches_mirror_knot(signs):
     for kc in (figure8(), k_n(3)):
         flat, symbolic = flat_tower(kc, signs)[-1], box_tower(reduced_basis_form(kc), signs)[-1]
-        assert symbolic.mirror().corners == corners(mirror_knot(flat))
-        assert symbolic.mirror().mirror() == symbolic
+        assert corners(mirror_knot(symbolic)) == corners(mirror_knot(flat))
+        assert corners(mirror_knot(mirror_knot(symbolic))) == corners(symbolic)
 
 
 @pytest.mark.parametrize("kc", [figure8(), k_n(3), k_n(5), k_n(7)])
@@ -325,11 +328,11 @@ def test_box_sum_matches_expanded_complex(signs):
     symbolic = box_tower(reduced_basis_form(k_n(3)), signs)[-1]
     assert box_sum_hat_ranks(symbolic) == hfk_hat(expanded(symbolic)).total
     # Each box B[k] contributes the reduced pairs (k + 1, 1, 1) and (k, 0, 1).
-    closed = {p: c for k, c in symbolic.corners for p in ((k + 1, 1, 1), (k, 0, 1))}
+    closed = {p: c for k, c in corners(symbolic) for p in ((k + 1, 1, 1), (k, 0, 1))}
     assert Counter(reduced_basis_form(expanded(symbolic)).pairs) == closed
 
 
-# --- the split that BoxSum.complex hands over --------------------------------------
+# --- the split that a counted double hands over -------------------------------------
 
 
 # The corpus entries with a reduced basis form (tau = 0, over S3).
@@ -341,9 +344,7 @@ def test_box_sum_complex_hands_over_the_split_of_its_expansion(entry):
     kc = load_complex(entry)
     for signs in ("+++", "-+-"):
         for level in box_tower(reduced_basis_form(kc), signs):
-            for sign in "+-":
-                flat = level.complex(sign)
-                assert split_contents(flat._split) == split_contents(_summands(unsplit(flat)))
+            assert split_contents(level._split) == split_contents(_summands(unsplit(level)))
 
 
 @pytest.mark.parametrize("entry", DOUBLABLE)
@@ -361,15 +362,12 @@ def test_counted_doubles_match_the_flat_route(entry):
             assert counted.to_json() == flat.to_json()
 
 
-@pytest.mark.parametrize("corners, copies", [(((F(1), 3), (F(-2), 2)), [(F(1), 3), (F(-2), 2)]),
-                                             (((F(2), 0), (F(0), 4)), [(F(0), 4)]),
-                                             ((), [])], ids=["multiplicities", "zero-count", "no-boxes"])
 @pytest.mark.parametrize("sign", "+-")
-def test_box_sum_split_counts_each_corner(corners, copies, sign):
-    flat = BoxSum(corners).complex(sign)
+def test_box_sum_split_counts_each_corner(sign):
+    flat = _counted({-2: 2, 1: 3}, sign)  # in no order, as _corners may give them
     assert split_contents(flat._split) == split_contents(_summands(unsplit(flat)))
-    boxes = [copies if sign == "+" else copies[::-1]] if copies else []
-    assert [c for _rep, c in flat._split] == [[(0, 1)]] + boxes
+    copies = [(1, 3), (-2, 2)]
+    assert [c for _rep, c in flat._split] == [[(0, 1)], copies if sign == "+" else copies[::-1]]
 
 
 @pytest.mark.parametrize("sign", ["+", "-"])
@@ -388,11 +386,11 @@ def test_suite_compares_the_built_double(monkeypatch, fault, sign):
             return built(cls, maslov, differential)
         return classmethod(mutated)
 
-    double = BoxSum(((F(1), 2), (F(-1), 1)))
+    double = lambda: _counted({1: 2, -1: 1}, sign)
     monkeypatch.setattr(FreeComplex, "_built", mutating(FreeComplex._built.__func__))
     with pytest.raises(AssertionError, match="differs from its copy"):
-        double.complex(sign).base
+        double().base
     monkeypatch.undo()
     unchecked(monkeypatch)
     monkeypatch.setattr(FreeComplex, "_built", mutating(FreeComplex._built.__func__))
-    double.complex(sign).base  # the program takes the rows as they are
+    double().base  # the program takes the rows as they are

@@ -100,7 +100,7 @@ def test_double_writes_the_canonical_text_of_the_double(capsys, sign, iterations
             assert out == ""
             continue
         kc = load_complex(name)
-        top = box_tower(reduced_basis_form(kc), sign * iterations)[-1]
-        assert out == reference(top.complex(sign, f"Wh^{iterations}({kc.name})"))
+        top = box_tower(reduced_basis_form(kc), sign * iterations, kc.name)[-1]
+        assert top.name == f"Wh^{iterations}({kc.name})" and out == reference(top)
         doubled.append(name)
     assert doubled == ["figure8", "k3", "k5", "k7", "k9", "wh_k3", "wh_k5", "wh_k7", "wh_k9"]
