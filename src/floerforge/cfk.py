@@ -174,20 +174,24 @@ def validate_knot(kc: KnotComplex) -> ValidationReport:
     A representative whose carried key is a key of :func:`_normal_forms` is
     not checked: the key holds every datum the checks read (relative Maslov
     and Alexander gradings, flip positions, each row's target positions and
-    powers), so it gets the verdict of that normal form, which is valid."""
-    violations, chain_map, checked, certified = [], True, [], _normal_forms()
+    powers), so it gets the verdict of that normal form, which is valid.
+    The report carries, per shape, the rows its checks ran on (None for a
+    certified shape), for the caller to reduce within the same call."""
+    violations, chain_map, checked, handed, certified = [], True, [], [], _normal_forms()
     for rep, copies in _shapes(kc):
         if rep._key in certified:
+            handed.append(None)
             continue
-        checked.append(rep)
-        found, ready = _summand_violations(rep)
+        found, ready, rows = _summand_violations(rep)
         if found:  # report at absolute gradings
-            found, ready = _summand_violations(KnotComplex(rep.base.shift(copies[0][0]), rep.alexander, rep.flip))
+            found, ready, rows = _summand_violations(KnotComplex(rep.base.shift(copies[0][0]), rep.alexander, rep.flip))
+        checked.append(rep)
+        handed.append(rows)
         violations += found
         chain_map = chain_map and ready
     if chain_map:
         violations += [v for rep in checked for v in _flip_chain_map_violations(rep)]
-    return ValidationReport(ok=not violations, violations=tuple(violations))
+    return ValidationReport(ok=not violations, violations=tuple(violations), checked=handed)
 
 
 def _shapes(kc: KnotComplex) -> list[tuple[KnotComplex, list[tuple]]]:
@@ -329,9 +333,9 @@ def _grouped(kc: KnotComplex, parts, keys) -> tuple[list, list[int]]:
     return shapes, labels
 
 
-def _summand_violations(kc: KnotComplex) -> tuple[list[str], bool]:
-    """Every check of :func:`validate_knot` but the flip chain map, and
-    whether that check can run (a flip defined everywhere, a valid base)."""
+def _summand_violations(kc: KnotComplex) -> tuple[list[str], bool, tuple]:
+    """Every check of :func:`validate_knot` but the flip chain map, whether that check can run
+    (a flip defined everywhere, a valid base), and the rows the base's checks ran on."""
     base_report = validate_complex(kc.base)
     violations = list(base_report.violations)
     A, M = kc.alexander, kc.base.maslov
@@ -343,7 +347,7 @@ def _summand_violations(kc: KnotComplex) -> tuple[list[str], bool]:
                 f"entry {src}->U^{p}.{tgt} raises the Alexander filtration"
             )
     if kc.flip is None:
-        return violations, False
+        return violations, False, base_report.checked
     flip_ok = True
     for g in kc.generators:
         img = kc.flip.get(g)
@@ -357,7 +361,7 @@ def _summand_violations(kc: KnotComplex) -> tuple[list[str], bool]:
             violations.append(f"flip image of {g} has Alexander {A[img]} != {-A[g]}")
         if M[img] != M[g] - 2 * A[g]:
             violations.append(f"flip image of {g} has wrong Maslov grading")
-    return violations, flip_ok and base_report.ok
+    return violations, flip_ok and base_report.ok, base_report.checked
 
 
 def _flip_chain_map_violations(kc: KnotComplex) -> list[str]:
@@ -634,18 +638,22 @@ def reduce_canonical(kc: KnotComplex) -> KnotComplex:
     in that sense.  The stored flip survives only if it is still a valid
     flip on the surviving basis (cancellation can mix it away).
     """
-    r = _Reducer(kc.base, alexander=kc.alexander).cancel_u0()
-    base = kc.base if all(r.alive) else r.current_complex()  # a sweep that cancels nothing changes no row
-    alexander = {g: kc.alexander[g] for g in base.generators}
-    flip = None
+    reduced, flip = _canonical(kc), None
     if kc.flip is not None:
-        survivors = set(base.generators)
-        candidate = {g: kc.flip[g] for g in base.generators if kc.flip[g] in survivors}
-        if len(candidate) == len(base.generators):
-            trial = KnotComplex(base, alexander, candidate, kc.ambient, kc.name)
-            if not _flip_chain_map_violations(trial):
-                flip = candidate
-    return KnotComplex(base, alexander, flip, kc.ambient, name=kc.name)
+        candidate = {g: kc.flip[g] for g in reduced.generators if kc.flip[g] in reduced.alexander}
+        if len(candidate) == len(reduced.generators) and not _flip_chain_map_violations(
+                KnotComplex._built(reduced.base, reduced.alexander, candidate, kc.ambient)):
+            flip = candidate
+    return KnotComplex._built(reduced.base, reduced.alexander, flip, kc.ambient, kc.name)
+
+
+def _canonical(kc: KnotComplex) -> KnotComplex:
+    """:func:`reduce_canonical` with no flip (no reader of a canonical shape takes one): ``kc`` if nothing cancels."""
+    r = _Reducer(kc.base, alexander=kc.alexander).cancel_u0()
+    if all(r.alive):  # a sweep that cancels nothing changes no row
+        return kc
+    base = r.current_complex()
+    return KnotComplex._built(base, {g: kc.alexander[g] for g in base.generators}, None, kc.ambient)
 
 
 # ---------------------------------------------------------------------------
@@ -736,9 +744,9 @@ def knot_numerics(kc: KnotComplex) -> dict:
 
 
 def _canonical_shapes(kc: KnotComplex) -> list[tuple[KnotComplex, list[tuple]]]:
-    """:func:`reduce_canonical` once per shape of :func:`_shapes`, with its copies, kept on ``kc``."""
+    """:func:`_canonical` once per shape of :func:`_shapes`, with its copies, kept on ``kc``."""
     if kc._canonical is None:
-        kc._canonical = [(reduce_canonical(rep), copies) for rep, copies in _shapes(kc)]
+        kc._canonical = [(_canonical(rep), copies) for rep, copies in _shapes(kc)]
     return kc._canonical
 
 

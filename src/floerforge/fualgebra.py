@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import heapq
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping
 
@@ -133,8 +133,12 @@ class InvalidComplex(ValueError):
 
 @dataclass(frozen=True)
 class ValidationReport:
+    """A verdict with every violation found, and what the checks ran on (``checked``),
+    for the caller to use within the same call; that takes no part in comparisons."""
+
     ok: bool
     violations: tuple[str, ...] = ()
+    checked: object = field(default=None, compare=False, repr=False)
 
     def require(self, what: str = "complex"):
         if not self.ok:
@@ -405,15 +409,11 @@ def validate_complex(c: FreeComplex) -> ValidationReport:
     """Check d^2 = 0 and grading homogeneity, listing every violation.
 
     d^2 is taken over F2 on the entries of the right degree: once every
-    power is the one the gradings give, that is d^2 over F2[U]."""
-    return _checked_rows(c)[0]
-
-
-def _checked_rows(c: FreeComplex) -> tuple[ValidationReport, tuple]:
-    """:func:`validate_complex` and the ``(ids, sets)`` of :func:`_id_rows` it checked."""
+    power is the one the gradings give, that is d^2 over F2[U].  The report
+    carries the ``(ids, sets)`` of :func:`_id_rows` it checked."""
     sets, violations = _id_rows(c, ids := {g: i for i, g in enumerate(c.generators)})
     violations += _square_violations(c.generators, c.maslov, *sets)
-    return ValidationReport(ok=not violations, violations=tuple(violations)), (ids, sets)
+    return ValidationReport(ok=not violations, violations=tuple(violations), checked=(ids, sets))
 
 
 def tensor_complexes(c1: FreeComplex, c2: FreeComplex) -> FreeComplex:
@@ -490,22 +490,18 @@ class FUDecomposition:
 
 
 class _Reducer:
-    """Change-of-basis engine for free F2[U]-complexes.
-
-    The one primitive is ``mix(g, h, s)``, the basis change
-    ``g := g + U^s h`` (h kept).  It adjusts the differential out of g
-    and reroutes arrows that hit g into arrows hitting h; both effects
-    together are an exact change of basis, so d^2 = 0 is preserved.
+    """Change-of-basis engine for free F2[U]-complexes: a pivot is a chain
+    of basis changes g := g + U^s h, each exact, so d^2 = 0 is preserved.
 
     Generators are numbered by position in ``c.generators``.  Row and
     column i are window bitsets (``rows[i]`` over ``row_bases[i]``, and
     ``cols``/``col_bases``) of the targets of d(i) and of the sources
     hitting i; the gradings give the power of i -> j, (m(j) - m(i) + 1) / 2.
     Pivots are ordered by generator name (``rank``), so the smallest live
-    entry is the same whatever the input order.  ``rows`` may hand over the
-    ``(ids, sets)`` of a passed :func:`_id_rows` check on those positions;
-    the reducer works on copies.  :meth:`fork` carries a reduction over to
-    other gradings.
+    entry is the same whatever the input order (:func:`_homology` names the
+    positions by themselves).  ``rows`` may hand over the ``(ids, sets)`` of a
+    passed :func:`_id_rows` check on those positions; the reducer works on
+    copies of the sets.  :meth:`fork` carries a reduction over to other gradings.
 
     ``track`` names the maps the reducer also maintains, as changes from
     the identity: ``"iota"``, the inclusion (survivor i is the originals in
@@ -514,40 +510,24 @@ class _Reducer:
     homotopy equivalence once cancelled pairs are split off.
     """
 
+    cols = alexander = rank = iota_rows = iota_bases = pi_cols = pi_bases = None  # until set
+
     def __init__(self, c: FreeComplex, alexander=None, track=(), rows=None):
         if rows is None:
-            sets, bad = _id_rows(c, ids := {g: i for i, g in enumerate(c.generators)})
+            (self.rows, self.row_bases), bad = _id_rows(c, {g: i for i, g in enumerate(c.generators)})
             if bad:
                 raise AssertionError(bad[0])
         else:
-            ids, sets = rows[0], [list(x) for x in rows[1]]
-        self.ids, (self.rows, self.row_bases), self.cols = ids, sets, None
+            self.rows, self.row_bases = map(list, rows[1])
         self.generators, n = c.generators, len(c.generators)
         self.m = list(map(c.maslov.__getitem__, c.generators))
-        self.alexander = None if alexander is None else list(map(alexander.__getitem__, c.generators))
-        self.alive, self.torsion, self.rank = [True] * n, [], None
-        self.iota_rows = self.iota_bases = self.pi_cols = self.pi_bases = None
+        if alexander is not None:
+            self.alexander = list(map(alexander.__getitem__, c.generators))
+        self.alive, self.torsion = [True] * n, []
         if "iota" in track:
             self.iota_rows, self.iota_bases = [0] * n, [0] * n
         if "pi" in track:
             self.pi_cols, self.pi_bases = [0] * n, [0] * n
-
-    def mix(self, g: str, h: str, s: int):
-        """Basis change g := g + U^s h."""
-        i, j, A = self.ids[g], self.ids[h], self.alexander
-        if self.m[i] != self.m[j] + U_DEGREE * s or s < 0:
-            raise AssertionError(f"inhomogeneous or negative mix {g} += U^{s}.{h}")
-        if A is not None and A[j] - s > A[i]:
-            raise AssertionError(f"filtration-breaking mix {g} += U^{s}.{h}")
-        rows, row_bases, (cols, col_bases) = self.rows, self.row_bases, self._columns()
-        rows[i], row_bases[i] = _plus(rows[i], row_bases[i], rows[j], row_bases[j])
-        _spread(cols, col_bases, rows[j], row_bases[j], 1, i)
-        _spread(rows, row_bases, cols[i], col_bases[i], 1, j)
-        cols[j], col_bases[j] = _plus(cols[j], col_bases[j], cols[i], col_bases[i])
-        if self.iota_rows is not None:
-            _spread(self.iota_rows, self.iota_bases, 1, i, *_plus(self.iota_rows[j], self.iota_bases[j], 1, j))
-        if self.pi_cols is not None:
-            _spread(self.pi_cols, self.pi_bases, 1, j, *_plus(self.pi_cols[i], self.pi_bases[i], 1, i))
 
     def _sweep(self, u0: bool, level=None):
         """Pivot on the smallest live (power, source name, target name) entry,
@@ -674,10 +654,6 @@ class _Reducer:
         self._sweep(u0=False)
         return self
 
-    def survivors(self) -> dict[str, int]:
-        """The generators not cancelled, in the input's order, with their positions."""
-        return {g: i for i, g in enumerate(self.generators) if self.alive[i]}
-
     def powers(self, v: int, o: int, top) -> dict[str, int]:
         """``{name of j: (m(j) - top) / 2}`` over the positions j in ``(v, o)``."""
         gens, m, out = self.generators, self.m, {}
@@ -735,10 +711,19 @@ def homology_decomposition(c: FreeComplex) -> FUDecomposition:
     """
     if not c.differential:  # nothing to check or cancel: a tower per generator
         return FUDecomposition.make(c.maslov.values(), ())
-    report, rows = _checked_rows(c)
-    report.require()
-    r = _Reducer(c, rows=rows).cancel_u0().diagonalize()
+    (report := validate_complex(c)).require()
+    r = _Reducer(c, rows=report.checked).cancel_u0().diagonalize()
     return FUDecomposition.make([m for m, kept in zip(r.m, r.alive) if kept], r.torsion)
+
+
+def _homology(m: list, rows: list, bases: list) -> tuple[Counter, list]:
+    """The towers, counted, and the torsion ``(top, length, count)`` of the complex on the positions
+    of the gradings ``m`` with the window bitset rows ``(rows, bases)``, taken as its own:
+    :func:`homology_decomposition` unchecked and without names, pivots in position order."""
+    r = object.__new__(_Reducer)
+    r.generators, r.m, r.rows, r.row_bases, r.alive, r.torsion = range(len(m)), m, rows, bases, [True] * len(m), []
+    r.cancel_u0().diagonalize()
+    return Counter(x for x, kept in zip(r.m, r.alive) if kept), [(g, k, c) for (g, k), c in Counter(r.torsion).items()]
 
 
 def plus_presentation(h: FUDecomposition) -> FUDecomposition:

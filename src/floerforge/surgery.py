@@ -20,14 +20,14 @@ isomorphism above genus and h_s below minus genus), with B-summands
 The cone of C is the direct sum of the cones of its flip-stable summands,
 built once per shape of ``cfk._shapes``, and x and the box of Hedden's
 normal form once per process (:func:`_summed_cones`).  Every A_s has B's
-matrix over F2, so a shape's cone is B's window-bitset rows, a grading
-vector per A_s and v_s, h_s as position maps (``_ShapeCone``).  It is not
-checked again: each part of the flat cone's check (``cone_check`` in the
-tests' ``complexes.py``, their oracle) follows from the caller's
-``validate_knot`` (:func:`_minimal_cone`).  B and the A_s of s >= 0 are
-reduced to U^0-minimal models by one shared reduction on a halving tree
-(:func:`_minimal_blocks`); the flip carries A_s to A_{-s}.
-``build_cone(kc, n)`` is the tests' flat oracle.
+matrix over F2, so a shape's cone is B's window-bitset rows, the ones
+``validate_knot`` checked in the same call, a grading vector per A_s
+and v_s, h_s as position maps (``_ShapeCone``).  B and the A_s of s >= 0
+are reduced to U^0-minimal models by one shared reduction on a halving
+tree (:func:`_minimal_blocks`); the flip carries A_s to A_{-s}.  The
+minimal cone is joined and reduced on generator positions, unchecked:
+each part of the flat cone's check follows from the caller's validation
+(:func:`_minimal_cone`).  ``build_cone(kc, n)`` is the tests' flat oracle.
 """
 
 from __future__ import annotations
@@ -43,13 +43,15 @@ from .fualgebra import (
     FreeComplex,
     FUDecomposition,
     _exact,
+    _homology,
+    _id_rows,
     _odd_overlap,
     _plus,
+    _positions,
     _Reducer,
     _sum,
     format_grading,
     grading,
-    homology_decomposition,
     plus_presentation,
     xor_entry,
 )
@@ -170,51 +172,46 @@ def build_cone(kc: KnotComplex, n: int) -> MappingCone:
 
 @dataclass
 class _ShapeCone:
-    """The cone of one shape as :func:`surgery_hf` checks and reduces it: every
-    B_t is ``base``, A_s base's matrix over F2 under the grading vector
-    m_s(x) = m(x) - 2 max(0, A(x) - s), B_0 at grading 0, and each power read
-    off the gradings and shifts, as :meth:`mapping_cone` spells out."""
+    """The cone of one shape as :func:`surgery_hf` reduces it: every B_t is ``base``,
+    A_s base's matrix over F2 under the grading vector m_s(x) = m(x) - 2 max(0, A(x) - s)
+    (built for s < 0 only if no model is read off A_{-s}), B_0 at grading 0, and
+    each power read off the gradings and shifts."""
 
     n: int
     base: FreeComplex
+    rows: tuple  # base's (ids, (rows, row_bases)) of fualgebra._id_rows
     gradings: dict  # s -> m_s, one grading per position of base
     flip: list  # the position of each generator's flip image
     edges: dict  # (s, "v"|"h") -> position map from A_s to its B_t: v_s the identity, h_s ``flip``
-    a_shifts: dict
+    a_shifts: dict  # one per s of the window
     b_shifts: dict
-
-    def mapping_cone(self) -> MappingCone:
-        """The cone on generator names, a power rounded down where the gradings give none."""
-        gens, m, a_complexes, edges = self.base.generators, self.base.maslov, {}, {}
-        for s, ms in self.gradings.items():
-            at = dict(zip(gens, ms))
-            a_complexes[s] = FreeComplex(zip(gens, ms), {x: {y: (at[y] - at[x] + 1) // 2 for y in row}
-                                                        for x, row in self.base.differential.items()})
-        for (s, kind), e in self.edges.items():
-            drop = self.a_shifts[s] - 1 - self.b_shifts[s if kind == "v" else s + self.n]
-            edges[s, kind] = {x: {gens[j]: (m[gens[j]] - y - drop) // 2} for x, j, y in zip(gens, e, self.gradings[s])}
-        return MappingCone(self.n, tuple(self.gradings), tuple(self.b_shifts), a_complexes,
-                           {t: self.base for t in self.b_shifts}, self.a_shifts, self.b_shifts, edges)
+    reduced: bool  # whether base has a U^0 entry: then B and the A_s of s >= 0 are reduced
 
 
-def _shape_cone(kc: KnotComplex, n: int, g_hat: int) -> _ShapeCone:
-    """The cone of ``kc`` at framing n and window g_hat, as vectors."""
+def _shape_cone(kc: KnotComplex, n: int, g_hat: int, rows=None) -> _ShapeCone:
+    """The cone of ``kc`` at framing n and window g_hat, as vectors, on the
+    ``(ids, sets)`` of ``fualgebra._id_rows`` of its base (``rows``, else built)."""
     a_window, b_window = _windows(n, g_hat)
-    gens, at = kc.generators, {g: i for i, g in enumerate(kc.generators)}
-    m, A = list(map(kc.base.maslov.__getitem__, gens)), list(map(kc.alexander.__getitem__, gens))
-    identity, flip, edges = list(range(len(gens))), [at[kc.flip[g]] for g in gens], {}
+    if rows is None:
+        rows = (ids := {g: i for i, g in enumerate(kc.generators)}), _id_rows(kc.base, ids)[0]
+    at, m, A = rows[0], list(kc.base.maslov.values()), list(kc.alexander.values())  # both in generator order
+    identity, flip, edges = list(range(len(m))), [at[kc.flip[g]] for g in kc.generators], {}
     for s in a_window:
         if s in b_window:
             edges[s, "v"] = identity
         if s + n in b_window:
             edges[s, "h"] = flip
-    return _ShapeCone(n, kc.base, {s: [x - 2 * max(0, a - s) for x, a in zip(m, A)] for s in a_window}, flip, edges,
-                      {s: _b_shift(n, s, 0) + 1 for s in a_window}, {t: _b_shift(n, t, 0) for t in b_window})
+    reduced = any(0 in row.values() for row in kc.base.differential.values())
+    return _ShapeCone(n, kc.base, rows, {s: [x - 2 * max(0, a - s) for x, a in zip(m, A)] for s in a_window
+                                         if s >= 0 or not reduced}, flip, edges,
+                      {s: _b_shift(n, s, 0) + 1 for s in a_window}, {t: _b_shift(n, t, 0) for t in b_window}, reduced)
 
 
-def _minimal_blocks(sc: _ShapeCone) -> tuple[dict, _Reducer | None]:
-    """``{s: (minimal model of A_s, {survivor: inclusion as a window bitset})}``
-    and B's reduction with its projection (None without B).
+def _minimal_blocks(sc: _ShapeCone) -> dict:
+    """``{s: (gradings, rows, maps)}``, the minimal model of each A_s and of B
+    (s = None): its generators, numbered from 0, with their gradings, each one's
+    row as a mask over them and its inclusion into A_s (its projection column
+    from B) as a window bitset.
 
     One reduction of B's rows serves A_0 .. A_{g-1} and B (s = +inf), the
     leaves of a halving tree.  B's entry x -> U^p y has the power
@@ -222,10 +219,10 @@ def _minimal_blocks(sc: _ShapeCone) -> tuple[dict, _Reducer | None]:
     is U^0 at both ends of a range (under the first's gradings, at one level
     first - last) is U^0 throughout and cancelled once.  The right half of the
     range goes on in this reduction, the left in a fork; a leaf is reduced
-    alone.  The flip, an isomorphism A_s -> A_{-s} keeping every power, moves
-    A_s's model and inclusion to A_{-s}."""
-    gens, flip, out, b = sc.base.generators, sc.flip, {}, None
-    r = _Reducer(sc.base, track=("iota", "pi"))
+    alone.  The flip, an isomorphism A_s -> A_{-s} keeping every power and
+    lowering every grading by 2s, moves A_s's model and inclusion to A_{-s}."""
+    out, ones = {}, [1] * len(sc.flip)
+    r = _Reducer(sc.base, track=("iota", "pi"), rows=sc.rows)
     leaves = [(s, ms) for s, ms in sc.gradings.items() if s >= 0] + [(None, r.m)] * bool(sc.b_shifts)
     stack = [(0, len(leaves) - 1, r)]
     while stack:
@@ -235,60 +232,67 @@ def _minimal_blocks(sc: _ShapeCone) -> tuple[dict, _Reducer | None]:
             mid = (lo + hi + 1) // 2
             r.cancel_u0(list(map(sub, r.m, leaves[hi][1])))
             stack += [(mid, hi, r), (lo, mid - 1, r.fork(r.m, ("iota",)))]
-        elif s is None:
-            b = r.cancel_u0()
-        else:
-            r.cancel_u0()
-            out[s] = r.current_complex(), {g: _plus(r.iota_rows[i], r.iota_bases[i], 1, i)
-                                           for g, i in r.survivors().items()}
-    moved, ones = dict(zip(gens, map(gens.__getitem__, flip))), [1] * len(gens)
-    for s in sc.gradings:
+            continue
+        kept = [i for i, alive in enumerate(r.cancel_u0().alive) if alive]  # B, last, is never forked off
+        maps, bases = (r.pi_cols, r.pi_bases) if s is None else (r.iota_rows, r.iota_bases)
+        at, rows = dict(zip(kept, range(len(kept)))), r.rows
+        out[s] = ([r.m[i] for i in kept], [sum(1 << at[j] for j in _positions(rows[i], r.row_bases[i])) for i in kept],
+                  [_plus(maps[i], bases[i], 1, i) for i in kept])
+    for s in sc.a_shifts:
         if s < 0:
-            model, inclusion = out[-s]
-            diff = {moved[x]: {moved[y]: p for y, p in row.items()} for x, row in model.differential.items()}
-            out[s] = (FreeComplex([(moved[g], model.maslov[g] + 2 * s) for g in model.generators], diff),
-                      {moved[g]: _sum(ones, flip, *x) for g, x in inclusion.items()})
-    return out, b
+            m, rows, inclusion = out[-s]
+            out[s] = [x + 2 * s for x in m], rows, [_sum(ones, sc.flip, v, o) for v, o in inclusion]
+    return out
 
 
-def _minimal_cone(sc: _ShapeCone) -> MappingCone:
-    """``sc`` with each block replaced by its :func:`_minimal_blocks` model,
-    and v_s, h_s carried across by the inclusion of A_s and the projection of
-    B.  A minimal block has rank dim H(block/U): K9 at -1 hands over 71
-    generators, the flat cone 2,511.
+def _minimal_cone(sc: _ShapeCone) -> tuple[list, list, list]:
+    """The gradings and window bitset rows of ``sc`` with each block replaced by
+    its :func:`_minimal_blocks` model (or its own, if base has no U^0 entry),
+    v_s and h_s carried across by the inclusion of A_s and the projection of B:
+    the blocks A_s, then B_t, at their shifts.  A minimal block has rank
+    dim H(block/U): K9 at -1 hands over 71 generators, the flat cone 2,511.
 
-    The cone is not run through the tests' ``cone_check``: given a correct
-    :func:`_shape_cone`, the caller's :func:`validate_knot` implies it.  The
+    Neither ``sc`` nor this cone is checked (the tests' ``cone_check`` and the
+    suite's d^2 and homogeneity check of the result): given a correct
+    :func:`_shape_cone`, the caller's :func:`validate_knot` implies both.  The
     Alexander filtration makes every A_s power non-negative, the flip's Maslov
     and Alexander axioms give the h_s degrees and the flip read, B is the
     checked base, v_s is the identity and the flip chain map makes h_s one.
     An entry x -> U^p y that is U^0 in an A_s but not in B has p + A(x) - A(y)
     = 0, the power of flip x -> flip y in B, so only B is read."""
-    if not any(0 in row.values() for row in sc.base.differential.values()):
-        return sc.mapping_cone()  # every block is its own minimal model
-    blocks, b = _minimal_blocks(sc)
-    projections = [(h, j, _plus(b.pi_cols[j], b.pi_bases[j], 1, j)) for h, j in b.survivors().items()] if b else []
-    ones, edges = [1] * len(sc.flip), {}
-    for (s, kind), e in sc.edges.items():
-        (model, inclusion), drop = blocks[s], sc.a_shifts[s] - 1 - sc.b_shifts[s if kind == "v" else s + sc.n]
-        edges[s, kind] = out = {}
-        for g, (v, o) in inclusion.items():  # pi(e(iota(g))), by parity against B's projection columns
-            x, xo = _sum(ones, e, v, o)
-            image = {h: (b.m[j] - model.maslov[g] - drop) // 2
-                     for h, j, (w, wo) in projections if _odd_overlap(x, xo, w, wo)}
-            if image:
-                out[g] = image
-    minimal = b.current_complex() if b else None
-    return MappingCone(sc.n, tuple(sc.gradings), tuple(sc.b_shifts), {s: blocks[s][0] for s in sc.gradings},
-                       {t: minimal for t in sc.b_shifts}, sc.a_shifts, sc.b_shifts, edges)
+    if sc.reduced:  # each row a mask from 0, and each edge image one over B's survivors
+        models, ones = _minimal_blocks(sc), [1] * len(sc.flip)
+        b_m, b_rows, projections = models.pop(None, ([], [], []))
+        images = {(s, kind): [(sum(1 << k for k, (w, wo) in enumerate(projections) if _odd_overlap(x, xo, w, wo)), 0)
+                              for x, xo in (_sum(ones, e, v, o) for v, o in models[s][2])]  # pi(e(iota(g)))
+                  for (s, kind), e in sc.edges.items()}
+        blocks = {s: (m, rows, [0] * len(m)) for s, (m, rows, _inclusion) in models.items()}
+        b_block = b_m, b_rows, [0] * len(b_m)
+    else:
+        rows, bases = sc.rows[1]
+        blocks = {s: (ms, rows, bases) for s, ms in sc.gradings.items()}
+        b_block = list(sc.base.maslov.values()), rows, bases
+        images = {key: [(1, j) for j in e] for key, e in sc.edges.items()}
+    m, rows, bases, start = [], [], [], {}
+    for key, (ms, r, o), shift in ([(s, blocks[s], sc.a_shifts[s]) for s in sc.a_shifts]
+                                   + [(("B", t), b_block, sc.b_shifts[t]) for t in sc.b_shifts]):
+        start[key] = at = len(m)
+        m += [x + shift for x in ms]
+        rows += r
+        bases += [x + at for x in o]
+    for (s, kind), image in images.items():  # added to A_s's rows, over B_t's positions
+        b = start["B", s if kind == "v" else s + sc.n]
+        for i, (v, o) in enumerate(image, start[s]):
+            rows[i], bases[i] = _plus(rows[i], bases[i], v, o + b)
+    return m, rows, bases
 
 
 def surgery_hf(kc: KnotComplex, n: int) -> HFPlusResult:
     """Graded homology of n-framed surgery, in the torsion structure class.
 
     The cone homology is summed over the flip-stable summands of ``kc``,
-    once per shape of ``cfk._shapes`` (:func:`_summed_cones`), on the split
-    ``validate_knot`` checks; copies of a shape differ by a Maslov shift.
+    once per shape of ``cfk._shapes`` (:func:`_summed_cones`), on the split and
+    the rows ``validate_knot`` checks; copies of a shape differ by a Maslov shift.
 
     >>> from .cfk import figure8, reduced_basis_form
     >>> from .whitehead import whitehead_double_cfk
@@ -296,21 +300,21 @@ def surgery_hf(kc: KnotComplex, n: int) -> HFPlusResult:
     FUDecomposition(towers=(Fraction(1, 2), Fraction(-1, 2)), torsion=((Fraction(-1, 2), 1, 2), (Fraction(-3, 2), 1, 2)))
     """
     g_hat = _window(kc, n)
-    validate_knot(kc).require("surgery input")
-    return _summed_cones(_shapes(kc), n, g_hat)
+    (report := validate_knot(kc)).require("surgery input")
+    return _summed_cones(_shapes(kc), n, g_hat, report.checked)
 
 
-def _summed_cones(shapes, n: int, g_hat: int) -> HFPlusResult:
-    """:func:`surgery_hf` on a split that has passed :func:`validate_knot`, each
-    shape's cone homology moved by each copy's offset in int gradings; the
-    anchor and :func:`plus_presentation`'s torsion shift are added, and each
-    ``Fraction`` made, once per distinct grading.  A shape of Hedden's normal
-    form (``cfk._normal_forms``) is reduced once per process, framing and
-    window, on its representative at first grading 0, and moved by ``rep``'s.
-    The shape is the key ``rep`` carries from its split, and is taken again
-    only for a 1- or 4-generator representative that carries none."""
+def _summed_cones(shapes, n: int, g_hat: int, rows=()) -> HFPlusResult:
+    """:func:`surgery_hf` on a split that has passed :func:`validate_knot` (on the
+    ``rows`` per shape it checked, if given), each shape's cone homology moved by
+    each copy's offset in its gradings; the anchor and :func:`plus_presentation`'s
+    torsion shift are added, and each ``Fraction`` made, once per distinct grading.
+    A shape of Hedden's normal form (``cfk._normal_forms``) is reduced once per
+    process, framing and window, on its representative at first grading 0, and
+    moved by ``rep``'s.  The shape is the key ``rep`` carries from its split, and
+    is taken again only for a 1- or 4-generator representative that carries none."""
     towers, torsion, forms = Counter(), Counter(), _normal_forms()
-    for rep, copies in shapes:
+    for (rep, copies), found in zip(shapes, rows or repeat(None)):
         if (key := rep._key) is None and len(rep.generators) in (1, 4):
             key = _shape_key(_layout(rep), range(len(rep.generators)))
         if key in forms:
@@ -318,7 +322,7 @@ def _summed_cones(shapes, n: int, g_hat: int) -> HFPlusResult:
                 cone = _NORMAL_FORM_CONES[key, n, g_hat] = _cone_homology(forms[key], n, g_hat)
             (free, tops), first = cone, rep.base.maslov[rep.generators[0]]
         else:
-            (free, tops), first = _cone_homology(rep, n, g_hat), 0
+            (free, tops), first = _cone_homology(rep, n, g_hat, found), 0
         for offset, count in copies:
             offset += first
             for g, c in free.items():
@@ -336,10 +340,9 @@ def _shifted(g, shift: Fraction) -> Fraction:
     return F(g * shift.denominator + shift.numerator, shift.denominator) if type(g) is int else g + shift
 
 
-def _cone_homology(rep: KnotComplex, n: int, g_hat: int) -> tuple[Counter, list]:
-    """The towers (counted) and torsion of the :func:`_minimal_cone` of ``rep``, in ``_exact`` gradings."""
-    h = homology_decomposition(_minimal_cone(_shape_cone(rep, n, g_hat)).total_complex())
-    return Counter(map(_exact, h.towers)), [(_exact(g), k, c) for g, k, c in h.torsion]
+def _cone_homology(rep: KnotComplex, n: int, g_hat: int, rows=None) -> tuple[Counter, list]:
+    """:func:`fualgebra._homology` of the :func:`_minimal_cone` of ``rep``, on its base's rows if handed over."""
+    return _homology(*_minimal_cone(_shape_cone(rep, n, g_hat, rows)))
 
 
 def one_handle_stabilize(result: HFPlusResult) -> HFPlusResult:

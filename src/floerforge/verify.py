@@ -16,6 +16,7 @@ from typing import Optional
 
 from .cfk import (
     KnotComplex,
+    _shapes,
     builtin,
     connected_sum_knots,
     figure8,
@@ -354,7 +355,7 @@ def _rows_properties(ctx):
     asym = []
     for name, build in sorted(corpus_builders().items()):
         kc = build()
-        if kc.flip is None:
+        if _shapes(kc)[0][0].flip is None:  # read off the split: a double is not written out
             continue
         table = hfk_hat(kc).total
         for (m, s), d in table.items():

@@ -10,10 +10,14 @@ counted doubles.  ``unsplit``
 copies a complex without the summand split stored on it, and
 ``split_contents`` lists what a split holds, for comparing two, and
 ``named_split`` is the reference split, taken on generator names.
-``filtered_mixes`` lists the filtered changes of basis ``_Reducer.mix`` takes.
+``mix`` is one change of basis on a ``fualgebra._Reducer``, and
+``filtered_mixes`` lists the filtered ones; ``survivors`` lists what a
+reduction keeps.
 ``cone_check`` is the flat cone's validation, on the vectors of a
-``surgery._ShapeCone``; ``unchecked`` takes off the re-checks ``conftest.py``
-adds, for one test.
+``surgery._ShapeCone``, and ``spelled_cone`` the flat cone they stand for;
+``positional_complex`` names the generators of a complex kept on positions,
+as ``surgery._minimal_cone`` makes it; ``unchecked`` takes off the re-checks
+``conftest.py`` adds, for one test.
 """
 
 import inspect
@@ -43,8 +47,10 @@ from floerforge.fualgebra import (
     ValidationReport,
     _exact,
     _id_rows,
+    U_DEGREE,
     _plus,
     _positions,
+    _spread,
     _square_violations,
     _sum,
 )
@@ -62,6 +68,32 @@ def flat_tower(kc, signs):
         build = whitehead_double_cfk if sign == "+" else negative_double_cfk
         tower.append(unsplit(build(reduced_basis_form(tower[-1]))))
     return tower[1:]
+
+
+def mix(r, g, h, s):
+    """The basis change g := g + U^s h (h kept) on the reducer ``r``: it adjusts
+    the differential out of g and reroutes arrows that hit g into arrows hitting
+    h, and both together are an exact change of basis, so d^2 = 0 is kept; the
+    tracked maps follow."""
+    i, j, A = r.generators.index(g), r.generators.index(h), r.alexander
+    if r.m[i] != r.m[j] + U_DEGREE * s or s < 0:
+        raise AssertionError(f"inhomogeneous or negative mix {g} += U^{s}.{h}")
+    if A is not None and A[j] - s > A[i]:
+        raise AssertionError(f"filtration-breaking mix {g} += U^{s}.{h}")
+    rows, row_bases, (cols, col_bases) = r.rows, r.row_bases, r._columns()
+    rows[i], row_bases[i] = _plus(rows[i], row_bases[i], rows[j], row_bases[j])
+    _spread(cols, col_bases, rows[j], row_bases[j], 1, i)
+    _spread(rows, row_bases, cols[i], col_bases[i], 1, j)
+    cols[j], col_bases[j] = _plus(cols[j], col_bases[j], cols[i], col_bases[i])
+    if r.iota_rows is not None:
+        _spread(r.iota_rows, r.iota_bases, 1, i, *_plus(r.iota_rows[j], r.iota_bases[j], 1, j))
+    if r.pi_cols is not None:
+        _spread(r.pi_cols, r.pi_bases, 1, j, *_plus(r.pi_cols[i], r.pi_bases[i], 1, i))
+
+
+def survivors(r):
+    """The generators the reducer ``r`` has not cancelled, in the input's order, with their positions."""
+    return {g: i for i, g in enumerate(r.generators) if r.alive[i]}
 
 
 def filtered_mixes(kc):
@@ -221,25 +253,57 @@ ORACLE_CASES = {
 def tracked_maps(r):
     """The inclusion and the projection a ``_Reducer`` tracks, with powers:
     each survivor as original generators, each original generator as survivors."""
-    survivors = r.survivors().items()
-    iota = {g: r.powers(*_plus(r.iota_rows[i], r.iota_bases[i], 1, i), r.m[i]) for g, i in survivors}
-    cols = {g: r.powers(*_plus(r.pi_cols[i], r.pi_bases[i], 1, i), r.m[i]) for g, i in survivors}
+    kept = survivors(r).items()
+    iota = {g: r.powers(*_plus(r.iota_rows[i], r.iota_bases[i], 1, i), r.m[i]) for g, i in kept}
+    cols = {g: r.powers(*_plus(r.pi_cols[i], r.pi_bases[i], 1, i), r.m[i]) for g, i in kept}
     return iota, {e: {g: -col[e] for g, col in cols.items() if e in col} for e in r.generators}
 
 
+def a_gradings(sc):
+    """The grading vector of each A_s of ``sc``: one of s < 0 that it does not
+    build (its model is A_{-s}'s, moved by the flip) is read off A_{-s} through
+    the flip, m_s(x) = m_{-s}(flip x) + 2s."""
+    return {s: sc.gradings[s] if s in sc.gradings else [sc.gradings[-s][j] + 2 * s for j in sc.flip]
+            for s in sc.a_shifts}
+
+
+def spelled_cone(sc):
+    """The cone of ``sc`` on generator names, a power rounded down where the
+    gradings give none, over the vectors of :func:`a_gradings`."""
+    gens, m, gradings, a_complexes, edges = sc.base.generators, sc.base.maslov, a_gradings(sc), {}, {}
+    for s, ms in gradings.items():
+        at = dict(zip(gens, ms))
+        a_complexes[s] = FreeComplex(zip(gens, ms), {x: {y: (at[y] - at[x] + 1) // 2 for y in row}
+                                                    for x, row in sc.base.differential.items()})
+    for (s, kind), e in sc.edges.items():
+        drop = sc.a_shifts[s] - 1 - sc.b_shifts[s if kind == "v" else s + sc.n]
+        edges[s, kind] = {x: {gens[j]: (m[gens[j]] - y - drop) // 2} for x, j, y in zip(gens, e, gradings[s])}
+    return surgery.MappingCone(sc.n, tuple(gradings), tuple(sc.b_shifts), a_complexes,
+                               {t: sc.base for t in sc.b_shifts}, sc.a_shifts, sc.b_shifts, edges)
+
+
+def positional_complex(m, rows, bases):
+    """The complex on the positions of the gradings ``m``, each named by its
+    number, with the window bitset rows ``(rows, bases)``; each power is read
+    off the gradings, rounded down where they give none."""
+    names = [str(i) for i in range(len(m))]
+    return FreeComplex(zip(names, m), {names[i]: {names[j]: (m[j] - m[i] + 1) // 2 for j in _positions(v, bases[i])}
+                                       for i, v in enumerate(rows) if v})
+
+
 def cone_check(sc):
-    """``validate_complex`` of ``sc.mapping_cone().total_complex()`` on the
+    """``validate_complex`` of ``spelled_cone(sc).total_complex()`` on the
     vectors (each entry of B, of B's matrix under each m_s and each edge image
     a non-negative power of degree -1, then over F2 d^2 = 0 on B's rows and
     each distinct sum of maps into one B_t a chain map), and the flip an F2
-    chain map and involution with m_{-s}(flip x) = m_s(x) - 2s, for reading
-    A_{-s} off A_s."""
-    base, n, gens = sc.base, sc.n, sc.base.generators
+    chain map and involution with m_{-s}(flip x) = m_s(x) - 2s where ``sc``
+    builds both, for reading A_{-s} off A_s; over :func:`a_gradings`."""
+    base, n, gens, gradings = sc.base, sc.n, sc.base.generators, a_gradings(sc)
     (rows, bases), bad = _id_rows(base, {g: i for i, g in enumerate(gens)})
     pairs = [(i, j) for i, v in enumerate(rows) for j in _positions(v, bases[i])]
     src, tgt = [i for i, _j in pairs], [j for _i, j in pairs]
     m = list(map(base.maslov.__getitem__, gens))
-    for s, ms in sc.gradings.items():  # an entry U^p raises the grading by 2p - 1
+    for s, ms in gradings.items():  # an entry U^p raises the grading by 2p - 1
         rises = list(map(sub, map(ms.__getitem__, tgt), map(ms.__getitem__, src)))
         if rises and (min(rises) < -1 or set(map(mod, rises, repeat(2))) != {1}):
             bad += [f"entry A{s}|{gens[i]}->A{s}|{gens[j]} is not a non-negative power of degree -1"
@@ -247,7 +311,7 @@ def cone_check(sc):
     landing = {}
     for (s, kind), e in sc.edges.items():  # an edge entry U^p rises by 2p plus the shifts' drop
         t = s if kind == "v" else s + n
-        gaps = [y - x - sc.a_shifts[s] + 1 + sc.b_shifts[t] for x, y in zip(sc.gradings[s], map(m.__getitem__, e))]
+        gaps = [y - x - sc.a_shifts[s] + 1 + sc.b_shifts[t] for x, y in zip(gradings[s], map(m.__getitem__, e))]
         if min(gaps) < 0 or set(map(mod, gaps, repeat(2))) != {0}:
             bad += [f"edge A{s}|{gens[i]}->B{t}|{gens[j]} is not a non-negative entry of degree -1"
                     for i, (j, d) in enumerate(zip(e, gaps)) if d < 0 or d % 2]
@@ -262,7 +326,7 @@ def cone_check(sc):
             if any(sc.flip[j] != i for i, j in enumerate(sc.flip)):
                 bad.append("the flip is not an involution")
             bad += [f"A{-s} is not A{s} through the flip" for s, ms in sc.gradings.items()
-                    if s > 0 and list(map(sc.gradings[-s].__getitem__, sc.flip)) != [x - 2 * s for x in ms]]
+                    if s > 0 and -s in sc.gradings and [sc.gradings[-s][j] for j in sc.flip] != [x - 2 * s for x in ms]]
         ones = [1] * len(gens)
         for what, parts in maps.values():  # d e + e d over F2, summed and dropped per position
             for i, v in enumerate(rows):
@@ -276,18 +340,18 @@ def cone_check(sc):
     return ValidationReport(ok=not bad, violations=tuple(bad))
 
 
-def validate_knot_holders(modules, validate):
-    """The modules among ``modules`` that hold ``validate`` as ``validate_knot``."""
-    return [module for module in list(modules) if getattr(module, "__dict__", {}).get("validate_knot") is validate]
+def holders(modules, name, fn):
+    """The modules among ``modules`` that hold ``fn`` as ``name``."""
+    return [module for module in list(modules) if getattr(module, "__dict__", {}).get(name) is fn]
 
 
 def unchecked(monkeypatch):
     """Run the rest of a test as users run the program, without the re-checks
-    of package-built cones, complexes, splits, counted complexes and certified
-    shapes that ``conftest.py`` adds."""
+    of package-built cones, complexes, splits, counted complexes, handed-over
+    rows and certified shapes that ``conftest.py`` adds."""
     monkeypatch.setattr(surgery, "_minimal_cone", inspect.unwrap(surgery._minimal_cone))
     for cls in (FreeComplex, KnotComplex):
         monkeypatch.setattr(cls, "_built", classmethod(inspect.unwrap(cls._built.__func__)))
     monkeypatch.setattr(cfk._CountedComplex, "__init__", inspect.unwrap(cfk._CountedComplex.__init__))
-    for module in validate_knot_holders(sys.modules.values(), cfk.validate_knot):
+    for module in holders(sys.modules.values(), "validate_knot", cfk.validate_knot):
         monkeypatch.setattr(module, "validate_knot", inspect.unwrap(cfk.validate_knot))

@@ -1,6 +1,8 @@
 """The tier-1 suite re-checks what the package builds for itself, which the
 program takes as built: every cone ``surgery._minimal_cone`` receives must
-pass ``complexes.cone_check``; every complex handed to ``FreeComplex._built``
+pass ``complexes.cone_check`` and carry its base's rows, and every minimal
+cone it hands to ``fualgebra._homology`` must have d^2 = 0 and each power
+its gradings give; every complex handed to ``FreeComplex._built``
 or ``KnotComplex._built`` must come out of ``__init__`` the same, types
 included; and every summand split handed to ``KnotComplex._built`` must be
 the one ``cfk._summands`` takes of the complex.  Each counted complex
@@ -9,8 +11,9 @@ written out once as it is made, through ``KnotComplex._built``, so its flat
 form and its split meet both checks; the complex itself stays counted, and
 a deeper one is checked when a caller writes it out.  ``validate_knot``, wherever
 it is imported, also holds each shape key a representative carries to the
-key of the representative itself, and runs the checks it skips on a shape
-certified by its key, which must pass them.  The per-process cache of
+key of the representative itself, runs the checks it skips on a shape
+certified by its key, which must pass them, and hands over for any other
+shape the rows of its base.  The per-process cache of
 normal-form cones (``surgery._NORMAL_FORM_CONES``) is emptied before each
 test, so a test that counts or patches cones sees its own.
 
@@ -24,7 +27,7 @@ import sys
 import pytest
 
 import complexes
-from complexes import split_contents, validate_knot_holders
+from complexes import holders, positional_complex, split_contents
 from floerforge import surgery
 from floerforge.cfk import (
     KnotComplex,
@@ -39,14 +42,23 @@ from floerforge.cfk import (
     _summands,
     validate_knot,
 )
-from floerforge.fualgebra import FreeComplex
+from floerforge.fualgebra import FreeComplex, _id_rows, validate_complex
+
+
+def base_rows(c):
+    """The ``(ids, sets)`` of ``fualgebra._id_rows`` of the complex ``c``."""
+    return (ids := {g: i for i, g in enumerate(c.generators)}), _id_rows(c, ids)[0]
 
 
 def checked_cone(minimal_cone):
     @functools.wraps(minimal_cone)
     def check(sc):
         complexes.cone_check(sc).require("surgery cone")
-        return minimal_cone(sc)
+        if sc.rows != base_rows(sc.base):
+            raise AssertionError("a shape cone carries rows that are not those of its base")
+        cone = minimal_cone(sc)
+        validate_complex(positional_complex(*cone)).require("minimal cone")
+        return cone
     return check
 
 
@@ -88,13 +100,16 @@ def strict_validation(validate):
     @functools.wraps(validate)
     def check(kc):
         report = validate(kc)
-        for rep, _copies in _shapes(kc):
+        for (rep, _copies), rows in zip(_shapes(kc), report.checked, strict=True):
             if rep._key is not None and rep._key != _shape_key(_layout(rep), range(len(rep.generators))):
                 raise AssertionError("a representative carries a shape key that is not its own")
-            if rep._key in _normal_forms():
-                violations, chain_map = _summand_violations(rep)
+            certified = rep._key in _normal_forms()
+            if certified:
+                violations, chain_map, _rows = _summand_violations(rep)
                 if violations or not chain_map or _flip_chain_map_violations(rep):
                     raise AssertionError("a shape certified by its key fails the checks it skipped")
+            if rows != (None if certified else base_rows(rep.base)):  # a certified shape builds none
+                raise AssertionError("validation hands over rows that are not those of its shape")
         return report
     return check
 
@@ -107,7 +122,7 @@ def suite_checks():
         mp.setattr(KnotComplex, "_built", classmethod(compared_knot(KnotComplex._built.__func__)))
         mp.setattr(_CountedComplex, "__init__", expanded_counted(_CountedComplex.__init__))
         strict = strict_validation(validate_knot)
-        for module in validate_knot_holders(sys.modules.values(), validate_knot):
+        for module in holders(sys.modules.values(), "validate_knot", validate_knot):
             mp.setattr(module, "validate_knot", strict)
         yield
 

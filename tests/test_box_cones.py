@@ -8,7 +8,8 @@ before.  A double is counted: a tower 64 levels deep is validated, surgered
 and read for its hat invariants without its flat form ever being written.
 Doubling refuses a clasp sign other than "+" or "-" and a reduced pair
 whose drop is below 1, and the closed-form top grading that the end
-invariants read off a finite mixed prefix is that of the hat table.
+invariants read off a finite mixed prefix is that of the hat table.  The
+reproduction rows of section 7 write out the one double they tensor.
 
 A test that needs the cache cold empties it itself, so the module also runs
 as users run the program, under ``pytest --noconftest``.
@@ -23,7 +24,7 @@ from itertools import product
 
 import pytest
 
-from complexes import disjoint_sum, flat_tower, flip_swapped_boxes, unsplit
+from complexes import disjoint_sum, flat_tower, flip_swapped_boxes, unchecked, unsplit
 from floerforge import cfk, surgery
 from floerforge.cfk import (
     KnotComplex,
@@ -49,6 +50,7 @@ from floerforge.endfloer import CH_PLUS, CassonHandle, SliceR4Spec, he_end_sum, 
 from floerforge.corpus import corpus_dir, load_complex
 from floerforge.fualgebra import FreeComplex, homology_decomposition, plus_presentation
 from floerforge.surgery import build_cone, surgery_hf
+from floerforge.verify import run_verification
 from floerforge.whitehead import _counted, box_tower, negative_double_cfk, whitehead_double_cfk
 
 F = Fraction
@@ -285,6 +287,17 @@ def test_a_tower_64_levels_deep_is_never_written_out(nothing_written):
     for k, c in corners:
         table.update({(k, 0): 2 * c, (k + 1, 1): c, (k - 1, -1): c})
     assert hat.total == dict(table) and numerics == {"tau": 0, "genus": 1}
+
+
+def test_verify_writes_out_only_the_double_it_tensors(monkeypatch):
+    # Row 7.symmetry reads the flip of each corpus double off its split;
+    # 7.valid's tensor of Wh(K3) is the one place that needs a flat base.
+    unchecked(monkeypatch)
+    written, expand = [], cfk._expanded
+    monkeypatch.setattr(cfk, "_expanded", lambda kc: written.append(kc.name) or expand(kc))
+    rows = run_verification("7")
+    assert rows and all(row.passed for row in rows)
+    assert written == ["Wh^1(K3)"]
 
 
 def test_the_ladder_writes_no_double_out(nothing_written):

@@ -49,7 +49,7 @@ from floerforge.fualgebra import (
 from floerforge.surgery import build_cone, surgery_hf
 from floerforge.whitehead import box_parameters, box_tower
 
-from complexes import ORACLE_CASES, disjoint_sum, filtered_mixes, flat_tower, scrambled_sums, unsplit
+from complexes import ORACLE_CASES, disjoint_sum, filtered_mixes, flat_tower, mix, scrambled_sums, unsplit
 
 F = Fraction
 
@@ -207,6 +207,19 @@ def test_k3_nine_generators_and_hat_dims():
 def test_reduce_canonical_on_minimal_box_is_identity():
     b = box(F(0))
     assert reduce_canonical(b) == b
+
+
+def test_reduce_canonical_drops_an_invalid_flip_when_nothing_cancels():
+    # box(0) has no U^0 entry of zero Alexander drop, so the sweep cancels
+    # nothing.  The flip a <-> d, b <-> c is an involution with the gradings
+    # a flip needs, but no chain map (d(a) = Ub + c, d(d) = 0): it does not
+    # survive, though the canonical shapes of the hat layers never check it.
+    b = box(F(0))
+    kc = KnotComplex(b.base, b.alexander, {"a": "d", "d": "a", "b": "c", "c": "b"})
+    assert not validate_knot(kc).ok and validate_knot(kc).violations[0] == "flip fails to be a chain map at a"
+    reduced = reduce_canonical(kc)
+    assert (reduced.base, reduced.alexander, reduced.flip) == (kc.base, kc.alexander, None)
+    assert cfk._canonical_shapes(kc)[0][0] is _shapes(kc)[0][0]  # taken as it is, flip and all
 
 
 def test_reduce_canonical_cancels_trivial_pair():
@@ -384,7 +397,7 @@ def with_hat_pair(kc):
         g, h = rng.sample(extra.generators, 2)
         s = (extra.maslov(h) - extra.maslov(g)) / 2
         if s.denominator == 1 and s >= 0 and extra.alexander[h] - s <= extra.alexander[g]:
-            r.mix(g, h, int(s))
+            mix(r, g, h, int(s))
     return KnotComplex(r.current_complex(), extra.alexander, None, kc.ambient)
 
 
@@ -425,11 +438,11 @@ SPHERE_KNOTS = {name: (kc, filtered_mixes(kc)) for name, build in sorted(corpus_
 @st.composite
 def filtered_basis_changes(draw):
     """A corpus knot over S3 (K3-K9 among them), and the same knot after
-    random filtered changes of basis (``_Reducer.mix``), without its flip."""
+    random filtered changes of basis (``complexes.mix``), without its flip."""
     kc, mixes = SPHERE_KNOTS[draw(st.sampled_from(sorted(SPHERE_KNOTS)))]
     r = _Reducer(kc.base, alexander=kc.alexander)
     for g, h, s in draw(st.lists(st.sampled_from(mixes), min_size=1, max_size=40)) if mixes else ():
-        r.mix(g, h, s)
+        mix(r, g, h, s)
     return kc, KnotComplex(r.current_complex(), kc.alexander, None, kc.ambient)
 
 
@@ -561,7 +574,7 @@ def test_colliding_sum_names_raise_the_duplicate_name_error():
 
 def whole_complex_report(kc):
     """The oracle: every check run on the whole complex as one summand."""
-    violations, chain_map = _summand_violations(kc)
+    violations, chain_map, _rows = _summand_violations(kc)
     if chain_map:
         violations += _flip_chain_map_violations(kc)
     return ValidationReport(ok=not violations, violations=tuple(violations))

@@ -821,8 +821,8 @@ def test_surgery_splits_and_checks_its_input_once(capsys, monkeypatch):
 def test_cfk_reduces_each_summand_shape_once(capsys, monkeypatch, fmt, name, shapes):
     # K9 is one summand shape; Wh(K9) is x plus copies of one box.
     calls = []
-    real = cfk.reduce_canonical
-    monkeypatch.setattr(cfk, "reduce_canonical", lambda kc: calls.append(len(kc.generators)) or real(kc))
+    real = cfk._canonical
+    monkeypatch.setattr(cfk, "_canonical", lambda kc: calls.append(len(kc.generators)) or real(kc))
     code, out, _ = run(capsys, "cfk", "--complex", name, "--format", fmt)
     assert code == 0 and out
     assert len(calls) == shapes

@@ -365,8 +365,8 @@ def test_reversed_piece_matches_the_mirrored_knot(name):
 @pytest.mark.parametrize("orientation", "+-")
 def test_resolve_piece_reduces_each_summand_shape_once(monkeypatch, name, orientation):
     reduced = []
-    real = cfk.reduce_canonical
-    monkeypatch.setattr(cfk, "reduce_canonical", lambda kc: reduced.append(kc) or real(kc))
+    real = cfk._canonical
+    monkeypatch.setattr(cfk, "_canonical", lambda kc: reduced.append(kc) or real(kc))
     for handle in PIECE_HANDLES:
         knot = load_complex(name)
         reduced.clear()
@@ -479,8 +479,8 @@ def test_distinguish_r3_r5_distinct():
 def test_distinguish_reduces_each_knot_once(monkeypatch):
     # A reversed piece keeps its knot, which keeps its canonical shapes.
     reduced = []
-    real = cfk.reduce_canonical
-    monkeypatch.setattr(cfk, "reduce_canonical", lambda kc: reduced.append(len(kc.generators)) or real(kc))
+    real = cfk._canonical
+    monkeypatch.setattr(cfk, "_canonical", lambda kc: reduced.append(len(kc.generators)) or real(kc))
     assert distinguish(r_spec(3), r_spec(5)).distinct
     assert reduced == [9, 25]
 

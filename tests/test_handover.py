@@ -1,19 +1,24 @@
-"""The summand splits that sums and mirrors hand over.
+"""The summand splits that sums and mirrors hand over, and the rows that
+validation hands to surgery.
 
 ``connected_sum_knots``, ``mirror_knot``, ``k_n`` and ``staircase_torus(n,
 "-")`` give their result the split ``cfk._summands`` would take of it, so no
 later call splits the flat complex.  These tests run the hat layers and
 surgery as users run the program (without the suite's re-checks) and check
 that the flat complex is never split and that every answer is the one taken
-on a copy without the split.
+on a copy without the split.  ``surgery_hf`` builds a shape's window-bitset
+rows once, in its validation, and checks its flip once; the hat layers
+check no flip.
 """
 
+import sys
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
 
-from floerforge import cfk
+from floerforge import cfk, fualgebra
 from floerforge.cfk import (
     KnotComplex,
     _shapes,
@@ -30,6 +35,7 @@ from floerforge.cfk import (
     staircase_torus,
     unknot,
 )
+from floerforge.corpus import load_complex
 from floerforge.fualgebra import FreeComplex
 from floerforge.surgery import surgery_hf
 
@@ -38,6 +44,7 @@ from complexes import (
     disjoint_sum,
     flat_tower,
     flip_swapped_boxes,
+    holders,
     scrambled_sums,
     split_contents,
     unchecked,
@@ -141,3 +148,33 @@ def test_handed_over_splits_are_the_splits_of_the_whole(k1, k2):
     for kc in built:
         if kc._split is not None:
             assert split_contents(kc._split) == split_contents(_summands(unsplit(kc)))
+
+
+def counting(monkeypatch, *functions):
+    """A Counter of the calls of each of ``functions`` by name, through every module that holds it."""
+    calls = Counter()
+    for fn in functions:
+        for module in holders(sys.modules.values(), fn.__name__, fn):
+            monkeypatch.setattr(module, fn.__name__, lambda *args, fn=fn: calls.update([fn.__name__]) or fn(*args))
+    return calls
+
+
+@pytest.mark.parametrize("n", [-1, 0, 1])
+def test_surgery_builds_the_rows_of_a_shape_once(monkeypatch, n):
+    # K9 is one shape: validation builds its rows and checks its flip, and
+    # hands the rows to the shared reduction; the minimal cone goes to the
+    # reducer on positions, with no rows built or checked again.
+    unchecked(monkeypatch)
+    kc = load_complex("k9")
+    calls = counting(monkeypatch, fualgebra._id_rows, cfk._flip_chain_map_violations)
+    surgery_hf(kc, n)
+    assert calls == {"_id_rows": 1, "_flip_chain_map_violations": 1}
+
+
+def test_hat_layers_check_no_flip(monkeypatch):
+    # No reader of a canonical shape takes its flip, so none is checked.
+    unchecked(monkeypatch)
+    kc = load_complex("k9")
+    calls = counting(monkeypatch, cfk._flip_chain_map_violations)
+    hfk_hat(kc), knot_numerics(kc), reduced_basis_form(kc)
+    assert calls == {}

@@ -51,8 +51,9 @@ from floerforge.truncation import (
 )
 
 import complexes
-from complexes import (ORACLE_CASES, cone_check, disjoint_sum, filtered_mixes, flat_tower, flip_swapped_boxes,
-                       scrambled_sums, tracked_maps, unchecked)
+from complexes import (ORACLE_CASES, a_gradings, cone_check, disjoint_sum, filtered_mixes, flat_tower,
+                       flip_swapped_boxes, mix, positional_complex, scrambled_sums, spelled_cone, survivors,
+                       tracked_maps, unchecked)
 
 F = Fraction
 
@@ -206,7 +207,7 @@ def test_reduced_summand_route_agrees(kc, n):
     # The whole complex taken as one shape: its minimal cone is valid and,
     # at the framing's anchor, has the answer as homology.
     direct = surgery_hf(kc, n)
-    total = surgery._minimal_cone(shape_cone(kc, n)).total_complex()
+    total = positional_complex(*surgery._minimal_cone(shape_cone(kc, n)))
     assert validate_complex(total).ok
     reduced = plus_presentation(homology_decomposition(total.shift(surgery._ANCHORS[n])))
     assert direct.decomposition == reduced
@@ -221,7 +222,7 @@ def shape_cone(kc, n):
 @given(scrambled_sums(ORACLE_CASES, max_size=2), st.sampled_from([-1, 0, 1]))
 def test_shape_cone_spells_out_the_flat_cone(kc, n):
     # Each power read off the grading vectors is the one build_cone writes.
-    spelled = shape_cone(kc, n).mapping_cone().total_complex().shift(surgery._ANCHORS[n])
+    spelled = spelled_cone(shape_cone(kc, n)).total_complex().shift(surgery._ANCHORS[n])
     assert spelled == build_cone(kc, n).total_complex()
 
 
@@ -259,16 +260,16 @@ SURGERY_KNOTS = {name: (kc, flip_stable_mixes(kc)) for name, build in {
 
 def flip_stable_basis_changes(name):
     """The knot ``name`` of ``SURGERY_KNOTS`` after 1 to 40 random pairs of its
-    :func:`flip_stable_mixes` (``_Reducer.mix``), with the same flip; T(2,5)
+    :func:`flip_stable_mixes` (``complexes.mix``), with the same flip; T(2,5)
     has none, its gradings and filtration leave no pair."""
     kc, pairs = SURGERY_KNOTS[name]
 
     def mixed(changes):
         r = _Reducer(kc.base, alexander=kc.alexander)
         for change, image in changes:
-            r.mix(*change)
+            mix(r, *change)
             if image != change:
-                r.mix(*image)
+                mix(r, *image)
         return KnotComplex(r.current_complex(), kc.alexander, kc.flip, kc.ambient)
 
     return st.lists(st.sampled_from(pairs), min_size=1, max_size=40).map(mixed) if pairs else st.just(kc)
@@ -308,7 +309,7 @@ def cone_sizes(monkeypatch):
 
     def counting(kc, *args):
         sc = cone(kc, *args)
-        sizes.append((len(sc.gradings) + len(sc.b_shifts)) * len(sc.base.generators))
+        sizes.append((len(sc.a_shifts) + len(sc.b_shifts)) * len(sc.base.generators))
         return sc
 
     cone = surgery._shape_cone
@@ -346,9 +347,14 @@ def test_one_cone_per_distinct_shape(n, cone_sizes):
 def test_minimal_blocks_shrink_the_k9_cone(monkeypatch, n, size):
     # A U^0-minimal block has rank dim H(block/U), whatever basis the
     # reduction picks; the flat cone of K9 has 81 generators per block.
-    sizes = []
-    monkeypatch.setattr(surgery, "homology_decomposition",
-                        lambda c: sizes.append(len(c.generators)) or homology_decomposition(c))
+    sizes, cone = [], surgery._minimal_cone
+
+    def counting(sc):
+        minimal = cone(sc)
+        sizes.append(len(minimal[0]))
+        return minimal
+
+    monkeypatch.setattr(surgery, "_minimal_cone", counting)
     surgery_hf(k_n(9), n)
     assert sizes == [size]
 
@@ -381,8 +387,9 @@ def test_flip_halves_the_k9_reductions(monkeypatch, n):
     assert surgery_hf(k_n(9), n).decomposition == expected
     (rep, _copies), = _shapes(k_n(9))
     sc = surgery._shape_cone(rep, n, surgery._window(rep, n))
-    assert len(sc.gradings) == 15 and sorted(reduced) == sorted(leaves(sc)) and len(reduced) == 9
-    separate = [(len(rep.generators) - len(_Reducer(rep.base).fork(m).cancel_u0().survivors())) // 2
+    assert len(sc.a_shifts) == 15 and sorted(reduced) == sorted(leaves(sc)) and len(reduced) == 9
+    assert sorted(sc.gradings) == list(range(8))  # the vectors of A_-7 .. A_-1 are never built
+    separate = [(len(rep.generators) - len(survivors(_Reducer(rep.base).fork(m).cancel_u0()))) // 2
                 for m in leaves(sc)]
     assert sum(separate) == 350 and sum(pairs) < 350 / 2
 
@@ -411,7 +418,7 @@ def test_u0_in_some_block_shows_in_b(kc, n):
     # _minimal_cone reads: the flip carries an entry that is U^0 in an A_s
     # and not in B to a U^0 entry of B.
     sc = shape_cone(kc, n)
-    blocks = [dict(zip(sc.base.generators, ms)) for ms in sc.gradings.values()] + [sc.base.maslov]
+    blocks = [dict(zip(sc.base.generators, ms)) for ms in a_gradings(sc).values()] + [sc.base.maslov]
     anywhere = any(m[y] - m[x] == -1 for m in blocks for x, row in sc.base.differential.items() for y in row)
     assert any(0 in row.values() for row in sc.base.differential.values()) is anywhere
 
@@ -432,16 +439,14 @@ def test_shared_blocks_match_separate_reductions(kc, n):
     # Each block the shared reduction hands over is U^0-minimal, with the
     # rank and the homology of its own reduction from scratch.
     sc = shape_cone(kc, n)
-    blocks, b = surgery._minimal_blocks(sc)
-    models = {s: model for s, (model, _inclusion) in blocks.items()}
-    if b is not None:
-        models[None] = b.current_complex()
-    assert len(models) == len(sc.gradings) + bool(sc.b_shifts)
+    blocks = surgery._minimal_blocks(sc)
+    models = {s: positional_complex(m, masks, [0] * len(m)) for s, (m, masks, _maps) in blocks.items()}
+    assert len(models) == len(sc.a_shifts) + bool(sc.b_shifts)
     for s, model in models.items():
         r = _Reducer(sc.base)
-        alone = (r if s is None else r.fork(sc.gradings[s])).cancel_u0()
+        alone = (r if s is None else r.fork(a_gradings(sc)[s])).cancel_u0()
         assert not any(p == 0 for _src, _tgt, p in model.entries())
-        assert len(model.generators) == len(alone.survivors())
+        assert len(model.generators) == len(survivors(alone))
         assert homology_decomposition(model) == homology_decomposition(alone.current_complex())
 
 
@@ -501,14 +506,15 @@ def test_tracked_maps_are_homotopy_equivalence_data(kc, n, data):
     # homology of the flat A_{-s}, and its inclusion is a chain map into it
     # whose mapping cone is acyclic.
     sc = shape_cone(kc, n)
-    blocks, _b = surgery._minimal_blocks(sc)
+    blocks = surgery._minimal_blocks(sc)
     gens = kc.generators
     for s in (s for s in mc.a_window if s < 0):
-        flat, (model, inclusion) = mc.a_complexes[s], blocks[s]
+        flat, (m, masks, inclusion) = mc.a_complexes[s], blocks[s]
+        model = positional_complex(m, masks, [0] * len(m))
         assert homology_decomposition(model) == homology_decomposition(flat)
-        assert set(inclusion) == set(model.generators)
-        iota = {g: {gens[j]: (flat.maslov[gens[j]] - model.maslov[g]) // 2 for j in _positions(*x)}
-                for g, x in inclusion.items()}
+        assert len(inclusion) == len(model.generators)
+        iota = {g: {gens[j]: (flat.maslov[gens[j]] - mg) // 2 for j in _positions(*x)}
+                for g, mg, x in zip(model.generators, m, inclusion)}
         assert same_map(composed(model.differential, iota), composed(iota, flat.differential), model.generators)
         assert homology_decomposition(mapping_cone(iota, model, flat)) == FUDecomposition()
 
@@ -595,7 +601,7 @@ def edges_ok(mc):
 
 def flip_read_ok(sc):
     """Whether m_{-s}(flip x) = m_s(x) - 2s for every s > 0 of ``sc``."""
-    return all(sc.gradings[-s][j] == m - 2 * s for s in sc.gradings if s > 0
+    return all(sc.gradings[-s][j] == m - 2 * s for s in sc.gradings if s > 0 and -s in sc.gradings
                for j, m in zip(sc.flip, sc.gradings[s]))
 
 
@@ -620,7 +626,7 @@ def test_block_check_is_the_flat_check(name, n, data):
     else:
         key, i, image = data.draw(st.sampled_from(sorted(sc.edges))), data.draw(position), data.draw(position)
         sc.edges[key] = [image if j == i else k for j, k in enumerate(sc.edges[key])]
-    mc = sc.mapping_cone()
+    mc = spelled_cone(sc)
     assert cone_check(sc).ok == (flat_ok(mc) and edges_ok(mc) and flip_read_ok(sc))
 
 
@@ -633,7 +639,7 @@ def test_shared_rows_keep_every_check(n):
     s = min(sc.gradings)
     sc.gradings[s] = [sc.gradings[s][0] + 1, *sc.gradings[s][1:]]
     report = cone_check(sc)
-    assert not report.ok and not flat_ok(sc.mapping_cone())
+    assert not report.ok and not flat_ok(spelled_cone(sc))
     assert f"entry A{s}|s1->A{s}|s0 is not a non-negative power of degree -1" in report.violations
     # An entry of B of the wrong degree is left out of the rows, so only
     # the entry check of B sees it.
@@ -642,7 +648,7 @@ def test_shared_rows_keep_every_check(n):
     sc = surgery._shape_cone(KnotComplex(FreeComplex([(g, kc.base.maslov[g]) for g in kc.generators], diff),
                                          kc.alexander, kc.flip), n, 2)
     report = cone_check(sc)
-    assert not flat_ok(sc.mapping_cone())
+    assert not flat_ok(spelled_cone(sc))
     assert report.violations == ("entry s0->U^5.s2: grading 0 -> -12 is not degree -1",)
     # A base with d^2 != 0 whose flip still commutes with d: every edge map
     # is a chain map, and only the d^2 check of the blocks sees the fault.
@@ -651,7 +657,7 @@ def test_shared_rows_keep_every_check(n):
     bad = KnotComplex(FreeComplex([(g, kc.base.maslov[g]) for g in kc.generators], diff), kc.alexander, kc.flip)
     sc = surgery._shape_cone(bad, n, 2)
     report = cone_check(sc)
-    assert not report.ok and not flat_ok(sc.mapping_cone())
+    assert not report.ok and not flat_ok(spelled_cone(sc))
     assert all(v.startswith("d^2 from ") for v in report.violations)
 
 
@@ -663,7 +669,7 @@ def test_edge_entries_are_checked(n):
     sc = surgery._shape_cone(disjoint_sum([unknot(), box(0)]), n, 2)
     sc.gradings[0] = [sc.gradings[0][0] + 1, *sc.gradings[0][1:]]
     report = cone_check(sc)
-    assert not report.ok and not flat_ok(sc.mapping_cone())
+    assert not report.ok and not flat_ok(spelled_cone(sc))
     assert all(v.startswith("edge A0|0.x->") for v in report.violations)
 
 
@@ -689,12 +695,12 @@ def test_flip_read_checks_what_it_rests_on():
     for violation, images in faults.items():
         sc = three_boxes()
         sc.flip = images
-        assert flat_ok(sc.mapping_cone()) and cone_check(sc).violations == (violation,)
+        assert flat_ok(spelled_cone(sc)) and cone_check(sc).violations == (violation,)
         with pytest.raises(InvalidComplex):
             surgery._minimal_cone(sc)
     sc = three_boxes()  # the unknot's generator two lower in A_-1: a valid cone, but not A_1 moved
-    sc.gradings[-1] = [sc.gradings[-1][0] - 2, *sc.gradings[-1][1:]]
-    assert flat_ok(sc.mapping_cone()) and cone_check(sc).violations == ("A-1 is not A1 through the flip",)
+    sc.gradings[-1] = [a_gradings(sc)[-1][0] - 2, *a_gradings(sc)[-1][1:]]
+    assert flat_ok(spelled_cone(sc)) and cone_check(sc).violations == ("A-1 is not A1 through the flip",)
 
 
 # --- stabilisation ------------------------------------------------------------
