@@ -14,6 +14,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
+from itertools import repeat
 from typing import Mapping, Optional
 
 from .fualgebra import (
@@ -647,9 +648,10 @@ def reduce_canonical(kc: KnotComplex) -> KnotComplex:
     return KnotComplex._built(reduced.base, reduced.alexander, flip, kc.ambient, kc.name)
 
 
-def _canonical(kc: KnotComplex) -> KnotComplex:
-    """:func:`reduce_canonical` with no flip (no reader of a canonical shape takes one): ``kc`` if nothing cancels."""
-    r = _Reducer(kc.base, alexander=kc.alexander).cancel_u0()
+def _canonical(kc: KnotComplex, rows=None) -> KnotComplex:
+    """:func:`reduce_canonical` with no flip (no reader of a canonical shape takes one), on
+    the ``rows`` of a passed check of its base if given: ``kc`` if nothing cancels."""
+    r = _Reducer(kc.base, alexander=kc.alexander, rows=rows).cancel_u0()
     if all(r.alive):  # a sweep that cancels nothing changes no row
         return kc
     base = r.current_complex()
@@ -743,10 +745,10 @@ def knot_numerics(kc: KnotComplex) -> dict:
     return {"tau": reduced.alexander[x], "genus": max((r.genus_bound() for r, _copies in shapes), default=0)}
 
 
-def _canonical_shapes(kc: KnotComplex) -> list[tuple[KnotComplex, list[tuple]]]:
-    """:func:`_canonical` once per shape of :func:`_shapes`, with its copies, kept on ``kc``."""
+def _canonical_shapes(kc: KnotComplex, rows=()) -> list[tuple[KnotComplex, list[tuple]]]:
+    """:func:`_canonical` per shape of :func:`_shapes`, with its copies, kept on ``kc``; on checked ``rows`` if any."""
     if kc._canonical is None:
-        kc._canonical = [(_canonical(rep), copies) for rep, copies in _shapes(kc)]
+        kc._canonical = [(_canonical(rep, r), copies) for (rep, copies), r in zip(_shapes(kc), rows or repeat(None))]
     return kc._canonical
 
 

@@ -18,6 +18,7 @@ from pathlib import Path
 from .cfk import (
     HfkTable,
     KnotComplex,
+    _canonical_shapes,
     _shapes,
     filtration_homology,
     hfk_hat,
@@ -82,10 +83,10 @@ def _hfk_table(table: HfkTable) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _load(source) -> KnotComplex:
-    """Read and validate a complex (path, corpus name or inline JSON).  Over
-    S3 its Maslov gradings are integers and its U=0 homology is one F2 at 0,
-    taken once per summand shape of ``cfk._shapes`` and shifted."""
+def _load(source) -> tuple[KnotComplex, list]:
+    """Read and validate a complex (path, corpus name or inline JSON), with the rows per shape
+    ``validate_knot`` checked.  Over S3 its Maslov gradings are integers and its U=0 homology
+    is one F2 at 0, taken once per summand shape of ``cfk._shapes`` and shifted."""
     from_file = isinstance(source, str)
     try:
         kc = load_complex(source) if from_file else KnotComplex.from_json(source)
@@ -99,7 +100,7 @@ def _load(source) -> KnotComplex:
             if type(m) is not int:
                 raise InvalidComplex(f"invalid complex: Maslov grading {format_grading(m)} of {g} "
                                      f"is not an integer over {kc.ambient.name}")
-    validate_knot(kc).require("complex")
+    (report := validate_knot(kc)).require("complex")
     if kc.ambient.is_sphere:
         dims: Counter = Counter()
         for rep, copies in _shapes(kc):
@@ -110,7 +111,7 @@ def _load(source) -> KnotComplex:
             found = ", ".join(f"rank {d} at Maslov {format_grading(m)}" for m, d in sorted(dims.items()))
             raise InvalidComplex(f"invalid complex: U=0 homology over {kc.ambient.name} is "
                                  f"{found or 'zero'}, not rank 1 at Maslov 0")
-    return kc
+    return kc, report.checked
 
 
 _HANDLES = {"ch+": CH_PLUS, "ch-": CH_MINUS, "ch*": CH_STAR,
@@ -152,12 +153,13 @@ def _parse_operand(path: str):
         pieces = [_piece_fields(s, f"summand {i}" if summands else "the piece") for i, s in enumerate(entries)]
     except (KeyError, TypeError, ValueError) as exc:
         raise UsageError(f"malformed piece description in {path!r}: {exc}") from exc
-    specs = [SliceR4Spec(_load(knot), *fields) for knot, *fields in pieces]
+    specs = [SliceR4Spec(_load(knot)[0], *fields) for knot, *fields in pieces]
     return specs if summands else specs[0]
 
 
 def _cmd_cfk(args) -> int:
-    kc = _load(args.complex)
+    kc, rows = _load(args.complex)
+    _canonical_shapes(kc, rows)  # each shape reduced on the rows its validation built
     table = hfk_hat(kc)
     if args.format == "table":
         _emit(_hfk_table(table), args.out)
@@ -176,8 +178,8 @@ def _cmd_cfk(args) -> int:
 
 
 def _cmd_surgery(args) -> int:
-    kc = _load(args.complex)
-    result = _summed_cones(_shapes(kc), args.n, _window(kc, args.n))
+    kc, rows = _load(args.complex)
+    result = _summed_cones(_shapes(kc), args.n, _window(kc, args.n), rows)
     if args.format == "table":
         _emit(_decomposition_table(result.decomposition), args.out)
     else:
@@ -188,7 +190,7 @@ def _cmd_surgery(args) -> int:
 def _cmd_double(args) -> int:
     if args.iterations < 1:
         raise UsageError("--iterations must be at least 1")
-    kc = _load(args.complex)
+    kc = _load(args.complex)[0]
     _emit(complex_json(box_tower(reduced_basis_form(kc), args.sign * args.iterations, kc.name)[-1]), args.out)
     return 0
 
@@ -197,7 +199,7 @@ def _cmd_endfloer(args) -> int:
     if args.levels < 2:
         raise UsageError("--levels must be at least 2")
     spec = SliceR4Spec(
-        knot=_load(args.knot),
+        knot=_load(args.knot)[0],
         handle=_parse_handle(args.handle),
         orientation=args.orientation,
     )

@@ -166,7 +166,12 @@ class ExhaustionSpec:
 
 def normalize_level(module: dict, b1: int) -> dict:
     """Shift a graded table down by b1/2."""
-    return {grading(g) - F(b1, 2): r for g, r in module.items() if r}
+    return {_less_half(grading(g), b1): r for g, r in module.items() if r}
+
+
+def _less_half(g: Fraction, b1: int) -> Fraction:
+    """g - b1/2, one ``Fraction`` made from integers."""
+    return F(2 * g.numerator - b1 * g.denominator, 2 * g.denominator)
 
 
 # ---------------------------------------------------------------------------
@@ -197,7 +202,7 @@ def _materialize_step(step: StepDescriptor, src_b1: int, src_table, dst_table):
         return _zero_blocks(src_table)
     if step.kind == "explicit":
         blocks = {
-            grading(g) - F(src_b1, 2): list(cols) for g, cols in step.matrix.items()
+            _less_half(grading(g), src_b1): list(cols) for g, cols in step.matrix.items()
         }
         for g, r in src_table.items():
             cols = blocks.get(g, [])
@@ -304,7 +309,7 @@ def restrict_spec(spec: ExhaustionSpec, indices: Sequence[int]) -> ExhaustionSpe
     new_steps = []
     for a, b in zip(idx, idx[1:]):
         # The matrix is stored against un-normalised source gradings.
-        matrix = {g + F(spec.levels[a].b1, 2): cols for g, cols in composite(a, b).items()}
+        matrix = {_less_half(g, -spec.levels[a].b1): cols for g, cols in composite(a, b).items()}
         new_steps.append(StepDescriptor(kind="explicit", matrix=matrix))
     return ExhaustionSpec(
         levels=tuple(spec.levels[i] for i in idx),

@@ -3,10 +3,11 @@
 Everything here is exact.  A complex keeps an integral grading as an
 ``int`` and any other as a ``fractions.Fraction`` (:func:`_exact` makes
 that choice), so validation, tensor products and reduction of complexes
-over S3 run on machine integers; a public value that is a grading, such
-as a summand of an :class:`FUDecomposition`, is a ``Fraction`` again,
-made once per distinct value.  Coefficients live in F2 (an entry is
-present or absent), and the variable U carries grading -2.  A
+over S3 run on machine integers, and validation and tensors of half-integral
+ones (over a manifold with b1 = 1) on them times a common denominator; a public
+value that is a grading, such as a summand of an :class:`FUDecomposition`, is a
+``Fraction`` again, made once per distinct value.  Coefficients live in F2 (an
+entry is present or absent), and the variable U carries grading -2.  A
 differential entry from generator ``x`` to generator ``y`` is a single
 monomial ``U^p``; homogeneity forces the exponent
 ``p = (maslov(x) - 1 - maslov(y)) / 2``, so a sum of distinct powers
@@ -35,9 +36,11 @@ FUDecomposition(towers=(), torsion=((Fraction(-1, 1), 2, 1),))
 from __future__ import annotations
 
 import heapq
+import math
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import repeat
 from typing import Iterable, Mapping
 
 U_DEGREE = -2
@@ -151,8 +154,8 @@ class FreeComplex:
 
     ``generators`` is an ordered list of ``(name, maslov)`` pairs and
     ``differential`` maps source name -> {target name: U-exponent}.
-    ``maslov`` keeps each grading as :func:`_exact` gives it, for the
-    package's own use; the public gradings built on it are ``Fraction``.
+    ``maslov`` keeps each grading as :func:`_exact` gives it, for the package's integer work
+    (times a common denominator if one is not integral); public gradings built on it are ``Fraction``.
     Instances are treated as immutable values; all operations return new
     complexes.
     """
@@ -365,22 +368,25 @@ def _sum(sets: list, bases: list, v: int, o: int, acc: int = 0, at: int = 0) -> 
 
 
 def _id_rows(c: FreeComplex, ids: Mapping[str, int]) -> tuple[tuple, list[str]]:
-    """The window bitset rows ``(rows, row_bases)`` of the entries of ``c`` of
-    the right degree over the positions ``ids``, and each entry with an
-    unknown end, a negative or a wrong power."""
+    """The window bitset rows ``(rows, row_bases)`` of the entries of ``c`` of the right
+    degree over the positions ``ids``, and each entry with an unknown end, a negative or a
+    wrong power, worded on the public gradings.  Degrees are checked on the gradings times
+    their common denominator q, or as they are (q = 1) if the first one is an ``int``."""
     maslov, n, bad = c.maslov, len(ids), []
-    rows, row_bases = [0] * n, [0] * n
+    q = 1 if type(next(iter(maslov.values()), 0)) is int else math.lcm(*{m.denominator for m in maslov.values()})
+    scaled = maslov if q == 1 else {g: m.numerator * (q // m.denominator) for g, m in maslov.items()}
+    rows, row_bases, step = [0] * n, [0] * n, U_DEGREE * q
     for src, row in c.differential.items():
-        i, top, v, o = ids.get(src), maslov.get(src, 0) - 1, 0, 0
+        i, top, v, o = ids.get(src), scaled.get(src, 0) - q, 0, 0
         for tgt, p in row.items():
             j = ids.get(tgt)
             if i is None or j is None:
                 bad.append(f"entry {src}->{tgt}: unknown {'target' if j is None else 'source'}")
-            elif p < 0 or maslov[tgt] + U_DEGREE * p != top:
+            elif p < 0 or scaled[tgt] + step * p != top:
                 if p < 0:
                     bad.append(f"entry {src}->{tgt}: negative U-power {p}")
-                if maslov[tgt] + U_DEGREE * p != top:
-                    bad.append(f"entry {src}->U^{p}.{tgt}: grading {format_grading(top + 1)} "
+                if scaled[tgt] + step * p != top:
+                    bad.append(f"entry {src}->U^{p}.{tgt}: grading {format_grading(maslov[src])} "
                                f"-> {format_grading(maslov[tgt] + U_DEGREE * p)} is not degree -1")
             elif not v:
                 v, o = 1, j
@@ -424,12 +430,16 @@ def tensor_complexes(c1: FreeComplex, c2: FreeComplex) -> FreeComplex:
 
 
 def _tensor(c1: FreeComplex, c2: FreeComplex) -> FreeComplex:
-    """:func:`tensor_complexes` of valid complexes, unchecked: each name made
-    once per pair, each grading and row written once, as built."""
+    """:func:`tensor_complexes` of valid complexes, unchecked: each name made once per
+    pair, each grading once per distinct pair of gradings, each row once, as built."""
     g1, g2, M1, M2 = c1.generators, c2.generators, c1.maslov, c2.maslov
     names = [[f"({a}|{b})" for b in g2] for a in g1]
-    maslov = {n: m if type(m := m1 + m2) is int else _exact(m)
-              for m1, here in zip(map(M1.__getitem__, g1), names) for n, m2 in zip(here, map(M2.__getitem__, g2))}
+    at, made, maslov = {}, {}, {}  # the place of each distinct right grading; each left one's products
+    slots = [at.setdefault(m, len(at)) for m in map(M2.__getitem__, g2)]
+    for m1, here in zip(map(M1.__getitem__, g1), names):
+        if (sums := made.get(m1)) is None:  # a sum per distinct right grading, then one per generator
+            sums = made[m1] = list(map([m if type(m := m1 + m2) is int else _exact(m) for m2 in at].__getitem__, slots))
+        maslov.update(zip(here, sums))
     if len(maslov) < len(g1) * len(g2):
         FreeComplex((n, 0) for here in names for n in here)  # raises the duplicate-name error
     index1, index2 = ({g: i for i, g in enumerate(c.generators)} for c in (c1, c2))
@@ -465,19 +475,26 @@ class FUDecomposition:
         mapping ``(top, length) -> count`` with exact tops."""
         if not isinstance(torsion, Mapping):
             torsion = Counter((_exact(g), int(k)) for g, k in torsion)
-        tw = tuple(sorted(map(grading, towers), reverse=True))
-        to = tuple(sorted(((grading(g), k, c) for (g, k), c in torsion.items() if c), key=lambda x: (-x[0], x[1])))
-        return FUDecomposition(tw, to)
+        torsion = {t: c for t, c in torsion.items() if c}
+        return FUDecomposition._counted(Counter(map(_exact, towers)), torsion, grading, grading)
+
+    @staticmethod
+    def _counted(towers: Mapping, torsion: Mapping, tower, top) -> "FUDecomposition":
+        """:meth:`make` of counted towers and ``(top, length) -> count`` at private gradings, sorted
+        on them, each made public by ``tower(g)`` or ``top(g)`` once per distinct key."""
+        return FUDecomposition(tuple(t for g in sorted(towers, reverse=True) for t in repeat(tower(g), towers[g])),
+                               tuple((top(g), k, torsion[g, k])
+                                     for g, k in sorted(torsion, key=lambda x: (-x[0], x[1]))))
 
     def torsion_rank_table(self) -> dict[Fraction, int]:
         """Graded F-dimension of the torsion part (U spreads a length-k
-        summand over gradings top, top-2, ..., top-2(k-1))."""
-        table: dict[Fraction, int] = {}
+        summand over gradings top, top-2, ..., top-2(k-1)), counted on them times a common denominator."""
+        q, table, made = math.lcm(*{top.denominator for top, _k, _c in self.torsion}), {}, {}
         for top, k, c in self.torsion:
-            for i in range(k):
-                g = top + U_DEGREE * i
+            made[x := top.numerator * (q // top.denominator)] = top
+            for g in range(x, x + U_DEGREE * q * k, U_DEGREE * q):
                 table[g] = table.get(g, 0) + c
-        return table
+        return {made[g] if g in made else Fraction(g, q): d for g, d in table.items()}
 
     def to_json(self) -> dict:
         return {

@@ -32,9 +32,11 @@ each part of the flat cone's check follows from the caller's validation
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from itertools import repeat
 from operator import sub
 
@@ -52,7 +54,6 @@ from .fualgebra import (
     _sum,
     format_grading,
     grading,
-    plus_presentation,
     xor_entry,
 )
 
@@ -128,7 +129,16 @@ def _b_shift(n: int, t: int, c0: Fraction) -> Fraction:
     return c0 + n * t * (t - n)
 
 
+def _shifted(shift: Fraction, made: dict, g) -> Fraction:
+    """The public grading g + shift; for an ``int`` g made from integers once per process and kept
+    in ``made``.  ``_SHIFTED[n]`` holds it for the towers, then the torsion tops, at framing n."""
+    if type(g) is int and (public := made.get(g)) is None:
+        public = made[g] = F(g * shift.denominator + shift.numerator, shift.denominator)
+    return public if type(g) is int else g + shift
+
+
 _ANCHORS = {0: F(-1, 2), -1: F(0), 1: F(-1)}
+_SHIFTED = {n: (partial(_shifted, a, {}), partial(_shifted, a - 1, {})) for n, a in _ANCHORS.items()}
 _NORMAL_FORM_CONES: dict = {}  # (shape key, n, g_hat) -> _cone_homology of its _normal_forms representative
 
 
@@ -306,9 +316,10 @@ def surgery_hf(kc: KnotComplex, n: int) -> HFPlusResult:
 
 def _summed_cones(shapes, n: int, g_hat: int, rows=()) -> HFPlusResult:
     """:func:`surgery_hf` on a split that has passed :func:`validate_knot` (on the
-    ``rows`` per shape it checked, if given), each shape's cone homology moved by
-    each copy's offset in its gradings; the anchor and :func:`plus_presentation`'s
-    torsion shift are added, and each ``Fraction`` made, once per distinct grading.
+    ``rows`` per shape it checked, as ``surgery_hf`` and the CLI hand them over),
+    each shape's cone homology moved by each copy's offset in its gradings; the
+    anchor and ``fualgebra.plus_presentation``'s torsion shift are added once per distinct
+    grading, and the public ``Fraction`` of an ``int`` one is made once per process.
     A shape of Hedden's normal form (``cfk._normal_forms``) is reduced once per
     process, framing and window, on its representative at first grading 0, and
     moved by ``rep``'s.  The shape is the key ``rep`` carries from its split, and
@@ -329,15 +340,7 @@ def _summed_cones(shapes, n: int, g_hat: int, rows=()) -> HFPlusResult:
                 towers[g + offset] += c * count
             for g, k, c in tops:
                 torsion[g + offset, k] += c * count
-    anchor, top = _ANCHORS[n], _ANCHORS[n] - 1
-    return HFPlusResult(FUDecomposition(
-        tuple(t for g in sorted(towers, reverse=True) for t in repeat(_shifted(g, anchor), towers[g])),
-        tuple((_shifted(g, top), k, torsion[g, k]) for g, k in sorted(torsion, key=lambda x: (-x[0], x[1])))))
-
-
-def _shifted(g, shift: Fraction) -> Fraction:
-    """The public grading g + shift, made from integers when g is an ``int``."""
-    return F(g * shift.denominator + shift.numerator, shift.denominator) if type(g) is int else g + shift
+    return HFPlusResult(FUDecomposition._counted(towers, torsion, *_SHIFTED[n]))
 
 
 def _cone_homology(rep: KnotComplex, n: int, g_hat: int, rows=None) -> tuple[Counter, list]:
@@ -368,22 +371,23 @@ def connected_sum_floer(r1: HFPlusResult, r2: HFPlusResult) -> HFPlusResult:
     >>> connected_sum_floer(one, two).decomposition
     FUDecomposition(towers=(), torsion=((Fraction(1, 1), 1, 1), (Fraction(-2, 1), 1, 1)))
     """
-    dec1, dec2 = r1.decomposition, r2.decomposition
-    towers = [d1 + d2 for d1 in dec1.towers for d2 in dec2.towers]
-    torsion = Counter()
-    # Working in the subcomplex-model reading throughout: a torsion
-    # summand with plus-top g has its model top at g + 1; the final
-    # presentation step shifts every torsion top back down by one.
-    for towers_a, torsion_b in ((dec1.towers, dec2.torsion), (dec2.towers, dec1.torsion)):
+    decs = r1.decomposition, r2.decomposition
+    q = math.lcm(*{g.denominator for d in decs for g in (*d.towers, *(top for top, _k, _c in d.torsion))})
+    (t1, s1), (t2, s2) = (([g.numerator * (q // g.denominator) for g in d.towers],  # every grading times q
+                           [(g.numerator * (q // g.denominator), k, c) for g, k, c in d.torsion]) for d in decs)
+    towers, torsion = Counter(d1 + d2 for d1 in t1 for d2 in t2), Counter()
+    # A torsion summand with plus-top g has its model top at g + 1; each
+    # product's model top is written less the 1 of the plus presentation.
+    for towers_a, torsion_b in ((t1, s2), (t2, s1)):
         for d in towers_a:
             for g, k, c in torsion_b:
-                torsion[g + 1 + d, k] += c
-    for g1, k1, c1 in dec1.torsion:
-        for g2, k2, c2 in dec2.torsion:
+                torsion[g + d, k] += c
+    for g1, k1, c1 in s1:
+        for g2, k2, c2 in s2:
             k, c = min(k1, k2), c1 * c2
-            torsion[g1 + g2 + 2, k] += c
-            torsion[g1 + g2 + 3 - 2 * max(k1, k2), k] += c
-    return HFPlusResult(plus_presentation(FUDecomposition.make(towers, torsion)))
+            torsion[g1 + g2 + q, k] += c
+            torsion[g1 + g2 + 2 * q * (1 - max(k1, k2)), k] += c
+    return HFPlusResult(FUDecomposition._counted(towers, torsion, public := partial(F, denominator=q), public))
 
 
 # ---------------------------------------------------------------------------

@@ -822,7 +822,7 @@ def test_cfk_reduces_each_summand_shape_once(capsys, monkeypatch, fmt, name, sha
     # K9 is one summand shape; Wh(K9) is x plus copies of one box.
     calls = []
     real = cfk._canonical
-    monkeypatch.setattr(cfk, "_canonical", lambda kc: calls.append(len(kc.generators)) or real(kc))
+    monkeypatch.setattr(cfk, "_canonical", lambda kc, *rows: calls.append(len(kc.generators)) or real(kc, *rows))
     code, out, _ = run(capsys, "cfk", "--complex", name, "--format", fmt)
     assert code == 0 and out
     assert len(calls) == shapes

@@ -366,7 +366,7 @@ def test_reversed_piece_matches_the_mirrored_knot(name):
 def test_resolve_piece_reduces_each_summand_shape_once(monkeypatch, name, orientation):
     reduced = []
     real = cfk._canonical
-    monkeypatch.setattr(cfk, "_canonical", lambda kc: reduced.append(kc) or real(kc))
+    monkeypatch.setattr(cfk, "_canonical", lambda kc, *rows: reduced.append(kc) or real(kc, *rows))
     for handle in PIECE_HANDLES:
         knot = load_complex(name)
         reduced.clear()
@@ -480,7 +480,7 @@ def test_distinguish_reduces_each_knot_once(monkeypatch):
     # A reversed piece keeps its knot, which keeps its canonical shapes.
     reduced = []
     real = cfk._canonical
-    monkeypatch.setattr(cfk, "_canonical", lambda kc: reduced.append(len(kc.generators)) or real(kc))
+    monkeypatch.setattr(cfk, "_canonical", lambda kc, *rows: reduced.append(len(kc.generators)) or real(kc, *rows))
     assert distinguish(r_spec(3), r_spec(5)).distinct
     assert reduced == [9, 25]
 

@@ -18,7 +18,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings
 
-from floerforge import cfk, fualgebra
+from floerforge import cfk, cli, fualgebra
 from floerforge.cfk import (
     KnotComplex,
     _shapes,
@@ -169,6 +169,18 @@ def test_surgery_builds_the_rows_of_a_shape_once(monkeypatch, n):
     calls = counting(monkeypatch, fualgebra._id_rows, cfk._flip_chain_map_violations)
     surgery_hf(kc, n)
     assert calls == {"_id_rows": 1, "_flip_chain_map_violations": 1}
+
+
+@pytest.mark.parametrize("argv", [["surgery", "--n", "-1"], ["surgery", "--n", "0"], ["surgery", "--n", "1"], ["cfk"]],
+                         ids=" ".join)
+def test_the_cli_builds_the_rows_of_a_shape_once(monkeypatch, capsys, argv):
+    # The CLI validates its input once and reduces each shape on the rows
+    # that validation built: the surgery cone, and the canonical reduction.
+    unchecked(monkeypatch)
+    calls = counting(monkeypatch, fualgebra._id_rows)
+    assert cli.main([argv[0], "--complex", "k9", *argv[1:]]) == 0
+    assert capsys.readouterr().err == ""
+    assert calls == {"_id_rows": 1}
 
 
 def test_hat_layers_check_no_flip(monkeypatch):
