@@ -10,6 +10,7 @@ ambient complexes used by the surgery pipeline.
 
 from __future__ import annotations
 
+import sys
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -70,16 +71,18 @@ class KnotComplex:
 
     An immutable value, so its summand split is taken at most once and kept
     (:func:`_shapes`).  The builders that know the split hand it over through
-    :meth:`_built`; a double (``whitehead.box_tower``) hands over only the split (:class:`_CountedComplex`).  The
+    :meth:`_built`; a double (``whitehead.box_tower``) and a sum with a
+    counted factor hand over only the split (:class:`_CountedComplex`).  The
     canonical reduction of each shape is kept the same way
-    (:func:`_canonical_shapes`); callers must not mutate either list.  A
-    representative of a split carries the shape key the split took of it
+    (:func:`_canonical_shapes`), and so is each slice piece resolved on it
+    (``endfloer._resolve_piece``, in ``_pieces``); callers must not mutate
+    them.  A representative of a split carries the shape key the split took of it
     (``_key``, else None), and :func:`validate_knot` certifies one whose key
     is Hedden's x or box by that key; any other shape is checked at every call.
     :meth:`maslov` is the ``Fraction`` of the internal ``base.maslov``.
     """
 
-    __slots__ = ("base", "alexander", "flip", "ambient", "name", "_split", "_canonical", "_key")
+    __slots__ = ("base", "alexander", "flip", "ambient", "name", "_split", "_canonical", "_key", "_pieces")
 
     def __init__(self, base: FreeComplex, alexander: Mapping[str, int],
                  flip: Optional[Mapping[str, str]] = None,
@@ -89,7 +92,7 @@ class KnotComplex:
         self.flip = dict(flip) if flip is not None else None
         self.ambient = ambient
         self.name = name
-        self._split = self._canonical = self._key = None
+        self._split = self._canonical = self._key = self._pieces = None
 
     @classmethod
     def _built(cls, base: FreeComplex, alexander: dict, flip: Optional[dict], ambient: Ambient,
@@ -97,8 +100,8 @@ class KnotComplex:
         """A knot complex the package built, kept as given: ``alexander`` an ``int`` per
         generator in generator order, ``split`` what :func:`_summands` takes of it or None."""
         kc = object.__new__(cls)
-        kc.base, kc.alexander, kc.flip, kc.ambient, kc.name, kc._split, kc._canonical, kc._key = (
-            base, alexander, flip, ambient, name, split, None, None)
+        kc.base, kc.alexander, kc.flip, kc.ambient, kc.name, kc._split, kc._canonical, kc._key, kc._pieces = (
+            base, alexander, flip, ambient, name, split, None, None, None)
         return kc
 
     @property
@@ -209,7 +212,8 @@ class _CountedComplex(KnotComplex):
     __slots__ = ()
 
     def __init__(self, split, ambient: Ambient = Ambient(), name: str = ""):
-        self.ambient, self.name, self._split, self._canonical, self._key = ambient, name, split, None, None
+        self.ambient, self.name, self._split, self._canonical, self._key, self._pieces = (
+            ambient, name, split, None, None, None)
 
     def __getattr__(self, attr):  # only an unset slot gets here
         if attr not in ("base", "alexander", "flip"):
@@ -317,21 +321,26 @@ def _grouped(kc: KnotComplex, parts, keys) -> tuple[list, list[int]]:
     """The shapes ``keys`` of the summands ``parts`` of ``kc`` in order, each as
     ``(representative carrying its key, {offset key: [offset, count]})``, and
     each part's shape."""
-    gens, M, A, flip, diff = kc.generators, kc.base.maslov, kc.alexander, kc.flip, kc.base.differential
+    gens, M = kc.generators, kc.base.maslov
     index, shapes, labels = {}, [], []
     for part, key in zip(parts, keys):
-        members = list(map(gens.__getitem__, part))
         if (i := index.get(key)) is None:
             i = index[key] = len(shapes)
-            rep = KnotComplex(FreeComplex(zip(members, key[0]), {g: diff[g] for g in members if g in diff}),
-                              {g: A[g] for g in members}, None if flip is None else {g: flip[g] for g in members},
-                              kc.ambient)
-            rep._key = key
-            shapes.append((rep, {}))
-        m0 = M[members[0]]
+            shapes.append((_from_key(key, list(map(gens.__getitem__, part)), kc.ambient), {}))
+        m0 = M[gens[part[0]]]
         shapes[i][1].setdefault((m0.numerator, m0.denominator), [m0, 0])[1] += 1  # int keys hash faster
         labels.append(i)
     return shapes, labels
+
+
+def _from_key(key, names: list, ambient: Ambient) -> KnotComplex:
+    """The summand of shape ``key`` (:func:`_shape_key`) on the generators ``names``, carrying its key."""
+    relative, alexander, images, rows = key
+    diff = {names[i]: dict(zip(map(names.__getitem__, row[0]), row[1])) for i, row in enumerate(rows) if row}
+    rep = KnotComplex._built(FreeComplex._built(dict(zip(names, relative)), diff), dict(zip(names, alexander)),
+                             None if images is None else dict(zip(names, map(names.__getitem__, images))), ambient)
+    rep._key = key
+    return rep
 
 
 def _summand_violations(kc: KnotComplex) -> tuple[list[str], bool, tuple]:
@@ -569,12 +578,44 @@ def _mirror(kc: KnotComplex, name: str) -> KnotComplex:
 def connected_sum_knots(k1: KnotComplex, k2: KnotComplex) -> KnotComplex:
     """Tensor product of knot complexes; Alexander gradings add.
 
-    At most one factor may live in a nontrivial ambient manifold.
+    At most one factor may live in a nontrivial ambient manifold.  A sum with
+    a counted factor stays counted (:func:`_counted_sum`), that factor's base
+    checked once per shape (it is a union of shifted copies of them), unless
+    the other factor has no flip or no split: then the sum is written out.
     """
     if not k1.ambient.is_sphere and not k2.ambient.is_sphere:
         raise ValueError("at most one connected-sum factor may have b1 > 0")
     label = f"{k1.name}#{k2.name}" if k1.name and k2.name else ""
-    return _connected_sum(k1, k2, label, tensor_complexes(k1.base, k2.base))
+    if len(flat := [k for k in (k1, k2) if not isinstance(k, _CountedComplex)]) == 2:
+        return _connected_sum(k1, k2, label, tensor_complexes(k1.base, k2.base))
+    for k, side in ((k1, "left"), (k2, "right")):  # worded as in tensor_complexes
+        for rep, copies in _shapes(k) if isinstance(k, _CountedComplex) else [(k, [(0, 1)])]:
+            if not validate_complex(rep.base).ok:
+                validate_complex(rep.base.shift(copies[0][0])).require(f"{side} tensor factor")
+    if any(k.flip is None or _layout(k) is None for k in flat):
+        return _connected_sum(k1, k2, label)
+    return _counted_sum(k1, k2, label)
+
+
+def _counted_sum(k1: KnotComplex, k2: KnotComplex, name: str) -> _CountedComplex:
+    """:func:`connected_sum_knots` of checked factors with flips and splits, kept counted: the
+    tensor of each pair of shapes (:func:`_shapes`) is split once, and each of its summands
+    placed at each pair of copies (o1, c1), (o2, c2), at o1 + o2 plus its first grading, c1 c2
+    times.  A shape is named as :func:`_expanded` names its first copy i: ``i.(a|b)``."""
+    found, ambient = {}, k1.ambient if not k1.ambient.is_sphere else k2.ambient  # key -> (names, copies)
+    for r1, copies1 in _shapes(k1):
+        for r2, copies2 in _shapes(k2):
+            t = _knot_tensor(r1, r2, _tensor(r1.base, r2.base))
+            for part in _parts(lt := _layout(t)):
+                copies = found.setdefault(_shape_key(lt, part), ([t.generators[i] for i in part], Counter()))[1]
+                for o1, c1 in copies1:
+                    for o2, c2 in copies2:
+                        copies[_exact(o1 + o2 + lt[0][part[0]])] += c1 * c2
+    split, first = [], 0
+    for key, (names, copies) in found.items():
+        split.append((_from_key(key, [f"{first}.{g}" for g in names], ambient), list(copies.items())))
+        first += sum(copies.values())
+    return _CountedComplex(split, ambient, name)
 
 
 def _knot_tensor(k1: KnotComplex, k2: KnotComplex, base: FreeComplex) -> KnotComplex:
@@ -813,6 +854,8 @@ class ReducedBasisForm:
     @staticmethod
     def make(pairs) -> "ReducedBasisForm":
         counts = pairs if isinstance(pairs, Mapping) else Counter((_exact(m), int(a), int(d)) for m, a, d in pairs)
+        if (total := sum(counts.values())) > sys.maxsize:
+            raise ValueError(f"reduced basis form of {total} pairs is too deep to list (at most {sys.maxsize})")
         order = sorted(counts, key=lambda t: (-t[0], -t[1], t[2]))  # only equal triples tie
         return ReducedBasisForm(tuple(t for m, a, d in order for t in [(grading(m), a, d)] * counts[m, a, d]))
 

@@ -396,19 +396,26 @@ class SliceR4Spec:
 
 def _resolve_piece(spec: SliceR4Spec, levels: int):
     """The report of ``he_slice_r4`` and, for a positive chain, its checked
-    0-framed level results (None for every other verdict).
-
-    The knot is validated and canonically reduced once per summand shape;
-    its triviality, box corners and reduced pairing (mirrored in orientation
-    "-") are read from that reduction.  The one doubling tower runs through
-    a finite mixed prefix, which is absorbed into the knot, and on along a
-    positive tail for ``levels`` more doubles.
-    """
+    0-framed level results as a tuple (None for every other verdict): the
+    knot is validated at every call, and :func:`_resolved` kept on it
+    (``_pieces``) per handle, orientation and ``levels`` once it succeeds."""
     if levels < 2:
         raise ValueError("need at least two levels")
     if not spec.knot.ambient.is_sphere:
         raise ValueError(f"a slice piece needs a knot in S3, not in {spec.knot.ambient.name}")
     validate_knot(spec.knot).require("knot complex")
+    if (pieces := spec.knot._pieces) is None:
+        pieces = spec.knot._pieces = {}
+    if (key := (spec.handle, spec.orientation, levels)) not in pieces:
+        pieces[key] = _resolved(spec, levels)
+    return pieces[key]
+
+
+def _resolved(spec: SliceR4Spec, levels: int):
+    """:func:`_resolve_piece` of a valid knot over S3, canonically reduced once per summand shape;
+    its triviality, box corners and reduced pairing (mirrored in orientation "-") are read from that
+    reduction.  The one doubling tower runs through a finite mixed prefix, which is absorbed into the
+    knot, and on along a positive tail for ``levels`` more doubles."""
     shapes = _canonical_shapes(spec.knot)
     handle = spec.handle if spec.orientation == "+" else spec.handle.mirror()
 
@@ -447,7 +454,7 @@ def _resolve_piece(spec: SliceR4Spec, levels: int):
     # The top reduced hat grading of the knot is that of its highest paired y;
     # a "-" double raises it by one, a "+" double keeps it.
     top_expected = max(m for m, _a, _d in rb.pairs) + prefix.count("-") - 1 - F(1, 2)
-    results = [surgery_hf(level, 0) for level in box_tower(rb, prefix + "+" * levels)[len(prefix):]]
+    results = tuple(surgery_hf(level, 0) for level in box_tower(rb, prefix + "+" * levels)[len(prefix):])
     level_rows = []
     for i, r in enumerate(results):
         table = r.hf_red()

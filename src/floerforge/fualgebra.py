@@ -261,18 +261,19 @@ def xor_entry(row: dict[str, int], key: str, power: int) -> bool:
 
 
 def gf2_rank(vectors: Iterable[int]) -> int:
-    """Rank over F2 of bitmask vectors, by Gaussian elimination.
+    """Rank over F2 of bitmask vectors, by Gaussian elimination on a pivot
+    table keyed by each pivot's lowest set bit: a vector meets only the
+    pivot at its own lowest set bit, which clears that bit.
 
     >>> gf2_rank([0b011, 0b110, 0b101, 0])
     2
     """
-    pivots: list[int] = []
+    pivots: dict[int, int] = {}
     for v in vectors:
-        for pv in pivots:
-            if v & (pv & -pv):
-                v ^= pv
+        while v and (low := (v & -v).bit_length()) in pivots:
+            v ^= pivots[low]
         if v:
-            pivots.append(v)
+            pivots[low] = v
     return len(pivots)
 
 

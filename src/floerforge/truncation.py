@@ -20,18 +20,19 @@ from .fualgebra import FUDecomposition, FreeComplex, U_DEGREE, graded_f2_dims
 def truncated_graded_dimensions(c: FreeComplex, cutoff: int) -> dict[int | Fraction, int]:
     """Graded dims of H(c tensor F2[U]/U^cutoff), by row reduction over F2,
     keyed by the stored gradings (an ``int`` if integral)."""
-    basis = [(g, p) for g in c.generators for p in range(cutoff)]
-    index = {b: i for i, b in enumerate(basis)}
-    degrees = [c.maslov[g] + U_DEGREE * p for g, p in basis]
+    at = {g: i * cutoff for i, g in enumerate(c.generators)}  # U^p.g is basis vector at[g] + p
+    degrees = [c.maslov[g] + U_DEGREE * p for g in c.generators for p in range(cutoff)]
 
     # Boundary of each basis vector as a bitmask over the full basis.
     bdry = []
-    for g, p in basis:
-        mask = 0
-        for tgt, q in c.differential.get(g, {}).items():
-            if p + q < cutoff:
-                mask |= 1 << index[(tgt, p + q)]
-        bdry.append(mask)
+    for g in c.generators:
+        row = c.differential.get(g, {})
+        for p in range(cutoff):
+            mask = 0
+            for tgt, q in row.items():
+                if p + q < cutoff:
+                    mask |= 1 << (at[tgt] + p + q)
+            bdry.append(mask)
     return graded_f2_dims(degrees, bdry, lambda d: d + 1)
 
 

@@ -45,7 +45,7 @@ from .endfloer import (
     restrict_spec,
     s3_data,
 )
-from .fualgebra import FUDecomposition, format_grading, homology_decomposition, tensor_complexes, validate_complex
+from .fualgebra import FUDecomposition, _tensor, format_grading, homology_decomposition, validate_complex
 from .surgery import (
     FORCED_INJECTIVE_TOP,
     FORCED_ZERO,
@@ -340,11 +340,12 @@ def _rows_properties(ctx):
     for name, kc in builders.items():
         if not validate_knot(kc).ok:
             bad.append(name)
-    names = sorted(builders)
+    names, bases = sorted(builders), {name: kc.base for name, kc in builders.items()}
+    for base in bases.values():  # each factor checked once, as tensor_complexes would per product
+        validate_complex(base).require("tensor factor")
     for a in names:
         for b in names:
-            c = tensor_complexes(builders[a].base, builders[b].base)
-            if not validate_complex(c).ok:
+            if not validate_complex(_tensor(bases[a], bases[b])).ok:
                 bad.append(f"{a}*{b}")
     yield (
         "7.valid",

@@ -31,6 +31,7 @@ from floerforge.endfloer import (
     s1xs2_data,
     s3_data,
 )
+from floerforge.fualgebra import FreeComplex, InvalidComplex
 from floerforge.whitehead import whitehead_double_cfk
 
 F = Fraction
@@ -376,6 +377,35 @@ def test_resolve_piece_reduces_each_summand_shape_once(monkeypatch, name, orient
             pass
         assert list(map(id, reduced)) == [id(rep) for rep, _copies in knot._split]
         assert all(kc is not knot for kc in reduced)
+
+
+def test_a_resolved_piece_is_kept_on_its_knot_and_its_knot_checked_at_every_call(monkeypatch):
+    surgered, checked = [], []
+    surgery_hf, validate_knot = endfloer.surgery_hf, endfloer.validate_knot
+    monkeypatch.setattr(endfloer, "surgery_hf", lambda kc, n: surgered.append(n) or surgery_hf(kc, n))
+    monkeypatch.setattr(endfloer, "validate_knot", lambda kc: checked.append(kc) or validate_knot(kc))
+    spec = r_spec(3)
+    first = _resolve_piece(spec, 3)
+    assert _resolve_piece(SliceR4Spec(spec.knot, CH_PLUS, disk_label="exotic-disk"), 3) is first
+    assert he_slice_r4(spec) == he_slice_r4(spec) == first[0] and type(first[1]) is tuple
+    assert len(surgered) == 3 and len(checked) == 4
+    _resolve_piece(spec, 2), _resolve_piece(spec.reversed(), 3)  # other levels and orientation: their own
+    assert len(surgered) == 5 and set(spec.knot._pieces) == {(CH_PLUS, "+", 3), (CH_PLUS, "+", 2), (CH_PLUS, "-", 3)}
+
+
+def test_a_piece_that_fails_is_not_kept_and_fails_at_every_call():
+    knot = k_n(3)
+    broken = cfk.KnotComplex(FreeComplex(((g, knot.maslov(g)) for g in knot.generators),
+                                         {**knot.base.differential, knot.generators[0]: {knot.generators[1]: 7}}),
+                             knot.alexander, knot.flip)
+    for spec, error in [(SliceR4Spec(broken, CH_PLUS), InvalidComplex),
+                        (SliceR4Spec(staircase_torus(3, "+"), CH_PLUS), ValueError)]:  # tau != 0
+        messages = []
+        for _ in range(2):
+            with pytest.raises(error) as caught:
+                he_slice_r4(spec)
+            messages.append(str(caught.value))
+        assert messages[0] == messages[1] and not spec.knot._pieces
 
 
 # --- product ends ---------------------------------------------------------------------

@@ -9,6 +9,7 @@ from floerforge.fualgebra import (
     FreeComplex,
     FUDecomposition,
     _Reducer,
+    gf2_rank,
     grading,
     homology_decomposition,
     plus_presentation,
@@ -34,6 +35,29 @@ def box_complex(k=F(0)):
         [("a", k), ("b", k + 1), ("c", k - 1), ("d", k)],
         {"a": {"b": 1, "c": 0}, "b": {"d": 0}, "c": {"d": 1}},
     )
+
+
+def scan_rank(vectors):
+    """The reference F2 rank: each vector is reduced by every pivot found so far, in order."""
+    pivots = []
+    for v in vectors:
+        for pv in pivots:
+            if v & (pv & -pv):
+                v ^= pv
+        if v:
+            pivots.append(v)
+    return len(pivots)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(min_value=0, max_value=2 ** 70), max_size=40),
+       st.lists(st.integers(min_value=0, max_value=40), max_size=40))
+@example([0b011, 0b110, 0b101, 0], [])
+def test_gf2_rank_by_its_pivot_table_is_the_scans_rank(vectors, shifts):
+    # Wide, sparse and repeated vectors: shifted copies share their lowest bits.
+    vectors += [v << s for v, s in zip(vectors, shifts)] + vectors[:3]
+    assert gf2_rank(vectors) == scan_rank(vectors)
+    assert gf2_rank(iter(vectors)) == scan_rank(vectors)
 
 
 def test_validate_single_generator():
