@@ -23,6 +23,7 @@ from .fualgebra import (
     InvalidComplex,
     ValidationReport,
     _exact,
+    _pivots,
     _Reducer,
     _tensor,
     components,
@@ -33,7 +34,6 @@ from .fualgebra import (
     integer,
     json_checked,
     json_field,
-    tensor_complexes,
     validate_complex,
 )
 
@@ -578,21 +578,22 @@ def _mirror(kc: KnotComplex, name: str) -> KnotComplex:
 def connected_sum_knots(k1: KnotComplex, k2: KnotComplex) -> KnotComplex:
     """Tensor product of knot complexes; Alexander gradings add.
 
-    At most one factor may live in a nontrivial ambient manifold.  A sum with
-    a counted factor stays counted (:func:`_counted_sum`), that factor's base
-    checked once per shape (it is a union of shifted copies of them), unless
-    the other factor has no flip or no split: then the sum is written out.
+    At most one factor may live in a nontrivial ambient manifold.  Each
+    factor is checked in ``tensor_complexes``'s words: a flat one whole, a
+    counted one once per shape (it is a union of shifted copies of them).
+    A sum with a counted factor stays counted (:func:`_counted_sum`) unless
+    the other factor has no flip or no split; then, as a sum of two flat
+    factors, it is written out.
     """
     if not k1.ambient.is_sphere and not k2.ambient.is_sphere:
         raise ValueError("at most one connected-sum factor may have b1 > 0")
     label = f"{k1.name}#{k2.name}" if k1.name and k2.name else ""
-    if len(flat := [k for k in (k1, k2) if not isinstance(k, _CountedComplex)]) == 2:
-        return _connected_sum(k1, k2, label, tensor_complexes(k1.base, k2.base))
     for k, side in ((k1, "left"), (k2, "right")):  # worded as in tensor_complexes
         for rep, copies in _shapes(k) if isinstance(k, _CountedComplex) else [(k, [(0, 1)])]:
             if not validate_complex(rep.base).ok:
                 validate_complex(rep.base.shift(copies[0][0])).require(f"{side} tensor factor")
-    if any(k.flip is None or _layout(k) is None for k in flat):
+    flat = [k for k in (k1, k2) if not isinstance(k, _CountedComplex)]
+    if len(flat) == 2 or any(k.flip is None or _layout(k) is None for k in flat):
         return _connected_sum(k1, k2, label)
     return _counted_sum(k1, k2, label)
 
@@ -633,10 +634,10 @@ def _knot_tensor(k1: KnotComplex, k2: KnotComplex, base: FreeComplex) -> KnotCom
     return KnotComplex._built(base, alexander, flip, ambient)
 
 
-def _connected_sum(k1: KnotComplex, k2: KnotComplex, name: str, base: Optional[FreeComplex] = None) -> KnotComplex:
-    """:func:`connected_sum_knots` on ``base``, or unchecked on valid factors,
+def _connected_sum(k1: KnotComplex, k2: KnotComplex, name: str) -> KnotComplex:
+    """:func:`connected_sum_knots` of valid factors written out, unchecked,
     with its split (:func:`_sum_split`)."""
-    kc = _knot_tensor(k1, k2, _tensor(k1.base, k2.base) if base is None else base)
+    kc = _knot_tensor(k1, k2, _tensor(k1.base, k2.base))
     return KnotComplex._built(kc.base, kc.alexander, kc.flip, kc.ambient, name, _sum_split(k1, k2, kc))
 
 
@@ -717,15 +718,6 @@ class HfkTable:
         return max(m for (m, _s) in self.reduced)
 
 
-def _vertical_differential(kc: KnotComplex):
-    """U = 0 differential (entries with exponent 0), Alexander-filtered."""
-    return {
-        src: sorted(tgt for tgt, p in row.items() if p == 0)
-        for src, row in kc.base.differential.items()
-        if any(p == 0 for p in row.values())
-    }
-
-
 def hfk_hat(kc: KnotComplex) -> HfkTable:
     """Bigraded hat homology: U = 0, Alexander-preserving arrows only.
 
@@ -764,9 +756,8 @@ def filtration_homology(kc: KnotComplex, i: int) -> dict[int | Fraction, int]:
     by Gaussian elimination on the complex as given, keyed by the stored
     gradings (an ``int`` if integral)."""
     gens = [g for g in kc.generators if kc.alexander[g] <= i]
-    index = {g: n for n, g in enumerate(gens)}
-    vert = _vertical_differential(kc)
-    masks = [sum(1 << index[t] for t in vert.get(g, ()) if t in index) for g in gens]
+    index, rows = {g: n for n, g in enumerate(gens)}, kc.base.differential
+    masks = [sum(1 << index[t] for t, p in rows.get(g, {}).items() if p == 0 and t in index) for g in gens]
     return graded_f2_dims([kc.base.maslov[g] for g in gens], masks, lambda m: m + 1)
 
 
@@ -813,28 +804,19 @@ def _vertical_pairing(reduced: KnotComplex):
 
     Returns the pairs (y, z) with z the lowest term of the reduced
     boundary of y, and the generators left unpaired.  Columns are
-    reduced in Alexander order.  That order is a filtration order because
-    ``reduce_canonical`` leaves no U^0 entry with zero Alexander drop, so
-    every U=0 arrow strictly lowers A; an unpaired generator is then born
-    at the least filtration level whose homology reaches its class.
+    reduced in Alexander order by :func:`fualgebra._pivots`, each generator
+    numbered from the end of that order, so the lowest set bit is the lowest
+    term.  That order is a filtration order because ``reduce_canonical``
+    leaves no U^0 entry with zero Alexander drop, so every U=0 arrow
+    strictly lowers A; an unpaired generator is then born at the least
+    filtration level whose homology reaches its class.
     """
     order = sorted(reduced.generators, key=lambda g: (reduced.alexander[g], str(reduced.base.maslov[g]), g))
-    pos = {g: i for i, g in enumerate(order)}
-    vert = _vertical_differential(reduced)
-    pivot_owner: dict[int, int] = {}
-    columns = []
-    pairs = []
-    for g in order:
-        col = 0
-        for tgt in vert.get(g, ()):
-            col |= 1 << pos[tgt]
-        while col and (low := col.bit_length() - 1) in pivot_owner:
-            col ^= columns[pivot_owner[low]]
-        columns.append(col)
-        if col:
-            pivot_owner[low] = pos[g]
-            pairs.append((g, order[low]))
-    return pairs, [g for i, g in enumerate(order) if not columns[i] and i not in pivot_owner]
+    bit, rows = {g: b for b, g in enumerate(reversed(order))}, reduced.base.differential
+    pivots = _pivots(sum(1 << bit[t] for t, p in rows.get(g, {}).items() if p == 0) for g in order)
+    sources = set(pivots.values())
+    return ([(order[i], order[~b]) for b, i in pivots.items()],
+            [g for i, g in enumerate(order) if i not in sources and bit[g] not in pivots])
 
 
 # ---------------------------------------------------------------------------

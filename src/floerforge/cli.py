@@ -145,7 +145,7 @@ def _parse_operand(path: str):
         data = json.loads(Path(path).read_text(encoding="utf-8"))
     except OSError as exc:
         raise UsageError(f"cannot read {path!r}: {exc}") from exc
-    except (json.JSONDecodeError, RecursionError) as exc:
+    except (ValueError, RecursionError) as exc:  # a JSONDecodeError, UnicodeDecodeError or too long an int
         raise UsageError(f"cannot parse {path!r}: {exc}") from exc
     try:
         summands = "summands" in json_checked(data, dict, "the piece")

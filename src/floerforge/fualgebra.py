@@ -260,21 +260,31 @@ def xor_entry(row: dict[str, int], key: str, power: int) -> bool:
     return True
 
 
+def _pivots(vectors: Iterable[int]) -> dict[int, int]:
+    """Gaussian elimination of bitmask vectors over F2, in order, on a pivot
+    table keyed by each pivot's lowest set bit: a vector meets only the pivot
+    at its own lowest set bit, which clears that bit.  ``{bit: i}``, in the
+    order found: each pivot's lowest set bit and the index of its vector.
+
+    >>> _pivots([0b011, 0b110, 0b101, 0])
+    {0: 0, 1: 1}
+    """
+    table, owners = {}, {}
+    for i, v in enumerate(vectors):
+        while v and (low := (v & -v).bit_length() - 1) in table:
+            v ^= table[low]
+        if v:
+            table[low], owners[low] = v, i
+    return owners
+
+
 def gf2_rank(vectors: Iterable[int]) -> int:
-    """Rank over F2 of bitmask vectors, by Gaussian elimination on a pivot
-    table keyed by each pivot's lowest set bit: a vector meets only the
-    pivot at its own lowest set bit, which clears that bit.
+    """Rank over F2 of bitmask vectors: the size of their :func:`_pivots` table.
 
     >>> gf2_rank([0b011, 0b110, 0b101, 0])
     2
     """
-    pivots: dict[int, int] = {}
-    for v in vectors:
-        while v and (low := (v & -v).bit_length()) in pivots:
-            v ^= pivots[low]
-        if v:
-            pivots[low] = v
-    return len(pivots)
+    return len(_pivots(vectors))
 
 
 def graded_f2_dims(keys, boundaries, above) -> dict:

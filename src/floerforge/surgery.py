@@ -184,18 +184,17 @@ def build_cone(kc: KnotComplex, n: int) -> MappingCone:
 class _ShapeCone:
     """The cone of one shape as :func:`surgery_hf` reduces it: every B_t is ``base``,
     A_s base's matrix over F2 under the grading vector m_s(x) = m(x) - 2 max(0, A(x) - s)
-    (built for s < 0 only if no model is read off A_{-s}), B_0 at grading 0, and
-    each power read off the gradings and shifts."""
+    (built for s >= 0: A_{-s} is read off A_s through the flip), B_0 at grading 0,
+    and each power read off the gradings and shifts."""
 
     n: int
     base: FreeComplex
     rows: tuple  # base's (ids, (rows, row_bases)) of fualgebra._id_rows
-    gradings: dict  # s -> m_s, one grading per position of base
+    gradings: dict  # s >= 0 -> m_s, one grading per position of base
     flip: list  # the position of each generator's flip image
     edges: dict  # (s, "v"|"h") -> position map from A_s to its B_t: v_s the identity, h_s ``flip``
     a_shifts: dict  # one per s of the window
     b_shifts: dict
-    reduced: bool  # whether base has a U^0 entry: then B and the A_s of s >= 0 are reduced
 
 
 def _shape_cone(kc: KnotComplex, n: int, g_hat: int, rows=None) -> _ShapeCone:
@@ -211,10 +210,9 @@ def _shape_cone(kc: KnotComplex, n: int, g_hat: int, rows=None) -> _ShapeCone:
             edges[s, "v"] = identity
         if s + n in b_window:
             edges[s, "h"] = flip
-    reduced = any(0 in row.values() for row in kc.base.differential.values())
-    return _ShapeCone(n, kc.base, rows, {s: [x - 2 * max(0, a - s) for x, a in zip(m, A)] for s in a_window
-                                         if s >= 0 or not reduced}, flip, edges,
-                      {s: _b_shift(n, s, 0) + 1 for s in a_window}, {t: _b_shift(n, t, 0) for t in b_window}, reduced)
+    gradings = {s: [x - 2 * max(0, a - s) for x, a in zip(m, A)] for s in a_window if s >= 0}
+    return _ShapeCone(n, kc.base, rows, gradings, flip, edges,
+                      {s: _b_shift(n, s, 0) + 1 for s in a_window}, {t: _b_shift(n, t, 0) for t in b_window})
 
 
 def _minimal_blocks(sc: _ShapeCone) -> dict:
@@ -233,7 +231,7 @@ def _minimal_blocks(sc: _ShapeCone) -> dict:
     lowering every grading by 2s, moves A_s's model and inclusion to A_{-s}."""
     out, ones = {}, [1] * len(sc.flip)
     r = _Reducer(sc.base, track=("iota", "pi"), rows=sc.rows)
-    leaves = [(s, ms) for s, ms in sc.gradings.items() if s >= 0] + [(None, r.m)] * bool(sc.b_shifts)
+    leaves = list(sc.gradings.items()) + [(None, r.m)] * bool(sc.b_shifts)
     stack = [(0, len(leaves) - 1, r)]
     while stack:
         lo, hi, r = stack.pop()
@@ -257,10 +255,10 @@ def _minimal_blocks(sc: _ShapeCone) -> dict:
 
 def _minimal_cone(sc: _ShapeCone) -> tuple[list, list, list]:
     """The gradings and window bitset rows of ``sc`` with each block replaced by
-    its :func:`_minimal_blocks` model (or its own, if base has no U^0 entry),
-    v_s and h_s carried across by the inclusion of A_s and the projection of B:
-    the blocks A_s, then B_t, at their shifts.  A minimal block has rank
-    dim H(block/U): K9 at -1 hands over 71 generators, the flat cone 2,511.
+    its :func:`_minimal_blocks` model, v_s and h_s carried across by the
+    inclusion of A_s and the projection of B: the blocks A_s, then B_t, at
+    their shifts.  A minimal block has rank dim H(block/U): K9 at -1 hands
+    over 71 generators, the flat cone 2,511.
 
     Neither ``sc`` nor this cone is checked (the tests' ``cone_check`` and the
     suite's d^2 and homogeneity check of the result): given a correct
@@ -270,19 +268,13 @@ def _minimal_cone(sc: _ShapeCone) -> tuple[list, list, list]:
     checked base, v_s is the identity and the flip chain map makes h_s one.
     An entry x -> U^p y that is U^0 in an A_s but not in B has p + A(x) - A(y)
     = 0, the power of flip x -> flip y in B, so only B is read."""
-    if sc.reduced:  # each row a mask from 0, and each edge image one over B's survivors
-        models, ones = _minimal_blocks(sc), [1] * len(sc.flip)
-        b_m, b_rows, projections = models.pop(None, ([], [], []))
-        images = {(s, kind): [(sum(1 << k for k, (w, wo) in enumerate(projections) if _odd_overlap(x, xo, w, wo)), 0)
-                              for x, xo in (_sum(ones, e, v, o) for v, o in models[s][2])]  # pi(e(iota(g)))
-                  for (s, kind), e in sc.edges.items()}
-        blocks = {s: (m, rows, [0] * len(m)) for s, (m, rows, _inclusion) in models.items()}
-        b_block = b_m, b_rows, [0] * len(b_m)
-    else:
-        rows, bases = sc.rows[1]
-        blocks = {s: (ms, rows, bases) for s, ms in sc.gradings.items()}
-        b_block = list(sc.base.maslov.values()), rows, bases
-        images = {key: [(1, j) for j in e] for key, e in sc.edges.items()}
+    models, ones = _minimal_blocks(sc), [1] * len(sc.flip)  # each row a mask from 0
+    b_m, b_rows, projections = models.pop(None, ([], [], []))
+    images = {(s, kind): [(sum(1 << k for k, (w, wo) in enumerate(projections) if _odd_overlap(x, xo, w, wo)), 0)
+                          for x, xo in (_sum(ones, e, v, o) for v, o in models[s][2])]  # pi(e(iota(g)))
+              for (s, kind), e in sc.edges.items()}  # each edge image a mask over B's survivors
+    blocks = {s: (m, rows, [0] * len(m)) for s, (m, rows, _inclusion) in models.items()}
+    b_block = b_m, b_rows, [0] * len(b_m)
     m, rows, bases, start = [], [], [], {}
     for key, (ms, r, o), shift in ([(s, blocks[s], sc.a_shifts[s]) for s in sc.a_shifts]
                                    + [(("B", t), b_block, sc.b_shifts[t]) for t in sc.b_shifts]):

@@ -138,9 +138,6 @@ class _Context:
     def r_spec(self, n, **kw):
         return SliceR4Spec(self.k_n(n), CH_PLUS, **kw)
 
-    def slice_report(self, n):
-        return self.get(("slice", n), lambda: he_slice_r4(self.r_spec(n)))
-
 
 def _rows_zero_surgery(ctx):
     cases = [
@@ -278,7 +275,7 @@ def _rows_doubling(ctx):
 def _rows_end(ctx):
     maxima = {}
     for n in (3, 5, 7, 9):
-        report = ctx.slice_report(n)
+        report = he_slice_r4(ctx.r_spec(n))
         top = report.max_nontrivial_grading
         maxima[n] = top
         entry = report.entry(top) if top is not None else None
@@ -459,7 +456,7 @@ def _rows_product(ctx):
     values = {}
     for n in (5, 7):
         report = he_product_end(s3_data(), ctx.r_spec(n), n)
-        slice_max = ctx.slice_report(n).max_nontrivial_grading
+        slice_max = he_slice_r4(ctx.r_spec(n)).max_nontrivial_grading
         values[n] = report.max_nontrivial_grading
         f_line = next((line for line in report.narrative if line.startswith("f(")), "")
         yield (

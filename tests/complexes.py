@@ -260,9 +260,9 @@ def tracked_maps(r):
 
 
 def a_gradings(sc):
-    """The grading vector of each A_s of ``sc``: one of s < 0 that it does not
-    build (its model is A_{-s}'s, moved by the flip) is read off A_{-s} through
-    the flip, m_s(x) = m_{-s}(flip x) + 2s."""
+    """The grading vector of each A_s of ``sc``: one of s < 0, which it does
+    not build (its model is A_{-s}'s, moved by the flip), is read off A_{-s}
+    through the flip, m_s(x) = m_{-s}(flip x) + 2s."""
     return {s: sc.gradings[s] if s in sc.gradings else [sc.gradings[-s][j] + 2 * s for j in sc.flip]
             for s in sc.a_shifts}
 

@@ -431,14 +431,18 @@ def test_hfk_hat_matches_gaussian_associated_graded(name):
     assert hfk_hat(kc).total == gaussian_hat_table(kc)
 
 
-SPHERE_KNOTS = {name: (kc, filtered_mixes(kc)) for name, build in sorted(corpus_builders().items())
-                for kc in [build()] if kc.ambient.is_sphere}
+SPHERE_KNOTS = {name: (kc, filtered_mixes(kc)) for name, build in {
+    **corpus_builders(),
+    "figure8#figure8": lambda: connected_sum_knots(figure8(), figure8()),
+    "figure8#T(2,3)": lambda: connected_sum_knots(figure8(), staircase_torus(3, "+")),
+}.items() for kc in [build()] if kc.ambient.is_sphere}
 
 
 @st.composite
 def filtered_basis_changes(draw):
-    """A corpus knot over S3 (K3-K9 among them), and the same knot after
-    random filtered changes of basis (``complexes.mix``), without its flip."""
+    """A corpus knot over S3 (K3-K9 among them) or a flat sum of figure8 with a
+    second factor, and the same knot after random filtered changes of basis
+    (``complexes.mix``, free to mix summands), without its flip."""
     kc, mixes = SPHERE_KNOTS[draw(st.sampled_from(sorted(SPHERE_KNOTS)))]
     r = _Reducer(kc.base, alexander=kc.alexander)
     for g, h, s in draw(st.lists(st.sampled_from(mixes), min_size=1, max_size=40)) if mixes else ():

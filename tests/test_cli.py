@@ -134,6 +134,20 @@ def test_deeply_nested_json_is_usage_error(tmp_path, capsys):
         assert err.startswith("error: cannot parse ") and "recursion" in err and err.count("\n") == 1
 
 
+def test_undecodable_piece_file_is_usage_error(tmp_path, capsys):
+    # Bytes that are not UTF-8, and an integer past Python's digit limit,
+    # end as a malformed complex file does: exit 2, one line naming the file.
+    ok, bad, huge = tmp_path / "ok.json", tmp_path / "bad.json", tmp_path / "huge.json"
+    ok.write_text(json.dumps({"knot": "k3"}))
+    bad.write_bytes(b'\xff\xfe{"knot": "k3"}')
+    huge.write_text('{"knot": "k3", "handle": ' + "9" * 5000 + "}")
+    for path, why in ((bad, "can't decode byte 0xff"), (huge, "4300 digits")):
+        for argv in (["--a", str(path), "--b", str(ok)], ["--a", str(ok), "--b", str(path)]):
+            code, out, err = run(capsys, "distinguish", *argv)
+            assert (code, out) == (2, "")
+            assert err.startswith(f"error: cannot parse {str(path)!r}: ") and why in err and err.count("\n") == 1
+
+
 def test_unwritable_out_is_usage_error(tmp_path, capsys):
     for target in (tmp_path, tmp_path / "missing" / "x.json"):
         code, out, err = run(capsys, "cfk", "--complex", "k3", "--out", str(target))

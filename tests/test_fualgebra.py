@@ -4,10 +4,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from floerforge.cfk import k_n, reduced_basis_form
+from floerforge.cfk import _canonical_shapes, _vertical_pairing, k_n, reduced_basis_form
+from floerforge.corpus import corpus_builders, load_complex
 from floerforge.fualgebra import (
     FreeComplex,
     FUDecomposition,
+    _pivots,
     _Reducer,
     gf2_rank,
     grading,
@@ -24,9 +26,11 @@ from floerforge.truncation import (
 from floerforge.surgery import build_cone
 from floerforge.whitehead import whitehead_double_cfk
 
-from complexes import ORACLE_CASES, mix, survivors, tracked_maps
+from complexes import ORACLE_CASES, mix, scrambled_sums, survivors, tracked_maps
 
 F = Fraction
+
+SPHERE_CORPUS = {name: kc for name in sorted(corpus_builders()) for kc in [load_complex(name)] if kc.ambient.is_sphere}
 
 
 def box_complex(k=F(0)):
@@ -37,16 +41,43 @@ def box_complex(k=F(0)):
     )
 
 
-def scan_rank(vectors):
-    """The reference F2 rank: each vector is reduced by every pivot found so far, in order."""
+def scan_pivots(vectors):
+    """The reference F2 elimination: each vector is reduced by every pivot
+    found so far, in order; the pivots, each with the index of its vector."""
     pivots = []
-    for v in vectors:
-        for pv in pivots:
+    for i, v in enumerate(vectors):
+        for pv, _j in pivots:
             if v & (pv & -pv):
                 v ^= pv
         if v:
-            pivots.append(v)
-    return len(pivots)
+            pivots.append((v, i))
+    return pivots
+
+
+def scan_rank(vectors):
+    """The reference F2 rank: the number of :func:`scan_pivots`."""
+    return len(scan_pivots(vectors))
+
+
+def scan_pairing(reduced):
+    """The reference vertical pairing: each generator's U=0 column, in
+    (Alexander, Maslov, name) order, reduced by the column owning its highest
+    set bit over ascending positions; the pairs and the unpaired generators."""
+    order = sorted(reduced.generators, key=lambda g: (reduced.alexander[g], str(reduced.base.maslov[g]), g))
+    pos = {g: i for i, g in enumerate(order)}
+    owner, columns, pairs = {}, [], []
+    for g in order:
+        col = 0
+        for tgt, p in reduced.base.differential.get(g, {}).items():
+            if p == 0:
+                col |= 1 << pos[tgt]
+        while col and (high := col.bit_length() - 1) in owner:
+            col ^= columns[owner[high]]
+        columns.append(col)
+        if col:
+            owner[high] = pos[g]
+            pairs.append((g, order[high]))
+    return pairs, [g for i, g in enumerate(order) if not columns[i] and i not in owner]
 
 
 @settings(max_examples=300, deadline=None)
@@ -55,9 +86,30 @@ def scan_rank(vectors):
 @example([0b011, 0b110, 0b101, 0], [])
 def test_gf2_rank_by_its_pivot_table_is_the_scans_rank(vectors, shifts):
     # Wide, sparse and repeated vectors: shifted copies share their lowest bits.
+    # Both eliminations find a new pivot at the same vectors, and there the same
+    # lowest bit: the one position the span of the vectors so far gains.
     vectors += [v << s for v, s in zip(vectors, shifts)] + vectors[:3]
+    assert _pivots(vectors) == {(v & -v).bit_length() - 1: i for v, i in scan_pivots(vectors)}
+    assert list(_pivots(iter(vectors)).values()) == [i for _v, i in scan_pivots(vectors)]
     assert gf2_rank(vectors) == scan_rank(vectors)
     assert gf2_rank(iter(vectors)) == scan_rank(vectors)
+
+
+def assert_pairing_is_the_scans(kc):
+    # On the complex as given and on each canonically reduced shape.
+    for complex_ in [kc] + [canonical for canonical, _copies in _canonical_shapes(kc)]:
+        assert _vertical_pairing(complex_) == scan_pairing(complex_)
+
+
+@pytest.mark.parametrize("name", sorted(SPHERE_CORPUS))
+def test_vertical_pairing_is_the_scans_on_the_corpus(name):
+    assert_pairing_is_the_scans(SPHERE_CORPUS[name])
+
+
+@settings(deadline=None, max_examples=40)
+@given(scrambled_sums(ORACLE_CASES, max_size=2))
+def test_vertical_pairing_is_the_scans_on_scrambled_sums(kc):
+    assert_pairing_is_the_scans(kc)
 
 
 def test_validate_single_generator():

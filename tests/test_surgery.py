@@ -255,6 +255,8 @@ SURGERY_KNOTS = {name: (kc, flip_stable_mixes(kc)) for name, build in {
     "figure8": figure8,
     "T(2,5)": lambda: staircase_torus(5, "+"),
     "Wh(K3)": lambda: flat_tower(k_n(3), "+")[0],
+    "figure8#figure8": lambda: connected_sum_knots(figure8(), figure8()),
+    "figure8#T(2,3)": lambda: connected_sum_knots(figure8(), staircase_torus(3, "+")),
 }.items() for kc in [build()]}
 
 
@@ -414,23 +416,26 @@ def test_u0_at_both_ends_is_u0_throughout(kc, n):
 @given(scrambled_sums(ORACLE_CASES), st.sampled_from([-1, 0, 1]))
 @example(unknot(), 1)
 def test_u0_in_some_block_shows_in_b(kc, n):
-    # Some block has a U^0 entry exactly when B has one, which is all that
-    # _minimal_cone reads: the flip carries an entry that is U^0 in an A_s
-    # and not in B to a U^0 entry of B.
+    # Some block has a U^0 entry exactly when B has one, so the check of B
+    # covers every block _minimal_cone reduces: the flip carries an entry
+    # that is U^0 in an A_s and not in B to a U^0 entry of B.
     sc = shape_cone(kc, n)
     blocks = [dict(zip(sc.base.generators, ms)) for ms in a_gradings(sc).values()] + [sc.base.maslov]
     anywhere = any(m[y] - m[x] == -1 for m in blocks for x, row in sc.base.differential.items() for y in row)
     assert any(0 in row.values() for row in sc.base.differential.values()) is anywhere
 
 
-def test_cone_without_u0_is_its_own_model(monkeypatch):
-    # The unknot's cone has no U^0 entry to cancel, so of the two shapes of a
-    # box sum only box(0)'s cone is reduced.
+def test_every_shape_cone_takes_the_shared_reduction(monkeypatch):
+    # One route for every shape cone: the unknot's, with no U^0 entry to
+    # cancel, reaches _minimal_blocks as box(0)'s does, and each once per
+    # framing, as the cones of x and the box are kept per process.
+    monkeypatch.setattr(surgery, "_NORMAL_FORM_CONES", {})
     calls, reduce = [], surgery._minimal_blocks
     monkeypatch.setattr(surgery, "_minimal_blocks", lambda sc: calls.append(len(sc.base.generators)) or reduce(sc))
     for n in (-1, 0, 1):
-        surgery_hf(_counted({0: 1}, "+"), n)
-    assert calls == [4, 4, 4]
+        for _again in range(2):
+            surgery_hf(_counted({0: 1}, "+"), n)
+    assert calls == [1, 4, 1, 4, 1, 4]
 
 
 @settings(deadline=None, max_examples=40)
