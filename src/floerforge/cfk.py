@@ -15,17 +15,21 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from itertools import repeat
+from itertools import chain, repeat
 from typing import Mapping, Optional
 
 from .fualgebra import (
     FreeComplex,
     InvalidComplex,
     ValidationReport,
+    _denominator,
     _exact,
     _pivots,
+    _public,
     _Reducer,
+    _stored,
     _tensor,
+    _times,
     components,
     format_grading,
     graded_f2_dims,
@@ -308,9 +312,8 @@ def _shape_key(layout, members) -> tuple:
     if type(m0) is int:
         relative = tuple([m[i] - m0 for i in members])
     else:
-        q, n0 = m0.denominator, m0.numerator  # integer division beats Fraction subtraction
-        relative = tuple(k if x.denominator == q and not r else x - m0 for x in map(m.__getitem__, members)
-                         for k, r in [divmod(x.numerator - n0, q)])
+        x0 = _times(m0, q := _denominator(map(m.__getitem__, members)))
+        relative = tuple(_stored(_times(m[i], q) - x0, q) for i in members)
     pos = dict(zip(members, range(len(members)))).__getitem__
     return (relative, tuple(map(a.__getitem__, members)),
             None if images is None else tuple(map(pos, map(images.__getitem__, members))),
@@ -604,17 +607,22 @@ def _counted_sum(k1: KnotComplex, k2: KnotComplex, name: str) -> _CountedComplex
     placed at each pair of copies (o1, c1), (o2, c2), at o1 + o2 plus its first grading, c1 c2
     times.  A shape is named as :func:`_expanded` names its first copy i: ``i.(a|b)``."""
     found, ambient = {}, k1.ambient if not k1.ambient.is_sphere else k2.ambient  # key -> (names, copies)
-    for r1, copies1 in _shapes(k1):
-        for r2, copies2 in _shapes(k2):
+    s1, s2 = _shapes(k1), _shapes(k2)  # offsets and gradings times q below
+    q = _denominator(chain(*(chain(r.base.maslov.values(), (o for o, _c in copies)) for r, copies in s1 + s2)))
+    s1, s2 = ([(r, [(_times(o, q), c) for o, c in copies]) for r, copies in s] for s in (s1, s2))
+    for r1, copies1 in s1:
+        for r2, copies2 in s2:
             t = _knot_tensor(r1, r2, _tensor(r1.base, r2.base))
             for part in _parts(lt := _layout(t)):
                 copies = found.setdefault(_shape_key(lt, part), ([t.generators[i] for i in part], Counter()))[1]
+                first = _times(lt[0][part[0]], q)
                 for o1, c1 in copies1:
                     for o2, c2 in copies2:
-                        copies[_exact(o1 + o2 + lt[0][part[0]])] += c1 * c2
+                        copies[o1 + o2 + first] += c1 * c2
     split, first = [], 0
     for key, (names, copies) in found.items():
-        split.append((_from_key(key, [f"{first}.{g}" for g in names], ambient), list(copies.items())))
+        split.append((_from_key(key, [f"{first}.{g}" for g in names], ambient),
+                      [(_stored(x, q), c) for x, c in copies.items()]))
         first += sum(copies.values())
     return _CountedComplex(split, ambient, name)
 
@@ -728,20 +736,20 @@ def hfk_hat(kc: KnotComplex) -> HfkTable:
     copy.  Over the sphere the reduced table removes one generator at
     (0, tau), tau read off the same reduction.
     """
-    shapes = _canonical_shapes(kc)
-    counts: Counter = Counter()
+    shapes, counts = _canonical_shapes(kc), Counter()  # on gradings times q
+    q = _denominator(chain(*(chain(c.base.maslov.values(), (o for o, _c in copies)) for c, copies in shapes)))
     for canonical, copies in shapes:
-        here = Counter((canonical.base.maslov[g], canonical.alexander[g]) for g in canonical.generators)
-        for offset, count in copies:
-            for (m, a), d in here.items():
-                counts[m + offset, a] += d * count
-    total = {(grading(m), a): d for (m, a), d in sorted(counts.items())}
+        here = Counter((_times(canonical.base.maslov[g], q), canonical.alexander[g]) for g in canonical.generators)
+        for offset, count in [(_times(o, q), c) for o, c in copies]:
+            for (x, a), d in here.items():
+                counts[x + offset, a] += d * count
+    total = {(_public(x, q), a): d for (x, a), d in sorted(counts.items())}
     reduced = None
     if kc.ambient.is_sphere:
         _pairs, (canonical, x, _offset) = _unpaired(shapes)
         tau = canonical.alexander[x]
         reduced = dict(total)
-        spot = (F(0), tau)
+        spot = (_public(0, 1), tau)
         if reduced.get(spot, 0) < 1:
             raise InvalidComplex("no surviving generator at (0, tau)")
         if reduced[spot] == 1:

@@ -187,17 +187,26 @@ def _cmd_surgery(args) -> int:
     return 0
 
 
+_DEEPEST = (sys.maxsize.bit_length() - 2) // 2  # past it, 2 * 4^k + 1 generators of a depth-k double exceed sys.maxsize
+
+
+def _count(value: int, flag: str, least: int, most: int, why: str):
+    """Check ``value`` of ``flag``: at least ``least``, at most ``most``, past which ``why``."""
+    if value < least:
+        raise UsageError(f"{flag} must be at least {least}")
+    if value > most:
+        raise UsageError(f"{flag} must be at most {most}: {why}")
+
+
 def _cmd_double(args) -> int:
-    if args.iterations < 1:
-        raise UsageError("--iterations must be at least 1")
+    _count(args.iterations, "--iterations", 1, _DEEPEST, "a double of depth k has at least 2*4^k + 1 generators")
     kc = _load(args.complex)[0]
     _emit(complex_json(box_tower(reduced_basis_form(kc), args.sign * args.iterations, kc.name)[-1]), args.out)
     return 0
 
 
 def _cmd_endfloer(args) -> int:
-    if args.levels < 2:
-        raise UsageError("--levels must be at least 2")
+    _count(args.levels, "--levels", 2, sys.maxsize, "a tower of more levels cannot be listed")
     spec = SliceR4Spec(
         knot=_load(args.knot)[0],
         handle=_parse_handle(args.handle),

@@ -25,16 +25,18 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from functools import reduce
 from fractions import Fraction
+from itertools import chain
 from operator import xor
 from typing import Optional, Sequence, Union
 
 from .cfk import KnotComplex, _canonical_shapes, _reduced_basis_form, validate_knot
-from .fualgebra import FUDecomposition, _bits, format_grading, gf2_rank, grading, json_field
+from .fualgebra import (FUDecomposition, _bits, _denominator, _exact, _public, _times, format_grading, gf2_rank,
+                        grading, json_field)
 from .surgery import (
     FORCED_INJECTIVE_TOP,
     HFPlusResult,
+    _triangle_force,
     connected_sum_floer,
-    exact_triangle_force,
     one_handle_stabilize,
     surgery_hf,
 )
@@ -87,7 +89,8 @@ class EndFloerReport:
         return dict(self.per_grading)
 
     def entry(self, g) -> Optional[RankEntry]:
-        return self.table().get(grading(g))
+        g = grading(g)
+        return next((e for h, e in self.per_grading if h == g), None)
 
     def signature(self):
         """Comparable exact content; None when the verdict is undecided."""
@@ -115,12 +118,12 @@ class EndFloerReport:
         }
 
 
-def _report(per_grading: dict, vanishes, narrative) -> EndFloerReport:
-    items = tuple(sorted(per_grading.items(), key=lambda kv: -kv[0]))
+def _report(per_grading: dict, vanishes, narrative, q: int = 1) -> EndFloerReport:
+    """The report of the ranks ``per_grading``, keyed by gradings times q, descending."""
+    items = tuple((_public(x, q), per_grading[x]) for x in sorted(per_grading, reverse=True))
     max_g = None
     if vanishes is False:
-        nonzero = [g for g, e in items if e.rank is INFINITE or e.rank > 0]
-        max_g = max(nonzero) if nonzero else None
+        max_g = next((g for g, e in items if e.rank is INFINITE or e.rank > 0), None)
     return EndFloerReport(
         per_grading=items,
         max_nontrivial_grading=max_g,
@@ -166,24 +169,21 @@ class ExhaustionSpec:
 
 def normalize_level(module: dict, b1: int) -> dict:
     """Shift a graded table down by b1/2."""
-    return {_less_half(grading(g), b1): r for g, r in module.items() if r}
+    q, (table,) = _normalized(ExhaustionSpec((Level(b1, module),), ()))
+    return {_public(x, q): r for x, r in table.items()}
 
 
-def _less_half(g: Fraction, b1: int) -> Fraction:
-    """g - b1/2, one ``Fraction`` made from integers."""
-    return F(2 * g.numerator - b1 * g.denominator, 2 * g.denominator)
+def _normalized(spec: ExhaustionSpec) -> tuple[int, list[dict]]:
+    """The tables of ``spec`` shifted down by b1/2, nonzero ranks only, keyed by gradings times the
+    common denominator q of theirs, of each b1/2 and of the keys of the explicit matrices; and q."""
+    rows = [[(_exact(g), r) for g, r in level.module.items() if r] for level in spec.levels]
+    keys = [_exact(g) for step in spec.steps if step.matrix for g in step.matrix]
+    q = _denominator(keys + [_public(level.b1, 2) for level in spec.levels] + [g for row in rows for g, _r in row])
+    return q, [{_times(g, q) - level.b1 * q // 2: r for g, r in row} for row, level in zip(rows, spec.levels)]
 
 
 # ---------------------------------------------------------------------------
 # exact F2 block matrices for explicit systems
-
-
-def _identity_blocks(table):
-    return {g: [1 << i for i in range(r)] for g, r in table.items() if r}
-
-
-def _zero_blocks(table):
-    return {g: [0] * r for g, r in table.items() if r}
 
 
 def _compose_blocks(first, then):
@@ -195,37 +195,34 @@ def _compose_blocks(first, then):
     return out
 
 
-def _materialize_step(step: StepDescriptor, src_b1: int, src_table, dst_table):
-    """Blocks keyed by normalised grading.  Explicit matrices are stored
+def _materialize_step(step: StepDescriptor, src_b1: int, src_table, dst_table, q: int):
+    """Blocks keyed by normalised grading times q.  Explicit matrices are stored
     against raw source gradings and are converted here."""
     if step.kind == "zero":
-        return _zero_blocks(src_table)
+        return {g: [0] * r for g, r in src_table.items()}
     if step.kind == "explicit":
-        blocks = {
-            _less_half(grading(g), src_b1): list(cols) for g, cols in step.matrix.items()
-        }
+        blocks = {_times(_exact(g), q) - src_b1 * q // 2: list(cols) for g, cols in step.matrix.items()}
         for g, r in src_table.items():
             cols = blocks.get(g, [])
             if len(cols) != r:
-                raise ValueError(f"explicit block at {format_grading(g)} has wrong width")
+                raise ValueError(f"explicit block at {format_grading(_public(g, q))} has wrong width")
             height = dst_table.get(g, 0)
             if any(c >> height for c in cols):
-                raise ValueError(f"explicit block at {format_grading(g)} has wrong height")
+                raise ValueError(f"explicit block at {format_grading(_public(g, q))} has wrong height")
         for g in blocks:
             if blocks[g] and g not in src_table:
-                raise ValueError(f"explicit block at unused grading {format_grading(g)}")
+                raise ValueError(f"explicit block at unused grading {format_grading(_public(g, q))}")
         return blocks
     raise ValueError(f"step kind {step.kind!r} has no matrix form")
 
 
-def _composer(spec: ExhaustionSpec, tables):
+def _composer(spec: ExhaustionSpec, tables, q: int):
     """Materialise (and so check) every step, then return ``composite(i,
     j)``: the blocks of the map from level i to level j."""
-    blocks = [
-        _materialize_step(step, spec.levels[i].b1, tables[i], tables[i + 1])
-        for i, step in enumerate(spec.steps)
-    ]
-    return lambda i, j: reduce(_compose_blocks, blocks[i:j], _identity_blocks(tables[i]))
+    blocks = [_materialize_step(step, spec.levels[i].b1, tables[i], tables[i + 1], q)
+              for i, step in enumerate(spec.steps)]
+    identities = [{g: [1 << k for k in range(r)] for g, r in table.items()} for table in tables]
+    return lambda i, j: reduce(_compose_blocks, blocks[i:j], identities[i])
 
 
 def colimit(spec: ExhaustionSpec) -> EndFloerReport:
@@ -239,9 +236,9 @@ def colimit(spec: ExhaustionSpec) -> EndFloerReport:
       otherwise the system is reported as undetermined, never guessed;
     - any other mix of kinds: undetermined.
     """
-    tables = [normalize_level(level.module, level.b1) for level in spec.levels]
+    q, tables = _normalized(spec)
     kinds = {s.kind for s in spec.steps}
-    narrative = [f"{len(spec.levels)} levels: " + ", ".join(l.label or "?" for l in spec.levels)]
+    narrative = _system([l.label for l in spec.levels])
 
     if not spec.steps:
         raise ValueError("a directed system needs at least two levels")
@@ -251,36 +248,13 @@ def colimit(spec: ExhaustionSpec) -> EndFloerReport:
         return _report({}, True, narrative)
 
     if kinds == {"positive_clasp"}:
-        tops = [max(t) if t else None for t in tables]
-        if any(t is None for t in tops) or len(set(tops)) != 1:
-            raise ValueError("positively clasped system needs a common top grading")
-        top = tops[0]
-        top_ranks = [t[top] for t in tables]
-        if any(b < a for a, b in zip(top_ranks, top_ranks[1:])):
-            raise ValueError("top ranks must be nondecreasing under injective steps")
-        if top_ranks[-1] > top_ranks[0]:
-            top_entry = RankEntry(INFINITE, EXACT)
-            narrative.append(
-                "top-summand injectivity compounds: ranks "
-                + ", ".join(str(r) for r in top_ranks)
-                + " at grading "
-                + format_grading(top)
-            )
-        else:
-            top_entry = RankEntry(top_ranks[-1], EXACT)
-            narrative.append("top ranks stable under injective steps")
-        per = {top: top_entry}
-        for g in tables[-1]:
-            if g < top:
-                per[g] = RankEntry(0, LOWER_BOUND)
-        narrative.append("ranks below the top band are lower bounds only")
-        return _report(per, False, narrative)
+        return _clasped(tables, q, narrative)
 
     if kinds <= {"explicit", "zero"}:
         if len(tables) < 3:
             narrative.append("too few levels to certify stabilisation")
             return _report({}, None, narrative)
-        composite = _composer(spec, tables)
+        composite = _composer(spec, tables, q)
         a, b, c = len(tables) - 3, len(tables) - 2, len(tables) - 1
         maps = composite(a, b), composite(a, c), composite(b, c)
         per = {}
@@ -288,16 +262,56 @@ def colimit(spec: ExhaustionSpec) -> EndFloerReport:
             r_ab, r_ac, r_bc = (gf2_rank(m.get(g, [])) for m in maps)
             if not (r_ab == r_ac == r_bc):
                 narrative.append(
-                    f"composite ranks at grading {format_grading(g)} do not stabilise"
+                    f"composite ranks at grading {format_grading(_public(g, q))} do not stabilise"
                 )
                 return _report({}, None, narrative)
             if r_ac:
                 per[g] = RankEntry(r_ac, EXACT)
         narrative.append("composite ranks stabilised over the final three levels")
-        return _report(per, not per, narrative)
+        return _report(per, not per, narrative, q)
 
     narrative.append("mixed step kinds; no colimit rule applies")
     return _report({}, None, narrative)
+
+
+def _system(labels) -> list:
+    """The narrative of a directed system with levels ``labels``, so far."""
+    return [f"{len(labels)} levels: " + ", ".join(label or "?" for label in labels)]
+
+
+def _clasped(tables: list, q: int, narrative: list) -> EndFloerReport:
+    """:func:`colimit` of a positively clasped system of normalised ``tables`` on gradings times q."""
+    tops = [max(t) if t else None for t in tables]
+    if any(t is None for t in tops) or len(set(tops)) != 1:
+        raise ValueError("positively clasped system needs a common top grading")
+    top = tops[0]
+    top_ranks = [t[top] for t in tables]
+    if any(b < a for a, b in zip(top_ranks, top_ranks[1:])):
+        raise ValueError("top ranks must be nondecreasing under injective steps")
+    if top_ranks[-1] > top_ranks[0]:
+        top_entry = RankEntry(INFINITE, EXACT)
+        narrative.append(
+            "top-summand injectivity compounds: ranks "
+            + ", ".join(str(r) for r in top_ranks)
+            + " at grading "
+            + format_grading(_public(top, q))
+        )
+    else:
+        top_entry = RankEntry(top_ranks[-1], EXACT)
+        narrative.append("top ranks stable under injective steps")
+    per = {top: top_entry}
+    for g in tables[-1]:
+        if g < top:
+            per[g] = RankEntry(0, LOWER_BOUND)
+    narrative.append("ranks below the top band are lower bounds only")
+    return _report(per, False, narrative, q)
+
+
+def _reduced_tables(results, b1: int, *extra) -> tuple[int, list[dict]]:
+    """q and the torsion rank tables of ``results`` less b1/2, on gradings times q: theirs, b1/2 and ``extra``."""
+    decs = [r.decomposition for r in results]
+    q = _denominator(chain([_public(b1, 2), *extra], *(d._gradings() for d in decs)))
+    return q, [{x - b1 * q // 2: c for x, c in d._torsion_ranks(q).items()} for d in decs]
 
 
 def restrict_spec(spec: ExhaustionSpec, indices: Sequence[int]) -> ExhaustionSpec:
@@ -305,16 +319,11 @@ def restrict_spec(spec: ExhaustionSpec, indices: Sequence[int]) -> ExhaustionSpe
     idx = list(indices)
     if sorted(idx) != idx or len(idx) < 2:
         raise ValueError("indices must be increasing and at least two")
-    composite = _composer(spec, [normalize_level(level.module, level.b1) for level in spec.levels])
-    new_steps = []
-    for a, b in zip(idx, idx[1:]):
-        # The matrix is stored against un-normalised source gradings.
-        matrix = {_less_half(g, -spec.levels[a].b1): cols for g, cols in composite(a, b).items()}
-        new_steps.append(StepDescriptor(kind="explicit", matrix=matrix))
-    return ExhaustionSpec(
-        levels=tuple(spec.levels[i] for i in idx),
-        steps=tuple(new_steps),
-    )
+    q, tables = _normalized(spec)
+    composite = _composer(spec, tables, q)  # each matrix is stored against un-normalised source gradings
+    steps = [StepDescriptor("explicit", {_public(g + spec.levels[a].b1 * q // 2, q): cols
+                                         for g, cols in composite(a, b).items()}) for a, b in zip(idx, idx[1:])]
+    return ExhaustionSpec(tuple(spec.levels[i] for i in idx), tuple(steps))
 
 
 # ---------------------------------------------------------------------------
@@ -445,33 +454,23 @@ def _resolved(spec: SliceR4Spec, levels: int):
     rb = _reduced_basis_form(shapes, spec.orientation == "-") if prefix or positive else None  # doubling needs tau = 0
 
     if not positive:
-        exhaustion = ExhaustionSpec(tuple(Level(1, {F(0): 0}, f"level {i + 1}") for i in range(levels)),
+        exhaustion = ExhaustionSpec(tuple(Level(1, {0: 0}, f"level {i + 1}") for i in range(levels)),
                                     tuple(StepDescriptor("zero") for _ in range(levels - 1)))
         report = colimit(exhaustion)
         narrative = lead + ("negatively clasped doubling cobordisms are zero maps",) + report.narrative
         return replace(report, narrative=narrative), None
 
-    # The top reduced hat grading of the knot is that of its highest paired y;
-    # a "-" double raises it by one, a "+" double keeps it.
-    top_expected = max(m for m, _a, _d in rb.pairs) + prefix.count("-") - 1 - F(1, 2)
+    # The top reduced hat grading of the knot is that of its highest paired y (the first);
+    # a "-" double raises it by one, a "+" double keeps it: a level's top less 1/2, normalised.
     results = tuple(surgery_hf(level, 0) for level in box_tower(rb, prefix + "+" * levels)[len(prefix):])
-    level_rows = []
-    for i, r in enumerate(results):
-        table = r.hf_red()
-        if not table or max(table) != top_expected:
+    q, tables = _reduced_tables(results, 1, rb.pairs[0][0])
+    for i, (r, table) in enumerate(zip(results, tables)):
+        if not table or max(table) != _times(rb.pairs[0][0], q) + (prefix.count("-") - 2) * q:
             raise ValueError("doubling tower produced an unexpected top grading; "
-                             f"level {i + 1} reduced table {table}")
-        level_rows.append(Level(b1=1, module=table, label=f"S0(Wh^{i + 1})"))
-    report = colimit(_positive_clasp_system(level_rows))
+                             f"level {i + 1} reduced table {r.hf_red()}")
+    report = _clasped(tables, q, _system([f"S0(Wh^{i + 1})" for i in range(levels)]))
     narrative = lead + ("positive doubling tower; levels are reduced 0-framed outputs",) + report.narrative
     return replace(report, narrative=narrative), results
-
-
-def _positive_clasp_system(levels) -> ExhaustionSpec:
-    return ExhaustionSpec(
-        levels=tuple(levels),
-        steps=tuple(StepDescriptor(kind="positive_clasp") for _ in levels[1:]),
-    )
 
 
 def he_slice_r4(spec: SliceR4Spec, levels: int = 3) -> EndFloerReport:
@@ -517,17 +516,11 @@ def he_end_sum(specs: EndSummand, levels: int = 2) -> EndFloerReport:
         return _report({}, True, ["a vanishing factor makes every summed level map zero"])
     if any(results is None for _, results in resolved):
         return _report({}, None, ["a nonvanishing operand has no level table to sum"])
-    rows = zip(*(results for _, results in resolved))
-    summed = [
-        Level(b1=len(specs), module=reduce(connected_sum_floer, row).hf_red(), label=f"sum {i + 1}")
-        for i, row in enumerate(rows)
-    ]
-    report = colimit(_positive_clasp_system(summed))
-    return replace(
-        report,
-        narrative=(f"{len(specs)}-fold end-sum; level reduced parts summed by the ring rule",)
-        + report.narrative,
-    )
+    sums = [reduce(connected_sum_floer, row) for row in zip(*(results for _, results in resolved))]
+    q, tables = _reduced_tables(sums, len(specs))
+    report = _clasped(tables, q, _system([f"sum {i + 1}" for i in range(len(sums))]))
+    lead = f"{len(specs)}-fold end-sum; level reduced parts summed by the ring rule"
+    return replace(report, narrative=(lead,) + report.narrative)
 
 
 # ---------------------------------------------------------------------------
@@ -576,27 +569,31 @@ def he_product_end(m: ClosedManifoldData, r: SliceR4Spec, n: int, levels: int = 
         return _report({}, True, ["trivial knot: the summed end is standard"])
     m_towers = HFPlusResult(FUDecomposition.make(m.hf_plus.decomposition.towers, []))
     m_red_only = HFPlusResult(FUDecomposition(torsion=m.hf_plus.decomposition.torsion))
+    # Every grading below is times q (fualgebra._times), with 1/2: a sum's gradings add its factors'.
+    gradings = chain([_public(1, 2)], *(r.decomposition._gradings() for r in (m.hf_plus, *results)))
+    q, tables = _reduced_tables([connected_sum_floer(m_towers, r) for r in results[:levels]], m.b1 + 1, *gradings)
+
+    def highest(result: HFPlusResult):
+        """The top of the reduced table of ``result``, times q; None for no torsion."""
+        return max((_times(top, q) for top, _k, _c in result.decomposition.torsion), default=None)
 
     def dominated_top(target: HFPlusResult, label: str, level_index: int):
         """Top grading of the summed reduced part, provided the term from
         the doubling tower strictly dominates every term involving the
         manifold's own reduced part; None reports the failed condition."""
-        pure = connected_sum_floer(m_towers, target).hf_red()
-        t_pure = max(pure) if pure else None
+        t_pure = highest(connected_sum_floer(m_towers, target))
         if t_pure is None:
             return None, f"condition {label} fails at level {level_index}: no tower term"
         if m.hf_plus.decomposition.torsion:
-            other = connected_sum_floer(m_red_only, target).hf_red()
-            t_other = max(other) if other else None
+            t_other = highest(connected_sum_floer(m_red_only, target))
             if t_other is not None and t_other >= t_pure:
                 return None, (
                     f"condition {label} fails at level {level_index}: the manifold's "
-                    f"reduced part reaches grading {format_grading(t_other)} >= "
-                    f"{format_grading(t_pure)} (n too small)"
+                    f"reduced part reaches grading {format_grading(_public(t_other, q))} >= "
+                    f"{format_grading(_public(t_pure, q))} (n too small)"
                 )
         return t_pure, ""
 
-    tops = []
     f_value = None
     for i in range(levels):
         level = results[i]
@@ -614,47 +611,27 @@ def he_product_end(m: ClosedManifoldData, r: SliceR4Spec, n: int, levels: int = 
         top3, why3 = dominated_top(next_level, "(2)", i + 1)
         if top3 is None:
             return _report({}, None, ["dominance check: " + why3])
-        force = exact_triangle_force([mod1.hf_red(), mod2.hf_red(), mod3.hf_red()])
+        force = _triangle_force([mod.decomposition._torsion_ranks(q) for mod in (mod1, mod2, mod3)], q)
         if force.verdict(0) != FORCED_INJECTIVE_TOP:
-            return _report(
-                {},
-                None,
-                [
-                    f"dominance fails at level {i + 1}: the triangle does not force "
-                    "top-summand injectivity (n too small for this manifold)"
-                ],
-            )
+            return _report({}, None, [f"dominance fails at level {i + 1}: the triangle does not force "
+                                      "top-summand injectivity (n too small for this manifold)"])
         if f_value is None:
-            f_value = top1 - n
-        elif top1 - n != f_value:
-            return _report({}, None, [f"level tops moved: f would be {top1 - n} at level {i + 1}"])
-        if top3 != n + f_value - F(1, 2):
-            return _report(
-                {},
-                None,
-                [
-                    f"dominance fails at level {i + 1}: third-corner top "
-                    f"{format_grading(top3)} != n + f - 1/2"
-                ],
-            )
-        level_sum = connected_sum_floer(m_towers, level)
-        table = normalize_level(level_sum.hf_red(), m.b1 + 1)
-        tops.append(max(table))
+            f_value = top1 - n * q
+        elif top1 - n * q != f_value:
+            return _report({}, None, [f"level tops moved: f would be {_public(top1 - n * q, q)} at level {i + 1}"])
+        if top3 != n * q + f_value - q // 2:
+            return _report({}, None, [f"dominance fails at level {i + 1}: third-corner top "
+                                      f"{format_grading(_public(top3, q))} != n + f - 1/2"])
+    tops = [max(table) for table in tables]
     if len(set(tops)) != 1:
-        return _report({}, None, [f"summed level tops did not stabilise: {tops}"])
+        return _report({}, None, [f"summed level tops did not stabilise: {[_public(t, q) for t in tops]}"])
     top = tops[0]
-    expected = n + f_value - 1 - F(m.b1, 2)
-    if top != expected:
-        raise InconsistentProductEnd(f"normalised top {format_grading(top)} disagrees with n + f - 1 - b1/2")
-    per = {top: RankEntry(INFINITE, EXACT)}
-    return _report(
-        per,
-        False,
-        [
-            f"f({m.name or 'M'}) = {format_grading(f_value)} computed from the level sums",
-            "maximal grading n + f - 1 - b1/2 with infinite rank",
-        ],
-    )
+    if top != n * q + f_value - q - m.b1 * q // 2:
+        raise InconsistentProductEnd(f"normalised top {format_grading(_public(top, q))} disagrees with "
+                                     "n + f - 1 - b1/2")
+    return _report({top: RankEntry(INFINITE, EXACT)}, False, [
+        f"f({m.name or 'M'}) = {format_grading(_public(f_value, q))} computed from the level sums",
+        "maximal grading n + f - 1 - b1/2 with infinite rank"], q)
 
 
 # ---------------------------------------------------------------------------

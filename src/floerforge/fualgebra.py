@@ -3,10 +3,11 @@
 Everything here is exact.  A complex keeps an integral grading as an
 ``int`` and any other as a ``fractions.Fraction`` (:func:`_exact` makes
 that choice), so validation, tensor products and reduction of complexes
-over S3 run on machine integers, and validation and tensors of half-integral
-ones (over a manifold with b1 = 1) on them times a common denominator; a public
-value that is a grading, such as a summand of an :class:`FUDecomposition`, is a
-``Fraction`` again, made once per distinct value.  Coefficients live in F2 (an
+over S3 run on machine integers.  One scaling rule serves every layer that
+adds, hashes or compares gradings: it works on them times their common
+denominator q (:func:`_denominator`, :func:`_times`), and :func:`_public`
+makes each public ``Fraction``, such as a summand of an :class:`FUDecomposition`,
+once per distinct value and process.  Coefficients live in F2 (an
 entry is present or absent), and the variable U carries grading -2.  A
 differential entry from generator ``x`` to generator ``y`` is a single
 monomial ``U^p``; homogeneity forces the exponent
@@ -40,10 +41,33 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import repeat
+from functools import cache
+from itertools import chain, repeat
+from operator import itemgetter
 from typing import Iterable, Mapping
 
 U_DEGREE = -2
+
+
+def _denominator(gradings: Iterable) -> int:
+    """The common denominator q of ``gradings``, each an ``int`` or a ``Fraction``: 1 if all are integral."""
+    return math.lcm(*{g.denominator for g in gradings})
+
+
+def _times(g, q: int) -> int:
+    """The grading ``g`` times q, a multiple of its denominator."""
+    return g.numerator * (q // g.denominator)
+
+
+@cache
+def _public(x: int, q: int) -> Fraction:
+    """The public grading x / q of a value times q: a ``Fraction``, made once per process."""
+    return Fraction(x, q)
+
+
+def _stored(x: int, q: int) -> int | Fraction:
+    """The grading x / q as a complex keeps it (:func:`_exact`): an ``int`` if q divides x."""
+    return x // q if x % q == 0 else _public(x, q)
 
 
 def grading(value) -> Fraction:
@@ -51,10 +75,10 @@ def grading(value) -> Fraction:
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int) and not isinstance(value, bool):
-        return Fraction(value)
+        return _public(value, 1)
     if isinstance(value, str):
         try:  # int() parses an integer string faster than Fraction's regex, to the same value
-            return Fraction(int(value))
+            return _public(int(value), 1)
         except ValueError:
             pass
         try:
@@ -382,10 +406,10 @@ def _id_rows(c: FreeComplex, ids: Mapping[str, int]) -> tuple[tuple, list[str]]:
     """The window bitset rows ``(rows, row_bases)`` of the entries of ``c`` of the right
     degree over the positions ``ids``, and each entry with an unknown end, a negative or a
     wrong power, worded on the public gradings.  Degrees are checked on the gradings times
-    their common denominator q, or as they are (q = 1) if the first one is an ``int``."""
+    their common denominator q."""
     maslov, n, bad = c.maslov, len(ids), []
-    q = 1 if type(next(iter(maslov.values()), 0)) is int else math.lcm(*{m.denominator for m in maslov.values()})
-    scaled = maslov if q == 1 else {g: m.numerator * (q // m.denominator) for g, m in maslov.items()}
+    q = _denominator(maslov.values())
+    scaled = maslov if q == 1 else {g: _times(m, q) for g, m in maslov.items()}
     rows, row_bases, step = [0] * n, [0] * n, U_DEGREE * q
     for src, row in c.differential.items():
         i, top, v, o = ids.get(src), scaled.get(src, 0) - q, 0, 0
@@ -443,13 +467,13 @@ def tensor_complexes(c1: FreeComplex, c2: FreeComplex) -> FreeComplex:
 def _tensor(c1: FreeComplex, c2: FreeComplex) -> FreeComplex:
     """:func:`tensor_complexes` of valid complexes, unchecked: each name made once per
     pair, each grading once per distinct pair of gradings, each row once, as built."""
-    g1, g2, M1, M2 = c1.generators, c2.generators, c1.maslov, c2.maslov
+    g1, g2, q = c1.generators, c2.generators, _denominator(chain(c1.maslov.values(), c2.maslov.values()))
     names = [[f"({a}|{b})" for b in g2] for a in g1]
     at, made, maslov = {}, {}, {}  # the place of each distinct right grading; each left one's products
-    slots = [at.setdefault(m, len(at)) for m in map(M2.__getitem__, g2)]
-    for m1, here in zip(map(M1.__getitem__, g1), names):
-        if (sums := made.get(m1)) is None:  # a sum per distinct right grading, then one per generator
-            sums = made[m1] = list(map([m if type(m := m1 + m2) is int else _exact(m) for m2 in at].__getitem__, slots))
+    slots = [at.setdefault(_times(m, q), len(at)) for m in map(c2.maslov.__getitem__, g2)]
+    for m1, here in zip(map(c1.maslov.__getitem__, g1), names):
+        if (sums := made.get(x1 := _times(m1, q))) is None:  # a sum per distinct right grading, then one per generator
+            sums = made[x1] = list(map([_stored(x1 + x2, q) for x2 in at].__getitem__, slots))
         maslov.update(zip(here, sums))
     if len(maslov) < len(g1) * len(g2):
         FreeComplex((n, 0) for here in names for n in here)  # raises the duplicate-name error
@@ -484,28 +508,40 @@ class FUDecomposition:
     def make(towers: Iterable, torsion) -> "FUDecomposition":
         """``torsion`` is ``(top, length)`` pairs, repeats allowed, or a
         mapping ``(top, length) -> count`` with exact tops."""
-        if not isinstance(torsion, Mapping):
-            torsion = Counter((_exact(g), int(k)) for g, k in torsion)
-        torsion = {t: c for t, c in torsion.items() if c}
-        return FUDecomposition._counted(Counter(map(_exact, towers)), torsion, grading, grading)
+        pairs = torsion.items() if isinstance(torsion, Mapping) else [((_exact(g), int(k)), 1) for g, k in torsion]
+        towers, tops = list(map(_exact, towers)), Counter()
+        q = _denominator(chain(towers, (g for (g, _k), _c in pairs)))
+        for (g, k), c in pairs:
+            tops[_times(g, q), k] += c
+        return FUDecomposition._counted(Counter(_times(g, q) for g in towers), {t: c for t, c in tops.items() if c},
+                                        public := lambda x: _public(x, q), public)
 
     @staticmethod
     def _counted(towers: Mapping, torsion: Mapping, tower, top) -> "FUDecomposition":
         """:meth:`make` of counted towers and ``(top, length) -> count`` at private gradings, sorted
         on them, each made public by ``tower(g)`` or ``top(g)`` once per distinct key."""
         return FUDecomposition(tuple(t for g in sorted(towers, reverse=True) for t in repeat(tower(g), towers[g])),
-                               tuple((top(g), k, torsion[g, k])
-                                     for g, k in sorted(torsion, key=lambda x: (-x[0], x[1]))))
+                               tuple((top(g), k, torsion[g, k])  # tops descending, lengths rising: a stable sort
+                                     for g, k in sorted(sorted(torsion), key=itemgetter(0), reverse=True)))
+
+    def _gradings(self):
+        """Every tower and torsion top."""
+        return chain(self.towers, (top for top, _k, _c in self.torsion))
 
     def torsion_rank_table(self) -> dict[Fraction, int]:
         """Graded F-dimension of the torsion part (U spreads a length-k
-        summand over gradings top, top-2, ..., top-2(k-1)), counted on them times a common denominator."""
-        q, table, made = math.lcm(*{top.denominator for top, _k, _c in self.torsion}), {}, {}
+        summand over gradings top, top-2, ..., top-2(k-1))."""
+        q = _denominator(top for top, _k, _c in self.torsion)
+        return {_public(x, q): d for x, d in self._torsion_ranks(q).items()}
+
+    def _torsion_ranks(self, q: int) -> dict[int, int]:
+        """:meth:`torsion_rank_table` on its gradings times q, a multiple of every top's denominator."""
+        table = {}
         for top, k, c in self.torsion:
-            made[x := top.numerator * (q // top.denominator)] = top
+            x = _times(top, q)
             for g in range(x, x + U_DEGREE * q * k, U_DEGREE * q):
                 table[g] = table.get(g, 0) + c
-        return {made[g] if g in made else Fraction(g, q): d for g, d in table.items()}
+        return table
 
     def to_json(self) -> dict:
         return {

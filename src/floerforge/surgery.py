@@ -32,28 +32,28 @@ each part of the flat cone's check follows from the caller's validation
 
 from __future__ import annotations
 
-import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
-from itertools import repeat
+from itertools import chain, repeat
 from operator import sub
 
 from .cfk import KnotComplex, _layout, _normal_forms, _shape_key, _shapes, validate_knot
 from .fualgebra import (
     FreeComplex,
     FUDecomposition,
+    _denominator,
     _exact,
     _homology,
     _id_rows,
     _odd_overlap,
     _plus,
     _positions,
+    _public,
     _Reducer,
     _sum,
+    _times,
     format_grading,
-    grading,
     xor_entry,
 )
 
@@ -129,16 +129,7 @@ def _b_shift(n: int, t: int, c0: Fraction) -> Fraction:
     return c0 + n * t * (t - n)
 
 
-def _shifted(shift: Fraction, made: dict, g) -> Fraction:
-    """The public grading g + shift; for an ``int`` g made from integers once per process and kept
-    in ``made``.  ``_SHIFTED[n]`` holds it for the towers, then the torsion tops, at framing n."""
-    if type(g) is int and (public := made.get(g)) is None:
-        public = made[g] = F(g * shift.denominator + shift.numerator, shift.denominator)
-    return public if type(g) is int else g + shift
-
-
 _ANCHORS = {0: F(-1, 2), -1: F(0), 1: F(-1)}
-_SHIFTED = {n: (partial(_shifted, a, {}), partial(_shifted, a - 1, {})) for n, a in _ANCHORS.items()}
 _NORMAL_FORM_CONES: dict = {}  # (shape key, n, g_hat) -> _cone_homology of its _normal_forms representative
 
 
@@ -309,30 +300,36 @@ def surgery_hf(kc: KnotComplex, n: int) -> HFPlusResult:
 def _summed_cones(shapes, n: int, g_hat: int, rows=()) -> HFPlusResult:
     """:func:`surgery_hf` on a split that has passed :func:`validate_knot` (on the
     ``rows`` per shape it checked, as ``surgery_hf`` and the CLI hand them over),
-    each shape's cone homology moved by each copy's offset in its gradings; the
-    anchor and ``fualgebra.plus_presentation``'s torsion shift are added once per distinct
-    grading, and the public ``Fraction`` of an ``int`` one is made once per process.
+    each shape's cone homology moved by each copy's offset in its gradings, all times
+    their common denominator; the anchor and ``fualgebra.plus_presentation``'s torsion
+    shift are added once per distinct grading, made public by ``fualgebra._public``.
     A shape of Hedden's normal form (``cfk._normal_forms``) is reduced once per
     process, framing and window, on its representative at first grading 0, and
     moved by ``rep``'s.  The shape is the key ``rep`` carries from its split, and
     is taken again only for a 1- or 4-generator representative that carries none."""
-    towers, torsion, forms = Counter(), Counter(), _normal_forms()
+    cones, forms = [], _normal_forms()
     for (rep, copies), found in zip(shapes, rows or repeat(None)):
         if (key := rep._key) is None and len(rep.generators) in (1, 4):
             key = _shape_key(_layout(rep), range(len(rep.generators)))
         if key in forms:
             if (cone := _NORMAL_FORM_CONES.get((key, n, g_hat))) is None:
                 cone = _NORMAL_FORM_CONES[key, n, g_hat] = _cone_homology(forms[key], n, g_hat)
-            (free, tops), first = cone, rep.base.maslov[rep.generators[0]]
+            cones.append((cone, rep.base.maslov[rep.generators[0]], copies))
         else:
-            (free, tops), first = _cone_homology(rep, n, g_hat, found), 0
-        for offset, count in copies:
-            offset += first
+            cones.append((_cone_homology(rep, n, g_hat, found), 0, copies))
+    # A shape's own gradings are ints: its summand is connected by entries and flip pairs.
+    q, towers, torsion = _denominator([o for _cone, _first, copies in cones for o, _c in copies]), {}, {}
+    for (free, tops), first, copies in cones:  # on gradings times q
+        for offset, count in copies if q == 1 else [(_times(o, q), c) for o, c in copies]:
+            offset += first * q
             for g, c in free.items():
-                towers[g + offset] += c * count
+                towers[x] = towers.get(x := g * q + offset, 0) + c * count
             for g, k, c in tops:
-                torsion[g + offset, k] += c * count
-    return HFPlusResult(FUDecomposition._counted(towers, torsion, *_SHIFTED[n]))
+                torsion[x] = torsion.get(x := (g * q + offset, k), 0) + c * count
+    d = _ANCHORS[n].denominator  # the anchor and the torsion shift of 1 are added on gradings times d q
+    a = _times(_ANCHORS[n], q * d)
+    return HFPlusResult(FUDecomposition._counted(towers, torsion, lambda x: _public(x * d + a, q * d),
+                                                 lambda x: _public(x * d + a - q * d, q * d)))
 
 
 def _cone_homology(rep: KnotComplex, n: int, g_hat: int, rows=None) -> tuple[Counter, list]:
@@ -342,7 +339,7 @@ def _cone_homology(rep: KnotComplex, n: int, g_hat: int, rows=None) -> tuple[Cou
 
 def one_handle_stabilize(result: HFPlusResult) -> HFPlusResult:
     """Connected sum with S1 x S2 (towers at 1/2 and -1/2): every summand doubles."""
-    return connected_sum_floer(result, HFPlusResult(FUDecomposition.make([F(1, 2), F(-1, 2)], ())))
+    return connected_sum_floer(result, HFPlusResult(FUDecomposition.make([_public(1, 2), _public(-1, 2)], ())))
 
 
 def connected_sum_floer(r1: HFPlusResult, r2: HFPlusResult) -> HFPlusResult:
@@ -364,9 +361,9 @@ def connected_sum_floer(r1: HFPlusResult, r2: HFPlusResult) -> HFPlusResult:
     FUDecomposition(towers=(), torsion=((Fraction(1, 1), 1, 1), (Fraction(-2, 1), 1, 1)))
     """
     decs = r1.decomposition, r2.decomposition
-    q = math.lcm(*{g.denominator for d in decs for g in (*d.towers, *(top for top, _k, _c in d.torsion))})
-    (t1, s1), (t2, s2) = (([g.numerator * (q // g.denominator) for g in d.towers],  # every grading times q
-                           [(g.numerator * (q // g.denominator), k, c) for g, k, c in d.torsion]) for d in decs)
+    q = _denominator(chain(*(d._gradings() for d in decs)))
+    (t1, s1), (t2, s2) = (([_times(g, q) for g in d.towers], [(_times(g, q), k, c) for g, k, c in d.torsion])
+                          for d in decs)
     towers, torsion = Counter(d1 + d2 for d1 in t1 for d2 in t2), Counter()
     # A torsion summand with plus-top g has its model top at g + 1; each
     # product's model top is written less the 1 of the plus presentation.
@@ -379,7 +376,7 @@ def connected_sum_floer(r1: HFPlusResult, r2: HFPlusResult) -> HFPlusResult:
             k, c = min(k1, k2), c1 * c2
             torsion[g1 + g2 + q, k] += c
             torsion[g1 + g2 + 2 * q * (1 - max(k1, k2)), k] += c
-    return HFPlusResult(FUDecomposition._counted(towers, torsion, public := partial(F, denominator=q), public))
+    return HFPlusResult(FUDecomposition._counted(towers, torsion, public := lambda x: _public(x, q), public))
 
 
 # ---------------------------------------------------------------------------
@@ -421,9 +418,13 @@ def exact_triangle_force(modules) -> TriangleForce:
     the incoming module has no rank in the one grading that would hit the
     top.
     """
-    tables = [
-        {grading(g): int(r) for g, r in m.items() if r} for m in modules
-    ]
+    tables = [[(_exact(g), int(r)) for g, r in m.items() if r] for m in modules]
+    q = _denominator(chain(_TRIANGLE_SHIFTS, (g for t in tables for g, _r in t)))
+    return _triangle_force([{_times(g, q): r for g, r in t} for t in tables], q)
+
+
+def _triangle_force(tables: list, q: int) -> TriangleForce:
+    """:func:`exact_triangle_force` of tables keyed by gradings times q, a multiple of every shift's denominator."""
     dims = [sum(t.values()) for t in tables]
     doubled = [
         dims[0] + dims[1] - dims[2],
@@ -445,7 +446,7 @@ def exact_triangle_force(modules) -> TriangleForce:
         shift_in = _TRIANGLE_SHIFTS[(i - 1) % 3]
         if source:
             top = max(source)
-            if incoming.get(top - shift_in, 0) == 0:
+            if incoming.get(top - _times(shift_in, q), 0) == 0:
                 verdicts.append(FORCED_INJECTIVE_TOP)
                 continue
         verdicts.append(UNDETERMINED)

@@ -12,16 +12,18 @@ agreement at two consecutive cutoffs.
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 
-from .fualgebra import FUDecomposition, FreeComplex, U_DEGREE, graded_f2_dims
+from .fualgebra import FUDecomposition, FreeComplex, U_DEGREE, _denominator, _stored, _times, graded_f2_dims
 
 
 def truncated_graded_dimensions(c: FreeComplex, cutoff: int) -> dict[int | Fraction, int]:
-    """Graded dims of H(c tensor F2[U]/U^cutoff), by row reduction over F2,
-    keyed by the stored gradings (an ``int`` if integral)."""
+    """Graded dims of H(c tensor F2[U]/U^cutoff), by row reduction over F2 on the gradings
+    times their common denominator, keyed by the stored gradings (an ``int`` if integral)."""
     at = {g: i * cutoff for i, g in enumerate(c.generators)}  # U^p.g is basis vector at[g] + p
-    degrees = [c.maslov[g] + U_DEGREE * p for g in c.generators for p in range(cutoff)]
+    q = _denominator(c.maslov.values())
+    degrees = [x + U_DEGREE * q * p for x in (_times(c.maslov[g], q) for g in c.generators) for p in range(cutoff)]
 
     # Boundary of each basis vector as a bitmask over the full basis.
     bdry = []
@@ -29,29 +31,26 @@ def truncated_graded_dimensions(c: FreeComplex, cutoff: int) -> dict[int | Fract
         row = c.differential.get(g, {})
         for p in range(cutoff):
             mask = 0
-            for tgt, q in row.items():
-                if p + q < cutoff:
-                    mask |= 1 << (at[tgt] + p + q)
+            for tgt, u in row.items():
+                if p + u < cutoff:
+                    mask |= 1 << (at[tgt] + p + u)
             bdry.append(mask)
-    return graded_f2_dims(degrees, bdry, lambda d: d + 1)
+    return {_stored(x, q): d for x, d in graded_f2_dims(degrees, bdry, lambda x: x + q).items()}
 
 
-def expected_truncated_dimensions(h: FUDecomposition, cutoff: int) -> dict[Fraction, int]:
-    """Graded dims that a decomposition predicts after tensoring with F2[U]/U^cutoff."""
-    dims: dict[Fraction, int] = {}
-
-    def add(g, n=1):
-        dims[g] = dims.get(g, 0) + n
-
+def expected_truncated_dimensions(h: FUDecomposition, cutoff: int) -> dict[int | Fraction, int]:
+    """Graded dims that a decomposition predicts after tensoring with F2[U]/U^cutoff, counted on
+    the gradings times their common denominator and keyed as :func:`truncated_graded_dimensions`."""
+    q, dims = _denominator(h._gradings()), Counter()
+    step = U_DEGREE * q
     for top in h.towers:
-        for i in range(cutoff):
-            add(top + U_DEGREE * i)
+        dims.update(range(x := _times(top, q), x + step * cutoff, step))
     for top, k, c in h.torsion:
-        span = min(k, cutoff)
-        for i in range(span):
-            add(top + U_DEGREE * i, c)
+        top = _times(top, q)
+        for i in range(min(k, cutoff)):
+            dims[top + step * i] += c
         # Tor: kernel classes at the bottom of the truncated partner column.
-        partner_top = top + 1 - 2 * k
+        partner_top = top + q * (1 - 2 * k)
         for p in range(max(cutoff - k, 0), cutoff):
-            add(partner_top + U_DEGREE * p, c)
-    return {g: n for g, n in dims.items() if n}
+            dims[partner_top + step * p] += c
+    return {_stored(x, q): n for x, n in dims.items() if n}

@@ -45,7 +45,8 @@ from .endfloer import (
     restrict_spec,
     s3_data,
 )
-from .fualgebra import FUDecomposition, _tensor, format_grading, homology_decomposition, validate_complex
+from .fualgebra import (FUDecomposition, _denominator, _public, _tensor, _times, format_grading,
+                        homology_decomposition, validate_complex)
 from .surgery import (
     FORCED_INJECTIVE_TOP,
     FORCED_ZERO,
@@ -110,15 +111,10 @@ class _Context:
         corner gradings of K = Wh(K_n)."""
 
         def build():
-            ks = box_parameters(self.wh_tower(n)[0])
-            item1 = _dec(
-                [F(1), F(0), F(0), F(-1)],
-                [(k, 1) for k in ks] + [(k - 1, 1) for k in ks],
-            )
-            wh_pattern = [(k - F(1, 2), 1) for k in ks for _ in range(2)] + [
-                (k - F(3, 2), 1) for k in ks for _ in range(2)
-            ]
-            item23 = _dec([F(1, 2), F(-1, 2)], wh_pattern)
+            ks = [_times(k, 2) for k in box_parameters(self.wh_tower(n)[0])]  # corners times 2
+            item1 = _dec([1, 0, 0, -1], [(_public(k - j, 2), 1) for j in (0, 2) for k in ks])
+            item23 = _dec([_public(1, 2), _public(-1, 2)],
+                          [(_public(k - j, 2), 1) for j in (1, 3) for k in ks for _ in range(2)])
             return item1, item23
 
         return self.get(("formulas", n), build)
@@ -356,10 +352,10 @@ def _rows_properties(ctx):
         if _shapes(kc)[0][0].flip is None:  # read off the split: a double is not written out
             continue
         table = hfk_hat(kc).total
-        for (m, s), d in table.items():
-            if table.get((m - 2 * s, -s), 0) != d:
-                asym.append(name)
-                break
+        q = _denominator(m for m, _s in table)
+        scaled = {(_times(m, q), s): d for (m, s), d in table.items()}  # gradings times q
+        if any(scaled.get((x - 2 * s * q, -s), 0) != d for (x, s), d in scaled.items()):
+            asym.append(name)
     yield (
         "7.symmetry",
         "hat dimensions satisfy dim(m, s) = dim(m - 2s, -s) across the full corpus",
@@ -442,7 +438,7 @@ def _rows_properties(ctx):
         full = colimit(spec)
         for indices in ([0, 2, 4, 5], [1, 3, 4, 5]):
             sub = colimit(restrict_spec(spec, indices))
-            if sub.table() != full.table() or sub.vanishes != full.vanishes:
+            if sub.per_grading != full.per_grading or sub.vanishes != full.vanishes:
                 sub_bad.append((trial, tuple(indices)))
     yield (
         "7.subsequence",

@@ -11,10 +11,11 @@ two must agree (tested).
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 
 from .cfk import Ambient, KnotComplex, ReducedBasisForm, _canonical_shapes, _CountedComplex, _normal_forms
-from .fualgebra import _exact, grading
+from .fualgebra import _denominator, _exact, _public, _times
 
 
 class FormalRankError(ValueError):
@@ -32,25 +33,17 @@ def hedden_hfk_double(filtration, g: int) -> dict:
     Intermediate values may be negative; the final table must not be.
     """
     g = int(g)
-    table: dict[tuple[Fraction, int], int] = {}
-
-    def add(m, s, n):
-        key = (grading(m), s)
-        table[key] = table.get(key, 0) + n
-
-    add(1, 1, -(2 * g + 2))
-    add(0, 0, -(4 * g + 3))
-    add(-1, -1, -(2 * g + 2))
-    for i in range(-g, g + 1):
-        dims = filtration.get(i, {})
-        for m, n in dims.items():
-            add(grading(m) + 1, 1, 2 * n)
-            add(grading(m), 0, 4 * n)
-            add(grading(m) - 1, -1, 2 * n)
-    negatives = {k: v for k, v in table.items() if v < 0}
+    levels = [[(_exact(m), n) for m, n in filtration.get(i, {}).items()] for i in range(-g, g + 1)]
+    q = _denominator(m for dims in levels for m, _n in dims)
+    table = Counter({(q, 1): -(2 * g + 2), (0, 0): -(4 * g + 3), (-q, -1): -(2 * g + 2)})  # on gradings times q
+    for dims in levels:
+        for m, n in dims:
+            x = _times(m, q)
+            table.update({(x + q, 1): 2 * n, (x, 0): 4 * n, (x - q, -1): 2 * n})
+    negatives = {(_public(x, q), s): v for (x, s), v in table.items() if v < 0}
     if negatives:
         raise FormalRankError(f"negative final ranks at {sorted(negatives)}")
-    return {k: v for k, v in table.items() if v}
+    return {(_public(x, q), s): v for (x, s), v in table.items() if v}
 
 
 def whitehead_double_cfk(rb: ReducedBasisForm, name: str = "") -> KnotComplex:
@@ -153,4 +146,5 @@ def box_parameters(kc: KnotComplex) -> list[Fraction]:
         raise ValueError("more than one split generator")
     if not split:
         raise ValueError("no split generator at (0, 0)")
-    return sorted(map(grading, params), reverse=True)
+    q = _denominator(params)
+    return [_public(x, q) for x in sorted((_times(m, q) for m in params), reverse=True)]

@@ -460,6 +460,26 @@ def test_endfloer_single_level_is_usage_error(capsys):
     assert err == "error: --levels must be at least 2\n"
 
 
+@pytest.mark.parametrize("huge", [10**20, sys.maxsize + 1])
+def test_a_count_past_what_can_exist_is_usage_error(capsys, huge):
+    # A depth-k double has at least 2 * 4^k + 1 generators, more than
+    # sys.maxsize past the deepest below; a tower's levels are listed.
+    deepest = max(k for k in range(64) if 2 * 4**k + 1 <= sys.maxsize)
+    for argv, flag, most, why in [
+        (["double", "--complex", "k3", "--iterations"], "--iterations", deepest,
+         "a double of depth k has at least 2*4^k + 1 generators"),
+        (["endfloer", "--knot", "k3", "--levels"], "--levels", sys.maxsize, "a tower of more levels cannot be listed"),
+    ]:
+        for count in [huge, deepest + 1] if flag == "--iterations" else [huge]:
+            assert run(capsys, *argv, str(count)) == (2, "", f"error: {flag} must be at most {most}: {why}\n")
+
+
+def test_endfloer_takes_levels_deeper_than_a_flat_double(capsys):
+    # Levels are counted doubles, never written out: 40 of them answer.
+    code, out, _ = run(capsys, "endfloer", "--knot", "k3", "--levels", "40")
+    assert code == 0 and json.loads(out)["narrative"][1].startswith("40 levels: S0(Wh^1)")
+
+
 @pytest.mark.parametrize(
     "handle, code",
     [({"kind": "finite_mixed_then_one_sign", "signs": ["-"], "tail": "+"}, 0),
@@ -850,12 +870,12 @@ def run_python_dash_m(argv, **kwargs):
 
 
 def test_out_of_memory_is_one_line():
-    # Forty doublings of K3 would write out about 2^81 boxes.  The probe's
-    # address space is capped at 1 GB, so it runs out of memory at once and
-    # never takes the machine's.
+    # Thirty doublings of K3, the deepest the command takes, would write out
+    # about 2^61 boxes.  The probe's address space is capped at 1 GB, so it
+    # runs out of memory at once and never takes the machine's.
     resource = pytest.importorskip("resource")
     cap = lambda: resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
-    argv = ["double", "--complex", "k3", "--iterations", "40"]
+    argv = ["double", "--complex", "k3", "--iterations", "30"]
     assert run_python_dash_m(argv, preexec_fn=cap, timeout=300) == (1, "", "error: out of memory\n")
 
 

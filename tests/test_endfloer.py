@@ -470,11 +470,17 @@ def test_product_end_reversed_negative_chain_is_positive():
 def test_product_end_tops_off_the_formula_raise_a_domain_error(monkeypatch):
     # Each summed level moved up by one: the tops still stabilise, but at
     # n + f - 1/2, and the final consistency check fires (exit 1 at the CLI).
-    normalize = endfloer.normalize_level
-    moved = lambda module, b1: {g + 1: r for g, r in normalize(module, b1).items()}
-    monkeypatch.setattr(endfloer, "normalize_level", moved)
+    # The piece is resolved, and kept on its knot, first: only the summed levels move.
+    spec, reduced = r_spec(5), endfloer._reduced_tables
+    _resolve_piece(spec, 3)
+
+    def moved(results, b1, *extra):  # each table keyed by gradings times q
+        q, tables = reduced(results, b1, *extra)
+        return q, [{x + q: r for x, r in table.items()} for table in tables]
+
+    monkeypatch.setattr(endfloer, "_reduced_tables", moved)
     with pytest.raises(InconsistentProductEnd, match=r"^normalised top 3 disagrees with n \+ f - 1 - b1/2$"):
-        he_product_end(s3_data(), r_spec(5), 5)
+        he_product_end(s3_data(), spec, 5)
     assert issubclass(InconsistentProductEnd, ValueError)
 
 

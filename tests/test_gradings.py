@@ -13,19 +13,42 @@ from fractions import Fraction
 
 import pytest
 
-from floerforge import cli
+from floerforge import cli, verify
 from floerforge.cfk import (
     builtin,
+    connected_sum_knots,
     figure8,
+    hfk_hat,
     k_n,
     reduced_basis_form,
     staircase_torus,
     unknot,
 )
 from floerforge.corpus import canonical_json, corpus_dir, load_complex
+from floerforge.endfloer import (
+    CH_PLUS,
+    ExhaustionSpec,
+    Level,
+    SliceR4Spec,
+    StepDescriptor,
+    _resolve_piece,
+    colimit,
+    he_slice_r4,
+    normalize_level,
+)
 from floerforge.fualgebra import FreeComplex, FUDecomposition, _tensor, homology_decomposition, validate_complex
-from floerforge.surgery import HFPlusResult, connected_sum_floer, surgery_hf
-from floerforge.whitehead import box_tower
+from floerforge.surgery import (
+    FORCED_INJECTIVE_TOP,
+    FORCED_ZERO,
+    HFPlusResult,
+    InconsistentTriangle,
+    connected_sum_floer,
+    exact_triangle_force,
+    one_handle_stabilize,
+    surgery_hf,
+)
+from floerforge.truncation import expected_truncated_dimensions, truncated_graded_dimensions
+from floerforge.whitehead import box_tower, negative_double_cfk
 
 F = Fraction
 SHIFTS = [F(1, 2), F(1, 3)]
@@ -147,12 +170,110 @@ def fractions_only(dec: FUDecomposition) -> bool:
     return all(type(g) is Fraction for g in (*dec.towers, *(g for g, _k, _c in dec.torsion)))
 
 
+def up(table: dict, h) -> dict:
+    """``table`` with every grading key moved up by ``h``."""
+    return {g + h: d for g, d in table.items()}
+
+
 @pytest.mark.parametrize("h", SHIFTS, ids=str)
 def test_rank_tables_commute_with_a_shift(h):
     for dec in decompositions():
         table = moved(dec, h).torsion_rank_table()
-        assert table == {g + h: d for g, d in dec.torsion_rank_table().items()}
+        assert table == up(dec.torsion_rank_table(), h) == HFPlusResult(moved(dec, h)).hf_red()
         assert all(type(g) is Fraction for g in table)
+        for cutoff in (1, 2, 5):
+            assert expected_truncated_dimensions(moved(dec, h), cutoff) == up(expected_truncated_dimensions(dec, cutoff), h)
+
+
+@pytest.mark.parametrize("h", SHIFTS, ids=str)
+def test_truncated_dimensions_commute_with_a_shift(h):
+    for name, kc in property_builders().items():
+        c = kc.base  # cut past every power, as row 7.truncation cuts
+        cutoff = len(c.generators) + max([p for _, _, p in c.entries()], default=0) + 1
+        found = truncated_graded_dimensions(c, cutoff)
+        assert truncated_graded_dimensions(c.shift(h), cutoff) == up(found, h), name
+        assert found == expected_truncated_dimensions(homology_decomposition(c), cutoff), name
+
+
+def explicit_system(h, b1: int) -> ExhaustionSpec:
+    """Four levels at 0, 2 and -1/2 moved up by ``h``, joined by explicit steps (kept at the source gradings)."""
+    table = {F(0) + h: 2, F(2) + h: 1, F(-1, 2) + h: 2}
+    keep = StepDescriptor("explicit", {F(0) + h: [0b01, 0b10], F(2) + h: [1], F(-1, 2) + h: [0b01, 0]})
+    return ExhaustionSpec(tuple(Level(b1, table) for _ in range(4)), (keep,) * 3)
+
+
+def clasped(tables, b1: int) -> ExhaustionSpec:
+    """The positively clasped system of the level ``tables``."""
+    return ExhaustionSpec(tuple(Level(b1, t) for t in tables), (StepDescriptor("positive_clasp"),) * (len(tables) - 1))
+
+
+def clasped_system(h, b1: int) -> ExhaustionSpec:
+    """The level system of K3's positive doubling tower, its tables moved up by ``h``."""
+    return clasped([up(r.hf_red(), h) for r in _resolve_piece(SliceR4Spec(k_n(3), CH_PLUS), 3)[1]], b1)
+
+
+@pytest.mark.parametrize("h", SHIFTS, ids=str)
+@pytest.mark.parametrize("b1", [0, 1, 2, 3])
+def test_level_tables_commute_with_a_shift(h, b1):
+    for system in (explicit_system, clasped_system):
+        spec, shifted = system(F(0), b1), system(h, b1)
+        for level, moved_level in zip(spec.levels, shifted.levels):
+            assert normalize_level(moved_level.module, b1) == up(normalize_level(level.module, b1), h)
+        report, moved_report = colimit(spec), colimit(shifted)
+        assert moved_report.per_grading == tuple((g + h, e) for g, e in report.per_grading)
+        assert moved_report.max_nontrivial_grading == report.max_nontrivial_grading + h
+        assert all(type(g) is Fraction for g, _e in moved_report.per_grading)
+
+
+def forced(tables):
+    """The ranks and verdicts of the triangle of ``tables``, or the message that it admits none."""
+    try:
+        return exact_triangle_force(tables)
+    except InconsistentTriangle as e:
+        return str(e)
+
+
+@pytest.mark.parametrize("h", SHIFTS, ids=str)
+def test_triangle_forcing_commutes_with_a_shift(h):
+    # Row 4's positive triangles for Wh(K3) and Wh(K5), its negative one for Wh(K3), and a triple that is none.
+    ctx, decs = verify._Context(), decompositions()
+    k = ctx.wh_tower(3)[0]
+    negative = [one_handle_stabilize(surgery_hf(k, 0)), surgery_hf(negative_double_cfk(reduced_basis_form(k)), 0),
+                surgery_hf(connected_sum_knots(builtin("Jprime_in_Yprime"), k), -1)]
+    triples = [[d.torsion_rank_table() for d in ctx.chain_outputs(n)] for n in (3, 5)]
+    triples += [[r.hf_red() for r in negative], [d.torsion_rank_table() for d in decs[:3]]]
+    assert [forced(t).verdict(0) for t in triples[:3]] == [FORCED_INJECTIVE_TOP, FORCED_INJECTIVE_TOP, FORCED_ZERO]
+    for tables in triples:
+        assert forced([up(t, h) for t in tables]) == forced(tables)
+
+
+def fractions_built(monkeypatch, call) -> int:
+    """The number of ``Fraction``s a second call of ``call`` makes."""
+    call()
+    built, new = [], Fraction.__new__
+    with monkeypatch.context() as patched:
+        patched.setattr(Fraction, "__new__", lambda cls, *args, **kw: built.append(args) or new(cls, *args, **kw))
+        call()
+    return len(built)
+
+
+def test_warm_calls_build_no_fraction(monkeypatch):
+    # A public grading is made once per distinct value and process: a warm
+    # call adds, hashes and compares ints only.
+    k3, k9, piece = k_n(3), k_n(9), SliceR4Spec(k_n(5), CH_PLUS)
+    levels = _resolve_piece(piece, 3)[1]
+    h, chain, decs = homology_decomposition(k3.base), verify._Context().chain_outputs(3), decompositions()
+    cutoff = len(k3.base.generators) + 1
+    assert fractions_built(monkeypatch, lambda: F(1, 2)) == 1  # the count sees construction
+    calls = {
+        "hfk_hat": lambda: hfk_hat(k9),
+        "he_slice_r4": lambda: he_slice_r4(piece),
+        "colimit": lambda: colimit(clasped([r.hf_red() for r in levels], 1)),
+        "truncation": lambda: (truncated_graded_dimensions(k3.base, cutoff), expected_truncated_dimensions(h, cutoff)),
+        "triangle": lambda: exact_triangle_force([d.torsion_rank_table() for d in chain]),
+        "torsion_rank_table": lambda: [d.torsion_rank_table() for d in decs],
+    }
+    assert {name: fractions_built(monkeypatch, call) for name, call in calls.items()} == dict.fromkeys(calls, 0)
 
 
 @pytest.mark.parametrize("h", SHIFTS, ids=str)
