@@ -52,7 +52,6 @@ from .endfloer import (
     he_end_sum,
     he_product_end,
     he_slice_r4,
-    normalize_level,
     restrict_spec,
     s1xs2_data,
     s3_data,

@@ -24,7 +24,7 @@ from .fualgebra import (
     ValidationReport,
     _denominator,
     _exact,
-    _pivots,
+    _paired,
     _public,
     _Reducer,
     _stored,
@@ -811,20 +811,16 @@ def _vertical_pairing(reduced: KnotComplex):
     """Persistence pairing of the U=0 complex of a canonically reduced complex.
 
     Returns the pairs (y, z) with z the lowest term of the reduced
-    boundary of y, and the generators left unpaired.  Columns are
-    reduced in Alexander order by :func:`fualgebra._pivots`, each generator
-    numbered from the end of that order, so the lowest set bit is the lowest
-    term.  That order is a filtration order because ``reduce_canonical``
+    boundary of y, and the generators left unpaired: the
+    :func:`fualgebra._paired` pairing of the U^0 columns in Alexander order.
+    That order is a filtration order because ``reduce_canonical``
     leaves no U^0 entry with zero Alexander drop, so every U=0 arrow
     strictly lowers A; an unpaired generator is then born at the least
     filtration level whose homology reaches its class.
     """
+    rows = reduced.base.differential
     order = sorted(reduced.generators, key=lambda g: (reduced.alexander[g], str(reduced.base.maslov[g]), g))
-    bit, rows = {g: b for b, g in enumerate(reversed(order))}, reduced.base.differential
-    pivots = _pivots(sum(1 << bit[t] for t, p in rows.get(g, {}).items() if p == 0) for g in order)
-    sources = set(pivots.values())
-    return ([(order[i], order[~b]) for b, i in pivots.items()],
-            [g for i, g in enumerate(order) if i not in sources and bit[g] not in pivots])
+    return _paired(order, lambda g: [t for t, p in rows.get(g, {}).items() if p == 0])
 
 
 # ---------------------------------------------------------------------------

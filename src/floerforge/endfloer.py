@@ -85,9 +85,6 @@ class EndFloerReport:
         if self.vanishes is True and (self.per_grading or self.max_nontrivial_grading is not None):
             raise ValueError("a vanishing report must be empty")
 
-    def table(self) -> dict:
-        return dict(self.per_grading)
-
     def entry(self, g) -> Optional[RankEntry]:
         g = grading(g)
         return next((e for h, e in self.per_grading if h == g), None)
@@ -165,12 +162,6 @@ class ExhaustionSpec:
     def __post_init__(self):
         if len(self.steps) != len(self.levels) - 1:
             raise ValueError("need exactly one step between consecutive levels")
-
-
-def normalize_level(module: dict, b1: int) -> dict:
-    """Shift a graded table down by b1/2."""
-    q, (table,) = _normalized(ExhaustionSpec((Level(b1, module),), ()))
-    return {_public(x, q): r for x, r in table.items()}
 
 
 def _normalized(spec: ExhaustionSpec) -> tuple[int, list[dict]]:

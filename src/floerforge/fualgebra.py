@@ -16,12 +16,12 @@ between the same pair of generators can never arise in a homogeneous
 complex (two contributions with the same endpoints have equal exponent
 and cancel mod 2).
 
-Homology of a free complex is computed by change of basis alone:
+Homology of a free complex is computed in two steps:
 
 1. cancel every U^0 entry (the cancellation lemma), then
-2. on the resulting minimal complex, pivot on entries of minimal
-   U-exponent.  F2[U] is a local PID, so this Smith-style sweep
-   terminates and splits the complex into free summands and pairs
+2. pair the resulting minimal complex, whose every entry raises the
+   grading: its persistence pairing in descending grading
+   (:func:`_paired`) splits it into free summands and pairs
    ``partner -> U^k . top``.
 
 The result is reported as an :class:`FUDecomposition`: free summands
@@ -42,7 +42,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
-from itertools import chain, repeat
+from itertools import chain, compress, repeat
 from operator import itemgetter
 from typing import Iterable, Mapping
 
@@ -302,6 +302,23 @@ def _pivots(vectors: Iterable[int]) -> dict[int, int]:
     return owners
 
 
+def _paired(order: list, targets) -> tuple[list, list]:
+    """Persistence pairing of the F2 columns of ``order``, the column of x
+    being its ``targets(x)``: members are numbered from the end of ``order``,
+    so the lowest set bit of a column is its latest target, and reduced in
+    that order by :func:`_pivots`.  The pairs ``(x, y)``, y the latest
+    target of x's reduced column, and the members left unpaired, in order.
+
+    >>> _paired(["a", "b", "c"], {"a": [], "b": ["a"], "c": ["a"]}.get)
+    ([('b', 'a')], ['c'])
+    """
+    bit = {x: b for b, x in enumerate(reversed(order))}
+    pivots = _pivots(sum(1 << bit[t] for t in targets(x)) for x in order)
+    sources = set(pivots.values())
+    return ([(order[i], order[~b]) for b, i in pivots.items()],
+            [x for i, x in enumerate(order) if i not in sources and bit[x] not in pivots])
+
+
 def gf2_rank(vectors: Iterable[int]) -> int:
     """Rank over F2 of bitmask vectors: the size of their :func:`_pivots` table.
 
@@ -554,18 +571,20 @@ class FUDecomposition:
 
 
 class _Reducer:
-    """Change-of-basis engine for free F2[U]-complexes: a pivot is a chain
-    of basis changes g := g + U^s h, each exact, so d^2 = 0 is preserved.
+    """Cancellation engine for free F2[U]-complexes: cancelling a U^0 entry
+    is a chain of basis changes g := g + U^s h, each exact, so d^2 = 0 is
+    preserved.
 
     Generators are numbered by position in ``c.generators``.  Row and
     column i are window bitsets (``rows[i]`` over ``row_bases[i]``, and
     ``cols``/``col_bases``) of the targets of d(i) and of the sources
     hitting i; the gradings give the power of i -> j, (m(j) - m(i) + 1) / 2.
-    Pivots are ordered by generator name (``rank``), so the smallest live
-    entry is the same whatever the input order (:func:`_homology` names the
-    positions by themselves).  ``rows`` may hand over the ``(ids, sets)`` of a
-    passed :func:`_id_rows` check on those positions; the reducer works on
-    copies of the sets.  :meth:`fork` carries a reduction over to other gradings.
+    Entries are cancelled in generator name order (``rank``), so the
+    smallest live entry is the same whatever the input order
+    (:func:`_homology` names the positions by themselves).  ``rows`` may
+    hand over the ``(ids, sets)`` of a passed :func:`_id_rows` check on
+    those positions; the reducer works on copies of the sets.
+    :meth:`fork` carries a reduction over to other gradings.
 
     ``track`` names the maps the reducer also maintains, as changes from
     the identity: ``"iota"``, the inclusion (survivor i is the originals in
@@ -587,30 +606,43 @@ class _Reducer:
         self.m = list(map(c.maslov.__getitem__, c.generators))
         if alexander is not None:
             self.alexander = list(map(alexander.__getitem__, c.generators))
-        self.alive, self.torsion = [True] * n, []
+        self.alive = [True] * n
         if "iota" in track:
             self.iota_rows, self.iota_bases = [0] * n, [0] * n
         if "pi" in track:
             self.pi_cols, self.pi_bases = [0] * n, [0] * n
 
-    def _sweep(self, u0: bool, level=None):
-        """Pivot on the smallest live (power, source name, target name) entry,
-        only on U^0 entries whose ends have one ``level`` (by default the
-        Alexander grading, if given) if ``u0``, until none is left.  At
-        alpha -> U^k beta, each z hitting beta adds U^(p - k) alpha, and beta
-        adds U^(q - k) w per w alpha hits."""
+    def _columns(self) -> tuple[list, list]:
+        """The window bitset columns ``(cols, col_bases)``, the transpose of the rows, built on first use."""
+        if self.cols is None:
+            n = len(self.m)
+            self.cols, self.col_bases = [0] * n, [0] * n
+            for i, v in enumerate(self.rows):
+                _spread(self.cols, self.col_bases, v, self.row_bases[i], 1, i)
+        return self.cols, self.col_bases
+
+    def cancel_u0(self, level=None) -> "_Reducer":
+        """Cancel every U^0 entry, smallest (source name, target name) pair first.
+
+        A reducer given an Alexander grading cancels only the entries with
+        zero Alexander drop (filtered reduction); the triggered basis
+        changes are then automatically filtered.  A ``level`` vector, one
+        int per position, takes the Alexander grading's place in that test.
+        At alpha -> beta, each z hitting U^p beta adds U^p alpha, so that
+        only alpha hits beta, and the pair splits off.
+        """
         m, A, n, rows = self.m, self.alexander, len(self.m), self.rows
         row_bases, entries, L = self.row_bases, [], A if level is None else level
         for i, v in enumerate(rows):
-            o, mi = row_bases[i], m[i]
+            o, below = row_bases[i], m[i] - 1
             while v:
                 low = v & -v
                 j = o + low.bit_length() - 1
                 v ^= low
-                if not u0 or m[j] == mi - 1 and (L is None or L[j] == L[i]):
-                    entries.append(((m[j] - mi + 1) // 2, i, j))
+                if m[j] == below and (L is None or L[j] == L[i]):
+                    entries.append((i, j))
         if not entries:
-            return
+            return self
         cols, col_bases = self._columns()
         if self.rank is None:
             self.at = sorted(range(n), key=self.generators.__getitem__)  # positions in name order
@@ -619,19 +651,18 @@ class _Reducer:
                 self.rank[i] = r
         at, rank, heappop, heappush = self.at, self.rank, heapq.heappop, heapq.heappush
         iota, iota_bases, pi, pi_bases = self.iota_rows, self.iota_bases, self.pi_cols, self.pi_bases
-        heap = [(p * n + rank[i]) * n + rank[j] for p, i, j in entries]
+        heap = [rank[i] * n + rank[j] for i, j in entries]
         heapq.heapify(heap)
         while heap:
-            rest, beta = divmod(heappop(heap), n)
-            k, alpha = divmod(rest, n)
+            alpha, beta = divmod(heappop(heap), n)
             alpha, beta = at[alpha], at[beta]
             out_a, oa = rows[alpha], row_bases[alpha]
             if beta < oa or not out_a >> (beta - oa) & 1:
                 continue
             into_b, ob = cols[beta], col_bases[beta]
             zs, ws = into_b ^ 1 << (alpha - ob), out_a ^ 1 << (beta - oa)
-            if A is not None and (any(A[alpha] - (m[beta] - m[z] + 1) // 2 + k > A[z] for z in _positions(zs, ob))
-                                  or any(A[w] - (m[w] - m[alpha] + 1) // 2 + k > A[beta] for w in _positions(ws, oa))):
+            if A is not None and (any(A[alpha] - (m[beta] - m[z] + 1) // 2 > A[z] for z in _positions(zs, ob))
+                                  or any(A[w] - (m[w] - m[alpha] + 1) // 2 > A[beta] for w in _positions(ws, oa))):
                 raise AssertionError(f"filtration-breaking pivot {self.generators[alpha]} -> {self.generators[beta]}")
             left = zs
             while left:
@@ -645,13 +676,13 @@ class _Reducer:
                     old, oz, added = old << (oz - oa), oa, out_a
                     row_bases[z] = oa
                 rows[z] = old ^ added
-                new, mz = added & ~old, m[z]
+                new, below = added & ~old, m[z] - 1
                 while new:
                     low = new & -new
                     t = oz + low.bit_length() - 1
                     new ^= low
-                    if not u0 or m[t] == mz - 1 and (L is None or L[t] == L[z]):
-                        heappush(heap, ((m[t] - mz + 1) // 2 * n + rank[z]) * n + rank[t])
+                    if m[t] == below and (L is None or L[t] == L[z]):
+                        heappush(heap, rank[z] * n + rank[t])
             # d^2 = 0 forces: what hits the z's is what hits alpha; the w's rows sum to beta's
             if (zs or cols[alpha]) and _sum(cols, col_bases, zs, ob, cols[alpha], col_bases[alpha])[0] or (
                     ws or rows[beta]) and _sum(rows, row_bases, ws, oa, rows[beta], row_bases[beta])[0]:
@@ -671,35 +702,6 @@ class _Reducer:
             if pi is not None:
                 pi[alpha] = pi[beta] = 0
             self.alive[alpha] = self.alive[beta] = False
-            if k > 0:
-                self.torsion.append((m[beta], k))
-
-    def _columns(self) -> tuple[list, list]:
-        """The window bitset columns ``(cols, col_bases)``, built from the rows on first use."""
-        if self.cols is None:
-            n = len(self.m)
-            self.cols, self.col_bases = cols, col_bases = [0] * n, [0] * n
-            for i, v in enumerate(self.rows):
-                o = self.row_bases[i]
-                while v:  # sources come in rising position, so a column's first is its base
-                    low = v & -v
-                    j = o + low.bit_length() - 1
-                    v ^= low
-                    if cols[j]:
-                        cols[j] |= 1 << (i - col_bases[j])
-                    else:
-                        cols[j], col_bases[j] = 1, i
-        return self.cols, self.col_bases
-
-    def cancel_u0(self, level=None) -> "_Reducer":
-        """Cancel every U^0 entry, smallest (source, target) pair first.
-
-        A reducer given an Alexander grading cancels only the entries with
-        zero Alexander drop (filtered reduction); the triggered basis
-        changes are then automatically filtered.  A ``level`` vector, one
-        int per position, takes the Alexander grading's place in that test.
-        """
-        self._sweep(u0=True, level=level)
         return self
 
     def fork(self, m, track=()) -> "_Reducer":
@@ -708,25 +710,15 @@ class _Reducer:
         same whatever the gradings."""
         new, (cols, col_bases) = object.__new__(type(self)), self._columns()
         new.__dict__.update(vars(self), m=m, rows=self.rows[:], row_bases=self.row_bases[:], cols=cols[:],
-                            col_bases=col_bases[:], alive=self.alive[:], torsion=self.torsion[:])
+                            col_bases=col_bases[:], alive=self.alive[:])
         new.iota_rows, new.iota_bases = (self.iota_rows[:], self.iota_bases[:]) if "iota" in track else (None, None)
         new.pi_cols, new.pi_bases = (self.pi_cols[:], self.pi_bases[:]) if "pi" in track else (None, None)
         return new
 
-    def diagonalize(self) -> "_Reducer":
-        """Pivot on minimal-exponent entries until the differential is empty."""
-        self._sweep(u0=False)
-        return self
-
     def powers(self, v: int, o: int, top) -> dict[str, int]:
         """``{name of j: (m(j) - top) / 2}`` over the positions j in ``(v, o)``."""
-        gens, m, out = self.generators, self.m, {}
-        while v:
-            low = v & -v
-            j = o + low.bit_length() - 1
-            out[gens[j]] = (m[j] - top) // 2
-            v ^= low
-        return out
+        gens, m = self.generators, self.m
+        return {gens[j]: (m[j] - top) // 2 for j in _positions(v, o)}
 
     def current_complex(self) -> FreeComplex:
         gens, m, rows, bases = self.generators, self.m, self.rows, self.row_bases
@@ -762,11 +754,9 @@ def components(n: int, edges) -> list[list[int]]:
 
 
 def homology_decomposition(c: FreeComplex) -> FUDecomposition:
-    """Homology of a free complex as towers (free part) plus torsion.
-
-    One reduction runs over the whole complex; a pivot never mixes two
-    direct summands, so each is reduced as if alone.  The torsion summand
-    produced by a pivot ``alpha -> U^k beta`` has its top element in the
+    """Homology of a free complex as towers (free part) plus torsion: its
+    validation, then :func:`_homology` on the rows it checked.  The torsion
+    summand of a pair ``alpha -> U^k beta`` has its top element in the
     grading of ``beta``:
 
     >>> c = FreeComplex([("y", Fraction(-1)), ("x", Fraction(0))], {"y": {"x": 1}})
@@ -776,18 +766,22 @@ def homology_decomposition(c: FreeComplex) -> FUDecomposition:
     if not c.differential:  # nothing to check or cancel: a tower per generator
         return FUDecomposition.make(c.maslov.values(), ())
     (report := validate_complex(c)).require()
-    r = _Reducer(c, rows=report.checked).cancel_u0().diagonalize()
-    return FUDecomposition.make([m for m, kept in zip(r.m, r.alive) if kept], r.torsion)
+    towers, torsion = _homology(list(c.maslov.values()), *report.checked[1])
+    return FUDecomposition.make(towers.elements(), torsion)
 
 
-def _homology(m: list, rows: list, bases: list) -> tuple[Counter, list]:
-    """The towers, counted, and the torsion ``(top, length, count)`` of the complex on the positions
-    of the gradings ``m`` with the window bitset rows ``(rows, bases)``, taken as its own:
-    :func:`homology_decomposition` unchecked and without names, pivots in position order."""
+def _homology(m: list, rows: list, bases: list) -> tuple[Counter, Counter]:
+    """The towers and the torsion ``(top, length)`` summands, each counted, of the complex on the
+    positions of the gradings ``m`` with the window bitset rows ``(rows, bases)``, taken as its own,
+    unchecked and on the rows as handed over.  Every U^0 entry is cancelled (in position order), so
+    each entry left, U^p with p >= 1, raises the grading; the survivors are then paired by
+    :func:`_paired` in descending grading, ties by position.  A pair (i, j) is F2[U]/U^p topped
+    at m(j), p = (m(j) - m(i) + 1) / 2, and an unpaired survivor is a tower at m(i)."""
     r = object.__new__(_Reducer)
-    r.generators, r.m, r.rows, r.row_bases, r.alive, r.torsion = range(len(m)), m, rows, bases, [True] * len(m), []
-    r.cancel_u0().diagonalize()
-    return Counter(x for x, kept in zip(r.m, r.alive) if kept), [(g, k, c) for (g, k), c in Counter(r.torsion).items()]
+    r.generators, r.m, r.rows, r.row_bases, r.alive = range(len(m)), m, rows, bases, [True] * len(m)
+    order = sorted(compress(range(len(m)), r.cancel_u0().alive), key=m.__getitem__, reverse=True)  # a stable sort
+    pairs, towers = _paired(order, lambda i: _positions(rows[i], bases[i]))
+    return Counter(map(m.__getitem__, towers)), Counter((m[j], (m[j] - m[i] + 1) // 2) for i, j in pairs)
 
 
 def plus_presentation(h: FUDecomposition) -> FUDecomposition:

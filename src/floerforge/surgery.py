@@ -261,22 +261,20 @@ def _minimal_cone(sc: _ShapeCone) -> tuple[list, list, list]:
     = 0, the power of flip x -> flip y in B, so only B is read."""
     models, ones = _minimal_blocks(sc), [1] * len(sc.flip)  # each row a mask from 0
     b_m, b_rows, projections = models.pop(None, ([], [], []))
-    images = {(s, kind): [(sum(1 << k for k, (w, wo) in enumerate(projections) if _odd_overlap(x, xo, w, wo)), 0)
+    images = {(s, kind): [sum(1 << k for k, (w, wo) in enumerate(projections) if _odd_overlap(x, xo, w, wo))
                           for x, xo in (_sum(ones, e, v, o) for v, o in models[s][2])]  # pi(e(iota(g)))
               for (s, kind), e in sc.edges.items()}  # each edge image a mask over B's survivors
-    blocks = {s: (m, rows, [0] * len(m)) for s, (m, rows, _inclusion) in models.items()}
-    b_block = b_m, b_rows, [0] * len(b_m)
     m, rows, bases, start = [], [], [], {}
-    for key, (ms, r, o), shift in ([(s, blocks[s], sc.a_shifts[s]) for s in sc.a_shifts]
-                                   + [(("B", t), b_block, sc.b_shifts[t]) for t in sc.b_shifts]):
-        start[key] = at = len(m)
+    for key, ms, r, shift in ([(s, *models[s][:2], sc.a_shifts[s]) for s in sc.a_shifts]
+                              + [(("B", t), b_m, b_rows, sc.b_shifts[t]) for t in sc.b_shifts]):
+        start[key] = at = len(m)  # a block's rows are masks from 0: its base is its start
         m += [x + shift for x in ms]
         rows += r
-        bases += [x + at for x in o]
+        bases += [at] * len(ms)
     for (s, kind), image in images.items():  # added to A_s's rows, over B_t's positions
         b = start["B", s if kind == "v" else s + sc.n]
-        for i, (v, o) in enumerate(image, start[s]):
-            rows[i], bases[i] = _plus(rows[i], bases[i], v, o + b)
+        for i, v in enumerate(image, start[s]):
+            rows[i], bases[i] = _plus(rows[i], bases[i], v, b)
     return m, rows, bases
 
 
@@ -324,7 +322,7 @@ def _summed_cones(shapes, n: int, g_hat: int, rows=()) -> HFPlusResult:
             offset += first * q
             for g, c in free.items():
                 towers[x] = towers.get(x := g * q + offset, 0) + c * count
-            for g, k, c in tops:
+            for (g, k), c in tops.items():
                 torsion[x] = torsion.get(x := (g * q + offset, k), 0) + c * count
     d = _ANCHORS[n].denominator  # the anchor and the torsion shift of 1 are added on gradings times d q
     a = _times(_ANCHORS[n], q * d)
@@ -332,7 +330,7 @@ def _summed_cones(shapes, n: int, g_hat: int, rows=()) -> HFPlusResult:
                                                  lambda x: _public(x * d + a - q * d, q * d)))
 
 
-def _cone_homology(rep: KnotComplex, n: int, g_hat: int, rows=None) -> tuple[Counter, list]:
+def _cone_homology(rep: KnotComplex, n: int, g_hat: int, rows=None) -> tuple[Counter, Counter]:
     """:func:`fualgebra._homology` of the :func:`_minimal_cone` of ``rep``, on its base's rows if handed over."""
     return _homology(*_minimal_cone(_shape_cone(rep, n, g_hat, rows)))
 

@@ -26,7 +26,6 @@ from floerforge.endfloer import (
     he_end_sum,
     he_product_end,
     he_slice_r4,
-    normalize_level,
     restrict_spec,
     s1xs2_data,
     s3_data,
@@ -44,15 +43,22 @@ def r_spec(n, handle=CH_PLUS, **kw):
 # --- normalisation and shifts ---------------------------------------------------
 
 
-def test_normalize_level_b1_zero_is_identity():
+def normalized(module, b1):
+    """The level table ``module`` shifted down by b1/2, by ``endfloer._normalized``, at public gradings."""
+    q, (table,) = endfloer._normalized(ExhaustionSpec((Level(b1, module),), ()))
+    return {F(x, q): r for x, r in table.items()}
+
+
+def test_normalized_level_b1_zero_is_identity():
     table = {F(1): 2, F(-1, 2): 1}
-    assert normalize_level(table, 0) == table
+    assert normalized(table, 0) == table
 
 
-def test_normalize_level_examples():
-    assert normalize_level({F(1, 2): 1}, 1) == {F(0): 1}
+def test_normalized_level_examples():
+    assert endfloer._normalized(ExhaustionSpec((Level(1, {F(1, 2): 1}),), ())) == (2, [{0: 1}])
+    assert normalized({F(1, 2): 1}, 1) == {F(0): 1}
     n = 7
-    assert normalize_level({F(n) - F(5, 2): 2}, 1) == {F(n) - 3: 2}
+    assert normalized({F(n) - F(5, 2): 2}, 1) == {F(n) - 3: 2}
 
 
 # --- colimits ---------------------------------------------------------------------
@@ -155,7 +161,7 @@ def test_colimit_subsequence_invariance(seed):
     full = colimit(spec)
     for indices in ([0, 2, 4, 5], [1, 3, 4, 5], [0, 3, 4, 5]):
         restricted = colimit(restrict_spec(spec, indices))
-        assert restricted.table() == full.table()
+        assert dict(restricted.per_grading) == dict(full.per_grading)
         assert restricted.vanishes == full.vanishes
 
 

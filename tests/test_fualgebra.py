@@ -1,3 +1,4 @@
+import heapq
 from collections import Counter
 from fractions import Fraction
 
@@ -9,6 +10,7 @@ from floerforge.corpus import corpus_builders, load_complex
 from floerforge.fualgebra import (
     FreeComplex,
     FUDecomposition,
+    _homology,
     _pivots,
     _Reducer,
     gf2_rank,
@@ -23,10 +25,11 @@ from floerforge.truncation import (
     expected_truncated_dimensions,
     truncated_graded_dimensions,
 )
+from floerforge import surgery
 from floerforge.surgery import build_cone
 from floerforge.whitehead import whitehead_double_cfk
 
-from complexes import ORACLE_CASES, mix, scrambled_sums, survivors, tracked_maps
+from complexes import ORACLE_CASES, mix, positional_complex, scrambled_sums, tracked_maps
 
 F = Fraction
 
@@ -78,6 +81,113 @@ def scan_pairing(reduced):
             owner[high] = pos[g]
             pairs.append((g, order[high]))
     return pairs, [g for i, g in enumerate(order) if not columns[i] and i not in owner]
+
+
+def sweep_homology(c):
+    """The reference F2[U] homology, the route the program took before it paired:
+    a sweep on generator names that cancels the least (source, target) U^0 entry
+    while one is left, then pivots on the least (power, source, target) entry.  A
+    pivot alpha -> U^k beta turns each other z -> U^p beta into z + U^(p - k) alpha,
+    so only alpha hits beta, and splits the pair off: F2[U]/U^k topped at m(beta)
+    if k > 0.  What is never pivoted on is a tower."""
+    m = c.maslov
+    out = {g: dict(c.differential.get(g, {})) for g in c.generators}
+    into = {g: set() for g in c.generators}
+    for src, row in out.items():
+        for tgt in row:
+            into[tgt].add(src)
+    torsion = []
+    for u0 in (True, False):
+        heap = [(p, s, t) for s, row in out.items() for t, p in row.items() if p == 0 or not u0]
+        heapq.heapify(heap)
+        while heap:
+            k, alpha, beta = heapq.heappop(heap)
+            if out.get(alpha, {}).get(beta) != k:
+                continue  # cancelled since it was pushed
+            for z in into[beta] - {alpha}:
+                shift = out[z][beta] - k
+                for y in into[z]:  # in the basis z + U^shift alpha, y's alpha term moves
+                    if xor_entry(out[y], alpha, out[y][z] + shift):
+                        into[alpha].add(y)
+                    else:
+                        into[alpha].discard(y)
+                for w, q in out[alpha].items():
+                    if xor_entry(out[z], w, shift + q):
+                        into[w].add(z)
+                        if shift + q == 0 or not u0:
+                            heapq.heappush(heap, (shift + q, z, w))
+                    else:
+                        into[w].discard(z)
+            assert into[beta] == {alpha} and not into[alpha], "d^2 = 0 fails at a pivot"
+            for g in (alpha, beta):
+                for w in out.pop(g):
+                    into[w].discard(g)
+                del into[g]
+            if k:
+                torsion.append((m[beta], k))
+    return FUDecomposition.make([m[g] for g in out], torsion)
+
+
+def decomposed(m, rows, bases):
+    """``fualgebra._homology`` of the positional complex ``(m, rows, bases)`` as a decomposition."""
+    towers, torsion = _homology(m, rows, bases)
+    return FUDecomposition.make(towers.elements(), torsion)
+
+
+def checked_homology(c):
+    """The homology of ``c``, found the same by ``homology_decomposition``, by
+    ``fualgebra._homology`` on the rows its validation checked and by the
+    reference sweep, and giving the truncation oracle's dimensions at two
+    consecutive cutoffs past its longest torsion summand."""
+    found = sweep_homology(c)
+    assert homology_decomposition(c) == found
+    assert decomposed(list(c.maslov.values()), *validate_complex(c).checked[1]) == found
+    cutoff = max([k for _g, k, _c in found.torsion], default=0) + 1
+    for n in (cutoff, cutoff + 1):
+        assert truncated_graded_dimensions(c, n) == expected_truncated_dimensions(found, n)
+    return found
+
+
+@pytest.mark.parametrize("n", [-1, 0, 1])
+@pytest.mark.parametrize("name", sorted(ORACLE_CASES))
+def test_homology_is_the_sweeps_on_the_flat_cones(name, n):
+    # The flat cone, and the minimal cone of the whole complex taken as one
+    # shape, on which the surgery route pairs.
+    kc = ORACLE_CASES[name]()
+    checked_homology(build_cone(kc, n).total_complex())
+    m, rows, bases = surgery._minimal_cone(surgery._shape_cone(kc, n, surgery._window(kc, n)))
+    minimal = checked_homology(positional_complex(m, rows, bases))
+    assert decomposed(m, rows, bases) == minimal  # last: _homology reduces the rows in place
+
+
+@st.composite
+def drawn_complexes(draw):
+    """A valid complex at half-integral gradings, in a random generator order,
+    with its homology by construction: towers x and pairs y -> U^k x (acyclic
+    at k = 0), summed, then mixed by homogeneous changes of basis g := g + U^s h."""
+    gens, diff, towers, torsion = [], {}, [], []
+    for i, (a, k) in enumerate(draw(st.lists(st.tuples(st.integers(-3, 3), st.none() | st.integers(0, 3)),
+                                             min_size=1, max_size=8))):
+        top = a + F(1, 2)
+        gens.append((f"x{i}", top))
+        if k is None:
+            towers.append(top)
+        else:
+            gens.append((f"y{i}", top + 1 - 2 * k))
+            diff[f"y{i}"] = {f"x{i}": k}
+            torsion += [(top, k)] * bool(k)
+    r, names = _Reducer(FreeComplex(gens, diff)), [g for g, _m in gens]
+    for i, j in draw(st.lists(st.tuples(*[st.integers(0, len(names) - 1)] * 2), max_size=30)):
+        if i != j and (r.m[j] - r.m[i]) % 2 == 0 and r.m[j] >= r.m[i]:
+            mix(r, names[i], names[j], (r.m[j] - r.m[i]) // 2)
+    return copied(r.current_complex(), draw(st.permutations(names)), str), FUDecomposition.make(towers, torsion)
+
+
+@settings(deadline=None, max_examples=150)
+@given(drawn_complexes())
+def test_homology_is_the_sweeps_on_drawn_complexes(drawn):
+    c, built = drawn
+    assert checked_homology(c) == built
 
 
 @settings(max_examples=300, deadline=None)
@@ -332,31 +442,29 @@ def copied(c, order, name):
 
 
 def reduced(c):
-    r = _Reducer(c).cancel_u0()
-    model = r.current_complex()
-    r.diagonalize()
-    return set(model.generators), model.differential, sorted(r.torsion), sorted(r.m[i] for i in survivors(r).values())
+    model = _Reducer(c).cancel_u0().current_complex()
+    return set(model.generators), model.differential, homology_decomposition(model)
 
 
 @settings(deadline=None, max_examples=30)
 @given(st.sampled_from(sorted(ORACLE_CASES)), st.sampled_from([-1, 0, 1]), st.data())
 def test_reduction_ignores_generator_order(name, n, data):
-    # Pivots go by sorted name, not by the position of a generator or of an
-    # entry: a shuffled copy of a cone block (whose U^0 entries leave the
-    # pivots a choice) reduces to the same survivors, differential and
-    # torsion, and so does a copy renamed in an order-keeping way (a common
-    # prefix), up to that renaming.  Any renaming keeps the homology.
+    # Cancellations go by sorted name, not by the position of a generator or
+    # of an entry: a shuffled copy of a cone block (whose U^0 entries leave
+    # the cancellations a choice) reduces to the same survivors, differential
+    # and homology, and so does a copy renamed in an order-keeping way (a
+    # common prefix), up to that renaming.  Any renaming keeps the homology.
     mc = build_cone(ORACLE_CASES[name](), n)
     c = data.draw(st.sampled_from([*mc.a_complexes.values(), *mc.b_complexes.values()]))
     rng = data.draw(st.randoms(use_true_random=False))
     order = list(c.generators)
     rng.shuffle(order)
     assert reduced(copied(c, order, lambda g: g)) == reduced(c)
-    survivors, diff, torsion, towers = reduced(c)
+    survivors, diff, homology = reduced(c)
     prefix = lambda g: f"p.{g}"
     assert reduced(copied(c, order, prefix)) == (
         {prefix(g) for g in survivors},
-        {prefix(src): {prefix(t): p for t, p in row.items()} for src, row in diff.items()}, torsion, towers)
+        {prefix(src): {prefix(t): p for t, p in row.items()} for src, row in diff.items()}, homology)
     fresh = dict(zip(order, rng.sample([f"v{i}" for i in range(len(order))], len(order))))
     assert homology_decomposition(copied(c, order, fresh.get)) == homology_decomposition(c)
 
@@ -450,5 +558,6 @@ def test_integral_kernels_build_no_fraction(monkeypatch):
     assert fractions_built(lambda: validate_complex(product))[0] == 0
     reducer = _Reducer(product)
     assert fractions_built(reducer.cancel_u0)[0] == 0
-    assert fractions_built(reducer.diagonalize)[0] == 0
+    rows = validate_complex(product).checked[1]
+    assert fractions_built(lambda: _homology(list(product.maslov.values()), *rows))[0] == 0
     assert fractions_built(lambda: FreeComplex.from_json(product.to_json()))[0] == 0

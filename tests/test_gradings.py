@@ -31,10 +31,10 @@ from floerforge.endfloer import (
     Level,
     SliceR4Spec,
     StepDescriptor,
+    _normalized,
     _resolve_piece,
     colimit,
     he_slice_r4,
-    normalize_level,
 )
 from floerforge.fualgebra import FreeComplex, FUDecomposition, _tensor, homology_decomposition, validate_complex
 from floerforge.surgery import (
@@ -217,8 +217,9 @@ def clasped_system(h, b1: int) -> ExhaustionSpec:
 def test_level_tables_commute_with_a_shift(h, b1):
     for system in (explicit_system, clasped_system):
         spec, shifted = system(F(0), b1), system(h, b1)
-        for level, moved_level in zip(spec.levels, shifted.levels):
-            assert normalize_level(moved_level.module, b1) == up(normalize_level(level.module, b1), h)
+        (q, tables), (moved_q, moved_tables) = _normalized(spec), _normalized(shifted)
+        for table, moved in zip(tables, moved_tables, strict=True):
+            assert {F(x, moved_q): r for x, r in moved.items()} == up({F(x, q): r for x, r in table.items()}, h)
         report, moved_report = colimit(spec), colimit(shifted)
         assert moved_report.per_grading == tuple((g + h, e) for g, e in report.per_grading)
         assert moved_report.max_nontrivial_grading == report.max_nontrivial_grading + h
